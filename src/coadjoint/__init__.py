@@ -46,6 +46,7 @@ from .semidirect import (
     direct_index,
     generic_stabiliser_in_V,
     rais_index,
+    rais_index_at,
     semidirect,
     split_stabiliser_dim,
     stabiliser_full,

@@ -30,7 +30,7 @@ from .repn import build_module, spin_rep
 from .semidirect import (
     direct_index,
     generic_stabiliser_in_V,
-    rais_index,
+    rais_index_at,
     semidirect,
 )
 
@@ -231,9 +231,7 @@ def sp_heis_algebra(k):
     from .constructions import minimal_nilpotent_centraliser_layout
 
     lay = minimal_nilpotent_centraliser_layout(k + 1)
-    amb = lay.meta["omega"].rows
     # centraliser basis is carried by the layout generators
-    span = []
     N = lay.N
     # express each generator inside the full matrix space, then cut the
     # structure constants directly via matrix commutators
@@ -500,7 +498,7 @@ def verify_row(row: TableRowSpec, env, cfg: SampleConfig, max_dim=400,
     report.record("index (direct)",
                   exp["ind"], int(d_ind) if d_ind.stabilised else "unstable", t0)
     t0 = time.time()
-    r_ind = rais_index(S, cfg)
+    r_ind = rais_index_at(S, st, cfg)
     report.record("index (Rais)",
                   exp["ind"], int(r_ind) if r_ind.stabilised else "unstable", t0)
     return report

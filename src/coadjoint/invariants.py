@@ -22,7 +22,6 @@ from .liealg import index as algebra_index
 from .qlinalg import (
     Q0,
     Q1,
-    QQ,
     QMatrix,
     SampleConfig,
     as_q,
@@ -372,72 +371,34 @@ def _invariants_weight_path(S, mdeg, monos, wdata):
     w0 = [m for m in monos if _mono_weight(m, weights) == zero_w]
     if not w0:
         return []
-    polys = [MultiPoly(S.dim, {m: Q1}) for m in w0]
     # conditions: raising derivations, then V-derivations (which leave the
-    # component); both are imposed on the coefficient vectors of `polys`
-    cond_rows = []
+    # component); both are imposed on the coefficient vectors over `w0`
     derivs = list(positive) + list(range(S.dim_g, S.dim))
-    images = []
-    for P in polys:
-        images.append([lie_derivative(S, i, P) for i in derivs])
-    target_monos = {}
-    for imgs in images:
-        for img in imgs:
-            for m in img.terms:
-                target_monos.setdefault(m, len(target_monos))
-    nrows = len(derivs) * len(target_monos)
-    if target_monos:
-        # row index: (derivation slot, target monomial)
-        mat = [[Q0] * len(polys) for _ in range(nrows)]
-        for col, imgs in enumerate(images):
-            for di, img in enumerate(imgs):
-                for m, c in img.terms.items():
-                    r = di * len(target_monos) + target_monos[m]
-                    mat[r][col] = c
-        ker = kernel_basis(QMatrix(nrows, len(polys), mat))
-    else:
-        ker = [[Q1 if i == j else Q0 for j in range(len(polys))]
-               for i in range(len(polys))]
-    basis = []
-    for v in ker:
-        P = MultiPoly(S.dim)
-        for c, m in zip(v, w0):
-            if c != 0:
-                P = P + MultiPoly(S.dim, {m: c})
-        basis.append(P)
-    return _echelonise(basis, monos)
+    return _echelonise(_killed_by(S, derivs, w0), monos)
 
 
 def _invariants_direct_path(S, monos):
     if not monos:
         return []
-    idx_cache = {}
-    polys = [MultiPoly(S.dim, {m: Q1}) for m in monos]
-    target = {}
-    images = []
-    for P in polys:
-        imgs = [lie_derivative(S, i, P) for i in range(S.dim)]
-        images.append(imgs)
-        for img in imgs:
-            for m in img.terms:
-                target.setdefault(m, len(target))
-    nrows = S.dim * len(target)
-    if not target:
-        return _echelonise(polys, monos)
-    mat = [[Q0] * len(polys) for _ in range(nrows)]
-    for col, imgs in enumerate(images):
-        for di, img in enumerate(imgs):
-            for m, c in img.terms.items():
-                mat[di * len(target) + target[m]][col] = c
-    ker = kernel_basis(QMatrix(nrows, len(polys), mat))
-    basis = []
-    for v in ker:
-        P = MultiPoly(S.dim)
-        for c, m in zip(v, monos):
-            if c != 0:
-                P = P + MultiPoly(S.dim, {m: c})
-        basis.append(P)
-    return _echelonise(basis, monos)
+    return _echelonise(_killed_by(S, range(S.dim), monos), monos)
+
+
+def _killed_by(S, derivs, monos):
+    """Basis of the polynomials in span(monos) killed by every derivation in
+    derivs.  The condition matrix has one row per (derivation, image
+    monomial) pair that occurs and one column per monomial of `monos`."""
+    rows = {}
+    for col, m in enumerate(monos):
+        P = MultiPoly(S.dim, {m: Q1})
+        for i in derivs:
+            for m2, c in lie_derivative(S, i, P).terms.items():
+                row = rows.get((i, m2))
+                if row is None:
+                    row = rows[(i, m2)] = [Q0] * len(monos)
+                row[col] = c
+    ker = kernel_basis(QMatrix(len(rows), len(monos), list(rows.values())))
+    return [MultiPoly(S.dim, {m: c for c, m in zip(v, monos) if c != 0})
+            for v in ker]
 
 
 def _echelonise(polys, monos):

@@ -2,10 +2,13 @@
 
 Scalars are exact rationals (gmpy2.mpq when available, fractions.Fraction
 otherwise).  Matrices are dense lists of rows.  Ranks and kernels are computed
-over the integers by fraction-free (Bareiss) elimination; for large matrices a
-certified fast path combines a modular elimination (numpy, single word prime)
-with p-adic lifting of kernel vectors and an exact re-verification, so every
-reported rank is an exact rank over Q.
+over the integers: each row's denominators are cleared in integer arithmetic
+(numerator times the cofactor of the row's lcm) and all-zero rows are dropped,
+which changes neither the rank nor the right kernel.  The integer rows go to
+fraction-free (Bareiss) elimination; for large matrices a certified fast path
+combines a modular elimination (numpy, single word prime) with p-adic lifting
+of kernel vectors and an exact re-verification, so every reported rank is an
+exact rank over Q.
 
 Also hosts the deterministic integer-point sampler used to realise "generic"
 points, and exact univariate interpolation for graded-component extraction.
@@ -44,10 +47,6 @@ Q1 = QQ(1)
 
 # Single word prime for modular prescreens; products p*p*nrows must fit int64.
 _PRIMES = [46337, 46327, 46309, 46307, 46301, 46279, 46273, 46271]
-
-
-def qstr(x):
-    return str(x)
 
 
 def as_q(x):
@@ -154,20 +153,32 @@ class QMatrix:
         )
 
     def __repr__(self):
-        body = "\n".join("[" + ", ".join(qstr(x) for x in r) + "]" for r in self.data)
+        body = "\n".join("[" + ", ".join(str(x) for x in r) + "]" for r in self.data)
         return f"QMatrix({self.rows}x{self.cols})\n{body}"
 
 
 def _int_rows(m: QMatrix):
-    """Clear denominators row by row; row scaling preserves rank and kernel."""
+    """Integer rows with the row space of m, all-zero rows dropped.
+
+    Each row is scaled by the lcm of its denominators in integer arithmetic
+    (numerator times cofactor), which preserves rank and right kernel.  Most
+    zero entries are the shared Q0, which is skipped by identity.
+    """
     out = []
     for row in m.data:
         l = 1
         for x in row:
-            d = x.denominator
-            if d != 1:
-                l = l * d // math.gcd(l, int(d))
-        out.append([int(x * l) for x in row])
+            if x is not Q0:
+                d = x.denominator
+                if d != 1:
+                    l = l * d // math.gcd(l, d)
+        if l == 1:
+            ints = [0 if x is Q0 else x.numerator for x in row]
+        else:
+            ints = [0 if x is Q0 else x.numerator * (l // x.denominator)
+                    for x in row]
+        if any(ints):
+            out.append(ints)
     return out
 
 
@@ -221,7 +232,6 @@ def _mod_echelon(a, p):
     nr, nc = a.shape
     piv_r = 0
     pivots = []
-    inv = pow
     for pc in range(nc):
         col = a[piv_r:, pc]
         nz = np.nonzero(col)[0]
@@ -231,7 +241,7 @@ def _mod_echelon(a, p):
         if r != piv_r:
             a[[piv_r, r]] = a[[r, piv_r]]
         piv = int(a[piv_r, pc])
-        a[piv_r] = (a[piv_r] * inv(piv, p - 2, p)) % p
+        a[piv_r] = (a[piv_r] * pow(piv, p - 2, p)) % p
         col = a[:, pc].copy()
         col[piv_r] = 0
         mask = col != 0
@@ -242,11 +252,6 @@ def _mod_echelon(a, p):
         if piv_r == nr:
             break
     return piv_r, pivots, a
-
-
-def _kernel_from_echelon(pivots, nc):
-    free = [c for c in range(nc) if c not in set(pivots)]
-    return free
 
 
 def _rational_reconstruct(u, m):
@@ -287,7 +292,7 @@ def _dixon_solve(A_int, rhs_cols, p):
     rhs_max = max(1, int(np.abs(rhs_cols).max()) if rhs_cols.size else 1)
     digits = int(2 * (log_det + math.log(n * (rhs_max + 1))) / math.log(p)) + 4
     k = rhs_cols.shape[1]
-    R = rhs_cols.astype(np.int64)
+    R = rhs_cols
     xdigits = np.empty((digits, n, k), dtype=np.int64)
     for d in range(digits):
         Rm = np.mod(R, p)
@@ -326,67 +331,57 @@ _BAREISS_CUTOFF = 70
 
 def rank(m: QMatrix) -> int:
     """Exact rank over Q."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
     a = _int_rows(m)
-    if min(m.rows, m.cols) <= _BAREISS_CUTOFF:
-        r, _ = _bareiss_echelon([row[:] for row in a])
+    if not a:
+        return 0
+    if min(len(a), m.cols) <= _BAREISS_CUTOFF:
+        r, _ = _bareiss_echelon(a)
         return r
     return _certified_rank(a)
 
 
 def _certified_rank(a):
-    """Rank of integer rows, certified exactly.
+    """Rank of nonzero integer rows, certified exactly.
 
     Lower bound: a pivot minor nonzero mod p is nonzero over Z.  Upper bound:
     exact kernel vectors (p-adically lifted, then re-verified over Z) of the
     right count.  The two bounds meet, so the value is exact.
     """
-    amax = max((abs(x) for row in a for x in row), default=0)
-    if amax == 0:
-        return 0
-    if amax < 2 ** 61:
-        candidates = _kernel_int(a)
-        if candidates is not None:
-            return len(a[0]) - len(candidates)
+    candidates = _kernel_int(a)
+    if candidates is not None:
+        return len(a[0]) - len(candidates)
     # entries too large for the word-size fast path: fall back to Bareiss
-    r, _ = _bareiss_echelon([row[:] for row in a])
+    r, _ = _bareiss_echelon(a)
     return r
 
 
 def _kernel_int(a):
-    """Exact right-kernel basis of integer rows via mod-p + lifting.
+    """Exact right-kernel basis of nonzero integer rows via mod-p + lifting.
 
-    Returns a list of rational vectors, or None when every prime failed.
-    Every returned vector is re-verified exactly, and the count is certified
-    by the mod-p rank lower bound.
+    Returns a list of rational vectors, or None when the entries are too large
+    for word-size residues or every prime failed.  Every returned vector is
+    re-verified exactly, and the count is certified by the mod-p rank lower
+    bound.
     """
     nr = len(a)
     nc = len(a[0])
-    amax = max((abs(x) for row in a for x in row), default=0)
-    if amax and max(nr, nc) * amax * _PRIMES[0] >= 2 ** 62:
+    amax = max(max(map(abs, row)) for row in a)
+    if max(nr, nc) * amax * _PRIMES[0] >= 2 ** 62:
         return None
+    an = np.array(a, dtype=np.int64)
     for p in _PRIMES:
-        an = np.array(a, dtype=np.int64)
-        r, pivots, _red = _mod_echelon(an.copy(), p)
-        free = [c for c in range(nc) if c not in set(pivots)]
+        r, pivots, _red = _mod_echelon(an, p)
         if r == 0:
-            basis = []
-            for j in range(nc):
-                v = [Q0] * nc
-                v[j] = Q1
-                basis.append(v)
-            if all(all(x == 0 for x in row) for row in a):
-                return basis
-            continue
+            continue  # every entry divisible by p
         # pivot rows mod p: find nr-subset realising the rank
-        rr, row_piv, _ = _mod_echelon(an.T.copy() % p, p)
+        rr, row_piv, _ = _mod_echelon(an.T.copy(), p)
         if rr != r:
             continue
+        pivot_set = set(pivots)
+        free = [c for c in range(nc) if c not in pivot_set]
         sub = an[np.ix_(row_piv, pivots)]
         if free:
-            rhs = -an[np.ix_(row_piv, free)]
-            sols = _dixon_solve(sub, rhs.astype(object), p)
+            sols = _dixon_solve(sub, -an[np.ix_(row_piv, free)], p)
             if sols is None:
                 continue
         else:
@@ -423,10 +418,10 @@ def kernel_basis(m: QMatrix):
     """
     if m.cols == 0:
         return []
-    if m.rows == 0:
-        return [_unit(m.cols, j) for j in range(m.cols)]
     a = _int_rows(m)
-    if min(m.rows, m.cols) > _BAREISS_CUTOFF:
+    if not a:
+        return [_unit(m.cols, j) for j in range(m.cols)]
+    if min(len(a), m.cols) > _BAREISS_CUTOFF:
         fast = _kernel_int(a)
         if fast is not None:
             return fast
@@ -440,20 +435,22 @@ def _unit(n, j):
 
 
 def _kernel_exact_small(a, nc):
-    """Kernel by fraction-free forward elimination + exact back substitution."""
-    work = [row[:] for row in a]
-    r, pivots = _bareiss_echelon(work)
+    """Kernel by fraction-free forward elimination + exact back substitution.
+
+    The integer rows `a` are eliminated in place.
+    """
+    r, pivots = _bareiss_echelon(a)
     pivot_set = set(pivots)
     free = [c for c in range(nc) if c not in pivot_set]
     basis = []
     for j in free:
         v = [Q0] * nc
         v[j] = Q1
-        # rows 0..r-1 of work are in echelon form with pivot cols `pivots`
+        # rows 0..r-1 of a are in echelon form with pivot cols `pivots`
         for i in range(r - 1, -1, -1):
             pc = pivots[i]
             s = Q0
-            row = work[i]
+            row = a[i]
             for c in range(pc + 1, nc):
                 if row[c] and v[c]:
                     s += QQ(row[c]) * v[c]

@@ -13,7 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .liealg import IndexResult, LieAlgebraData, index as algebra_index, subalgebra
+from .liealg import (
+    IndexResult,
+    LieAlgebraData,
+    index as algebra_index,
+    killing_matrix,
+    subalgebra,
+)
 from .qlinalg import QMatrix, Q0, SampleConfig, as_q, kernel_basis, rank, sample_vector
 from .repn import RepresentationData
 
@@ -135,23 +141,40 @@ def _zero_algebra():
     return LieAlgebraData(0, [], metadata={"name": "0"})
 
 
+def _genericity_key(st: StabiliserResult):
+    """Smaller is more generic: (dim q_x, -dim [q_x, q_x], -Killing rank).
+
+    dim q_x is upper semicontinuous in x; over the points where it is minimal,
+    dim [q_x, q_x] and the rank of the Killing form of q_x are lower
+    semicontinuous, so a generic x minimises the whole key.
+    """
+    h = st.algebra
+    rows = [[vec.get(k, Q0) for k in range(h.dim)] for vec in h.brackets.values()]
+    derived = rank(QMatrix(len(rows), h.dim, rows))
+    return (h.dim, -derived, -rank(killing_matrix(h)))
+
+
 def generic_stabiliser_in_V(S: SemiDirectProduct, cfg: SampleConfig
                             ) -> StabiliserResult:
-    """Stabiliser at a sampled generic x: minimal dimension over rounds."""
-    best = None
+    """Stabiliser at a sampled generic x: the best sample by _genericity_key.
+
+    Sampling stops when a round agrees with the best sample on the whole key;
+    `stabilised` records whether that happened within cfg.rounds.
+    """
+    best = best_key = None
     height = cfg.height
     agreed = False
     for rnd in range(cfg.rounds):
         c = SampleConfig(cfg.seed, height, cfg.rounds)
         x = sample_vector(c, S.dim_V, round_idx=rnd, tag="stab")
         st = stabiliser_in_V(S, x)
-        if best is not None and st.dim == best.dim:
+        key = _genericity_key(st)
+        if best is not None and key == best_key:
             agreed = True
-            if st.dim_orbit >= best.dim_orbit:
-                best = st
-            break
-        if best is None or st.dim < best.dim:
             best = st
+            break
+        if best is None or key < best_key:
+            best, best_key = st, key
         height *= 2
     best.stabilised = agreed
     return best
@@ -160,7 +183,13 @@ def generic_stabiliser_in_V(S: SemiDirectProduct, cfg: SampleConfig
 def rais_index(S: SemiDirectProduct, cfg: SampleConfig = SampleConfig()
                ) -> IndexResult:
     """ind s = dim V - (dim q - dim q_x) + ind q_x at sampled generic x."""
-    st = generic_stabiliser_in_V(S, cfg)
+    return rais_index_at(S, generic_stabiliser_in_V(S, cfg), cfg)
+
+
+def rais_index_at(S: SemiDirectProduct, st: StabiliserResult,
+                  cfg: SampleConfig = SampleConfig()) -> IndexResult:
+    """The Rais formula at a generic stabiliser st = q_x (from
+    generic_stabiliser_in_V); stabilised only if both samplings were."""
     sub_ind = algebra_index(st.algebra, cfg)
     val = S.dim_V - st.dim_orbit + int(sub_ind)
     return IndexResult(val, stabilised=st.stabilised and sub_ind.stabilised)

@@ -161,3 +161,21 @@ def test_cli_invariants_and_report(tmp_path):
                  "--out", str(out)]) == 0
     assert main(["report", str(out)]) == 0
     assert main(["report", str(out), "--format", "json"]) == 0
+
+
+@pytest.mark.parametrize("seed, table, label, env", [
+    (3, 1, "1", {"n": 4, "m": 1}),
+    (20, 2, "1e", {"n": 2, "m": 2}),
+    (26, 1, "2a", {}),
+])
+def test_verify_row_at_seeds_with_a_special_first_agreement(seed, table, label,
+                                                            env):
+    # At these seeds two sampled points agree on dim q_x while the first has a
+    # stabiliser of the right dimension but the wrong algebra; the generic
+    # stabiliser must still be found.
+    cfg = SampleConfig(seed=seed, height=5, rounds=8)
+    row = _row(load_atlas(cfg=cfg), table, label)
+    assert env in row.instances()
+    report = verify_row(row, env, cfg)
+    assert report.passed, [(c.check, c.expected, c.computed)
+                           for c in report.checks if not c.passed]
