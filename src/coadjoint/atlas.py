@@ -232,23 +232,20 @@ def sp_heis_algebra(k):
 
     lay = minimal_nilpotent_centraliser_layout(k + 1)
     # centraliser basis is carried by the layout generators
-    N = lay.N
     # express each generator inside the full matrix space, then cut the
     # structure constants directly via matrix commutators
     gens = [c.generator for c in lay.coords]
     from .liealg import LieAlgebraData
-    from .qlinalg import QMatrix, solve_right
+    from .qlinalg import Basis
 
     dim = len(gens)
-    coord = QMatrix(N * N, dim, [[g.data[i][j] for g in gens]
-                                 for i in range(N) for j in range(N)])
+    span = Basis([[x for row in g.data for x in row] for g in gens])
     alg = LieAlgebraData(dim, [c.label for c in lay.coords],
                          metadata={"name": f"sp{2 * k}|x heis{k}"})
     for a in range(dim):
         for b in range(a + 1, dim):
             comm = gens[a] * gens[b] - gens[b] * gens[a]
-            rhs = [comm.data[i][j] for i in range(N) for j in range(N)]
-            sol = solve_right(coord, rhs)
+            sol = span.coords([x for row in comm.data for x in row])
             assert sol is not None
             alg.set_bracket(a, b, {t: c for t, c in enumerate(sol) if c != 0})
     return alg
@@ -302,7 +299,7 @@ class RowReport:
     def record(self, check, expected, computed, t0):
         self.checks.append(RowCheck(check, expected, computed,
                                     expected == computed,
-                                    int((time.time() - t0) * 1000)))
+                                    int((time.perf_counter() - t0) * 1000)))
 
     def as_dict(self):
         return {
@@ -474,30 +471,30 @@ def verify_row(row: TableRowSpec, env, cfg: SampleConfig, max_dim=400,
     if dim_s > max_dim:
         report.skipped = f"dim s = {dim_s} exceeds the bound {max_dim}"
         return report
-    t0 = time.time()
+    t0 = time.perf_counter()
     L = classical_algebra(row.family, exp["size"])
     summands = [(lbl, mult) for mult, lbl in exp["module"] if mult > 0]
     R = build_module(row.family, exp["size"], summands, L=L)
     report.record("dim V", exp["dim_v"], R.dim_V, t0)
     S = semidirect(L, R)
     if validate:
-        t0 = time.time()
+        t0 = time.perf_counter()
         S.total.check_jacobi()
         from .repn import check_representation
 
         check_representation(R)
         report.record("jacobi+rep property", True, True, t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     st = generic_stabiliser_in_V(S, cfg)
     report.record("generic stabiliser dim", exp["stab_fp"].dim, st.dim, t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     stab_fp = fingerprint(st.algebra, cfg)
     report.record("stabiliser fingerprint", str(exp["stab_fp"]), str(stab_fp), t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     d_ind = direct_index(S, cfg)
     report.record("index (direct)",
                   exp["ind"], int(d_ind) if d_ind.stabilised else "unstable", t0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     r_ind = rais_index_at(S, st, cfg)
     report.record("index (Rais)",
                   exp["ind"], int(r_ind) if r_ind.stabilised else "unstable", t0)
@@ -518,20 +515,24 @@ class SuiteReport:
                 "rows": [r.as_dict() for r in self.reports]}
 
     def render_text(self):
-        lines = []
-        for r in self.reports:
-            tag = f"[{r.table}/{r.label}] {r.params or ''}"
-            if r.skipped:
-                lines.append(f"SKIP {tag}: {r.skipped}")
-                continue
-            status = "pass" if r.passed else "FAIL"
-            lines.append(f"{status} {tag}")
-            for c in r.checks:
-                mark = "ok " if c.passed else "BAD"
-                lines.append(f"   {mark} {c.check}: expected {c.expected}, "
-                             f"computed {c.computed} ({c.millis} ms)")
-        lines.append("overall: " + ("PASS" if self.passed else "FAIL"))
-        return "\n".join(lines)
+        return render_report(self.as_dict())
+
+
+def render_report(payload):
+    """Text rendering of a suite report given as its JSON payload (as_dict)."""
+    lines = []
+    for row in payload["rows"]:
+        tag = f"[{row['table']}/{row['row']}] {row['params'] or ''}"
+        if row["skipped"]:
+            lines.append(f"SKIP {tag}: {row['skipped']}")
+            continue
+        lines.append(("pass " if row["pass"] else "FAIL ") + tag)
+        for c in row["checks"]:
+            mark = "ok " if c["pass"] else "BAD"
+            lines.append(f"   {mark} {c['check']}: expected {c['expected']}, "
+                         f"computed {c['computed']} ({c['millis']} ms)")
+    lines.append("overall: " + ("PASS" if payload["pass"] else "FAIL"))
+    return "\n".join(lines)
 
 
 def run_suite(tables=(1, 2), row_label=None, cfg: SampleConfig = SampleConfig(),

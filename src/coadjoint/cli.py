@@ -158,24 +158,14 @@ def cmd_construct(args):
 
 
 def cmd_report(args):
-    from .atlas import SuiteReport
+    from .atlas import render_report
 
     with open(args.file) as fh:
         payload = json.load(fh)
     if args.format == "json":
         print(json.dumps(payload, indent=1))
-        return 0 if payload.get("pass") else 1
-    for row in payload["rows"]:
-        tag = f"[{row['table']}/{row['row']}] {row['params'] or ''}"
-        if row.get("skipped"):
-            print(f"SKIP {tag}: {row['skipped']}")
-            continue
-        print(("pass " if row["pass"] else "FAIL ") + tag)
-        for c in row["checks"]:
-            mark = "ok " if c["pass"] else "BAD"
-            print(f"   {mark} {c['check']}: expected {c['expected']}, "
-                  f"computed {c['computed']} ({c['millis']} ms)")
-    print("overall:", "PASS" if payload.get("pass") else "FAIL")
+    else:
+        print(render_report(payload))
     return 0 if payload.get("pass") else 1
 
 

@@ -18,12 +18,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .invariants import MultiPoly, is_invariant, lie_derivative
-from .liealg import LieAlgebraData, classical_algebra, subalgebra
+from .invariants import MultiPoly, is_invariant, lie_derivative_in
+from .liealg import (
+    LieAlgebraData,
+    algebra_on_basis,
+    classical_algebra,
+    subalgebra,
+)
 from .qlinalg import (
     Q0,
     Q1,
     QQ,
+    Basis,
     QMatrix,
     SampleConfig,
     as_q,
@@ -772,18 +778,12 @@ def restrict_psi(S: SemiDirectProduct, H: MultiPoly, x, adapted_basis=None,
     basis = adapted_basis if adapted_basis is not None else st.basis
     kdim = len(basis)
     # complement: unit vectors at coordinates off the span's echelon pivots
-    from .liealg import _span_basis
-
-    echelon = _span_basis([list(map(as_q, b)) for b in basis])
-    assert len(echelon) == kdim, "adapted basis is dependent"
-    pivots = {next(i for i in range(S.dim_g) if b[i] != 0) for b in echelon}
-    comp = [i for i in range(S.dim_g) if i not in pivots][: S.dim_g - kdim]
-    B_rows = [list(map(as_q, b)) for b in basis]
-    for i in comp:
-        row = [Q0] * S.dim_g
-        row[i] = Q1
-        B_rows.append(row)
-    B = QMatrix.from_rows(B_rows)
+    rows = [list(map(as_q, b)) for b in basis]
+    span = Basis(rows)
+    assert len(span) == kdim, "adapted basis is dependent"
+    comp = span.complement() if kdim else range(S.dim_g)
+    units = [[Q1 if c == i else Q0 for c in range(S.dim_g)] for i in comp]
+    B = QMatrix.from_rows(rows + units)
     # new generators y = B x, so the old generators substitute as x = B^{-1} y
     Binv = inverse(B)
     target_n = S.dim_g
@@ -801,38 +801,12 @@ def restrict_psi(S: SemiDirectProduct, H: MultiPoly, x, adapted_basis=None,
             if mono[a]:
                 raise RestrictionEscapes(f"complement coordinate y{a + 1}")
     out = MultiPoly(kdim, {mono[:kdim]: c for mono, c in Q.terms.items()})
-    sub = _subalgebra_in_basis(S.algebra, basis)
+    sub = algebra_on_basis(S.algebra, rows)
     if verify_invariant:
         for i in range(sub.dim):
-            assert _derive(sub, i, out).is_zero(), (
+            assert lie_derivative_in(sub, i, out).is_zero(), (
                 "psi_x image is not a q_x-invariant")
     return out, sub, basis
-
-
-def _subalgebra_in_basis(L: LieAlgebraData, basis):
-    """Structure constants w.r.t. the given (independent, closed) basis."""
-    from .qlinalg import solve_right
-
-    k = len(basis)
-    Bmat = QMatrix(L.dim, k, [[as_q(basis[j][i]) for j in range(k)]
-                              for i in range(L.dim)])
-    sub = LieAlgebraData(k, [f"y{i + 1}" for i in range(k)],
-                         metadata={"name": "stabiliser", "embedding": basis})
-    for i in range(k):
-        for j in range(i + 1, k):
-            v = L.bracket(basis[i], basis[j])
-            sol = solve_right(Bmat, v)
-            assert sol is not None, "basis is not bracket-closed"
-            sub.set_bracket(i, j, {t: c for t, c in enumerate(sol) if c != 0})
-    return sub
-
-
-def _derive(L: LieAlgebraData, i, P: MultiPoly) -> MultiPoly:
-    class _Shim:
-        total = L
-        dim = L.dim
-
-    return lie_derivative(_Shim, i, P)
 
 
 # ---------------------------------------------------------------------------
@@ -1027,7 +1001,7 @@ def z2_contraction(spec: ContractionSpec):
 
     T = _theta_matrix(L, theta)
     plus, minus = _eig_split(T)
-    g0 = subalgebra(L, plus, labels=None)
+    g0 = subalgebra(L, plus)
     # carry matrices for downstream constructions
     emb = g0.metadata["embedding"]
     mats = L.metadata["matrices"]
@@ -1043,19 +1017,13 @@ def z2_contraction(spec: ContractionSpec):
     g0.metadata["matrix_size"] = nmat
     g0.metadata["name"] = f"fix({L.metadata['name']})"
     # g1 as a g0-module: echelonised minus-basis, action by bracket
-    from .liealg import _span_basis
-
-    g1 = _span_basis([list(map(as_q, v)) for v in minus])
-    g1_mat = QMatrix(L.dim, len(g1), [[g1[j][i] for j in range(len(g1))]
-                                      for i in range(L.dim)])
-    from .qlinalg import solve_right
-
+    g1_span = Basis(Basis([list(map(as_q, v)) for v in minus]).rows)
+    g1 = g1_span.rows
     action = []
     for b0 in g0.metadata["embedding"]:
         cols = []
         for b1 in g1:
-            img = L.bracket(b0, b1)
-            sol = solve_right(g1_mat, img)
+            sol = g1_span.coords(L.bracket(b0, b1))
             assert sol is not None, "g1 is not g0-stable"
             cols.append(sol)
         action.append(QMatrix(len(g1), len(g1),
@@ -1267,18 +1235,14 @@ def item3_lift(n: int) -> Item3Result:
 
 
 def _matrix_expander_for(g0: LieAlgebraData):
-    """Expand a matrix in the g0 basis (dense exact solve, cached pivots)."""
-    mats = g0.metadata["matrices"]
-    n = g0.metadata["matrix_size"]
-    cols = [[mth.data[i][j] for mth in mats] for i in range(n) for j in range(n)]
-    coord = QMatrix(n * n, g0.dim, cols)
-    from .qlinalg import solve_right
+    """Expand a matrix in the g0 basis (one echelon basis, built once)."""
+    span = Basis([[x for row in mth.data for x in row]
+                  for mth in g0.metadata["matrices"]])
 
     def expand(M):
-        rhs = [M.data[i][j] for i in range(n) for j in range(n)]
-        sol = solve_right(coord, rhs)
+        sol = span.coords([x for row in M.data for x in row])
         assert sol is not None, "matrix not in the span of the algebra"
-        return {b: c for b, c in enumerate(sol)}
+        return dict(enumerate(sol))
 
     return expand
 

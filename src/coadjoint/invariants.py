@@ -18,10 +18,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .liealg import index as algebra_index
+from .liealg import LieAlgebraData, index as algebra_index
 from .qlinalg import (
     Q0,
     Q1,
+    Basis,
     QMatrix,
     SampleConfig,
     as_q,
@@ -226,11 +227,11 @@ class MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-def _derivation_table(total, i):
+def _derivation_table(L, i):
     """[x_i, x_j] for all j, as {j: [(k, c), ...]}."""
     out = {}
-    for j in range(total.dim):
-        b = total.bracket_basis(i, j)
+    for j in range(L.dim):
+        b = L.bracket_basis(i, j)
         if b:
             out[j] = list(b.items())
     return out
@@ -238,8 +239,14 @@ def _derivation_table(total, i):
 
 def lie_derivative(S: SemiDirectProduct, xi_index: int, P: MultiPoly) -> MultiPoly:
     """Derivation of P by the basis element x_{xi_index} of s."""
-    total = S.total
-    table = _derivation_table(total, xi_index)
+    return lie_derivative_in(S.total, xi_index, P)
+
+
+def lie_derivative_in(L: LieAlgebraData, xi_index: int, P: MultiPoly
+                      ) -> MultiPoly:
+    """Derivation of P, a polynomial in the coordinates of L, by the basis
+    element x_{xi_index} of L."""
+    table = _derivation_table(L, xi_index)
     out = {}
     for m, c in P.terms.items():
         for j, e in enumerate(m):
@@ -374,19 +381,20 @@ def _invariants_weight_path(S, mdeg, monos, wdata):
     # conditions: raising derivations, then V-derivations (which leave the
     # component); both are imposed on the coefficient vectors over `w0`
     derivs = list(positive) + list(range(S.dim_g, S.dim))
-    return _echelonise(_killed_by(S, derivs, w0), monos)
+    return _killed_by(S, derivs, w0)
 
 
 def _invariants_direct_path(S, monos):
     if not monos:
         return []
-    return _echelonise(_killed_by(S, range(S.dim), monos), monos)
+    return _killed_by(S, range(S.dim), monos)
 
 
 def _killed_by(S, derivs, monos):
-    """Basis of the polynomials in span(monos) killed by every derivation in
-    derivs.  The condition matrix has one row per (derivation, image
-    monomial) pair that occurs and one column per monomial of `monos`."""
+    """Reduced echelon basis, in the order of `monos`, of the polynomials in
+    span(monos) killed by every derivation in derivs.  The condition matrix
+    has one row per (derivation, image monomial) pair that occurs and one
+    column per monomial of `monos`."""
     rows = {}
     for col, m in enumerate(monos):
         P = MultiPoly(S.dim, {m: Q1})
@@ -398,41 +406,7 @@ def _killed_by(S, derivs, monos):
                 row[col] = c
     ker = kernel_basis(QMatrix(len(rows), len(monos), list(rows.values())))
     return [MultiPoly(S.dim, {m: c for c, m in zip(v, monos) if c != 0})
-            for v in ker]
-
-
-def _echelonise(polys, monos):
-    """Reduced echelon normal form w.r.t. the graded-lex monomial order."""
-    order = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for P in polys:
-        if not P.is_zero():
-            rows.append([P.terms.get(m, Q0) for m in monos])
-    red, piv = [], []
-    for row in rows:
-        row = row[:]
-        for p, rr in zip(piv, red):
-            if row[p] != 0:
-                f = row[p]
-                row = [a - f * b for a, b in zip(row, rr)]
-        nz = next((c for c in range(len(row)) if row[c] != 0), None)
-        if nz is None:
-            continue
-        inv = Q1 / row[nz]
-        row = [a * inv for a in row]
-        for i, (p, rr) in enumerate(zip(piv, red)):
-            if rr[nz] != 0:
-                f = rr[nz]
-                red[i] = [a - f * b for a, b in zip(rr, row)]
-        piv.append(nz)
-        red.append(row)
-    pairs = sorted(zip(piv, red))
-    out = []
-    for p, row in pairs:
-        P = MultiPoly(len(monos[0]) if monos else 0,
-                      {m: c for m, c in zip(monos, row) if c != 0})
-        out.append(P)
-    return out
+            for v in Basis(ker).rows]
 
 
 # ---------------------------------------------------------------------------
@@ -480,28 +454,11 @@ class GeneratorLedger:
 
 
 def _complement(basis, dec):
-    """Basis vectors extending span(dec) to span(basis)."""
-    taken = list(dec)
-    out = []
-    for P in basis:
-        if _in_span(P, taken):
-            continue
-        out.append(P)
-        taken.append(P)
-    return out
-
-
-def _in_span(P, polys):
-    if not polys:
-        return P.is_zero()
-    monos = sorted({m for Q in polys + [P] for m in Q.terms}, reverse=True)
-    rows = [[Q.terms.get(m, Q0) for m in monos] for Q in polys]
-    target = [P.terms.get(m, Q0) for m in monos]
-    m1 = QMatrix(len(monos), len(polys),
-                 [[rows[j][i] for j in range(len(polys))] for i in range(len(monos))])
-    from .qlinalg import solve_right
-
-    return solve_right(m1, target) is not None
+    """Basis vectors extending span(dec) to span(basis), chosen greedily."""
+    polys = list(dec) + list(basis)
+    monos = sorted({m for P in polys for m in P.terms}, reverse=True)
+    span = Basis([[P.terms.get(m, Q0) for m in monos] for P in polys])
+    return [polys[t] for t in span.accepted if t >= len(dec)]
 
 
 def _compositions(total, parts):

@@ -18,6 +18,7 @@ from .qlinalg import (
     Q0,
     Q1,
     QQ,
+    Basis,
     QMatrix,
     SampleConfig,
     as_q,
@@ -182,8 +183,9 @@ def make_expander(mats, n):
     """Return a function expanding a sparse n x n matrix in the span of mats.
 
     Positions owned by a single basis matrix are peeled off greedily (all
-    off-diagonal positions of the classical bases); whatever remains is solved
-    against the small subspace of multiply-owned positions.
+    off-diagonal positions of the classical bases).  That fixes the
+    coefficient of every matrix owning such a position; whatever remains is
+    written in the matrices whose positions are all multiply owned.
     """
     dim = len(mats)
     owners = {}
@@ -195,15 +197,10 @@ def make_expander(mats, n):
         for pos in entries:
             owners.setdefault(pos, []).append(b)
     single = {pos: bs[0] for pos, bs in owners.items() if len(bs) == 1}
-    multi_idx = sorted({b for bs in owners.values() if len(bs) > 1 for b in bs})
+    multi_idx = [b for b in range(dim) if not any(p in single for p in sparse[b])]
     multi_pos = sorted({pos for pos, bs in owners.items() if len(bs) > 1})
-    from .qlinalg import QMatrix as _QM, solve_right as _solve
-
-    multi_mat = _QM(
-        len(multi_pos),
-        len(multi_idx),
-        [[sparse[b].get(pos, Q0) for b in multi_idx] for pos in multi_pos],
-    )
+    multi = Basis([[sparse[b].get(pos, Q0) for pos in multi_pos]
+                   for b in multi_idx])
 
     def expand(target):
         """target: sparse {(i,j): value}; returns {basis_idx: coeff}."""
@@ -225,7 +222,7 @@ def make_expander(mats, n):
         if residue:
             assert residue <= set(multi_pos), f"matrix not in span: {residue}"
             rhs = [work.get(pos, Q0) for pos in multi_pos]
-            sol = _solve(multi_mat, rhs)
+            sol = multi.coords(rhs)
             assert sol is not None, "matrix not in span of basis"
             for b_local, c in enumerate(sol):
                 if c != 0:
@@ -491,7 +488,7 @@ def derived_series_dims(L: LieAlgebraData):
         if not span_rows:
             dims.append(0)
             break
-        current = _span_basis(span_rows)
+        current = Basis(span_rows).rows
         r = len(current)
         dims.append(r)
         if r == dims[-2] or r == 0:
@@ -505,40 +502,11 @@ def derived_series_dims(L: LieAlgebraData):
     return tuple(dims)
 
 
-def _span_basis(rows, expected_rank=None):
-    """Reduced echelon basis of the row span."""
-    red = []
-    pivots = []
-    for row in rows:
-        row = row[:]
-        for p, rr in zip(pivots, red):
-            if row[p] != 0:
-                f = row[p]
-                row = [a - f * b for a, b in zip(row, rr)]
-        nz = next((c for c in range(len(row)) if row[c] != 0), None)
-        if nz is None:
-            continue
-        inv = Q1 / row[nz]
-        row = [a * inv for a in row]
-        # back-reduce earlier rows
-        for idx, (p, rr) in enumerate(zip(pivots, red)):
-            if rr[nz] != 0:
-                f = rr[nz]
-                red[idx] = [a - f * b for a, b in zip(rr, row)]
-        pivots.append(nz)
-        red.append(row)
-    order = sorted(range(len(pivots)), key=lambda t: pivots[t])
-    basis = [red[t] for t in order]
-    if expected_rank is not None:
-        assert len(basis) == expected_rank
-    return basis
-
-
 def center_dim(L: LieAlgebraData) -> int:
     """dim of the center = common kernel of all ad maps.
 
-    Rank of the stacked ad rows, accumulated by online echelon over the sparse
-    rows actually present in the structure table.
+    Rank of the stacked ad rows, echelonised over the sparse rows actually
+    present in the structure table.
     """
     rows = {}
     for (i, j), vec in L.brackets.items():
@@ -547,8 +515,7 @@ def center_dim(L: LieAlgebraData) -> int:
             rows.setdefault((j, k), [Q0] * L.dim)[i] = -c
     if not rows:
         return L.dim
-    basis = _span_basis(list(rows.values()))
-    return L.dim - len(basis)
+    return L.dim - len(Basis(list(rows.values())))
 
 
 def fingerprint(L: LieAlgebraData, cfg: SampleConfig = SampleConfig()) -> Fingerprint:
@@ -582,40 +549,28 @@ def fingerprint_sum(a: Fingerprint, b: Fingerprint) -> Fingerprint:
 # ---------------------------------------------------------------------------
 
 
-def subalgebra(L: LieAlgebraData, span, labels=None, check=True) -> LieAlgebraData:
+def subalgebra(L: LieAlgebraData, span) -> LieAlgebraData:
     """Structure constants of a bracket-closed span, in the echelonised basis.
 
     span: list of coefficient vectors in the basis of L.  Raises
     NotClosedError with a witness pair if a bracket leaves the span.
     """
-    rows = [[as_q(x) for x in v] for v in span]
-    basis = _span_basis(rows)
+    return algebra_on_basis(L, Basis([[as_q(x) for x in v] for v in span]).rows)
+
+
+def algebra_on_basis(L: LieAlgebraData, basis) -> LieAlgebraData:
+    """Structure constants of L on the independent vectors `basis`, in exactly
+    those coordinates.  Raises NotClosedError with a witness pair if a
+    bracket leaves their span."""
+    span = Basis(basis)
     k = len(basis)
-    pivots = [next(c for c in range(L.dim) if b[c] != 0) for b in basis]
-
-    def expand(vec):
-        v = vec[:]
-        coeffs = [Q0] * k
-        for idx in range(k):
-            p = pivots[idx]
-            if v[p] != 0:
-                f = v[p] / basis[idx][p]
-                coeffs[idx] = f
-                v = [a - f * b for a, b in zip(v, basis[idx])]
-        if any(x != 0 for x in v):
-            return None
-        return coeffs
-
-    sub = LieAlgebraData(k, labels or [f"y{i + 1}" for i in range(k)],
+    sub = LieAlgebraData(k, [f"y{i + 1}" for i in range(k)],
                          metadata={"name": "subalgebra", "parent": L,
                                    "embedding": basis})
     for i in range(k):
         for j in range(i + 1, k):
-            v = L.bracket(basis[i], basis[j])
-            coeffs = expand(v)
+            coeffs = span.coords(L.bracket(basis[i], basis[j]))
             if coeffs is None:
-                if check:
-                    raise NotClosedError(i, j)
-                continue
+                raise NotClosedError(i, j)
             sub.set_bracket(i, j, {t: c for t, c in enumerate(coeffs) if c != 0})
     return sub

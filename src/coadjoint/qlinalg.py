@@ -10,12 +10,18 @@ combines a modular elimination (numpy, single word prime) with p-adic lifting
 of kernel vectors and an exact re-verification, so every reported rank is an
 exact rank over Q.
 
+`Basis` is the one echelon-and-coordinates routine: it echelonises a list of
+vectors once (reduced row echelon form over Q), and then writes other vectors
+in terms of the inputs.  Subalgebras, submodules, invariant spaces, changes
+of basis and `inverse` all go through it.
+
 Also hosts the deterministic integer-point sampler used to realise "generic"
 points, and exact univariate interpolation for graded-component extraction.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -473,23 +479,96 @@ def solve_right(m: QMatrix, b):
 
 
 def inverse(m: QMatrix) -> QMatrix:
-    """Exact inverse of a square matrix (Gauss-Jordan over Q)."""
+    """Exact inverse of a square matrix: the reduced echelon form of [M | I]."""
     assert m.rows == m.cols
     n = m.rows
-    a = [row[:] + [Q1 if i == j else Q0 for j in range(n)]
-         for i, row in enumerate(m.data)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        f = Q1 / a[col][col]
-        a[col] = [x * f for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                g = a[r][col]
-                a[r] = [x - g * y for x, y in zip(a[r], a[col])]
-    return QMatrix(n, n, [row[n:] for row in a])
+    aug = Basis([row + [Q1 if i == j else Q0 for j in range(n)]
+                 for i, row in enumerate(m.data)])
+    if aug.pivots != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return QMatrix(n, n, [row[n:] for row in aug.rows])
+
+
+class Basis:
+    """Reduced row echelon basis of the span of some vectors, with coordinates.
+
+    rows and pivots are sorted by pivot column; accepted lists, in input
+    order, the indices of the vectors that extended the span (the greedy
+    choice).  coords(v) writes v in terms of the input vectors, which must be
+    independent; the change of basis it needs is computed on its first call.
+    """
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+        self.ncols = len(vectors[0]) if vectors else 0
+        self.accepted = []
+        red, piv = [], []
+        for t, vec in enumerate(vectors):
+            row = list(vec)
+            for p, rr in zip(piv, red):
+                f = row[p]
+                if f:
+                    row = [a - f * b if b else a for a, b in zip(row, rr)]
+            nz = next((c for c, a in enumerate(row) if a), None)
+            if nz is None:
+                continue
+            if row[nz] != 1:
+                inv = Q1 / row[nz]
+                row = [a * inv if a else a for a in row]
+            # back-reduce earlier rows
+            for i, rr in enumerate(red):
+                f = rr[nz]
+                if f:
+                    red[i] = [a - f * b if b else a for a, b in zip(rr, row)]
+            piv.append(nz)
+            red.append(row)
+            self.accepted.append(t)
+        order = sorted(range(len(piv)), key=piv.__getitem__)
+        self.rows = [red[t] for t in order]
+        self.pivots = [piv[t] for t in order]
+
+    def __len__(self):
+        return len(self.rows)
+
+    def complement(self):
+        """The coordinates that are not pivots, in increasing order."""
+        pivots = set(self.pivots)
+        return [c for c in range(self.ncols) if c not in pivots]
+
+    @functools.cached_property
+    def _to_inputs(self):
+        """(pivot set, non-pivot entries of each row, entries of each row of
+        the change of basis T from the inputs to the rows)."""
+        if len(self.accepted) < len(self.vectors):
+            raise ValueError("coordinates need independent vectors")
+        pivots = set(self.pivots)
+        sparse = [[(c, a) for c, a in enumerate(row) if a and c not in pivots]
+                  for row in self.rows]
+        # row i = sum_j T[i][j] vectors[j]; read at the pivots, T A_P = I
+        k = len(self.vectors)
+        T = inverse(QMatrix(k, k, [[v[p] for p in self.pivots]
+                                   for v in self.vectors]))
+        return pivots, sparse, [[(j, t) for j, t in enumerate(row) if t]
+                                for row in T.data]
+
+    def coords(self, v):
+        """c with v = sum c_j vectors[j], or None when v is outside the span.
+
+        Raises ValueError when the input vectors are dependent.
+        """
+        pivots, sparse, T = self._to_inputs
+        residual = {c: x for c, x in enumerate(v) if x and c not in pivots}
+        out = [Q0] * len(T)
+        for p, entries, t_row in zip(self.pivots, sparse, T):
+            f = v[p]
+            if f:
+                for c, a in entries:
+                    residual[c] = residual.get(c, Q0) - f * a
+                for j, t in t_row:
+                    out[j] += f * t
+        if any(residual.values()):
+            return None
+        return out
 
 
 @dataclass(frozen=True)

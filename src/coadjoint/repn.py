@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .liealg import LieAlgebraData, classical_algebra
-from .qlinalg import QMatrix, Q0, Q1, QQ, as_q
+from .qlinalg import Basis, QMatrix, Q0, Q1, QQ, as_q
 
 
 class RepresentationData:
@@ -331,17 +331,13 @@ def _kernel_by_weight(C: QMatrix, ext: RepresentationData):
 
 def _submodule(R: RepresentationData, vectors, label):
     """Restrict the action to the span of `vectors` (assumed invariant)."""
-    from .qlinalg import solve_right
-
     k = len(vectors)
-    basis_mat = QMatrix(R.dim_V, k, [[vectors[j][i] for j in range(k)]
-                                     for i in range(R.dim_V)])
+    span = Basis(vectors)
     action = []
     for m in R.action:
         cols = []
         for v in vectors:
-            img = m.matvec(v)
-            sol = solve_right(basis_mat, img)
+            sol = span.coords(m.matvec(v))
             assert sol is not None, "span is not invariant under the action"
             cols.append(sol)
         action.append(QMatrix(k, k, [[cols[j][i] for j in range(k)]

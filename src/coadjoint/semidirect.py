@@ -205,7 +205,7 @@ def stabiliser_full(S: SemiDirectProduct, xi) -> StabiliserResult:
     xi = [as_q(c) for c in xi]
     B = S.total.kirillov_form(xi)
     ker = kernel_basis(B)
-    sub = subalgebra(S.total, ker, check=False) if ker else _zero_algebra()
+    sub = subalgebra(S.total, ker) if ker else _zero_algebra()
     return StabiliserResult(point=xi, algebra=sub,
                             dim_orbit=S.dim - len(ker), basis=ker)
 

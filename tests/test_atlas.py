@@ -163,6 +163,18 @@ def test_cli_invariants_and_report(tmp_path):
     assert main(["report", str(out), "--format", "json"]) == 0
 
 
+def test_cli_report_prints_what_verify_printed(tmp_path, capsys):
+    from coadjoint.cli import main
+
+    saved = tmp_path / "saved.json"
+    assert main(["verify", "--table", "2", "--max-dim", "14",
+                 "--out", str(saved)]) == 0
+    printed = capsys.readouterr().out
+    assert "SKIP" in printed and "   ok " in printed
+    assert main(["report", str(saved)]) == 0
+    assert capsys.readouterr().out == printed
+
+
 @pytest.mark.parametrize("seed, table, label, env", [
     (3, 1, "1", {"n": 4, "m": 1}),
     (20, 2, "1e", {"n": 2, "m": 2}),

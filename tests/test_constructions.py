@@ -477,7 +477,7 @@ def test_contraction_so4_gl2_sl_version():
     S, tops = z2_contraction(ContractionSpec("so-gl", (2,)))
     assert all(is_invariant(S, P) for P in tops)
     # Lambda^2 k^2 is the trivial SL2-module: sl-version is sl2 (+) k^2
-    from coadjoint.liealg import _span_basis
+    from coadjoint.qlinalg import Basis
 
     rows = []
     for vec in S.algebra.brackets.values():
@@ -485,7 +485,7 @@ def test_contraction_so4_gl2_sl_version():
         for kk, cc in vec.items():
             row[kk] = cc
         rows.append(row)
-    der = _span_basis(rows)
+    der = Basis(rows).rows
     span = [list(b) + [Q0] * S.dim_V for b in der]
     for j in range(S.dim_V):
         v = [Q0] * S.dim

@@ -8,13 +8,16 @@ denominators in {1, 2, 4} (the denominators of the spin modules).
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from coadjoint.qlinalg import (
     _BAREISS_CUTOFF,
+    Basis,
     QMatrix,
     _int_rows,
     _kernel_exact_small,
+    inverse,
     kernel_basis,
     rank,
     solve_right,
@@ -86,3 +89,36 @@ def test_large_path_matches_bareiss(shape):
     seed, rows, cols, rnk, rational = shape
     m = _matrix(seed, rows, cols, min(rnk, rows, cols), rational)
     assert kernel_basis(m) == _kernel_exact_small(_int_rows(m), cols)
+
+
+@SMALL
+@given(_shapes(1, 12))
+def test_basis_rank_and_coordinates(shape):
+    seed, rows, cols, rnk, rational = shape
+    m = _matrix(seed, rows, cols, min(rnk, rows, cols), rational)
+    assert len(Basis(m.data)) == rank(m)
+    vecs = [m.data[t] for t in Basis(m.data).accepted]
+    span = Basis(vecs)
+    rng = random.Random(seed)
+    c = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 4))) for _ in vecs]
+    v = [sum((a * x[j] for a, x in zip(c, vecs)), Fraction(0))
+         for j in range(cols)]
+    assert span.coords(v) == c
+    for j in span.complement():
+        e = [Fraction(int(i == j)) for i in range(cols)]
+        assert rank(QMatrix(len(vecs) + 1, cols, vecs + [e])) == len(vecs) + 1
+        assert span.coords(e) is None
+    with pytest.raises(ValueError):
+        Basis(vecs + [v]).coords(v)
+
+
+@SMALL
+@given(_shapes(1, 10))
+def test_inverse_on_invertible_and_singular(shape):
+    seed, n, _, rnk, rational = shape
+    m = _matrix(seed, n, n, min(rnk, n), rational)
+    if rank(m) == n:
+        assert inverse(m) * m == QMatrix.identity(n)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            inverse(m)
