@@ -9,7 +9,7 @@ highest components, Takiff algebras, and the lift through the copy of g in
 the symmetric square of the standard module.
 """
 
-from .qlinalg import QMatrix, QQ, SampleConfig, kernel_basis, rank
+from .qlinalg import QMatrix, QQ, SampleConfig, VerificationError, kernel_basis, rank
 from .liealg import (
     Fingerprint,
     IndexResult,

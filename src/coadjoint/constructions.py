@@ -705,7 +705,6 @@ def e_delta_restricted(layout: MatrixRealisation, k: int,
                          if mono[tvar] == m})
     # split off the centre coefficient (m = 1) and check escapes
     target = layout.target
-    images = []
     delta_prime = None
     h_terms = {}
     dp_terms = {}

@@ -190,15 +190,6 @@ class MultiPoly:
             out = out + term
         return out
 
-    def scale_block(self, offset, size, factor):
-        """Multiply every variable in [offset, offset+size) by factor."""
-        f = as_q(factor)
-        out = {}
-        for m, c in self.terms.items():
-            d = sum(m[offset:offset + size])
-            out[m] = c * f ** d
-        return MultiPoly(self.nvars, {m: c for m, c in out.items() if c != 0})
-
     def coefficient_of_block_degree(self, offset, size, degree):
         """The part of exact degree `degree` in the block's variables."""
         out = {m: c for m, c in self.terms.items()
@@ -227,16 +218,6 @@ class MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-def _derivation_table(L, i):
-    """[x_i, x_j] for all j, as {j: [(k, c), ...]}."""
-    out = {}
-    for j in range(L.dim):
-        b = L.bracket_basis(i, j)
-        if b:
-            out[j] = list(b.items())
-    return out
-
-
 def lie_derivative(S: SemiDirectProduct, xi_index: int, P: MultiPoly) -> MultiPoly:
     """Derivation of P by the basis element x_{xi_index} of s."""
     return lie_derivative_in(S.total, xi_index, P)
@@ -246,7 +227,7 @@ def lie_derivative_in(L: LieAlgebraData, xi_index: int, P: MultiPoly
                       ) -> MultiPoly:
     """Derivation of P, a polynomial in the coordinates of L, by the basis
     element x_{xi_index} of L."""
-    table = _derivation_table(L, xi_index)
+    table = L.ad_table[xi_index]
     out = {}
     for m, c in P.terms.items():
         for j, e in enumerate(m):
@@ -254,7 +235,7 @@ def lie_derivative_in(L: LieAlgebraData, xi_index: int, P: MultiPoly
                 continue
             base = c * e
             m_low = m[:j] + (e - 1,) + m[j + 1:]
-            for k, coef in table[j]:
+            for k, coef in table[j].items():
                 m2 = m_low[:k] + (m_low[k] + 1,) + m_low[k + 1:]
                 s = out.get(m2, Q0) + base * coef
                 if s == 0:

@@ -5,6 +5,10 @@ symmetric form) and sp (standard block form J = [[0, I], [-I, 0]]), plus the
 index, b(q), Killing form, derived series, and the isomorphism fingerprint
 used to recognise generic stabilisers.
 
+Structure constants live in `brackets` (i < j) and, built from it on first
+use, in `ad_table` (every ordered pair); brackets, ad, the Killing form and
+subalgebras walk the supports of their arguments through `ad_table`.
+
 The index is computed per its definition: ind q = dim q - max rank B_gamma
 over sampled covectors gamma, with height escalation; the result carries a
 `stabilised` flag recording whether two consecutive rounds agreed.
@@ -12,6 +16,7 @@ over sampled covectors gamma, with height escalation; the result carries a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .qlinalg import (
@@ -21,8 +26,8 @@ from .qlinalg import (
     Basis,
     QMatrix,
     SampleConfig,
+    VerificationError,
     as_q,
-    kernel_basis,
     rank,
     sample_vector,
 )
@@ -40,9 +45,9 @@ class LieAlgebraData:
     """Structure constants c[i][j] -> sparse vector of [x_i, x_j].
 
     brackets maps (i, j) with i < j to {k: coefficient}; antisymmetry fills the
-    rest.  metadata carries optional construction hints (matrix realisation,
-    Cartan indices, ad-weights) used by downstream fast paths; none of it is
-    required for correctness.
+    rest.  Only set_bracket writes it.  metadata carries optional construction
+    hints (matrix realisation, Cartan indices, ad-weights) used by downstream
+    fast paths; none of it is required for correctness.
     """
 
     def __init__(self, dim, basis_labels=None, brackets=None, metadata=None):
@@ -51,28 +56,39 @@ class LieAlgebraData:
         assert len(self.basis_labels) == dim
         self.brackets = brackets or {}
         self.metadata = metadata or {}
+        self._ad_table = None
+
+    @property
+    def ad_table(self):
+        """ad_table[i][j] = [x_i, x_j] as {k: coeff}, for every ordered pair
+        with a nonzero bracket; built from `brackets` on first use and dropped
+        by set_bracket.  The dicts are shared: read them, never write them."""
+        if self._ad_table is None:
+            table = [{} for _ in range(self.dim)]
+            for (i, j), vec in self.brackets.items():
+                table[i][j] = vec
+                table[j][i] = {k: -c for k, c in vec.items()}
+            self._ad_table = table
+        return self._ad_table
 
     def bracket_basis(self, i, j):
         """[x_i, x_j] as {k: coeff}."""
-        if i == j:
-            return {}
-        if i < j:
-            return self.brackets.get((i, j), {})
-        b = self.brackets.get((j, i), {})
-        return {k: -c for k, c in b.items()}
+        return self.ad_table[i].get(j, {})
 
     def bracket(self, u, v):
         """[u, v] for coefficient vectors u, v.
 
-        Iterates the sparse structure table once: cost is O(#table entries),
-        independent of the density of u and v.
+        Walks supp u x supp v through ad_table: the cost grows with the
+        supports of u and v, not with the size of the structure table.
         """
+        sv = [(j, b) for j, b in enumerate(v) if b]
         out = {}
-        for (i, j), vec in self.brackets.items():
-            coef = u[i] * v[j] - u[j] * v[i]
-            if coef:
-                for k, c in vec.items():
-                    out[k] = out.get(k, Q0) + coef * c
+        for i, a in enumerate(u):
+            if a:
+                row = self.ad_table[i]
+                for j, b in sv:
+                    for k, c in row.get(j, {}).items():
+                        out[k] = out.get(k, Q0) + a * b * c
         res = [Q0] * self.dim
         for k, c in out.items():
             if c != 0:
@@ -82,13 +98,14 @@ class LieAlgebraData:
     def ad(self, i):
         """Matrix of ad(x_i) in the basis."""
         m = QMatrix.zero(self.dim, self.dim)
-        for j in range(self.dim):
-            for k, c in self.bracket_basis(i, j).items():
+        for j, vec in self.ad_table[i].items():
+            for k, c in vec.items():
                 m.data[k][j] = c
         return m
 
     def set_bracket(self, i, j, vec):
         assert i < j
+        self._ad_table = None
         vec = {k: as_q(c) for k, c in vec.items() if c != 0}
         if vec:
             self.brackets[(i, j)] = vec
@@ -220,10 +237,10 @@ def make_expander(mats, n):
                     work[p2] = r
         residue = {p for p, v in work.items() if v != 0}
         if residue:
-            assert residue <= set(multi_pos), f"matrix not in span: {residue}"
             rhs = [work.get(pos, Q0) for pos in multi_pos]
-            sol = multi.coords(rhs)
-            assert sol is not None, "matrix not in span of basis"
+            sol = multi.coords(rhs) if residue <= set(multi_pos) else None
+            if sol is None:
+                raise VerificationError(f"matrix not in span: {residue}")
             for b_local, c in enumerate(sol):
                 if c != 0:
                     b = multi_idx[b_local]
@@ -442,36 +459,31 @@ class Fingerprint:
                 f"killing={self.killing_rank}, center={self.center_dim})")
 
 
-def _ad_sparse(L: LieAlgebraData):
-    """ad(x_i) for every i, as sparse {(row k, col j): c} dicts."""
-    ads = [dict() for _ in range(L.dim)]
-    for (i, j), vec in L.brackets.items():
-        for k, c in vec.items():
-            ads[i][(k, j)] = ads[i].get((k, j), Q0) + c
-            ads[j][(k, i)] = ads[j].get((k, i), Q0) - c
-    return ads
+def _integral(pairs):
+    """(d, [(key, d * c), ...]) for (key, rational c) pairs, with d the lcm
+    of the denominators: sums of products then run on integers."""
+    pairs = list(pairs)
+    d = math.lcm(1, *(c.denominator for _, c in pairs))
+    return d, [(key, c.numerator * (d // c.denominator)) for key, c in pairs]
 
 
 def killing_matrix(L: LieAlgebraData) -> QMatrix:
-    ads = _ad_sparse(L)
+    """tr(ad x_i ad x_j) = sum over a, b of [x_i, x_a]_b [x_j, x_b]_a: one
+    outer product per pair (a, b) of the vectors i -> [x_i, x_a]_b and
+    j -> [x_j, x_b]_a, summed in integers over one common denominator."""
     n = L.dim
-    m = QMatrix.zero(n, n)
-    for i in range(n):
-        ai = ads[i]
-        for j in range(i, n):
-            aj = ads[j]
-            if len(aj) < len(ai):
-                ai_, aj_ = aj, ai
-            else:
-                ai_, aj_ = ai, aj
-            s = Q0
-            for (r, c), v in ai_.items():
-                w = aj_.get((c, r))
-                if w is not None:
-                    s += v * w
-            m.data[i][j] = s
-            m.data[j][i] = s
-    return m
+    d, entries = _integral(((i, a, b), c) for i, row in enumerate(L.ad_table)
+                           for a, vec in row.items() for b, c in vec.items())
+    by_pair = {}
+    for (i, a, b), c in entries:
+        by_pair.setdefault((a, b), []).append((i, c))
+    acc = [[0] * n for _ in range(n)]
+    for (a, b), col in by_pair.items():
+        for j, e in by_pair.get((b, a), ()):
+            for i, c in col:
+                acc[i][j] += c * e
+    return QMatrix(n, n, [[QQ(x, d * d) if x else Q0 for x in row]
+                          for row in acc])
 
 
 def derived_series_dims(L: LieAlgebraData):
@@ -561,15 +573,41 @@ def subalgebra(L: LieAlgebraData, span) -> LieAlgebraData:
 def algebra_on_basis(L: LieAlgebraData, basis) -> LieAlgebraData:
     """Structure constants of L on the independent vectors `basis`, in exactly
     those coordinates.  Raises NotClosedError with a witness pair if a
-    bracket leaves their span."""
+    bracket leaves their span.
+
+    ad(u_i) is built once, as sparse columns {t: [u_i, x_t]}; each
+    [u_i, u_j] is then read off it along supp u_j.  Both run on integers:
+    each u_i and the rows of ad_table it meets are scaled by the lcm of
+    their denominators, which the coordinates divide out again.
+    """
     span = Basis(basis)
     k = len(basis)
     sub = LieAlgebraData(k, [f"y{i + 1}" for i in range(k)],
                          metadata={"name": "subalgebra", "parent": L,
                                    "embedding": basis})
-    for i in range(k):
+    scaled = [_integral((t, a) for t, a in enumerate(u) if a) for u in basis]
+    used = {s for _, u in scaled for s, _ in u}
+    d, entries = _integral(((s, t, r), c) for s in used
+                           for t, vec in L.ad_table[s].items()
+                           for r, c in vec.items())
+    ad = {}
+    for (s, t, r), c in entries:
+        ad.setdefault(s, {}).setdefault(t, []).append((r, c))
+    for i, (di, ui) in enumerate(scaled):
+        ad_u = {}
+        for s, a in ui:
+            for t, vec in ad.get(s, {}).items():
+                col = ad_u.setdefault(t, {})
+                for r, c in vec:
+                    col[r] = col.get(r, 0) + a * c
         for j in range(i + 1, k):
-            coeffs = span.coords(L.bracket(basis[i], basis[j]))
+            dj, uj = scaled[j]
+            out = [0] * L.dim
+            for t, b in uj:
+                for r, c in ad_u.get(t, {}).items():
+                    out[r] += b * c
+            q = d * di * dj
+            coeffs = span.coords([QQ(x, q) if x else Q0 for x in out])
             if coeffs is None:
                 raise NotClosedError(i, j)
             sub.set_bracket(i, j, {t: c for t, c in enumerate(coeffs) if c != 0})

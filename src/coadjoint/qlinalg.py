@@ -1,10 +1,10 @@
 """Exact rational linear algebra.
 
-Scalars are exact rationals (gmpy2.mpq when available, fractions.Fraction
-otherwise).  Matrices are dense lists of rows.  Ranks and kernels are computed
-over the integers: each row's denominators are cleared in integer arithmetic
-(numerator times the cofactor of the row's lcm) and all-zero rows are dropped,
-which changes neither the rank nor the right kernel.  The integer rows go to
+Scalars are exact rationals, `fractions.Fraction` (`QQ`).  Matrices are
+dense lists of rows.  Ranks and kernels are computed over the integers: each
+row's denominators are cleared in integer arithmetic (numerator times the
+cofactor of the row's lcm) and all-zero rows are dropped, which changes
+neither the rank nor the right kernel.  The integer rows go to
 fraction-free (Bareiss) elimination; for large matrices a certified fast path
 combines a modular elimination (numpy, single word prime) with p-adic lifting
 of kernel vectors and an exact re-verification, so every reported rank is an
@@ -29,24 +29,10 @@ from fractions import Fraction
 
 import numpy as np
 
-try:
-    from gmpy2 import mpq as _mpq, mpz as _mpz
-
-    def QQ(a, b=1):
-        return _mpq(a, b)
-
-    def ZZ(a):
-        return _mpz(a)
-
-    HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - gmpy2 is normally installed
-    def QQ(a, b=1):
-        return Fraction(a, b)
-
-    def ZZ(a):
-        return int(a)
-
-    HAVE_GMPY2 = False
+QQ = Fraction
+# Scalars never come from gmpy2; the constant stays for the environment
+# record that perfbench/worker.py writes.
+HAVE_GMPY2 = False
 
 Q0 = QQ(0)
 Q1 = QQ(1)
@@ -55,8 +41,13 @@ Q1 = QQ(1)
 _PRIMES = [46337, 46327, 46309, 46307, 46301, 46279, 46273, 46271]
 
 
+class VerificationError(AssertionError):
+    """An exact check failed.  Raised explicitly, so it survives `python -O`;
+    an AssertionError, so existing handlers of failed checks still apply."""
+
+
 def as_q(x):
-    """Coerce ints / Fractions / mpq to the canonical rational type."""
+    """Coerce ints and rationals to the canonical rational type."""
     if isinstance(x, int):
         return QQ(x)
     return QQ(x.numerator, x.denominator)

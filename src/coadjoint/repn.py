@@ -4,7 +4,10 @@ Every representation is a list of exact rational action matrices, one per
 basis element of the algebra, together with per-summand block bookkeeping and
 (when the Cartan acts diagonally) the list of weights of the chosen module
 basis.  The commutator compatibility check `check_representation` is the
-ground truth every constructor is tested against.
+ground truth every constructor is tested against.  Besides the dense
+matrices, each module caches `columns`, the nonzero entries of every column
+of every action matrix; submodules, stabilisers and semi-direct products are
+built from these sparse columns.
 
 The spin representations use the fermionic Fock model: so_n in the split form
 acts through the Clifford algebra on the exterior algebra of a maximal
@@ -13,14 +16,17 @@ isotropic subspace, which keeps all matrix entries in 1/2 Z.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 
 from .liealg import LieAlgebraData, classical_algebra
-from .qlinalg import Basis, QMatrix, Q0, Q1, QQ, as_q
+from .qlinalg import Basis, QMatrix, Q0, Q1, QQ, VerificationError
 
 
 class RepresentationData:
-    """Action matrices of a basis of g on a module V."""
+    """Action matrices of a basis of g on a module V (never modified after
+    construction: `columns` is computed from them once)."""
 
     def __init__(self, algebra: LieAlgebraData, action, label="", blocks=None,
                  weights=None):
@@ -38,69 +44,51 @@ class RepresentationData:
     def __repr__(self):
         return f"<module {self.label!r} of {self.algebra!r}, dim {self.dim_V}>"
 
-    def act(self, i, v):
-        return self.action[i].matvec(v)
+    @functools.cached_property
+    def columns(self):
+        """columns[i][v] = [(w, c), ...], the nonzero entries of column v of
+        action[i], in increasing w."""
+        return [[[(w, row[v]) for w, row in enumerate(m.data) if row[v]]
+                 for v in range(self.dim_V)] for m in self.action]
 
 
 def check_representation(R: RepresentationData, max_cost=10 ** 7):
     """Exhaustive commutator compatibility, cost-capped.
 
-    [rho(x_i), rho(x_j)] must equal rho([x_i, x_j]) for all basis pairs.  Runs
-    on integer-scaled numpy matrices when the entries fit in int64 (exact),
-    with per-pair rational fallback otherwise.
+    [rho(x_i), rho(x_j)] must equal rho([x_i, x_j]) = sum_k c_k rho(x_k) for
+    all basis pairs.  With M_i = D rho(x_i) integral (D the lcm of every
+    denominator of the module) and e the lcm of the denominators of the c_k,
+    that is e [M_i, M_j] = sum_k (e c_k D) M_k, checked exactly on integer
+    matrices: int64 when a bound on every entry fits, Python integers
+    otherwise.
     """
-    import math
-
     import numpy as np
 
     L = R.algebra
     n = R.dim_V
     if L.dim * n ** 2 > max_cost:
         return
-
-    def to_int(m):
-        den = 1
-        for row in m.data:
-            for x in row:
-                d = int(x.denominator)
-                if d != 1:
-                    den = den * d // math.gcd(den, d)
-        return (np.array([[int(x * den) for x in row] for row in m.data],
-                         dtype=np.int64), den)
-
-    scaled = [to_int(m) for m in R.action]
-    amax = max((int(np.abs(a).max()) if a.size else 0) for a, _ in scaled)
-    use_np = n * amax * amax < 2 ** 62
+    entries = [x for m in R.action for row in m.data for x in row if x]
+    D = math.lcm(1, *(x.denominator for x in entries))
+    amax = max((int(abs(x) * D) for x in entries), default=0)
+    pairs = []
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            if use_np:
-                ai, di = scaled[i]
-                aj, dj = scaled[j]
-                comm = ai @ aj - aj @ ai
-                expect = np.zeros((n, n), dtype=np.int64)
-                ok = True
-                for k, c in L.bracket_basis(i, j).items():
-                    ak, dk = scaled[k]
-                    num = int(c.numerator) * di * dj
-                    den = int(c.denominator) * dk
-                    if num % den != 0:
-                        ok = False
-                        break
-                    expect = expect + ak * (num // den)
-                if ok:
-                    assert np.array_equal(comm, expect), (
-                        f"representation property fails at pair ({i},{j})")
-                    continue
-            _comm_check_rational(R, i, j)
-
-
-def _comm_check_rational(R, i, j):
-    L = R.algebra
-    m = R.action[i] * R.action[j] - R.action[j] * R.action[i]
-    e = QMatrix.zero(R.dim_V, R.dim_V)
-    for k, c in L.bracket_basis(i, j).items():
-        e = e + R.action[k].scale(c)
-    assert (m - e).is_zero(), f"representation property fails at pair ({i},{j})"
+            b = L.bracket_basis(i, j)
+            e = math.lcm(1, *(c.denominator for c in b.values()))
+            pairs.append((i, j, e, [(k, int(c * e * D)) for k, c in b.items()]))
+    bound = max((2 * n * amax * amax * e + (amax + 1) * sum(abs(c) for _, c in b)
+                 for _, _, e, b in pairs), default=0)
+    dtype = np.int64 if bound < 2 ** 62 else object
+    M = [np.array([[int(x * D) for x in row] for row in m.data], dtype=dtype)
+         for m in R.action]
+    for i, j, e, b in pairs:
+        expect = np.zeros((n, n), dtype=dtype)
+        for k, c in b:
+            expect = expect + M[k] * c
+        if not np.array_equal((M[i] @ M[j] - M[j] @ M[i]) * e, expect):
+            raise VerificationError(
+                f"representation property fails at pair ({i},{j})")
 
 
 def _diag_weights(R: RepresentationData):
@@ -112,17 +100,11 @@ def _diag_weights(R: RepresentationData):
     cartan = R.algebra.metadata.get("cartan")
     if cartan is None:
         return None
-    weights = []
-    for v in range(R.dim_V):
-        w = []
-        for ci in cartan:
-            m = R.action[ci]
-            for r in range(R.dim_V):
-                if r != v and m.data[r][v] != 0:
-                    return None  # not diagonal, no weight bookkeeping
-            w.append(m.data[v][v])
-        weights.append(tuple(w))
-    return weights
+    cols = [R.columns[ci] for ci in cartan]
+    if any(w != v for c in cols for v, col in enumerate(c) for w, _ in col):
+        return None  # not diagonal, no weight bookkeeping
+    return [tuple(c[v][0][1] if c[v] else Q0 for c in cols)
+            for v in range(R.dim_V)]
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +147,9 @@ def direct_sum_rep(*reps, labels=None) -> RepresentationData:
         m = QMatrix.zero(n, n)
         off = 0
         for r in reps:
-            a = r.action[i]
-            for x in range(r.dim_V):
-                row = a.data[x]
-                mrow = m.data[off + x]
-                for y in range(r.dim_V):
-                    if row[y]:
-                        mrow[off + y] = row[y]
+            for v, col in enumerate(r.columns[i]):
+                for w, c in col:
+                    m.data[off + w][off + v] = c
             off += r.dim_V
         action.append(m)
     blocks = []
@@ -198,14 +176,11 @@ def exterior_power(R: RepresentationData, k: int) -> RepresentationData:
     action = []
     for a in range(R.algebra.dim):
         m = QMatrix.zero(N, N)
-        mat = R.action[a]
+        columns = R.columns[a]
         for b, col in idx.items():
             for pos in range(k):
                 v = b[pos]
-                for w in range(n):
-                    c = mat.data[w][v]
-                    if not c:
-                        continue
+                for w, c in columns[v]:
                     if w in b and w != v:
                         continue
                     newb = list(b)
@@ -239,17 +214,14 @@ def symmetric_power(R: RepresentationData, k: int) -> RepresentationData:
     action = []
     for a in range(R.algebra.dim):
         m = QMatrix.zero(N, N)
-        mat = R.action[a]
+        columns = R.columns[a]
         for b, col in idx.items():
             for pos in range(k):
                 if pos > 0 and b[pos] == b[pos - 1]:
                     continue  # derivation on equal slots handled by multiplicity
                 mult = b.count(b[pos])
                 v = b[pos]
-                for w in range(n):
-                    c = mat.data[w][v]
-                    if not c:
-                        continue
+                for w, c in columns[v]:
                     newb = tuple(sorted(b[:pos] + (w,) + b[pos + 1:]))
                     m.data[idx[newb]][col] += c * mult
         action.append(m)
@@ -330,15 +302,22 @@ def _kernel_by_weight(C: QMatrix, ext: RepresentationData):
 
 
 def _submodule(R: RepresentationData, vectors, label):
-    """Restrict the action to the span of `vectors` (assumed invariant)."""
+    """Restrict the action to the span of `vectors`; raises VerificationError
+    if the span is not invariant.  Images are sums of sparse columns."""
     k = len(vectors)
     span = Basis(vectors)
+    supports = [[(u, a) for u, a in enumerate(v) if a] for v in vectors]
     action = []
-    for m in R.action:
+    for columns in R.columns:
         cols = []
-        for v in vectors:
-            sol = span.coords(m.matvec(v))
-            assert sol is not None, "span is not invariant under the action"
+        for support in supports:
+            image = [Q0] * R.dim_V
+            for u, a in support:
+                for w, c in columns[u]:
+                    image[w] += a * c
+            sol = span.coords(image)
+            if sol is None:
+                raise VerificationError("span is not invariant under the action")
             cols.append(sol)
         action.append(QMatrix(k, k, [[cols[j][i] for j in range(k)]
                                      for i in range(k)]))
@@ -475,15 +454,13 @@ def spin_rep(n: int, half: str | None = None, L=None) -> RepresentationData:
     # even: project onto the chosen parity
     want = 0 if half == "even" else 1
     keep = [i for i, s in enumerate(basis) if len(s) % 2 == want]
+    drop = [i for i in range(len(basis)) if i not in keep]
     sub_action = []
     for m in action:
         sub = QMatrix(len(keep), len(keep),
                       [[m.data[r][c] for c in keep] for r in keep])
-        # verify the complementary block vanishes
-        drop = [i for i in range(len(basis)) if i not in keep]
-        for r in drop:
-            for c in keep:
-                assert m.data[r][c] == 0, "chirality block is not invariant"
+        if any(m.data[r][c] for r in drop for c in keep):
+            raise VerificationError("chirality block is not invariant")
         sub_action.append(sub)
     out = RepresentationData(L, sub_action, label=f"spin({n},{half})")
     out.weights = _spin_weights(L, [basis[i] for i in keep], n)

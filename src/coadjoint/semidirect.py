@@ -45,16 +45,11 @@ class SemiDirectProduct:
         total = LieAlgebraData(dim, labels)
         for (i, j), vec in algebra.brackets.items():
             total.set_bracket(i, j, dict(vec))
-        for i in range(self.dim_g):
-            m = rep.action[i]
-            for v in range(self.dim_V):
-                col = {}
-                for w in range(self.dim_V):
-                    c = m.data[w][v]
-                    if c:
-                        col[self.dim_g + w] = c
+        for i, columns in enumerate(rep.columns):
+            for v, col in enumerate(columns):
                 if col:
-                    total.set_bracket(i, self.dim_g + v, col)
+                    total.set_bracket(i, self.dim_g + v,
+                                      {self.dim_g + w: c for w, c in col})
         gname = algebra.metadata.get("name", "q")
         total.metadata["name"] = name or f"{gname}|x {rep.label}"
         total.metadata["semidirect"] = self
@@ -118,19 +113,9 @@ def stabiliser_in_V(S: SemiDirectProduct, x) -> StabiliserResult:
     so q_x is the kernel of the rows x^T rho(x_i).
     """
     x = [as_q(c) for c in x]
-    rows = []
-    for v in range(S.dim_V):
-        # condition sum_i xi_i (rho_i^T x)_v = 0
-        row = []
-        for i in range(S.dim_g):
-            m = S.rep.action[i]
-            s = Q0
-            for w in range(S.dim_V):
-                c = m.data[w][v]
-                if c and x[w]:
-                    s += c * x[w]
-            row.append(s)
-        rows.append(row)
+    # condition sum_i xi_i (rho_i^T x)_v = 0, one row per v
+    rows = [[sum((c * x[w] for w, c in columns[v] if x[w]), Q0)
+             for columns in S.rep.columns] for v in range(S.dim_V)]
     ker = kernel_basis(QMatrix(S.dim_V, S.dim_g, rows))
     sub = subalgebra(S.algebra, ker) if ker else _zero_algebra()
     return StabiliserResult(point=x, algebra=sub,

@@ -1,8 +1,13 @@
+from fractions import Fraction
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coadjoint.liealg import (
     NotClosedError,
     abelian_algebra,
+    algebra_on_basis,
     b_of,
     classical_algebra,
     direct_sum,
@@ -13,7 +18,9 @@ from coadjoint.liealg import (
     killing_matrix,
     subalgebra,
 )
-from coadjoint.qlinalg import SampleConfig, rank
+from coadjoint.qlinalg import QMatrix, SampleConfig, rank
+from coadjoint.repn import standard_rep
+from coadjoint.semidirect import semidirect
 
 CFG = SampleConfig(seed=11, height=5, rounds=8)
 
@@ -142,3 +149,87 @@ def test_takiff_fingerprints_agree_so3_sl2():
     f1 = fingerprint(takiff(classical_algebra("sl", 2)).total, CFG)
     f2 = fingerprint(takiff(classical_algebra("so", 3)).total, CFG)
     assert f1 == f2
+
+
+def _dense_bracket(L, u, v):
+    """The bilinear definition: sum over the table of (u_i v_j - u_j v_i) c."""
+    out = [Fraction(0)] * L.dim
+    for (i, j), vec in L.brackets.items():
+        coef = u[i] * v[j] - u[j] * v[i]
+        for k, c in vec.items():
+            out[k] += coef * c
+    return out
+
+
+def _sp4_on_k4():
+    L = classical_algebra("sp", 4)
+    return semidirect(L, standard_rep(L)).total
+
+
+BRACKET_ALGEBRAS = {
+    "sl3": lambda: classical_algebra("sl", 3),
+    "so5": lambda: classical_algebra("so", 5),
+    "sp4": lambda: classical_algebra("sp", 4),
+    "heis2": lambda: heisenberg_algebra(2),
+    "sp4|x k4": _sp4_on_k4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_ALGEBRAS))
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), density=st.sampled_from([0.1, 0.4, 1.0]))
+def test_bracket_by_support_is_the_bilinear_bracket(name, seed, density):
+    L = BRACKET_ALGEBRAS[name]()
+    rng = random.Random(seed)
+
+    def vector():
+        return [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                if rng.random() < density else 0 for _ in range(L.dim)]
+
+    u, v = vector(), vector()
+    assert L.bracket(u, v) == _dense_bracket(L, u, v)
+    assert L.bracket(v, u) == [-c for c in _dense_bracket(L, u, v)]
+
+
+def test_ad_table_follows_set_bracket():
+    L = heisenberg_algebra(1)
+    assert L.ad_table[1][0] == {2: -1}
+    L.set_bracket(0, 1, {2: 3})
+    assert L.ad_table[0][1] == {2: 3} and L.ad_table[1][0] == {2: -3}
+    assert L.bracket([1, 0, 0], [0, 1, 0]) == [0, 0, 3]
+    L.set_bracket(0, 1, {})
+    assert L.ad_table == [{}, {}, {}]
+    assert L.ad(0).is_zero()
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_ALGEBRAS))
+def test_killing_matrix_is_trace_of_ad_products(name):
+    L = BRACKET_ALGEBRAS[name]()
+    K = killing_matrix(L)
+    ads = [L.ad(i) for i in range(L.dim)]
+    for i in range(L.dim):
+        for j in range(L.dim):
+            prod = ads[i] * ads[j]
+            assert K[i, j] == sum((prod[t, t] for t in range(L.dim)), Fraction(0))
+
+
+@pytest.mark.parametrize("name", ["heis2", "sl3", "so5"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32))
+def test_algebra_on_rational_basis_reproduces_brackets(name, seed):
+    # any basis of L spans a subalgebra; its structure constants, recombined,
+    # must give back the brackets of the basis vectors
+    L = BRACKET_ALGEBRAS[name]()
+    rng = random.Random(seed)
+    while True:
+        basis = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5)))
+                  for _ in range(L.dim)] for _ in range(L.dim)]
+        if rank(QMatrix(L.dim, L.dim, basis)) == L.dim:
+            break
+    sub = algebra_on_basis(L, basis)
+    for i in range(L.dim):
+        for j in range(L.dim):
+            combo = [sum((c * basis[t][r] for t, c in
+                          sub.bracket_basis(i, j).items()), Fraction(0))
+                     for r in range(L.dim)]
+            assert combo == L.bracket(basis[i], basis[j])

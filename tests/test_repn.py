@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from coadjoint.liealg import classical_algebra, fingerprint
@@ -15,6 +20,8 @@ from coadjoint.repn import (
     symmetric_power,
     symplectic_form,
     trivial_rep,
+    weight_module,
+    _submodule,
 )
 
 CFG = SampleConfig(seed=13, height=5, rounds=8)
@@ -168,3 +175,78 @@ def test_multiplicity_blocks_are_independent():
     assert M.dim_V == 8
     assert [b[2] for b in M.blocks] == [4, 4]
     check_representation(M)
+
+
+def test_submodule_images_match_dense_matvec():
+    # the primitive part of Lambda^2 k^4 under sp4: the kernel of contraction
+    # with J, here a single row
+    L = classical_algebra("sp", 4)
+    ext = exterior_power(standard_rep(L), 2)
+    J = symplectic_form(4)
+    C = QMatrix(1, ext.dim_V, [[J[a, b] for a, b in ext.basis_tags]])
+    vectors = kernel_basis(C)
+    sub = _submodule(ext, vectors, "L20")
+    assert sub.dim_V == 5
+    for m, ms in zip(ext.action, sub.action):
+        for c, v in enumerate(vectors):
+            combo = [sum((ms[r, c] * vectors[r][t] for r in range(len(vectors))),
+                         QQ(0)) for t in range(ext.dim_V)]
+            assert combo == m.matvec(v)
+
+
+def test_representation_check_beyond_int64():
+    # entries of 2^40 put the commutators past int64: the exact check must
+    # still accept commuting matrices and reject non-commuting ones
+    from coadjoint.liealg import abelian_algebra
+    from coadjoint.qlinalg import VerificationError
+    from coadjoint.repn import RepresentationData
+
+    big = QQ(2 ** 40, 3)
+    L = abelian_algebra(2)
+    diag = [QMatrix.from_rows([[big, 0], [0, -big]]),
+            QMatrix.from_rows([[1, 0], [0, big]])]
+    check_representation(RepresentationData(L, diag))
+    skew = [diag[0], QMatrix.from_rows([[0, big], [0, 0]])]
+    with pytest.raises(VerificationError):
+        check_representation(RepresentationData(L, skew))
+
+
+def test_sp8_phi3_module():
+    R = weight_module("sp", 8, "phi3")
+    assert R.dim_V == 48
+    check_representation(R)
+
+
+_CHECKS_UNDER_O = """
+import sys
+from coadjoint.liealg import classical_algebra
+from coadjoint.qlinalg import QQ, VerificationError
+from coadjoint.repn import _submodule, check_representation, standard_rep
+
+try:
+    assert False
+except AssertionError:
+    sys.exit(3)  # not running under -O
+R = standard_rep(classical_algebra("sl", 3))
+try:
+    _submodule(R, [[1, 0, 0]], "not invariant")
+except VerificationError:
+    pass
+else:
+    sys.exit(4)
+R.action[1].data[0][0] += QQ(1)
+try:
+    check_representation(R)
+except VerificationError:
+    pass
+else:
+    sys.exit(5)
+"""
+
+
+def test_checks_survive_python_O():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-O", "-c", _CHECKS_UNDER_O],
+                          env=env, timeout=120)
+    assert done.returncode == 0
