@@ -21,6 +21,7 @@ from .liealg import (
     fingerprint,
     heisenberg_algebra,
     index,
+    matrix_algebra,
     subalgebra,
 )
 from .repn import (

@@ -223,32 +223,18 @@ def _atom_fingerprint(name, cfg):
 
 def sp_heis_algebra(k):
     """sp_{2k} |x heis_k, realised as the centraliser of a minimal nilpotent
-    element inside sp_{2k+2} (one-dimensional abelian when k = 0)."""
-    from .liealg import abelian_algebra
+    element inside sp_{2k+2}: matrix_algebra on the generators of its layout,
+    in the layout's labels (one-dimensional abelian when k = 0)."""
+    from .liealg import abelian_algebra, matrix_algebra
 
     if k == 0:
         return abelian_algebra(1)
     from .constructions import minimal_nilpotent_centraliser_layout
 
     lay = minimal_nilpotent_centraliser_layout(k + 1)
-    # centraliser basis is carried by the layout generators
-    # express each generator inside the full matrix space, then cut the
-    # structure constants directly via matrix commutators
-    gens = [c.generator for c in lay.coords]
-    from .liealg import LieAlgebraData
-    from .qlinalg import Basis
-
-    dim = len(gens)
-    span = Basis([[x for row in g.data for x in row] for g in gens])
-    alg = LieAlgebraData(dim, [c.label for c in lay.coords],
-                         metadata={"name": f"sp{2 * k}|x heis{k}"})
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            comm = gens[a] * gens[b] - gens[b] * gens[a]
-            sol = span.coords([x for row in comm.data for x in row])
-            assert sol is not None
-            alg.set_bracket(a, b, {t: c for t, c in enumerate(sol) if c != 0})
-    return alg
+    return matrix_algebra([c.generator for c in lay.coords],
+                          [c.label for c in lay.coords],
+                          {"name": f"sp{2 * k}|x heis{k}"})
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +303,19 @@ class RowReport:
         }
 
 
-_MODULE_TERM = re.compile(r"^(?:(.+?)\*)?phi(\d+)$")
+_MODULE_TERM = re.compile(r"^(?:(.+?)\*)?(phi\d+|trivial)$")
 
 
-def _parse_module(text, line):
+def _parse_module(text, where):
+    """[(multiplicity expression, label)] of a module spec such as
+    'm*phi1 + 2*phi4'; where names the source in error messages."""
     out = []
     for term in text.split("+"):
         term = term.strip()
         m = _MODULE_TERM.match(term)
         if not m:
-            raise AtlasError(f"line {line}: bad module term {term!r}")
-        out.append((m.group(1) or "1", f"phi{m.group(2)}"))
+            raise AtlasError(f"{where}: bad module term {term!r}")
+        out.append((m.group(1) or "1", m.group(2)))
     return out
 
 
@@ -379,7 +367,8 @@ def load_atlas(path=None, cfg: SampleConfig = SampleConfig()):
             label=label,
             family=fields["family"][0],
             size_expr=fields["size"][0],
-            module=_parse_module(*fields["module"]),
+            module=_parse_module(fields["module"][0],
+                                 f"line {fields['module'][1]}"),
             params=_parse_params(*fields["params"]) if "params" in fields
             else [{}],
             dim_v_expr=fields["dim_v"][0],

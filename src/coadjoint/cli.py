@@ -25,16 +25,12 @@ def _add_sampling(p):
     p.add_argument("--rounds", type=int, default=8)
 
 
-def _parse_module(spec):
-    out = []
-    for term in spec.split("+"):
-        term = term.strip()
-        if "*" in term:
-            mult, label = term.split("*", 1)
-            out.append((label.strip(), int(mult)))
-        else:
-            out.append((term, 1))
-    return out
+def _summands(spec):
+    """(label, multiplicity) pairs of a --module spec, in the table grammar."""
+    from .atlas import _parse_module, eval_expr
+
+    return [(label, eval_expr(mult, {}))
+            for mult, label in _parse_module(spec, "--module")]
 
 
 def cmd_verify(args):
@@ -63,7 +59,7 @@ def cmd_index(args):
     L = classical_algebra(args.family, args.size)
     cfg = _cfg(args)
     if args.module:
-        R = build_module(args.family, args.size, _parse_module(args.module), L=L)
+        R = build_module(args.family, args.size, _summands(args.module), L=L)
         S = semidirect(L, R)
         d = direct_index(S, cfg)
         r = rais_index(S, cfg)
@@ -88,7 +84,7 @@ def cmd_invariants(args):
     from .semidirect import semidirect
 
     L = classical_algebra(args.family, args.size)
-    R = build_module(args.family, args.size, _parse_module(args.module), L=L)
+    R = build_module(args.family, args.size, _summands(args.module), L=L)
     S = semidirect(L, R)
     led = generator_ledger(S, args.cap)
     print(f"s = {args.family}{args.size} |x {args.module}: ledger to degree {args.cap}")
@@ -133,7 +129,6 @@ def cmd_construct(args):
     if args.what == "edelta":
         from .constructions import (
             e_delta_restricted,
-            minimal_nilpotent_centraliser_layout,
             two_block_centraliser_layout,
         )
 

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from .invariants import MultiPoly, is_invariant, lie_derivative_in
 from .liealg import (
     LieAlgebraData,
+    _unit_matrix,
     algebra_on_basis,
     classical_algebra,
-    subalgebra,
+    matrix_algebra,
 )
 from .qlinalg import (
     Q0,
@@ -32,9 +33,11 @@ from .qlinalg import (
     Basis,
     QMatrix,
     SampleConfig,
+    VerificationError,
     as_q,
     inverse,
     kernel_basis,
+    sample_rounds,
     sample_vector,
 )
 from .repn import (
@@ -195,8 +198,7 @@ class MatrixRealisation:
         coords = []
         for i in range(N):
             for j in range(N):
-                m = QMatrix.zero(N, N)
-                m.data[i][j] = Q1
+                m = _unit_matrix(N, i, j)
                 coords.append(LayoutCoord("entry", f"x{i + 1}{j + 1}", m, m, None))
         return MatrixRealisation(N, QMatrix.zero(N, N), coords, None)
 
@@ -379,16 +381,12 @@ def highest_component_evaluator(E: EvaluatorPoly, block_indices,
         return interpolate_coeffs(vals)
 
     d = -1
-    height = cfg.height
-    for rnd in range(cfg.rounds):
-        c = SampleConfig(cfg.seed, height, cfg.rounds)
-        pt = sample_vector(c, E.nvars, rnd, "topdeg")
+    for pt in sample_rounds(cfg, E.nvars, "topdeg"):
         coeffs = t_expand(pt)
         top = max((i for i, a in enumerate(coeffs) if a != 0), default=-1)
         if top == d:
             break
         d = max(d, top)
-        height *= 2
     if d < 0:
         raise ValueError("zero polynomial has no highest component")
 
@@ -402,12 +400,6 @@ def highest_component_evaluator(E: EvaluatorPoly, block_indices,
 # ---------------------------------------------------------------------------
 # centraliser layouts (Figures: minimal nilpotent, and partition (2^m, 1^{2n}))
 # ---------------------------------------------------------------------------
-
-
-def _unit(N, i, j, c=1):
-    m = QMatrix.zero(N, N)
-    m.data[i][j] = as_q(c)
-    return m
 
 
 def _ambient_sp_form(m, q):
@@ -451,21 +443,23 @@ def centraliser_layout(m: int, q: int) -> MatrixRealisation:
     for a in range(m):
         e_mat.data[a][m + a] = Q1
         f_mat.data[m + a][a] = Q1
-    assert _in_sp(e_mat, Om) and _in_sp(f_mat, Om)
+    if not (_in_sp(e_mat, Om) and _in_sp(f_mat, Om)):
+        raise VerificationError("e or f is not in sp(Omega)")
     gens = []
     # C: S^2 k^m at block (group1, group2), grade 2; contains e on the diagonal
     for a in range(m):
         for b in range(a, m):
             if a == b:
-                mat = _unit(N, a, m + a)
+                mat = _unit_matrix(N, a, m + a)
             else:
-                mat = _unit(N, a, m + b) + _unit(N, b, m + a)
+                mat = _unit_matrix(N, a, m + b) + _unit_matrix(N, b, m + a)
             gens.append(("C", f"C{a + 1}{b + 1}", mat, None))
     # A: so_m, diagonally in blocks (1,1) and (2,2)
     for a in range(m):
         for b in range(a + 1, m):
-            mat = (_unit(N, a, b) - _unit(N, b, a)
-                   + _unit(N, m + a, m + b) - _unit(N, m + b, m + a))
+            mat = (_unit_matrix(N, a, b) - _unit_matrix(N, b, a)
+                   + _unit_matrix(N, m + a, m + b)
+                   - _unit_matrix(N, m + b, m + a))
             gens.append(("A", f"A{a + 1}{b + 1}", mat, None))
     # v: for copy a and standard index r: w_{a,r} = sgn(pair(r)) u_{a, pair(r)}
     # with u_{a,t} = E_{a, 2m+t} - sgn(t) E_{2m+pair(t), m+a}; this choice makes
@@ -477,7 +471,8 @@ def centraliser_layout(m: int, q: int) -> MatrixRealisation:
         return 1 if r < q else -1
 
     def u_mat(a, t):
-        return _unit(N, a, 2 * m + t) - _unit(N, 2 * m + pair(t), m + a, sgn(t))
+        return (_unit_matrix(N, a, 2 * m + t)
+                - _unit_matrix(N, 2 * m + pair(t), m + a, sgn(t)))
 
     for a in range(m):
         for r in range(2 * q):
@@ -487,17 +482,15 @@ def centraliser_layout(m: int, q: int) -> MatrixRealisation:
     # sp block: the classical sp_{2q} basis embedded at group3
     for bi, small in enumerate(sp_small.metadata["matrices"]):
         mat = QMatrix.zero(N, N)
-        for i in range(2 * q):
-            for j in range(2 * q):
-                c = small.data[i][j]
-                if c:
-                    mat.data[2 * m + i][2 * m + j] = c
+        for (i, j), c in small.entries().items():
+            mat.data[2 * m + i][2 * m + j] = c
         gens.append(("sp", sp_small.basis_labels[bi], mat, bi))
     # sanity: every generator is in sp(Om) and commutes with e
     for kind, label, mat, tgt in gens:
-        assert _in_sp(mat, Om), label
-        assert (e_mat * mat - mat * e_mat).is_zero(), (
-            f"{label} does not centralise e")
+        if not _in_sp(mat, Om):
+            raise VerificationError(f"{label} is not in sp(Omega)")
+        if not (e_mat * mat - mat * e_mat).is_zero():
+            raise VerificationError(f"{label} does not centralise e")
     # bracket match: [sp, v] realises the standard action on each copy
     vmats = {_v_tag(label): mat for kind, label, mat, tgt in gens if kind == "v"}
     spmats = [mat for kind, label, mat, tgt in gens if kind == "sp"]
@@ -511,8 +504,9 @@ def centraliser_layout(m: int, q: int) -> MatrixRealisation:
                     cc = zmat.data[s][r]
                     if cc:
                         expect = expect + vmats[(a, s)].scale(cc)
-                assert (comm - expect).is_zero(), (
-                    f"layout/semidirect bracket mismatch at sp#{bi}, v{a},{r}")
+                if not (comm - expect).is_zero():
+                    raise VerificationError(f"layout/semidirect bracket "
+                                            f"mismatch at sp#{bi}, v{a},{r}")
     # evaluation matrices: trace-duals of the generators inside the opposite
     # centraliser g_f = sigma(g_e), sigma the swap within every omega-pair
     # (an antisymplectic involution, so conjugation preserves sp(Om))
@@ -526,28 +520,38 @@ def centraliser_layout(m: int, q: int) -> MatrixRealisation:
         return QMatrix(N, N, [[X.data[perm[i]][perm[j]] for j in range(N)]
                               for i in range(N)])
 
-    assert (mirror(e_mat) - f_mat).is_zero()
+    if not (mirror(e_mat) - f_mat).is_zero():
+        raise VerificationError("the mirror of e is not f")
     zs = [g[2] for g in gens]
     ms = [mirror(z) for z in zs]
     for mmat in ms:
-        assert _in_sp(mmat, Om)
-        assert (f_mat * mmat - mmat * f_mat).is_zero()
-    k = len(zs)
-    gram = QMatrix(k, k, [[_trace_pair(ms[i], zs[j]) for j in range(k)]
-                          for i in range(k)])
-    ginv = inverse(gram)
-    coords = []
-    for j, (kind, label, zmat, tgt) in enumerate(gens):
-        dual = QMatrix.zero(N, N)
-        for kidx in range(k):
-            c = ginv.data[j][kidx]
-            if c != 0:
-                dual = dual + ms[kidx].scale(c)
-        coords.append(LayoutCoord(kind, label, zmat, dual, tgt))
+        if not (_in_sp(mmat, Om) and (f_mat * mmat - mmat * f_mat).is_zero()):
+            raise VerificationError("a mirrored generator leaves sp(Omega)_f")
+    duals = _trace_duals(zs, ms)
+    coords = [LayoutCoord(kind, label, zmat, dual, tgt)
+              for (kind, label, zmat, tgt), dual in zip(gens, duals)]
     layout = MatrixRealisation(N, e_mat, coords, target,
                                meta={"m": m, "q": q, "e": e_mat, "f": f_mat,
                                      "omega": Om})
     return layout
+
+
+def _combination(coeffs, mats):
+    """sum_i coeffs[i] mats[i], walking the nonzero entries."""
+    out = QMatrix.zero(mats[0].rows, mats[0].cols)
+    for c, mat in zip(coeffs, mats):
+        if c:
+            for (i, j), a in mat.entries().items():
+                out.data[i][j] += c * a
+    return out
+
+
+def _trace_duals(gens, partners):
+    """The matrices D_j in the span of partners with tr(D_j gens[i]) =
+    delta_ij; the trace form must pair the two spans perfectly."""
+    k = len(gens)
+    gram = QMatrix(k, k, [[_trace_pair(p, g) for g in gens] for p in partners])
+    return [_combination(row, partners) for row in inverse(gram).data]
 
 
 def _trace_pair(A: QMatrix, B: QMatrix):
@@ -668,18 +672,11 @@ def e_delta_restricted(layout: MatrixRealisation, k: int,
     nv = len(keep) + 1
     tvar = len(keep)
     entries = [[MultiPoly(nv) for _ in range(N)] for _ in range(N)]
-    for r in range(N):
-        for s in range(N):
-            if layout.const.data[r][s] != 0:
-                entries[r][s] = entries[r][s] + MultiPoly.variable(
-                    nv, tvar, layout.const.data[r][s])
+    for (r, s), c in layout.const.entries().items():
+        entries[r][s] = entries[r][s] + MultiPoly.variable(nv, tvar, c)
     for vi, ci in enumerate(keep):
-        mat = layout.coords[ci].eval_matrix
-        for r in range(N):
-            for s in range(N):
-                if mat.data[r][s] != 0:
-                    entries[r][s] = entries[r][s] + MultiPoly.variable(
-                        nv, vi, mat.data[r][s])
+        for (r, s), c in layout.coords[ci].eval_matrix.entries().items():
+            entries[r][s] = entries[r][s] + MultiPoly.variable(nv, vi, c)
 
     cvars = [vi for vi, ci in enumerate(keep) if layout.coords[ci].kind == "C"]
 
@@ -741,8 +738,8 @@ def e_delta_restricted(layout: MatrixRealisation, k: int,
         for mono in delta_prime.terms:
             if any(mono[i] for i in range(target.dim_g, target.dim)):
                 raise RestrictionEscapes("Delta' involves module coordinates")
-    if verify:
-        assert is_invariant(target, H), (
+    if verify and not is_invariant(target, H):
+        raise VerificationError(
             f"extracted H for Delta_{k} is not an invariant of the target")
     return EDeltaResult(layout=layout, k=k, H=H, f_degree=fdeg,
                         delta_prime=delta_prime)
@@ -763,8 +760,8 @@ def restrict_psi(S: SemiDirectProduct, H: MultiPoly, x, adapted_basis=None,
     Raises RestrictionEscapes when a complement coordinate survives, which
     signals a non-generic x or a non-invariant H.
     """
-    if verify_invariant:
-        assert is_invariant(S, H), "psi_x requires an s-invariant"
+    if verify_invariant and not is_invariant(S, H):
+        raise VerificationError("psi_x requires an s-invariant")
     x = [as_q(c) for c in x]
     # substitute: g variables stay, V variables become the numbers x_j
     images = []
@@ -782,30 +779,26 @@ def restrict_psi(S: SemiDirectProduct, H: MultiPoly, x, adapted_basis=None,
     assert len(span) == kdim, "adapted basis is dependent"
     comp = span.complement() if kdim else range(S.dim_g)
     units = [[Q1 if c == i else Q0 for c in range(S.dim_g)] for i in comp]
-    B = QMatrix.from_rows(rows + units)
-    # new generators y = B x, so the old generators substitute as x = B^{-1} y
-    Binv = inverse(B)
-    target_n = S.dim_g
-    sub_images = []
-    for i in range(S.dim_g):
-        p = MultiPoly(target_n)
-        for a in range(S.dim_g):
-            c = Binv.data[i][a]
-            if c != 0:
-                p = p + MultiPoly.variable(target_n, a, c)
-        sub_images.append(p)
-    Q = P.substitute_linear(sub_images)
+    Q = P.substitute_linear(_old_in_new(QMatrix.from_rows(rows + units)))
     for mono in Q.terms:
         for a in range(kdim, S.dim_g):
             if mono[a]:
                 raise RestrictionEscapes(f"complement coordinate y{a + 1}")
     out = MultiPoly(kdim, {mono[:kdim]: c for mono, c in Q.terms.items()})
     sub = algebra_on_basis(S.algebra, rows)
-    if verify_invariant:
-        for i in range(sub.dim):
-            assert lie_derivative_in(sub, i, out).is_zero(), (
-                "psi_x image is not a q_x-invariant")
+    if verify_invariant and any(not lie_derivative_in(sub, i, out).is_zero()
+                                for i in range(sub.dim)):
+        raise VerificationError("psi_x image is not a q_x-invariant")
     return out, sub, basis
+
+
+def _old_in_new(B: QMatrix):
+    """For new variables y = B x: each old variable x_i = sum_a (B^-1)_ia y_a,
+    as a linear MultiPoly in the y."""
+    n = B.rows
+    return [MultiPoly(n, {tuple(int(t == a) for t in range(n)): c
+                          for a, c in enumerate(row) if c})
+            for row in inverse(B).data]
 
 
 # ---------------------------------------------------------------------------
@@ -844,16 +837,9 @@ class ContractionSpec:
 
 def _theta_matrix(L: LieAlgebraData, theta_on_matrices):
     """Matrix of an involution on the algebra, in the chosen basis."""
-    mats = L.metadata["matrices"]
     expand = L.metadata["expand"]
-    n = L.metadata["matrix_size"]
-    cols = []
-    for mth in mats:
-        img = theta_on_matrices(mth)
-        sparse = {(i, j): img.data[i][j] for i in range(n) for j in range(n)
-                  if img.data[i][j]}
-        coeffs = expand(sparse)
-        cols.append(coeffs)
+    cols = [expand(theta_on_matrices(mth).entries())
+            for mth in L.metadata["matrices"]]
     T = QMatrix.zero(L.dim, L.dim)
     for j, coeffs in enumerate(cols):
         for i, c in coeffs.items():
@@ -882,36 +868,15 @@ def _ambient_invariants(kind, L: LieAlgebraData):
     fam = L.metadata["family"]
     mats = L.metadata["matrices"]
     nv = L.dim
-    gram = QMatrix(nv, nv, [[_trace_pair(mats[i], mats[j]) for j in range(nv)]
-                            for i in range(nv)])
-    ginv = inverse(gram)
-    duals = []
-    for i in range(nv):
-        acc = QMatrix.zero(n, n)
-        for j in range(nv):
-            c = ginv.data[i][j]
-            if c != 0:
-                acc = acc + mats[j].scale(c)
-        duals.append(acc)
     entries = [[MultiPoly(nv) for _ in range(n)] for _ in range(n)]
-    for bi, mth in enumerate(duals):
-        for i in range(n):
-            for j in range(n):
-                c = mth.data[i][j]
-                if c:
-                    entries[i][j] = entries[i][j] + MultiPoly.variable(nv, bi, c)
-    out = []
-    degrees = []
-    if fam == "sl":
-        degrees = list(range(2, n + 1))
-    elif fam == "sp":
-        degrees = list(range(2, n + 1, 2))
-    elif fam == "so":
-        degrees = list(range(2, n, 2)) if n % 2 == 0 else list(range(2, n, 2))
-        if n % 2 == 1:
-            degrees = list(range(2, n + 1, 2))
-    for k in degrees:
-        out.append((k, symbolic_minor_sum(entries, nv, k)))
+    for bi, mth in enumerate(_trace_duals(mats, mats)):
+        for (i, j), c in mth.entries().items():
+            entries[i][j] = entries[i][j] + MultiPoly.variable(nv, bi, c)
+    # the even-degree E_k of so_n stop below n; for even n the Pfaffian
+    # replaces E_n
+    degrees = {"sl": range(2, n + 1), "sp": range(2, n + 1, 2),
+               "so": range(2, n, 2)}[fam]
+    out = [(k, symbolic_minor_sum(entries, nv, k)) for k in degrees]
     if fam == "so" and n % 2 == 0:
         B = QMatrix.zero(n, n)
         for i in range(n):
@@ -998,32 +963,24 @@ def z2_contraction(spec: ContractionSpec):
     else:  # pragma: no cover
         raise ValueError(spec.kind)
 
-    T = _theta_matrix(L, theta)
-    plus, minus = _eig_split(T)
-    g0 = subalgebra(L, plus)
-    # carry matrices for downstream constructions
-    emb = g0.metadata["embedding"]
+    plus, minus = _eig_split(_theta_matrix(L, theta))
+    # g0 on the echelonised plus-basis, built from its matrices
+    emb = Basis(plus).rows
     mats = L.metadata["matrices"]
-    nmat = L.metadata["matrix_size"]
-    g0_m = []
-    for row in emb:
-        acc = QMatrix.zero(nmat, nmat)
-        for i, c in enumerate(row):
-            if c != 0:
-                acc = acc + mats[i].scale(c)
-        g0_m.append(acc)
-    g0.metadata["matrices"] = g0_m
-    g0.metadata["matrix_size"] = nmat
-    g0.metadata["name"] = f"fix({L.metadata['name']})"
+    g0 = matrix_algebra([_combination(row, mats) for row in emb],
+                        [f"y{i + 1}" for i in range(len(emb))],
+                        {"name": f"fix({L.metadata['name']})",
+                         "embedding": emb})
     # g1 as a g0-module: echelonised minus-basis, action by bracket
-    g1_span = Basis(Basis([list(map(as_q, v)) for v in minus]).rows)
+    g1_span = Basis(Basis(minus).rows)
     g1 = g1_span.rows
     action = []
-    for b0 in g0.metadata["embedding"]:
+    for b0 in emb:
         cols = []
         for b1 in g1:
             sol = g1_span.coords(L.bracket(b0, b1))
-            assert sol is not None, "g1 is not g0-stable"
+            if sol is None:
+                raise VerificationError("g1 is not g0-stable")
             cols.append(sol)
         action.append(QMatrix(len(g1), len(g1),
                               [[cols[j][i] for j in range(len(g1))]
@@ -1031,17 +988,7 @@ def z2_contraction(spec: ContractionSpec):
     rep = RepresentationData(g0, action, label="g1")
     S = semidirect(g0, rep, name=f"contraction({L.metadata['name']})")
     # transport ambient invariants into the contraction coordinates
-    full_basis = [list(map(as_q, b)) for b in g0.metadata["embedding"]] + g1
-    B = QMatrix.from_rows(full_basis)
-    Binv = inverse(B)
-    images = []
-    for i in range(L.dim):
-        p = MultiPoly(S.dim)
-        for a in range(S.dim):
-            c = Binv.data[i][a]
-            if c != 0:
-                p = p + MultiPoly.variable(S.dim, a, c)
-        images.append(p)
+    images = _old_in_new(QMatrix.from_rows(emb + g1))
     tops = []
     accepted_tops = []
     accepted_ambient = []
@@ -1150,27 +1097,26 @@ def item3_lift(n: int) -> Item3Result:
             hs.append(P)
     assert len(hs) == n, f"expected {n} quadratic-in-g generators, got {len(hs)}"
     # target: V1 = standard 2n-dim module of g0 (embedded matrices), V2 = g1
-    std_action = [m for m in g0.metadata["matrices"]]
-    V1 = RepresentationData(g0, std_action, label="phi1")
+    V1 = RepresentationData(g0, list(g0.metadata["matrices"]), label="phi1")
     V2 = S2.rep
     S = semidirect(g0, direct_sum_rep(V1, V2, labels=["V1", "V2"]),
                    name=f"sp{2 * n}|x(k{2 * n}+L20)")
     # B(xi) for xi in V1* written in dual coordinates: the self-duality of the
     # standard module twists xi through J, giving the equivariant quadric map
     # B(xi) = 2 J xi xi^T (a matrix in sp(J)); expand in the g0 basis
-    J = symplectic_form(2 * n)
+    J = symplectic_form(2 * n).entries()
     N = 2 * n
-    expand = _matrix_expander_for(g0)
+    expand = g0.metadata["expand"]
     q_polys = [MultiPoly(N) for _ in range(g0.dim)]  # polynomials in xi coords
     for r in range(N):
         for s in range(r, N):
-            # coefficient matrix of xi_r xi_s in 2 J xi xi^T
-            M = QMatrix.zero(N, N)
-            for irow in range(N):
-                if J.data[irow][r] != 0:
-                    M.data[irow][s] += QQ(2) * J.data[irow][r]
-                if r != s and J.data[irow][s] != 0:
-                    M.data[irow][r] += QQ(2) * J.data[irow][s]
+            # coefficient matrix of xi_r xi_s in 2 J xi xi^T, as a sparse dict
+            M = {}
+            for (irow, col), c in J.items():
+                if col == r:
+                    M[irow, s] = M.get((irow, s), Q0) + 2 * c
+                if col == s and r != s:
+                    M[irow, r] = M.get((irow, r), Q0) + 2 * c
             coeffs = expand(M)
             mono = tuple(2 if t == r and r == s else
                          (1 if t in (r, s) else 0) for t in range(N))
@@ -1231,19 +1177,6 @@ def item3_lift(n: int) -> Item3Result:
         lifted.append(H)
     return Item3Result(S=S, S2=S2, lifted=lifted, quadratic=hs,
                        B_quadrics=q_polys)
-
-
-def _matrix_expander_for(g0: LieAlgebraData):
-    """Expand a matrix in the g0 basis (one echelon basis, built once)."""
-    span = Basis([[x for row in mth.data for x in row]
-                  for mth in g0.metadata["matrices"]])
-
-    def expand(M):
-        sol = span.coords([x for row in M.data for x in row])
-        assert sol is not None, "matrix not in the span of the algebra"
-        return dict(enumerate(sol))
-
-    return expand
 
 
 def item3_evaluation_identity(res: Item3Result, trials=20, seed=77):

@@ -25,10 +25,11 @@ from .qlinalg import (
     Basis,
     QMatrix,
     SampleConfig,
+    VerificationError,
     as_q,
     kernel_basis,
     rank,
-    sample_vector,
+    sample_rounds,
 )
 from .semidirect import SemiDirectProduct
 
@@ -335,8 +336,9 @@ def invariant_space(S: SemiDirectProduct, mdeg, cap=DEFAULT_COMPONENT_CAP,
         basis = _invariants_direct_path(S, monos)
     if verify:
         for P in basis:
-            for i in range(S.dim):
-                assert lie_derivative(S, i, P).is_zero(), (
+            if any(not lie_derivative(S, i, P).is_zero()
+                   for i in range(S.dim)):
+                raise VerificationError(
                     "invariant space vector fails re-verification")
     return basis
 
@@ -519,14 +521,10 @@ def jacobian_independent(polys, S: SemiDirectProduct,
     if not polys:
         return True
     n = S.dim
-    height = cfg.height
-    for rnd in range(cfg.rounds):
-        c = SampleConfig(cfg.seed, height, cfg.rounds)
-        pt = sample_vector(c, n, round_idx=rnd, tag="jacobian")
+    for pt in sample_rounds(cfg, n, "jacobian"):
         rows = [[P.partial(i).evaluate(pt) for i in range(n)] for P in polys]
         if rank(QMatrix.from_rows(rows)) == len(polys):
             return True
-        height *= 2
     return False
 
 

@@ -5,6 +5,12 @@ symmetric form) and sp (standard block form J = [[0, I], [-I, 0]]), plus the
 index, b(q), Killing form, derived series, and the isomorphism fingerprint
 used to recognise generic stabilisers.
 
+`matrix_algebra` is the one builder of an algebra from independent matrices:
+the classical algebras, sp_2k |x heis_k on its centraliser layout, and the
+fixed points g_0 of a Z2-contraction all go through it.  Its expander
+(`metadata["expand"]`, from `make_expander`) is the one way to write a matrix
+in such a basis.
+
 Structure constants live in `brackets` (i < j) and, built from it on first
 use, in `ad_table` (every ordered pair); brackets, ad, the Killing form and
 subalgebras walk the supports of their arguments through `ad_table`.
@@ -17,7 +23,7 @@ over sampled covectors gamma, with height escalation; the result carries a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .qlinalg import (
     Q0,
@@ -29,7 +35,7 @@ from .qlinalg import (
     VerificationError,
     as_q,
     rank,
-    sample_vector,
+    sample_rounds,
 )
 
 
@@ -160,25 +166,26 @@ class LieAlgebraData:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_units_to_basis(mats, labels, n, metadata):
-    """LieAlgebraData from explicit matrix generators (assumed independent)."""
+def matrix_algebra(mats, labels, metadata):
+    """The Lie algebra spanned by independent square matrices, in their basis.
+
+    The only builder of an algebra from matrices: metadata gains
+    "matrices", "matrix_size" and "expand" (make_expander on mats), and each
+    commutator is written in the basis by that expander.  Raises
+    VerificationError when a commutator leaves the span.
+    """
     dim = len(mats)
     alg = LieAlgebraData(dim, labels, metadata=metadata)
     alg.metadata["matrices"] = mats
-    alg.metadata["matrix_size"] = n
-    expand = make_expander(mats, n)
+    alg.metadata["matrix_size"] = mats[0].rows if mats else 0
+    expand = make_expander(mats)
     alg.metadata["expand"] = expand
-    sparse = [
-        {(i, j): m.data[i][j] for i in range(n) for j in range(n) if m.data[i][j]}
-        for m in mats
-    ]
+    sparse = [m.entries() for m in mats]
     for a in range(dim):
         for b in range(a + 1, dim):
             comm = _commutator_sparse(sparse[a], sparse[b])
-            if not comm:
-                continue
-            coeffs = expand(comm)
-            alg.set_bracket(a, b, {k: c for k, c in coeffs.items() if c != 0})
+            if comm:
+                alg.set_bracket(a, b, expand(comm))
     return alg
 
 
@@ -196,21 +203,19 @@ def _commutator_sparse(a, b):
     return {p: v for p, v in out.items() if v != 0}
 
 
-def make_expander(mats, n):
-    """Return a function expanding a sparse n x n matrix in the span of mats.
+def make_expander(mats):
+    """Return a function writing a sparse matrix in the span of mats.
 
-    Positions owned by a single basis matrix are peeled off greedily (all
-    off-diagonal positions of the classical bases).  That fixes the
-    coefficient of every matrix owning such a position; whatever remains is
-    written in the matrices whose positions are all multiply owned.
+    mats may be any independent family of square matrices.  A position owned
+    by a single matrix fixes that matrix's coefficient exactly, and is peeled
+    off (all off-diagonal positions of the classical bases); whatever remains
+    is solved on the positions with several owners, in the matrices that own
+    no position alone.  Raises VerificationError outside the span.
     """
     dim = len(mats)
     owners = {}
-    sparse = []
-    for b, m in enumerate(mats):
-        entries = {(i, j): m.data[i][j] for i in range(n) for j in range(n)
-                   if m.data[i][j]}
-        sparse.append(entries)
+    sparse = [m.entries() for m in mats]
+    for b, entries in enumerate(sparse):
         for pos in entries:
             owners.setdefault(pos, []).append(b)
     single = {pos: bs[0] for pos, bs in owners.items() if len(bs) == 1}
@@ -264,7 +269,7 @@ def gl_algebra(n):
             labels.append(f"E{i + 1}{j + 1}")
     md = {"name": f"gl{n}", "family": "gl", "size": n,
           "cartan": list(range(0, n * n, n + 1))}
-    return _matrix_units_to_basis(mats, labels, n, md)
+    return matrix_algebra(mats, labels, md)
 
 
 def sl_algebra(n):
@@ -281,7 +286,7 @@ def sl_algebra(n):
                 mats.append(_unit_matrix(n, i, j))
                 labels.append(f"E{i + 1}{j + 1}")
     md = {"name": f"sl{n}", "family": "sl", "size": n, "cartan": list(range(n - 1))}
-    return _matrix_units_to_basis(mats, labels, n, md)
+    return matrix_algebra(mats, labels, md)
 
 
 def so_algebra(n):
@@ -305,7 +310,7 @@ def so_algebra(n):
             mats.append(m)
             labels.append(f"F{i + 1}{j + 1}")
     md = {"name": f"so{n}", "family": "so", "size": n, "cartan": cartan}
-    return _matrix_units_to_basis(mats, labels, n, md)
+    return matrix_algebra(mats, labels, md)
 
 
 def sp_algebra(n, form="standard"):
@@ -345,7 +350,7 @@ def sp_algebra(n, form="standard"):
             labels.append(f"S{i + 1}{j + 1}")
     md = {"name": f"sp{n}", "family": "sp", "size": n, "cartan": cartan,
           "form": form}
-    alg = _matrix_units_to_basis(mats, labels, n, md)
+    alg = matrix_algebra(mats, labels, md)
     assert alg.dim == m0 * (2 * m0 + 1)
     return alg
 
@@ -413,13 +418,10 @@ def index(L: LieAlgebraData, cfg: SampleConfig = SampleConfig()) -> IndexResult:
     """
     if L.dim == 0:
         return IndexResult(0, True)
-    height = cfg.height
     best = -1
     agreed = False
     ranks = []
-    for rnd in range(cfg.rounds):
-        c = SampleConfig(cfg.seed, height, cfg.rounds)
-        gamma = sample_vector(c, L.dim, round_idx=rnd, tag="index")
+    for gamma in sample_rounds(cfg, L.dim, "index"):
         r = rank(L.kirillov_form(gamma))
         ranks.append(r)
         if r == best:
@@ -427,7 +429,6 @@ def index(L: LieAlgebraData, cfg: SampleConfig = SampleConfig()) -> IndexResult:
             break
         if r > best:
             best = r
-        height *= 2
     return IndexResult(L.dim - best, stabilised=agreed, samples=ranks)
 
 

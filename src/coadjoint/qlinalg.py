@@ -1,22 +1,25 @@
 """Exact rational linear algebra.
 
 Scalars are exact rationals, `fractions.Fraction` (`QQ`).  Matrices are
-dense lists of rows.  Ranks and kernels are computed over the integers: each
-row's denominators are cleared in integer arithmetic (numerator times the
-cofactor of the row's lcm) and all-zero rows are dropped, which changes
-neither the rank nor the right kernel.  The integer rows go to
-fraction-free (Bareiss) elimination; for large matrices a certified fast path
-combines a modular elimination (numpy, single word prime) with p-adic lifting
-of kernel vectors and an exact re-verification, so every reported rank is an
-exact rank over Q.
+dense lists of rows; products walk only the nonzero entries, and `entries()`
+is the one conversion to a sparse {(i, j): value} dict.  Ranks and kernels
+are computed over the integers: each row's denominators are cleared in
+integer arithmetic (numerator times the cofactor of the row's lcm) and
+all-zero rows are dropped, which changes neither the rank nor the right
+kernel.  The integer rows go to fraction-free (Bareiss) elimination; for
+large matrices a certified fast path combines a modular elimination (numpy,
+single word prime) with p-adic lifting of kernel vectors and an exact
+re-verification, so every reported rank is an exact rank over Q.
 
 `Basis` is the one echelon-and-coordinates routine: it echelonises a list of
 vectors once (reduced row echelon form over Q), and then writes other vectors
 in terms of the inputs.  Subalgebras, submodules, invariant spaces, changes
-of basis and `inverse` all go through it.
+of basis, `inverse` and `solve_right` all go through it.
 
 Also hosts the deterministic integer-point sampler used to realise "generic"
-points, and exact univariate interpolation for graded-component extraction.
+points, with `sample_rounds`, the one height-doubling schedule of every
+generic-point search, and exact univariate interpolation for graded-component
+extraction.
 """
 
 from __future__ import annotations
@@ -101,15 +104,25 @@ class QMatrix:
         )
 
     def __mul__(self, other):
-        if isinstance(other, QMatrix):
-            assert self.cols == other.rows
-            ot = list(zip(*other.data))
-            out = [
-                [sum((a * b for a, b in zip(row, col)), Q0) for col in ot]
-                for row in self.data
-            ]
-            return QMatrix(self.rows, other.cols, out)
-        return NotImplemented
+        """The product, walking only the nonzero entries of both factors."""
+        if not isinstance(other, QMatrix):
+            return NotImplemented
+        assert self.cols == other.rows
+        right = [[(j, b) for j, b in enumerate(row) if b]
+                 for row in other.data]
+        out = []
+        for row in self.data:
+            acc = {}
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in right[k]:
+                        acc[j] = acc.get(j, Q0) + a * b
+            prod = [Q0] * other.cols
+            for j, c in acc.items():
+                if c:
+                    prod[j] = c
+            out.append(prod)
+        return QMatrix(self.rows, other.cols, out)
 
     def __add__(self, other):
         assert (self.rows, self.cols) == (other.rows, other.cols)
@@ -137,6 +150,11 @@ class QMatrix:
     def matvec(self, v):
         assert len(v) == self.cols
         return [sum((a * b for a, b in zip(row, v)), Q0) for row in self.data]
+
+    def entries(self):
+        """The nonzero entries, as {(i, j): value}."""
+        return {(i, j): a for i, row in enumerate(self.data)
+                for j, a in enumerate(row) if a}
 
     def is_zero(self):
         return all(a == 0 for row in self.data for a in row)
@@ -457,16 +475,20 @@ def _kernel_exact_small(a, nc):
 
 
 def solve_right(m: QMatrix, b):
-    """One exact solution x of M x = b, or None if inconsistent."""
-    aug = QMatrix(
-        m.rows, m.cols + 1, [row[:] + [as_q(x)] for row, x in zip(m.data, b)]
-    )
-    ker = kernel_basis(aug)
-    for v in ker:
-        if v[-1] != 0:
-            t = -Q1 / v[-1]
-            return [x * t for x in v[:-1]]
-    return None
+    """One exact solution x of M x = b, or None if inconsistent.
+
+    x is supported on the greedily chosen independent columns of M (each
+    column kept when it is independent of the columns before it).
+    """
+    cols = [list(c) for c in zip(*m.data)]
+    accepted = Basis(cols).accepted
+    coords = Basis([cols[j] for j in accepted]).coords([as_q(x) for x in b])
+    if coords is None:
+        return None
+    x = [Q0] * m.cols
+    for j, c in zip(accepted, coords):
+        x[j] = c
+    return x
 
 
 def inverse(m: QMatrix) -> QMatrix:
@@ -583,6 +605,14 @@ def sample_vector(cfg: SampleConfig, dim: int, round_idx: int = 0, tag: str = ""
     assert dim >= 0
     rng = random.Random(f"{cfg.seed}|{cfg.height}|{dim}|{round_idx}|{tag}")
     return [QQ(rng.randint(-cfg.height, cfg.height)) for _ in range(dim)]
+
+
+def sample_rounds(cfg: SampleConfig, dim: int, tag: str):
+    """The samples of a generic-point search, one per round: round rnd draws
+    from [-H, H]^dim with H = cfg.height * 2**rnd."""
+    for rnd in range(cfg.rounds):
+        c = SampleConfig(cfg.seed, cfg.height * 2 ** rnd, cfg.rounds)
+        yield sample_vector(c, dim, round_idx=rnd, tag=tag)
 
 
 def _poly_mul_linear(poly, c):

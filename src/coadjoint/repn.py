@@ -429,19 +429,14 @@ def spin_rep(n: int, half: str | None = None, L=None) -> RepresentationData:
         # entry pair once
         acc = {}
         seenpairs = set()
-        for p in range(n_sq):
-            row = bm.data[p]
-            for q in range(n_sq):
-                c = row[q]
-                if not c:
-                    continue
-                if (n_sq - 1 - q, n_sq - 1 - p) in seenpairs:
-                    continue
-                seenpairs.add((p, q))
-                comm = _gamma_commutator(gammas[p], gammas[n_sq - 1 - q], N)
-                f = c * quarter
-                for pos, v in comm.items():
-                    acc[pos] = acc.get(pos, Q0) + f * v
+        for (p, q), c in bm.entries().items():
+            if (n_sq - 1 - q, n_sq - 1 - p) in seenpairs:
+                continue
+            seenpairs.add((p, q))
+            comm = _gamma_commutator(gammas[p], gammas[n_sq - 1 - q], N)
+            f = c * quarter
+            for pos, v in comm.items():
+                acc[pos] = acc.get(pos, Q0) + f * v
         m_out = QMatrix.zero(N, N)
         for (r, col), v in acc.items():
             if v != 0:

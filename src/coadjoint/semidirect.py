@@ -20,7 +20,15 @@ from .liealg import (
     killing_matrix,
     subalgebra,
 )
-from .qlinalg import QMatrix, Q0, SampleConfig, as_q, kernel_basis, rank, sample_vector
+from .qlinalg import (
+    Q0,
+    QMatrix,
+    SampleConfig,
+    as_q,
+    kernel_basis,
+    rank,
+    sample_rounds,
+)
 from .repn import RepresentationData
 
 
@@ -147,11 +155,8 @@ def generic_stabiliser_in_V(S: SemiDirectProduct, cfg: SampleConfig
     `stabilised` records whether that happened within cfg.rounds.
     """
     best = best_key = None
-    height = cfg.height
     agreed = False
-    for rnd in range(cfg.rounds):
-        c = SampleConfig(cfg.seed, height, cfg.rounds)
-        x = sample_vector(c, S.dim_V, round_idx=rnd, tag="stab")
+    for x in sample_rounds(cfg, S.dim_V, "stab"):
         st = stabiliser_in_V(S, x)
         key = _genericity_key(st)
         if best is not None and key == best_key:
@@ -160,7 +165,6 @@ def generic_stabiliser_in_V(S: SemiDirectProduct, cfg: SampleConfig
             break
         if best is None or key < best_key:
             best, best_key = st, key
-        height *= 2
     best.stabilised = agreed
     return best
 

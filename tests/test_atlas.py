@@ -144,6 +144,16 @@ def test_cli_exit_codes():
                  "--module", "phi1"]) == 0
 
 
+def test_cli_module_spec_uses_the_table_grammar():
+    from coadjoint.cli import main
+
+    assert main(["index", "--family", "sp", "--size", "2",
+                 "--module", "2*phi1 + trivial"]) == 0
+    for bad in ("2*psi1", "phi1 +", "x*phi1", "2 phi1"):
+        assert main(["index", "--family", "sp", "--size", "2",
+                     "--module", bad]) == 2
+
+
 def test_verify_row_validate_flag():
     rows = load_atlas(cfg=CFG)
     rep = verify_row(_row(rows, 2, "1o"), {"n": 1, "m": 1}, CFG, validate=True)

@@ -514,6 +514,46 @@ def test_contraction_sp4_even():
     assert all(is_invariant(S, P) for P in tops)
 
 
+@pytest.mark.parametrize("kind,params,family,size", [
+    ("so-so", (3, 2), "so", 5),
+    ("sp-sp", (2, 2), "sp", 4),
+    ("sl-sp", (4,), "sl", 4),
+    ("so-gl", (2,), "so", 4),
+])
+def test_contraction_g0_is_the_fixed_subalgebra(kind, params, family, size):
+    # g0 is built from its matrices; the subalgebra of the ambient algebra on
+    # the same embedding is built from the ambient structure constants
+    S, _ = z2_contraction(ContractionSpec(kind, params))
+    g0 = S.algebra
+    L = classical_algebra(family, size)
+    emb = g0.metadata["embedding"]
+    for row, mat in zip(emb, g0.metadata["matrices"]):
+        expect = QMatrix.zero(size, size)
+        for c, m in zip(row, L.metadata["matrices"]):
+            expect = expect + m.scale(c)
+        assert mat == expect
+    assert g0.brackets == subalgebra(L, emb).brackets
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sp_heis_algebra_is_the_centraliser_in_sp(k):
+    from coadjoint.atlas import sp_heis_algebra
+    from coadjoint.liealg import algebra_on_basis
+
+    N = 2 * k + 2
+    sp = classical_algebra("sp", N)
+    # the layout pairs coordinate 0 with 1 and 2 + r with 2 + k + r; the
+    # standard form pairs i with i + k + 1
+    perm = [0, k + 1] + list(range(1, k + 1)) + list(range(k + 2, N))
+    expand = sp.metadata["expand"]
+    rows = []
+    for c in minimal_nilpotent_centraliser_layout(k + 1).coords:
+        coeffs = expand({(perm[i], perm[j]): a
+                         for (i, j), a in c.generator.entries().items()})
+        rows.append([coeffs.get(t, Q0) for t in range(sp.dim)])
+    assert sp_heis_algebra(k).brackets == algebra_on_basis(sp, rows).brackets
+
+
 def test_contraction_rejects_unknown_pair():
     with pytest.raises(ValueError):
         ContractionSpec("sp-so", (4, 2))

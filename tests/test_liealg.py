@@ -16,9 +16,11 @@ from coadjoint.liealg import (
     heisenberg_algebra,
     index,
     killing_matrix,
+    make_expander,
+    matrix_algebra,
     subalgebra,
 )
-from coadjoint.qlinalg import QMatrix, SampleConfig, rank
+from coadjoint.qlinalg import QMatrix, SampleConfig, VerificationError, rank
 from coadjoint.repn import standard_rep
 from coadjoint.semidirect import semidirect
 
@@ -233,3 +235,43 @@ def test_algebra_on_rational_basis_reproduces_brackets(name, seed):
                           sub.bracket_basis(i, j).items()), Fraction(0))
                      for r in range(L.dim)]
             assert combo == L.bracket(basis[i], basis[j])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 4),
+       density=st.sampled_from([0.3, 0.7, 1.0]))
+def test_expander_on_any_independent_family(seed, n, density):
+    # random matrices with overlapping supports, not a classical basis
+    rng = random.Random(seed)
+    size = rng.randint(1, n * n)
+    mats, flat = [], []
+    while len(mats) < size:
+        m = QMatrix(n, n, [[Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+                            if rng.random() < density else Fraction(0)
+                            for _ in range(n)] for _ in range(n)])
+        row = [x for r in m.data for x in r]
+        if rank(QMatrix.from_rows(flat + [row])) == len(mats) + 1:
+            mats.append(m)
+            flat.append(row)
+    expand = make_expander(mats)
+    c = [Fraction(rng.randint(-3, 3), rng.choice((1, 3))) for _ in mats]
+    target = QMatrix.zero(n, n)
+    for a, m in zip(c, mats):
+        target = target + m.scale(a)
+    got = expand(target.entries())
+    assert [got.get(b, 0) for b in range(size)] == c
+    for t in range(n * n):
+        unit = [int(k == t) for k in range(n * n)]
+        if rank(QMatrix.from_rows(flat + [unit])) > size:
+            with pytest.raises(VerificationError):
+                expand({divmod(t, n): Fraction(1)})
+            break
+
+
+def test_matrix_algebra_rejects_matrices_not_closed_under_commutator():
+    e = QMatrix.from_rows([[0, 1], [0, 0]])
+    f = QMatrix.from_rows([[0, 0], [1, 0]])
+    with pytest.raises(VerificationError):
+        matrix_algebra([e, f], ["e", "f"], {})
+    sl2 = matrix_algebra([e, f, e * f - f * e], ["e", "f", "h"], {})
+    assert sl2.brackets == {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}}

@@ -83,6 +83,12 @@ def test_solve_right():
     assert solve_right(QMatrix.from_rows([[1, 1], [1, 1]]), [0, 1]) is None
 
 
+def test_solve_right_uses_the_greedy_independent_columns():
+    # column 1 repeats column 0 and column 3 is column 0 + column 2
+    m = QMatrix.from_rows([[1, 1, 0, 1], [0, 0, 1, 1]])
+    assert solve_right(m, [2, 3]) == [QQ(2), QQ(0), QQ(3), QQ(0)]
+
+
 def test_sample_empty():
     assert sample_vector(SampleConfig(1, 5, 1), 0) == []
 

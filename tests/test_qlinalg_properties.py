@@ -17,9 +17,12 @@ from coadjoint.qlinalg import (
     QMatrix,
     _int_rows,
     _kernel_exact_small,
+    SampleConfig,
     inverse,
     kernel_basis,
     rank,
+    sample_rounds,
+    sample_vector,
     solve_right,
 )
 
@@ -122,3 +125,36 @@ def test_inverse_on_invertible_and_singular(shape):
     else:
         with pytest.raises(ZeroDivisionError):
             inverse(m)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(0, 6), k=st.integers(0, 6),
+       m=st.integers(0, 6), density=st.sampled_from([0.3, 0.7, 1.0]))
+def test_product_is_the_triple_sum(seed, n, k, m, density):
+    rng = random.Random(seed)
+
+    def sparse(rows, cols):
+        return QMatrix(rows, cols, [
+            [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+             if rng.random() < density else Fraction(0) for _ in range(cols)]
+            for _ in range(rows)])
+
+    A, B = sparse(n, k), sparse(k, m)
+    if n and k:
+        A.data[rng.randrange(n)] = [Fraction(0)] * k   # a zero row
+    if k and m:
+        j = rng.randrange(m)
+        for row in B.data:                              # a zero column
+            row[j] = Fraction(0)
+    naive = [[sum((A.data[i][t] * B.data[t][j] for t in range(k)), Fraction(0))
+              for j in range(m)] for i in range(n)]
+    assert A * B == QMatrix(n, m, naive)
+    assert A.entries() == {(i, j): a for i, row in enumerate(A.data)
+                           for j, a in enumerate(row) if a != 0}
+
+
+def test_sample_rounds_doubles_the_height():
+    cfg = SampleConfig(seed=5, height=3, rounds=4)
+    expected = [sample_vector(SampleConfig(5, 3 * 2 ** rnd, 4), 7, rnd, "t")
+                for rnd in range(4)]
+    assert list(sample_rounds(cfg, 7, "t")) == expected

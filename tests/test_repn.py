@@ -241,6 +241,26 @@ except VerificationError:
     pass
 else:
     sys.exit(5)
+from coadjoint.constructions import restrict_psi
+from coadjoint.invariants import MultiPoly
+from coadjoint.liealg import matrix_algebra
+from coadjoint.qlinalg import QMatrix
+from coadjoint.semidirect import semidirect
+sp4 = classical_algebra("sp", 4)
+S = semidirect(sp4, standard_rep(sp4))
+try:
+    restrict_psi(S, MultiPoly.variable(S.dim, 0), [1, 0, 0, 0])
+except VerificationError:
+    pass
+else:
+    sys.exit(6)
+e = QMatrix.from_rows([[0, 1], [0, 0]])
+try:
+    matrix_algebra([e, e.transpose()], ["e", "f"], {})
+except VerificationError:
+    pass
+else:
+    sys.exit(7)
 """
 
 
