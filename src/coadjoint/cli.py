@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .qlinalg import SampleConfig
+from .qlinalg import SampleConfig, VerificationError
 
 
 def _cfg(args):
@@ -103,7 +103,6 @@ def cmd_invariants(args):
 
 def cmd_construct(args):
     from .invariants import is_invariant
-    from .qlinalg import SampleConfig
 
     cfg = _cfg(args)
     if args.what == "takiff":
@@ -121,11 +120,11 @@ def cmd_construct(args):
         spec = ContractionSpec(args.pair, tuple(args.params))
         S, tops = z2_contraction(spec)
         print(f"{S}: dim {S.dim}")
-        for i, P in enumerate(tops):
+        held = [is_invariant(S, P) for P in tops]
+        for i, (P, ok) in enumerate(zip(tops, held)):
             print(f"  H^bullet[{i}]: degree {P.total_degree()}, "
-                  f"multidegree {P.multidegree(S.blocks)}, "
-                  f"invariant {is_invariant(S, P)}")
-        return 0
+                  f"multidegree {P.multidegree(S.blocks)}, invariant {ok}")
+        return 0 if all(held) else 1
     if args.what == "edelta":
         from .constructions import (
             e_delta_restricted,
@@ -146,9 +145,9 @@ def cmd_construct(args):
         degs = [(h.total_degree(), H.total_degree())
                 for h, H in zip(res.quadratic, res.lifted)]
         print(f"{res.S}: lifted degrees (h -> H): {degs}")
-        print(f"evaluation identity at 20 points: "
-              f"{item3_evaluation_identity(res, trials=20)}")
-        return 0
+        ok = item3_evaluation_identity(res, trials=20)
+        print(f"evaluation identity at 20 points: {ok}")
+        return 0 if ok else 1
     return 2
 
 
@@ -218,6 +217,9 @@ def main(argv=None):
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except VerificationError as e:
+        print(f"check failed: {e}", file=sys.stderr)
+        return 1
     except (ValueError, OSError, AssertionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -37,11 +37,14 @@ from .qlinalg import (
     as_q,
     inverse,
     kernel_basis,
+    leading_graded_component,
     sample_rounds,
     sample_vector,
 )
 from .repn import (
     RepresentationData,
+    _column,
+    _submodule,
     adjoint_rep,
     direct_sum_rep,
     standard_rep,
@@ -130,14 +133,11 @@ class EvaluatorPoly:
 
     def spot_check(self, cfg: SampleConfig = SampleConfig(), trials=3):
         """Interpolation along random rays reproduces repeated evaluation."""
-        from .qlinalg import interpolate_coeffs
-
         for t in range(trials):
             c = SampleConfig(cfg.seed + t, cfg.height, cfg.rounds)
             base = sample_vector(c, self.nvars, 0, "spotbase")
-            nodes = [QQ(i + 1) for i in range(self.degree_bound + 1)]
-            vals = [self.evaluate([x * s for x in base]) for s in nodes]
-            poly = interpolate_coeffs(vals)
+            poly = leading_graded_component(
+                lambda s: self.evaluate([x * s for x in base]), self.degree_bound)
             probe = QQ(self.degree_bound + 5)
             direct = self.evaluate([x * probe for x in base])
             horner = Q0
@@ -366,19 +366,15 @@ def highest_component_evaluator(E: EvaluatorPoly, block_indices,
     at sampled points with escalation (the degree can only drop on a proper
     closed subset); the returned evaluator re-interpolates per call, exactly.
     """
-    from .qlinalg import interpolate_coeffs
-
     block_indices = list(block_indices)
 
     def t_expand(point):
-        nodes = [QQ(i + 1) for i in range(E.degree_bound + 1)]
-        vals = []
-        for t in nodes:
+        def at(t):
             scaled = list(point)
             for i in block_indices:
                 scaled[i] = scaled[i] * t
-            vals.append(E.evaluate(scaled))
-        return interpolate_coeffs(vals)
+            return E.evaluate(scaled)
+        return leading_graded_component(at, E.degree_bound)
 
     d = -1
     for pt in sample_rounds(cfg, E.nvars, "topdeg"):
@@ -639,8 +635,7 @@ class EDeltaResult:
     delta_prime: MultiPoly | None   # m = 1 only: the e-coefficient, in S(sp)
 
 
-def e_delta_restricted(layout: MatrixRealisation, k: int,
-                       verify=True) -> EDeltaResult:
+def e_delta_restricted(layout: MatrixRealisation, k: int) -> EDeltaResult:
     """Restriction of the highest f-component of Delta_k to the annihilator of
     the S^2 k^m part, remapped onto the target semi-direct product.
 
@@ -697,7 +692,9 @@ def e_delta_restricted(layout: MatrixRealisation, k: int,
     fdeg = 0
     for mono in poly.terms:
         fdeg = max(fdeg, mono[tvar])
-    assert fdeg == m, f"f-degree of Delta_{k} on the layout is {fdeg}, not {m}"
+    if fdeg != m:
+        raise VerificationError(
+            f"f-degree of Delta_{k} on the layout is {fdeg}, not {m}")
     top = MultiPoly(nv, {mono: c for mono, c in poly.terms.items()
                          if mono[tvar] == m})
     # split off the centre coefficient (m = 1) and check escapes
@@ -738,7 +735,7 @@ def e_delta_restricted(layout: MatrixRealisation, k: int,
         for mono in delta_prime.terms:
             if any(mono[i] for i in range(target.dim_g, target.dim)):
                 raise RestrictionEscapes("Delta' involves module coordinates")
-    if verify and not is_invariant(target, H):
+    if not is_invariant(target, H):
         raise VerificationError(
             f"extracted H for Delta_{k} is not an invariant of the target")
     return EDeltaResult(layout=layout, k=k, H=H, f_degree=fdeg,
@@ -750,8 +747,7 @@ def e_delta_restricted(layout: MatrixRealisation, k: int,
 # ---------------------------------------------------------------------------
 
 
-def restrict_psi(S: SemiDirectProduct, H: MultiPoly, x, adapted_basis=None,
-                 verify_invariant=True):
+def restrict_psi(S: SemiDirectProduct, H: MultiPoly, x, adapted_basis=None):
     """psi_x(H): substitute the V*-coordinates of x, express in a basis adapted
     to q_x, and check the result lies in S(q_x).
 
@@ -760,7 +756,7 @@ def restrict_psi(S: SemiDirectProduct, H: MultiPoly, x, adapted_basis=None,
     Raises RestrictionEscapes when a complement coordinate survives, which
     signals a non-generic x or a non-invariant H.
     """
-    if verify_invariant and not is_invariant(S, H):
+    if not is_invariant(S, H):
         raise VerificationError("psi_x requires an s-invariant")
     x = [as_q(c) for c in x]
     # substitute: g variables stay, V variables become the numbers x_j
@@ -786,8 +782,7 @@ def restrict_psi(S: SemiDirectProduct, H: MultiPoly, x, adapted_basis=None,
                 raise RestrictionEscapes(f"complement coordinate y{a + 1}")
     out = MultiPoly(kdim, {mono[:kdim]: c for mono, c in Q.terms.items()})
     sub = algebra_on_basis(S.algebra, rows)
-    if verify_invariant and any(not lie_derivative_in(sub, i, out).is_zero()
-                                for i in range(sub.dim)):
+    if any(not lie_derivative_in(sub, i, out).is_zero() for i in range(sub.dim)):
         raise VerificationError("psi_x image is not a q_x-invariant")
     return out, sub, basis
 
@@ -851,7 +846,8 @@ def _eig_split(T: QMatrix):
     n = T.rows
     plus = kernel_basis(T - QMatrix.identity(n))
     minus = kernel_basis(T + QMatrix.identity(n))
-    assert len(plus) + len(minus) == n, "involution failed to split the algebra"
+    if len(plus) + len(minus) != n:
+        raise VerificationError("involution failed to split the algebra")
     return plus, minus
 
 
@@ -971,21 +967,21 @@ def z2_contraction(spec: ContractionSpec):
                         [f"y{i + 1}" for i in range(len(emb))],
                         {"name": f"fix({L.metadata['name']})",
                          "embedding": emb})
-    # g1 as a g0-module: echelonised minus-basis, action by bracket
-    g1_span = Basis(Basis(minus).rows)
-    g1 = g1_span.rows
-    action = []
+    # g1 as a g0-module: the adjoint columns of L along the embedding of
+    # g0, restricted to the echelonised minus-basis
+    g1 = Basis(minus).rows
+    ad = L.ad_table
+    columns = []
     for b0 in emb:
-        cols = []
-        for b1 in g1:
-            sol = g1_span.coords(L.bracket(b0, b1))
-            if sol is None:
-                raise VerificationError("g1 is not g0-stable")
-            cols.append(sol)
-        action.append(QMatrix(len(g1), len(g1),
-                              [[cols[j][i] for j in range(len(g1))]
-                               for i in range(len(g1))]))
-    rep = RepresentationData(g0, action, label="g1")
+        cols = [{} for _ in range(L.dim)]
+        for i, a in enumerate(b0):
+            if a:
+                for v, vec in ad[i].items():
+                    for w, c in vec.items():
+                        cols[v][w] = cols[v].get(w, Q0) + a * c
+        columns.append([_column(c) for c in cols])
+    rep = _submodule(RepresentationData(g0, columns, L.dim, label="ad"), g1,
+                     "g1")
     S = semidirect(g0, rep, name=f"contraction({L.metadata['name']})")
     # transport ambient invariants into the contraction coordinates
     images = _old_in_new(QMatrix.from_rows(emb + g1))
@@ -1095,11 +1091,12 @@ def item3_lift(n: int) -> Item3Result:
         md = P.multidegree(S2.blocks)
         if md is not None and md[0] == 2:
             hs.append(P)
-    assert len(hs) == n, f"expected {n} quadratic-in-g generators, got {len(hs)}"
+    if len(hs) != n:
+        raise VerificationError(
+            f"expected {n} quadratic-in-g generators, got {len(hs)}")
     # target: V1 = standard 2n-dim module of g0 (embedded matrices), V2 = g1
-    V1 = RepresentationData(g0, list(g0.metadata["matrices"]), label="phi1")
-    V2 = S2.rep
-    S = semidirect(g0, direct_sum_rep(V1, V2, labels=["V1", "V2"]),
+    S = semidirect(g0, direct_sum_rep(standard_rep(g0), S2.rep,
+                                      labels=["V1", "V2"]),
                    name=f"sp{2 * n}|x(k{2 * n}+L20)")
     # B(xi) for xi in V1* written in dual coordinates: the self-duality of the
     # standard module twists xi through J, giving the equivariant quadric map

@@ -318,8 +318,7 @@ def _weight_data(S: SemiDirectProduct):
     return w, positive
 
 
-def invariant_space(S: SemiDirectProduct, mdeg, cap=DEFAULT_COMPONENT_CAP,
-                    verify=True):
+def invariant_space(S: SemiDirectProduct, mdeg, cap=DEFAULT_COMPONENT_CAP):
     """Basis of s-invariants of the given multidegree, reduced echelon form.
 
     mdeg is one degree per block of the splitting (g first, then each
@@ -334,12 +333,10 @@ def invariant_space(S: SemiDirectProduct, mdeg, cap=DEFAULT_COMPONENT_CAP,
         basis = _invariants_weight_path(S, mdeg, monos, wdata)
     else:
         basis = _invariants_direct_path(S, monos)
-    if verify:
-        for P in basis:
-            if any(not lie_derivative(S, i, P).is_zero()
-                   for i in range(S.dim)):
-                raise VerificationError(
-                    "invariant space vector fails re-verification")
+    for P in basis:
+        if any(not lie_derivative(S, i, P).is_zero() for i in range(S.dim)):
+            raise VerificationError(
+                "invariant space vector fails re-verification")
     return basis
 
 

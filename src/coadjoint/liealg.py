@@ -134,7 +134,8 @@ class LieAlgebraData:
         return m
 
     def check_jacobi(self, max_dim=200):
-        """Exhaustive Jacobi check; raises AssertionError with a witness triple."""
+        """Exhaustive Jacobi check; raises VerificationError with a witness
+        triple."""
         if self.dim > max_dim:
             return
         n = self.dim
@@ -152,9 +153,9 @@ class LieAlgebraData:
                     for l, c in self.bracket_basis(k, i).items():
                         for mth, d in self.bracket_basis(l, j).items():
                             acc[mth] = acc.get(mth, Q0) + c * d
-                    assert all(
-                        v == 0 for v in acc.values()
-                    ), f"Jacobi fails at triple ({i},{j},{k})"
+                    if any(acc.values()):
+                        raise VerificationError(
+                            f"Jacobi fails at triple ({i},{j},{k})")
 
     def __repr__(self):
         name = self.metadata.get("name", "lie algebra")
@@ -313,19 +314,13 @@ def so_algebra(n):
     return matrix_algebra(mats, labels, md)
 
 
-def sp_algebra(n, form="standard"):
-    """sp_n (n even) for J = [[0, I], [-I, 0]] or the consecutive-pairs form."""
+def sp_algebra(n):
+    """sp_n (n even) for J = [[0, I], [-I, 0]]."""
     if n % 2 != 0:
         raise ValueError("sp requires an even matrix size")
     m0 = n // 2
-    if form == "standard":
-        pair = lambda i: (i + m0) if i < m0 else (i - m0)
-        sign = lambda i: 1 if i < m0 else -1
-    elif form == "nested":
-        pair = lambda i: i + 1 if i % 2 == 0 else i - 1
-        sign = lambda i: 1 if i % 2 == 0 else -1
-    else:
-        raise ValueError(form)
+    pair = lambda i: (i + m0) if i < m0 else (i - m0)
+    sign = lambda i: 1 if i < m0 else -1
     # omega(e_i, e_pair(i)) = sign(i); X in sp iff X^T Om + Om X = 0
     mats, labels, seen = [], [], []
     cartan = []
@@ -348,8 +343,7 @@ def sp_algebra(n, form="standard"):
                 cartan.append(len(mats))
             mats.append(m)
             labels.append(f"S{i + 1}{j + 1}")
-    md = {"name": f"sp{n}", "family": "sp", "size": n, "cartan": cartan,
-          "form": form}
+    md = {"name": f"sp{n}", "family": "sp", "size": n, "cartan": cartan}
     alg = matrix_algebra(mats, labels, md)
     assert alg.dim == m0 * (2 * m0 + 1)
     return alg
@@ -518,17 +512,18 @@ def derived_series_dims(L: LieAlgebraData):
 def center_dim(L: LieAlgebraData) -> int:
     """dim of the center = common kernel of all ad maps.
 
-    Rank of the stacked ad rows, echelonised over the sparse rows actually
-    present in the structure table.
+    Exact rank of the matrix whose row j lists the coefficient of x_k in
+    [x_i, x_j], one column per (i, k) pair present in the structure table.
     """
-    rows = {}
+    pos = {}
+    rows = [{} for _ in range(L.dim)]
     for (i, j), vec in L.brackets.items():
         for k, c in vec.items():
-            rows.setdefault((i, k), [Q0] * L.dim)[j] = c
-            rows.setdefault((j, k), [Q0] * L.dim)[i] = -c
-    if not rows:
-        return L.dim
-    return L.dim - len(Basis(list(rows.values())))
+            rows[j][pos.setdefault((i, k), len(pos))] = c
+            rows[i][pos.setdefault((j, k), len(pos))] = -c
+    n = len(pos)
+    return L.dim - rank(QMatrix(L.dim, n, [[r.get(t, Q0) for t in range(n)]
+                                           for r in rows]))
 
 
 def fingerprint(L: LieAlgebraData, cfg: SampleConfig = SampleConfig()) -> Fingerprint:

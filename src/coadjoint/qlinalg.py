@@ -86,9 +86,6 @@ class QMatrix:
     def zero(r, c):
         return QMatrix(r, c)
 
-    def copy(self):
-        return QMatrix(self.rows, self.cols, [row[:] for row in self.data])
-
     def __getitem__(self, ij):
         return self.data[ij[0]][ij[1]]
 
@@ -654,6 +651,5 @@ def leading_graded_component(evaluate, degree_bound: int):
     off the top nonzero coefficient index as the graded top degree.
     """
     nodes = [QQ(i + 1) for i in range(degree_bound + 1)]
-    assert len(set(nodes)) == len(nodes)
     values = [evaluate(t) for t in nodes]
     return interpolate_coeffs(values)

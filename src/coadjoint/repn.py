@@ -1,13 +1,14 @@
 """Construction of the g-modules appearing in the verification tables.
 
-Every representation is a list of exact rational action matrices, one per
-basis element of the algebra, together with per-summand block bookkeeping and
-(when the Cartan acts diagonally) the list of weights of the chosen module
-basis.  The commutator compatibility check `check_representation` is the
-ground truth every constructor is tested against.  Besides the dense
-matrices, each module caches `columns`, the nonzero entries of every column
-of every action matrix; submodules, stabilisers and semi-direct products are
-built from these sparse columns.
+A module is stored as the sparse columns of its action matrices, one list of
+columns per basis element of the algebra, together with per-summand block
+bookkeeping and (when the Cartan acts diagonally) the list of weights of the
+chosen module basis.  Every constructor writes the columns directly;
+submodules, stabilisers and semi-direct products read them.  The dense
+`action` matrices are a view built on request, and
+`RepresentationData.from_matrices` is the one way in from dense matrices.
+The commutator compatibility check `check_representation` is the ground
+truth every constructor is tested against.
 
 The spin representations use the fermionic Fock model: so_n in the split form
 acts through the Clifford algebra on the exterior algebra of a maximal
@@ -16,7 +17,7 @@ isotropic subspace, which keeps all matrix entries in 1/2 Z.
 
 from __future__ import annotations
 
-import functools
+import bisect
 import itertools
 import math
 
@@ -25,31 +26,61 @@ from .qlinalg import Basis, QMatrix, Q0, Q1, QQ, VerificationError
 
 
 class RepresentationData:
-    """Action matrices of a basis of g on a module V (never modified after
-    construction: `columns` is computed from them once)."""
+    """A module V of a Lie algebra g, as the sparse columns of its action.
 
-    def __init__(self, algebra: LieAlgebraData, action, label="", blocks=None,
-                 weights=None):
+    columns[i][v] = [(w, c), ...] lists the nonzero entries of column v of
+    the matrix of x_i on V, in increasing w.  Never modified after
+    construction.  blocks lists (label, offset, size) covering [0, dim_V).
+    """
+
+    def __init__(self, algebra: LieAlgebraData, columns, dim_V, label="",
+                 blocks=None, weights=None):
+        if len(columns) != algebra.dim or any(len(c) != dim_V for c in columns):
+            raise ValueError(f"a module of {algebra!r} needs {algebra.dim} "
+                             f"lists of {dim_V} columns")
         self.algebra = algebra
-        self.action = action
-        assert len(action) == algebra.dim
-        self.dim_V = action[0].rows if action else 0
-        for m in action:
-            assert m.rows == m.cols == self.dim_V
+        self.columns = columns
+        self.dim_V = dim_V
         self.label = label
-        # blocks: list of (label, offset, size) covering [0, dim_V)
-        self.blocks = blocks or [(label or "V", 0, self.dim_V)]
+        self.blocks = blocks or [(label or "V", 0, dim_V)]
         self.weights = weights
+
+    @classmethod
+    def from_matrices(cls, algebra: LieAlgebraData, mats, label):
+        """The module whose action matrices are `mats` (square, one per
+        basis element of the algebra)."""
+        n = mats[0].rows if mats else 0
+        if any(m.rows != n or m.cols != n for m in mats):
+            raise ValueError(f"action matrices must all be {n} x {n}")
+        columns = []
+        for m in mats:
+            cols = [[] for _ in range(n)]
+            for w, row in enumerate(m.data):
+                for v, c in enumerate(row):
+                    if c:
+                        cols[v].append((w, c))
+            columns.append(cols)
+        return cls(algebra, columns, n, label=label)
+
+    @property
+    def action(self):
+        """The dense action matrices, built from the columns on each access."""
+        out = []
+        for cols in self.columns:
+            m = QMatrix.zero(self.dim_V, self.dim_V)
+            for v, col in enumerate(cols):
+                for w, c in col:
+                    m.data[w][v] = c
+            out.append(m)
+        return out
 
     def __repr__(self):
         return f"<module {self.label!r} of {self.algebra!r}, dim {self.dim_V}>"
 
-    @functools.cached_property
-    def columns(self):
-        """columns[i][v] = [(w, c), ...], the nonzero entries of column v of
-        action[i], in increasing w."""
-        return [[[(w, row[v]) for w, row in enumerate(m.data) if row[v]]
-                 for v in range(self.dim_V)] for m in self.action]
+
+def _column(acc):
+    """A column accumulated as {row: coeff}, as sorted nonzero (row, coeff)."""
+    return [(w, acc[w]) for w in sorted(acc) if acc[w]]
 
 
 def check_representation(R: RepresentationData, max_cost=10 ** 7):
@@ -68,7 +99,8 @@ def check_representation(R: RepresentationData, max_cost=10 ** 7):
     n = R.dim_V
     if L.dim * n ** 2 > max_cost:
         return
-    entries = [x for m in R.action for row in m.data for x in row if x]
+    action = R.action
+    entries = [x for m in action for row in m.data for x in row if x]
     D = math.lcm(1, *(x.denominator for x in entries))
     amax = max((int(abs(x) * D) for x in entries), default=0)
     pairs = []
@@ -81,7 +113,7 @@ def check_representation(R: RepresentationData, max_cost=10 ** 7):
                  for _, _, e, b in pairs), default=0)
     dtype = np.int64 if bound < 2 ** 62 else object
     M = [np.array([[int(x * D) for x in row] for row in m.data], dtype=dtype)
-         for m in R.action]
+         for m in action]
     for i, j, e, b in pairs:
         expect = np.zeros((n, n), dtype=dtype)
         for k, c in b:
@@ -117,22 +149,21 @@ def standard_rep(L: LieAlgebraData) -> RepresentationData:
     mats = L.metadata.get("matrices")
     if mats is None:
         raise ValueError("standard_rep requires a matrix-constructed algebra")
-    R = RepresentationData(L, [m.copy() for m in mats], label="phi1")
+    R = RepresentationData.from_matrices(L, mats, "phi1")
     R.weights = _diag_weights(R)
     return R
 
 
 def trivial_rep(L: LieAlgebraData, d=1) -> RepresentationData:
-    R = RepresentationData(L, [QMatrix.zero(d, d) for _ in range(L.dim)],
-                           label="trivial")
-    R.weights = [tuple(Q0 for _ in L.metadata.get("cartan", []))] * d
-    return R
+    return RepresentationData(
+        L, [[[] for _ in range(d)] for _ in range(L.dim)], d, label="trivial",
+        weights=[tuple(Q0 for _ in L.metadata.get("cartan", []))] * d)
 
 
 def dual_rep(R: RepresentationData) -> RepresentationData:
     """Dual module: action matrices are negated transposes."""
-    out = RepresentationData(R.algebra, [m.transpose().scale(-1) for m in R.action],
-                             label=f"({R.label})*")
+    out = RepresentationData.from_matrices(
+        R.algebra, [m.transpose().scale(-1) for m in R.action], f"({R.label})*")
     if R.weights is not None:
         out.weights = [tuple(-w for w in ws) for ws in R.weights]
     return out
@@ -141,96 +172,75 @@ def dual_rep(R: RepresentationData) -> RepresentationData:
 def direct_sum_rep(*reps, labels=None) -> RepresentationData:
     alg = reps[0].algebra
     assert all(r.algebra is alg for r in reps)
-    n = sum(r.dim_V for r in reps)
-    action = []
-    for i in range(alg.dim):
-        m = QMatrix.zero(n, n)
-        off = 0
-        for r in reps:
-            for v, col in enumerate(r.columns[i]):
-                for w, c in col:
-                    m.data[off + w][off + v] = c
-            off += r.dim_V
-        action.append(m)
-    blocks = []
-    off = 0
-    for idx, r in enumerate(reps):
-        lbl = labels[idx] if labels else f"{r.label}#{idx}"
-        blocks.append((lbl, off, r.dim_V))
-        off += r.dim_V
-    out = RepresentationData(alg, action, label="+".join(r.label for r in reps),
-                             blocks=blocks)
+    offsets = list(itertools.accumulate((r.dim_V for r in reps[:-1]), initial=0))
+    columns = [[[(off + w, c) for w, c in col]
+                for r, off in zip(reps, offsets) for col in r.columns[i]]
+               for i in range(alg.dim)]
+    blocks = [(labels[idx] if labels else f"{r.label}#{idx}", off, r.dim_V)
+              for idx, (r, off) in enumerate(zip(reps, offsets))]
+    weights = None
     if all(r.weights is not None for r in reps):
-        out.weights = [w for r in reps for w in r.weights]
+        weights = [w for r in reps for w in r.weights]
+    return RepresentationData(alg, columns, sum(r.dim_V for r in reps),
+                              label="+".join(r.label for r in reps),
+                              blocks=blocks, weights=weights)
+
+
+def _power(R: RepresentationData, k, basis, label, derive):
+    """The module on `basis` (k-tuples of basis indices of R) in which x_i
+    sends basis vector b to the sum of c * nb over (nb, c) in
+    derive(b, R.columns[i]); weights add up along each tuple."""
+    idx = {b: t for t, b in enumerate(basis)}
+    action = []
+    for columns in R.columns:
+        cols = []
+        for b in basis:
+            acc = {}
+            for nb, c in derive(b, columns):
+                acc[idx[nb]] = acc.get(idx[nb], Q0) + c
+            cols.append(_column(acc))
+        action.append(cols)
+    weights = None
+    if R.weights is not None:
+        weights = [tuple(sum(ws) for ws in zip(*(R.weights[i] for i in b)))
+                   if k else tuple(Q0 for _ in R.weights[0]) for b in basis]
+    out = RepresentationData(R.algebra, action, len(basis), label=label,
+                             weights=weights)
+    out.basis_tags = basis
     return out
 
 
 def exterior_power(R: RepresentationData, k: int) -> RepresentationData:
     """Lambda^k of a module, derivation action on the wedge basis."""
-    n = R.dim_V
-    if k > n:
+    if k > R.dim_V:
         raise ValueError("k exceeds the module dimension")
-    basis = list(itertools.combinations(range(n), k))
-    idx = {b: i for i, b in enumerate(basis)}
-    N = len(basis)
-    action = []
-    for a in range(R.algebra.dim):
-        m = QMatrix.zero(N, N)
-        columns = R.columns[a]
-        for b, col in idx.items():
-            for pos in range(k):
-                v = b[pos]
-                for w, c in columns[v]:
-                    if w in b and w != v:
-                        continue
-                    newb = list(b)
-                    newb[pos] = w
-                    sign = 1
-                    # sort newb, tracking the permutation sign
-                    arr = newb[:]
-                    for x in range(1, k):
-                        y = x
-                        while y > 0 and arr[y - 1] > arr[y]:
-                            arr[y - 1], arr[y] = arr[y], arr[y - 1]
-                            sign = -sign
-                            y -= 1
-                    row = idx[tuple(arr)]
-                    m.data[row][col] += c * sign
-        action.append(m)
-    out = RepresentationData(R.algebra, action, label=f"L{k}({R.label})")
-    if R.weights is not None:
-        out.weights = [tuple(sum(ws) for ws in zip(*(R.weights[i] for i in b)))
-                       if k else tuple(Q0 for _ in R.weights[0]) for b in basis]
-    out.basis_tags = basis
-    return out
+
+    def derive(b, columns):
+        # slot pos turns v into w, which then moves to its sorted place t
+        # past |t - pos| other factors
+        for pos, v in enumerate(b):
+            rest = b[:pos] + b[pos + 1:]
+            for w, c in columns[v]:
+                if w not in rest:
+                    t = bisect.bisect(rest, w)
+                    yield rest[:t] + (w,) + rest[t:], -c if (t - pos) % 2 else c
+
+    return _power(R, k, list(itertools.combinations(range(R.dim_V), k)),
+                  f"L{k}({R.label})", derive)
 
 
 def symmetric_power(R: RepresentationData, k: int) -> RepresentationData:
     """S^k of a module, derivation action on the monomial basis."""
-    n = R.dim_V
-    basis = list(itertools.combinations_with_replacement(range(n), k))
-    idx = {b: i for i, b in enumerate(basis)}
-    N = len(basis)
-    action = []
-    for a in range(R.algebra.dim):
-        m = QMatrix.zero(N, N)
-        columns = R.columns[a]
-        for b, col in idx.items():
-            for pos in range(k):
-                if pos > 0 and b[pos] == b[pos - 1]:
-                    continue  # derivation on equal slots handled by multiplicity
-                mult = b.count(b[pos])
-                v = b[pos]
+    def derive(b, columns):
+        # equal slots act once, times their multiplicity
+        for pos, v in enumerate(b):
+            if pos == 0 or v != b[pos - 1]:
+                rest = b[:pos] + b[pos + 1:]
                 for w, c in columns[v]:
-                    newb = tuple(sorted(b[:pos] + (w,) + b[pos + 1:]))
-                    m.data[idx[newb]][col] += c * mult
-        action.append(m)
-    out = RepresentationData(R.algebra, action, label=f"S{k}({R.label})")
-    if R.weights is not None:
-        out.weights = [tuple(sum(ws) for ws in zip(*(R.weights[i] for i in b)))
-                       if k else tuple(Q0 for _ in R.weights[0]) for b in basis]
-    out.basis_tags = basis
-    return out
+                    yield tuple(sorted(rest + (w,))), c * b.count(v)
+
+    return _power(R, k, list(itertools.combinations_with_replacement(
+        range(R.dim_V), k)), f"S{k}({R.label})", derive)
 
 
 class FormNotInvariantError(ValueError):
@@ -304,7 +314,6 @@ def _kernel_by_weight(C: QMatrix, ext: RepresentationData):
 def _submodule(R: RepresentationData, vectors, label):
     """Restrict the action to the span of `vectors`; raises VerificationError
     if the span is not invariant.  Images are sums of sparse columns."""
-    k = len(vectors)
     span = Basis(vectors)
     supports = [[(u, a) for u, a in enumerate(v) if a] for v in vectors]
     action = []
@@ -318,19 +327,17 @@ def _submodule(R: RepresentationData, vectors, label):
             sol = span.coords(image)
             if sol is None:
                 raise VerificationError("span is not invariant under the action")
-            cols.append(sol)
-        action.append(QMatrix(k, k, [[cols[j][i] for j in range(k)]
-                                     for i in range(k)]))
-    out = RepresentationData(R.algebra, action, label=label)
+            cols.append([(i, c) for i, c in enumerate(sol) if c])
+        action.append(cols)
+    weights = None
     if R.weights is not None:
-        ws = []
-        for v in vectors:
-            support = [i for i, x in enumerate(v) if x != 0]
-            w0 = R.weights[support[0]]
-            assert all(R.weights[i] == w0 for i in support)
-            ws.append(w0)
-        out.weights = ws
-    return out
+        weights = [R.weights[support[0][0]] for support in supports]
+        if any(R.weights[u] != w0 for support, w0 in zip(supports, weights)
+               for u, _ in support):
+            raise VerificationError("a submodule basis vector is not a weight "
+                                    "vector")
+    return RepresentationData(R.algebra, action, len(vectors), label=label,
+                              weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +434,7 @@ def spin_rep(n: int, half: str | None = None, L=None) -> RepresentationData:
         # bm = E_ij - E_{bar j, bar i} = R_{e_i, e_bar(j)}, and
         # sigma(R_{v,w}) = 1/4 [gamma(v), gamma(w)]; walk each antisymmetric
         # entry pair once
-        acc = {}
+        acc = [{} for _ in range(N)]
         seenpairs = set()
         for (p, q), c in bm.entries().items():
             if (n_sq - 1 - q, n_sq - 1 - p) in seenpairs:
@@ -435,34 +442,30 @@ def spin_rep(n: int, half: str | None = None, L=None) -> RepresentationData:
             seenpairs.add((p, q))
             comm = _gamma_commutator(gammas[p], gammas[n_sq - 1 - q], N)
             f = c * quarter
-            for pos, v in comm.items():
-                acc[pos] = acc.get(pos, Q0) + f * v
-        m_out = QMatrix.zero(N, N)
-        for (r, col), v in acc.items():
-            if v != 0:
-                m_out.data[r][col] = v
-        action.append(m_out)
+            for (r, col), v in comm.items():
+                acc[col][r] = acc[col].get(r, Q0) + f * v
+        action.append([_column(c) for c in acc])
     if n % 2 == 1:
-        out = RepresentationData(L, action, label=f"spin({n})")
-        out.weights = _spin_weights(L, basis, n)
-        return out
+        return RepresentationData(L, action, N, label=f"spin({n})",
+                                  weights=_spin_weights(L, basis))
     # even: project onto the chosen parity
     want = 0 if half == "even" else 1
     keep = [i for i, s in enumerate(basis) if len(s) % 2 == want]
-    drop = [i for i in range(len(basis)) if i not in keep]
+    pos = {old: new for new, old in enumerate(keep)}
     sub_action = []
-    for m in action:
-        sub = QMatrix(len(keep), len(keep),
-                      [[m.data[r][c] for c in keep] for r in keep])
-        if any(m.data[r][c] for r in drop for c in keep):
-            raise VerificationError("chirality block is not invariant")
+    for cols in action:
+        sub = []
+        for c in keep:
+            if any(w not in pos for w, _ in cols[c]):
+                raise VerificationError("chirality block is not invariant")
+            sub.append([(pos[w], x) for w, x in cols[c]])
         sub_action.append(sub)
-    out = RepresentationData(L, sub_action, label=f"spin({n},{half})")
-    out.weights = _spin_weights(L, [basis[i] for i in keep], n)
-    return out
+    return RepresentationData(L, sub_action, len(keep),
+                              label=f"spin({n},{half})",
+                              weights=_spin_weights(L, [basis[i] for i in keep]))
 
 
-def _spin_weights(L, basis, n):
+def _spin_weights(L, basis):
     # sigma(F_ii) = 1/4 [gamma_i, gamma_bar(i)] has eigenvalue +1/2 on Fock
     # states occupied at i and -1/2 otherwise
     m = len(L.metadata["cartan"])
@@ -476,11 +479,10 @@ def _spin_weights(L, basis, n):
 
 
 def adjoint_rep(L: LieAlgebraData) -> RepresentationData:
-    action = [L.ad(i) for i in range(L.dim)]
-    out = RepresentationData(L, action, label="adjoint")
-    cartan = L.metadata.get("cartan")
-    if cartan is not None:
-        out.weights = _diag_weights(out)
+    out = RepresentationData(
+        L, [[_column(row.get(j, {})) for j in range(L.dim)] for row in L.ad_table],
+        L.dim, label="adjoint")
+    out.weights = _diag_weights(out)
     return out
 
 
@@ -533,12 +535,8 @@ def weight_module(family: str, n: int, label: str, L=None) -> RepresentationData
             if k < rank_ - 1:
                 return exterior_power(standard_rep(L), k)
     elif family == "sp":
-        if k == 1:
-            return standard_rep(L)
         return contraction_kernel(standard_rep(L), symplectic_form(n), k)
     elif family in ("sl", "gl"):
-        if k == 1:
-            return standard_rep(L)
         return exterior_power(standard_rep(L), k)
     raise ValueError(f"unsupported weight label {label} for {family}{n}")
 

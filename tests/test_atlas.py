@@ -144,6 +144,45 @@ def test_cli_exit_codes():
                  "--module", "phi1"]) == 0
 
 
+def test_cli_failed_check_exits_1_and_bad_input_exits_2(monkeypatch):
+    import coadjoint.constructions as constructions
+    from coadjoint.cli import main
+    from coadjoint.qlinalg import VerificationError
+
+    def fails(exc):
+        def raise_it(*args):
+            raise exc("boom")
+        return raise_it
+
+    monkeypatch.setattr(constructions, "takiff", fails(VerificationError))
+    assert main(["construct", "takiff"]) == 1
+    monkeypatch.setattr(constructions, "takiff", fails(ValueError))
+    assert main(["construct", "takiff"]) == 2
+    assert main(["construct", "contraction", "--pair", "sp-sp",
+                 "--params", "2", "1"]) == 2
+
+
+def test_cli_construct_exits_1_when_a_printed_identity_is_false(monkeypatch):
+    from types import SimpleNamespace
+
+    import coadjoint.constructions as constructions
+    import coadjoint.invariants as invariants
+    from coadjoint.cli import main
+
+    args = ["construct", "contraction", "--pair", "so-gl", "--params", "2"]
+    assert main(args) == 0
+    monkeypatch.setattr(invariants, "is_invariant", lambda S, P: False)
+    assert main(args) == 1
+    monkeypatch.setattr(constructions, "item3_lift", lambda n: SimpleNamespace(
+        S="S", quadratic=[], lifted=[]))
+    monkeypatch.setattr(constructions, "item3_evaluation_identity",
+                        lambda res, trials: False)
+    assert main(["construct", "item3", "--params", "2"]) == 1
+    monkeypatch.setattr(constructions, "item3_evaluation_identity",
+                        lambda res, trials: True)
+    assert main(["construct", "item3", "--params", "2"]) == 0
+
+
 def test_cli_module_spec_uses_the_table_grammar():
     from coadjoint.cli import main
 

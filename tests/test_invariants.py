@@ -138,7 +138,7 @@ def test_ledger_counts_basis_independent():
     for m in R.action:
         action.append(QMatrix(2, 2, [[m.data[perm[i]][perm[j]]
                                       for j in range(2)] for i in range(2)]))
-    Rp = RepresentationData(L, action, label="phi1'")
+    Rp = RepresentationData.from_matrices(L, action, "phi1'")
     led1 = generator_ledger(semidirect(L, R), 4)
     led2 = generator_ledger(semidirect(L, Rp), 4)
     assert led1.generator_degrees() == led2.generator_degrees()

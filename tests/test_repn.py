@@ -205,10 +205,22 @@ def test_representation_check_beyond_int64():
     L = abelian_algebra(2)
     diag = [QMatrix.from_rows([[big, 0], [0, -big]]),
             QMatrix.from_rows([[1, 0], [0, big]])]
-    check_representation(RepresentationData(L, diag))
+    check_representation(RepresentationData.from_matrices(L, diag, "diag"))
     skew = [diag[0], QMatrix.from_rows([[0, big], [0, 0]])]
     with pytest.raises(VerificationError):
-        check_representation(RepresentationData(L, skew))
+        check_representation(RepresentationData.from_matrices(L, skew, "skew"))
+
+
+def test_module_shape_is_checked_with_value_error():
+    from coadjoint.repn import RepresentationData
+
+    L = classical_algebra("sl", 2)
+    with pytest.raises(ValueError):
+        RepresentationData(L, [[[]]], 1)        # one action for dim g = 3
+    with pytest.raises(ValueError):
+        RepresentationData(L, [[[]], [[]], []], 1)
+    with pytest.raises(ValueError):
+        RepresentationData.from_matrices(L, [QMatrix.zero(2, 3)] * 3, "bad")
 
 
 def test_sp8_phi3_module():
@@ -221,7 +233,8 @@ _CHECKS_UNDER_O = """
 import sys
 from coadjoint.liealg import classical_algebra
 from coadjoint.qlinalg import QQ, VerificationError
-from coadjoint.repn import _submodule, check_representation, standard_rep
+from coadjoint.repn import (RepresentationData, _submodule,
+                            check_representation, standard_rep)
 
 try:
     assert False
@@ -234,9 +247,10 @@ except VerificationError:
     pass
 else:
     sys.exit(4)
-R.action[1].data[0][0] += QQ(1)
+mats = R.action
+mats[1].data[0][0] += QQ(1)
 try:
-    check_representation(R)
+    check_representation(RepresentationData.from_matrices(R.algebra, mats, "bad"))
 except VerificationError:
     pass
 else:
@@ -261,6 +275,15 @@ except VerificationError:
     pass
 else:
     sys.exit(7)
+from coadjoint.liealg import heisenberg_algebra
+H = heisenberg_algebra(1)
+H.set_bracket(0, 2, {0: 1})
+try:
+    H.check_jacobi()
+except VerificationError:
+    pass
+else:
+    sys.exit(8)
 """
 
 
