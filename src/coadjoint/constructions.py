@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .invariants import MultiPoly, is_invariant, lie_derivative_in
 from .liealg import (
     LieAlgebraData,
+    _commutator_sparse,
     _unit_matrix,
     algebra_on_basis,
     classical_algebra,
@@ -412,8 +413,18 @@ def _ambient_sp_form(m, q):
     return Om
 
 
-def _in_sp(X: QMatrix, Om: QMatrix) -> bool:
-    return (X.transpose() * Om + Om * X).is_zero()
+def _in_sp(X, Om) -> bool:
+    """X^T Om + Om X = 0, for sparse {(i, j): value} matrices X and Om."""
+    acc = {}
+    for (k, i), x in X.items():
+        for (k2, j), o in Om.items():
+            if k == k2:
+                acc[(i, j)] = acc.get((i, j), Q0) + x * o
+    for (i, k), o in Om.items():
+        for (k2, j), x in X.items():
+            if k == k2:
+                acc[(i, j)] = acc.get((i, j), Q0) + o * x
+    return not any(acc.values())
 
 
 def centraliser_layout(m: int, q: int) -> MatrixRealisation:
@@ -439,7 +450,8 @@ def centraliser_layout(m: int, q: int) -> MatrixRealisation:
     for a in range(m):
         e_mat.data[a][m + a] = Q1
         f_mat.data[m + a][a] = Q1
-    if not (_in_sp(e_mat, Om) and _in_sp(f_mat, Om)):
+    om, e_sp, f_sp = Om.entries(), e_mat.entries(), f_mat.entries()
+    if not (_in_sp(e_sp, om) and _in_sp(f_sp, om)):
         raise VerificationError("e or f is not in sp(Omega)")
     gens = []
     # C: S^2 k^m at block (group1, group2), grade 2; contains e on the diagonal
@@ -483,24 +495,23 @@ def centraliser_layout(m: int, q: int) -> MatrixRealisation:
         gens.append(("sp", sp_small.basis_labels[bi], mat, bi))
     # sanity: every generator is in sp(Om) and commutes with e
     for kind, label, mat, tgt in gens:
-        if not _in_sp(mat, Om):
+        x = mat.entries()
+        if not _in_sp(x, om):
             raise VerificationError(f"{label} is not in sp(Omega)")
-        if not (e_mat * mat - mat * e_mat).is_zero():
+        if _commutator_sparse(e_sp, x):
             raise VerificationError(f"{label} does not centralise e")
     # bracket match: [sp, v] realises the standard action on each copy
     vmats = {_v_tag(label): mat for kind, label, mat, tgt in gens if kind == "v"}
-    spmats = [mat for kind, label, mat, tgt in gens if kind == "sp"]
+    spmats = [mat.entries() for kind, label, mat, tgt in gens if kind == "sp"]
     for bi, zemb in enumerate(spmats):
         zmat = sp_small.metadata["matrices"][bi]
         for a in range(m):
+            copy = [vmats[(a, s)] for s in range(2 * q)]
             for r in range(2 * q):
-                comm = zemb * vmats[(a, r)] - vmats[(a, r)] * zemb
-                expect = QMatrix.zero(N, N)
-                for s in range(2 * q):
-                    cc = zmat.data[s][r]
-                    if cc:
-                        expect = expect + vmats[(a, s)].scale(cc)
-                if not (comm - expect).is_zero():
+                comm = _commutator_sparse(zemb, copy[r].entries())
+                expect = _combination([zmat.data[s][r] for s in range(2 * q)],
+                                      copy).entries()
+                if comm != expect:
                     raise VerificationError(f"layout/semidirect bracket "
                                             f"mismatch at sp#{bi}, v{a},{r}")
     # evaluation matrices: trace-duals of the generators inside the opposite
@@ -521,7 +532,8 @@ def centraliser_layout(m: int, q: int) -> MatrixRealisation:
     zs = [g[2] for g in gens]
     ms = [mirror(z) for z in zs]
     for mmat in ms:
-        if not (_in_sp(mmat, Om) and (f_mat * mmat - mmat * f_mat).is_zero()):
+        x = mmat.entries()
+        if not _in_sp(x, om) or _commutator_sparse(f_sp, x):
             raise VerificationError("a mirrored generator leaves sp(Omega)_f")
     duals = _trace_duals(zs, ms)
     coords = [LayoutCoord(kind, label, zmat, dual, tgt)

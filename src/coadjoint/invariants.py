@@ -16,6 +16,7 @@ the resulting basis is re-verified against every derivation afterwards.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .liealg import LieAlgebraData, index as algebra_index
@@ -341,20 +342,22 @@ def invariant_space(S: SemiDirectProduct, mdeg, cap=DEFAULT_COMPONENT_CAP):
 
 
 def _mono_weight(m, weights):
-    n = len(weights[0]) if weights else 0
-    acc = [Q0] * n
-    for i, e in enumerate(m):
+    """sum_i m_i weights[i], for integer weight tuples."""
+    acc = [0] * (len(weights[0]) if weights else 0)
+    for e, wi in zip(m, weights):
         if e:
-            wi = weights[i]
-            for t in range(n):
-                if wi[t]:
-                    acc[t] += e * wi[t]
+            for t, x in enumerate(wi):
+                if x:
+                    acc[t] += e * x
     return tuple(acc)
 
 
 def _invariants_weight_path(S, mdeg, monos, wdata):
     weights, positive = wdata
-    zero_w = tuple(Q0 for _ in (weights[0] if weights else ()))
+    # weights times the lcm of their denominators: the same zero weight
+    d = math.lcm(1, *(x.denominator for w in weights for x in w))
+    weights = [tuple(int(x * d) for x in w) for w in weights]
+    zero_w = tuple(0 for _ in (weights[0] if weights else ()))
     w0 = [m for m in monos if _mono_weight(m, weights) == zero_w]
     if not w0:
         return []

@@ -101,14 +101,6 @@ class LieAlgebraData:
                 res[k] = c
         return res
 
-    def ad(self, i):
-        """Matrix of ad(x_i) in the basis."""
-        m = QMatrix.zero(self.dim, self.dim)
-        for j, vec in self.ad_table[i].items():
-            for k, c in vec.items():
-                m.data[k][j] = c
-        return m
-
     def set_bracket(self, i, j, vec):
         assert i < j
         self._ad_table = None
@@ -135,9 +127,10 @@ class LieAlgebraData:
 
     def check_jacobi(self, max_dim=200):
         """Exhaustive Jacobi check; raises VerificationError with a witness
-        triple."""
+        triple.  Returns True when the check ran, False when dim > max_dim
+        skipped it."""
         if self.dim > max_dim:
-            return
+            return False
         n = self.dim
         for i in range(n):
             for j in range(i + 1, n):
@@ -156,6 +149,7 @@ class LieAlgebraData:
                     if any(acc.values()):
                         raise VerificationError(
                             f"Jacobi fails at triple ({i},{j},{k})")
+        return True
 
     def __repr__(self):
         name = self.metadata.get("name", "lie algebra")
@@ -602,9 +596,9 @@ def algebra_on_basis(L: LieAlgebraData, basis) -> LieAlgebraData:
             for t, b in uj:
                 for r, c in ad_u.get(t, {}).items():
                     out[r] += b * c
-            q = d * di * dj
-            coeffs = span.coords([QQ(x, q) if x else Q0 for x in out])
+            coeffs = span.coords(out)
             if coeffs is None:
                 raise NotClosedError(i, j)
-            sub.set_bracket(i, j, {t: c for t, c in enumerate(coeffs) if c != 0})
+            q = d * di * dj
+            sub.set_bracket(i, j, {t: c / q for t, c in enumerate(coeffs) if c})
     return sub

@@ -6,15 +6,24 @@ is the one conversion to a sparse {(i, j): value} dict.  Ranks and kernels
 are computed over the integers: each row's denominators are cleared in
 integer arithmetic (numerator times the cofactor of the row's lcm) and
 all-zero rows are dropped, which changes neither the rank nor the right
-kernel.  The integer rows go to fraction-free (Bareiss) elimination; for
-large matrices a certified fast path combines a modular elimination (numpy,
-single word prime) with p-adic lifting of kernel vectors and an exact
-re-verification, so every reported rank is an exact rank over Q.
+kernel.  Small integer matrices go to primitive-row elimination: a row is
+combined with the pivot row only when it has an entry in the pivot column,
+and then divided by its content, so entries stay bounded by the Bareiss
+minors; kernel vectors are back-substituted in integers too.  For large
+matrices a certified fast path combines a modular elimination (numpy, single
+word prime) with p-adic lifting of kernel vectors in rounds that double the
+digits (stopping at the first round whose reconstruction verifies, at most
+the Hadamard count), and checks each vector v exactly as A (D v) = 0 over Z,
+D the lcm of its denominators.  So every reported rank is an exact rank over
+Q: the mod-p pivot minor bounds it from below, the verified kernel from
+above.
 
 `Basis` is the one echelon-and-coordinates routine: it echelonises a list of
 vectors once (reduced row echelon form over Q), and then writes other vectors
-in terms of the inputs.  Subalgebras, submodules, invariant spaces, changes
-of basis, `inverse` and `solve_right` all go through it.
+in terms of the inputs.  Its coordinates run on integers: the rows and the
+change of basis are stored over one common denominator each, and a vector's
+denominators are cleared once.  Subalgebras, submodules, invariant spaces,
+changes of basis, `inverse` and `solve_right` all go through it.
 
 Also hosts the deterministic integer-point sampler used to realise "generic"
 points, with `sample_rounds`, the one height-doubling schedule of every
@@ -26,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -169,65 +179,71 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols})\n{body}"
 
 
+def _int_row(row):
+    """row times the lcm of its denominators, in integer arithmetic
+    (numerator times cofactor).  Most zero entries are the shared Q0, which
+    is skipped by identity."""
+    l = 1
+    for x in row:
+        if x is not Q0:
+            d = x.denominator
+            if d != 1:
+                l = l * d // math.gcd(l, d)
+    if l == 1:
+        return [0 if x is Q0 else x.numerator for x in row]
+    return [0 if x is Q0 else x.numerator * (l // x.denominator) for x in row]
+
+
+def _primitive(row):
+    """An integer row divided by its content."""
+    c = math.gcd(*row)
+    return [a // c for a in row] if c > 1 else row
+
+
 def _int_rows(m: QMatrix):
     """Integer rows with the row space of m, all-zero rows dropped.
 
-    Each row is scaled by the lcm of its denominators in integer arithmetic
-    (numerator times cofactor), which preserves rank and right kernel.  Most
-    zero entries are the shared Q0, which is skipped by identity.
+    Scaling each row by the lcm of its denominators preserves rank and right
+    kernel.
     """
-    out = []
-    for row in m.data:
-        l = 1
-        for x in row:
-            if x is not Q0:
-                d = x.denominator
-                if d != 1:
-                    l = l * d // math.gcd(l, d)
-        if l == 1:
-            ints = [0 if x is Q0 else x.numerator for x in row]
-        else:
-            ints = [0 if x is Q0 else x.numerator * (l // x.denominator)
-                    for x in row]
-        if any(ints):
-            out.append(ints)
-    return out
+    return [ints for ints in map(_int_row, m.data) if any(ints)]
 
 
-def _bareiss_echelon(a):
-    """Fraction-free elimination on integer rows, in place.
+def _echelon_int(a):
+    """Primitive-row elimination on integer rows, in place.
 
-    Returns (rank, pivot_cols).  Entries stay integral (they are minors of the
-    input), which controls the blow-up without ever introducing fractions.
+    Returns (rank, pivot_cols).  The pivot is an entry of least absolute
+    value in its column.  A row with an entry f in the pivot column becomes
+    (piv/g) row - (f/g) pivot_row, g = gcd(piv, f), divided by its content;
+    rows with a zero there are left alone.  Each row then divides the row
+    Bareiss elimination would hold, so its entries stay bounded by the
+    minors of the input, and no fractions ever appear.
     """
     nr = len(a)
     nc = len(a[0]) if nr else 0
-    prev = 1
     piv_r = 0
     pivots = []
     for pc in range(nc):
-        # smallest nonzero pivot keeps the minors small
         best = -1
         for r in range(piv_r, nr):
             v = a[r][pc]
-            if v:
-                if best < 0 or abs(v) < abs(a[best][pc]):
-                    best = r
+            if v and (best < 0 or abs(v) < abs(a[best][pc])):
+                best = r
         if best < 0:
             continue
-        if best != piv_r:
-            a[best], a[piv_r] = a[piv_r], a[best]
+        a[best], a[piv_r] = a[piv_r], a[best]
         piv = a[piv_r][pc]
+        # rows below the pivot row are zero before pc, and so will be at pc
+        zeros = [0] * (pc + 1)
+        pr = a[piv_r][pc + 1:]
         for r in range(piv_r + 1, nr):
-            vr = a[r]
-            f = vr[pc]
+            row = a[r]
+            f = row[pc]
             if f:
-                pr = a[piv_r]
-                a[r] = [(piv * vr[c] - f * pr[c]) // prev for c in range(nc)]
-                a[r][pc] = 0
-            else:
-                a[r] = [(piv * x) // prev for x in vr]
-        prev = piv
+                g = math.gcd(piv, f)
+                s, t = piv // g, f // g
+                a[r] = zeros + _primitive(
+                    [s * x - t * y for x, y in zip(row[pc + 1:], pr)])
         pivots.append(pc)
         piv_r += 1
         if piv_r == nr:
@@ -258,7 +274,8 @@ def _mod_echelon(a, p):
         col[piv_r] = 0
         mask = col != 0
         if mask.any():
-            a[mask] = (a[mask] - np.outer(col[mask], a[piv_r])) % p
+            # the pivot row is zero before pc
+            a[mask, pc:] = (a[mask, pc:] - np.outer(col[mask], a[piv_r, pc:])) % p
         pivots.append(pc)
         piv_r += 1
         if piv_r == nr:
@@ -282,51 +299,79 @@ def _rational_reconstruct(u, m):
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _dixon_solve(A_int, rhs_cols, p):
-    """Solve A x = b exactly for the columns b of rhs_cols by p-adic lifting.
+# p-adic digits of the first lifting round; each later round doubles them
+_FIRST_DIGITS = 8
 
-    A_int: square numpy int64 matrix whose image mod p is invertible.  Returns
-    a list of solution vectors over Q (one per column), or None if the lifting
-    failed (caller retries with another prime).  Residues stay word-sized, so
-    each lifting step is a pair of numpy matmuls.
+
+def _dixon_solve(A_int, rhs_cols, p):
+    """Candidate solutions of A x = b for the columns b of rhs_cols, by p-adic
+    lifting (Dixon 1982).
+
+    A_int: square numpy int64 matrix whose image mod p is invertible.  The
+    digits are lifted in rounds that double their number, up to the count
+    the Hadamard bound on det(A) calls for.  After each round every entry is
+    rationally reconstructed; when all succeed the round yields one (D, w)
+    per column, the solution being w / D with w integral.  The caller checks
+    each candidate exactly and stops at the first that holds, so small
+    solutions stop early, while a wrong early candidate only lifts further.
+    Yields nothing when the entries are too large for word-size residues or
+    A is singular mod p.  Residues stay word-sized, so each lifting step is
+    a pair of numpy matmuls.
     """
     n = A_int.shape[0]
     amax = int(np.abs(A_int).max()) if A_int.size else 0
     if amax == 0 or n * amax * p >= 2 ** 62:
-        return None
+        return
     Ainv = _inverse_mod(A_int, p)
     if Ainv is None:
-        return None
+        return
     # denominators divide det(A); Hadamard bound gives the digit count
     norms = np.sqrt((A_int.astype(float) ** 2).sum(axis=1))
     norms[norms < 1] = 1.0
     log_det = float(np.log(norms).sum())
     rhs_max = max(1, int(np.abs(rhs_cols).max()) if rhs_cols.size else 1)
-    digits = int(2 * (log_det + math.log(n * (rhs_max + 1))) / math.log(p)) + 4
-    k = rhs_cols.shape[1]
+    cap = int(2 * (log_det + math.log(n * (rhs_max + 1))) / math.log(p)) + 4
     R = rhs_cols
-    xdigits = np.empty((digits, n, k), dtype=np.int64)
-    for d in range(digits):
-        Rm = np.mod(R, p)
-        X = np.mod(Ainv @ Rm, p)
-        xdigits[d] = X
-        # R = (R - A X) / p is exact; |R| stays <= |R0| + n*amax*p
-        R = (R - A_int @ X) // p
-    mod = p ** digits
-    # Horner reconstruction of the p-adic expansion, then rational reconstruction
-    sols = []
-    for j in range(k):
-        sol = []
-        for i in range(n):
-            acc = 0
-            for d in range(digits - 1, -1, -1):
-                acc = acc * p + int(xdigits[d, i, j])
-            rec = _rational_reconstruct(acc % mod, mod)
+    acc = np.zeros(R.shape, dtype=object)   # the solution mod p**done
+    done, mod = 0, 1
+    target = min(_FIRST_DIGITS, cap)
+    while True:
+        while done < target:
+            # up to four digits at a time: p**4 < 2**62
+            block = np.zeros(R.shape, dtype=np.int64)
+            weight = 1
+            for _ in range(min(4, target - done)):
+                X = np.mod(Ainv @ np.mod(R, p), p)
+                block += X * weight
+                weight *= p
+                # R = (R - A X) / p is exact; |R| stays <= |R0| + n*amax*p
+                R = (R - A_int @ X) // p
+                done += 1
+            acc = acc + block.astype(object) * mod
+            mod *= weight
+        candidate = _reconstruct_columns(acc.T.tolist(), mod)
+        if candidate is not None:
+            yield candidate
+        if done >= cap:
+            return
+        target = min(2 * target, cap)
+
+
+def _reconstruct_columns(columns, mod):
+    """One (D, w) per column of residues mod `mod`: each entry a/b
+    reconstructed, D the lcm of the b, w_i = a_i D / b_i.  None if an entry
+    has no reconstruction."""
+    out = []
+    for col in columns:
+        fracs = []
+        for u in col:
+            rec = _rational_reconstruct(u, mod)
             if rec is None:
                 return None
-            sol.append(QQ(rec[0], rec[1]))
-        sols.append(sol)
-    return sols
+            fracs.append(rec)
+        d = math.lcm(1, *(b for _, b in fracs))
+        out.append((d, [a * (d // b) for a, b in fracs]))
+    return out
 
 
 def _inverse_mod(A, p):
@@ -347,7 +392,7 @@ def rank(m: QMatrix) -> int:
     if not a:
         return 0
     if min(len(a), m.cols) <= _BAREISS_CUTOFF:
-        r, _ = _bareiss_echelon(a)
+        r, _ = _echelon_int(a)
         return r
     return _certified_rank(a)
 
@@ -356,14 +401,14 @@ def _certified_rank(a):
     """Rank of nonzero integer rows, certified exactly.
 
     Lower bound: a pivot minor nonzero mod p is nonzero over Z.  Upper bound:
-    exact kernel vectors (p-adically lifted, then re-verified over Z) of the
+    exact kernel vectors (p-adically lifted, then verified over Z) of the
     right count.  The two bounds meet, so the value is exact.
     """
     candidates = _kernel_int(a)
     if candidates is not None:
         return len(a[0]) - len(candidates)
-    # entries too large for the word-size fast path: fall back to Bareiss
-    r, _ = _bareiss_echelon(a)
+    # entries too large for the word-size fast path: eliminate over Z
+    r, _ = _echelon_int(a)
     return r
 
 
@@ -371,9 +416,9 @@ def _kernel_int(a):
     """Exact right-kernel basis of nonzero integer rows via mod-p + lifting.
 
     Returns a list of rational vectors, or None when the entries are too large
-    for word-size residues or every prime failed.  Every returned vector is
-    re-verified exactly, and the count is certified by the mod-p rank lower
-    bound.
+    for word-size residues or every prime failed.  Every returned vector v is
+    verified exactly, as a (D v) = 0 over Z with D the lcm of its
+    denominators, and the count is certified by the mod-p rank lower bound.
     """
     nr = len(a)
     nc = len(a[0])
@@ -391,35 +436,33 @@ def _kernel_int(a):
             continue
         pivot_set = set(pivots)
         free = [c for c in range(nc) if c not in pivot_set]
+        if not free:
+            return []
         sub = an[np.ix_(row_piv, pivots)]
-        if free:
-            sols = _dixon_solve(sub, -an[np.ix_(row_piv, free)], p)
-            if sols is None:
-                continue
-        else:
-            sols = []
-        basis = []
-        ok = True
-        for k, j in enumerate(free):
-            v = [Q0] * nc
-            v[j] = Q1
-            for idx, c in enumerate(pivots):
-                v[c] = sols[k][idx]
-            # exact verification over Q
-            for row in a:
-                s = Q0
-                for coef, x in zip(row, v):
-                    if coef and x:
-                        s += coef * x
-                if s != 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-            basis.append(v)
-        if ok:
-            return basis
+        for candidate in _dixon_solve(sub, -an[np.ix_(row_piv, free)], p):
+            basis = _verified_kernel(a, pivots, free, candidate)
+            if basis is not None:
+                return basis
     return None
+
+
+def _verified_kernel(a, pivots, free, candidate):
+    """The kernel vectors v_j = e_j + w/D at the pivots, one per free column
+    j and candidate (D, w), or None unless a (D v_j) = 0 holds over Z for
+    every one: integer dot products over the support of D v_j."""
+    nc = len(a[0])
+    basis = []
+    for j, (d, w) in zip(free, candidate):
+        cols = [j] + [c for c, x in zip(pivots, w) if x]
+        xs = [d] + [x for x in w if x]
+        for row in a:
+            if sum(map(operator.mul, map(row.__getitem__, cols), xs)):
+                return None
+        v = [Q0] * nc
+        for c, x in zip(cols, xs):
+            v[c] = QQ(x, d)
+        basis.append(v)
+    return basis
 
 
 def kernel_basis(m: QMatrix):
@@ -447,26 +490,34 @@ def _unit(n, j):
 
 
 def _kernel_exact_small(a, nc):
-    """Kernel by fraction-free forward elimination + exact back substitution.
+    """Kernel by primitive-row elimination and back substitution, both over Z.
 
-    The integer rows `a` are eliminated in place.
+    The integer rows `a` are eliminated in place.  Each kernel vector is
+    carried as w / d with w integral; d grows only when a pivot does not
+    divide its right-hand side.
     """
-    r, pivots = _bareiss_echelon(a)
+    r, pivots = _echelon_int(a)
     pivot_set = set(pivots)
     free = [c for c in range(nc) if c not in pivot_set]
     basis = []
     for j in free:
-        v = [Q0] * nc
-        v[j] = Q1
+        w = {j: 1}
+        d = 1
         # rows 0..r-1 of a are in echelon form with pivot cols `pivots`
         for i in range(r - 1, -1, -1):
             pc = pivots[i]
-            s = Q0
             row = a[i]
-            for c in range(pc + 1, nc):
-                if row[c] and v[c]:
-                    s += QQ(row[c]) * v[c]
-            v[pc] = -s / QQ(row[pc])
+            s = sum(row[c] * x for c, x in w.items())
+            if s:
+                piv = row[pc]
+                m = abs(piv) // math.gcd(s, piv)
+                if m != 1:
+                    w = {c: x * m for c, x in w.items()}
+                    d *= m
+                w[pc] = -(s * m) // piv
+        v = [Q0] * nc
+        for c, x in w.items():
+            v[c] = QQ(x, d)
         basis.append(v)
     return basis
 
@@ -512,29 +563,39 @@ class Basis:
         self.vectors = vectors
         self.ncols = len(vectors[0]) if vectors else 0
         self.accepted = []
+        # integer rows, each the primitive multiple of a reduced row: zero
+        # at the pivots of the others
         red, piv = [], []
         for t, vec in enumerate(vectors):
-            row = list(vec)
-            for p, rr in zip(piv, red):
-                f = row[p]
-                if f:
-                    row = [a - f * b if b else a for a, b in zip(row, rr)]
+            row = _int_row(vec)
+            hits = [(p, rr) for p, rr in zip(piv, red) if row[p]]
+            if hits:
+                # the rows are zero at each other's pivots, so every
+                # multiple is read off the row as it came in
+                l = math.lcm(*(rr[p] for p, rr in hits))
+                new = [l * a for a in row]
+                for p, rr in hits:
+                    f = l * row[p] // rr[p]
+                    new = [a - f * b if b else a for a, b in zip(new, rr)]
+                row = new
             nz = next((c for c, a in enumerate(row) if a), None)
             if nz is None:
                 continue
-            if row[nz] != 1:
-                inv = Q1 / row[nz]
-                row = [a * inv if a else a for a in row]
+            row = _primitive(row)
             # back-reduce earlier rows
+            pv = row[nz]
             for i, rr in enumerate(red):
                 f = rr[nz]
                 if f:
-                    red[i] = [a - f * b if b else a for a, b in zip(rr, row)]
+                    g = math.gcd(pv, f)
+                    s, u = pv // g, f // g
+                    red[i] = _primitive([s * a - u * b for a, b in zip(rr, row)])
             piv.append(nz)
             red.append(row)
             self.accepted.append(t)
         order = sorted(range(len(piv)), key=piv.__getitem__)
-        self.rows = [red[t] for t in order]
+        self.rows = [[QQ(a, red[t][piv[t]]) if a else Q0 for a in red[t]]
+                     for t in order]
         self.pivots = [piv[t] for t in order]
 
     def __len__(self):
@@ -547,8 +608,9 @@ class Basis:
 
     @functools.cached_property
     def _to_inputs(self):
-        """(pivot set, non-pivot entries of each row, entries of each row of
-        the change of basis T from the inputs to the rows)."""
+        """(pivot set, E, the nonzero non-pivot entries of each row times E,
+        F, the nonzero entries of each row of the change of basis T from the
+        inputs to the rows times F), all integral."""
         if len(self.accepted) < len(self.vectors):
             raise ValueError("coordinates need independent vectors")
         pivots = set(self.pivots)
@@ -558,27 +620,44 @@ class Basis:
         k = len(self.vectors)
         T = inverse(QMatrix(k, k, [[v[p] for p in self.pivots]
                                    for v in self.vectors]))
-        return pivots, sparse, [[(j, t) for j, t in enumerate(row) if t]
-                                for row in T.data]
+        T = [[(j, t) for j, t in enumerate(row) if t] for row in T.data]
+        E, sparse = _common_denominator(sparse)
+        F, T = _common_denominator(T)
+        return pivots, E, sparse, F, T
 
     def coords(self, v):
         """c with v = sum c_j vectors[j], or None when v is outside the span.
 
-        Raises ValueError when the input vectors are dependent.
+        v's denominators are cleared once, to D; the residual
+        E D (v - sum_p v_p rows[p]) off the pivots is checked in integers, and
+        D F c = sum_p (D v_p) (F T[p]) is summed in integers too.  Raises
+        ValueError when the input vectors are dependent.
         """
-        pivots, sparse, T = self._to_inputs
-        residual = {c: x for c, x in enumerate(v) if x and c not in pivots}
-        out = [Q0] * len(T)
+        pivots, E, sparse, F, T = self._to_inputs
+        nz = [(c, x) for c, x in enumerate(v) if x]
+        D = math.lcm(1, *(x.denominator for _, x in nz))
+        w = {c: x.numerator * (D // x.denominator) for c, x in nz}
+        residual = {c: E * x for c, x in w.items() if c not in pivots}
+        out = [0] * len(T)
         for p, entries, t_row in zip(self.pivots, sparse, T):
-            f = v[p]
+            f = w.get(p)
             if f:
                 for c, a in entries:
-                    residual[c] = residual.get(c, Q0) - f * a
+                    residual[c] = residual.get(c, 0) - f * a
                 for j, t in t_row:
                     out[j] += f * t
         if any(residual.values()):
             return None
-        return out
+        q = D * F
+        return [QQ(x, q) if x else Q0 for x in out]
+
+
+def _common_denominator(rows):
+    """(E, rows with every value times E), E the lcm of the denominators of
+    the values in rows of (index, rational) pairs."""
+    E = math.lcm(1, *(a.denominator for row in rows for _, a in row))
+    return E, [[(c, a.numerator * (E // a.denominator)) for c, a in row]
+               for row in rows]
 
 
 @dataclass(frozen=True)

@@ -91,14 +91,15 @@ def check_representation(R: RepresentationData, max_cost=10 ** 7):
     denominator of the module) and e the lcm of the denominators of the c_k,
     that is e [M_i, M_j] = sum_k (e c_k D) M_k, checked exactly on integer
     matrices: int64 when a bound on every entry fits, Python integers
-    otherwise.
+    otherwise.  Returns True when the check ran, False when
+    dim g * (dim V)^2 > max_cost skipped it.
     """
     import numpy as np
 
     L = R.algebra
     n = R.dim_V
     if L.dim * n ** 2 > max_cost:
-        return
+        return False
     action = R.action
     entries = [x for m in action for row in m.data for x in row if x]
     D = math.lcm(1, *(x.denominator for x in entries))
@@ -121,6 +122,7 @@ def check_representation(R: RepresentationData, max_cost=10 ** 7):
         if not np.array_equal((M[i] @ M[j] - M[j] @ M[i]) * e, expect):
             raise VerificationError(
                 f"representation property fails at pair ({i},{j})")
+    return True
 
 
 def _diag_weights(R: RepresentationData):

@@ -200,6 +200,31 @@ def test_verify_row_validate_flag():
     assert any(c.check == "jacobi+rep property" for c in rep.checks)
 
 
+def test_validate_reports_a_skipped_check_as_skip(monkeypatch):
+    from coadjoint.atlas import render_report
+    from coadjoint.liealg import LieAlgebraData
+    from coadjoint.repn import check_representation, standard_rep
+
+    L = classical_algebra("sp", 2)
+    assert L.check_jacobi() is True and L.check_jacobi(max_dim=2) is False
+    R = standard_rep(L)
+    assert check_representation(R) is True
+    assert check_representation(R, max_cost=1) is False
+    # a Jacobi check over its size bound: the record must not read as passed
+    check = LieAlgebraData.check_jacobi
+    monkeypatch.setattr(LieAlgebraData, "check_jacobi",
+                        lambda self, max_dim=200: check(self, max_dim=0))
+    rows = load_atlas(cfg=CFG)
+    rep = verify_row(_row(rows, 2, "1o"), {"n": 1, "m": 1}, CFG, validate=True)
+    (c,) = [c for c in rep.checks if c.check == "jacobi+rep property"]
+    assert not c.passed and "Jacobi identity not checked" in c.skipped
+    assert rep.passed    # every check that ran held
+    row = rep.as_dict()
+    assert row["checks"][1]["skipped"] == c.skipped
+    text = render_report({"rows": [row], "pass": rep.passed})
+    assert "SKIP jacobi+rep property: Jacobi identity not checked" in text
+
+
 def test_cli_invariants_and_report(tmp_path):
     from coadjoint.cli import main
 

@@ -58,7 +58,7 @@ def test_rank_plus_kernel_is_cols():
 
 
 def test_certified_large_path_matches_bareiss():
-    from coadjoint.qlinalg import _bareiss_echelon
+    from coadjoint.qlinalg import _echelon_int
 
     rng = random.Random(7)
     n = 90
@@ -68,7 +68,7 @@ def test_certified_large_path_matches_bareiss():
         rows[n - 1 - i] = [sum(cs[j] * rows[j][c] for j in range(8))
                            for c in range(n)]
     m = QMatrix.from_rows(rows)
-    r_slow, _ = _bareiss_echelon([[int(x) for x in row] for row in m.data])
+    r_slow, _ = _echelon_int([[int(x) for x in row] for row in m.data])
     assert rank(m) == r_slow
     ker = kernel_basis(m)
     assert len(ker) == n - r_slow

@@ -2,21 +2,30 @@
 
 Matrices are products A*B of random factors, so their rank is controlled and
 their kernels are nontrivial.  Entries are integers, or rationals with
-denominators in {1, 2, 4} (the denominators of the spin modules).
+denominators in {1, 2, 4} (the denominators of the spin modules).  The
+integer coordinates of `Basis`, rational reconstruction, the int64 guards of
+the modular path and its exact verification have their own tests below.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coadjoint import qlinalg
 from coadjoint.qlinalg import (
     _BAREISS_CUTOFF,
+    _PRIMES,
     Basis,
     QMatrix,
+    _dixon_solve,
+    _echelon_int,
     _int_rows,
     _kernel_exact_small,
+    _kernel_int,
+    _rational_reconstruct,
     SampleConfig,
     inverse,
     kernel_basis,
@@ -158,3 +167,178 @@ def test_sample_rounds_doubles_the_height():
     expected = [sample_vector(SampleConfig(5, 3 * 2 ** rnd, 4), 7, rnd, "t")
                 for rnd in range(4)]
     assert list(sample_rounds(cfg, 7, "t")) == expected
+
+
+@SMALL
+@given(st.integers(0, 2 ** 32), st.integers(1, 8), st.integers(1, 10))
+def test_integer_coords_with_mixed_denominators(seed, k, extra):
+    rng = random.Random(seed)
+    n = k + extra
+
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+    vecs = [[q() for _ in range(n)] for _ in range(k)]
+    span = Basis(vecs)
+    if len(span) < k:
+        with pytest.raises(ValueError):
+            span.coords(vecs[0])
+        return
+    c = [q() for _ in range(k)]
+    v = [sum((a * x[j] for a, x in zip(c, vecs)), Fraction(0))
+         for j in range(n)]
+    got = span.coords(v)
+    assert got == c
+    assert [sum((a * x[j] for a, x in zip(got, vecs)), Fraction(0))
+            for j in range(n)] == v
+    # integer entries give the same coordinates as their Fractions
+    scale = math.lcm(*(x.denominator for x in v))
+    assert span.coords([int(x * scale) for x in v]) == [a * scale for a in c]
+    # off the span, whatever the denominators
+    j = span.complement()[rng.randrange(n - k)]
+    off = list(v)
+    off[j] += Fraction(1, rng.randint(1, 12))
+    assert span.coords(off) is None
+
+
+def _rref_reference(vectors):
+    """(rows, pivots, accepted) of the reduced echelon form, by Gauss-Jordan
+    over Fraction, one input vector at a time."""
+    red, piv, accepted = [], [], []
+    for t, vec in enumerate(vectors):
+        row = list(vec)
+        for p, rr in zip(piv, red):
+            row = [a - row[p] * b for a, b in zip(row, rr)]
+        nz = next((c for c, a in enumerate(row) if a), None)
+        if nz is None:
+            continue
+        row = [a / row[nz] for a in row]
+        red = [[a - rr[nz] * b for a, b in zip(rr, row)] for rr in red]
+        red.append(row)
+        piv.append(nz)
+        accepted.append(t)
+    order = sorted(range(len(piv)), key=piv.__getitem__)
+    return [red[t] for t in order], [piv[t] for t in order], accepted
+
+
+@SMALL
+@given(_shapes(1, 12))
+def test_integer_echelon_is_the_reduced_echelon_form(shape):
+    seed, rows, cols, rnk, rational = shape
+    m = _matrix(seed, rows, cols, min(rnk, rows, cols), rational)
+    rng = random.Random(seed)
+    vecs = [[x / rng.randint(1, 9) for x in row] for row in m.data]
+    span = Basis(vecs)
+    assert (span.rows, span.pivots, span.accepted) == _rref_reference(vecs)
+
+
+def _reconstructions(m):
+    """Every (a, b) with |a|, b <= sqrt(m/2), gcd(a, b) = gcd(b, m) = 1, by
+    residue a/b mod m."""
+    bound = math.isqrt(m // 2)
+    out = {}
+    for b in range(1, bound + 1):
+        if math.gcd(b, m) == 1:
+            inv = pow(b, -1, m)
+            for a in range(-bound, bound + 1):
+                if math.gcd(a, b) == 1:
+                    out.setdefault(a * inv % m, set()).add((a, b))
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 600))
+def test_rational_reconstruct_agrees_with_search(m):
+    sols = _reconstructions(m)
+    for u in range(m):
+        got = _rational_reconstruct(u, m)
+        if got is None:
+            assert u not in sols        # no solution within the bound
+        else:
+            assert got in sols[u]
+
+
+def test_rational_reconstruct_edges():
+    p = _PRIMES[0]
+    m = p ** 2
+    bound = math.isqrt(m // 2)
+    assert _rational_reconstruct(0, m) == (0, 1)
+    assert _rational_reconstruct(m - 3, m) == (-3, 1)
+    assert _rational_reconstruct(-3 * pow(7, -1, m) % m, m) == (-3, 7)
+    # at the size bound, and one past it: a/b with a > bound is not returned
+    u = bound * pow(bound - 1, -1, m) % m
+    assert _rational_reconstruct(u, m) == (bound, bound - 1)
+    u = (bound + 1) * pow(bound, -1, m) % m
+    assert _rational_reconstruct(u, m) != (bound + 1, bound)
+    # m = 2 k^2, where the bound is exactly sqrt(m / 2)
+    for u in range(2 * 7 ** 2):
+        got = _rational_reconstruct(u, 2 * 7 ** 2)
+        assert got is None or (got[0] - got[1] * u) % (2 * 7 ** 2) == 0
+
+
+def _guarded_matrix(seed, n, big):
+    """An n x n integer matrix of rank n - 3 whose largest entry is `big`."""
+    rng = random.Random(seed)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 3)]
+    rows[0][1] = big
+    rows += [[a + b for a, b in zip(rows[t], rows[t + 1])] for t in range(3)]
+    return rows
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_kernel_at_the_int64_guard(side):
+    n = _BAREISS_CUTOFF + 2
+    # _kernel_int takes the modular path iff n * amax * p < 2**62
+    guard = (2 ** 62 - 1) // (n * _PRIMES[0])
+    big = guard if side < 0 else guard + 1
+    rows = _guarded_matrix(5, n, big)
+    m = QMatrix.from_rows(rows)
+    assert (_kernel_int([r[:] for r in rows]) is None) == (side > 0)
+    small = _kernel_exact_small(_int_rows(m), n)
+    assert kernel_basis(m) == small
+    assert rank(m) == _echelon_int([r[:] for r in rows])[0] == n - len(small)
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_dixon_solve_at_its_int64_guard(side):
+    import numpy as np
+
+    p = _PRIMES[0]
+    n = 6
+    guard = (2 ** 62 - 1) // (n * p)
+    rng = random.Random(11)
+    A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        A[i][i] = 10          # diagonally dominant, so invertible mod p
+    A[0][1] = guard if side < 0 else guard + 1
+    b = [[rng.randint(-3, 3)] for _ in range(n)]
+    candidates = list(_dixon_solve(np.array(A, dtype=np.int64),
+                                   np.array(b, dtype=np.int64), p))
+    if side > 0:
+        assert candidates == []
+        return
+    d, w = candidates[-1][0]
+    assert all(sum(a * x for a, x in zip(row, w)) == d * rhs[0]
+               for row, rhs in zip(A, b))
+
+
+@pytest.mark.parametrize("corrupt_every", [True, False])
+def test_a_corrupted_lift_never_reaches_the_kernel(monkeypatch, corrupt_every):
+    n = _BAREISS_CUTOFF + 4
+    m = _matrix(3, n, n, n - 5, True)
+    expected = _kernel_exact_small(_int_rows(m), n)
+    lift = qlinalg._dixon_solve
+    seen = []
+
+    def corrupted(*args):
+        for t, candidate in enumerate(lift(*args)):
+            seen.append(t)
+            if corrupt_every or t == 0:
+                (d, w), *rest = candidate
+                candidate = [(d, [w[0] + 1] + w[1:])] + rest
+            yield candidate
+
+    monkeypatch.setattr(qlinalg, "_dixon_solve", corrupted)
+    assert kernel_basis(m) == expected
+    assert rank(m) == n - len(expected)
+    assert seen    # the lift ran and its candidates were checked
