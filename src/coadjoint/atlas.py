@@ -489,10 +489,12 @@ def verify_row(row: TableRowSpec, env, cfg: SampleConfig, max_dim=400,
             report.record("jacobi+rep property", True, True, t0)
     t0 = time.perf_counter()
     st = generic_stabiliser_in_V(S, cfg)
-    report.record("generic stabiliser dim", exp["stab_fp"].dim, st.dim, t0)
+    report.record("generic stabiliser dim", exp["stab_fp"].dim,
+                  st.dim if st.stabilised else "unstable", t0)
     t0 = time.perf_counter()
     stab_fp = fingerprint(st.algebra, cfg)
-    report.record("stabiliser fingerprint", str(exp["stab_fp"]), str(stab_fp), t0)
+    report.record("stabiliser fingerprint", str(exp["stab_fp"]),
+                  str(stab_fp) if st.stabilised else "unstable", t0)
     t0 = time.perf_counter()
     d_ind = direct_index(S, cfg)
     report.record("index (direct)",

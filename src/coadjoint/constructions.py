@@ -1,11 +1,12 @@
 """Explicit invariant constructions.
 
 Principal-minor sums Delta_k and Pfaffians (numeric evaluators and symbolic
-expansions), the two nilpotent-centraliser matrix layouts for sp together with
-the extraction of the highest graded components of Delta_k restricted to them,
-the restriction homomorphism psi_x, Z2-contractions with their highest-
-component generators, Takiff algebras, and the lift of quadratic-in-g
-invariants through the copy of g inside S^2 of the standard symplectic module.
+expansions, the latter on ints over the lcm of the entry denominators), the
+two nilpotent-centraliser matrix layouts for sp together with the extraction
+of the highest graded components of Delta_k restricted to them, the
+restriction homomorphism psi_x, Z2-contractions with their highest-component
+generators, Takiff algebras, and the lift of quadratic-in-g invariants
+through the copy of g inside S^2 of the standard symplectic module.
 
 Matrix realisations identify g with g* through the trace form <X, Y> = tr XY;
 on a layout the coordinates are read in the dual basis of the drawn basis of
@@ -16,9 +17,18 @@ top power.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .invariants import MultiPoly, is_invariant, lie_derivative_in
+from .invariants import (
+    MultiPoly,
+    _killed,
+    _mul_into,
+    _nonzero,
+    _over,
+    _scaled,
+    is_invariant,
+)
 from .liealg import (
     LieAlgebraData,
     _commutator_sparse,
@@ -144,7 +154,9 @@ class EvaluatorPoly:
             horner = Q0
             for a in reversed(poly):
                 horner = horner * probe + a
-            assert horner == direct, "degree bound too small for this evaluator"
+            if horner != direct:
+                raise VerificationError(
+                    "degree bound too small for this evaluator")
         return True
 
 
@@ -224,55 +236,72 @@ def delta_k(layout: MatrixRealisation, k: int, t=1) -> EvaluatorPoly:
 def symbolic_matrix_det(entries, nvars, prune=None):
     """Determinant of a matrix of MultiPolys by column-subset expansion.
 
+    Runs on ints: det(D X) / D^N, D the lcm of the entry denominators.
     prune: optional function MultiPoly -> MultiPoly applied after each
-    accumulation (used to drop graded parts that cannot contribute).
+    accumulation (used to drop graded parts that cannot contribute); it may
+    only select monomials, so it commutes with the scaling.
     """
+    D, ints = _integral_entries(entries)
+    return _over(nvars, _det_int(ints, nvars, prune), D ** len(entries))
+
+
+def _integral_entries(entries):
+    """(D, the term dicts of D entries[i][j] as ints), D the lcm of every
+    coefficient denominator."""
+    D = math.lcm(1, *(c.denominator for row in entries for P in row
+                      for c in P.terms.values()))
+    return D, [[_scaled(P.terms, D) for P in row] for row in entries]
+
+
+def _det_int(entries, nvars, prune):
+    """Terms of the determinant of a matrix of term dicts, by column-subset
+    expansion: each state maps the set of columns used by the rows so far
+    to the signed sum of their products."""
     N = len(entries)
-    states = {(): MultiPoly.constant(nvars, 1)}
+    states = {(): {(0,) * nvars: 1}}
     for i in range(N):
+        row = [(j, a) for j, a in enumerate(entries[i]) if a]
         new = {}
         for cols, val in states.items():
-            used = set(cols)
-            for j in range(N):
-                if j in used:
+            for j, a in row:
+                if j in cols:
                     continue
-                a = entries[i][j]
-                if a.is_zero():
-                    continue
-                sign = (-1) ** sum(1 for c in cols if c > j)
-                term = val * a
-                if sign < 0:
-                    term = -term
+                sign = -1 if sum(1 for c in cols if c > j) % 2 else 1
                 key = tuple(sorted(cols + (j,)))
-                if key in new:
-                    new[key] = new[key] + term
-                else:
-                    new[key] = term
-        if prune:
-            new = {k: prune(v) for k, v in new.items()}
-        states = {k: v for k, v in new.items() if not v.is_zero()}
+                _mul_into(new.setdefault(key, {}), val, a, sign)
+        states = {}
+        for key, acc in new.items():
+            P = MultiPoly(nvars, _nonzero(acc))
+            if prune:
+                P = prune(P)
+            if P.terms:
+                states[key] = P.terms
         if not states:
-            return MultiPoly(nvars)
-    return states.get(tuple(range(N)), MultiPoly(nvars))
+            return {}
+    return states.get(tuple(range(N)), {})
 
 
 def symbolic_minor_sum(entries, nvars, k, prune=None):
     """E_k of a symbolic matrix: det(lambda I + X) via one extra variable.
 
-    The prune hook sees polynomials in the widened ring (lambda last) so the
-    hook supplied by callers is wrapped to act on the original variables.
+    Runs on ints: det(lambda I + D X) carries E_k(D X) = D^k E_k(X) at
+    lambda^(N-k), D the lcm of the entry denominators.  The prune hook sees
+    polynomials in the widened ring (lambda last) so the hook supplied by
+    callers is wrapped to act on the original variables.
     """
     N = len(entries)
     if k == N:
         return symbolic_matrix_det(entries, nvars, prune=prune)
+    D, ints = _integral_entries(entries)
     lam = nvars  # extra variable index
+    unit = (0,) * nvars + (1,)
     ext = []
     for i in range(N):
         row = []
         for j in range(N):
-            p = _widen(entries[i][j], nvars + 1)
+            p = {m + (0,): c for m, c in ints[i][j].items()}
             if i == j:
-                p = p + MultiPoly.variable(nvars + 1, lam)
+                p[unit] = 1
             row.append(p)
         ext.append(row)
 
@@ -283,45 +312,37 @@ def symbolic_minor_sum(entries, nvars, k, prune=None):
             return Q
         return prune(Q)
 
-    det = symbolic_matrix_det(ext, nvars + 1, prune=prune_ext)
-    out = {}
-    for m, c in det.terms.items():
-        if m[lam] == N - k:
-            out[m[:lam]] = c
-    return MultiPoly(nvars, out)
-
-
-def _widen(P, nvars):
-    return MultiPoly(nvars, {m + (0,) * (nvars - P.nvars): c
-                             for m, c in P.terms.items()})
+    det = _det_int(ext, nvars + 1, prune_ext)
+    return _over(nvars, {m[:lam]: c for m, c in det.items() if m[lam] == N - k},
+                 D ** k)
 
 
 def symbolic_pfaffian(entries, nvars):
-    """Pfaffian of an antisymmetric matrix of MultiPolys."""
+    """Pfaffian of an antisymmetric matrix of MultiPolys.
+
+    Runs on ints: Pf(D X) / D^(n/2), D the lcm of the entry denominators.
+    """
     n = len(entries)
     assert n % 2 == 0
+    D, ints = _integral_entries(entries)
     memo = {}
 
     def pf(idx):
         if not idx:
-            return MultiPoly.constant(nvars, 1)
+            return {(0,) * nvars: 1}
         if idx in memo:
             return memo[idx]
         i0 = idx[0]
-        total = MultiPoly(nvars)
+        acc = {}
         for pos in range(1, len(idx)):
-            a = entries[i0][idx[pos]]
-            if a.is_zero():
-                continue
-            rest = idx[1:pos] + idx[pos + 1:]
-            term = a * pf(rest)
-            if (pos - 1) % 2 == 1:
-                term = -term
-            total = total + term
-        memo[idx] = total
+            a = ints[i0][idx[pos]]
+            if a:
+                rest = idx[1:pos] + idx[pos + 1:]
+                _mul_into(acc, a, pf(rest), -1 if (pos - 1) % 2 else 1)
+        memo[idx] = total = _nonzero(acc)
         return total
 
-    return pf(tuple(range(n)))
+    return _over(nvars, pf(tuple(range(n))), D ** (n // 2))
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +805,8 @@ def restrict_psi(S: SemiDirectProduct, H: MultiPoly, x, adapted_basis=None):
     # complement: unit vectors at coordinates off the span's echelon pivots
     rows = [list(map(as_q, b)) for b in basis]
     span = Basis(rows)
-    assert len(span) == kdim, "adapted basis is dependent"
+    if len(span) != kdim:
+        raise VerificationError("adapted basis is dependent")
     comp = span.complement() if kdim else range(S.dim_g)
     units = [[Q1 if c == i else Q0 for c in range(S.dim_g)] for i in comp]
     Q = P.substitute_linear(_old_in_new(QMatrix.from_rows(rows + units)))
@@ -794,7 +816,7 @@ def restrict_psi(S: SemiDirectProduct, H: MultiPoly, x, adapted_basis=None):
                 raise RestrictionEscapes(f"complement coordinate y{a + 1}")
     out = MultiPoly(kdim, {mono[:kdim]: c for mono, c in Q.terms.items()})
     sub = algebra_on_basis(S.algebra, rows)
-    if any(not lie_derivative_in(sub, i, out).is_zero() for i in range(sub.dim)):
+    if not _killed(sub, out, range(sub.dim)):
         raise VerificationError("psi_x image is not a q_x-invariant")
     return out, sub, basis
 
@@ -1016,7 +1038,9 @@ def z2_contraction(spec: ContractionSpec):
                     prod = prod * accepted_ambient[t]
                 corr = corr + prod
             P = P - corr
-            assert not P.is_zero(), "ambient invariant fully decomposed"
+            if P.is_zero():
+                raise VerificationError(
+                    f"ambient invariant of degree {k} fully decomposed")
         top, d = highest_component(P, S, 1)
         accepted_tops.append(top)
         accepted_ambient.append(P)
@@ -1168,8 +1192,9 @@ def item3_lift(n: int) -> Item3Result:
         for mono, c in h.terms.items():
             gpart = [(i, e) for i, e in enumerate(mono[:S2.dim_g]) if e]
             vpart = mono[S2.dim_g:]
-            tot = sum(e for _, e in gpart)
-            assert tot == 2
+            if sum(e for _, e in gpart) != 2:
+                raise VerificationError(
+                    "a quadratic-in-g generator has g-degree other than 2")
             base_exp = [0] * S.dim
             for j, e in enumerate(vpart):
                 base_exp[off_v2 + j] = e

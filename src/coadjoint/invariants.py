@@ -11,18 +11,28 @@ computed one multidegree block at a time.  For a reductive g-block with
 recorded weights the kernel is taken inside the zero-weight subspace with
 raising-operator conditions only, which keeps the linear algebra desk-sized;
 the resulting basis is re-verified against every derivation afterwards.
+
+The polynomial kernels run on Python ints.  The ring operations keep the
+coefficient type of their inputs, so integer polynomials stay integral.
+Derivations read the cached integer table (d, d ad) of the Lie algebra
+(`LieAlgebraData.int_ad_table`): a polynomial is cleared to D P once, every
+derivation is applied in integers, and d D (x_i . P) = 0 exactly when
+x_i . P = 0.  `substitute_linear` and the symbolic minors of `constructions`
+clear their denominators the same way and divide once at the end, so every
+polynomial they return has `Fraction` coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .liealg import LieAlgebraData, index as algebra_index
 from .qlinalg import (
     Q0,
-    Q1,
+    QQ,
     Basis,
     QMatrix,
     SampleConfig,
@@ -75,7 +85,7 @@ class MultiPoly:
             other = MultiPoly.constant(self.nvars, other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Q0) + c
+            s = out.get(m, 0) + c
             if s == 0:
                 out.pop(m, None)
             else:
@@ -96,25 +106,20 @@ class MultiPoly:
                 return MultiPoly(self.nvars)
             return MultiPoly(self.nvars, {m: v * c for m, v in self.terms.items()})
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, Q0) + c1 * c2
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return MultiPoly(self.nvars, out)
+        _mul_into(out, self.terms, other.terms)
+        return MultiPoly(self.nvars, _nonzero(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         assert k >= 0
-        out = MultiPoly.constant(self.nvars, 1)
+        if k == 0:
+            return MultiPoly.constant(self.nvars, 1)
+        out = None
         base = self
         while k:
             if k & 1:
-                out = out * base
+                out = base if out is None else out * base
             base = base * base if k > 1 else base
             k >>= 1
         return out
@@ -172,25 +177,40 @@ class MultiPoly:
             e = m[i]
             if e:
                 m2 = m[:i] + (e - 1,) + m[i + 1:]
-                out[m2] = out.get(m2, Q0) + c * e
-        return MultiPoly(self.nvars, {m: c for m, c in out.items() if c != 0})
+                out[m2] = out.get(m2, 0) + c * e
+        return MultiPoly(self.nvars, _nonzero(out))
 
     def substitute_linear(self, images):
-        """Substitute x_i -> images[i], a MultiPoly in the target variables."""
+        """Substitute x_i -> images[i], a MultiPoly in the target variables.
+
+        Runs on ints: the images are scaled to D images over one common
+        denominator D and P to Dp P.  A term of total degree |m| then comes
+        out D^|m| times too large, so it is weighted by D^(M - |m|), M the
+        total degree of P, and the sum is divided by Dp D^M once.
+        """
         assert len(images) == self.nvars
         tgt = images[0].nvars if images else 0
-        out = MultiPoly(tgt)
-        cache = {}
-        for m, c in self.terms.items():
-            term = MultiPoly.constant(tgt, c)
+        D = math.lcm(1, *(c.denominator for P in images
+                          for c in P.terms.values()))
+        imgs = [_scaled(P.terms, D) for P in images]
+        Dp, ints = _cleared(self.terms)
+        M = self.total_degree()
+        one = (0,) * tgt
+        out = {}
+        powers = {}
+        for m, c in ints.items():
+            term = {one: c * D ** (M - sum(m))}
             for i, e in enumerate(m):
                 if e:
                     key = (i, e)
-                    if key not in cache:
-                        cache[key] = images[i] ** e
-                    term = term * cache[key]
-            out = out + term
-        return out
+                    if key not in powers:
+                        powers[key] = (MultiPoly(tgt, imgs[i]) ** e).terms
+                    acc = {}
+                    _mul_into(acc, term, powers[key])
+                    term = acc
+            for mono, x in term.items():
+                out[mono] = out.get(mono, 0) + x
+        return _over(tgt, out, Dp * D ** M)
 
     def coefficient_of_block_degree(self, offset, size, degree):
         """The part of exact degree `degree` in the block's variables."""
@@ -215,6 +235,39 @@ class MultiPoly:
         return f"<MultiPoly {self.nvars} vars, {n} terms, deg {self.total_degree()}>"
 
 
+def _mul_into(acc, p, q, sign=1):
+    """acc += sign p q for term dicts, in place; sums that cancel stay in
+    acc as zeros for the caller to drop."""
+    add = operator.add
+    for m1, c1 in p.items():
+        if sign < 0:
+            c1 = -c1
+        for m2, c2 in q.items():
+            m = tuple(map(add, m1, m2))
+            acc[m] = acc.get(m, 0) + c1 * c2
+
+
+def _nonzero(terms):
+    return {m: c for m, c in terms.items() if c}
+
+
+def _cleared(terms):
+    """(D, the terms times D as ints), D the lcm of the coefficient
+    denominators."""
+    D = math.lcm(1, *(c.denominator for c in terms.values()))
+    return D, _scaled(terms, D)
+
+
+def _scaled(terms, D):
+    """The terms times D, as ints; D must be a common denominator."""
+    return {m: c.numerator * (D // c.denominator) for m, c in terms.items()}
+
+
+def _over(nvars, terms, q):
+    """The MultiPoly terms / q, with Fraction coefficients, zeros dropped."""
+    return MultiPoly(nvars, {m: QQ(c, q) for m, c in terms.items() if c})
+
+
 # ---------------------------------------------------------------------------
 # derivations
 # ---------------------------------------------------------------------------
@@ -228,27 +281,44 @@ def lie_derivative(S: SemiDirectProduct, xi_index: int, P: MultiPoly) -> MultiPo
 def lie_derivative_in(L: LieAlgebraData, xi_index: int, P: MultiPoly
                       ) -> MultiPoly:
     """Derivation of P, a polynomial in the coordinates of L, by the basis
-    element x_{xi_index} of L."""
-    table = L.ad_table[xi_index]
+    element x_{xi_index} of L: d D (x_i . P) in integers, divided once."""
+    d, table = L.int_ad_table
+    D, ints = _cleared(P.terms)
+    return _over(P.nvars, _derive(table[xi_index], ints), d * D)
+
+
+def _derive(row, terms):
+    """The derivation sending x_j to row[j] = {k: coeff}, applied to the term
+    dict `terms`; coefficients keep the type of the inputs.  Sums that
+    cancel stay in the result as zeros."""
     out = {}
-    for m, c in P.terms.items():
-        for j, e in enumerate(m):
-            if not e or j not in table:
-                continue
-            base = c * e
-            m_low = m[:j] + (e - 1,) + m[j + 1:]
-            for k, coef in table[j].items():
-                m2 = m_low[:k] + (m_low[k] + 1,) + m_low[k + 1:]
-                s = out.get(m2, Q0) + base * coef
-                if s == 0:
-                    out.pop(m2, None)
-                else:
-                    out[m2] = s
-    return MultiPoly(P.nvars, out)
+    for m, c in terms.items():
+        low = list(m)
+        for j, vec in row.items():
+            e = m[j]
+            if e:
+                base = c * e
+                low[j] = e - 1
+                for k, coef in vec.items():
+                    low[k] += 1
+                    m2 = tuple(low)
+                    low[k] -= 1
+                    out[m2] = out.get(m2, 0) + base * coef
+                low[j] = e
+    return out
+
+
+def _killed(L: LieAlgebraData, P: MultiPoly, derivs) -> bool:
+    """Whether x_i kills P for every i in derivs, checked on D P with the
+    integer table d ad of L: each check runs on ints and is exact."""
+    table = L.int_ad_table[1]
+    ints = _cleared(P.terms)[1]
+    return not any(any(_derive(table[i], ints).values()) for i in derivs)
 
 
 def is_invariant(S: SemiDirectProduct, P: MultiPoly) -> bool:
-    return all(lie_derivative(S, i, P).is_zero() for i in range(S.dim))
+    """Whether every basis element of s kills P, checked over Z."""
+    return _killed(S.total, P, range(S.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +350,6 @@ def monomials_of_block_degrees(S: SemiDirectProduct, mdeg):
 
 
 def component_size(S: SemiDirectProduct, mdeg):
-    import math
-
     n = 1
     for (label, off, sz), d in zip(S.blocks, mdeg):
         if sz == 0:
@@ -335,7 +403,7 @@ def invariant_space(S: SemiDirectProduct, mdeg, cap=DEFAULT_COMPONENT_CAP):
     else:
         basis = _invariants_direct_path(S, monos)
     for P in basis:
-        if any(not lie_derivative(S, i, P).is_zero() for i in range(S.dim)):
+        if not _killed(S.total, P, range(S.dim)):
             raise VerificationError(
                 "invariant space vector fails re-verification")
     return basis
@@ -377,12 +445,15 @@ def _killed_by(S, derivs, monos):
     """Reduced echelon basis, in the order of `monos`, of the polynomials in
     span(monos) killed by every derivation in derivs.  The condition matrix
     has one row per (derivation, image monomial) pair that occurs and one
-    column per monomial of `monos`."""
+    column per monomial of `monos`.  The rows are read off the integer table
+    d ad, which scales every row by d and leaves the kernel unchanged."""
+    table = S.total.int_ad_table[1]
     rows = {}
     for col, m in enumerate(monos):
-        P = MultiPoly(S.dim, {m: Q1})
         for i in derivs:
-            for m2, c in lie_derivative(S, i, P).terms.items():
+            for m2, c in _derive(table[i], {m: 1}).items():
+                if not c:
+                    continue
                 row = rows.get((i, m2))
                 if row is None:
                     row = rows[(i, m2)] = [Q0] * len(monos)
@@ -406,9 +477,17 @@ class LedgerEntry:
     skipped: bool = False
 
     def __post_init__(self):
-        if not self.skipped:
-            assert self.new_generators == self.dim_invariant - self.dim_decomposable
-            assert self.new_generators >= 0
+        if self.skipped:
+            return
+        if self.new_generators != self.dim_invariant - self.dim_decomposable:
+            raise VerificationError(
+                f"ledger entry {self.multidegree}: {self.new_generators} new "
+                f"generators, but {self.dim_invariant} invariants and "
+                f"{self.dim_decomposable} decomposable")
+        if self.new_generators < 0:
+            raise VerificationError(
+                f"ledger entry {self.multidegree}: more decomposable "
+                f"products than invariants")
 
 
 @dataclass

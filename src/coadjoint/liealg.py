@@ -12,8 +12,11 @@ fixed points g_0 of a Z2-contraction all go through it.  Its expander
 in such a basis.
 
 Structure constants live in `brackets` (i < j) and, built from it on first
-use, in `ad_table` (every ordered pair); brackets, ad, the Killing form and
-subalgebras walk the supports of their arguments through `ad_table`.
+use, in `ad_table` (every ordered pair) and `int_ad_table` (d ad_table in
+ints, d the lcm of the denominators); brackets walk the supports of their
+arguments through `ad_table`, while Kirillov forms, the Killing form,
+subalgebras and the derivations of `invariants` sum in integers on
+`int_ad_table`.
 
 The index is computed per its definition: ind q = dim q - max rank B_gamma
 over sampled covectors gamma, with height escalation; the result carries a
@@ -33,6 +36,7 @@ from .qlinalg import (
     QMatrix,
     SampleConfig,
     VerificationError,
+    _common_denominator,
     as_q,
     rank,
     sample_rounds,
@@ -63,6 +67,7 @@ class LieAlgebraData:
         self.brackets = brackets or {}
         self.metadata = metadata or {}
         self._ad_table = None
+        self._int_ad_table = None
 
     @property
     def ad_table(self):
@@ -76,6 +81,20 @@ class LieAlgebraData:
                 table[j][i] = {k: -c for k, c in vec.items()}
             self._ad_table = table
         return self._ad_table
+
+    @property
+    def int_ad_table(self):
+        """(d, table) with table[i][j] = d [x_i, x_j] as {k: int}, d the lcm
+        of the denominators of the structure constants; built beside
+        ad_table on first use and dropped by set_bracket."""
+        if self._int_ad_table is None:
+            d = math.lcm(1, *(c.denominator for vec in self.brackets.values()
+                              for c in vec.values()))
+            table = [{j: {k: c.numerator * (d // c.denominator)
+                          for k, c in vec.items()} for j, vec in row.items()}
+                     for row in self.ad_table]
+            self._int_ad_table = (d, table)
+        return self._int_ad_table
 
     def bracket_basis(self, i, j):
         """[x_i, x_j] as {k: coeff}."""
@@ -103,7 +122,7 @@ class LieAlgebraData:
 
     def set_bracket(self, i, j, vec):
         assert i < j
-        self._ad_table = None
+        self._ad_table = self._int_ad_table = None
         vec = {k: as_q(c) for k, c in vec.items() if c != 0}
         if vec:
             self.brackets[(i, j)] = vec
@@ -111,19 +130,30 @@ class LieAlgebraData:
             self.brackets.pop((i, j), None)
 
     def kirillov_form(self, gamma):
-        """The antisymmetric matrix B_gamma(x_i, x_j) = gamma([x_i, x_j])."""
+        """The antisymmetric matrix B_gamma(x_i, x_j) = gamma([x_i, x_j]).
+
+        Summed in integers as q B_gamma, from int_ad_table and gamma cleared
+        of its denominators, then divided by q.  When q = 1 (integral
+        structure constants at an integral gamma, as for every classical
+        algebra at a sampled point) the entries are exact Python ints, which
+        `rank` reads without clearing them again.
+        """
         n = self.dim
-        m = QMatrix.zero(n, n)
-        for (i, j), vec in self.brackets.items():
-            s = Q0
-            for k, c in vec.items():
-                g = gamma[k]
-                if g:
-                    s += c * g
-            if s != 0:
-                m.data[i][j] = s
-                m.data[j][i] = -s
-        return m
+        d, table = self.int_ad_table
+        D, (g,) = _common_denominator([[(k, x) for k, x in enumerate(gamma)
+                                        if x]])
+        g = dict(g)
+        q = d * D
+        zero = 0 if q == 1 else Q0
+        data = [[zero] * n for _ in range(n)]
+        for i, j in self.brackets:
+            s = sum(c * g[k] for k, c in table[i][j].items() if k in g)
+            if s:
+                if q != 1:
+                    s = QQ(s, q)
+                data[i][j] = s
+                data[j][i] = -s
+        return QMatrix(n, n, data)
 
     def check_jacobi(self, max_dim=200):
         """Exhaustive Jacobi check; raises VerificationError with a witness
@@ -448,24 +478,17 @@ class Fingerprint:
                 f"killing={self.killing_rank}, center={self.center_dim})")
 
 
-def _integral(pairs):
-    """(d, [(key, d * c), ...]) for (key, rational c) pairs, with d the lcm
-    of the denominators: sums of products then run on integers."""
-    pairs = list(pairs)
-    d = math.lcm(1, *(c.denominator for _, c in pairs))
-    return d, [(key, c.numerator * (d // c.denominator)) for key, c in pairs]
-
-
 def killing_matrix(L: LieAlgebraData) -> QMatrix:
     """tr(ad x_i ad x_j) = sum over a, b of [x_i, x_a]_b [x_j, x_b]_a: one
     outer product per pair (a, b) of the vectors i -> [x_i, x_a]_b and
-    j -> [x_j, x_b]_a, summed in integers over one common denominator."""
+    j -> [x_j, x_b]_a, summed in integers on int_ad_table."""
     n = L.dim
-    d, entries = _integral(((i, a, b), c) for i, row in enumerate(L.ad_table)
-                           for a, vec in row.items() for b, c in vec.items())
+    d, table = L.int_ad_table
     by_pair = {}
-    for (i, a, b), c in entries:
-        by_pair.setdefault((a, b), []).append((i, c))
+    for i, row in enumerate(table):
+        for a, vec in row.items():
+            for b, c in vec.items():
+                by_pair.setdefault((a, b), []).append((i, c))
     acc = [[0] * n for _ in range(n)]
     for (a, b), col in by_pair.items():
         for j, e in by_pair.get((b, a), ()):
@@ -567,31 +590,26 @@ def algebra_on_basis(L: LieAlgebraData, basis) -> LieAlgebraData:
 
     ad(u_i) is built once, as sparse columns {t: [u_i, x_t]}; each
     [u_i, u_j] is then read off it along supp u_j.  Both run on integers:
-    each u_i and the rows of ad_table it meets are scaled by the lcm of
-    their denominators, which the coordinates divide out again.
+    each u_i is scaled by the lcm of its denominators and ad is read off
+    int_ad_table; the coordinates divide both out again.
     """
     span = Basis(basis)
     k = len(basis)
     sub = LieAlgebraData(k, [f"y{i + 1}" for i in range(k)],
                          metadata={"name": "subalgebra", "parent": L,
                                    "embedding": basis})
-    scaled = [_integral((t, a) for t, a in enumerate(u) if a) for u in basis]
-    used = {s for _, u in scaled for s, _ in u}
-    d, entries = _integral(((s, t, r), c) for s in used
-                           for t, vec in L.ad_table[s].items()
-                           for r, c in vec.items())
-    ad = {}
-    for (s, t, r), c in entries:
-        ad.setdefault(s, {}).setdefault(t, []).append((r, c))
-    for i, (di, ui) in enumerate(scaled):
+    scaled = [_common_denominator([[(t, a) for t, a in enumerate(u) if a]])
+              for u in basis]
+    d, ad = L.int_ad_table
+    for i, (di, (ui,)) in enumerate(scaled):
         ad_u = {}
         for s, a in ui:
-            for t, vec in ad.get(s, {}).items():
+            for t, vec in ad[s].items():
                 col = ad_u.setdefault(t, {})
-                for r, c in vec:
+                for r, c in vec.items():
                     col[r] = col.get(r, 0) + a * c
         for j in range(i + 1, k):
-            dj, uj = scaled[j]
+            dj, (uj,) = scaled[j]
             out = [0] * L.dim
             for t, b in uj:
                 for r, c in ad_u.get(t, {}).items():

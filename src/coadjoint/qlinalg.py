@@ -360,17 +360,33 @@ def _dixon_solve(A_int, rhs_cols, p):
 def _reconstruct_columns(columns, mod):
     """One (D, w) per column of residues mod `mod`: each entry a/b
     reconstructed, D the lcm of the b, w_i = a_i D / b_i.  None if an entry
-    has no reconstruction."""
+    has no reconstruction.
+
+    One Euclid per new denominator: each residue u is first multiplied by
+    the column's running lcm D, and when the symmetric residue r of D u and
+    D both lie within the bound of _rational_reconstruct, r/D is the
+    reconstruction (a fraction within the bound congruent to u is unique).
+    Only otherwise does u go through the Euclid, and D takes its b.
+    """
+    bound = math.isqrt(mod // 2)
+    half = mod // 2
     out = []
     for col in columns:
+        D = 1
         fracs = []
         for u in col:
-            rec = _rational_reconstruct(u, mod)
-            if rec is None:
-                return None
-            fracs.append(rec)
-        d = math.lcm(1, *(b for _, b in fracs))
-        out.append((d, [a * (d // b) for a, b in fracs]))
+            r = u * D % mod
+            if r > half:
+                r -= mod
+            if abs(r) > bound or D > bound:
+                rec = _rational_reconstruct(u, mod)
+                if rec is None:
+                    return None
+                r, b = rec
+                D = D * b // math.gcd(D, b)
+                r *= D // b
+            fracs.append((r, D))
+        out.append((D, [r * (D // e) for r, e in fracs]))
     return out
 
 

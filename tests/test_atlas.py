@@ -225,6 +225,30 @@ def test_validate_reports_a_skipped_check_as_skip(monkeypatch):
     assert "SKIP jacobi+rep property: Jacobi identity not checked" in text
 
 
+def test_unstable_generic_stabiliser_is_recorded_as_unstable(monkeypatch):
+    import coadjoint.atlas as atlas
+
+    sample = atlas.generic_stabiliser_in_V
+
+    def unstable(S, cfg):
+        st = sample(S, cfg)
+        st.stabilised = False
+        return st
+
+    rows = load_atlas(cfg=CFG)
+    row, env = _row(rows, 2, "1o"), {"n": 1, "m": 1}
+    assert verify_row(row, env, CFG).passed
+    monkeypatch.setattr(atlas, "generic_stabiliser_in_V", unstable)
+    rep = verify_row(row, env, CFG)
+    checks = {c.check: c for c in rep.checks}
+    for name in ("generic stabiliser dim", "stabiliser fingerprint",
+                 "index (Rais)"):
+        assert checks[name].computed == "unstable"
+        assert not checks[name].passed
+    assert checks["index (direct)"].passed
+    assert not rep.passed
+
+
 def test_cli_invariants_and_report(tmp_path):
     from coadjoint.cli import main
 

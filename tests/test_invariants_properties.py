@@ -1,0 +1,214 @@
+"""Property tests of the integer polynomial kernels.
+
+The symbolic minors, `substitute_linear` and the derivations clear their
+denominators once, run on ints and divide once at the end.  Each test here
+compares one of them with a plain rational computation on inputs with mixed
+denominators, so a wrong power of the common denominator, a dropped degree
+weight or an integer table without its scale shows up as a wrong value.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from coadjoint.constructions import (
+    pfaffian,
+    principal_minor_sums,
+    symbolic_matrix_det,
+    symbolic_minor_sum,
+    symbolic_pfaffian,
+)
+from coadjoint.invariants import (
+    MultiPoly,
+    invariant_space,
+    is_invariant,
+    lie_derivative_in,
+)
+from coadjoint.liealg import (
+    algebra_on_basis,
+    classical_algebra,
+    heisenberg_algebra,
+)
+from coadjoint.qlinalg import QQ, QMatrix
+from coadjoint.repn import standard_rep, trivial_rep
+from coadjoint.semidirect import semidirect
+
+SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+DENS = (1, 2, 3, 5, 7)
+
+
+def _q(rng):
+    return Fraction(rng.randint(-4, 4), rng.choice(DENS))
+
+
+def _linear_form(rng, nvars, constant=True):
+    """A random affine form with mixed denominators."""
+    P = MultiPoly.constant(nvars, _q(rng)) if constant else MultiPoly(nvars)
+    for v in range(nvars):
+        if rng.random() < 0.7:
+            P = P + MultiPoly.variable(nvars, v, _q(rng))
+    return P
+
+
+def _random_poly(rng, nvars, degree, terms):
+    """A random polynomial, not homogeneous, with mixed denominators."""
+    out = {}
+    for _ in range(terms):
+        mono = [0] * nvars
+        for _ in range(rng.randint(0, degree)):
+            mono[rng.randrange(nvars)] += 1
+        out[tuple(mono)] = _q(rng)
+    return MultiPoly(nvars, {m: c for m, c in out.items() if c})
+
+
+def _point(rng, nvars):
+    return [Fraction(rng.randint(-5, 5), rng.choice(DENS)) for _ in range(nvars)]
+
+
+def _at(entries, pt):
+    n = len(entries)
+    return QMatrix(n, n, [[entries[i][j].evaluate(pt) for j in range(n)]
+                          for i in range(n)])
+
+
+def _all_fractions(P):
+    return all(type(c) is Fraction for c in P.terms.values())
+
+
+@SETTINGS
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 3))
+def test_symbolic_minor_sums_commute_with_evaluation(seed, n, nvars):
+    rng = random.Random(seed)
+    entries = [[_linear_form(rng, nvars) for _ in range(n)] for _ in range(n)]
+    syms = [symbolic_minor_sum(entries, nvars, k) for k in range(n + 1)]
+    det = symbolic_matrix_det(entries, nvars)
+    assert det == syms[n]
+    assert all(map(_all_fractions, syms + [det]))
+    for _ in range(3):
+        pt = _point(rng, nvars)
+        numeric = principal_minor_sums(_at(entries, pt))
+        assert [P.evaluate(pt) for P in syms] == numeric
+
+
+@SETTINGS
+@given(st.integers(0, 10 ** 6), st.sampled_from([2, 4, 6]), st.integers(1, 3))
+def test_symbolic_pfaffian_commutes_with_evaluation(seed, n, nvars):
+    rng = random.Random(seed)
+    entries = [[MultiPoly(nvars) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            entries[i][j] = _linear_form(rng, nvars)
+            entries[j][i] = -entries[i][j]
+    pf = symbolic_pfaffian(entries, nvars)
+    assert _all_fractions(pf)
+    for _ in range(3):
+        pt = _point(rng, nvars)
+        assert pf.evaluate(pt) == pfaffian(_at(entries, pt))
+
+
+@SETTINGS
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 3),
+       st.integers(0, 4))
+def test_substitute_linear_commutes_with_evaluation(seed, nvars, tgt, degree):
+    rng = random.Random(seed)
+    P = _random_poly(rng, nvars, degree, terms=6)
+    # affine images, some of them constants, over unrelated denominators
+    images = [_linear_form(rng, tgt, constant=rng.random() < 0.5)
+              for _ in range(nvars)]
+    out = P.substitute_linear(images)
+    assert _all_fractions(out)
+    for _ in range(3):
+        pt = _point(rng, tgt)
+        assert out.evaluate(pt) == P.evaluate([Q.evaluate(pt) for Q in images])
+
+
+def _sp2k2():
+    L = classical_algebra("sp", 2)
+    return semidirect(L, standard_rep(L))
+
+
+@SETTINGS
+@given(st.integers(0, 10 ** 6))
+def test_is_invariant_over_z(seed):
+    rng = random.Random(seed)
+    S = _sp2k2()
+    (inv,) = invariant_space(S, (1, 2))
+    H = inv * QQ(1, 7) * QQ(rng.randint(1, 9), rng.choice(DENS))
+    assert is_invariant(S, H)
+    # plus a fractional monomial that is not invariant (sp2 has no nonzero
+    # invariant of degree (0, 1) or (1, 0))
+    mono = [0] * S.dim
+    mono[rng.randrange(S.dim)] = 1
+    extra = MultiPoly(S.dim, {tuple(mono): _q(rng) or QQ(1, 3)})
+    assert not is_invariant(S, H + extra)
+
+
+def _reference_derivative(L, i, P):
+    """x_i . P summed over Q, straight from the rational ad_table."""
+    out = {}
+    for m, c in P.terms.items():
+        for j, e in enumerate(m):
+            for k, coef in L.ad_table[i].get(j, {}).items() if e else ():
+                m2 = list(m)
+                m2[j] -= 1
+                m2[k] += 1
+                m2 = tuple(m2)
+                out[m2] = out.get(m2, Fraction(0)) + c * e * coef
+    return MultiPoly(P.nvars, {m: c for m, c in out.items() if c})
+
+
+def _rescaled_sl2(rng):
+    """sl2 on the basis H/a, E/b, F/c: fractional structure constants."""
+    scale = [Fraction(rng.randint(1, 5), rng.choice(DENS)) for _ in range(3)]
+    return algebra_on_basis(classical_algebra("sl", 2),
+                            [[s if t == r else 0 for t in range(3)]
+                             for r, s in enumerate(scale)])
+
+
+@SETTINGS
+@given(st.integers(0, 10 ** 6))
+def test_integer_table_matches_the_rational_table(seed):
+    rng = random.Random(seed)
+    L = _rescaled_sl2(rng)
+    d, table = L.int_ad_table
+    assert d > 0
+    for i, row in enumerate(L.ad_table):
+        assert set(row) == set(table[i])
+        for j, vec in row.items():
+            assert {k: QQ(c, d) for k, c in table[i][j].items()} == vec
+    P = _random_poly(rng, L.dim, 3, terms=5)
+    for i in range(L.dim):
+        got = lie_derivative_in(L, i, P)
+        assert got == _reference_derivative(L, i, P) and _all_fractions(got)
+    gamma = _point(rng, L.dim)
+    B = L.kirillov_form(gamma)
+    for i in range(L.dim):
+        for j in range(L.dim):
+            want = sum((c * gamma[k] for k, c in
+                        L.ad_table[i].get(j, {}).items()), Fraction(0))
+            assert B.data[i][j] == want
+
+
+@SETTINGS
+@given(st.integers(0, 10 ** 6))
+def test_is_invariant_on_fractional_constants(seed):
+    rng = random.Random(seed)
+    L = _rescaled_sl2(rng)
+    S = semidirect(L, trivial_rep(L, 0))
+    # the Casimir of sl2 in the rescaled coordinates: the kernel of every
+    # derivation in degree 2, one-dimensional
+    (C,) = invariant_space(S, (2, 0))
+    assert is_invariant(S, C * QQ(1, 7))
+    assert not is_invariant(S, C + MultiPoly.variable(S.dim, 0, QQ(2, 3)))
+
+
+def test_set_bracket_drops_the_integer_table():
+    L = heisenberg_algebra(1)
+    assert L.int_ad_table == (1, [{1: {2: 1}}, {0: {2: -1}}, {}])
+    L.set_bracket(0, 2, {1: QQ(3, 2)})
+    d, table = L.int_ad_table
+    assert d == 2
+    assert table[0] == {1: {2: 2}, 2: {1: 3}}
+    assert table[2] == {0: {1: -3}}
+    assert L.ad_table[0][2] == {1: QQ(3, 2)}

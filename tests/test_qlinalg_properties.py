@@ -26,6 +26,7 @@ from coadjoint.qlinalg import (
     _kernel_exact_small,
     _kernel_int,
     _rational_reconstruct,
+    _reconstruct_columns,
     SampleConfig,
     inverse,
     kernel_basis,
@@ -274,6 +275,50 @@ def test_rational_reconstruct_edges():
     for u in range(2 * 7 ** 2):
         got = _rational_reconstruct(u, 2 * 7 ** 2)
         assert got is None or (got[0] - got[1] * u) % (2 * 7 ** 2) == 0
+
+
+def _columns_one_euclid_each(columns, mod):
+    """_reconstruct_columns as it read before the running-denominator fast
+    path: one _rational_reconstruct per entry."""
+    out = []
+    for col in columns:
+        fracs = [_rational_reconstruct(u, mod) for u in col]
+        if None in fracs:
+            return None
+        d = math.lcm(1, *(b for _, b in fracs))
+        out.append((d, [a * (d // b) for a, b in fracs]))
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 12),
+       st.sampled_from([1, 2, 3]))
+def test_reconstruct_columns_matches_one_euclid_per_entry(seed, ncols, nrows,
+                                                          digits):
+    """Shared and unrelated denominators, values near and past the bound,
+    and residues with no reconstruction all give the per-entry answer."""
+    rng = random.Random(seed)
+    p = _PRIMES[seed % len(_PRIMES)]
+    mod = p ** digits
+    bound = math.isqrt(mod // 2)
+    columns = []
+    for _ in range(ncols):
+        shared = rng.randint(1, max(1, math.isqrt(bound)))
+        col = []
+        for _ in range(nrows):
+            kind = rng.random()
+            if kind < 0.1:
+                col.append(rng.randrange(mod))          # usually no fraction
+                continue
+            b = shared if kind < 0.6 else rng.randint(1, bound)
+            b += b % p == 0                             # a unit mod p
+            a = rng.randint(-bound, bound)
+            if kind > 0.9:
+                a = rng.choice([-bound, bound, bound + 1])
+            col.append(a * pow(b, -1, mod) % mod)
+        columns.append(col)
+    assert _reconstruct_columns(columns, mod) == \
+        _columns_one_euclid_each(columns, mod)
 
 
 def _guarded_matrix(seed, n, big):

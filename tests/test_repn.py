@@ -268,6 +268,20 @@ except VerificationError:
     pass
 else:
     sys.exit(6)
+try:
+    restrict_psi(S, MultiPoly.constant(S.dim, 1), [1, 0, 0, 0],
+                 adapted_basis=[[1] + [0] * 9, [2] + [0] * 9])
+except VerificationError:
+    pass
+else:
+    sys.exit(9)
+from coadjoint.invariants import LedgerEntry
+try:
+    LedgerEntry((2,), 2, 1, 0)
+except VerificationError:
+    pass
+else:
+    sys.exit(10)
 e = QMatrix.from_rows([[0, 1], [0, 0]])
 try:
     matrix_algebra([e, e.transpose()], ["e", "f"], {})
