@@ -513,7 +513,10 @@ class SuiteReport:
 
     @property
     def passed(self):
-        return all(r.passed for r in self.reports if not r.skipped)
+        """Every check that ran held, and at least one ran."""
+        ran = [r for r in self.reports if not r.skipped]
+        return (any(not c.skipped for r in ran for c in r.checks)
+                and all(r.passed for r in ran))
 
     def as_dict(self):
         return {"seed": self.seed, "pass": self.passed,
@@ -546,13 +549,14 @@ def render_report(payload):
 
 def run_suite(tables=(1, 2), row_label=None, cfg: SampleConfig = SampleConfig(),
               max_dim=400, path=None, validate=False) -> SuiteReport:
-    rows = load_atlas(path, cfg)
+    rows = [row for row in load_atlas(path, cfg) if row.table in tables]
+    if row_label is not None:
+        rows = [row for row in rows if row.label == row_label]
+        if not rows:
+            raise AtlasError(f"no row {row_label!r} in table(s) "
+                             f"{', '.join(map(str, tables))}")
     reports = []
     for row in rows:
-        if row.table not in tables:
-            continue
-        if row_label is not None and row.label != row_label:
-            continue
         for env in row.instances():
             reports.append(verify_row(row, env, cfg, max_dim=max_dim,
                                       validate=validate))

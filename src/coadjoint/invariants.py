@@ -7,10 +7,13 @@ basis derivations
 
     D_i x_j = [x_i, x_j] = sum_k c_{ij}^k x_k,
 
-computed one multidegree block at a time.  For a reductive g-block with
-recorded weights the kernel is taken inside the zero-weight subspace with
-raising-operator conditions only, which keeps the linear algebra desk-sized;
-the resulting basis is re-verified against every derivation afterwards.
+computed one multidegree block at a time, as the kernel of one sparse
+integer row per (derivation, image monomial), read off the integer table
+below.  For a reductive g-block with recorded weights the kernel is taken
+inside the zero-weight monomials, generated directly (each block's monomials
+grouped by weight, blocks combined only through classes that can sum to
+zero), with raising-operator conditions only; the resulting basis is
+re-verified against every derivation afterwards.
 
 The polynomial kernels run on Python ints.  The ring operations keep the
 coefficient type of their inputs, so integer polynomials stay integral.
@@ -34,6 +37,7 @@ from .qlinalg import (
     Q0,
     QQ,
     Basis,
+    IntRows,
     QMatrix,
     SampleConfig,
     VerificationError,
@@ -326,25 +330,39 @@ def is_invariant(S: SemiDirectProduct, P: MultiPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def monomials_of_block_degrees(S: SemiDirectProduct, mdeg):
-    """All exponent tuples with the given per-block degrees, graded-lex sorted."""
-    blocks = S.blocks
-    assert len(mdeg) == len(blocks)
-    per_block = []
-    for (label, off, sz), d in zip(blocks, mdeg):
-        monos = []
+def monomials_of_block_degrees(S: SemiDirectProduct, mdeg, weights=None):
+    """The exponent tuples with the given per-block degrees, reverse
+    graded-lex sorted; given integer weights per variable, those of weight
+    zero only.  Each block's monomials are grouped by weight, and blocks
+    combine only through classes from which the later blocks can reach a
+    zero sum.  A weight is packed as sum_t w_t B^t, B above any coordinate
+    of a monomial's weight: additive, and 0 for a monomial only at weight 0.
+    """
+    assert len(mdeg) == len(S.blocks)
+    weights = weights or [()] * S.dim
+    B = sum(mdeg) * max((abs(x) for w in weights for x in w), default=0) + 1
+    packed = [sum(x * B ** t for t, x in enumerate(w)) for w in weights]
+    classes = []    # per block: its variables, and its monomials by weight
+    for (_, off, sz), d in zip(S.blocks, mdeg):
+        by_weight = {}
         for comb in itertools.combinations_with_replacement(range(sz), d):
-            exp = [0] * sz
-            for c in comb:
-                exp[c] += 1
-            monos.append(tuple(exp))
-        per_block.append(monos)
-    out = []
-    for pieces in itertools.product(*per_block):
-        exp = []
-        for p in pieces:
-            exp.extend(p)
-        out.append(tuple(exp))
+            by_weight.setdefault(sum(packed[off + c] for c in comb),
+                                 []).append(comb)
+        classes.append((range(sz), by_weight))
+    reach = [{0}]   # reach[b]: the weights of blocks b, b + 1, ...
+    for _, by_weight in reversed(classes):
+        reach.insert(0, {w + x for w in by_weight for x in reach[0]})
+    partial = {0: [()]}
+    for b, (cols, by_weight) in enumerate(classes):
+        nxt = {}
+        for w, heads in partial.items():
+            for w2, tails in by_weight.items():
+                if -(w + w2) in reach[b + 1]:
+                    tails = [tuple(map(t.count, cols)) for t in tails]
+                    nxt.setdefault(w + w2, []).extend(
+                        h + t for h in heads for t in tails)
+        partial = nxt
+    out = partial.get(0, [])
     out.sort(reverse=True)
     return out
 
@@ -364,27 +382,29 @@ DEFAULT_COMPONENT_CAP = 5 * 10 ** 6
 
 
 def _weight_data(S: SemiDirectProduct):
-    """(weights per variable, positive g indices) or None.
+    """(integer weights per variable or None, the derivations to impose).
 
-    Positive indices are the g-basis elements of nonzero ad-weight whose first
-    nonzero weight coordinate is positive; for a reductive g-block acting
-    completely reducibly, zero weight + killed by all positive root vectors
-    characterises g-invariance.
+    For a reductive g-block acting completely reducibly, zero weight and
+    being killed by the positive root vectors (g-basis elements whose first
+    nonzero weight coordinate is positive) characterise g-invariance; the
+    V-derivations are imposed as well.  Otherwise every derivation is.
     """
     w = S.v_weights()
+    direct = None, range(S.dim)
     if w is None:
-        return None
+        return direct
     cartan = set(S.algebra.metadata.get("cartan", []))
     positive = []
     for i in range(S.dim_g):
-        wi = w[i]
-        nz = next((x for x in wi if x != 0), None)
+        nz = next((x for x in w[i] if x != 0), None)
         if nz is None:
             if i not in cartan:
-                return None  # zero-weight non-Cartan element: no fast path
+                return direct  # zero-weight non-Cartan element: no fast path
         elif nz > 0:
             positive.append(i)
-    return w, positive
+    d = math.lcm(1, *(x.denominator for wi in w for x in wi))
+    return ([tuple(int(x * d) for x in wi) for wi in w],
+            positive + list(range(S.dim_g, S.dim)))
 
 
 def invariant_space(S: SemiDirectProduct, mdeg, cap=DEFAULT_COMPONENT_CAP):
@@ -396,12 +416,9 @@ def invariant_space(S: SemiDirectProduct, mdeg, cap=DEFAULT_COMPONENT_CAP):
     count = component_size(S, mdeg)
     if count > cap:
         raise ComponentTooLarge(count, cap)
-    monos = monomials_of_block_degrees(S, mdeg)
-    wdata = _weight_data(S)
-    if wdata is not None:
-        basis = _invariants_weight_path(S, mdeg, monos, wdata)
-    else:
-        basis = _invariants_direct_path(S, monos)
+    weights, derivs = _weight_data(S)
+    monos = monomials_of_block_degrees(S, mdeg, weights)
+    basis = _killed_by(S, derivs, monos) if monos else []
     for P in basis:
         if not _killed(S.total, P, range(S.dim)):
             raise VerificationError(
@@ -409,56 +426,19 @@ def invariant_space(S: SemiDirectProduct, mdeg, cap=DEFAULT_COMPONENT_CAP):
     return basis
 
 
-def _mono_weight(m, weights):
-    """sum_i m_i weights[i], for integer weight tuples."""
-    acc = [0] * (len(weights[0]) if weights else 0)
-    for e, wi in zip(m, weights):
-        if e:
-            for t, x in enumerate(wi):
-                if x:
-                    acc[t] += e * x
-    return tuple(acc)
-
-
-def _invariants_weight_path(S, mdeg, monos, wdata):
-    weights, positive = wdata
-    # weights times the lcm of their denominators: the same zero weight
-    d = math.lcm(1, *(x.denominator for w in weights for x in w))
-    weights = [tuple(int(x * d) for x in w) for w in weights]
-    zero_w = tuple(0 for _ in (weights[0] if weights else ()))
-    w0 = [m for m in monos if _mono_weight(m, weights) == zero_w]
-    if not w0:
-        return []
-    # conditions: raising derivations, then V-derivations (which leave the
-    # component); both are imposed on the coefficient vectors over `w0`
-    derivs = list(positive) + list(range(S.dim_g, S.dim))
-    return _killed_by(S, derivs, w0)
-
-
-def _invariants_direct_path(S, monos):
-    if not monos:
-        return []
-    return _killed_by(S, range(S.dim), monos)
-
-
 def _killed_by(S, derivs, monos):
     """Reduced echelon basis, in the order of `monos`, of the polynomials in
-    span(monos) killed by every derivation in derivs.  The condition matrix
-    has one row per (derivation, image monomial) pair that occurs and one
-    column per monomial of `monos`.  The rows are read off the integer table
-    d ad, which scales every row by d and leaves the kernel unchanged."""
+    span(monos) killed by every derivation in derivs: the kernel of one
+    sparse integer row per (derivation, image monomial) pair that occurs,
+    read off the integer table d ad (every row times d, the same kernel)."""
     table = S.total.int_ad_table[1]
     rows = {}
     for col, m in enumerate(monos):
         for i in derivs:
             for m2, c in _derive(table[i], {m: 1}).items():
-                if not c:
-                    continue
-                row = rows.get((i, m2))
-                if row is None:
-                    row = rows[(i, m2)] = [Q0] * len(monos)
-                row[col] = c
-    ker = kernel_basis(QMatrix(len(rows), len(monos), list(rows.values())))
+                if c:
+                    rows.setdefault((i, m2), {})[col] = c
+    ker = kernel_basis(IntRows(len(monos), list(rows.values())))
     return [MultiPoly(S.dim, {m: c for c, m in zip(v, monos) if c != 0})
             for v in Basis(ker).rows]
 

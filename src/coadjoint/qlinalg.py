@@ -3,20 +3,20 @@
 Scalars are exact rationals, `fractions.Fraction` (`QQ`).  Matrices are
 dense lists of rows; products walk only the nonzero entries, and `entries()`
 is the one conversion to a sparse {(i, j): value} dict.  Ranks and kernels
-are computed over the integers: each row's denominators are cleared in
-integer arithmetic (numerator times the cofactor of the row's lcm) and
-all-zero rows are dropped, which changes neither the rank nor the right
-kernel.  Small integer matrices go to primitive-row elimination: a row is
-combined with the pivot row only when it has an entry in the pivot column,
-and then divided by its content, so entries stay bounded by the Bareiss
-minors; kernel vectors are back-substituted in integers too.  For large
-matrices a certified fast path combines a modular elimination (numpy, single
-word prime) with p-adic lifting of kernel vectors in rounds that double the
-digits (stopping at the first round whose reconstruction verifies, at most
-the Hadamard count), and checks each vector v exactly as A (D v) = 0 over Z,
-D the lcm of its denominators.  So every reported rank is an exact rank over
-Q: the mod-p pivot minor bounds it from below, the verified kernel from
-above.
+run on one sparse integer form, rows of {column: int}: `IntRows` is taken as
+it is, and a `QMatrix` row is scaled by the lcm of its denominators (all-zero
+rows dropped), which changes neither rank nor right kernel.  The path is
+chosen from the input: rows of at most `_SPARSE_ROW_WEIGHT` nonzeros on
+average (the invariant-space systems) are eliminated sparsely mod p, shortest
+row first, once there are more than `_BAREISS_CUTOFF` rows or columns; denser
+ones by numpy mod p once there are more of both; the rest, and what the
+modular paths cannot settle, exactly over Z (primitive-row elimination for
+ranks, `Basis` for kernels).  A modular result is certified from both
+sides: the rank mod p bounds the rank over Q from below, so full column rank
+proves the kernel zero; otherwise kernel vectors are lifted p-adically from
+the pivot rows (rounds that double the digits, at most the Hadamard count)
+and each v is checked as A (D v) = 0 over Z on every row, D the lcm of its
+denominators: the rank from above.
 
 `Basis` is the one echelon-and-coordinates routine: it echelonises a list of
 vectors once (reduced row echelon form over Q), and then writes other vectors
@@ -34,6 +34,7 @@ extraction.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import operator
 import random
@@ -179,34 +180,39 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols})\n{body}"
 
 
-def _int_row(row):
-    """row times the lcm of its denominators, in integer arithmetic
-    (numerator times cofactor).  Most zero entries are the shared Q0, which
-    is skipped by identity."""
-    l = 1
-    for x in row:
-        if x is not Q0:
-            d = x.denominator
-            if d != 1:
-                l = l * d // math.gcd(l, d)
-    if l == 1:
-        return [0 if x is Q0 else x.numerator for x in row]
-    return [0 if x is Q0 else x.numerator * (l // x.denominator) for x in row]
-
-
 def _primitive(row):
     """An integer row divided by its content."""
     c = math.gcd(*row)
     return [a // c for a in row] if c > 1 else row
 
 
-def _int_rows(m: QMatrix):
-    """Integer rows with the row space of m, all-zero rows dropped.
+class IntRows:
+    """An integer matrix by its rows, each a {column: nonzero int} dict."""
 
-    Scaling each row by the lcm of its denominators preserves rank and right
-    kernel.
-    """
-    return [ints for ints in map(_int_row, m.data) if any(ints)]
+    def __init__(self, cols, data):
+        self.rows, self.cols, self.data = len(data), cols, data
+
+
+def _int_row(row):
+    """The nonzero entries of a rational row times the lcm of their
+    denominators, as {column: int}; the shared Q0 is skipped by identity."""
+    nz = {c: x for c, x in enumerate(row) if x is not Q0 and x}
+    l = math.lcm(*(x.denominator for x in nz.values()))
+    return {c: x.numerator * (l // x.denominator) for c, x in nz.items()}
+
+
+def _int_rows(m):
+    """The nonzero rows of a QMatrix or IntRows m, as {column: int} dicts;
+    scaling a row preserves rank and right kernel."""
+    rows = m.data if isinstance(m, IntRows) else map(_int_row, m.data)
+    return [row for row in rows if row]
+
+
+def _dense(row, nc):
+    out = [0] * nc
+    for c, x in row.items():
+        out[c] = x
+    return out
 
 
 def _echelon_int(a):
@@ -252,12 +258,14 @@ def _echelon_int(a):
 
 
 def _mod_echelon(a, p):
-    """Row reduce an int64 numpy matrix mod p; returns (rank, pivot_cols, reduced).
-
-    The reduced matrix is in reduced row-echelon form mod p.
-    """
+    """Row reduce an int64 numpy matrix mod p into reduced row echelon form;
+    returns (pivot_cols, pivot_rows, reduced).  A row becomes a pivot row as
+    itself plus multiples of earlier pivot rows and later gains only
+    multiples of pivot rows, so the input rows pivot_rows are independent
+    mod p and nonsingular on the pivot columns."""
     a = np.mod(a, p)
     nr, nc = a.shape
+    perm = list(range(nr))
     piv_r = 0
     pivots = []
     for pc in range(nc):
@@ -268,6 +276,7 @@ def _mod_echelon(a, p):
         r = piv_r + int(nz[0])
         if r != piv_r:
             a[[piv_r, r]] = a[[r, piv_r]]
+            perm[piv_r], perm[r] = perm[r], perm[piv_r]
         piv = int(a[piv_r, pc])
         a[piv_r] = (a[piv_r] * pow(piv, p - 2, p)) % p
         col = a[:, pc].copy()
@@ -280,7 +289,67 @@ def _mod_echelon(a, p):
         piv_r += 1
         if piv_r == nr:
             break
-    return piv_r, pivots, a
+    return pivots, perm[:piv_r], a
+
+
+def _sparse_echelon(a, nc, p):
+    """(pivot_cols, pivot_rows, solve) of the sparse integer rows a mod p.
+
+    Rows are taken shortest first, each reduced against the pivot rows so
+    far in their order of creation and pivoted on its smallest remaining
+    column, until every column is a pivot.  The pivot rows are L A[pivot_rows]
+    with L lower triangular in creation order, and upper triangular with unit
+    diagonal on the pivot columns; solve(R) is A[pivot_rows, pivot_cols]^-1 R
+    mod p, by substitution through both.
+    """
+    where = {}     # pivot column -> its creation index
+    lower = []     # per pivot row: (1 / pivot, [(earlier pivot, multiple)])
+    upper = []     # per pivot row: its entries mod p over the pivot entry
+    cols, rows = [], []
+    for i in sorted(range(len(a)), key=lambda i: len(a[i])):
+        r = {c: x % p for c, x in a[i].items() if x % p}
+        ops = []
+        heap = [where[c] for c in r if c in where]
+        heapq.heapify(heap)
+        while heap:
+            k = heapq.heappop(heap)
+            f = r.pop(cols[k], 0)
+            if not f:
+                continue   # pushed twice
+            ops.append((k, f))
+            # upper[k] holds only columns that were no pivot at creation k,
+            # so the pivots it brings in come later in the heap order
+            for c, x in upper[k].items():
+                y = (r.get(c, 0) - f * x) % p
+                if not y:
+                    del r[c]
+                    continue
+                if c not in r and c in where:
+                    heapq.heappush(heap, where[c])
+                r[c] = y
+        if r:
+            c = min(r)
+            inv = pow(r.pop(c), -1, p)
+            where[c] = len(cols)
+            cols.append(c)
+            rows.append(i)
+            lower.append((inv, ops))
+            upper.append({c2: x * inv % p for c2, x in r.items()})
+            if len(cols) == nc:
+                break
+    upper = [[(where[c], x) for c, x in u.items() if c in where] for u in upper]
+
+    def solve(R):
+        out = []
+        for y in np.mod(R, p).T.tolist():
+            for t, (inv, ops) in enumerate(lower):
+                y[t] = (y[t] - sum(f * y[k] for k, f in ops)) * inv % p
+            for t in range(len(y) - 1, -1, -1):
+                y[t] = (y[t] - sum(x * y[k] for k, x in upper[t])) % p
+            out.append(y)
+        return np.array(out, dtype=np.int64).T
+
+    return cols, rows, solve
 
 
 def _rational_reconstruct(u, m):
@@ -303,32 +372,44 @@ def _rational_reconstruct(u, m):
 _FIRST_DIGITS = 8
 
 
-def _dixon_solve(A_int, rhs_cols, p):
+def _dixon_solve(A_int, rhs_cols, p, solve=None):
     """Candidate solutions of A x = b for the columns b of rhs_cols, by p-adic
     lifting (Dixon 1982).
 
-    A_int: square numpy int64 matrix whose image mod p is invertible.  The
-    digits are lifted in rounds that double their number, up to the count
-    the Hadamard bound on det(A) calls for.  After each round every entry is
-    rationally reconstructed; when all succeed the round yields one (D, w)
-    per column, the solution being w / D with w integral.  The caller checks
-    each candidate exactly and stops at the first that holds, so small
-    solutions stop early, while a wrong early candidate only lifts further.
-    Yields nothing when the entries are too large for word-size residues or
-    A is singular mod p.  Residues stay word-sized, so each lifting step is
-    a pair of numpy matmuls.
+    A_int: square integer matrix invertible mod p, an int64 numpy array or
+    sparse rows {column: int} with solve(R) = A^-1 R mod p.  The digits are
+    lifted in rounds that double their number, up to the count the Hadamard
+    bound on det(A) calls for.  After each round every entry is rationally
+    reconstructed; when all succeed the round yields one (D, w) per column,
+    the solution being w / D with w integral.  The caller checks each
+    candidate exactly and stops at the first that holds, so small solutions
+    stop early, while a wrong early candidate only lifts further.  Yields
+    nothing when the entries are too large for word-size residues or A is
+    singular mod p.
     """
-    n = A_int.shape[0]
-    amax = int(np.abs(A_int).max()) if A_int.size else 0
+    rows = A_int.tolist() if solve is None else [list(r.values()) for r in A_int]
+    n = len(rows)
+    amax = max((abs(x) for row in rows for x in row), default=0)
     if amax == 0 or n * amax * p >= 2 ** 62:
         return
-    Ainv = _inverse_mod(A_int, p)
-    if Ainv is None:
-        return
+    if solve is None:
+        Ainv = _inverse_mod(A_int, p)
+        if Ainv is None:
+            return
+        mul = A_int.__matmul__
+
+        def solve(R):
+            return np.mod(Ainv @ np.mod(R, p), p)
+    else:
+        ri, ci, vals = np.array([(i, c, x) for i, row in enumerate(A_int)
+                                 for c, x in row.items()], dtype=np.int64).T
+
+        def mul(X):
+            out = np.zeros(X.shape, dtype=np.int64)
+            np.add.at(out, ri, vals[:, None] * X[ci])
+            return out
     # denominators divide det(A); Hadamard bound gives the digit count
-    norms = np.sqrt((A_int.astype(float) ** 2).sum(axis=1))
-    norms[norms < 1] = 1.0
-    log_det = float(np.log(norms).sum())
+    log_det = sum(math.log(max(1, sum(x * x for x in row))) for row in rows) / 2
     rhs_max = max(1, int(np.abs(rhs_cols).max()) if rhs_cols.size else 1)
     cap = int(2 * (log_det + math.log(n * (rhs_max + 1))) / math.log(p)) + 4
     R = rhs_cols
@@ -341,11 +422,11 @@ def _dixon_solve(A_int, rhs_cols, p):
             block = np.zeros(R.shape, dtype=np.int64)
             weight = 1
             for _ in range(min(4, target - done)):
-                X = np.mod(Ainv @ np.mod(R, p), p)
+                X = solve(R)
                 block += X * weight
                 weight *= p
                 # R = (R - A X) / p is exact; |R| stays <= |R0| + n*amax*p
-                R = (R - A_int @ X) // p
+                R = (R - mul(X)) // p
                 done += 1
             acc = acc + block.astype(object) * mod
             mod *= weight
@@ -393,147 +474,107 @@ def _reconstruct_columns(columns, mod):
 def _inverse_mod(A, p):
     n = A.shape[0]
     aug = np.concatenate([np.mod(A, p), np.eye(n, dtype=np.int64)], axis=1)
-    rank, pivots, red = _mod_echelon(aug, p)
-    if rank < n or pivots != list(range(n)):
+    pivots, _, red = _mod_echelon(aug, p)
+    if pivots != list(range(n)):
         return None
     return red[:, n:]
 
 
 _BAREISS_CUTOFF = 70
 
+# Rows with at most this many nonzeros on average are eliminated sparsely:
+# the invariant-space systems have under 3, the Kirillov forms and large
+# dense kernels at least 7.
+_SPARSE_ROW_WEIGHT = 4
 
-def rank(m: QMatrix) -> int:
-    """Exact rank over Q."""
+
+def rank(m) -> int:
+    """Exact rank over Q of a QMatrix or IntRows."""
     a = _int_rows(m)
-    if not a:
-        return 0
-    if min(len(a), m.cols) <= _BAREISS_CUTOFF:
-        r, _ = _echelon_int(a)
-        return r
-    return _certified_rank(a)
+    kernel = _certified_kernel(a, m.cols) if a else None
+    if kernel is None:
+        return _echelon_int([_dense(row, m.cols) for row in a])[0]
+    return m.cols - len(kernel)
 
 
-def _certified_rank(a):
-    """Rank of nonzero integer rows, certified exactly.
-
-    Lower bound: a pivot minor nonzero mod p is nonzero over Z.  Upper bound:
-    exact kernel vectors (p-adically lifted, then verified over Z) of the
-    right count.  The two bounds meet, so the value is exact.
-    """
-    candidates = _kernel_int(a)
-    if candidates is not None:
-        return len(a[0]) - len(candidates)
-    # entries too large for the word-size fast path: eliminate over Z
-    r, _ = _echelon_int(a)
-    return r
-
-
-def _kernel_int(a):
-    """Exact right-kernel basis of nonzero integer rows via mod-p + lifting.
-
-    Returns a list of rational vectors, or None when the entries are too large
-    for word-size residues or every prime failed.  Every returned vector v is
-    verified exactly, as a (D v) = 0 over Z with D the lcm of its
-    denominators, and the count is certified by the mod-p rank lower bound.
-    """
-    nr = len(a)
-    nc = len(a[0])
-    amax = max(max(map(abs, row)) for row in a)
-    if max(nr, nc) * amax * _PRIMES[0] >= 2 ** 62:
+def _certified_kernel(a, nc):
+    """Right-kernel basis of the nonzero sparse integer rows a by the modular
+    path, each vector verified over Z, or None when exact elimination must
+    decide (small systems, entries too large, or every prime failed)."""
+    sparse = sum(map(len, a)) <= _SPARSE_ROW_WEIGHT * len(a)
+    if (max if sparse else min)(len(a), nc) <= _BAREISS_CUTOFF:
         return None
-    an = np.array(a, dtype=np.int64)
+    amax = max(abs(x) for row in a for x in row.values())
+    if max(len(a), nc) * amax * _PRIMES[0] >= 2 ** 62:
+        return None
+    an = None if sparse else np.array([_dense(r, nc) for r in a], np.int64)
     for p in _PRIMES:
-        r, pivots, _red = _mod_echelon(an, p)
-        if r == 0:
-            continue  # every entry divisible by p
-        # pivot rows mod p: find nr-subset realising the rank
-        rr, row_piv, _ = _mod_echelon(an.T.copy(), p)
-        if rr != r:
-            continue
-        pivot_set = set(pivots)
-        free = [c for c in range(nc) if c not in pivot_set]
-        if not free:
-            return []
-        sub = an[np.ix_(row_piv, pivots)]
-        for candidate in _dixon_solve(sub, -an[np.ix_(row_piv, free)], p):
-            basis = _verified_kernel(a, pivots, free, candidate)
+        if sparse:
+            pivots, rows, solve = _sparse_echelon(a, nc, p)
+        else:
+            (pivots, rows, _), solve = _mod_echelon(an, p), None
+        if len(pivots) == nc:
+            return []   # rank_p = nc <= rank_Q
+        if not pivots:
+            continue    # every entry divisible by p
+        at = {c: t for t, c in enumerate(pivots)}
+        free = [c for c in range(nc) if c not in at]
+        sub = ([{at[c]: x for c, x in a[i].items() if c in at} for i in rows]
+               if sparse else an[np.ix_(rows, pivots)])
+        rhs = np.array([[-a[i].get(c, 0) for c in free] for i in rows],
+                       dtype=np.int64)
+        for candidate in _dixon_solve(sub, rhs, p, solve):
+            basis = _verified_kernel(a, nc, pivots, free, candidate)
             if basis is not None:
                 return basis
     return None
 
 
-def _verified_kernel(a, pivots, free, candidate):
+def _verified_kernel(a, nc, pivots, free, candidate):
     """The kernel vectors v_j = e_j + w/D at the pivots, one per free column
-    j and candidate (D, w), or None unless a (D v_j) = 0 holds over Z for
-    every one: integer dot products over the support of D v_j."""
-    nc = len(a[0])
+    j and candidate (D, w), or None unless a (D v_j) = 0 holds over Z on
+    every row."""
     basis = []
     for j, (d, w) in zip(free, candidate):
-        cols = [j] + [c for c, x in zip(pivots, w) if x]
-        xs = [d] + [x for x in w if x]
+        x = [0] * nc
+        x[j] = d
+        for c, y in zip(pivots, w):
+            x[c] = y
         for row in a:
-            if sum(map(operator.mul, map(row.__getitem__, cols), xs)):
+            if sum(map(operator.mul, row.values(), map(x.__getitem__, row))):
                 return None
-        v = [Q0] * nc
-        for c, x in zip(cols, xs):
-            v[c] = QQ(x, d)
-        basis.append(v)
+        basis.append([QQ(y, d) if y else Q0 for y in x])
     return basis
 
 
-def kernel_basis(m: QMatrix):
-    """Basis of the right null space { v : M v = 0 }, exact.
-
-    Vectors are returned in the "unit free coordinate" normal form induced by
-    the reduced echelon form, so output is deterministic.
+def kernel_basis(m):
+    """Basis of the right null space { v : M v = 0 } of a QMatrix or IntRows,
+    exact, in the normal form of the reduced echelon form: for each free
+    column j the kernel vector with 1 at j and 0 at the other free columns.
+    It is e_j plus pivot columns before j, so modular kernels are put in
+    this form by echelonising them from the last column.
     """
     if m.cols == 0:
         return []
     a = _int_rows(m)
-    if not a:
-        return [_unit(m.cols, j) for j in range(m.cols)]
-    if min(len(a), m.cols) > _BAREISS_CUTOFF:
-        fast = _kernel_int(a)
-        if fast is not None:
-            return fast
-    return _kernel_exact_small(a, m.cols)
-
-
-def _unit(n, j):
-    v = [Q0] * n
-    v[j] = Q1
-    return v
+    kernel = _certified_kernel(a, m.cols) if a else None
+    if kernel is None:
+        return _kernel_exact_small(a, m.cols)
+    return [v[::-1] for v in reversed(Basis([v[::-1] for v in kernel]).rows)]
 
 
 def _kernel_exact_small(a, nc):
-    """Kernel by primitive-row elimination and back substitution, both over Z.
-
-    The integer rows `a` are eliminated in place.  Each kernel vector is
-    carried as w / d with w integral; d grows only when a pivot does not
-    divide its right-hand side.
-    """
-    r, pivots = _echelon_int(a)
-    pivot_set = set(pivots)
-    free = [c for c in range(nc) if c not in pivot_set]
+    """Kernel of the sparse integer rows a in the normal form, read off the
+    `Basis` of their echelon rows taken bottom first (back substitution)."""
+    a = [_dense(row, nc) for row in a]
+    r = _echelon_int(a)[0]
+    red = Basis(a[:r][::-1])
     basis = []
-    for j in free:
-        w = {j: 1}
-        d = 1
-        # rows 0..r-1 of a are in echelon form with pivot cols `pivots`
-        for i in range(r - 1, -1, -1):
-            pc = pivots[i]
-            row = a[i]
-            s = sum(row[c] * x for c, x in w.items())
-            if s:
-                piv = row[pc]
-                m = abs(piv) // math.gcd(s, piv)
-                if m != 1:
-                    w = {c: x * m for c, x in w.items()}
-                    d *= m
-                w[pc] = -(s * m) // piv
+    for j in red.complement() if r else range(nc):
         v = [Q0] * nc
-        for c, x in w.items():
-            v[c] = QQ(x, d)
+        v[j] = Q1
+        for p, row in zip(red.pivots, red.rows):
+            v[p] = -row[j]
         basis.append(v)
     return basis
 
@@ -583,7 +624,7 @@ class Basis:
         # at the pivots of the others
         red, piv = [], []
         for t, vec in enumerate(vectors):
-            row = _int_row(vec)
+            row = _dense(_int_row(vec), self.ncols)
             hits = [(p, rr) for p, rr in zip(piv, red) if row[p]]
             if hits:
                 # the rows are zero at each other's pivots, so every

@@ -120,9 +120,17 @@ def test_verify_row_dim_bound_skips():
     assert rep.skipped and not rep.checks
 
 
-def test_empty_selection_passes():
-    suite = run_suite(tables=(1,), row_label="no-such-row", cfg=CFG)
-    assert suite.reports == [] and suite.passed
+def test_empty_selection_is_not_a_pass():
+    from coadjoint.cli import main
+
+    with pytest.raises(AtlasError, match="no-such-row"):
+        run_suite(tables=(1,), row_label="no-such-row", cfg=CFG)
+    assert main(["verify", "--table", "1", "--row", "no-such-row"]) == 2
+    # every instance over the dimension bound: no check ran
+    suite = run_suite(tables=(2,), row_label="4", cfg=CFG, max_dim=1)
+    assert suite.reports and all(r.skipped for r in suite.reports)
+    assert not suite.passed
+    assert main(["verify", "--table", "2", "--row", "4", "--max-dim", "1"]) == 1
 
 
 def test_suite_json_roundtrip():

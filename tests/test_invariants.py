@@ -110,6 +110,13 @@ def test_ledger_sp4k4():
     assert led.generator_degrees() == [3, 5]
 
 
+def test_ledger_sp6k6_to_cap_6():
+    # a paper-size ledger: dim s = 27, zero-weight systems up to 36291 x 2266
+    L = classical_algebra("sp", 6)
+    led = generator_ledger(semidirect(L, standard_rep(L)), 6)
+    assert led.generator_degrees() == [3, 5]
+
+
 def test_ledger_so3k3():
     L = classical_algebra("so", 3)
     led = generator_ledger(semidirect(L, standard_rep(L)), 3)

@@ -4,12 +4,16 @@ The symbolic minors, `substitute_linear` and the derivations clear their
 denominators once, run on ints and divide once at the end.  Each test here
 compares one of them with a plain rational computation on inputs with mixed
 denominators, so a wrong power of the common denominator, a dropped degree
-weight or an integer table without its scale shows up as a wrong value.
+weight or an integer table without its scale shows up as a wrong value.  The
+zero-weight monomial generator is compared with enumerate-and-filter.
 """
 
+import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from coadjoint.constructions import (
@@ -21,9 +25,13 @@ from coadjoint.constructions import (
 )
 from coadjoint.invariants import (
     MultiPoly,
+    _compositions,
+    _weight_data,
+    component_size,
     invariant_space,
     is_invariant,
     lie_derivative_in,
+    monomials_of_block_degrees,
 )
 from coadjoint.liealg import (
     algebra_on_basis,
@@ -31,7 +39,7 @@ from coadjoint.liealg import (
     heisenberg_algebra,
 )
 from coadjoint.qlinalg import QQ, QMatrix
-from coadjoint.repn import standard_rep, trivial_rep
+from coadjoint.repn import build_module, standard_rep, trivial_rep
 from coadjoint.semidirect import semidirect
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
@@ -212,3 +220,59 @@ def test_set_bracket_drops_the_integer_table():
     assert table[0] == {1: {2: 2}, 2: {1: 3}}
     assert table[2] == {0: {1: -3}}
     assert L.ad_table[0][2] == {1: QQ(3, 2)}
+
+
+def _zero_weight_by_filter(S, mdeg, weights):
+    """Every monomial of the component, as the product of the blocks'
+    monomials, kept when its weight is zero, then sorted: the
+    enumerate-and-filter that the zero-weight generator replaces."""
+    per_block = []
+    for (_, off, sz), d in zip(S.blocks, mdeg):
+        per_block.append([tuple(comb.count(c) for c in range(sz)) for comb in
+                          itertools.combinations_with_replacement(range(sz), d)])
+    out = []
+    for pieces in itertools.product(*per_block):
+        m = sum(pieces, ())
+        weight = [sum(e * w[t] for e, w in zip(m, weights))
+                  for t in range(len(weights[0]) if weights else 0)]
+        if not any(weight):
+            out.append(m)
+    out.sort(reverse=True)
+    return out
+
+
+@pytest.mark.parametrize("family, n, module, cap", [
+    ("sp", 4, [("phi1", 1)], 4), ("so", 5, [("phi1", 1)], 4),
+    ("so", 7, [("phi3", 1)], 3), ("so", 7, [("phi1", 1), ("phi3", 1)], 2)])
+def test_zero_weight_monomials_match_the_filter(family, n, module, cap):
+    L = classical_algebra(family, n)
+    S = semidirect(L, build_module(family, n, module, L=L))
+    weights, _ = _weight_data(S)
+    for total in range(1, cap + 1):
+        for mdeg in _compositions(total, len(S.blocks)):
+            got = monomials_of_block_degrees(S, mdeg, weights)
+            assert got == _zero_weight_by_filter(S, mdeg, weights), mdeg
+            everything = monomials_of_block_degrees(S, mdeg)
+            assert len(everything) == component_size(S, mdeg)
+            assert everything == _zero_weight_by_filter(
+                S, mdeg, [(0,)] * S.dim)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), sizes=st.lists(st.integers(0, 4),
+       min_size=1, max_size=3), rank_=st.integers(1, 2), high=st.integers(1, 3))
+def test_zero_weight_monomials_for_any_integer_weights(seed, sizes, rank_,
+                                                       high):
+    """Weights that are not closed under negation, and extreme weights that
+    a too small packing base would carry from one coordinate into the
+    next."""
+    rng = random.Random(seed)
+    offsets = [sum(sizes[:b]) for b in range(len(sizes))]
+    S = SimpleNamespace(blocks=[(str(b), off, sz) for b, (off, sz)
+                                in enumerate(zip(offsets, sizes))],
+                        dim=sum(sizes))
+    weights = [tuple(rng.choice((-high, 0, high, rng.randint(-high, high)))
+                     for _ in range(rank_)) for _ in range(S.dim)]
+    mdeg = tuple(rng.randint(0, 4) if sz else 0 for sz in sizes)
+    assert monomials_of_block_degrees(S, mdeg, weights) == \
+        _zero_weight_by_filter(S, mdeg, weights)

@@ -4,13 +4,15 @@ Matrices are products A*B of random factors, so their rank is controlled and
 their kernels are nontrivial.  Entries are integers, or rationals with
 denominators in {1, 2, 4} (the denominators of the spin modules).  The
 integer coordinates of `Basis`, rational reconstruction, the int64 guards of
-the modular path and its exact verification have their own tests below.
+the modular path and its exact verification have their own tests below, and
+so do tall sparse integer systems on both sides of the sparsity selection.
 """
 
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,11 +22,11 @@ from coadjoint.qlinalg import (
     _PRIMES,
     Basis,
     QMatrix,
+    _certified_kernel,
     _dixon_solve,
     _echelon_int,
     _int_rows,
     _kernel_exact_small,
-    _kernel_int,
     _rational_reconstruct,
     _reconstruct_columns,
     SampleConfig,
@@ -333,12 +335,12 @@ def _guarded_matrix(seed, n, big):
 @pytest.mark.parametrize("side", [-1, 1])
 def test_kernel_at_the_int64_guard(side):
     n = _BAREISS_CUTOFF + 2
-    # _kernel_int takes the modular path iff n * amax * p < 2**62
+    # _certified_kernel takes the modular path iff n * amax * p < 2**62
     guard = (2 ** 62 - 1) // (n * _PRIMES[0])
     big = guard if side < 0 else guard + 1
     rows = _guarded_matrix(5, n, big)
     m = QMatrix.from_rows(rows)
-    assert (_kernel_int([r[:] for r in rows]) is None) == (side > 0)
+    assert (_certified_kernel(_int_rows(m), n) is None) == (side > 0)
     small = _kernel_exact_small(_int_rows(m), n)
     assert kernel_basis(m) == small
     assert rank(m) == _echelon_int([r[:] for r in rows])[0] == n - len(small)
@@ -346,8 +348,6 @@ def test_kernel_at_the_int64_guard(side):
 
 @pytest.mark.parametrize("side", [-1, 1])
 def test_dixon_solve_at_its_int64_guard(side):
-    import numpy as np
-
     p = _PRIMES[0]
     n = 6
     guard = (2 ** 62 - 1) // (n * p)
@@ -387,3 +387,178 @@ def test_a_corrupted_lift_never_reaches_the_kernel(monkeypatch, corrupt_every):
     assert kernel_basis(m) == expected
     assert rank(m) == n - len(expected)
     assert seen    # the lift ran and its candidates were checked
+
+
+def _tall_system(seed, nc, k, weight, divisible):
+    """Integer rows B C, with about 2 nc rows and rank at most nc - k: each
+    row of C is e_s + c e_t, each row of B has `weight` nonzeros, so a row
+    of B C has at most 2 weight.  With `divisible`, some rows (all, when
+    it is 2) are multiplied by the first prime, and with 1 some single
+    entries too."""
+    rng = random.Random(seed)
+    m = nc - k
+    C = [{s: 1} for s in rng.sample(range(nc), m)]
+    for row in C:
+        t = rng.randrange(nc)
+        row[t] = row.get(t, 0) + rng.choice((-2, -1, 1, 2))
+    rows = []
+    for _ in range(2 * nc):
+        acc = {}
+        for i in rng.sample(range(m), min(weight, m)) if m else ():
+            f = rng.choice((-3, -2, -1, 1, 2, 3))
+            for c, x in C[i].items():
+                acc[c] = acc.get(c, 0) + f * x
+        row = {c: x for c, x in acc.items() if x}
+        if divisible == 2 or (divisible and rng.random() < 0.3):
+            row = {c: x * _PRIMES[0] for c, x in row.items()}
+        elif divisible and row and rng.random() < 0.3:
+            # one entry that vanishes mod p: the modular pivots then differ
+            # from those of the reduced echelon form over Q
+            c = rng.choice(sorted(row))
+            row[c] *= _PRIMES[0]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("size", [(5, 14), (_BAREISS_CUTOFF // 2 + 1,
+                                           _BAREISS_CUTOFF - 10),
+                                  (_BAREISS_CUTOFF + 1, _BAREISS_CUTOFF + 10)])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), k=st.integers(0, 4),
+       weight=st.sampled_from([1, 2, 3, 4]), divisible=st.sampled_from([0, 1, 2]),
+       data=st.data())
+def test_sparse_path_matches_exact_elimination(size, seed, k, weight,
+                                               divisible, data):
+    """Weights 1 and 2 give at most 4 nonzeros per row, the sparse side of
+    the selection; 3 and 4 mostly the dense side.  With 2 nc rows, the middle
+    sizes take the sparse path with fewer columns than _BAREISS_CUTOFF, the
+    smallest go to exact elimination."""
+    nc = data.draw(st.integers(*size))
+    rows = _tall_system(seed, nc, min(k, nc - 1), weight, divisible)
+    exact = _kernel_exact_small(rows, nc)
+    fast = _certified_kernel([r for r in rows if r], nc)
+    if fast is not None:
+        assert Basis(fast).rows == Basis(exact).rows
+    m = qlinalg.IntRows(nc, rows)
+    assert kernel_basis(m) == exact
+    assert rank(m) == nc - len(exact)
+    dense = QMatrix(len(rows), nc, [[Fraction(r.get(c, 0)) for c in range(nc)]
+                                    for r in rows])
+    assert kernel_basis(dense) == exact and rank(dense) == nc - len(exact)
+
+
+def test_sparse_selection_follows_the_row_weight(monkeypatch):
+    calls = []
+    echelon = qlinalg._sparse_echelon
+    monkeypatch.setattr(qlinalg, "_sparse_echelon",
+                        lambda *a: calls.append(1) or echelon(*a))
+    weight = qlinalg._SPARSE_ROW_WEIGHT
+    tiny = _tall_system(1, 8, 2, 1, 0)
+    tall = _tall_system(1, 40, 2, 1, 0)
+    heavy = _tall_system(1, _BAREISS_CUTOFF + 2, 2, 4, 0)
+    assert sum(map(len, tall)) <= weight * len(tall)
+    assert sum(map(len, heavy)) > weight * len(heavy)
+    for rows, nc, sparse in [(tiny, 8, False), (tall, 40, True),
+                             (heavy, _BAREISS_CUTOFF + 2, False)]:
+        calls.clear()
+        assert len(kernel_basis(qlinalg.IntRows(nc, rows))) >= 2
+        assert bool(calls) == sparse
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+def test_normal_form_when_the_modular_pivots_differ(sparse):
+    """Column 0 vanishes mod p, so the modular pivots skip it, while over Q
+    it is the first pivot: the kernel still comes in the normal form of the
+    reduced echelon form."""
+    p = _PRIMES[0]
+    if sparse:
+        rows = [{2 * j: p, 2 * j + 1: 1} for j in range(_BAREISS_CUTOFF)]
+        first = kernel_basis(qlinalg.IntRows(2 * _BAREISS_CUTOFF, rows))[0]
+        assert first[:2] == [Fraction(-1, p), 1] and not any(first[2:])
+    else:
+        n = _BAREISS_CUTOFF + 3
+        rows = [{c: x for c, x in enumerate(r) if x}
+                for r in _guarded_matrix(2, n, 3)]
+        for r in rows:
+            r[0] = r.get(0, 1) * p
+    n = max(max(r) for r in rows) + 1
+    m = qlinalg.IntRows(n, rows)
+    assert kernel_basis(m) == _kernel_exact_small(rows, n)
+    assert rank(m) == n - len(_kernel_exact_small(rows, n))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), nc=st.integers(1, 30),
+       k=st.integers(0, 4), weight=st.sampled_from([1, 2, 4]))
+def test_pivot_rows_are_nonsingular_mod_p(seed, nc, k, weight):
+    """Both modular eliminations return input rows that are nonsingular mod p
+    on the pivot columns; the sparse one also solves with them."""
+    p = _PRIMES[0]
+    rows = [r for r in _tall_system(seed, nc, min(k, nc - 1), weight, 0) if r]
+    if not rows:
+        return
+    an = np.array([qlinalg._dense(r, nc) for r in rows])
+    dense_pivots, dense_rows, _ = qlinalg._mod_echelon(an, p)
+    pivots, chosen, solve = qlinalg._sparse_echelon(rows, nc, p)
+    assert len(pivots) == len(dense_pivots) == len(chosen) == len(dense_rows)
+    for piv, rr in [(pivots, chosen), (dense_pivots, dense_rows)]:
+        assert len(set(rr)) == len(rr)
+        sub = an[np.ix_(rr, piv)]
+        assert qlinalg._inverse_mod(sub, p) is not None
+    rng = random.Random(seed)
+    R = np.array([[rng.randrange(p) for _ in range(2)] for _ in pivots],
+                 dtype=np.int64).reshape(len(pivots), 2)
+    sub = an[np.ix_(chosen, pivots)]
+    assert not np.mod(sub @ solve(R) - R, p).any()
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+def test_rank_deficient_mod_p_is_answered_exactly(sparse):
+    """Rows r and r + p e_c are independent over Q but not mod p, so the
+    first prime finds too few pivots and its lifted vectors fail the check
+    over Z."""
+    p = _PRIMES[0]
+    n = _BAREISS_CUTOFF + 6
+    rng = random.Random(4)
+    rows = []
+    for j in range(0, n - 4, 2):
+        r = ({j: 1, j + 1: rng.randint(1, 3)} if sparse else
+             {c: rng.randint(-3, 3) for c in range(n)})
+        rows += [r, {**r, j: r.get(j, 0) + p}]
+    rows = [{c: x for c, x in r.items() if x} for r in rows]
+    exact = _kernel_exact_small(rows, n)
+    if sparse:
+        pivots = qlinalg._sparse_echelon(rows, n, p)[0]
+    else:
+        dense = np.array([qlinalg._dense(r, n) for r in rows])
+        pivots = qlinalg._mod_echelon(dense, p)[0]
+    assert len(pivots) < n - len(exact)
+    m = qlinalg.IntRows(n, rows)
+    assert kernel_basis(m) == exact
+    assert rank(m) == n - len(exact)
+
+
+@pytest.mark.parametrize("corrupt_every", [True, False])
+def test_a_corrupted_sparse_lift_never_reaches_the_kernel(monkeypatch,
+                                                          corrupt_every):
+    nc = _BAREISS_CUTOFF + 4
+    rows = _tall_system(7, nc, 3, 1, 1)
+    assert sum(map(len, rows)) <= qlinalg._SPARSE_ROW_WEIGHT * len(rows)
+    expected = _kernel_exact_small(rows, nc)
+    assert expected
+    lift = qlinalg._dixon_solve
+    seen = []
+
+    def corrupted(*args):
+        for t, candidate in enumerate(lift(*args)):
+            seen.append(t)
+            if corrupt_every or t == 0:
+                (d, w), *rest = candidate
+                candidate = [(d, [w[0] + 1] + w[1:])] + rest
+            yield candidate
+
+    monkeypatch.setattr(qlinalg, "_dixon_solve", corrupted)
+    m = qlinalg.IntRows(nc, rows)
+    assert kernel_basis(m) == expected
+    assert rank(m) == nc - len(expected)
+    assert seen
