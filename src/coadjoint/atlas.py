@@ -13,7 +13,10 @@ fingerprint, and the index along both the direct and the Rais route.
 
 from __future__ import annotations
 
+import ast
+import functools
 import math
+import operator
 import re
 import time
 from dataclasses import dataclass, field
@@ -43,80 +46,37 @@ class AtlasError(ValueError):
 # expressions
 # ---------------------------------------------------------------------------
 
-_EXPR_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|//|<=|>=|==|[-+*%(),])")
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod}
 
 
 def eval_expr(expr, env):
-    """Tiny integer expression evaluator: + - * // % ( ) binom(a,b), names."""
-    tokens = []
-    pos = 0
-    while pos < len(expr):
-        m = _EXPR_TOKEN.match(expr, pos)
-        if not m:
-            raise AtlasError(f"bad expression {expr!r} at {pos}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    out = []
-    i = 0
+    """Tiny integer expression evaluator: + - * // % ( ) binom(a,b), names;
+    anything else is an AtlasError."""
+    try:
+        tree = ast.parse(expr.strip(), mode="eval").body
+    except SyntaxError:
+        raise AtlasError(f"bad expression {expr!r}") from None
 
-    def parse_expr():
-        node = parse_term()
-        nonlocal i
-        while i < len(tokens) and tokens[i] in ("+", "-"):
-            op = tokens[i]
-            i += 1
-            rhs = parse_term()
-            node = (node + rhs) if op == "+" else (node - rhs)
-        return node
+    def value(node):
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            return _BINOPS[type(node.op)](value(node.left), value(node.right))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -value(node.operand)
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return node.value
+        if isinstance(node, ast.Name):
+            if node.id not in env:
+                raise AtlasError(f"unknown name {node.id!r} in expression "
+                                 f"{expr!r}")
+            return env[node.id]
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "binom" and len(node.args) == 2
+                and not node.keywords):
+            return math.comb(*map(value, node.args))
+        raise AtlasError(f"bad expression {expr!r}")
 
-    def parse_term():
-        nonlocal i
-        node = parse_atom()
-        while i < len(tokens) and tokens[i] in ("*", "//", "%"):
-            op = tokens[i]
-            i += 1
-            rhs = parse_atom()
-            if op == "*":
-                node = node * rhs
-            elif op == "//":
-                node = node // rhs
-            else:
-                node = node % rhs
-        return node
-
-    def parse_atom():
-        nonlocal i
-        tok = tokens[i]
-        if tok == "(":
-            i += 1
-            node = parse_expr()
-            assert tokens[i] == ")"
-            i += 1
-            return node
-        if tok == "-":
-            i += 1
-            return -parse_atom()
-        i += 1
-        if tok.isdigit():
-            return int(tok)
-        if tok == "binom":
-            assert tokens[i] == "("
-            i += 1
-            a = parse_expr()
-            assert tokens[i] == ","
-            i += 1
-            b = parse_expr()
-            assert tokens[i] == ")"
-            i += 1
-            return math.comb(a, b)
-        if tok in env:
-            return env[tok]
-        raise AtlasError(f"unknown name {tok!r} in expression {expr!r}")
-
-    node = parse_expr()
-    if i != len(tokens):
-        raise AtlasError(f"trailing tokens in expression {expr!r}")
-    return node
+    return value(tree)
 
 
 def _splice(template, env):
@@ -150,28 +110,17 @@ def named_fingerprint(name, cfg: SampleConfig) -> Fingerprint:
     """Fingerprint of a named algebra; sums with +, j*name multiplicities."""
     name = name.strip()
     key = (name, cfg.seed, cfg.height)
-    if key in _fp_cache:
-        return _fp_cache[key]
-    parts = _split_sum(name)
-    if len(parts) > 1:
-        fps = [named_fingerprint(p, cfg) for p in parts]
-        out = fps[0]
-        for f in fps[1:]:
-            out = fingerprint_sum(out, f)
-        _fp_cache[key] = out
-        return out
-    m = re.fullmatch(r"(\d+)\*(.+)", name)
-    if m:
-        k = int(m.group(1))
-        f1 = named_fingerprint(m.group(2), cfg)
-        out = f1
-        for _ in range(k - 1):
-            out = fingerprint_sum(out, f1)
-        _fp_cache[key] = out
-        return out
-    out = _atom_fingerprint(name, cfg)
-    _fp_cache[key] = out
-    return out
+    if key not in _fp_cache:
+        parts = _split_sum(name)
+        m = re.fullmatch(r"([1-9]\d*)\*(.+)", name)
+        if len(parts) > 1:
+            fps = [named_fingerprint(p, cfg) for p in parts]
+        elif m:
+            fps = [named_fingerprint(m.group(2), cfg)] * int(m.group(1))
+        else:
+            fps = [_atom_fingerprint(name, cfg)]
+        _fp_cache[key] = functools.reduce(fingerprint_sum, fps)
+    return _fp_cache[key]
 
 
 def _split_sum(name):
@@ -269,6 +218,7 @@ class RowCheck:
     passed: bool
     millis: int
     skipped: str = ""   # why the check did not run; it then has not passed
+    how: dict = None    # how a sampled check was established (_sampled)
 
 
 @dataclass
@@ -284,10 +234,11 @@ class RowReport:
         """Every check that ran held; skipped checks are reported as such."""
         return all(c.passed for c in self.checks if not c.skipped)
 
-    def record(self, check, expected, computed, t0):
+    def record(self, check, expected, computed, t0, how=None):
         self.checks.append(RowCheck(check, expected, computed,
                                     expected == computed,
-                                    int((time.perf_counter() - t0) * 1000)))
+                                    int((time.perf_counter() - t0) * 1000),
+                                    how=how))
 
     def skip(self, check, expected, reason, t0):
         self.checks.append(RowCheck(check, expected, "SKIP", False,
@@ -303,7 +254,8 @@ class RowReport:
             "checks": [
                 {"check": c.check, "expected": str(c.expected),
                  "computed": str(c.computed), "pass": c.passed,
-                 "millis": c.millis, "skipped": c.skipped}
+                 "millis": c.millis, "skipped": c.skipped,
+                 **({"how": c.how} if c.how else {})}
                 for c in self.checks
             ],
             "pass": self.passed,
@@ -490,20 +442,37 @@ def verify_row(row: TableRowSpec, env, cfg: SampleConfig, max_dim=400,
     t0 = time.perf_counter()
     st = generic_stabiliser_in_V(S, cfg)
     report.record("generic stabiliser dim", exp["stab_fp"].dim,
-                  st.dim if st.stabilised else "unstable", t0)
+                  st.dim if st.stabilised else "unstable", t0,
+                  _sampled(stabiliser=st))
     t0 = time.perf_counter()
     stab_fp = fingerprint(st.algebra, cfg)
     report.record("stabiliser fingerprint", str(exp["stab_fp"]),
-                  str(stab_fp) if st.stabilised else "unstable", t0)
+                  str(stab_fp) if st.stabilised else "unstable", t0,
+                  _sampled(stabiliser=st, stabiliser_index=stab_fp.index))
     t0 = time.perf_counter()
     d_ind = direct_index(S, cfg)
     report.record("index (direct)",
-                  exp["ind"], int(d_ind) if d_ind.stabilised else "unstable", t0)
+                  exp["ind"], int(d_ind) if d_ind.stabilised else "unstable", t0,
+                  _sampled(index=d_ind))
     t0 = time.perf_counter()
     r_ind = rais_index_at(S, st, cfg)
     report.record("index (Rais)",
-                  exp["ind"], int(r_ind) if r_ind.stabilised else "unstable", t0)
+                  exp["ind"], int(r_ind) if r_ind.stabilised else "unstable", t0,
+                  _sampled(stabiliser=st, stabiliser_index=stab_fp.index))
     return report
+
+
+def _sampled(**results):
+    """The `how` of a check resting on sampled results, by name: the primes,
+    miss bound, and ranks per round (IndexResult) or genericity target
+    (StabiliserResult) of each, and their summed miss bound."""
+    how = {"how": "sampled"}
+    for name, r in results.items():
+        how[name] = {"primes": list(r.primes), "miss_bound": r.miss_bound,
+                     **({"target": list(r.target)} if hasattr(r, "target")
+                        else {"ranks": list(r.samples)})}
+    how["miss_bound"] = sum(r.miss_bound for r in results.values())
+    return how
 
 
 @dataclass

@@ -18,9 +18,9 @@ arguments through `ad_table`, while Kirillov forms, the Killing form,
 subalgebras and the derivations of `invariants` sum in integers on
 `int_ad_table`.
 
-The index is computed per its definition: ind q = dim q - max rank B_gamma
-over sampled covectors gamma, with height escalation; the result carries a
-`stabilised` flag recording whether two consecutive rounds agreed.
+The index is computed per its definition, ind q = dim q - max rank B_gamma,
+with the ranks sampled over F_p; the result records the ranks, the primes,
+whether the maximal rank was seen twice (`stabilised`) and a miss bound.
 """
 
 from __future__ import annotations
@@ -28,18 +28,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .qlinalg import (
     Q0,
     Q1,
     QQ,
     Basis,
+    ModMatrix,
     QMatrix,
     SampleConfig,
     VerificationError,
     _common_denominator,
     as_q,
     rank,
-    sample_rounds,
+    sample_mod_p,
 )
 
 
@@ -129,30 +132,33 @@ class LieAlgebraData:
         else:
             self.brackets.pop((i, j), None)
 
-    def kirillov_form(self, gamma):
+    def kirillov_form(self, gamma, p=None):
         """The antisymmetric matrix B_gamma(x_i, x_j) = gamma([x_i, x_j]).
 
         Summed in integers as q B_gamma, from int_ad_table and gamma cleared
-        of its denominators, then divided by q.  When q = 1 (integral
-        structure constants at an integral gamma, as for every classical
-        algebra at a sampled point) the entries are exact Python ints, which
-        `rank` reads without clearing them again.
+        of its denominators, then divided by q.  Given a prime p and gamma in
+        F_p^n: the ModMatrix of (d/c) B_gamma mod p, c the content of the
+        table, so that brackets all divisible by p do not vanish mod p.
         """
         n = self.dim
         d, table = self.int_ad_table
+        if p is not None:
+            c = math.gcd(*(x for i, j in self.brackets
+                           for x in table[i][j].values()))
+            a = [[0] * n for _ in range(n)]
+            for i, j in self.brackets:
+                s = sum(x * gamma[k] for k, x in table[i][j].items()) // c % p
+                a[i][j], a[j][i] = s, -s % p
+            return ModMatrix(np.array(a, np.int64), p)
         D, (g,) = _common_denominator([[(k, x) for k, x in enumerate(gamma)
                                         if x]])
         g = dict(g)
-        q = d * D
-        zero = 0 if q == 1 else Q0
-        data = [[zero] * n for _ in range(n)]
+        data = [[Q0] * n for _ in range(n)]
         for i, j in self.brackets:
             s = sum(c * g[k] for k, c in table[i][j].items() if k in g)
             if s:
-                if q != 1:
-                    s = QQ(s, q)
-                data[i][j] = s
-                data[j][i] = -s
+                data[i][j] = QQ(s, d * D)
+                data[j][i] = -data[i][j]
         return QMatrix(n, n, data)
 
     def check_jacobi(self, max_dim=200):
@@ -164,18 +170,12 @@ class LieAlgebraData:
         n = self.dim
         for i in range(n):
             for j in range(i + 1, n):
-                bij = self.bracket_basis(i, j)
                 for k in range(j + 1, n):
                     acc = {}
-                    for l, c in bij.items():
-                        for mth, d in self.bracket_basis(l, k).items():
-                            acc[mth] = acc.get(mth, Q0) + c * d
-                    for l, c in self.bracket_basis(j, k).items():
-                        for mth, d in self.bracket_basis(l, i).items():
-                            acc[mth] = acc.get(mth, Q0) + c * d
-                    for l, c in self.bracket_basis(k, i).items():
-                        for mth, d in self.bracket_basis(l, j).items():
-                            acc[mth] = acc.get(mth, Q0) + c * d
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for l, x in self.bracket_basis(a, b).items():
+                            for mth, y in self.bracket_basis(l, c).items():
+                                acc[mth] = acc.get(mth, Q0) + x * y
                     if any(acc.values()):
                         raise VerificationError(
                             f"Jacobi fails at triple ({i},{j},{k})")
@@ -346,23 +346,18 @@ def sp_algebra(n):
     pair = lambda i: (i + m0) if i < m0 else (i - m0)
     sign = lambda i: 1 if i < m0 else -1
     # omega(e_i, e_pair(i)) = sign(i); X in sp iff X^T Om + Om X = 0
-    mats, labels, seen = [], [], []
-    cartan = []
+    mats, labels, seen, cartan = [], [], set(), []
     for i in range(n):
         for j in range(n):
-            # basis element supported at (i, j) and its symplectic partner
-            pi, pj = pair(i), pair(j)
-            key = (i, j)
-            pkey = (pj, pi)
-            if pkey in seen or key in seen:
+            # basis element supported at (i, j) and its symplectic partner,
+            # unless (i, j) is its own partner
+            partner = (pair(j), pair(i))
+            if partner in seen:
                 continue
             m = _unit_matrix(n, i, j)
-            c = -as_q(sign(i) * sign(j))
-            if (pj, pi) == (i, j):
-                pass  # self-paired entry, coefficient condition is automatic
-            else:
-                m.data[pj][pi] += c
-            seen.append(key)
+            if partner != (i, j):
+                m.data[partner[0]][partner[1]] -= sign(i) * sign(j)
+            seen.add((i, j))
             if i == j:
                 cartan.append(len(mats))
             mats.append(m)
@@ -377,15 +372,11 @@ def classical_algebra(family: str, n: int) -> LieAlgebraData:
     """Matrix Lie algebra of the stated size over Q (split forms)."""
     if n < 1:
         raise ValueError("size must be >= 1")
-    if family == "gl":
-        return gl_algebra(n)
-    if family == "sl":
-        return sl_algebra(n)
-    if family == "so":
-        return so_algebra(n)
-    if family == "sp":
-        return sp_algebra(n)
-    raise ValueError(f"unknown family {family!r}")
+    build = {"gl": gl_algebra, "sl": sl_algebra, "so": so_algebra,
+             "sp": sp_algebra}.get(family)
+    if build is None:
+        raise ValueError(f"unknown family {family!r}")
+    return build(n)
 
 
 def abelian_algebra(n):
@@ -419,42 +410,51 @@ def direct_sum(a: LieAlgebraData, b: LieAlgebraData) -> LieAlgebraData:
 
 
 class IndexResult(int):
-    """The index as an int, plus a flag recording sampling stabilisation."""
+    """The index as an int, with the rank and prime of each round, whether
+    the maximal rank was seen twice (stabilised), and miss_bound, a bound
+    on the probability that the maximum falls short of the generic rank."""
 
-    def __new__(cls, value, stabilised=True, samples=()):
+    def __new__(cls, value, stabilised=True, samples=(), primes=(),
+                miss_bound=0.0):
         obj = super().__new__(cls, value)
-        obj.stabilised = stabilised
-        obj.samples = tuple(samples)
+        obj.stabilised, obj.miss_bound = stabilised, miss_bound
+        obj.samples, obj.primes = tuple(samples), tuple(primes)
         return obj
 
 
 def index(L: LieAlgebraData, cfg: SampleConfig = SampleConfig()) -> IndexResult:
-    """ind L = dim L - max_gamma rank B_gamma over sampled gamma, escalating.
+    """ind L = dim L - max rank B_gamma, over gamma sampled in F_p^n.
 
-    Two consecutive rounds with the same maximal rank stabilise the result;
-    otherwise the height doubles, up to cfg.rounds escalations.
+    Each round ranks (d/c) B_gamma mod p at gamma uniform in F_p^n
+    (`sample_mod_p`).  A rank mod p never exceeds the rank over Q, so each
+    proves ind L <= dim L - r_p; it misses the generic rank r only where an
+    r x r minor, of degree r <= dim L, vanishes: probability <= dim L / p
+    (Schwartz, J. ACM 27 (1980); Zippel 1979).  Sampling stops when the
+    maximal rank is seen again, after at most cfg.rounds rounds; miss_bound
+    is the product of dim L / p over the rounds at the maximum.
     """
-    if L.dim == 0:
+    n = L.dim
+    if n == 0:
         return IndexResult(0, True)
-    best = -1
-    agreed = False
-    ranks = []
-    for gamma in sample_rounds(cfg, L.dim, "index"):
-        r = rank(L.kirillov_form(gamma))
+    ranks, primes = [], []
+    for p, gamma in sample_mod_p(cfg, n, "index"):
+        r = rank(L.kirillov_form(gamma, p))
+        again = bool(ranks) and r == max(ranks)
         ranks.append(r)
-        if r == best:
-            agreed = True
+        primes.append(p)
+        if again:
             break
-        if r > best:
-            best = r
-    return IndexResult(L.dim - best, stabilised=agreed, samples=ranks)
+    best = max(ranks)
+    at_max = [p for p, r in zip(primes, ranks) if r == best]
+    return IndexResult(n - best, len(at_max) > 1, ranks, primes,
+                       math.prod(n / p for p in at_max))
 
 
 def b_of(L: LieAlgebraData, cfg: SampleConfig = SampleConfig()):
     """b(q) = (ind q + dim q)/2, exact integer."""
     ind = index(L, cfg)
     assert (int(ind) + L.dim) % 2 == 0
-    return IndexResult((int(ind) + L.dim) // 2, stabilised=ind.stabilised)
+    return IndexResult((int(ind) + L.dim) // 2, **vars(ind))
 
 
 @dataclass(frozen=True)
@@ -547,7 +547,7 @@ def fingerprint(L: LieAlgebraData, cfg: SampleConfig = SampleConfig()) -> Finger
     ind = index(L, cfg)
     return Fingerprint(
         dim=L.dim,
-        index=int(ind),
+        index=ind,    # an IndexResult: how the index was sampled
         derived_series_dims=derived_series_dims(L),
         killing_rank=rank(killing_matrix(L)),
         center_dim=center_dim(L),

@@ -25,6 +25,9 @@ change of basis are stored over one common denominator each, and a vector's
 denominators are cleared once.  Subalgebras, submodules, invariant spaces,
 changes of basis, `inverse` and `solve_right` all go through it.
 
+`ModMatrix` is a matrix over F_p, ranked by `_mod_echelon`: sampled generic
+ranks are taken mod p at points from `sample_mod_p`.
+
 Also hosts the deterministic integer-point sampler used to realise "generic"
 points, with `sample_rounds`, the one height-doubling schedule of every
 generic-point search, and exact univariate interpolation for graded-component
@@ -193,6 +196,14 @@ class IntRows:
         self.rows, self.cols, self.data = len(data), cols, data
 
 
+class ModMatrix:
+    """A matrix over F_p: an int64 numpy array of residues, and p."""
+
+    def __init__(self, a, p):
+        self.a, self.p = a, p
+        self.rows, self.cols = a.shape
+
+
 def _int_row(row):
     """The nonzero entries of a rational row times the lcm of their
     denominators, as {column: int}; the shared Q0 is skipped by identity."""
@@ -262,34 +273,33 @@ def _mod_echelon(a, p):
     returns (pivot_cols, pivot_rows, reduced).  A row becomes a pivot row as
     itself plus multiples of earlier pivot rows and later gains only
     multiples of pivot rows, so the input rows pivot_rows are independent
-    mod p and nonsingular on the pivot columns."""
+    mod p and nonsingular on the pivot columns.  Entries are reduced only
+    where they are read (the pivot column and row) and at the end: each
+    step adds less than p^2 to an entry."""
     a = np.mod(a, p)
     nr, nc = a.shape
     perm = list(range(nr))
     piv_r = 0
     pivots = []
     for pc in range(nc):
-        col = a[piv_r:, pc]
-        nz = np.nonzero(col)[0]
+        nz = np.flatnonzero(a[piv_r:, pc] % p)
         if nz.size == 0:
             continue
         r = piv_r + int(nz[0])
         if r != piv_r:
             a[[piv_r, r]] = a[[r, piv_r]]
             perm[piv_r], perm[r] = perm[r], perm[piv_r]
-        piv = int(a[piv_r, pc])
-        a[piv_r] = (a[piv_r] * pow(piv, p - 2, p)) % p
-        col = a[:, pc].copy()
+        row = a[piv_r, pc:] % p
+        row = row * pow(int(row[0]), -1, p) % p
+        col = a[:, pc] % p
         col[piv_r] = 0
-        mask = col != 0
-        if mask.any():
-            # the pivot row is zero before pc
-            a[mask, pc:] = (a[mask, pc:] - np.outer(col[mask], a[piv_r, pc:])) % p
+        a[:, pc:] -= np.outer(col, row)
+        a[piv_r, pc:] = row
         pivots.append(pc)
         piv_r += 1
         if piv_r == nr:
             break
-    return pivots, perm[:piv_r], a
+    return pivots, perm[:piv_r], np.mod(a, p)
 
 
 def _sparse_echelon(a, nc, p):
@@ -489,7 +499,9 @@ _SPARSE_ROW_WEIGHT = 4
 
 
 def rank(m) -> int:
-    """Exact rank over Q of a QMatrix or IntRows."""
+    """Exact rank over Q of a QMatrix or IntRows; over F_p of a ModMatrix."""
+    if isinstance(m, ModMatrix):
+        return len(_mod_echelon(m.a, m.p)[0])
     a = _int_rows(m)
     kernel = _certified_kernel(a, m.cols) if a else None
     if kernel is None:
@@ -719,10 +731,10 @@ def _common_denominator(rows):
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """Deterministic sampling policy for "generic" rational points.
+    """Deterministic sampling policy for "generic" points.
 
-    height bounds the integer entries, rounds bounds the number of
-    escalations a generic-rank search may perform before giving up.
+    height bounds the integer entries of the first rational sample; rounds
+    bounds the number of samples a search draws before giving up.
     """
 
     seed: int = 2024
@@ -746,6 +758,15 @@ def sample_rounds(cfg: SampleConfig, dim: int, tag: str):
     for rnd in range(cfg.rounds):
         c = SampleConfig(cfg.seed, cfg.height * 2 ** rnd, cfg.rounds)
         yield sample_vector(c, dim, round_idx=rnd, tag=tag)
+
+
+def sample_mod_p(cfg: SampleConfig, dim: int, tag: str):
+    """The samples (p, x) of a search over F_p: round rnd takes the rnd-th
+    prime of _PRIMES (cyclically) and x uniform in F_p^dim."""
+    for rnd in range(cfg.rounds):
+        p = _PRIMES[rnd % len(_PRIMES)]
+        rng = random.Random(f"{cfg.seed}|{p}|{dim}|{rnd}|{tag}")
+        yield p, [rng.randrange(p) for _ in range(dim)]
 
 
 def _poly_mul_linear(poly, c):

@@ -11,22 +11,29 @@ basis, so a point of V* is just a rational vector of length dim V.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .liealg import (
     IndexResult,
     LieAlgebraData,
+    fingerprint,
     index as algebra_index,
     killing_matrix,
     subalgebra,
 )
 from .qlinalg import (
     Q0,
+    ModMatrix,
     QMatrix,
     SampleConfig,
+    _mod_echelon,
     as_q,
     kernel_basis,
     rank,
+    sample_mod_p,
     sample_rounds,
 )
 from .repn import RepresentationData
@@ -104,10 +111,17 @@ def semidirect(L: LieAlgebraData, R: RepresentationData, name=None
 
 @dataclass
 class StabiliserResult:
+    """q_x at the point x, exact; a generic one (generic_stabiliser_in_V)
+    records its target, primes and miss bound, and whether x reached it."""
+
     point: list
     algebra: LieAlgebraData
     dim_orbit: int
     basis: list = field(default_factory=list, repr=False)
+    stabilised: bool = True
+    target: tuple = None
+    primes: tuple = ()
+    miss_bound: float = 0.0
 
     @property
     def dim(self):
@@ -124,14 +138,16 @@ def stabiliser_in_V(S: SemiDirectProduct, x) -> StabiliserResult:
     # condition sum_i xi_i (rho_i^T x)_v = 0, one row per v
     rows = [[sum((c * x[w] for w, c in columns[v] if x[w]), Q0)
              for columns in S.rep.columns] for v in range(S.dim_V)]
-    ker = kernel_basis(QMatrix(S.dim_V, S.dim_g, rows))
-    sub = subalgebra(S.algebra, ker) if ker else _zero_algebra()
-    return StabiliserResult(point=x, algebra=sub,
-                            dim_orbit=S.dim_g - len(ker), basis=ker)
+    return _stabiliser(S.algebra, x,
+                       kernel_basis(QMatrix(S.dim_V, S.dim_g, rows)))
 
 
-def _zero_algebra():
-    return LieAlgebraData(0, [], metadata={"name": "0"})
+def _stabiliser(L: LieAlgebraData, point, ker) -> StabiliserResult:
+    """The stabiliser in L of point, spanned by the kernel basis ker."""
+    sub = (subalgebra(L, ker) if ker
+           else LieAlgebraData(0, [], metadata={"name": "0"}))
+    return StabiliserResult(point=point, algebra=sub,
+                            dim_orbit=L.dim - len(ker), basis=ker)
 
 
 def _genericity_key(st: StabiliserResult):
@@ -139,7 +155,8 @@ def _genericity_key(st: StabiliserResult):
 
     dim q_x is upper semicontinuous in x; over the points where it is minimal,
     dim [q_x, q_x] and the rank of the Killing form of q_x are lower
-    semicontinuous, so a generic x minimises the whole key.
+    semicontinuous, so a generic x minimises the whole key, at K; taken mod p
+    at x in F_p^{dim V}, it is never below K either (_genericity_target).
     """
     h = st.algebra
     rows = [[vec.get(k, Q0) for k in range(h.dim)] for vec in h.brackets.values()]
@@ -147,25 +164,74 @@ def _genericity_key(st: StabiliserResult):
     return (h.dim, -derived, -rank(killing_matrix(h)))
 
 
+def _genericity_target(S: SemiDirectProduct, cfg: SampleConfig):
+    """(the least _genericity_key mod p at a uniform x in F_p^{dim V}, over
+    two primes p; those primes).
+
+    key_p is never below the generic key K over Q: the rank of M(x), rows
+    x^T rho(x_i) in integers, mod p is at most its generic rank; where they
+    are equal, a minor nonzero at x writes a kernel basis, its brackets and
+    Killing form as integer polynomials in x (Cramer), whose ranks mod p are
+    again at most generic.  key_p = K unless a minor of degree <= dim g
+    vanishes at x: probability <= dim g / p.  The kernel basis u is in the
+    normal form of `_mod_echelon`, so coordinates in q_x are the entries at
+    the free columns; [u_a, u_b] is summed entry by entry of int_ad_table.
+    """
+    n, dim_V = S.dim_g, S.dim_V
+    cols = (col for columns in S.rep.columns for col in columns)
+    at, w, coef, den = np.array([(f, w, c.numerator, c.denominator)
+                                 for f, col in enumerate(cols) for w, c in col],
+                                np.int64).reshape(-1, 4).T
+    coef *= np.lcm.reduce(den, initial=1) // den
+    _, table = S.algebra.int_ad_table
+    s, t, r, val = np.array([(s, t, r, x) for s, t in S.algebra.brackets
+                             for r, x in table[s][t].items()],
+                            np.int64).reshape(-1, 4).T
+    keys, primes = [], []
+    for _, (p, x) in zip(range(2), sample_mod_p(cfg, dim_V, "stab")):
+        M = np.zeros(n * dim_V, np.int64)    # M[v, i] at i * dim V + v
+        np.add.at(M, at, coef * np.array(x, np.int64)[w])
+        pivots, _, red = _mod_echelon((M % p).reshape(n, dim_V).T, p)
+        free = sorted(set(range(n)) - set(pivots))
+        k = len(free)
+        U = np.zeros((k, n), np.int64)
+        U[range(k), free] = 1
+        U[:, pivots] = -red[:len(pivots), free].T % p
+        C = np.zeros((k, k, k), np.int64)    # [u_a, u_b] = C[a, b] . u
+        for f, col in enumerate(free):
+            e = r == col
+            B = U[:, s[e]] @ (U[:, t[e]] * val[e] % p).T
+            C[:, :, f] = (B - B.T) % p
+        killing = (C.reshape(k, k * k)
+                   @ C.transpose(0, 2, 1).reshape(k, k * k).T)
+        keys.append((k, -rank(ModMatrix(C[np.triu_indices(k, 1)], p)),
+                     -rank(ModMatrix(killing % p, p))))
+        primes.append(p)
+    return min(keys), tuple(primes)
+
+
 def generic_stabiliser_in_V(S: SemiDirectProduct, cfg: SampleConfig
                             ) -> StabiliserResult:
-    """Stabiliser at a sampled generic x: the best sample by _genericity_key.
+    """The exact q_x at the first rational x of `sample_rounds` whose exact
+    _genericity_key reaches the target T of _genericity_target.
 
-    Sampling stops when a round agrees with the best sample on the whole key;
-    `stabilised` records whether that happened within cfg.rounds.
+    T and every exact key are at least the generic key K, so x has key K
+    unless both primes of T missed: its dimension is generic up to
+    miss_bound = prod dim g / p.  If no round reaches T, the most generic
+    sample is returned, not stabilised.
     """
+    target, primes = _genericity_target(S, cfg)
     best = best_key = None
-    agreed = False
     for x in sample_rounds(cfg, S.dim_V, "stab"):
         st = stabiliser_in_V(S, x)
         key = _genericity_key(st)
-        if best is not None and key == best_key:
-            agreed = True
-            best = st
-            break
         if best is None or key < best_key:
             best, best_key = st, key
-    best.stabilised = agreed
+        if key <= target:
+            break
+    best.stabilised = best_key <= target
+    best.target, best.primes = target, primes
+    best.miss_bound = math.prod(S.dim_g / p for p in primes)
     return best
 
 
@@ -181,7 +247,9 @@ def rais_index_at(S: SemiDirectProduct, st: StabiliserResult,
     generic_stabiliser_in_V); stabilised only if both samplings were."""
     sub_ind = algebra_index(st.algebra, cfg)
     val = S.dim_V - st.dim_orbit + int(sub_ind)
-    return IndexResult(val, stabilised=st.stabilised and sub_ind.stabilised)
+    return IndexResult(val, st.stabilised and sub_ind.stabilised,
+                       sub_ind.samples, st.primes + sub_ind.primes,
+                       st.miss_bound + sub_ind.miss_bound)
 
 
 def direct_index(S: SemiDirectProduct, cfg: SampleConfig = SampleConfig()
@@ -192,11 +260,7 @@ def direct_index(S: SemiDirectProduct, cfg: SampleConfig = SampleConfig()
 def stabiliser_full(S: SemiDirectProduct, xi) -> StabiliserResult:
     """s_xi = kernel of B_xi on all of s, for xi in s*."""
     xi = [as_q(c) for c in xi]
-    B = S.total.kirillov_form(xi)
-    ker = kernel_basis(B)
-    sub = subalgebra(S.total, ker) if ker else _zero_algebra()
-    return StabiliserResult(point=xi, algebra=sub,
-                            dim_orbit=S.dim - len(ker), basis=ker)
+    return _stabiliser(S.total, xi, kernel_basis(S.total.kirillov_form(xi)))
 
 
 def split_stabiliser_dim(S: SemiDirectProduct, gamma, y) -> int:
@@ -235,19 +299,11 @@ def codim2_evidence(S: SemiDirectProduct, divisor_points, cfg: SampleConfig
     property for g_x.  Reports evidence only; a single point per divisor never
     proves the open-subset statement.
     """
-    from .liealg import center_dim, derived_series_dims, killing_matrix
-
     ind_s = direct_index(S, cfg)
     st = generic_stabiliser_in_V(S, cfg)
-    ga = st.algebra
-    if ga.dim == 0:
-        reductive = True
-    else:
-        ds = derived_series_dims(ga)
-        kr = rank(killing_matrix(ga))
-        zd = center_dim(ga)
-        derived = ds[1] if len(ds) > 1 else 0
-        reductive = (kr == derived) and (derived + zd == ga.dim)
+    fp = fingerprint(st.algebra, cfg)
+    derived = fp.derived_series_dims[1]
+    reductive = fp.killing_rank == derived == fp.dim - fp.center_dim
     verdicts = []
     for y in divisor_points:
         sty = stabiliser_in_V(S, y)

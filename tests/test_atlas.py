@@ -233,6 +233,24 @@ def test_validate_reports_a_skipped_check_as_skip(monkeypatch):
     assert "SKIP jacobi+rep property: Jacobi identity not checked" in text
 
 
+def test_sampled_checks_state_how_they_were_sampled():
+    from coadjoint.atlas import render_report
+
+    rep = verify_row(_row(load_atlas(cfg=CFG), 1, "2a"), {}, CFG)
+    row = rep.as_dict()
+    hows = {c["check"]: c.get("how") for c in row["checks"]}
+    assert hows.pop("dim V") is None
+    assert sorted(hows) == ["generic stabiliser dim", "index (Rais)",
+                            "index (direct)", "stabiliser fingerprint"]
+    for how in hows.values():
+        assert how["how"] == "sampled" and how["miss_bound"] <= 1e-4
+    stab = hows["generic stabiliser dim"]["stabiliser"]
+    assert stab["target"] == [14, -14, -14] and len(stab["primes"]) == 2
+    assert hows["index (direct)"]["index"]["ranks"][-2:] == [26, 26]
+    assert hows["index (Rais)"] == hows["stabiliser fingerprint"]
+    assert "sampled" not in render_report({"rows": [row], "pass": rep.passed})
+
+
 def test_unstable_generic_stabiliser_is_recorded_as_unstable(monkeypatch):
     import coadjoint.atlas as atlas
 
@@ -285,11 +303,13 @@ def test_cli_report_prints_what_verify_printed(tmp_path, capsys):
     (3, 1, "1", {"n": 4, "m": 1}),
     (20, 2, "1e", {"n": 2, "m": 2}),
     (26, 1, "2a", {}),
+    (35, 1, "2a", {}),
 ])
 def test_verify_row_at_seeds_with_a_special_first_agreement(seed, table, label,
                                                             env):
-    # At these seeds two sampled points agree on dim q_x while the first has a
-    # stabiliser of the right dimension but the wrong algebra; the generic
+    # At these seeds sampled points have a stabiliser of the right dimension
+    # but the wrong algebra (at seed 35 the first two lie on the null cone of
+    # the invariant quadric of spin8, and their keys agree); the generic
     # stabiliser must still be found.
     cfg = SampleConfig(seed=seed, height=5, rounds=8)
     row = _row(load_atlas(cfg=cfg), table, label)

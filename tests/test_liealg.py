@@ -20,7 +20,14 @@ from coadjoint.liealg import (
     matrix_algebra,
     subalgebra,
 )
-from coadjoint.qlinalg import QMatrix, SampleConfig, VerificationError, rank
+from coadjoint.qlinalg import (
+    _PRIMES,
+    QMatrix,
+    SampleConfig,
+    VerificationError,
+    rank,
+    sample_rounds,
+)
 from coadjoint.repn import standard_rep
 from coadjoint.semidirect import semidirect
 
@@ -80,6 +87,87 @@ def test_reductive_index_large_sl():
     for n in (16, 20):
         ind = index(classical_algebra("sl", n), CFG)
         assert ind.stabilised and int(ind) == n - 1
+
+
+def _index_at_rational_samples(L, cfg):
+    """The former rule, kept as the reference: dim L minus the maximal exact
+    rank over Q of B_gamma at rational samples of doubling height, sampling
+    until the maximum is seen twice."""
+    best = -1
+    for gamma in sample_rounds(cfg, L.dim, "index"):
+        r = rank(L.kirillov_form(gamma))
+        if r == best:
+            break
+        best = max(best, r)
+    return L.dim - best
+
+
+@pytest.mark.parametrize("family,sizes", [
+    ("gl", range(1, 9)), ("sl", range(2, 9)), ("so", range(3, 9)),
+    ("sp", (2, 4, 6, 8)),
+])
+def test_index_mod_p_is_the_rational_rule_on_classical(family, sizes):
+    for n in sizes:
+        L = classical_algebra(family, n)
+        ind = index(L, CFG)
+        assert int(ind) == _index_at_rational_samples(L, CFG), (family, n)
+        assert ind.stabilised and ind.miss_bound <= (L.dim / _PRIMES[1]) ** 2
+        assert ind.primes == tuple(_PRIMES[:len(ind.samples)])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(2, 5))
+def test_index_mod_p_is_the_rational_rule_on_random_subalgebras(seed, n):
+    # a strict partial order and some diagonal units span a subalgebra of
+    # gl_n; an invertible integer recombination of that basis gives it
+    # fractional structure constants
+    rng = random.Random(seed)
+    less = {(i, j) for i in range(n) for j in range(i + 1, n)
+            if rng.random() < 0.5}
+    for j in range(n):      # transitive closure, j the middle element
+        for i in range(n):
+            for k in range(n):
+                if (i, j) in less and (j, k) in less:
+                    less.add((i, k))
+    units = sorted(less | {(i, i) for i in range(n) if rng.random() < 0.6})
+    if not units:
+        return
+    m = len(units)
+    while True:
+        mix = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)]
+        if rank(QMatrix.from_rows(mix)) == m:
+            break
+    basis = [[Fraction(0)] * (n * n) for _ in range(m)]
+    for row, out in zip(mix, basis):
+        for c, (i, j) in zip(row, units):
+            out[i * n + j] += c
+    sub = algebra_on_basis(classical_algebra("gl", n), basis)
+    assert int(index(sub, CFG)) == _index_at_rational_samples(sub, CFG)
+
+
+def test_index_mod_p_is_the_rational_rule_on_stabilisers_of_products():
+    from coadjoint.repn import build_module
+    from coadjoint.semidirect import generic_stabiliser_in_V
+
+    for family, n, summands in [("so", 5, [("phi1", 1)]),
+                                ("sp", 4, [("phi1", 2)]),
+                                ("sl", 3, [("phi1", 1)]),
+                                ("so", 7, [("phi3", 1)])]:
+        L = classical_algebra(family, n)
+        S = semidirect(L, build_module(family, n, summands, L=L))
+        for alg in (S.total, generic_stabiliser_in_V(S, CFG).algebra):
+            assert int(index(alg, CFG)) == _index_at_rational_samples(alg,
+                                                                      CFG)
+
+
+def test_index_divides_the_content_of_the_structure_table():
+    # every bracket a multiple of both first primes: without dividing the
+    # content out, B_gamma would vanish mod p at both and the index read 5
+    L = heisenberg_algebra(2)
+    for i in range(2):
+        L.set_bracket(i, 2 + i, {4: _PRIMES[0] * _PRIMES[1]})
+    ind = index(L, CFG)
+    assert int(ind) == 1 and ind.samples[:2] == (4, 4)
 
 
 def test_index_parity():

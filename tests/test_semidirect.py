@@ -73,6 +73,29 @@ def test_generic_stabiliser_sp4_k4():
     assert fingerprint(st.algebra, CFG) == fingerprint(sp_heis_algebra(1), CFG)
 
 
+@pytest.mark.parametrize("family,n,module", [
+    ("so", 5, "phi1"), ("sp", 4, "phi1"), ("so", 7, "phi3")])
+def test_genericity_target_is_never_below_an_exact_key(family, n, module):
+    # key_p >= the generic key over Q at every prime and point: the target
+    # is never more generic than the exact keys at rational points, and it
+    # is reached by one of them
+    from coadjoint.repn import build_module
+    from coadjoint.semidirect import _genericity_key, _genericity_target
+
+    L = classical_algebra(family, n)
+    S = semidirect(L, build_module(family, n, [(module, 1)], L=L))
+    keys = [_genericity_key(stabiliser_in_V(
+        S, sample_vector(SampleConfig(300 + t, 5, 1), S.dim_V, 0, "x")))
+        for t in range(8)]
+    for seed in range(8):
+        target, primes = _genericity_target(S, SampleConfig(seed, 5, 8))
+        assert target >= min(keys) and target in keys
+        assert primes == (46337, 46327)
+    st = generic_stabiliser_in_V(S, CFG)
+    assert st.stabilised and _genericity_key(st) == st.target
+    assert st.miss_bound == pytest.approx(L.dim ** 2 / (46337 * 46327))
+
+
 def test_rais_examples():
     L5 = classical_algebra("so", 5)
     S5 = semidirect(L5, standard_rep(L5))
