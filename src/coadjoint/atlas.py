@@ -218,7 +218,7 @@ class RowCheck:
     passed: bool
     millis: int
     skipped: str = ""   # why the check did not run; it then has not passed
-    how: dict = None    # how a sampled check was established (_sampled)
+    how: dict = None    # how the check was established: _EXACT or _sampled
 
 
 @dataclass
@@ -409,6 +409,10 @@ def row_expectations(row: TableRowSpec, env, cfg):
 # ---------------------------------------------------------------------------
 
 
+# the `how` of a check computed exactly, with nothing sampled
+_EXACT = {"how": "exact"}
+
+
 def verify_row(row: TableRowSpec, env, cfg: SampleConfig, max_dim=400,
                validate=False) -> RowReport:
     """Rebuild one instance and compare every checkable column."""
@@ -423,7 +427,7 @@ def verify_row(row: TableRowSpec, env, cfg: SampleConfig, max_dim=400,
     L = classical_algebra(row.family, exp["size"])
     summands = [(lbl, mult) for mult, lbl in exp["module"] if mult > 0]
     R = build_module(row.family, exp["size"], summands, L=L)
-    report.record("dim V", exp["dim_v"], R.dim_V, t0)
+    report.record("dim V", exp["dim_v"], R.dim_V, t0, _EXACT)
     S = semidirect(L, R)
     if validate:
         t0 = time.perf_counter()
@@ -438,14 +442,14 @@ def verify_row(row: TableRowSpec, env, cfg: SampleConfig, max_dim=400,
         if not_run:
             report.skip("jacobi+rep property", True, "; ".join(not_run), t0)
         else:
-            report.record("jacobi+rep property", True, True, t0)
+            report.record("jacobi+rep property", True, True, t0, _EXACT)
     t0 = time.perf_counter()
     st = generic_stabiliser_in_V(S, cfg)
     report.record("generic stabiliser dim", exp["stab_fp"].dim,
                   st.dim if st.stabilised else "unstable", t0,
                   _sampled(stabiliser=st))
     t0 = time.perf_counter()
-    stab_fp = fingerprint(st.algebra, cfg)
+    stab_fp = fingerprint(st.algebra, cfg, killing_rank=st.killing_rank)
     report.record("stabiliser fingerprint", str(exp["stab_fp"]),
                   str(stab_fp) if st.stabilised else "unstable", t0,
                   _sampled(stabiliser=st, stabiliser_index=stab_fp.index))
@@ -455,7 +459,7 @@ def verify_row(row: TableRowSpec, env, cfg: SampleConfig, max_dim=400,
                   exp["ind"], int(d_ind) if d_ind.stabilised else "unstable", t0,
                   _sampled(index=d_ind))
     t0 = time.perf_counter()
-    r_ind = rais_index_at(S, st, cfg)
+    r_ind = rais_index_at(S, st, cfg, stab_fp.index)
     report.record("index (Rais)",
                   exp["ind"], int(r_ind) if r_ind.stabilised else "unstable", t0,
                   _sampled(stabiliser=st, stabiliser_index=stab_fp.index))

@@ -815,7 +815,8 @@ def restrict_psi(S: SemiDirectProduct, H: MultiPoly, x, adapted_basis=None):
             if mono[a]:
                 raise RestrictionEscapes(f"complement coordinate y{a + 1}")
     out = MultiPoly(kdim, {mono[:kdim]: c for mono, c in Q.terms.items()})
-    sub = algebra_on_basis(S.algebra, rows)
+    # q_x is built on st.basis itself; an adapted basis needs its own table
+    sub = st.algebra if adapted_basis is None else algebra_on_basis(S.algebra, rows)
     if not _killed(sub, out, range(sub.dim)):
         raise VerificationError("psi_x image is not a q_x-invariant")
     return out, sub, basis
@@ -1004,7 +1005,7 @@ def z2_contraction(spec: ContractionSpec):
     # g1 as a g0-module: the adjoint columns of L along the embedding of
     # g0, restricted to the echelonised minus-basis
     g1 = Basis(minus).rows
-    ad = L.ad_table
+    d, ad = L.int_ad_table
     columns = []
     for b0 in emb:
         cols = [{} for _ in range(L.dim)]
@@ -1012,8 +1013,9 @@ def z2_contraction(spec: ContractionSpec):
             if a:
                 for v, vec in ad[i].items():
                     for w, c in vec.items():
-                        cols[v][w] = cols[v].get(w, Q0) + a * c
-        columns.append([_column(c) for c in cols])
+                        cols[v][w] = cols[v].get(w, 0) + a * c
+        columns.append([_column({w: x / d for w, x in c.items()})
+                        for c in cols])
     rep = _submodule(RepresentationData(g0, columns, L.dim, label="ad"), g1,
                      "g1")
     S = semidirect(g0, rep, name=f"contraction({L.metadata['name']})")

@@ -1,4 +1,4 @@
-"""Lie algebras as rational structure-constant tables.
+"""Lie algebras as structure-constant tables, stored in integers.
 
 Constructors for the split classical algebras gl, sl, so (antidiagonal
 symmetric form) and sp (standard block form J = [[0, I], [-I, 0]]), plus the
@@ -11,12 +11,14 @@ fixed points g_0 of a Z2-contraction all go through it.  Its expander
 (`metadata["expand"]`, from `make_expander`) is the one way to write a matrix
 in such a basis.
 
-Structure constants live in `brackets` (i < j) and, built from it on first
-use, in `ad_table` (every ordered pair) and `int_ad_table` (d ad_table in
-ints, d the lcm of the denominators); brackets walk the supports of their
-arguments through `ad_table`, while Kirillov forms, the Killing form,
-subalgebras and the derivations of `invariants` sum in integers on
-`int_ad_table`.
+Each algebra stores its structure constants once, as `int_ad_table` =
+(d, table): table[i][j] = d [x_i, x_j] in ints for every ordered pair, d the
+least common denominator, written by the constructor and never changed.
+Every builder writes integers (commutators of cleared matrices, cleared
+module columns, brackets of cleared basis vectors), and every reader sums in
+integers: brackets of vectors and Kirillov forms divide by d at the end,
+while the Killing form, the derived and centre ranks (on `IntRows`),
+subalgebras and the derivations of `invariants` stay integral.
 
 The index is computed per its definition, ind q = dim q - max rank B_gamma,
 with the ranks sampled over F_p; the result records the ranks, the primes,
@@ -35,11 +37,13 @@ from .qlinalg import (
     Q1,
     QQ,
     Basis,
+    IntRows,
     ModMatrix,
     QMatrix,
     SampleConfig,
     VerificationError,
     _common_denominator,
+    _dense,
     as_q,
     rank,
     sample_mod_p,
@@ -55,82 +59,74 @@ class NotClosedError(ValueError):
 
 
 class LieAlgebraData:
-    """Structure constants c[i][j] -> sparse vector of [x_i, x_j].
+    """A Lie algebra by its structure constants, stored once, in integers.
 
-    brackets maps (i, j) with i < j to {k: coefficient}; antisymmetry fills the
-    rest.  Only set_bracket writes it.  metadata carries optional construction
-    hints (matrix realisation, Cartan indices, ad-weights) used by downstream
-    fast paths; none of it is required for correctness.
+    int_ad_table = (d, table): table[i][j] = d [x_i, x_j] as {k: int} for
+    every ordered pair with a nonzero bracket (table[j][i] is its negative),
+    d the least common denominator of the structure constants.  The
+    constructor is the one builder: `brackets` maps each pair (i, j), i < j,
+    to d [x_i, x_j] as {k: int or rational}, cleared and reduced to lowest
+    terms once.  Nothing writes the table afterwards; read it, never write
+    it.  metadata carries optional construction hints (matrix realisation,
+    Cartan indices, ad-weights) used by downstream fast paths; none of it is
+    required for correctness.
     """
 
-    def __init__(self, dim, basis_labels=None, brackets=None, metadata=None):
+    def __init__(self, dim, basis_labels=None, brackets=None, metadata=None,
+                 d=1):
         self.dim = dim
         self.basis_labels = basis_labels or [f"x{i}" for i in range(dim)]
         assert len(self.basis_labels) == dim
-        self.brackets = brackets or {}
         self.metadata = metadata or {}
-        self._ad_table = None
-        self._int_ad_table = None
+        items = (brackets or {}).items()
+        e = math.lcm(1, *(c.denominator for _, vec in items
+                          for c in vec.values()))
+        items = [(ij, {k: c.numerator * (e // c.denominator)
+                       for k, c in vec.items() if c}) for ij, vec in items]
+        g = math.gcd(d * e, *(c for _, vec in items for c in vec.values()))
+        table = [{} for _ in range(dim)]
+        for (i, j), vec in items:
+            if not 0 <= i < j < dim:
+                raise ValueError(f"bracket pair ({i}, {j}) is not i < j < {dim}")
+            if vec:
+                table[i][j] = {k: c // g for k, c in vec.items()}
+                table[j][i] = {k: -c for k, c in table[i][j].items()}
+        self.int_ad_table = (d * e // g, table)
 
-    @property
-    def ad_table(self):
-        """ad_table[i][j] = [x_i, x_j] as {k: coeff}, for every ordered pair
-        with a nonzero bracket; built from `brackets` on first use and dropped
-        by set_bracket.  The dicts are shared: read them, never write them."""
-        if self._ad_table is None:
-            table = [{} for _ in range(self.dim)]
-            for (i, j), vec in self.brackets.items():
-                table[i][j] = vec
-                table[j][i] = {k: -c for k, c in vec.items()}
-            self._ad_table = table
-        return self._ad_table
-
-    @property
-    def int_ad_table(self):
-        """(d, table) with table[i][j] = d [x_i, x_j] as {k: int}, d the lcm
-        of the denominators of the structure constants; built beside
-        ad_table on first use and dropped by set_bracket."""
-        if self._int_ad_table is None:
-            d = math.lcm(1, *(c.denominator for vec in self.brackets.values()
-                              for c in vec.values()))
-            table = [{j: {k: c.numerator * (d // c.denominator)
-                          for k, c in vec.items()} for j, vec in row.items()}
-                     for row in self.ad_table]
-            self._int_ad_table = (d, table)
-        return self._int_ad_table
+    def int_brackets(self):
+        """(i, j, d [x_i, x_j] as {k: int}) over the pairs i < j with a
+        nonzero bracket."""
+        return [(i, j, vec) for i, row in enumerate(self.int_ad_table[1])
+                for j, vec in row.items() if i < j]
 
     def bracket_basis(self, i, j):
-        """[x_i, x_j] as {k: coeff}."""
-        return self.ad_table[i].get(j, {})
+        """[x_i, x_j] as {k: rational}."""
+        d, table = self.int_ad_table
+        return {k: QQ(c, d) for k, c in table[i].get(j, {}).items()}
 
     def bracket(self, u, v):
         """[u, v] for coefficient vectors u, v.
 
-        Walks supp u x supp v through ad_table: the cost grows with the
-        supports of u and v, not with the size of the structure table.
+        Walks supp u x supp v through the integer table, u and v cleared of
+        their denominators: the cost grows with the supports of u and v, not
+        with the size of the table.
         """
-        sv = [(j, b) for j, b in enumerate(v) if b]
+        d, table = self.int_ad_table
+        (du, (su,)), (dv, (sv,)) = (
+            _common_denominator([[(i, a) for i, a in enumerate(w) if a]])
+            for w in (u, v))
         out = {}
-        for i, a in enumerate(u):
-            if a:
-                row = self.ad_table[i]
-                for j, b in sv:
-                    for k, c in row.get(j, {}).items():
-                        out[k] = out.get(k, Q0) + a * b * c
+        for i, a in su:
+            row = table[i]
+            for j, b in sv:
+                for k, c in row.get(j, {}).items():
+                    out[k] = out.get(k, 0) + a * b * c
+        q = d * du * dv
         res = [Q0] * self.dim
         for k, c in out.items():
-            if c != 0:
-                res[k] = c
+            if c:
+                res[k] = QQ(c, q)
         return res
-
-    def set_bracket(self, i, j, vec):
-        assert i < j
-        self._ad_table = self._int_ad_table = None
-        vec = {k: as_q(c) for k, c in vec.items() if c != 0}
-        if vec:
-            self.brackets[(i, j)] = vec
-        else:
-            self.brackets.pop((i, j), None)
 
     def kirillov_form(self, gamma, p=None):
         """The antisymmetric matrix B_gamma(x_i, x_j) = gamma([x_i, x_j]).
@@ -141,41 +137,43 @@ class LieAlgebraData:
         table, so that brackets all divisible by p do not vanish mod p.
         """
         n = self.dim
-        d, table = self.int_ad_table
+        d, _ = self.int_ad_table
+        pairs = self.int_brackets()
         if p is not None:
-            c = math.gcd(*(x for i, j in self.brackets
-                           for x in table[i][j].values()))
+            c = math.gcd(*(x for *_, vec in pairs for x in vec.values()))
             a = [[0] * n for _ in range(n)]
-            for i, j in self.brackets:
-                s = sum(x * gamma[k] for k, x in table[i][j].items()) // c % p
+            for i, j, vec in pairs:
+                s = sum(x * gamma[k] for k, x in vec.items()) // c % p
                 a[i][j], a[j][i] = s, -s % p
             return ModMatrix(np.array(a, np.int64), p)
         D, (g,) = _common_denominator([[(k, x) for k, x in enumerate(gamma)
                                         if x]])
         g = dict(g)
         data = [[Q0] * n for _ in range(n)]
-        for i, j in self.brackets:
-            s = sum(c * g[k] for k, c in table[i][j].items() if k in g)
+        for i, j, vec in pairs:
+            s = sum(c * g[k] for k, c in vec.items() if k in g)
             if s:
                 data[i][j] = QQ(s, d * D)
                 data[j][i] = -data[i][j]
         return QMatrix(n, n, data)
 
     def check_jacobi(self, max_dim=200):
-        """Exhaustive Jacobi check; raises VerificationError with a witness
-        triple.  Returns True when the check ran, False when dim > max_dim
-        skipped it."""
+        """Exhaustive Jacobi check on the integer table (d^2 times each
+        Jacobi sum); raises VerificationError with a witness triple.
+        Returns True when the check ran, False when dim > max_dim skipped
+        it."""
         if self.dim > max_dim:
             return False
         n = self.dim
+        table = self.int_ad_table[1]
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
                     acc = {}
                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for l, x in self.bracket_basis(a, b).items():
-                            for mth, y in self.bracket_basis(l, c).items():
-                                acc[mth] = acc.get(mth, Q0) + x * y
+                        for l, x in table[a].get(b, {}).items():
+                            for mth, y in table[l].get(c, {}).items():
+                                acc[mth] = acc.get(mth, 0) + x * y
                     if any(acc.values()):
                         raise VerificationError(
                             f"Jacobi fails at triple ({i},{j},{k})")
@@ -195,23 +193,26 @@ def matrix_algebra(mats, labels, metadata):
     """The Lie algebra spanned by independent square matrices, in their basis.
 
     The only builder of an algebra from matrices: metadata gains
-    "matrices", "matrix_size" and "expand" (make_expander on mats), and each
-    commutator is written in the basis by that expander.  Raises
-    VerificationError when a commutator leaves the span.
+    "matrices", "matrix_size" and "expand" (make_expander on mats).  The
+    commutators are taken in integers, of the matrices times D, the lcm of
+    their denominators, and the expander writes each D^2 [A, B] in the basis:
+    the table is built with d = D^2.  Raises VerificationError when a
+    commutator leaves the span.
     """
-    dim = len(mats)
-    alg = LieAlgebraData(dim, labels, metadata=metadata)
-    alg.metadata["matrices"] = mats
-    alg.metadata["matrix_size"] = mats[0].rows if mats else 0
     expand = make_expander(mats)
-    alg.metadata["expand"] = expand
+    metadata = dict(metadata, matrices=mats, expand=expand,
+                    matrix_size=mats[0].rows if mats else 0)
     sparse = [m.entries() for m in mats]
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            comm = _commutator_sparse(sparse[a], sparse[b])
+    D = math.lcm(1, *(v.denominator for m in sparse for v in m.values()))
+    cleared = [{pos: v.numerator * (D // v.denominator) for pos, v in m.items()}
+               for m in sparse]
+    brackets = {}
+    for a, ma in enumerate(cleared):
+        for b in range(a + 1, len(mats)):
+            comm = _commutator_sparse(ma, cleared[b])
             if comm:
-                alg.set_bracket(a, b, expand(comm))
-    return alg
+                brackets[(a, b)] = expand(comm)
+    return LieAlgebraData(len(mats), labels, brackets, metadata, d=D * D)
 
 
 def _commutator_sparse(a, b):
@@ -220,12 +221,19 @@ def _commutator_sparse(a, b):
     for (i, k), va in a.items():
         for (k2, j), vb in b.items():
             if k == k2:
-                out[(i, j)] = out.get((i, j), Q0) + va * vb
+                out[(i, j)] = out.get((i, j), 0) + va * vb
     for (i, k), vb in b.items():
         for (k2, j), va in a.items():
             if k == k2:
-                out[(i, j)] = out.get((i, j), Q0) - vb * va
+                out[(i, j)] = out.get((i, j), 0) - vb * va
     return {p: v for p, v in out.items() if v != 0}
+
+
+def _quotient(a, b):
+    """a / b exactly; an int when a and b are ints and b divides a."""
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    return QQ(a) / b
 
 
 def make_expander(mats):
@@ -235,18 +243,21 @@ def make_expander(mats):
     by a single matrix fixes that matrix's coefficient exactly, and is peeled
     off (all off-diagonal positions of the classical bases); whatever remains
     is solved on the positions with several owners, in the matrices that own
-    no position alone.  Raises VerificationError outside the span.
+    no position alone.  Raises VerificationError outside the span.  Integral
+    entries are kept as ints, so an integer target over a basis of integer
+    matrices is peeled in integers.
     """
     dim = len(mats)
     owners = {}
-    sparse = [m.entries() for m in mats]
+    sparse = [{pos: v.numerator if v.denominator == 1 else v
+               for pos, v in m.entries().items()} for m in mats]
     for b, entries in enumerate(sparse):
         for pos in entries:
             owners.setdefault(pos, []).append(b)
     single = {pos: bs[0] for pos, bs in owners.items() if len(bs) == 1}
     multi_idx = [b for b in range(dim) if not any(p in single for p in sparse[b])]
     multi_pos = sorted({pos for pos, bs in owners.items() if len(bs) > 1})
-    multi = Basis([[sparse[b].get(pos, Q0) for pos in multi_pos]
+    multi = Basis([[sparse[b].get(pos, 0) for pos in multi_pos]
                    for b in multi_idx])
 
     def expand(target):
@@ -255,26 +266,26 @@ def make_expander(mats):
         coeffs = {}
         for pos in list(work):
             b = single.get(pos)
-            if b is None or work.get(pos, Q0) == 0:
+            if b is None or not work.get(pos):
                 continue
-            f = work[pos] / sparse[b][pos]
-            coeffs[b] = coeffs.get(b, Q0) + f
+            f = _quotient(work[pos], sparse[b][pos])
+            coeffs[b] = coeffs.get(b, 0) + f
             for p2, v2 in sparse[b].items():
-                r = work.get(p2, Q0) - f * v2
+                r = work.get(p2, 0) - f * v2
                 if r == 0:
                     work.pop(p2, None)
                 else:
                     work[p2] = r
         residue = {p for p, v in work.items() if v != 0}
         if residue:
-            rhs = [work.get(pos, Q0) for pos in multi_pos]
+            rhs = [work.get(pos, 0) for pos in multi_pos]
             sol = multi.coords(rhs) if residue <= set(multi_pos) else None
             if sol is None:
                 raise VerificationError(f"matrix not in span: {residue}")
             for b_local, c in enumerate(sol):
                 if c != 0:
                     b = multi_idx[b_local]
-                    coeffs[b] = coeffs.get(b, Q0) + c
+                    coeffs[b] = coeffs.get(b, 0) + c
         return coeffs
 
     return expand
@@ -387,21 +398,19 @@ def abelian_algebra(n):
 def heisenberg_algebra(n):
     """heis_n: dimension 2n+1, [p_i, q_i] = z, z central."""
     labels = [f"p{i + 1}" for i in range(n)] + [f"q{i + 1}" for i in range(n)] + ["z"]
-    alg = LieAlgebraData(2 * n + 1, labels, metadata={"name": f"heis{n}"})
-    for i in range(n):
-        alg.set_bracket(i, n + i, {2 * n: Q1})
-    return alg
+    return LieAlgebraData(2 * n + 1, labels,
+                          {(i, n + i): {2 * n: 1} for i in range(n)},
+                          {"name": f"heis{n}"})
 
 
 def direct_sum(a: LieAlgebraData, b: LieAlgebraData) -> LieAlgebraData:
     labels = [f"L.{s}" for s in a.basis_labels] + [f"R.{s}" for s in b.basis_labels]
-    out = LieAlgebraData(a.dim + b.dim, labels,
-                         metadata={"name": f"{a.metadata.get('name')}+{b.metadata.get('name')}"})
-    for (i, j), vec in a.brackets.items():
-        out.set_bracket(i, j, dict(vec))
-    for (i, j), vec in b.brackets.items():
-        out.set_bracket(a.dim + i, a.dim + j, {a.dim + k: c for k, c in vec.items()})
-    return out
+    brackets = {(off + i, off + j): {off + k: QQ(c, alg.int_ad_table[0])
+                                     for k, c in vec.items()}
+                for off, alg in ((0, a), (a.dim, b))
+                for i, j, vec in alg.int_brackets()}
+    return LieAlgebraData(a.dim + b.dim, labels, brackets,
+                          {"name": f"{a.metadata.get('name')}+{b.metadata.get('name')}"})
 
 
 # ---------------------------------------------------------------------------
@@ -478,14 +487,14 @@ class Fingerprint:
                 f"killing={self.killing_rank}, center={self.center_dim})")
 
 
-def killing_matrix(L: LieAlgebraData) -> QMatrix:
-    """tr(ad x_i ad x_j) = sum over a, b of [x_i, x_a]_b [x_j, x_b]_a: one
-    outer product per pair (a, b) of the vectors i -> [x_i, x_a]_b and
-    j -> [x_j, x_b]_a, summed in integers on int_ad_table."""
+def killing_matrix(L: LieAlgebraData) -> IntRows:
+    """d^2 tr(ad x_i ad x_j), as IntRows: tr(ad x_i ad x_j) = sum over a, b
+    of [x_i, x_a]_b [x_j, x_b]_a, one outer product per pair (a, b) of the
+    vectors i -> [x_i, x_a]_b and j -> [x_j, x_b]_a, summed in integers on
+    int_ad_table."""
     n = L.dim
-    d, table = L.int_ad_table
     by_pair = {}
-    for i, row in enumerate(table):
+    for i, row in enumerate(L.int_ad_table[1]):
         for a, vec in row.items():
             for b, c in vec.items():
                 by_pair.setdefault((a, b), []).append((i, c))
@@ -494,62 +503,53 @@ def killing_matrix(L: LieAlgebraData) -> QMatrix:
         for j, e in by_pair.get((b, a), ()):
             for i, c in col:
                 acc[i][j] += c * e
-    return QMatrix(n, n, [[QQ(x, d * d) if x else Q0 for x in row]
-                          for row in acc])
+    return IntRows(n, [{j: x for j, x in enumerate(row) if x} for row in acc])
+
+
+def derived_dim(L: LieAlgebraData) -> int:
+    """dim [L, L]: the rank of the rows of the integer table."""
+    return rank(IntRows(L.dim, [vec for *_, vec in L.int_brackets()]))
 
 
 def derived_series_dims(L: LieAlgebraData):
     """Dims of L, [L, L], [[L,L],[L,L]], ... until stable or zero."""
-    dims = [L.dim]
-    # first derived algebra straight from the sparse table
-    span_rows = []
-    for vec in L.brackets.values():
-        row = [Q0] * L.dim
-        for k, c in vec.items():
-            row[k] = c
-        span_rows.append(row)
-    while True:
-        if not span_rows:
-            dims.append(0)
-            break
-        current = Basis(span_rows).rows
-        r = len(current)
-        dims.append(r)
-        if r == dims[-2] or r == 0:
-            break
-        span_rows = []
-        for a in range(r):
-            for b in range(a + 1, r):
-                v = L.bracket(current[a], current[b])
-                if any(x != 0 for x in v):
-                    span_rows.append(v)
+    dims = [L.dim, derived_dim(L)]
+    if 0 < dims[1] < L.dim:
+        basis = Basis([_dense(vec, L.dim) for *_, vec in L.int_brackets()])
+    while 0 < dims[-1] < dims[-2]:
+        current = basis.rows
+        basis = Basis([v for a, u in enumerate(current) for w in current[a + 1:]
+                       if any(v := L.bracket(u, w))])
+        dims.append(len(basis))
     return tuple(dims)
 
 
 def center_dim(L: LieAlgebraData) -> int:
     """dim of the center = common kernel of all ad maps.
 
-    Exact rank of the matrix whose row j lists the coefficient of x_k in
-    [x_i, x_j], one column per (i, k) pair present in the structure table.
+    Exact rank of the integer matrix whose row j lists the coefficient of
+    x_k in d [x_i, x_j], one column per (i, k) pair present in the table.
     """
     pos = {}
     rows = [{} for _ in range(L.dim)]
-    for (i, j), vec in L.brackets.items():
+    for i, j, vec in L.int_brackets():
         for k, c in vec.items():
             rows[j][pos.setdefault((i, k), len(pos))] = c
             rows[i][pos.setdefault((j, k), len(pos))] = -c
-    n = len(pos)
-    return L.dim - rank(QMatrix(L.dim, n, [[r.get(t, Q0) for t in range(n)]
-                                           for r in rows]))
+    return L.dim - rank(IntRows(len(pos), rows))
 
 
-def fingerprint(L: LieAlgebraData, cfg: SampleConfig = SampleConfig()) -> Fingerprint:
+def fingerprint(L: LieAlgebraData, cfg: SampleConfig = SampleConfig(),
+                killing_rank=None) -> Fingerprint:
+    """The fingerprint of L; killing_rank, when the caller has it already
+    (the genericity key of a stabiliser), is not computed again."""
     ind = index(L, cfg)
     return Fingerprint(
         dim=L.dim,
         index=ind,    # an IndexResult: how the index was sampled
         derived_series_dims=derived_series_dims(L),
-        killing_rank=rank(killing_matrix(L)),
+        killing_rank=(rank(killing_matrix(L)) if killing_rank is None
+                      else killing_rank),
         center_dim=center_dim(L),
     )
 
@@ -575,48 +575,64 @@ def fingerprint_sum(a: Fingerprint, b: Fingerprint) -> Fingerprint:
 
 
 def subalgebra(L: LieAlgebraData, span) -> LieAlgebraData:
-    """Structure constants of a bracket-closed span, in the echelonised basis.
+    """Structure constants of a bracket-closed span, in the echelonised basis
+    (whose pivots are its unit columns, see algebra_on_basis).
 
     span: list of coefficient vectors in the basis of L.  Raises
     NotClosedError with a witness pair if a bracket leaves the span.
     """
-    return algebra_on_basis(L, Basis([[as_q(x) for x in v] for v in span]).rows)
+    echelon = Basis(span)
+    return algebra_on_basis(L, echelon.rows, echelon.pivots)
 
 
-def algebra_on_basis(L: LieAlgebraData, basis) -> LieAlgebraData:
+def algebra_on_basis(L: LieAlgebraData, basis, units=None) -> LieAlgebraData:
     """Structure constants of L on the independent vectors `basis`, in exactly
-    those coordinates.  Raises NotClosedError with a witness pair if a
-    bracket leaves their span.
+    those coordinates, built in integers.  Raises NotClosedError with a
+    witness pair if a bracket leaves their span.
 
-    ad(u_i) is built once, as sparse columns {t: [u_i, x_t]}; each
-    [u_i, u_j] is then read off it along supp u_j.  Both run on integers:
-    each u_i is scaled by the lcm of its denominators and ad is read off
-    int_ad_table; the coordinates divide both out again.
+    The vectors are cleared to U = E basis (E the lcm of their
+    denominators).  ad(U_i) is built once, as sparse columns
+    {t: d [U_i, x_t]}, and w = d [U_i, U_j] = d E^2 [u_i, u_j] is read off
+    it along supp U_j; the table is built with d E^2 from the coordinates of
+    w.  units, when given, are columns c_m with basis[l][c_m] = [l == m] (the
+    pivots of an echelon basis, the free columns of a kernel basis in the
+    normal form of kernel_basis): the coordinates of w are then its entries
+    at them, checked exactly as E w = sum_m w[c_m] U_m.  Otherwise they are
+    Basis.coords, None outside the span.
     """
-    span = Basis(basis)
     k = len(basis)
-    sub = LieAlgebraData(k, [f"y{i + 1}" for i in range(k)],
-                         metadata={"name": "subalgebra", "parent": L,
-                                   "embedding": basis})
-    scaled = [_common_denominator([[(t, a) for t, a in enumerate(u) if a]])
-              for u in basis]
-    d, ad = L.int_ad_table
-    for i, (di, (ui,)) in enumerate(scaled):
+    span = Basis(basis) if units is None else None
+    E, rows = _common_denominator([[(t, a) for t, a in enumerate(u) if a]
+                                   for u in basis])
+    table = L.int_ad_table[1]
+    brackets = {}
+    for i, ui in enumerate(rows):
         ad_u = {}
         for s, a in ui:
-            for t, vec in ad[s].items():
+            for t, vec in table[s].items():
                 col = ad_u.setdefault(t, {})
                 for r, c in vec.items():
                     col[r] = col.get(r, 0) + a * c
         for j in range(i + 1, k):
-            dj, (uj,) = scaled[j]
-            out = [0] * L.dim
-            for t, b in uj:
+            w = {}
+            for t, b in rows[j]:
                 for r, c in ad_u.get(t, {}).items():
-                    out[r] += b * c
-            coeffs = span.coords(out)
-            if coeffs is None:
+                    w[r] = w.get(r, 0) + b * c
+            if units is None:
+                coeffs = span.coords(_dense(w, L.dim))
+                closed = coeffs is not None
+                coeffs = dict(enumerate(coeffs or ()))
+            else:
+                coeffs = {m: w[c] for m, c in enumerate(units) if w.get(c)}
+                residual = {r: E * c for r, c in w.items()}
+                for m, c in coeffs.items():
+                    for t, a in rows[m]:
+                        residual[t] = residual.get(t, 0) - c * a
+                closed = not any(residual.values())
+            if not closed:
                 raise NotClosedError(i, j)
-            q = d * di * dj
-            sub.set_bracket(i, j, {t: c / q for t, c in enumerate(coeffs) if c})
-    return sub
+            brackets[(i, j)] = coeffs
+    return LieAlgebraData(k, [f"y{i + 1}" for i in range(k)], brackets,
+                          {"name": "subalgebra", "parent": L,
+                           "embedding": basis},
+                          d=L.int_ad_table[0] * E * E)

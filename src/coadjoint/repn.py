@@ -88,8 +88,8 @@ def check_representation(R: RepresentationData, max_cost=10 ** 7):
 
     [rho(x_i), rho(x_j)] must equal rho([x_i, x_j]) = sum_k c_k rho(x_k) for
     all basis pairs.  With M_i = D rho(x_i) integral (D the lcm of every
-    denominator of the module) and e the lcm of the denominators of the c_k,
-    that is e [M_i, M_j] = sum_k (e c_k D) M_k, checked exactly on integer
+    denominator of the module) and d c_k read off the integer table of the
+    algebra, that is d [M_i, M_j] = sum_k (d c_k D) M_k, checked exactly on integer
     matrices: int64 when a bound on every entry fits, Python integers
     otherwise.  Returns True when the check ran, False when
     dim g * (dim V)^2 > max_cost skipped it.
@@ -104,22 +104,19 @@ def check_representation(R: RepresentationData, max_cost=10 ** 7):
     entries = [x for m in action for row in m.data for x in row if x]
     D = math.lcm(1, *(x.denominator for x in entries))
     amax = max((int(abs(x) * D) for x in entries), default=0)
-    pairs = []
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            b = L.bracket_basis(i, j)
-            e = math.lcm(1, *(c.denominator for c in b.values()))
-            pairs.append((i, j, e, [(k, int(c * e * D)) for k, c in b.items()]))
-    bound = max((2 * n * amax * amax * e + (amax + 1) * sum(abs(c) for _, c in b)
-                 for _, _, e, b in pairs), default=0)
+    d, table = L.int_ad_table
+    pairs = [(i, j, [(k, c * D) for k, c in table[i].get(j, {}).items()])
+             for i in range(L.dim) for j in range(i + 1, L.dim)]
+    bound = max((2 * n * amax * amax * d + (amax + 1) * sum(abs(c) for _, c in b)
+                 for _, _, b in pairs), default=0)
     dtype = np.int64 if bound < 2 ** 62 else object
     M = [np.array([[int(x * D) for x in row] for row in m.data], dtype=dtype)
          for m in action]
-    for i, j, e, b in pairs:
+    for i, j, b in pairs:
         expect = np.zeros((n, n), dtype=dtype)
         for k, c in b:
             expect = expect + M[k] * c
-        if not np.array_equal((M[i] @ M[j] - M[j] @ M[i]) * e, expect):
+        if not np.array_equal((M[i] @ M[j] - M[j] @ M[i]) * d, expect):
             raise VerificationError(
                 f"representation property fails at pair ({i},{j})")
     return True
@@ -482,7 +479,8 @@ def _spin_weights(L, basis):
 
 def adjoint_rep(L: LieAlgebraData) -> RepresentationData:
     out = RepresentationData(
-        L, [[_column(row.get(j, {})) for j in range(L.dim)] for row in L.ad_table],
+        L, [[_column(L.bracket_basis(i, j)) for j in range(L.dim)]
+            for i in range(L.dim)],
         L.dim, label="adjoint")
     out.weights = _diag_weights(out)
     return out

@@ -19,16 +19,18 @@ import numpy as np
 from .liealg import (
     IndexResult,
     LieAlgebraData,
+    algebra_on_basis,
+    derived_dim,
     fingerprint,
     index as algebra_index,
     killing_matrix,
-    subalgebra,
 )
 from .qlinalg import (
     Q0,
+    IntRows,
     ModMatrix,
-    QMatrix,
     SampleConfig,
+    _common_denominator,
     _mod_echelon,
     as_q,
     kernel_basis,
@@ -57,18 +59,23 @@ class SemiDirectProduct:
         labels = list(algebra.basis_labels) + [
             f"v{i + 1}" for i in range(self.dim_V)
         ]
-        total = LieAlgebraData(dim, labels)
-        for (i, j), vec in algebra.brackets.items():
-            total.set_bracket(i, j, dict(vec))
+        # one integer table: the algebra's and the module columns, both
+        # scaled to the lcm of their denominators
+        d, _ = algebra.int_ad_table
+        D = math.lcm(d, *(c.denominator for columns in rep.columns
+                          for col in columns for _, c in col))
+        brackets = {(i, j): {k: c * (D // d) for k, c in vec.items()}
+                    for i, j, vec in algebra.int_brackets()}
+        g = self.dim_g
         for i, columns in enumerate(rep.columns):
             for v, col in enumerate(columns):
                 if col:
-                    total.set_bracket(i, self.dim_g + v,
-                                      {self.dim_g + w: c for w, c in col})
+                    brackets[(i, g + v)] = {g + w: c.numerator * (D // c.denominator)
+                                            for w, c in col}
         gname = algebra.metadata.get("name", "q")
-        total.metadata["name"] = name or f"{gname}|x {rep.label}"
-        total.metadata["semidirect"] = self
-        self.total = total
+        self.total = LieAlgebraData(
+            dim, labels, brackets,
+            {"name": name or f"{gname}|x {rep.label}", "semidirect": self}, d=D)
         # grading blocks: the q block, then one block per V summand
         self.blocks = [("g", 0, self.dim_g)] + [
             (lbl, self.dim_g + off, sz) for (lbl, off, sz) in rep.blocks
@@ -111,14 +118,17 @@ def semidirect(L: LieAlgebraData, R: RepresentationData, name=None
 
 @dataclass
 class StabiliserResult:
-    """q_x at the point x, exact; a generic one (generic_stabiliser_in_V)
-    records its target, primes and miss bound, and whether x reached it."""
+    """q_x at the point x, exact, with `basis` the kernel vectors its
+    structure constants are on; a generic one (generic_stabiliser_in_V)
+    records its exact genericity key, its target, primes and miss bound, and
+    whether x reached the target."""
 
     point: list
     algebra: LieAlgebraData
     dim_orbit: int
     basis: list = field(default_factory=list, repr=False)
     stabilised: bool = True
+    key: tuple = None
     target: tuple = None
     primes: tuple = ()
     miss_bound: float = 0.0
@@ -127,26 +137,41 @@ class StabiliserResult:
     def dim(self):
         return self.algebra.dim
 
+    @property
+    def killing_rank(self):
+        """The rank of the Killing form of q_x, read off key; None if no key
+        was computed."""
+        return None if self.key is None else -self.key[2]
+
 
 def stabiliser_in_V(S: SemiDirectProduct, x) -> StabiliserResult:
-    """q_x = { xi in q : xi . x = 0 } for x in V*, with its structure constants.
+    """q_x = { xi in q : xi . x = 0 } for x in V*, with its structure constants
+    on the kernel basis (_stabiliser).
 
     The coadjoint action on V* is the negative transpose of the module action,
-    so q_x is the kernel of the rows x^T rho(x_i).
+    so q_x is the kernel of the rows x^T rho(x_i).  They are written as
+    IntRows: x cleared of its denominators, and rho(x_i) read off the integer
+    table of s, where the module columns are cleared once.
     """
     x = [as_q(c) for c in x]
+    _, (xs,) = _common_denominator([[(w, c) for w, c in enumerate(x) if c]])
+    xs = dict(xs)
+    g, table = S.dim_g, S.total.int_ad_table[1]
     # condition sum_i xi_i (rho_i^T x)_v = 0, one row per v
-    rows = [[sum((c * x[w] for w, c in columns[v] if x[w]), Q0)
-             for columns in S.rep.columns] for v in range(S.dim_V)]
-    return _stabiliser(S.algebra, x,
-                       kernel_basis(QMatrix(S.dim_V, S.dim_g, rows)))
+    rows = [{i: s for i in range(g)
+             if (s := sum(c * xs.get(w - g, 0)
+                          for w, c in table[i].get(g + v, {}).items()))}
+            for v in range(S.dim_V)]
+    return _stabiliser(S.algebra, x, kernel_basis(IntRows(g, rows)))
 
 
 def _stabiliser(L: LieAlgebraData, point, ker) -> StabiliserResult:
-    """The stabiliser in L of point, spanned by the kernel basis ker."""
-    sub = (subalgebra(L, ker) if ker
-           else LieAlgebraData(0, [], metadata={"name": "0"}))
-    return StabiliserResult(point=point, algebra=sub,
+    """The stabiliser in L of point, on the kernel basis ker itself: in the
+    normal form of kernel_basis, each u_m is 1 at its free column, its last
+    nonzero entry, and 0 at the others, the unit columns of
+    algebra_on_basis."""
+    free = [max(t for t, a in enumerate(u) if a) for u in ker]
+    return StabiliserResult(point=point, algebra=algebra_on_basis(L, ker, free),
                             dim_orbit=L.dim - len(ker), basis=ker)
 
 
@@ -157,11 +182,10 @@ def _genericity_key(st: StabiliserResult):
     dim [q_x, q_x] and the rank of the Killing form of q_x are lower
     semicontinuous, so a generic x minimises the whole key, at K; taken mod p
     at x in F_p^{dim V}, it is never below K either (_genericity_target).
+    Both ranks are of IntRows read off the integer table of q_x.
     """
     h = st.algebra
-    rows = [[vec.get(k, Q0) for k in range(h.dim)] for vec in h.brackets.values()]
-    derived = rank(QMatrix(len(rows), h.dim, rows))
-    return (h.dim, -derived, -rank(killing_matrix(h)))
+    return (h.dim, -derived_dim(h), -rank(killing_matrix(h)))
 
 
 def _genericity_target(S: SemiDirectProduct, cfg: SampleConfig):
@@ -178,14 +202,14 @@ def _genericity_target(S: SemiDirectProduct, cfg: SampleConfig):
     the free columns; [u_a, u_b] is summed entry by entry of int_ad_table.
     """
     n, dim_V = S.dim_g, S.dim_V
-    cols = (col for columns in S.rep.columns for col in columns)
-    at, w, coef, den = np.array([(f, w, c.numerator, c.denominator)
-                                 for f, col in enumerate(cols) for w, c in col],
-                                np.int64).reshape(-1, 4).T
-    coef *= np.lcm.reduce(den, initial=1) // den
-    _, table = S.algebra.int_ad_table
-    s, t, r, val = np.array([(s, t, r, x) for s, t in S.algebra.brackets
-                             for r, x in table[s][t].items()],
+    # the module columns, cleared in the integer table of s
+    at, w, coef = np.array([(i * dim_V + t - n, u - n, c)
+                            for i, row in enumerate(S.total.int_ad_table[1][:n])
+                            for t, col in row.items() if t >= n
+                            for u, c in col.items()],
+                           np.int64).reshape(-1, 3).T
+    s, t, r, val = np.array([(s, t, r, x) for s, t, vec in S.algebra.int_brackets()
+                             for r, x in vec.items()],
                             np.int64).reshape(-1, 4).T
     keys, primes = [], []
     for _, (p, x) in zip(range(2), sample_mod_p(cfg, dim_V, "stab")):
@@ -221,15 +245,15 @@ def generic_stabiliser_in_V(S: SemiDirectProduct, cfg: SampleConfig
     sample is returned, not stabilised.
     """
     target, primes = _genericity_target(S, cfg)
-    best = best_key = None
+    best = None
     for x in sample_rounds(cfg, S.dim_V, "stab"):
         st = stabiliser_in_V(S, x)
-        key = _genericity_key(st)
-        if best is None or key < best_key:
-            best, best_key = st, key
-        if key <= target:
+        st.key = _genericity_key(st)
+        if best is None or st.key < best.key:
+            best = st
+        if st.key <= target:
             break
-    best.stabilised = best_key <= target
+    best.stabilised = best.key <= target
     best.target, best.primes = target, primes
     best.miss_bound = math.prod(S.dim_g / p for p in primes)
     return best
@@ -242,10 +266,14 @@ def rais_index(S: SemiDirectProduct, cfg: SampleConfig = SampleConfig()
 
 
 def rais_index_at(S: SemiDirectProduct, st: StabiliserResult,
-                  cfg: SampleConfig = SampleConfig()) -> IndexResult:
+                  cfg: SampleConfig = SampleConfig(), sub_ind=None
+                  ) -> IndexResult:
     """The Rais formula at a generic stabiliser st = q_x (from
-    generic_stabiliser_in_V); stabilised only if both samplings were."""
-    sub_ind = algebra_index(st.algebra, cfg)
+    generic_stabiliser_in_V); stabilised only if both samplings were.
+    sub_ind, when the caller has it already (the fingerprint of q_x at the
+    same cfg), is the index of q_x; otherwise it is sampled here."""
+    if sub_ind is None:
+        sub_ind = algebra_index(st.algebra, cfg)
     val = S.dim_V - st.dim_orbit + int(sub_ind)
     return IndexResult(val, st.stabilised and sub_ind.stabilised,
                        sub_ind.samples, st.primes + sub_ind.primes,
@@ -301,7 +329,7 @@ def codim2_evidence(S: SemiDirectProduct, divisor_points, cfg: SampleConfig
     """
     ind_s = direct_index(S, cfg)
     st = generic_stabiliser_in_V(S, cfg)
-    fp = fingerprint(st.algebra, cfg)
+    fp = fingerprint(st.algebra, cfg, killing_rank=st.killing_rank)
     derived = fp.derived_series_dims[1]
     reductive = fp.killing_rank == derived == fp.dim - fp.center_dim
     verdicts = []

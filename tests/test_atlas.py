@@ -236,10 +236,13 @@ def test_validate_reports_a_skipped_check_as_skip(monkeypatch):
 def test_sampled_checks_state_how_they_were_sampled():
     from coadjoint.atlas import render_report
 
-    rep = verify_row(_row(load_atlas(cfg=CFG), 1, "2a"), {}, CFG)
+    rep = verify_row(_row(load_atlas(cfg=CFG), 1, "2a"), {}, CFG,
+                     validate=True)
     row = rep.as_dict()
     hows = {c["check"]: c.get("how") for c in row["checks"]}
-    assert hows.pop("dim V") is None
+    # the checks that sample nothing say so
+    assert hows.pop("dim V") == {"how": "exact"}
+    assert hows.pop("jacobi+rep property") == {"how": "exact"}
     assert sorted(hows) == ["generic stabiliser dim", "index (Rais)",
                             "index (direct)", "stabiliser fingerprint"]
     for how in hows.values():

@@ -34,6 +34,7 @@ from coadjoint.invariants import (
     monomials_of_block_degrees,
 )
 from coadjoint.liealg import (
+    LieAlgebraData,
     algebra_on_basis,
     classical_algebra,
     heisenberg_algebra,
@@ -152,12 +153,13 @@ def test_is_invariant_over_z(seed):
     assert not is_invariant(S, H + extra)
 
 
-def _reference_derivative(L, i, P):
-    """x_i . P summed over Q, straight from the rational ad_table."""
+def _reference_derivative(table, i, P):
+    """x_i . P summed over Q, straight from a rational table
+    {(i, j): [x_i, x_j]} of every ordered pair."""
     out = {}
     for m, c in P.terms.items():
         for j, e in enumerate(m):
-            for k, coef in L.ad_table[i].get(j, {}).items() if e else ():
+            for k, coef in table.get((i, j), {}).items() if e else ():
                 m2 = list(m)
                 m2[j] -= 1
                 m2[k] += 1
@@ -166,35 +168,48 @@ def _reference_derivative(L, i, P):
     return MultiPoly(P.nvars, {m: c for m, c in out.items() if c})
 
 
+# [H, E] = 2E, [H, F] = -2F, [E, F] = H in the basis (H, E, F) of sl2
+_SL2 = {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}
+
+
 def _rescaled_sl2(rng):
-    """sl2 on the basis H/a, E/b, F/c: fractional structure constants."""
+    """sl2 on the basis H/a, E/b, F/c: fractional structure constants; with
+    its rational table, every ordered pair, computed from _SL2."""
     scale = [Fraction(rng.randint(1, 5), rng.choice(DENS)) for _ in range(3)]
-    return algebra_on_basis(classical_algebra("sl", 2),
-                            [[s if t == r else 0 for t in range(3)]
-                             for r, s in enumerate(scale)])
+    L = algebra_on_basis(classical_algebra("sl", 2),
+                         [[s if t == r else 0 for t in range(3)]
+                          for r, s in enumerate(scale)])
+    # [s_i x_i, s_j x_j] = sum_k s_i s_j c_k / s_k (s_k x_k)
+    table = {}
+    for (i, j), vec in _SL2.items():
+        table[(i, j)] = {k: scale[i] * scale[j] * c / scale[k]
+                         for k, c in vec.items()}
+        table[(j, i)] = {k: -c for k, c in table[(i, j)].items()}
+    return L, table
 
 
 @SETTINGS
 @given(st.integers(0, 10 ** 6))
 def test_integer_table_matches_the_rational_table(seed):
     rng = random.Random(seed)
-    L = _rescaled_sl2(rng)
+    L, rational = _rescaled_sl2(rng)
     d, table = L.int_ad_table
     assert d > 0
-    for i, row in enumerate(L.ad_table):
-        assert set(row) == set(table[i])
+    for i, row in enumerate(table):
+        assert set(row) == {j for a, j in rational if a == i}
         for j, vec in row.items():
-            assert {k: QQ(c, d) for k, c in table[i][j].items()} == vec
+            assert {k: QQ(c, d) for k, c in vec.items()} == rational[(i, j)]
     P = _random_poly(rng, L.dim, 3, terms=5)
     for i in range(L.dim):
         got = lie_derivative_in(L, i, P)
-        assert got == _reference_derivative(L, i, P) and _all_fractions(got)
+        assert got == _reference_derivative(rational, i, P)
+        assert _all_fractions(got)
     gamma = _point(rng, L.dim)
     B = L.kirillov_form(gamma)
     for i in range(L.dim):
         for j in range(L.dim):
             want = sum((c * gamma[k] for k, c in
-                        L.ad_table[i].get(j, {}).items()), Fraction(0))
+                        rational.get((i, j), {}).items()), Fraction(0))
             assert B.data[i][j] == want
 
 
@@ -202,7 +217,7 @@ def test_integer_table_matches_the_rational_table(seed):
 @given(st.integers(0, 10 ** 6))
 def test_is_invariant_on_fractional_constants(seed):
     rng = random.Random(seed)
-    L = _rescaled_sl2(rng)
+    L, _ = _rescaled_sl2(rng)
     S = semidirect(L, trivial_rep(L, 0))
     # the Casimir of sl2 in the rescaled coordinates: the kernel of every
     # derivation in degree 2, one-dimensional
@@ -211,15 +226,18 @@ def test_is_invariant_on_fractional_constants(seed):
     assert not is_invariant(S, C + MultiPoly.variable(S.dim, 0, QQ(2, 3)))
 
 
-def test_set_bracket_drops_the_integer_table():
-    L = heisenberg_algebra(1)
-    assert L.int_ad_table == (1, [{1: {2: 1}}, {0: {2: -1}}, {}])
-    L.set_bracket(0, 2, {1: QQ(3, 2)})
+def test_builder_writes_the_integer_table_of_heisenberg():
+    assert heisenberg_algebra(1).int_ad_table == (1, [{1: {2: 1}},
+                                                      {0: {2: -1}}, {}])
+    # the same brackets plus a fractional one: d is their lcm
+    L = LieAlgebraData(3, brackets={(0, 1): {2: 1}, (0, 2): {1: QQ(3, 2)}})
     d, table = L.int_ad_table
     assert d == 2
     assert table[0] == {1: {2: 2}, 2: {1: 3}}
     assert table[2] == {0: {1: -3}}
-    assert L.ad_table[0][2] == {1: QQ(3, 2)}
+    assert L.bracket_basis(0, 2) == {1: QQ(3, 2)}
+    P = MultiPoly.variable(3, 2)
+    assert lie_derivative_in(L, 0, P) == MultiPoly.variable(3, 1, QQ(3, 2))
 
 
 def _zero_weight_by_filter(S, mdeg, weights):

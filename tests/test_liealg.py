@@ -1,10 +1,12 @@
 from fractions import Fraction
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coadjoint.liealg import (
+    LieAlgebraData,
     NotClosedError,
     abelian_algebra,
     algebra_on_basis,
@@ -22,6 +24,7 @@ from coadjoint.liealg import (
 )
 from coadjoint.qlinalg import (
     _PRIMES,
+    Basis,
     QMatrix,
     SampleConfig,
     VerificationError,
@@ -163,9 +166,8 @@ def test_index_mod_p_is_the_rational_rule_on_stabilisers_of_products():
 def test_index_divides_the_content_of_the_structure_table():
     # every bracket a multiple of both first primes: without dividing the
     # content out, B_gamma would vanish mod p at both and the index read 5
-    L = heisenberg_algebra(2)
-    for i in range(2):
-        L.set_bracket(i, 2 + i, {4: _PRIMES[0] * _PRIMES[1]})
+    L = LieAlgebraData(5, brackets={(i, 2 + i): {4: _PRIMES[0] * _PRIMES[1]}
+                                    for i in range(2)})
     ind = index(L, CFG)
     assert int(ind) == 1 and ind.samples[:2] == (4, 4)
 
@@ -220,9 +222,9 @@ def test_subalgebra_full_span():
 def test_subalgebra_cartan_and_nilpotent():
     L = classical_algebra("sl", 2)  # basis H, E12, E21
     cartan = subalgebra(L, [[1, 0, 0]])
-    assert cartan.dim == 1 and not cartan.brackets
+    assert cartan.dim == 1 and not cartan.int_brackets()
     nil = subalgebra(L, [[0, 1, 0]])
-    assert nil.dim == 1 and not nil.brackets
+    assert nil.dim == 1 and not nil.int_brackets()
 
 
 def test_subalgebra_not_closed_witness():
@@ -244,10 +246,11 @@ def test_takiff_fingerprints_agree_so3_sl2():
 def _dense_bracket(L, u, v):
     """The bilinear definition: sum over the table of (u_i v_j - u_j v_i) c."""
     out = [Fraction(0)] * L.dim
-    for (i, j), vec in L.brackets.items():
-        coef = u[i] * v[j] - u[j] * v[i]
-        for k, c in vec.items():
-            out[k] += coef * c
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            coef = u[i] * v[j] - u[j] * v[i]
+            for k, c in L.bracket_basis(i, j).items():
+                out[k] += coef * c
     return out
 
 
@@ -282,34 +285,44 @@ def test_bracket_by_support_is_the_bilinear_bracket(name, seed, density):
 
 
 def _ad(L, i):
-    """The matrix of ad(x_i) in the basis, read off L.ad_table."""
+    """The matrix of ad(x_i) in the basis, read off L.bracket_basis."""
     m = QMatrix.zero(L.dim, L.dim)
-    for j, vec in L.ad_table[i].items():
-        for k, c in vec.items():
+    for j in range(L.dim):
+        for k, c in L.bracket_basis(i, j).items():
             m.data[k][j] = c
     return m
 
 
-def test_ad_table_follows_set_bracket():
-    L = heisenberg_algebra(1)
-    assert L.ad_table[1][0] == {2: -1}
-    L.set_bracket(0, 1, {2: 3})
-    assert L.ad_table[0][1] == {2: 3} and L.ad_table[1][0] == {2: -3}
-    assert L.bracket([1, 0, 0], [0, 1, 0]) == [0, 0, 3]
-    L.set_bracket(0, 1, {})
-    assert L.ad_table == [{}, {}, {}]
-    assert _ad(L, 0).is_zero()
+def test_builder_clears_and_reduces_the_integer_table():
+    L = LieAlgebraData(3, brackets={(0, 1): {2: 1}})
+    assert L.int_ad_table == (1, [{1: {2: 1}}, {0: {2: -1}}, {}])
+    # rational constants are cleared to their least common denominator
+    L = LieAlgebraData(3, brackets={(0, 1): {2: 3}, (0, 2): {1: Fraction(3, 2)}})
+    assert L.int_ad_table == (2, [{1: {2: 6}, 2: {1: 3}}, {0: {2: -6}},
+                                  {0: {1: -3}}])
+    assert L.bracket([1, 0, 0], [0, 0, 1]) == [0, Fraction(3, 2), 0]
+    # a given d is reduced against the entries; zero brackets are dropped
+    L = LieAlgebraData(3, brackets={(0, 1): {2: 2, 0: 0}, (1, 2): {0: 0}}, d=4)
+    assert L.int_ad_table == (2, [{1: {2: 1}}, {0: {2: -1}}, {}])
+    assert L.bracket_basis(0, 1) == {2: Fraction(1, 2)}
+    assert _ad(L, 2).is_zero()
+    assert LieAlgebraData(2).int_ad_table == (1, [{}, {}])
+    with pytest.raises(ValueError):
+        LieAlgebraData(3, brackets={(1, 0): {2: 1}})
 
 
 @pytest.mark.parametrize("name", sorted(BRACKET_ALGEBRAS))
 def test_killing_matrix_is_trace_of_ad_products(name):
+    # killing_matrix holds d^2 times the Killing form, in integers
     L = BRACKET_ALGEBRAS[name]()
+    d = L.int_ad_table[0]
     K = killing_matrix(L)
     ads = [_ad(L, i) for i in range(L.dim)]
     for i in range(L.dim):
         for j in range(L.dim):
             prod = ads[i] * ads[j]
-            assert K[i, j] == sum((prod[t, t] for t in range(L.dim)), Fraction(0))
+            assert K.data[i].get(j, 0) == d * d * sum(
+                (prod[t, t] for t in range(L.dim)), Fraction(0))
 
 
 @pytest.mark.parametrize("name", ["heis2", "sl3", "so5"])
@@ -371,4 +384,155 @@ def test_matrix_algebra_rejects_matrices_not_closed_under_commutator():
     with pytest.raises(VerificationError):
         matrix_algebra([e, f], ["e", "f"], {})
     sl2 = matrix_algebra([e, f, e * f - f * e], ["e", "f", "h"], {})
-    assert sl2.brackets == {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}}
+    assert sl2.int_brackets() == [(0, 1, {2: 1}), (0, 2, {0: -2}),
+                                  (1, 2, {1: 2})]
+
+
+# ---------------------------------------------------------------------------
+# the integer table against a Fraction reference builder
+# ---------------------------------------------------------------------------
+
+
+def _reference_matrix_table(mats):
+    """{(a, b): [x_a, x_b] as {k: Fraction}}, a < b, for independent
+    matrices: each commutator a dense Fraction product, written in the
+    matrices by Basis.coords."""
+    span = Basis([[x for row in m.data for x in row] for m in mats])
+    out = {}
+    for a in range(len(mats)):
+        for b in range(a + 1, len(mats)):
+            comm = mats[a] * mats[b] - mats[b] * mats[a]
+            coords = span.coords([x for row in comm.data for x in row])
+            out[(a, b)] = {k: c for k, c in enumerate(coords) if c}
+    return out
+
+
+def _reference_semidirect_table(S):
+    """The reference table of the algebra, plus [x_i, v] = rho(x_i) v."""
+    ref = _reference_matrix_table(S.algebra.metadata["matrices"])
+    g = S.dim_g
+    for i, columns in enumerate(S.rep.columns):
+        for v, col in enumerate(columns):
+            if col:
+                ref[(i, g + v)] = {g + w: Fraction(c) for w, c in col}
+    return ref
+
+
+def _reference_subalgebra_table(ref, dim, basis):
+    """[u_a, u_b] summed bilinearly over the Fraction table ref of an algebra
+    of dimension dim, written in the vectors u by Basis.coords."""
+    span = Basis(basis)
+    out = {}
+    for a, u in enumerate(basis):
+        for b in range(a + 1, len(basis)):
+            v = basis[b]
+            w = [Fraction(0)] * dim
+            for (i, j), vec in ref.items():
+                coef = u[i] * v[j] - u[j] * v[i]
+                for k, c in vec.items():
+                    w[k] += coef * c
+            coords = span.coords(w)
+            assert coords is not None
+            out[(a, b)] = {k: c for k, c in enumerate(coords) if c}
+    return out
+
+
+def _assert_integer_table(L, ref):
+    """L's table is d times ref, d the least common denominator of ref."""
+    d, table = L.int_ad_table
+    assert d == math.lcm(1, *(c.denominator for vec in ref.values()
+                              for c in vec.values()))
+    want = [{} for _ in range(L.dim)]
+    for (i, j), vec in ref.items():
+        if vec:
+            want[i][j] = {k: d * c for k, c in vec.items()}
+            want[j][i] = {k: -d * c for k, c in vec.items()}
+    assert table == want
+    assert all(type(c) is int for row in table for vec in row.values()
+               for c in vec.values())
+
+
+@pytest.mark.parametrize("family,sizes", [
+    ("gl", range(1, 9)), ("sl", range(2, 9)), ("so", range(2, 9)),
+    ("sp", (2, 4, 6, 8)),
+])
+def test_classical_integer_table_is_the_reference(family, sizes):
+    for n in sizes:
+        L = classical_algebra(family, n)
+        _assert_integer_table(L, _reference_matrix_table(L.metadata["matrices"]))
+
+
+def _rescaled(L, scales):
+    """L on the basis x_i / scales[i]: fractional structure constants."""
+    return algebra_on_basis(L, [[Fraction(1, s) if t == r else 0
+                                 for t in range(L.dim)]
+                                for r, s in enumerate(scales)])
+
+
+def _semidirect_totals():
+    from coadjoint.repn import adjoint_rep, build_module
+
+    out = []
+    for family, n, summands in [("sp", 4, [("phi1", 1)]),
+                                ("sp", 4, [("phi1", 2)]),
+                                ("so", 5, [("phi1", 1)]),
+                                ("sl", 3, [("phi1", 1)]),
+                                ("gl", 2, [("phi1", 1)]),
+                                ("so", 7, [("phi3", 1)]),
+                                ("sp", 6, [("phi2", 1)])]:
+        L = classical_algebra(family, n)
+        out.append(semidirect(L, build_module(family, n, summands, L=L)))
+    L = classical_algebra("sl", 2)
+    out.append(semidirect(L, adjoint_rep(L)))
+    return out
+
+
+def test_semidirect_integer_table_is_the_reference():
+    for S in _semidirect_totals():
+        _assert_integer_table(S.total, _reference_semidirect_table(S))
+    # fractional constants in the algebra and in the module at once
+    from coadjoint.repn import adjoint_rep
+
+    L = _rescaled(classical_algebra("sl", 2), [2, 3, 5])
+    S = semidirect(L, adjoint_rep(L))
+    ref = {(i, j): L.bracket_basis(i, j) for i in range(3)
+           for j in range(i + 1, 3)}
+    ref.update({(i, 3 + v): {3 + w: Fraction(c) for w, c in col}
+                for i, columns in enumerate(S.rep.columns)
+                for v, col in enumerate(columns) if col})
+    assert S.total.int_ad_table[0] > 1
+    _assert_integer_table(S.total, ref)
+
+
+@pytest.mark.parametrize("name", ["sl3", "so5", "sp4|x k4"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), size=st.integers(1, 6))
+def test_subalgebra_integer_table_is_the_reference(name, seed, size):
+    # random independent vectors span a subalgebra of sl3, so5 or
+    # sp4 |x k4 only by chance; the stabilisers at random points always
+    # are one, and so is any basis of the whole algebra
+    from coadjoint.semidirect import stabiliser_in_V
+
+    rng = random.Random(seed)
+    if name == "sp4|x k4":
+        L = classical_algebra("sp", 4)
+        S = semidirect(L, standard_rep(L))
+        ref = _reference_semidirect_table(S)
+        L = S.total
+        # the stabiliser in s of a point of V* is q_x + V, spanned by the
+        # kernel basis of q_x and V
+        x = [rng.choice((0, 0, 1, -2, 3)) for _ in range(S.dim_V)]
+        q_x = stabiliser_in_V(S, x).basis
+        basis = ([list(u) + [0] * S.dim_V for u in q_x]
+                 + [[int(t == S.dim_g + v) for t in range(S.dim)]
+                    for v in range(S.dim_V)])
+    else:
+        L = BRACKET_ALGEBRAS[name]()
+        ref = _reference_matrix_table(L.metadata["matrices"])
+        while True:
+            basis = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5)))
+                      for _ in range(L.dim)] for _ in range(L.dim)]
+            if rank(QMatrix(L.dim, L.dim, basis)) == L.dim:
+                break
+    sub = algebra_on_basis(L, basis)
+    _assert_integer_table(sub, _reference_subalgebra_table(ref, L.dim, basis))

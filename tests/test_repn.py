@@ -289,9 +289,8 @@ except VerificationError:
     pass
 else:
     sys.exit(7)
-from coadjoint.liealg import heisenberg_algebra
-H = heisenberg_algebra(1)
-H.set_bracket(0, 2, {0: 1})
+from coadjoint.liealg import LieAlgebraData
+H = LieAlgebraData(3, brackets={(0, 1): {2: 1}, (0, 2): {0: 1}})
 try:
     H.check_jacobi()
 except VerificationError:

@@ -1,4 +1,8 @@
+import functools
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from coadjoint.liealg import classical_algebra, fingerprint, index
 from coadjoint.qlinalg import Q0, Q1, QQ, SampleConfig, sample_vector
@@ -131,6 +135,59 @@ def test_split_stabiliser_formula():
         y = sample_vector(SampleConfig(200 + t, 7, 1), S.dim_V, 0, "y")
         lhs = stabiliser_full(S, S.split_point(gamma, y)).dim
         assert lhs == split_stabiliser_dim(S, gamma, y)
+
+
+def test_split_stabiliser_formula_at_a_special_point():
+    # at y = [2, 0, 0, 2] the kernel basis of q_y is not in echelon form, so
+    # gamma must be paired with the basis the structure constants are on
+    S = S_sp4k4()
+    gamma, y = [1, 0, 1, 0, 0, 0, 0, 0, -1, 1], [2, 0, 0, 2]
+    assert stabiliser_full(S, S.split_point(gamma, y)).dim == 2
+    assert split_stabiliser_dim(S, gamma, y) == 2
+
+
+@pytest.mark.parametrize("family,n", [("sp", 4), ("so", 5), ("sp", 2),
+                                      ("so", 4)])
+def test_split_stabiliser_formula_at_sparse_points(family, n):
+    L = classical_algebra(family, n)
+    S = semidirect(L, standard_rep(L))
+    rng = random.Random(f"split {family}{n}")
+    for _ in range(60):
+        gamma = [rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(S.dim_g)]
+        y = [rng.choice((0, 0, 1, -1, 2)) for _ in range(S.dim_V)]
+        lhs = stabiliser_full(S, S.split_point(gamma, y)).dim
+        assert lhs == split_stabiliser_dim(S, gamma, y), (gamma, y)
+
+
+@functools.lru_cache(maxsize=None)
+def _product(family, n, module):
+    from coadjoint.repn import build_module
+
+    L = classical_algebra(family, n)
+    return semidirect(L, build_module(family, n, [(module, 1)], L=L))
+
+
+@pytest.mark.parametrize("family,n,module", [
+    ("so", 5, "phi1"), ("sp", 4, "phi1"), ("so", 7, "phi3")])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=hst.data())
+def test_stabiliser_structure_constants_hold_on_its_basis(family, n, module,
+                                                          data):
+    # [u_i, u_j] = sum_k c_ij^k u_k exactly, over the kernel vectors st.basis
+    # the structure constants of q_x are read on; sparse points included
+    S = _product(family, n, module)
+    x = data.draw(hst.lists(hst.sampled_from((0, 0, 0, 1, -1, 2, -3)),
+                            min_size=S.dim_V, max_size=S.dim_V))
+    st = stabiliser_in_V(S, x)
+    u = st.basis
+    assert st.algebra.metadata["embedding"] is u
+    assert st.dim == len(u) and st.dim + st.dim_orbit == S.dim_g
+    for i in range(st.dim):
+        for j in range(i + 1, st.dim):
+            combo = [sum((c * u[k][r] for k, c in
+                          st.algebra.bracket_basis(i, j).items()), Q0)
+                     for r in range(S.dim_g)]
+            assert combo == S.algebra.bracket(u[i], u[j])
 
 
 def test_codim2_partial_evidence():
