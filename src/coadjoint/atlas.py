@@ -218,7 +218,8 @@ class RowCheck:
     passed: bool
     millis: int
     skipped: str = ""   # why the check did not run; it then has not passed
-    how: dict = None    # how the check was established: _EXACT or _sampled
+    how: dict = None    # how the check was established or why it was not:
+                        # _EXACT, _sampled or "skipped" with the reason
 
 
 @dataclass
@@ -243,7 +244,8 @@ class RowReport:
     def skip(self, check, expected, reason, t0):
         self.checks.append(RowCheck(check, expected, "SKIP", False,
                                     int((time.perf_counter() - t0) * 1000),
-                                    skipped=reason))
+                                    skipped=reason,
+                                    how={"how": "skipped", "reason": reason}))
 
     def as_dict(self):
         return {

@@ -22,11 +22,15 @@ from dataclasses import dataclass
 
 from .invariants import (
     MultiPoly,
+    _bounded,
     _killed,
     _mul_into,
     _nonzero,
     _over,
+    _pack,
     _scaled,
+    _unpack,
+    _width,
     is_invariant,
 )
 from .liealg import (
@@ -233,16 +237,19 @@ def delta_k(layout: MatrixRealisation, k: int, t=1) -> EvaluatorPoly:
 # ---------------------------------------------------------------------------
 
 
-def symbolic_matrix_det(entries, nvars, prune=None):
+def symbolic_matrix_det(entries, nvars, bounds=()):
     """Determinant of a matrix of MultiPolys by column-subset expansion.
 
     Runs on ints: det(D X) / D^N, D the lcm of the entry denominators.
-    prune: optional function MultiPoly -> MultiPoly applied after each
-    accumulation (used to drop graded parts that cannot contribute); it may
-    only select monomials, so it commutes with the scaling.
+    bounds: degree bounds (variables, cap), each keeping only the terms of
+    degree at most cap in those variables.  Entries have no negative
+    exponents, so a partial product over the rows so far that breaks a bound
+    cannot contribute, and the bounds are applied after every row: the
+    result is the full determinant with the terms that break a bound left
+    out.
     """
     D, ints = _integral_entries(entries)
-    return _over(nvars, _det_int(ints, nvars, prune), D ** len(entries))
+    return _over(nvars, _det_int(ints, nvars, bounds), D ** len(entries))
 
 
 def _integral_entries(entries):
@@ -253,12 +260,22 @@ def _integral_entries(entries):
     return D, [[_scaled(P.terms, D) for P in row] for row in entries]
 
 
-def _det_int(entries, nvars, prune):
+def _packed_entries(entries, nvars):
+    """(w, the entries on packed keys of width w): w bounds the sum over rows
+    of the largest entry degree, so every product of one entry per row, and
+    so every term of a determinant or Pfaffian, fits."""
+    w = _width(sum(max((sum(m) for a in row for m in a), default=0)
+                   for row in entries))
+    return w, [[_pack(a, nvars, w) for a in row] for row in entries]
+
+
+def _det_int(entries, nvars, bounds):
     """Terms of the determinant of a matrix of term dicts, by column-subset
     expansion: each state maps the set of columns used by the rows so far
-    to the signed sum of their products."""
+    to the signed sum of their products, on packed keys."""
     N = len(entries)
-    states = {(): {(0,) * nvars: 1}}
+    w, entries = _packed_entries(entries, nvars)
+    states = {(): _pack({(0,) * nvars: 1}, nvars, w)}
     for i in range(N):
         row = [(j, a) for j, a in enumerate(entries[i]) if a]
         new = {}
@@ -271,27 +288,26 @@ def _det_int(entries, nvars, prune):
                 _mul_into(new.setdefault(key, {}), val, a, sign)
         states = {}
         for key, acc in new.items():
-            P = MultiPoly(nvars, _nonzero(acc))
-            if prune:
-                P = prune(P)
-            if P.terms:
-                states[key] = P.terms
+            terms = _bounded(acc, bounds, w)
+            if terms:
+                states[key] = terms
         if not states:
             return {}
-    return states.get(tuple(range(N)), {})
+    return _unpack(states.get(tuple(range(N)), {}), nvars, w)
 
 
-def symbolic_minor_sum(entries, nvars, k, prune=None):
+def symbolic_minor_sum(entries, nvars, k, bounds=()):
     """E_k of a symbolic matrix: det(lambda I + X) via one extra variable.
 
     Runs on ints: det(lambda I + D X) carries E_k(D X) = D^k E_k(X) at
-    lambda^(N-k), D the lcm of the entry denominators.  The prune hook sees
-    polynomials in the widened ring (lambda last) so the hook supplied by
-    callers is wrapped to act on the original variables.
+    lambda^(N-k), D the lcm of the entry denominators.  bounds are degree
+    bounds (variables, cap) on the original variables, as in
+    `symbolic_matrix_det`; the expansion adds ([lambda], N - k) to them,
+    since a partial product with a higher power of lambda cannot reach E_k.
     """
     N = len(entries)
     if k == N:
-        return symbolic_matrix_det(entries, nvars, prune=prune)
+        return symbolic_matrix_det(entries, nvars, bounds)
     D, ints = _integral_entries(entries)
     lam = nvars  # extra variable index
     unit = (0,) * nvars + (1,)
@@ -305,14 +321,7 @@ def symbolic_minor_sum(entries, nvars, k, prune=None):
             row.append(p)
         ext.append(row)
 
-    def prune_ext(P):
-        keep = {m: c for m, c in P.terms.items() if m[lam] <= N - k}
-        Q = MultiPoly(nvars + 1, keep)
-        if prune is None:
-            return Q
-        return prune(Q)
-
-    det = _det_int(ext, nvars + 1, prune_ext)
+    det = _det_int(ext, nvars + 1, [*bounds, ([lam], N - k)])
     return _over(nvars, {m[:lam]: c for m, c in det.items() if m[lam] == N - k},
                  D ** k)
 
@@ -325,11 +334,10 @@ def symbolic_pfaffian(entries, nvars):
     n = len(entries)
     assert n % 2 == 0
     D, ints = _integral_entries(entries)
-    memo = {}
+    w, ints = _packed_entries(ints, nvars)
+    memo = {(): _pack({(0,) * nvars: 1}, nvars, w)}
 
     def pf(idx):
-        if not idx:
-            return {(0,) * nvars: 1}
         if idx in memo:
             return memo[idx]
         i0 = idx[0]
@@ -342,7 +350,7 @@ def symbolic_pfaffian(entries, nvars):
         memo[idx] = total = _nonzero(acc)
         return total
 
-    return _over(nvars, pf(tuple(range(n))), D ** (n // 2))
+    return _over(nvars, _unpack(pf(tuple(range(n))), nvars, w), D ** (n // 2))
 
 
 # ---------------------------------------------------------------------------
@@ -708,19 +716,9 @@ def e_delta_restricted(layout: MatrixRealisation, k: int) -> EDeltaResult:
 
     cvars = [vi for vi, ci in enumerate(keep) if layout.coords[ci].kind == "C"]
 
-    cmax = 1 if m == 1 else 0
-
-    def prune(P):
-        keep_terms = {}
-        for mono, c in P.terms.items():
-            if mono[tvar] > m:
-                continue
-            if sum(mono[cv] for cv in cvars) > cmax:
-                continue
-            keep_terms[mono] = c
-        return MultiPoly(P.nvars, keep_terms)
-
-    poly = symbolic_minor_sum(entries, nv, k, prune=prune)
+    # the t-degree is at most m, and the centre degree at most 1 for m = 1
+    bounds = [([tvar], m)] + ([(cvars, 1)] if cvars else [])
+    poly = symbolic_minor_sum(entries, nv, k, bounds)
     # top f-degree = degree in t; the lemmas give exactly m for even k >= 2m
     fdeg = 0
     for mono in poly.terms:

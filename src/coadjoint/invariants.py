@@ -23,13 +23,27 @@ derivation is applied in integers, and d D (x_i . P) = 0 exactly when
 x_i . P = 0.  `substitute_linear` and the symbolic minors of `constructions`
 clear their denominators the same way and divide once at the end, so every
 polynomial they return has `Fraction` coefficients.
+
+A MultiPoly keys its terms by exponent tuples.  Inside the kernels (products,
+powers, linear substitution, derivations and the symbolic minors) a monomial
+is keyed by one int instead: its exponents packed little-endian, w bytes
+each, w in {1, 2, 4, 8} (`_pack`, `_unpack`).  Packing is additive, so a
+product of monomials is one int addition and a derivation step x_j -> x_k
+adds 256^(w k) - 256^(w j).  That holds only while no exponent reaches
+256^w, since a carry would silently turn one monomial into another; so each
+kernel takes w from a proven bound on the exponents of its result (`_width`):
+deg P + deg Q for a product, k deg P for a power, M times the largest image
+degree for a substitution of a polynomial of degree M, deg P for a
+derivation (derivations keep the degree), and the sum over rows of the
+largest entry degree for a determinant or Pfaffian.  An input exponent that
+does not fit the width raises VerificationError.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
+import struct
 from dataclasses import dataclass, field
 
 from .liealg import LieAlgebraData, index as algebra_index
@@ -67,10 +81,6 @@ class MultiPoly:
 
     # -- constructors ------------------------------------------------------
     @staticmethod
-    def zero(nvars):
-        return MultiPoly(nvars)
-
-    @staticmethod
     def constant(nvars, c):
         c = as_q(c)
         return MultiPoly(nvars, {(0,) * nvars: c} if c != 0 else {})
@@ -79,9 +89,6 @@ class MultiPoly:
     def variable(nvars, i, c=1):
         mono = tuple(1 if j == i else 0 for j in range(nvars))
         return MultiPoly(nvars, {mono: as_q(c)})
-
-    def copy(self):
-        return MultiPoly(self.nvars, dict(self.terms))
 
     # -- ring operations ----------------------------------------------------
     def __add__(self, other):
@@ -109,9 +116,10 @@ class MultiPoly:
             if c == 0:
                 return MultiPoly(self.nvars)
             return MultiPoly(self.nvars, {m: v * c for m, v in self.terms.items()})
-        out = {}
-        _mul_into(out, self.terms, other.terms)
-        return MultiPoly(self.nvars, _nonzero(out))
+        n = self.nvars
+        w = _width(self.total_degree() + other.total_degree())
+        return MultiPoly(n, _unpack(_product(_pack(self.terms, n, w),
+                                             _pack(other.terms, n, w)), n, w))
 
     __rmul__ = __mul__
 
@@ -119,14 +127,9 @@ class MultiPoly:
         assert k >= 0
         if k == 0:
             return MultiPoly.constant(self.nvars, 1)
-        out = None
-        base = self
-        while k:
-            if k & 1:
-                out = base if out is None else out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        n = self.nvars
+        w = _width(k * self.total_degree())
+        return MultiPoly(n, _unpack(_power(_pack(self.terms, n, w), k), n, w))
 
     def __eq__(self, other):
         return isinstance(other, MultiPoly) and self.terms == other.terms
@@ -190,31 +193,33 @@ class MultiPoly:
         Runs on ints: the images are scaled to D images over one common
         denominator D and P to Dp P.  A term of total degree |m| then comes
         out D^|m| times too large, so it is weighted by D^(M - |m|), M the
-        total degree of P, and the sum is divided by Dp D^M once.
+        total degree of P, and the sum is divided by Dp D^M once.  Products
+        and powers run on packed keys of width M times the largest image
+        degree.
         """
         assert len(images) == self.nvars
         tgt = images[0].nvars if images else 0
         D = math.lcm(1, *(c.denominator for P in images
                           for c in P.terms.values()))
-        imgs = [_scaled(P.terms, D) for P in images]
-        Dp, ints = _cleared(self.terms)
         M = self.total_degree()
-        one = (0,) * tgt
+        w = _width(M * max((P.total_degree() for P in images), default=0))
+        imgs = [_pack(_scaled(P.terms, D), tgt, w) for P in images]
+        Dp, ints = _cleared(self.terms)
         out = {}
         powers = {}
         for m, c in ints.items():
-            term = {one: c * D ** (M - sum(m))}
+            term = {0: c * D ** (M - sum(m))}
             for i, e in enumerate(m):
                 if e:
                     key = (i, e)
                     if key not in powers:
-                        powers[key] = (MultiPoly(tgt, imgs[i]) ** e).terms
+                        powers[key] = _power(imgs[i], e)
                     acc = {}
                     _mul_into(acc, term, powers[key])
                     term = acc
             for mono, x in term.items():
                 out[mono] = out.get(mono, 0) + x
-        return _over(tgt, out, Dp * D ** M)
+        return _over(tgt, _unpack(out, tgt, w), Dp * D ** M)
 
     def coefficient_of_block_degree(self, offset, size, degree):
         """The part of exact degree `degree` in the block's variables."""
@@ -239,16 +244,78 @@ class MultiPoly:
         return f"<MultiPoly {self.nvars} vars, {n} terms, deg {self.total_degree()}>"
 
 
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _width(bound):
+    """The packed width w, in bytes per exponent, for exponents up to
+    `bound`: the least w in (1, 2, 4, 8) with bound < 256^w."""
+    for w in _FORMATS:
+        if bound < 1 << 8 * w:
+            return w
+    raise VerificationError(f"exponent bound {bound} exceeds 64 bits")
+
+
+def _pack(terms, nvars, w):
+    """Term dict with exponent-tuple keys -> the same terms keyed by packed
+    ints of width w; an exponent that does not fit raises."""
+    pack = struct.Struct(f"<{nvars}{_FORMATS[w]}").pack
+    try:
+        return {int.from_bytes(pack(*m), "little"): c
+                for m, c in terms.items()}
+    except struct.error:
+        raise VerificationError(
+            f"an exponent does not fit the packed width {w}") from None
+
+
+def _unpack(terms, nvars, w):
+    """Packed term dict of width w -> exponent-tuple keys."""
+    unpack = struct.Struct(f"<{nvars}{_FORMATS[w]}").unpack
+    size = nvars * w
+    return {unpack(m.to_bytes(size, "little")): c for m, c in terms.items()}
+
+
+def _bounded(terms, bounds, w):
+    """The nonzero packed terms whose degree in the variables of each
+    (variables, cap) of bounds is at most cap, read digit by digit."""
+    mask = (1 << 8 * w) - 1
+    out = _nonzero(terms)
+    for variables, cap in bounds:
+        shifts = [8 * w * v for v in variables]
+        if len(shifts) == 1:
+            s = shifts[0]
+            out = {m: c for m, c in out.items() if (m >> s) & mask <= cap}
+        else:
+            out = {m: c for m, c in out.items()
+                   if sum((m >> s) & mask for s in shifts) <= cap}
+    return out
+
+
 def _mul_into(acc, p, q, sign=1):
-    """acc += sign p q for term dicts, in place; sums that cancel stay in
-    acc as zeros for the caller to drop."""
-    add = operator.add
+    """acc += sign p q for packed term dicts, in place; sums that cancel stay
+    in acc as zeros for the caller to drop."""
+    get = acc.get
     for m1, c1 in p.items():
         if sign < 0:
             c1 = -c1
         for m2, c2 in q.items():
-            m = tuple(map(add, m1, m2))
-            acc[m] = acc.get(m, 0) + c1 * c2
+            m = m1 + m2
+            acc[m] = get(m, 0) + c1 * c2
+
+
+def _product(p, q):
+    acc = {}
+    _mul_into(acc, p, q)
+    return _nonzero(acc)
+
+
+def _power(p, k):
+    """p^k for a packed term dict p, one factor at a time: for the linear
+    images of `substitute_linear` this is cheaper than squaring."""
+    out = {0: 1}
+    for _ in range(k):
+        out = _product(out, p)
+    return out
 
 
 def _nonzero(terms):
@@ -288,27 +355,40 @@ def lie_derivative_in(L: LieAlgebraData, xi_index: int, P: MultiPoly
     element x_{xi_index} of L: d D (x_i . P) in integers, divided once."""
     d, table = L.int_ad_table
     D, ints = _cleared(P.terms)
-    return _over(P.nvars, _derive(table[xi_index], ints), d * D)
+    n, w = P.nvars, _width(P.total_degree())
+    out = _derive(_shifts(table[xi_index], w, range(n)), _supported(ints, n, w))
+    return _over(n, _unpack(out, n, w), d * D)
 
 
-def _derive(row, terms):
-    """The derivation sending x_j to row[j] = {k: coeff}, applied to the term
-    dict `terms`; coefficients keep the type of the inputs.  Sums that
+def _supported(terms, nvars, w):
+    """[(packed key, [(j, c e_j) for each variable j in the support])] of a
+    term dict with exponent-tuple keys: the input form of `_derive`."""
+    return [(k, [(j, c * e) for j, e in enumerate(m) if e])
+            for k, (m, c) in zip(_pack(terms, nvars, w), terms.items())]
+
+
+def _shifts(row, w, used):
+    """The derivation sending x_j to row[j] = {k: coeff}, for the j in used,
+    as {j: [(256^(w k) - 256^(w j), coeff)]}: adding a shift to the packed
+    key of width w of a monomial divisible by x_j trades one x_j for x_k."""
+    b = 8 * w
+    return {j: [((1 << b * k) - (1 << b * j), c) for k, c in vec.items()]
+            for j, vec in row.items() if j in used}
+
+
+def _derive(shifts, terms):
+    """A derivation in the form of `_shifts` applied to terms in the form of
+    `_supported`: each term walks its support, not the row.  Sums that
     cancel stay in the result as zeros."""
     out = {}
-    for m, c in terms.items():
-        low = list(m)
-        for j, vec in row.items():
-            e = m[j]
-            if e:
-                base = c * e
-                low[j] = e - 1
-                for k, coef in vec.items():
-                    low[k] += 1
-                    m2 = tuple(low)
-                    low[k] -= 1
-                    out[m2] = out.get(m2, 0) + base * coef
-                low[j] = e
+    get = out.get
+    for m, supp in terms:
+        for j, base in supp:
+            row = shifts.get(j)
+            if row:
+                for delta, coef in row:
+                    m2 = m + delta
+                    out[m2] = get(m2, 0) + base * coef
     return out
 
 
@@ -316,8 +396,11 @@ def _killed(L: LieAlgebraData, P: MultiPoly, derivs) -> bool:
     """Whether x_i kills P for every i in derivs, checked on D P with the
     integer table d ad of L: each check runs on ints and is exact."""
     table = L.int_ad_table[1]
-    ints = _cleared(P.terms)[1]
-    return not any(any(_derive(table[i], ints).values()) for i in derivs)
+    n, w = P.nvars, _width(P.total_degree())
+    terms = _supported(_cleared(P.terms)[1], n, w)
+    used = {j for _, supp in terms for j, _ in supp}
+    return not any(any(_derive(_shifts(table[i], w, used), terms).values())
+                   for i in derivs)
 
 
 def is_invariant(S: SemiDirectProduct, P: MultiPoly) -> bool:
@@ -432,13 +515,23 @@ def _killed_by(S, derivs, monos):
     sparse integer row per (derivation, image monomial) pair that occurs,
     read off the integer table d ad (every row times d, the same kernel)."""
     table = S.total.int_ad_table[1]
-    rows = {}
-    for col, m in enumerate(monos):
-        for i in derivs:
-            for m2, c in _derive(table[i], {m: 1}).items():
-                if c:
-                    rows.setdefault((i, m2), {})[col] = c
-    ker = kernel_basis(IntRows(len(monos), list(rows.values())))
+    w = _width(max(map(sum, monos)))
+    # each monomial's column rides above its exponent digits, which no
+    # derivation step carries into, so one pass per derivation keeps the
+    # images of different monomials apart
+    high = 8 * w * S.dim
+    low = (1 << high) - 1
+    terms = [(m + (col << high), supp) for col, (m, supp) in
+             enumerate(_supported(dict.fromkeys(monos, 1), S.dim, w))]
+    rows = []
+    for i in derivs:
+        image = {}
+        for m2, c in _derive(_shifts(table[i], w, range(S.dim)),
+                             terms).items():
+            if c:
+                image.setdefault(m2 & low, {})[m2 >> high] = c
+        rows.extend(image.values())
+    ker = kernel_basis(IntRows(len(monos), rows))
     return [MultiPoly(S.dim, {m: c for c, m in zip(v, monos) if c != 0})
             for v in Basis(ker).rows]
 

@@ -233,6 +233,30 @@ def test_validate_reports_a_skipped_check_as_skip(monkeypatch):
     assert "SKIP jacobi+rep property: Jacobi identity not checked" in text
 
 
+def test_skipped_check_states_why_in_its_how(monkeypatch, capsys):
+    from coadjoint.cli import main
+    from coadjoint.liealg import LieAlgebraData
+
+    check = LieAlgebraData.check_jacobi
+    monkeypatch.setattr(LieAlgebraData, "check_jacobi",
+                        lambda self, max_dim=200: check(self, max_dim=0))
+    argv = ["verify", "--table", "2", "--row", "1o", "--validate"]
+    assert main(argv + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    skips = [c for row in rows for c in row["checks"] if c["skipped"]]
+    assert skips and all(c["check"] == "jacobi+rep property" for c in skips)
+    for c in skips:
+        assert c["how"] == {"how": "skipped", "reason": c["skipped"]}
+        assert (c["expected"], c["computed"], c["pass"]) == ("True", "SKIP",
+                                                             False)
+    # the text report names the reason once, as before, and no `how`
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert text.count("SKIP jacobi+rep property: Jacobi identity not "
+                      "checked") == len(skips)
+    assert "skipped" not in text
+
+
 def test_sampled_checks_state_how_they_were_sampled():
     from coadjoint.atlas import render_report
 

@@ -6,8 +6,14 @@ compares one of them with a plain rational computation on inputs with mixed
 denominators, so a wrong power of the common denominator, a dropped degree
 weight or an integer table without its scale shows up as a wrong value.  The
 zero-weight monomial generator is compared with enumerate-and-filter.
+
+The kernels key monomials by packed ints (exponents as fixed-width digits),
+so the packed products, powers, degree bounds and derivations are compared
+with tuple-keyed references kept here, including at the width boundary
+where a carry would merge two monomials.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -17,17 +23,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coadjoint.constructions import (
+    ContractionSpec,
     pfaffian,
     principal_minor_sums,
     symbolic_matrix_det,
     symbolic_minor_sum,
     symbolic_pfaffian,
+    z2_contraction,
 )
 from coadjoint.invariants import (
     MultiPoly,
     _compositions,
+    _killed,
+    _pack,
+    _unpack,
     _weight_data,
+    _width,
     component_size,
+    generator_ledger,
     invariant_space,
     is_invariant,
     lie_derivative_in,
@@ -39,7 +52,7 @@ from coadjoint.liealg import (
     classical_algebra,
     heisenberg_algebra,
 )
-from coadjoint.qlinalg import QQ, QMatrix
+from coadjoint.qlinalg import QQ, QMatrix, VerificationError
 from coadjoint.repn import build_module, standard_rep, trivial_rep
 from coadjoint.semidirect import semidirect
 
@@ -130,6 +143,134 @@ def test_substitute_linear_commutes_with_evaluation(seed, nvars, tgt, degree):
     for _ in range(3):
         pt = _point(rng, tgt)
         assert out.evaluate(pt) == P.evaluate([Q.evaluate(pt) for Q in images])
+
+
+def _filtered(P, bounds):
+    return MultiPoly(P.nvars, {m: c for m, c in P.terms.items() if all(
+        sum(m[v] for v in variables) <= cap for variables, cap in bounds)})
+
+
+@SETTINGS
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 3))
+def test_degree_bounds_only_drop_terms(seed, n, nvars):
+    """A bounded expansion is the unbounded one with the terms that break a
+    bound dropped afterwards.  Entries have degree up to 2 and constant
+    terms, so partial products meet a bound that their completions break,
+    and a bound is on one variable or on several."""
+    rng = random.Random(seed)
+    entries = [[_random_poly(rng, nvars, 2, terms=3) for _ in range(n)]
+               for _ in range(n)]
+    bounds = [(rng.sample(range(nvars), rng.randint(1, nvars)),
+               rng.randint(0, 3)) for _ in range(rng.randint(1, 2))]
+    for k in range(n + 1):
+        assert symbolic_minor_sum(entries, nvars, k, bounds) == _filtered(
+            symbolic_minor_sum(entries, nvars, k), bounds)
+    assert symbolic_matrix_det(entries, nvars, bounds) == _filtered(
+        symbolic_matrix_det(entries, nvars), bounds)
+
+
+@SETTINGS
+@given(st.integers(0, 10 ** 6), st.sampled_from([1, 2, 4, 8]),
+       st.integers(0, 6))
+def test_pack_round_trip_at_every_width(seed, w, nvars):
+    rng = random.Random(seed)
+    top = 256 ** w - 1
+    terms = {tuple(rng.choice((0, 1, top, rng.randint(0, top)))
+                   for _ in range(nvars)): rng.randint(-9, 9)
+             for _ in range(5)}
+    packed = _pack(terms, nvars, w)
+    assert len(packed) == len(terms)
+    assert _unpack(packed, nvars, w) == terms
+    # one more than the widest digit does not fit, and is refused
+    if nvars:
+        with pytest.raises(VerificationError):
+            _pack({(0,) * (nvars - 1) + (top + 1,): 1}, nvars, w)
+    # keys add as exponent tuples do, while no digit carries
+    halves = [tuple(e // 2 for e in m) for m in terms]
+    for m, h in zip(terms, halves):
+        (a,), (b,) = _pack({h: 1}, nvars, w), _pack({m: 1}, nvars, w)
+        (c,) = _pack({tuple(x - y for x, y in zip(m, h)): 1}, nvars, w)
+        assert a + c == b
+
+
+def _tuple_product(P, Q):
+    """P Q on exponent tuples, the product the packed keys replace."""
+    out = {}
+    for m1, c1 in P.terms.items():
+        for m2, c2 in Q.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return MultiPoly(P.nvars, {m: c for m, c in out.items() if c})
+
+
+def _tuple_power(P, k):
+    out = MultiPoly.constant(P.nvars, 1)
+    for _ in range(k):
+        out = _tuple_product(out, P)
+    return out
+
+
+@pytest.mark.parametrize("top", [255, 256])
+def test_packed_width_boundary(top):
+    """Results whose largest exponent is 255 fit one byte per exponent and
+    256 needs two: products, powers and substitutions on both sides of that
+    boundary agree with tuple-keyed multiplication."""
+    assert _width(top) == (1 if top == 255 else 2)
+    P = MultiPoly.variable(2, 0, QQ(1, 2)) + MultiPoly.variable(2, 1, 3)
+    assert P ** top == _tuple_power(P, top)
+    mono = MultiPoly.variable(2, 0) ** (top - 1)
+    assert mono * P == _tuple_product(mono, P)
+    # x0^(top-1) x1 under x0 -> y0 + y1/2, x1 -> 3 y0 - y1: total degree
+    # top, and y0 reaches the exponent top
+    images = [MultiPoly.variable(2, 0) + MultiPoly.variable(2, 1, QQ(1, 2)),
+              MultiPoly.variable(2, 0, 3) - MultiPoly.variable(2, 1)]
+    Q = mono * MultiPoly.variable(2, 1, QQ(2, 3))
+    want = _tuple_product(_tuple_power(images[0], top - 1), images[1])
+    assert Q.substitute_linear(images) == want * QQ(2, 3)
+    assert max(m[0] for m in want.terms) == top
+
+
+def _reference_killed(L, P):
+    """Whether every basis element of L kills P, by the tuple-keyed
+    rational derivation below on the table read off `int_ad_table`."""
+    d, table = L.int_ad_table
+    rational = {(i, j): {k: QQ(c, d) for k, c in vec.items()}
+                for i, row in enumerate(table) for j, vec in row.items()}
+    return all(_reference_derivative(rational, i, P).is_zero()
+               for i in range(L.dim))
+
+
+@functools.lru_cache(maxsize=None)
+def _invariants_of(name):
+    """(S, some s-invariants of S): ledger bases of the standard products
+    and the tops of a contraction."""
+    if name == "so-so(3,1)":
+        return z2_contraction(ContractionSpec("so-so", (3, 1)))
+    family, n = name
+    L = classical_algebra(family, n)
+    S = semidirect(L, standard_rep(L))
+    led = generator_ledger(S, 4)
+    return S, [P for k, basis in led.bases.items() if k[0] != "dec"
+               for P in basis]
+
+
+@SETTINGS
+@given(st.integers(0, 10 ** 6),
+       st.sampled_from([("so", 5), ("sp", 4), "so-so(3,1)"]))
+def test_killed_matches_a_tuple_keyed_derivation(seed, name):
+    """`_killed` accepts invariants (a product of two among them) and
+    rejects the same polynomial with one coefficient changed, as the
+    reference does."""
+    rng = random.Random(seed)
+    S, invariants = _invariants_of(name)
+    assert invariants
+    P = rng.choice(invariants) * rng.choice(invariants) * (_q(rng) or 1)
+    assert _killed(S.total, P, range(S.dim))
+    assert _reference_killed(S.total, P)
+    m = rng.choice(sorted(P.terms))
+    bad = P + MultiPoly(S.dim, {m: _q(rng) or QQ(1, 3)})
+    assert not _killed(S.total, bad, range(S.dim))
+    assert not _reference_killed(S.total, bad)
 
 
 def _sp2k2():

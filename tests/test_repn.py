@@ -297,6 +297,13 @@ except VerificationError:
     pass
 else:
     sys.exit(8)
+from coadjoint.invariants import _pack
+try:
+    _pack({(255, 256): 1}, 2, 1)    # an exponent above a forced width of 1
+except VerificationError:
+    pass
+else:
+    sys.exit(11)
 """
 
 
