@@ -65,9 +65,7 @@ from .invariants import (
 )
 from .constructions import (
     ContractionSpec,
-    EvaluatorPoly,
     MatrixRealisation,
-    delta_k,
     delta_k_matrix,
     e_delta_restricted,
     highest_component,

@@ -162,7 +162,13 @@ def _atom_fingerprint(name, cfg):
         return Fingerprint(k, k, ds, 0, k)
     m = re.fullmatch(r"sphs\((\d+)\)", name)
     if m:
-        return fingerprint(sp_heis_algebra(int(m.group(1))), cfg)
+        # sp_2k |x heis_k is perfect, of index k + 1, with centre z and the
+        # Killing form of sp_2k; sphs(0) is ab(1)
+        k = int(m.group(1))
+        if k == 0:
+            return _atom_fingerprint("ab(1)", cfg)
+        d = (2 * k + 1) * (k + 1)
+        return Fingerprint(d, k + 1, (d, d), k * (2 * k + 1), 1)
     if name == "sospin7":
         so7 = classical_algebra("so", 7)
         S = semidirect(so7, spin_rep(7, L=so7))
@@ -181,7 +187,7 @@ def sp_heis_algebra(k):
     from .constructions import minimal_nilpotent_centraliser_layout
 
     lay = minimal_nilpotent_centraliser_layout(k + 1)
-    return matrix_algebra([c.generator for c in lay.coords],
+    return matrix_algebra(lay.N, [c.generator for c in lay.coords],
                           [c.label for c in lay.coords],
                           {"name": f"sp{2 * k}|x heis{k}"})
 

@@ -1,18 +1,20 @@
 """Explicit invariant constructions.
 
-Principal-minor sums Delta_k and Pfaffians (numeric evaluators and symbolic
-expansions, the latter on ints over the lcm of the entry denominators), the
-two nilpotent-centraliser matrix layouts for sp together with the extraction
-of the highest graded components of Delta_k restricted to them, the
-restriction homomorphism psi_x, Z2-contractions with their highest-component
-generators, Takiff algebras, and the lift of quadratic-in-g invariants
-through the copy of g inside S^2 of the standard symplectic module.
+Principal-minor sums Delta_k and Pfaffians (of numeric matrices, the
+references, and symbolic expansions on ints over the lcm of the entry
+denominators), the two nilpotent-centraliser matrix layouts for sp together
+with the extraction of the highest graded components of Delta_k restricted
+to them, the restriction homomorphism psi_x, Z2-contractions with their
+highest-component generators, Takiff algebras, and the lift of
+quadratic-in-g invariants through the copy of g inside S^2 of the standard
+symplectic module.
 
-Matrix realisations identify g with g* through the trace form <X, Y> = tr XY;
-on a layout the coordinates are read in the dual basis of the drawn basis of
-the centraliser, and the scalar t scaling the constant f-block tracks the
-f-degree, so the coefficient of t^d is the highest f-component when d is the
-top power.
+Every matrix that spans an algebra or a layout is sparse, {(i, j): nonzero
+Fraction}.  Matrix realisations identify g with g* through the trace form
+<X, Y> = tr XY; on a layout the coordinates are read in the dual basis of
+the drawn basis of the centraliser, and the scalar t scaling the constant
+f-block tracks the f-degree, so the coefficient of t^d is the highest
+f-component when d is the top power.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .invariants import (
 from .liealg import (
     LieAlgebraData,
     _commutator_sparse,
-    _unit_matrix,
     algebra_on_basis,
     classical_algebra,
     matrix_algebra,
@@ -52,8 +53,6 @@ from .qlinalg import (
     as_q,
     inverse,
     kernel_basis,
-    leading_graded_component,
-    sample_rounds,
     sample_vector,
 )
 from .repn import (
@@ -69,7 +68,7 @@ from .semidirect import SemiDirectProduct, semidirect, stabiliser_in_V
 
 
 # ---------------------------------------------------------------------------
-# numeric evaluators
+# principal minors and Pfaffians of numeric matrices
 # ---------------------------------------------------------------------------
 
 
@@ -133,37 +132,6 @@ def pfaffian(M: QMatrix):
     return pf(tuple(range(n)))
 
 
-@dataclass
-class EvaluatorPoly:
-    """Black-box exact polynomial: evaluation plus a total-degree bound."""
-
-    fn: object
-    nvars: int
-    degree_bound: int
-    label: str = ""
-
-    def evaluate(self, coords):
-        assert len(coords) == self.nvars
-        return self.fn([as_q(c) for c in coords])
-
-    def spot_check(self, cfg: SampleConfig = SampleConfig(), trials=3):
-        """Interpolation along random rays reproduces repeated evaluation."""
-        for t in range(trials):
-            c = SampleConfig(cfg.seed + t, cfg.height, cfg.rounds)
-            base = sample_vector(c, self.nvars, 0, "spotbase")
-            poly = leading_graded_component(
-                lambda s: self.evaluate([x * s for x in base]), self.degree_bound)
-            probe = QQ(self.degree_bound + 5)
-            direct = self.evaluate([x * probe for x in base])
-            horner = Q0
-            for a in reversed(poly):
-                horner = horner * probe + a
-            if horner != direct:
-                raise VerificationError(
-                    "degree bound too small for this evaluator")
-        return True
-
-
 # ---------------------------------------------------------------------------
 # matrix realisations (layouts)
 # ---------------------------------------------------------------------------
@@ -173,63 +141,32 @@ class EvaluatorPoly:
 class LayoutCoord:
     kind: str             # "C" (top grade), "A" (so_m part), "v", "sp"
     label: str
-    generator: QMatrix    # centraliser basis element the coordinate is dual to
-    eval_matrix: QMatrix  # trace-dual inside the opposite centraliser
+    generator: dict       # centraliser basis element the coordinate is dual to
+    eval_matrix: dict     # trace-dual inside the opposite centraliser
     target: int | None    # variable index in the target semi-direct product
 
 
+@dataclass
 class MatrixRealisation:
     """Coordinates of a centraliser dual drawn inside an N x N matrix space.
 
-    evaluate(coords, t) returns t * const + sum coords[i] * eval_matrix[i].
-    The eval matrices are trace-dual to the generator basis (they live in the
-    opposite centraliser), so the point represents the functional
-    <matrix, .> on the centraliser whose value on generator i is coords[i],
-    and t reads the complementary sl2-direction: the t-degree of a restricted
-    invariant is its f-degree.
+    The point at coordinates c and scalar t is t * const + sum c_i *
+    eval_matrix_i.  The eval matrices are trace-dual to the generator basis
+    (they live in the opposite centraliser), so the point represents the
+    functional <matrix, .> on the centraliser whose value on generator i is
+    c_i, and t reads the complementary sl2-direction: the t-degree of a
+    restricted invariant is its f-degree.
     """
 
-    def __init__(self, N, const, coords, target: SemiDirectProduct | None,
-                 meta=None):
-        self.N = N
-        self.const = const
-        self.coords = coords
-        self.target = target
-        self.meta = meta or {}
+    N: int
+    const: dict
+    coords: list
+    target: SemiDirectProduct
+    meta: dict
 
     @property
     def n_coords(self):
         return len(self.coords)
-
-    def evaluate(self, values, t=1) -> QMatrix:
-        assert len(values) == self.n_coords
-        out = self.const.scale(as_q(t))
-        for v, c in zip(values, self.coords):
-            if v:
-                out = out + c.eval_matrix.scale(as_q(v))
-        return out
-
-    @staticmethod
-    def plain(N):
-        """The full matrix space: one coordinate per entry."""
-        coords = []
-        for i in range(N):
-            for j in range(N):
-                m = _unit_matrix(N, i, j)
-                coords.append(LayoutCoord("entry", f"x{i + 1}{j + 1}", m, m, None))
-        return MatrixRealisation(N, QMatrix.zero(N, N), coords, None)
-
-
-def delta_k(layout: MatrixRealisation, k: int, t=1) -> EvaluatorPoly:
-    """Delta_k restricted to the layout, as a black-box exact evaluator."""
-    if k > layout.N:
-        raise ValueError("k exceeds the layout size")
-
-    def fn(coords):
-        return delta_k_matrix(layout.evaluate(coords, t=t), k)
-
-    return EvaluatorPoly(fn=fn, nvars=layout.n_coords, degree_bound=k,
-                         label=f"Delta_{k}")
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +302,6 @@ def highest_component(P, S: SemiDirectProduct, block):
     top component is the multi-homogeneous part of highest degree in the
     block's variables.
     """
-    if isinstance(P, EvaluatorPoly):
-        raise TypeError("use highest_component_evaluator for black boxes")
     if P.is_zero():
         raise ValueError("zero polynomial has no highest component")
     bidx = _block_index(S, block)
@@ -388,41 +323,6 @@ def _block_index(S, block):
     raise KeyError(block)
 
 
-def highest_component_evaluator(E: EvaluatorPoly, block_indices,
-                                cfg: SampleConfig = SampleConfig()):
-    """(EvaluatorPoly of the top block-graded part, top degree d).
-
-    The degree d is read off by exact interpolation of t -> E(scaled point)
-    at sampled points with escalation (the degree can only drop on a proper
-    closed subset); the returned evaluator re-interpolates per call, exactly.
-    """
-    block_indices = list(block_indices)
-
-    def t_expand(point):
-        def at(t):
-            scaled = list(point)
-            for i in block_indices:
-                scaled[i] = scaled[i] * t
-            return E.evaluate(scaled)
-        return leading_graded_component(at, E.degree_bound)
-
-    d = -1
-    for pt in sample_rounds(cfg, E.nvars, "topdeg"):
-        coeffs = t_expand(pt)
-        top = max((i for i, a in enumerate(coeffs) if a != 0), default=-1)
-        if top == d:
-            break
-        d = max(d, top)
-    if d < 0:
-        raise ValueError("zero polynomial has no highest component")
-
-    def fn(point):
-        return t_expand(point)[d]
-
-    return EvaluatorPoly(fn=fn, nvars=E.nvars, degree_bound=E.degree_bound,
-                         label=f"{E.label}^top"), d
-
-
 # ---------------------------------------------------------------------------
 # centraliser layouts (Figures: minimal nilpotent, and partition (2^m, 1^{2n}))
 # ---------------------------------------------------------------------------
@@ -431,15 +331,9 @@ def highest_component_evaluator(E: EvaluatorPoly, block_indices,
 def _ambient_sp_form(m, q):
     """Omega for coordinates (1..m | m+1..2m | 2m+1..2m+2q):
     group1/group2 dual isotropic, group3 standard symplectic."""
-    N = 2 * m + 2 * q
-    Om = QMatrix.zero(N, N)
-    for a in range(m):
-        Om.data[a][m + a] = Q1
-        Om.data[m + a][a] = -Q1
-    for r in range(q):
-        Om.data[2 * m + r][2 * m + q + r] = Q1
-        Om.data[2 * m + q + r][2 * m + r] = -Q1
-    return Om
+    pairs = [(a, m + a) for a in range(m)] + [
+        (2 * m + r, 2 * m + q + r) for r in range(q)]
+    return {**{p: Q1 for p in pairs}, **{(j, i): -Q1 for i, j in pairs}}
 
 
 def _in_sp(X, Om) -> bool:
@@ -474,72 +368,55 @@ def centraliser_layout(m: int, q: int) -> MatrixRealisation:
                        labels=[f"V{a + 1}" for a in range(m)])
         if m > 1 else standard_rep(sp_small),
     )
-    e_mat = QMatrix.zero(N, N)
-    f_mat = QMatrix.zero(N, N)
-    for a in range(m):
-        e_mat.data[a][m + a] = Q1
-        f_mat.data[m + a][a] = Q1
-    om, e_sp, f_sp = Om.entries(), e_mat.entries(), f_mat.entries()
-    if not (_in_sp(e_sp, om) and _in_sp(f_sp, om)):
+    e_mat = {(a, m + a): Q1 for a in range(m)}
+    f_mat = {(m + a, a): Q1 for a in range(m)}
+    if not (_in_sp(e_mat, Om) and _in_sp(f_mat, Om)):
         raise VerificationError("e or f is not in sp(Omega)")
     gens = []
-    # C: S^2 k^m at block (group1, group2), grade 2; contains e on the diagonal
+    # C: S^2 k^m at block (group1, group2), grade 2; contains e on the
+    # diagonal (one entry when a == b)
     for a in range(m):
         for b in range(a, m):
-            if a == b:
-                mat = _unit_matrix(N, a, m + a)
-            else:
-                mat = _unit_matrix(N, a, m + b) + _unit_matrix(N, b, m + a)
-            gens.append(("C", f"C{a + 1}{b + 1}", mat, None))
+            gens.append(("C", f"C{a + 1}{b + 1}",
+                         {(a, m + b): Q1, (b, m + a): Q1}, None))
     # A: so_m, diagonally in blocks (1,1) and (2,2)
     for a in range(m):
         for b in range(a + 1, m):
-            mat = (_unit_matrix(N, a, b) - _unit_matrix(N, b, a)
-                   + _unit_matrix(N, m + a, m + b)
-                   - _unit_matrix(N, m + b, m + a))
+            mat = {(a, b): Q1, (b, a): -Q1,
+                   (m + a, m + b): Q1, (m + b, m + a): -Q1}
             gens.append(("A", f"A{a + 1}{b + 1}", mat, None))
     # v: for copy a and standard index r: w_{a,r} = sgn(pair(r)) u_{a, pair(r)}
-    # with u_{a,t} = E_{a, 2m+t} - sgn(t) E_{2m+pair(t), m+a}; this choice makes
-    # the bracket with the sp block the standard action on each copy.
-    def pair(r):
-        return r + q if r < q else r - q
-
-    def sgn(r):
-        return 1 if r < q else -1
-
-    def u_mat(a, t):
-        return (_unit_matrix(N, a, 2 * m + t)
-                - _unit_matrix(N, 2 * m + pair(t), m + a, sgn(t)))
-
+    # with u_{a,t} = E_{a, 2m+t} - sgn(t) E_{2m+pair(t), m+a}, that is
+    # w_{a,r} = sgn(pair(r)) E_{a, 2m+pair(r)} - E_{2m+r, m+a}; this choice
+    # makes the bracket with the sp block the standard action on each copy.
     for a in range(m):
         for r in range(2 * q):
-            mat = u_mat(a, pair(r)).scale(sgn(pair(r)))
+            pr = r + q if r < q else r - q
+            mat = {(a, 2 * m + pr): Q1 if pr < q else -Q1,
+                   (2 * m + r, m + a): -Q1}
             tgt = target.dim_g + a * 2 * q + r
             gens.append(("v", f"v{a + 1},{r + 1}", mat, tgt))
     # sp block: the classical sp_{2q} basis embedded at group3
     for bi, small in enumerate(sp_small.metadata["matrices"]):
-        mat = QMatrix.zero(N, N)
-        for (i, j), c in small.entries().items():
-            mat.data[2 * m + i][2 * m + j] = c
+        mat = {(2 * m + i, 2 * m + j): c for (i, j), c in small.items()}
         gens.append(("sp", sp_small.basis_labels[bi], mat, bi))
     # sanity: every generator is in sp(Om) and commutes with e
     for kind, label, mat, tgt in gens:
-        x = mat.entries()
-        if not _in_sp(x, om):
+        if not _in_sp(mat, Om):
             raise VerificationError(f"{label} is not in sp(Omega)")
-        if _commutator_sparse(e_sp, x):
+        if _commutator_sparse(e_mat, mat):
             raise VerificationError(f"{label} does not centralise e")
     # bracket match: [sp, v] realises the standard action on each copy
     vmats = {_v_tag(label): mat for kind, label, mat, tgt in gens if kind == "v"}
-    spmats = [mat.entries() for kind, label, mat, tgt in gens if kind == "sp"]
+    spmats = [mat for kind, label, mat, tgt in gens if kind == "sp"]
     for bi, zemb in enumerate(spmats):
         zmat = sp_small.metadata["matrices"][bi]
         for a in range(m):
             copy = [vmats[(a, s)] for s in range(2 * q)]
             for r in range(2 * q):
-                comm = _commutator_sparse(zemb, copy[r].entries())
-                expect = _combination([zmat.data[s][r] for s in range(2 * q)],
-                                      copy).entries()
+                comm = _commutator_sparse(zemb, copy[r])
+                expect = _combination([zmat.get((s, r), 0)
+                                       for s in range(2 * q)], copy)
                 if comm != expect:
                     raise VerificationError(f"layout/semidirect bracket "
                                             f"mismatch at sp#{bi}, v{a},{r}")
@@ -553,34 +430,31 @@ def centraliser_layout(m: int, q: int) -> MatrixRealisation:
         perm[2 * m + r], perm[2 * m + q + r] = perm[2 * m + q + r], perm[2 * m + r]
 
     def mirror(X):
-        return QMatrix(N, N, [[X.data[perm[i]][perm[j]] for j in range(N)]
-                              for i in range(N)])
+        return {(perm[i], perm[j]): x for (i, j), x in X.items()}
 
-    if not (mirror(e_mat) - f_mat).is_zero():
+    if mirror(e_mat) != f_mat:
         raise VerificationError("the mirror of e is not f")
     zs = [g[2] for g in gens]
     ms = [mirror(z) for z in zs]
-    for mmat in ms:
-        x = mmat.entries()
-        if not _in_sp(x, om) or _commutator_sparse(f_sp, x):
+    for x in ms:
+        if not _in_sp(x, Om) or _commutator_sparse(f_mat, x):
             raise VerificationError("a mirrored generator leaves sp(Omega)_f")
     duals = _trace_duals(zs, ms)
     coords = [LayoutCoord(kind, label, zmat, dual, tgt)
               for (kind, label, zmat, tgt), dual in zip(gens, duals)]
-    layout = MatrixRealisation(N, e_mat, coords, target,
-                               meta={"m": m, "q": q, "e": e_mat, "f": f_mat,
-                                     "omega": Om})
-    return layout
+    return MatrixRealisation(N, e_mat, coords, target,
+                             {"m": m, "q": q, "e": e_mat, "f": f_mat,
+                              "omega": Om})
 
 
 def _combination(coeffs, mats):
-    """sum_i coeffs[i] mats[i], walking the nonzero entries."""
-    out = QMatrix.zero(mats[0].rows, mats[0].cols)
+    """sum_i coeffs[i] mats[i] of sparse matrices, zeros dropped."""
+    out = {}
     for c, mat in zip(coeffs, mats):
         if c:
-            for (i, j), a in mat.entries().items():
-                out.data[i][j] += c * a
-    return out
+            for pos, a in mat.items():
+                out[pos] = out.get(pos, 0) + c * a
+    return {pos: a for pos, a in out.items() if a}
 
 
 def _trace_duals(gens, partners):
@@ -591,17 +465,9 @@ def _trace_duals(gens, partners):
     return [_combination(row, partners) for row in inverse(gram).data]
 
 
-def _trace_pair(A: QMatrix, B: QMatrix):
-    n = A.rows
-    s = Q0
-    for i in range(n):
-        ra = A.data[i]
-        for j in range(n):
-            if ra[j]:
-                b = B.data[j][i]
-                if b:
-                    s += ra[j] * b
-    return s
+def _trace_pair(A, B):
+    """tr AB of sparse matrices."""
+    return sum((a * B[j, i] for (i, j), a in A.items() if (j, i) in B), Q0)
 
 
 def _v_tag(label):
@@ -624,36 +490,21 @@ def two_block_centraliser_layout(m: int, n: int) -> MatrixRealisation:
 
 def centraliser_dim(layout: MatrixRealisation) -> int:
     """dim g_e computed independently as the kernel of ad(e) on sp(Omega)."""
-    m, q = layout.meta["m"], layout.meta["q"]
     N = layout.N
-    Om = layout.meta["omega"]
-    e = layout.meta["e"]
-    # basis of sp(Omega): solve the linear condition on full matrix space
-    rows = []
-    for i in range(N):
-        for j in range(N):
-            row = [Q0] * (N * N)
-            # (X^T Om + Om X)_{ij} as a linear functional of X entries
-            for k in range(N):
-                if Om.data[k][j] != 0:
-                    row[k * N + i] += Om.data[k][j]
-                if Om.data[i][k] != 0:
-                    row[k * N + j] += Om.data[i][k]
-            rows.append(row)
+    # basis of sp(Omega): solve X^T Om + Om X = 0 on the full matrix space,
+    # one row per entry (t, l) of X^T Om and (k, t) of Om X, X_kt at k N + t
+    rows = [[Q0] * (N * N) for _ in range(N * N)]
+    for (k, l), o in layout.meta["omega"].items():
+        for t in range(N):
+            rows[t * N + l][k * N + t] += o
+            rows[k * N + t][l * N + t] += o
     sp_basis = kernel_basis(QMatrix.from_rows(rows))
     # ad(e) on that basis: kernel dimension
-    rows2 = []
-    for i in range(N):
-        for j in range(N):
-            row = []
-            for v in sp_basis:
-                X = QMatrix(N, N, [[v[r * N + c] for c in range(N)]
-                                   for r in range(N)])
-                comm = e * X - X * e
-                row.append(comm.data[i][j])
-            rows2.append(row)
-    ker = kernel_basis(QMatrix.from_rows(rows2))
-    return len(ker)
+    comms = [_commutator_sparse(layout.meta["e"],
+                                {divmod(t, N): x for t, x in enumerate(v) if x})
+             for v in sp_basis]
+    return len(kernel_basis(QMatrix.from_rows(
+        [[c.get(divmod(t, N), Q0) for c in comms] for t in range(N * N)])))
 
 
 # ---------------------------------------------------------------------------
@@ -708,10 +559,10 @@ def e_delta_restricted(layout: MatrixRealisation, k: int) -> EDeltaResult:
     nv = len(keep) + 1
     tvar = len(keep)
     entries = [[MultiPoly(nv) for _ in range(N)] for _ in range(N)]
-    for (r, s), c in layout.const.entries().items():
+    for (r, s), c in layout.const.items():
         entries[r][s] = entries[r][s] + MultiPoly.variable(nv, tvar, c)
     for vi, ci in enumerate(keep):
-        for (r, s), c in layout.coords[ci].eval_matrix.entries().items():
+        for (r, s), c in layout.coords[ci].eval_matrix.items():
             entries[r][s] = entries[r][s] + MultiPoly.variable(nv, vi, c)
 
     cvars = [vi for vi, ci in enumerate(keep) if layout.coords[ci].kind == "C"]
@@ -866,13 +717,20 @@ class ContractionSpec:
 def _theta_matrix(L: LieAlgebraData, theta_on_matrices):
     """Matrix of an involution on the algebra, in the chosen basis."""
     expand = L.metadata["expand"]
-    cols = [expand(theta_on_matrices(mth).entries())
-            for mth in L.metadata["matrices"]]
+    cols = [expand(theta_on_matrices(mth)) for mth in L.metadata["matrices"]]
     T = QMatrix.zero(L.dim, L.dim)
     for j, coeffs in enumerate(cols):
         for i, c in coeffs.items():
             T.data[i][j] = c
     return T
+
+
+def _conjugation(perm, signs):
+    """X -> P X P^-1 on sparse matrices, P e_j = signs[j] e_perm[j] a signed
+    permutation matrix (signs +-1): (P X P^-1)_(perm k, perm l) =
+    signs[k] signs[l] X_kl."""
+    return lambda X: {(perm[k], perm[l]): signs[k] * signs[l] * x
+                      for (k, l), x in X.items()}
 
 
 def _eig_split(T: QMatrix):
@@ -899,7 +757,7 @@ def _ambient_invariants(kind, L: LieAlgebraData):
     nv = L.dim
     entries = [[MultiPoly(nv) for _ in range(n)] for _ in range(n)]
     for bi, mth in enumerate(_trace_duals(mats, mats)):
-        for (i, j), c in mth.entries().items():
+        for (i, j), c in mth.items():
             entries[i][j] = entries[i][j] + MultiPoly.variable(nv, bi, c)
     # the even-degree E_k of so_n stop below n; for even n the Pfaffian
     # replaces E_n
@@ -907,18 +765,9 @@ def _ambient_invariants(kind, L: LieAlgebraData):
                "so": range(2, n, 2)}[fam]
     out = [(k, symbolic_minor_sum(entries, nv, k)) for k in degrees]
     if fam == "so" and n % 2 == 0:
-        B = QMatrix.zero(n, n)
-        for i in range(n):
-            B.data[i][n - 1 - i] = Q1
-        xb = [[MultiPoly(nv) for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = MultiPoly(nv)
-                for t in range(n):
-                    if not entries[i][t].is_zero() and B.data[t][j] != 0:
-                        acc = acc + entries[i][t] * B.data[t][j]
-                xb[i][j] = acc
-        out.append((n // 2, symbolic_pfaffian(xb, nv)))
+        # X B with B the antidiagonal form: (X B)_ij = X_i,n-1-j
+        out.append((n // 2, symbolic_pfaffian([row[::-1] for row in entries],
+                                              nv)))
     return out
 
 
@@ -934,61 +783,36 @@ def z2_contraction(spec: ContractionSpec):
         L = classical_algebra("so", N)
         # sigma = reflection in the span of w_i = e_i + e_{bar i}, i < m:
         # an orthogonal involution with eigenspace dims (n, m), valid for
-        # every parity (a -1-diagonal needs a bar-stable index window)
-        from .repn import orthogonal_form
-
-        Bform = orthogonal_form(N)
-        sigma = QMatrix.identity(N)
-        for i in range(m):
-            w = [Q0] * N
-            w[i] = Q1
-            w[N - 1 - i] = Q1
-            # sigma -= w w^T B   (B(w,w) = 2, so the factor 2/B(w,w) is 1)
-            for r in range(N):
-                if w[r] == 0:
-                    continue
-                for c in range(N):
-                    bc = sum((w[t] * Bform.data[t][c] for t in range(N)), Q0)
-                    if bc != 0:
-                        sigma.data[r][c] -= w[r] * bc
-
-        sigma_inv = sigma  # involution
-
-        def theta(X):
-            return sigma * X * sigma_inv
+        # every parity (a -1-diagonal needs a bar-stable index window); it
+        # sends e_i to -e_{bar i} and e_{bar i} to -e_i
+        perm = [N - 1 - i if min(i, N - 1 - i) < m else i for i in range(N)]
+        theta = _conjugation(perm, [-1 if p != i else 1
+                                    for i, p in enumerate(perm)])
     elif spec.kind == "sp-sp":
         two_n, m = spec.params
         N = two_n + m
         L = classical_algebra("sp", N)
         # -1 on the last m/2 symplectic pairs of the standard form
         half = N // 2
-        signs = [Q1] * N
-        for i in range(half - m // 2, half):
-            signs[i] = -Q1
-            signs[half + i] = -Q1
-
-        def theta(X):
-            return QMatrix(N, N, [[X.data[i][j] * signs[i] * signs[j]
-                                   for j in range(N)] for i in range(N)])
+        theta = _conjugation(range(N), [-1 if half - m // 2 <= i % half
+                                        else 1 for i in range(N)])
     elif spec.kind == "sl-sp":
         (N,) = spec.params
         L = classical_algebra("sl", N)
-        J = symplectic_form(N)
-        Jinv = inverse(J)
+        # X -> -J X^T J^-1, J = [[0, I], [-I, 0]] sending e_j to -e_{j+N/2}
+        # for j < N/2 and e_j to e_{j-N/2} otherwise
+        half = N // 2
+        conj = _conjugation([(i + half) % N for i in range(N)],
+                            [-1 if i < half else 1 for i in range(N)])
 
         def theta(X):
-            return (J * X.transpose() * Jinv).scale(-1)
+            return conj({(j, i): -x for (i, j), x in X.items()})
     elif spec.kind == "so-gl":
         (nhalf,) = spec.params
         N = 2 * nhalf
         L = classical_algebra("so", N)
-        signs = [Q1] * N
-        for i in range(nhalf, N):
-            signs[i] = -Q1
-
-        def theta(X):
-            return QMatrix(N, N, [[X.data[i][j] * signs[i] * signs[j]
-                                   for j in range(N)] for i in range(N)])
+        theta = _conjugation(range(N), [1 if i < nhalf else -1
+                                        for i in range(N)])
     else:  # pragma: no cover
         raise ValueError(spec.kind)
 
@@ -996,7 +820,7 @@ def z2_contraction(spec: ContractionSpec):
     # g0 on the echelonised plus-basis, built from its matrices
     emb = Basis(plus).rows
     mats = L.metadata["matrices"]
-    g0 = matrix_algebra([_combination(row, mats) for row in emb],
+    g0 = matrix_algebra(N, [_combination(row, mats) for row in emb],
                         [f"y{i + 1}" for i in range(len(emb))],
                         {"name": f"fix({L.metadata['name']})",
                          "embedding": emb})

@@ -693,8 +693,6 @@ class FreenessVerdict:
     b_s: int
     degrees: list
     degree_sum_matches_b: bool
-    codim2_attached: bool
-    codim2_all_hold: bool
 
     @property
     def passes(self):
@@ -709,21 +707,17 @@ class FreenessVerdict:
             f"{'ok' if self.count_matches_index else 'FAIL'}",
             f"sum deg = {'+'.join(map(str, self.degrees))} = {self.degree_sum}, "
             f"b(s) = {self.b_s}: {'ok' if self.degree_sum_matches_b else 'FAIL'}",
-            f"codim-2 evidence: "
-            + ("attached, all points hold" if self.codim2_attached
-               and self.codim2_all_hold else
-               "attached, FAILURES" if self.codim2_attached else "none (partial)"),
         ]
         return "\n".join(lines)
 
 
-def freeness_checklist(S: SemiDirectProduct, candidates, cfg: SampleConfig,
-                       codim2=None) -> FreenessVerdict:
+def freeness_checklist(S: SemiDirectProduct, candidates, cfg: SampleConfig
+                       ) -> FreenessVerdict:
     """Check the hypotheses of the sum-of-degrees criterion for `candidates`.
 
     Verifies each candidate is an s-invariant, samples a Jacobian for
     independence, counts against ind s, and compares the degree sum with
-    b(s) = (dim s + ind s)/2.  codim2: an optional Codim2Report to attach.
+    b(s) = (dim s + ind s)/2.
     """
     inv = all(is_invariant(S, P) for P in candidates)
     indep = jacobian_independent(candidates, S, cfg)
@@ -741,6 +735,4 @@ def freeness_checklist(S: SemiDirectProduct, candidates, cfg: SampleConfig,
         b_s=b_s,
         degrees=degrees,
         degree_sum_matches_b=dsum == b_s,
-        codim2_attached=codim2 is not None,
-        codim2_all_hold=codim2.all_hold if codim2 is not None else False,
     )

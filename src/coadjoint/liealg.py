@@ -5,9 +5,10 @@ symmetric form) and sp (standard block form J = [[0, I], [-I, 0]]), plus the
 index, b(q), Killing form, derived series, and the isomorphism fingerprint
 used to recognise generic stabilisers.
 
-`matrix_algebra` is the one builder of an algebra from independent matrices:
-the classical algebras, sp_2k |x heis_k on its centraliser layout, and the
-fixed points g_0 of a Z2-contraction all go through it.  Its expander
+`matrix_algebra` is the one builder of an algebra from independent matrices,
+each stored as its nonzero entries {(i, j): Fraction}: the classical
+algebras, sp_2k |x heis_k on its centraliser layout, and the fixed points
+g_0 of a Z2-contraction all go through it.  Its expander
 (`metadata["expand"]`, from `make_expander`) is the one way to write a matrix
 in such a basis.
 
@@ -44,7 +45,6 @@ from .qlinalg import (
     VerificationError,
     _common_denominator,
     _dense,
-    as_q,
     rank,
     sample_mod_p,
 )
@@ -189,23 +189,22 @@ class LieAlgebraData:
 # ---------------------------------------------------------------------------
 
 
-def matrix_algebra(mats, labels, metadata):
-    """The Lie algebra spanned by independent square matrices, in their basis.
+def matrix_algebra(n, mats, labels, metadata):
+    """The Lie algebra spanned by independent n x n matrices, in their basis.
 
-    The only builder of an algebra from matrices: metadata gains
-    "matrices", "matrix_size" and "expand" (make_expander on mats).  The
-    commutators are taken in integers, of the matrices times D, the lcm of
-    their denominators, and the expander writes each D^2 [A, B] in the basis:
-    the table is built with d = D^2.  Raises VerificationError when a
-    commutator leaves the span.
+    The matrices are sparse, {(i, j): nonzero Fraction}.  The only builder
+    of an algebra from matrices: metadata gains "matrices", "matrix_size"
+    and "expand" (make_expander on mats).  The commutators are taken in
+    integers, of the matrices times D, the lcm of their denominators, and
+    the expander writes each D^2 [A, B] in the basis: the table is built
+    with d = D^2.  Raises VerificationError when a commutator leaves the
+    span.
     """
     expand = make_expander(mats)
-    metadata = dict(metadata, matrices=mats, expand=expand,
-                    matrix_size=mats[0].rows if mats else 0)
-    sparse = [m.entries() for m in mats]
-    D = math.lcm(1, *(v.denominator for m in sparse for v in m.values()))
+    metadata = dict(metadata, matrices=mats, expand=expand, matrix_size=n)
+    D = math.lcm(1, *(v.denominator for m in mats for v in m.values()))
     cleared = [{pos: v.numerator * (D // v.denominator) for pos, v in m.items()}
-               for m in sparse]
+               for m in mats]
     brackets = {}
     for a, ma in enumerate(cleared):
         for b in range(a + 1, len(mats)):
@@ -239,18 +238,18 @@ def _quotient(a, b):
 def make_expander(mats):
     """Return a function writing a sparse matrix in the span of mats.
 
-    mats may be any independent family of square matrices.  A position owned
-    by a single matrix fixes that matrix's coefficient exactly, and is peeled
-    off (all off-diagonal positions of the classical bases); whatever remains
-    is solved on the positions with several owners, in the matrices that own
-    no position alone.  Raises VerificationError outside the span.  Integral
-    entries are kept as ints, so an integer target over a basis of integer
-    matrices is peeled in integers.
+    mats may be any independent family of sparse square matrices.  A
+    position owned by a single matrix fixes that matrix's coefficient
+    exactly, and is peeled off (all off-diagonal positions of the classical
+    bases); whatever remains is solved on the positions with several owners,
+    in the matrices that own no position alone.  Raises VerificationError
+    outside the span.  Integral entries are kept as ints, so an integer
+    target over a basis of integer matrices is peeled in integers.
     """
     dim = len(mats)
     owners = {}
     sparse = [{pos: v.numerator if v.denominator == 1 else v
-               for pos, v in m.entries().items()} for m in mats]
+               for pos, v in m.items()} for m in mats]
     for b, entries in enumerate(sparse):
         for pos in entries:
             owners.setdefault(pos, []).append(b)
@@ -291,38 +290,27 @@ def make_expander(mats):
     return expand
 
 
-def _unit_matrix(n, i, j, c=1):
-    m = QMatrix.zero(n, n)
-    m.data[i][j] = as_q(c)
-    return m
-
-
 def gl_algebra(n):
     mats, labels = [], []
     for i in range(n):
         for j in range(n):
-            mats.append(_unit_matrix(n, i, j))
+            mats.append({(i, j): Q1})
             labels.append(f"E{i + 1}{j + 1}")
     md = {"name": f"gl{n}", "family": "gl", "size": n,
           "cartan": list(range(0, n * n, n + 1))}
-    return matrix_algebra(mats, labels, md)
+    return matrix_algebra(n, mats, labels, md)
 
 
 def sl_algebra(n):
-    mats, labels = [], []
-    for i in range(n - 1):
-        m = QMatrix.zero(n, n)
-        m.data[i][i] = Q1
-        m.data[i + 1][i + 1] = -Q1
-        mats.append(m)
-        labels.append(f"H{i + 1}")
+    mats = [{(i, i): Q1, (i + 1, i + 1): -Q1} for i in range(n - 1)]
+    labels = [f"H{i + 1}" for i in range(n - 1)]
     for i in range(n):
         for j in range(n):
             if i != j:
-                mats.append(_unit_matrix(n, i, j))
+                mats.append({(i, j): Q1})
                 labels.append(f"E{i + 1}{j + 1}")
     md = {"name": f"sl{n}", "family": "sl", "size": n, "cartan": list(range(n - 1))}
-    return matrix_algebra(mats, labels, md)
+    return matrix_algebra(n, mats, labels, md)
 
 
 def so_algebra(n):
@@ -332,21 +320,16 @@ def so_algebra(n):
     cartan = []
     for i in range(n):
         for j in range(n):
-            if (i, j) in seen or (bar(j), bar(i)) in seen:
-                continue
-            if i == bar(i) and j == bar(j):
-                continue
-            m = _unit_matrix(n, i, j)
-            m.data[bar(j)][bar(i)] -= Q1
-            if m.is_zero():
+            # E_ij - E_{bar j, bar i}, zero when j = bar(i)
+            if (i, j) in seen or (bar(j), bar(i)) in seen or j == bar(i):
                 continue
             seen.add((i, j))
             if i == j:
                 cartan.append(len(mats))
-            mats.append(m)
+            mats.append({(i, j): Q1, (bar(j), bar(i)): -Q1})
             labels.append(f"F{i + 1}{j + 1}")
     md = {"name": f"so{n}", "family": "so", "size": n, "cartan": cartan}
-    return matrix_algebra(mats, labels, md)
+    return matrix_algebra(n, mats, labels, md)
 
 
 def sp_algebra(n):
@@ -365,16 +348,16 @@ def sp_algebra(n):
             partner = (pair(j), pair(i))
             if partner in seen:
                 continue
-            m = _unit_matrix(n, i, j)
+            m = {(i, j): Q1}
             if partner != (i, j):
-                m.data[partner[0]][partner[1]] -= sign(i) * sign(j)
+                m[partner] = QQ(-sign(i) * sign(j))
             seen.add((i, j))
             if i == j:
                 cartan.append(len(mats))
             mats.append(m)
             labels.append(f"S{i + 1}{j + 1}")
     md = {"name": f"sp{n}", "family": "sp", "size": n, "cartan": cartan}
-    alg = matrix_algebra(mats, labels, md)
+    alg = matrix_algebra(n, mats, labels, md)
     assert alg.dim == m0 * (2 * m0 + 1)
     return alg
 

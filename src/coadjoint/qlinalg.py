@@ -30,8 +30,8 @@ ranks are taken mod p at points from `sample_mod_p`.
 
 Also hosts the deterministic integer-point sampler used to realise "generic"
 points, with `sample_rounds`, the one height-doubling schedule of every
-generic-point search, and exact univariate interpolation for graded-component
-extraction.
+generic-point search, and exact univariate interpolation
+(`interpolate_coeffs`).
 """
 
 from __future__ import annotations
@@ -798,15 +798,3 @@ def interpolate_coeffs(values):
     while len(poly) < n:
         poly.append(Q0)
     return poly
-
-
-def leading_graded_component(evaluate, degree_bound: int):
-    """Coefficient list of t -> evaluate(t), degree <= degree_bound, exact.
-
-    evaluate is called at the distinct nodes t = 1 .. degree_bound+1; the
-    result is the full coefficient list (index = t-degree).  The caller reads
-    off the top nonzero coefficient index as the graded top degree.
-    """
-    nodes = [QQ(i + 1) for i in range(degree_bound + 1)]
-    values = [evaluate(t) for t in nodes]
-    return interpolate_coeffs(values)

@@ -3,12 +3,13 @@
 A module is stored as the sparse columns of its action matrices, one list of
 columns per basis element of the algebra, together with per-summand block
 bookkeeping and (when the Cartan acts diagonally) the list of weights of the
-chosen module basis.  Every constructor writes the columns directly;
-submodules, stabilisers and semi-direct products read them.  The dense
-`action` matrices are a view built on request, and
-`RepresentationData.from_matrices` is the one way in from dense matrices.
-The commutator compatibility check `check_representation` is the ground
-truth every constructor is tested against.
+chosen module basis.  Every constructor writes the columns directly (the
+defining module from the sparse matrices of its algebra); submodules,
+stabilisers and semi-direct products read them.  The dense `action` matrices
+are a view built on request, and `RepresentationData.from_matrices` makes a
+module of arbitrary dense matrices, for checking.  The commutator
+compatibility check `check_representation` is the ground truth every
+constructor is tested against.
 
 The spin representations use the fermionic Fock model: so_n in the split form
 acts through the Clifford algebra on the exterior algebra of a maximal
@@ -148,7 +149,10 @@ def standard_rep(L: LieAlgebraData) -> RepresentationData:
     mats = L.metadata.get("matrices")
     if mats is None:
         raise ValueError("standard_rep requires a matrix-constructed algebra")
-    R = RepresentationData.from_matrices(L, mats, "phi1")
+    n = L.metadata["matrix_size"]
+    R = RepresentationData(
+        L, [[_column({w: c for (w, u), c in m.items() if u == v})
+             for v in range(n)] for m in mats], n, label="phi1")
     R.weights = _diag_weights(R)
     return R
 
@@ -160,9 +164,16 @@ def trivial_rep(L: LieAlgebraData, d=1) -> RepresentationData:
 
 
 def dual_rep(R: RepresentationData) -> RepresentationData:
-    """Dual module: action matrices are negated transposes."""
-    out = RepresentationData.from_matrices(
-        R.algebra, [m.transpose().scale(-1) for m in R.action], f"({R.label})*")
+    """Dual module: action matrices are negated transposes, written column
+    by column from the columns of R."""
+    columns = []
+    for cols in R.columns:
+        dual = [[] for _ in range(R.dim_V)]
+        for v, col in enumerate(cols):
+            for w, c in col:
+                dual[w].append((v, -c))
+        columns.append(dual)
+    out = RepresentationData(R.algebra, columns, R.dim_V, f"({R.label})*")
     if R.weights is not None:
         out.weights = [tuple(-w for w in ws) for ws in R.weights]
     return out
@@ -435,7 +446,7 @@ def spin_rep(n: int, half: str | None = None, L=None) -> RepresentationData:
         # entry pair once
         acc = [{} for _ in range(N)]
         seenpairs = set()
-        for (p, q), c in bm.entries().items():
+        for (p, q), c in bm.items():
             if (n_sq - 1 - q, n_sq - 1 - p) in seenpairs:
                 continue
             seenpairs.add((p, q))

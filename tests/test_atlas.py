@@ -105,6 +105,17 @@ def test_named_fingerprints():
         named_fingerprint("E8", CFG)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_sphs_closed_form_is_the_fingerprint_of_the_centraliser(k):
+    # the expected value is a formula; the algebra built on the layout of
+    # the minimal nilpotent centraliser in sp_{2k+2} must agree with it
+    from coadjoint.atlas import sp_heis_algebra
+
+    assert (named_fingerprint(f"sphs({k})", CFG)
+            == fingerprint(sp_heis_algebra(k), CFG))
+    assert named_fingerprint("sphs(0)", CFG) == named_fingerprint("ab(1)", CFG)
+
+
 def test_verify_row_deterministic():
     rows = load_atlas(cfg=CFG)
     row = _row(rows, 2, "2")

@@ -1,15 +1,14 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from coadjoint.constructions import (
     ContractionSpec,
     EDeltaResult,
-    MatrixRealisation,
     RestrictionEscapes,
     centraliser_dim,
-    delta_k,
     delta_k_matrix,
     e_delta_restricted,
     highest_component,
@@ -36,6 +35,12 @@ from coadjoint.repn import standard_rep
 from coadjoint.semidirect import semidirect
 
 CFG = SampleConfig(seed=21, height=5, rounds=8)
+
+
+def _qmatrix(m, n):
+    """The sparse matrix m, {(i, j): value}, as a dense n x n QMatrix."""
+    return QMatrix(n, n, [[m.get((i, j), Q0) for j in range(n)]
+                          for i in range(n)])
 
 
 # -- principal minors and pfaffians ----------------------------------------
@@ -75,16 +80,6 @@ def test_delta_is_charpoly_coefficient():
         # det(lambda I - M) = l^3 - c1 l^2 + c2 l - c3 with c_k = Delta_k
         for k in range(4):
             assert delta_k_matrix(M, k) == brute_minor_sum(M, k)
-
-
-def test_delta_evaluator_on_plain_layout():
-    lay = MatrixRealisation.plain(3)
-    E = delta_k(lay, 2)
-    rng = random.Random(1)
-    pt = [QQ(rng.randint(-4, 4)) for _ in range(9)]
-    M = QMatrix(3, 3, [[pt[3 * i + j] for j in range(3)] for i in range(3)])
-    assert E.evaluate(pt) == brute_minor_sum(M, 2)
-    E.spot_check(CFG)
 
 
 def test_pfaffian_small():
@@ -149,9 +144,8 @@ def test_layout_coordinate_counts():
 
 def test_layout_zero_point_is_constant():
     lay = minimal_nilpotent_centraliser_layout(2)
-    Z = lay.evaluate([0] * lay.n_coords, t=1)
-    assert (Z - lay.const).is_zero()
-    assert not lay.const.is_zero()
+    assert lay.const == lay.meta["e"]
+    assert lay.const
 
 
 def test_e_delta_minimal_cases():
@@ -222,15 +216,15 @@ def _sl_route_top(q, m, k):
     vectors, rows their symplectic duals) and take the top V-degree part of
     the principal k-minor sum there.  Shares no code path with the layouts.
     """
-    from coadjoint.constructions import _trace_pair, symbolic_minor_sum
     from coadjoint.qlinalg import inverse
     from coadjoint.repn import symplectic_form
 
     sp = classical_algebra("sp", 2 * q)
-    mats = sp.metadata["matrices"]
+    mats = [_qmatrix(m, 2 * q) for m in sp.metadata["matrices"]]
     d = sp.dim
-    gram = QMatrix(d, d, [[_trace_pair(mats[i], mats[j]) for j in range(d)]
-                          for i in range(d)])
+    gram = QMatrix(d, d, [[sum(((mats[i] * mats[j]).data[t][t]
+                                for t in range(2 * q)), Q0)
+                           for j in range(d)] for i in range(d)])
     ginv = inverse(gram)
     duals = []
     for i in range(d):
@@ -310,20 +304,6 @@ def test_highest_component_by_definition():
     assert d == 2 and (top - x * y * y).is_zero()
 
 
-def test_highest_component_evaluator_black_box():
-    from coadjoint.constructions import EvaluatorPoly, highest_component_evaluator
-
-    # P(x, y) = x^2 y + x y^2, top y-part extracted by t-scaling
-    def fn(pt):
-        x, y = pt
-        return x * x * y + x * y * y
-
-    E = EvaluatorPoly(fn=fn, nvars=2, degree_bound=3)
-    top, d = highest_component_evaluator(E, [1], CFG)
-    assert d == 2
-    assert top.evaluate([QQ(2), QQ(3)]) == QQ(2) * QQ(9)
-
-
 def test_two_block_centraliser_dim_oracle():
     lay = two_block_centraliser_layout(3, 2)
     assert centraliser_dim(lay) == 31
@@ -384,21 +364,23 @@ def matryoshka_sides(lay3, res):
     expand = sp4.metadata["expand"]
     nlay = lay2.n_coords
     nv, tv = nlay + 1, nlay
+    const = _qmatrix(lay2.const, 4)
     ent = [[MultiPoly(nv) for _ in range(4)] for _ in range(4)]
     for r in range(4):
         for s in range(4):
-            if lay2.const.data[r][s] != 0:
+            if const.data[r][s] != 0:
                 ent[r][s] = ent[r][s] + MultiPoly.variable(
-                    nv, tv, lay2.const.data[r][s])
+                    nv, tv, const.data[r][s])
     for j, c in enumerate(lay2.coords):
+        ev = _qmatrix(c.eval_matrix, 4)
         for r in range(4):
             for s in range(4):
-                if c.eval_matrix.data[r][s] != 0:
+                if ev.data[r][s] != 0:
                     ent[r][s] = ent[r][s] + MultiPoly.variable(
-                        nv, j, c.eval_matrix.data[r][s])
+                        nv, j, ev.data[r][s])
     images = []
     for i in range(sp4.dim):
-        zz = P * sp4.metadata["matrices"][i] * Pinv
+        zz = P * _qmatrix(sp4.metadata["matrices"][i], 4) * Pinv
         acc = MultiPoly(nv)
         for r in range(4):
             for s in range(4):
@@ -409,7 +391,7 @@ def matryoshka_sides(lay3, res):
         images.append(MultiPoly(nv))
     adapted = []
     for c in lay2.coords:
-        zz = Pinv * c.generator * P
+        zz = Pinv * _qmatrix(c.generator, 4) * P
         coeffs = expand({(i, j): zz.data[i][j] for i in range(4)
                          for j in range(4) if zz.data[i][j]})
         vec = [Q0] * sp4.dim
@@ -530,8 +512,8 @@ def test_contraction_g0_is_the_fixed_subalgebra(kind, params, family, size):
     for row, mat in zip(emb, g0.metadata["matrices"]):
         expect = QMatrix.zero(size, size)
         for c, m in zip(row, L.metadata["matrices"]):
-            expect = expect + m.scale(c)
-        assert mat == expect
+            expect = expect + _qmatrix(m, size).scale(c)
+        assert _qmatrix(mat, size) == expect
     assert g0.int_ad_table == subalgebra(L, emb).int_ad_table
 
 
@@ -549,10 +531,38 @@ def test_sp_heis_algebra_is_the_centraliser_in_sp(k):
     rows = []
     for c in minimal_nilpotent_centraliser_layout(k + 1).coords:
         coeffs = expand({(perm[i], perm[j]): a
-                         for (i, j), a in c.generator.entries().items()})
+                         for (i, j), a in c.generator.items()})
         rows.append([coeffs.get(t, Q0) for t in range(sp.dim)])
     assert (sp_heis_algebra(k).int_ad_table
             == algebra_on_basis(sp, rows).int_ad_table)
+
+
+def test_stored_matrices_are_their_nonzero_entries():
+    # every matrix spanning a matrix-built algebra or a layout is a dict of
+    # nonzero Fractions at positions inside the matrix size
+    stored = []
+    for family, sizes in (("gl", (1, 2, 3)), ("sl", (2, 3, 4)),
+                          ("so", (3, 4, 5)), ("sp", (2, 4, 6))):
+        for n in sizes:
+            L = classical_algebra(family, n)
+            assert L.metadata["matrix_size"] == n
+            stored.append((n, L.metadata["matrices"]))
+    for lay in (minimal_nilpotent_centraliser_layout(3),
+                two_block_centraliser_layout(3, 2)):
+        stored.append((lay.N, [lay.const, lay.meta["e"], lay.meta["f"],
+                               lay.meta["omega"]]
+                       + [c.generator for c in lay.coords]
+                       + [c.eval_matrix for c in lay.coords]))
+    for kind, params in (("so-so", (3, 2)), ("sp-sp", (2, 2)),
+                         ("sl-sp", (4,)), ("so-gl", (2,))):
+        g0 = z2_contraction(ContractionSpec(kind, params))[0].algebra
+        stored.append((g0.metadata["matrix_size"], g0.metadata["matrices"]))
+    for n, mats in stored:
+        for m in mats:
+            assert type(m) is dict and m
+            for (i, j), v in m.items():
+                assert 0 <= i < n and 0 <= j < n
+                assert type(v) is Fraction and v != 0
 
 
 def test_contraction_rejects_unknown_pair():

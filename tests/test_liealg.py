@@ -363,7 +363,7 @@ def test_expander_on_any_independent_family(seed, n, density):
         if rank(QMatrix.from_rows(flat + [row])) == len(mats) + 1:
             mats.append(m)
             flat.append(row)
-    expand = make_expander(mats)
+    expand = make_expander([m.entries() for m in mats])
     c = [Fraction(rng.randint(-3, 3), rng.choice((1, 3))) for _ in mats]
     target = QMatrix.zero(n, n)
     for a, m in zip(c, mats):
@@ -382,8 +382,10 @@ def test_matrix_algebra_rejects_matrices_not_closed_under_commutator():
     e = QMatrix.from_rows([[0, 1], [0, 0]])
     f = QMatrix.from_rows([[0, 0], [1, 0]])
     with pytest.raises(VerificationError):
-        matrix_algebra([e, f], ["e", "f"], {})
-    sl2 = matrix_algebra([e, f, e * f - f * e], ["e", "f", "h"], {})
+        matrix_algebra(2, [e.entries(), f.entries()], ["e", "f"], {})
+    h = e * f - f * e
+    sl2 = matrix_algebra(2, [e.entries(), f.entries(), h.entries()],
+                         ["e", "f", "h"], {})
     assert sl2.int_brackets() == [(0, 1, {2: 1}), (0, 2, {0: -2}),
                                   (1, 2, {1: 2})]
 
@@ -393,10 +395,18 @@ def test_matrix_algebra_rejects_matrices_not_closed_under_commutator():
 # ---------------------------------------------------------------------------
 
 
-def _reference_matrix_table(mats):
-    """{(a, b): [x_a, x_b] as {k: Fraction}}, a < b, for independent
-    matrices: each commutator a dense Fraction product, written in the
-    matrices by Basis.coords."""
+def _qmatrix(m, n):
+    """The sparse matrix m, {(i, j): value}, as a dense n x n QMatrix."""
+    return QMatrix(n, n, [[m.get((i, j), Fraction(0)) for j in range(n)]
+                          for i in range(n)])
+
+
+def _reference_matrix_table(L):
+    """{(a, b): [x_a, x_b] as {k: Fraction}}, a < b, for the independent
+    matrices of a matrix-built algebra L: each commutator a dense Fraction
+    product, written in the matrices by Basis.coords."""
+    mats = [_qmatrix(m, L.metadata["matrix_size"])
+            for m in L.metadata["matrices"]]
     span = Basis([[x for row in m.data for x in row] for m in mats])
     out = {}
     for a in range(len(mats)):
@@ -409,7 +419,7 @@ def _reference_matrix_table(mats):
 
 def _reference_semidirect_table(S):
     """The reference table of the algebra, plus [x_i, v] = rho(x_i) v."""
-    ref = _reference_matrix_table(S.algebra.metadata["matrices"])
+    ref = _reference_matrix_table(S.algebra)
     g = S.dim_g
     for i, columns in enumerate(S.rep.columns):
         for v, col in enumerate(columns):
@@ -459,7 +469,7 @@ def _assert_integer_table(L, ref):
 def test_classical_integer_table_is_the_reference(family, sizes):
     for n in sizes:
         L = classical_algebra(family, n)
-        _assert_integer_table(L, _reference_matrix_table(L.metadata["matrices"]))
+        _assert_integer_table(L, _reference_matrix_table(L))
 
 
 def _rescaled(L, scales):
@@ -528,7 +538,7 @@ def test_subalgebra_integer_table_is_the_reference(name, seed, size):
                     for v in range(S.dim_V)])
     else:
         L = BRACKET_ALGEBRAS[name]()
-        ref = _reference_matrix_table(L.metadata["matrices"])
+        ref = _reference_matrix_table(L)
         while True:
             basis = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 5)))
                       for _ in range(L.dim)] for _ in range(L.dim)]

@@ -8,7 +8,6 @@ from coadjoint.qlinalg import (
     SampleConfig,
     interpolate_coeffs,
     kernel_basis,
-    leading_graded_component,
     rank,
     sample_vector,
     solve_right,
@@ -115,13 +114,18 @@ def test_sample_height_bound():
     assert all(-2 <= x <= 2 for x in v)
 
 
+def _values(f, n):
+    """f at the interpolation nodes t = 1 .. n."""
+    return [f(QQ(t)) for t in range(1, n + 1)]
+
+
 def test_interpolation_simple():
-    coeffs = leading_graded_component(lambda t: 3 * t * t + t, 3)
+    coeffs = interpolate_coeffs(_values(lambda t: 3 * t * t + t, 4))
     assert coeffs == [QQ(0), QQ(1), QQ(3), QQ(0)]
 
 
 def test_interpolation_constant():
-    coeffs = leading_graded_component(lambda t: QQ(5), 4)
+    coeffs = interpolate_coeffs(_values(lambda t: QQ(5), 5))
     assert coeffs[0] == 5 and all(c == 0 for c in coeffs[1:])
 
 
@@ -138,7 +142,7 @@ def test_interpolation_vs_symbolic_expansion():
                 acc = acc * t + c
             return acc
 
-        got = leading_graded_component(poly, deg + 1)
+        got = interpolate_coeffs(_values(poly, deg + 2))
         assert got[: deg + 1] == cs
         assert all(c == 0 for c in got[deg + 1:])
 
@@ -155,5 +159,5 @@ def test_interpolation_determinant_oracle():
             m = QMatrix.from_rows([[t * a, t * b], [1 + t * c, -t * a]])
             return m.data[0][0] * m.data[1][1] - m.data[0][1] * m.data[1][0]
 
-        got = leading_graded_component(ev, 2)
+        got = interpolate_coeffs(_values(ev, 3))
         assert got == [QQ(0), -b, -(a * a + b * c)]

@@ -284,7 +284,7 @@ else:
     sys.exit(10)
 e = QMatrix.from_rows([[0, 1], [0, 0]])
 try:
-    matrix_algebra([e, e.transpose()], ["e", "f"], {})
+    matrix_algebra(2, [e.entries(), e.transpose().entries()], ["e", "f"], {})
 except VerificationError:
     pass
 else:
