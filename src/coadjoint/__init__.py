@@ -37,13 +37,11 @@ from .repn import (
     standard_rep,
     symmetric_power,
     symplectic_form,
-    orthogonal_form,
     trivial_rep,
     weight_module,
 )
 from .semidirect import (
     SemiDirectProduct,
-    codim2_evidence,
     direct_index,
     generic_stabiliser_in_V,
     rais_index,

@@ -109,7 +109,7 @@ _fp_cache = {}
 def named_fingerprint(name, cfg: SampleConfig) -> Fingerprint:
     """Fingerprint of a named algebra; sums with +, j*name multiplicities."""
     name = name.strip()
-    key = (name, cfg.seed, cfg.height)
+    key = (name, cfg)
     if key not in _fp_cache:
         parts = _split_sum(name)
         m = re.fullmatch(r"([1-9]\d*)\*(.+)", name)

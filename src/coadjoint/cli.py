@@ -20,9 +20,10 @@ def _cfg(args):
 
 
 def _add_sampling(p):
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--height", type=int, default=5)
-    p.add_argument("--rounds", type=int, default=8)
+    default = SampleConfig()
+    p.add_argument("--seed", type=int, default=default.seed)
+    p.add_argument("--height", type=int, default=default.height)
+    p.add_argument("--rounds", type=int, default=default.rounds)
 
 
 def _summands(spec):

@@ -7,14 +7,16 @@ with the extraction of the highest graded components of Delta_k restricted
 to them, the restriction homomorphism psi_x, Z2-contractions with their
 highest-component generators, Takiff algebras, and the lift of
 quadratic-in-g invariants through the copy of g inside S^2 of the standard
-symplectic module.
+symplectic module, as the polarisation H = 1/2 sum_a q_a dh/dx_a.
 
 Every matrix that spans an algebra or a layout is sparse, {(i, j): nonzero
-Fraction}.  Matrix realisations identify g with g* through the trace form
-<X, Y> = tr XY; on a layout the coordinates are read in the dual basis of
-the drawn basis of the centraliser, and the scalar t scaling the constant
-f-block tracks the f-degree, so the coefficient of t^d is the highest
-f-component when d is the top power.
+Fraction}; the ambient symplectic form of a layout is an integer form, and
+its generators are checked against it with `repn.preserves_form`.  Matrix
+realisations identify g with g* through the trace form <X, Y> = tr XY; on a
+layout the coordinates are read in the dual basis of the drawn basis of the
+centraliser, and the scalar t scaling the constant f-block tracks the
+f-degree, so the coefficient of t^d is the highest f-component when d is
+the top power.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .repn import (
     _submodule,
     adjoint_rep,
     direct_sum_rep,
+    preserves_form,
     standard_rep,
     symplectic_form,
 )
@@ -333,21 +336,7 @@ def _ambient_sp_form(m, q):
     group1/group2 dual isotropic, group3 standard symplectic."""
     pairs = [(a, m + a) for a in range(m)] + [
         (2 * m + r, 2 * m + q + r) for r in range(q)]
-    return {**{p: Q1 for p in pairs}, **{(j, i): -Q1 for i, j in pairs}}
-
-
-def _in_sp(X, Om) -> bool:
-    """X^T Om + Om X = 0, for sparse {(i, j): value} matrices X and Om."""
-    acc = {}
-    for (k, i), x in X.items():
-        for (k2, j), o in Om.items():
-            if k == k2:
-                acc[(i, j)] = acc.get((i, j), Q0) + x * o
-    for (i, k), o in Om.items():
-        for (k2, j), x in X.items():
-            if k == k2:
-                acc[(i, j)] = acc.get((i, j), Q0) + o * x
-    return not any(acc.values())
+    return {**{p: 1 for p in pairs}, **{(j, i): -1 for i, j in pairs}}
 
 
 def centraliser_layout(m: int, q: int) -> MatrixRealisation:
@@ -370,7 +359,7 @@ def centraliser_layout(m: int, q: int) -> MatrixRealisation:
     )
     e_mat = {(a, m + a): Q1 for a in range(m)}
     f_mat = {(m + a, a): Q1 for a in range(m)}
-    if not (_in_sp(e_mat, Om) and _in_sp(f_mat, Om)):
+    if not (preserves_form(e_mat, Om) and preserves_form(f_mat, Om)):
         raise VerificationError("e or f is not in sp(Omega)")
     gens = []
     # C: S^2 k^m at block (group1, group2), grade 2; contains e on the
@@ -402,7 +391,7 @@ def centraliser_layout(m: int, q: int) -> MatrixRealisation:
         gens.append(("sp", sp_small.basis_labels[bi], mat, bi))
     # sanity: every generator is in sp(Om) and commutes with e
     for kind, label, mat, tgt in gens:
-        if not _in_sp(mat, Om):
+        if not preserves_form(mat, Om):
             raise VerificationError(f"{label} is not in sp(Omega)")
         if _commutator_sparse(e_mat, mat):
             raise VerificationError(f"{label} does not centralise e")
@@ -437,7 +426,7 @@ def centraliser_layout(m: int, q: int) -> MatrixRealisation:
     zs = [g[2] for g in gens]
     ms = [mirror(z) for z in zs]
     for x in ms:
-        if not _in_sp(x, Om) or _commutator_sparse(f_mat, x):
+        if not preserves_form(x, Om) or _commutator_sparse(f_mat, x):
             raise VerificationError("a mirrored generator leaves sp(Omega)_f")
     duals = _trace_duals(zs, ms)
     coords = [LayoutCoord(kind, label, zmat, dual, tgt)
@@ -512,7 +501,7 @@ def centraliser_dim(layout: MatrixRealisation) -> int:
 # ---------------------------------------------------------------------------
 
 
-class RestrictionEscapes(ValueError):
+class RestrictionEscapes(ValueError, VerificationError):
     def __init__(self, label):
         self.coordinate = label
         super().__init__(f"restriction escapes the target: coordinate {label}")
@@ -961,9 +950,10 @@ def item3_lift(n: int) -> Item3Result:
     # B(xi) for xi in V1* written in dual coordinates: the self-duality of the
     # standard module twists xi through J, giving the equivariant quadric map
     # B(xi) = 2 J xi xi^T (a matrix in sp(J)); expand in the g0 basis
-    J = symplectic_form(2 * n).entries()
+    J = symplectic_form(2 * n)
     N = 2 * n
     expand = g0.metadata["expand"]
+    xs = [MultiPoly.variable(N, t) for t in range(N)]
     q_polys = [MultiPoly(N) for _ in range(g0.dim)]  # polynomials in xi coords
     for r in range(N):
         for s in range(r, N):
@@ -971,68 +961,41 @@ def item3_lift(n: int) -> Item3Result:
             M = {}
             for (irow, col), c in J.items():
                 if col == r:
-                    M[irow, s] = M.get((irow, s), Q0) + 2 * c
+                    M[irow, s] = M.get((irow, s), 0) + 2 * c
                 if col == s and r != s:
-                    M[irow, r] = M.get((irow, r), Q0) + 2 * c
-            coeffs = expand(M)
-            mono = tuple(2 if t == r and r == s else
-                         (1 if t in (r, s) else 0) for t in range(N))
-            for b, c in coeffs.items():
+                    M[irow, r] = M.get((irow, r), 0) + 2 * c
+            for b, c in expand(M).items():
                 if c != 0:
-                    q_polys[b] = q_polys[b] + MultiPoly(N, {mono: c})
+                    q_polys[b] = q_polys[b] + xs[r] * xs[s] * c
     # lower the free index through the trace form on g0: the coordinates of
     # B(xi) transform contragradiently to the g variables, and the invariant
     # contraction in the lift pairs them through g ~ g* (trace form)
     gm = g0.metadata["matrices"]
-    gram0 = QMatrix(g0.dim, g0.dim,
-                    [[_trace_pair(gm[b], gm[c]) for c in range(g0.dim)]
-                     for b in range(g0.dim)])
     q_low = []
     for b in range(g0.dim):
         acc = MultiPoly(N)
         for c in range(g0.dim):
-            w = gram0.data[b][c]
+            w = _trace_pair(gm[b], gm[c])
             if w != 0:
                 acc = acc + q_polys[c] * w
         q_low.append(acc)
     q_polys = q_low
-    # embed the quadrics into S variables (V1 block)
-    off_v1 = S.dim_g
-    q_in_S = []
-    for qp in q_polys:
-        terms = {}
-        for mono, c in qp.terms.items():
-            exp = [0] * S.dim
-            for t, e in enumerate(mono):
-                exp[off_v1 + t] = e
-            terms[tuple(exp)] = c
-        q_in_S.append(MultiPoly(S.dim, terms))
-    # lift each h: replace the quadratic g-part via polarisation with one slot
-    # sent to the quadrics
-    off_v2 = S.dim_g + N
+    # into the variables of S: the quadrics on the V1 block, h with its g
+    # variables kept and its module variables on the V2 block
+    var = [MultiPoly.variable(S.dim, t) for t in range(S.dim)]
+    q_in_S = [qp.substitute_linear(var[S.dim_g:S.dim_g + N]) for qp in q_polys]
+    h_vars = var[:S.dim_g] + var[S.dim_g + N:]
+    # the lift polarises the quadratic g-part of h with one slot sent to the
+    # quadrics: H = 1/2 sum_a q_a dh/dx_a
     lifted = []
     for h in hs:
+        hS = h.substitute_linear(h_vars)
         H = MultiPoly(S.dim)
-        for mono, c in h.terms.items():
-            gpart = [(i, e) for i, e in enumerate(mono[:S2.dim_g]) if e]
-            vpart = mono[S2.dim_g:]
-            if sum(e for _, e in gpart) != 2:
-                raise VerificationError(
-                    "a quadratic-in-g generator has g-degree other than 2")
-            base_exp = [0] * S.dim
-            for j, e in enumerate(vpart):
-                base_exp[off_v2 + j] = e
-            base = MultiPoly(S.dim, {tuple(base_exp): c})
-            if len(gpart) == 1:
-                a = gpart[0][0]
-                xa = MultiPoly.variable(S.dim, a)
-                H = H + base * xa * q_in_S[a]
-            else:
-                (a, _), (b, _) = gpart
-                xa = MultiPoly.variable(S.dim, a)
-                xb = MultiPoly.variable(S.dim, b)
-                H = H + base * (xa * q_in_S[b] + xb * q_in_S[a]) * QQ(1, 2)
-        lifted.append(H)
+        for a in range(S.dim_g):
+            d = hS.partial(a)
+            if not d.is_zero():
+                H = H + q_in_S[a] * d
+        lifted.append(H * QQ(1, 2))
     return Item3Result(S=S, S2=S2, lifted=lifted, quadratic=hs,
                        B_quadrics=q_polys)
 

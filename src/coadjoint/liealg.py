@@ -50,7 +50,7 @@ from .qlinalg import (
 )
 
 
-class NotClosedError(ValueError):
+class NotClosedError(ValueError, VerificationError):
     """A span fails to be bracket-closed; carries a witness pair."""
 
     def __init__(self, i, j):

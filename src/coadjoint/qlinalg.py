@@ -739,7 +739,7 @@ class SampleConfig:
 
     seed: int = 2024
     height: int = 5
-    rounds: int = 6
+    rounds: int = 8
 
     def __post_init__(self):
         assert self.height >= 1 and self.rounds >= 1

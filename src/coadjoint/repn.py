@@ -11,6 +11,11 @@ module of arbitrary dense matrices, for checking.  The commutator
 compatibility check `check_representation` is the ground truth every
 constructor is tested against.
 
+A bilinear form is sparse with integer entries, {(i, j): int}, and
+`preserves_form` is the one test of X^T F + F X = 0.  The primitive parts of
+exterior powers are kernels of contraction with such a form, built per
+weight class of Lambda^k as `IntRows`.
+
 The spin representations use the fermionic Fock model: so_n in the split form
 acts through the Clifford algebra on the exterior algebra of a maximal
 isotropic subspace, which keeps all matrix entries in 1/2 Z.
@@ -23,7 +28,8 @@ import itertools
 import math
 
 from .liealg import LieAlgebraData, classical_algebra
-from .qlinalg import Basis, QMatrix, Q0, Q1, QQ, VerificationError
+from .qlinalg import (Basis, IntRows, QMatrix, Q0, QQ, VerificationError,
+                      kernel_basis)
 
 
 class RepresentationData:
@@ -253,72 +259,75 @@ def symmetric_power(R: RepresentationData, k: int) -> RepresentationData:
         range(R.dim_V), k)), f"S{k}({R.label})", derive)
 
 
-class FormNotInvariantError(ValueError):
+class FormNotInvariantError(ValueError, VerificationError):
     def __init__(self, witness):
         self.witness = witness
         super().__init__(f"form not invariant: witness basis index {witness}")
 
 
-def check_form_invariant(R: RepresentationData, form: QMatrix):
-    """form(Xu, v) + form(u, Xv) = 0 for every basis action X."""
-    for i, m in enumerate(R.action):
-        c = m.transpose() * form + form * m
-        if not c.is_zero():
+def preserves_form(X, form) -> bool:
+    """X^T F + F X = 0 for sparse {(i, j): value} matrices X and F = form:
+    X lies in the Lie algebra of the form."""
+    rows, cols = {}, {}
+    for (i, j), f in form.items():
+        rows.setdefault(i, []).append((j, f))
+        cols.setdefault(j, []).append((i, f))
+    acc = {}
+    for (k, l), x in X.items():
+        for j, f in rows.get(k, ()):
+            acc[l, j] = acc.get((l, j), 0) + x * f
+        for i, f in cols.get(k, ()):
+            acc[i, l] = acc.get((i, l), 0) + f * x
+    return not any(acc.values())
+
+
+def check_form_invariant(R: RepresentationData, form):
+    """form(Xu, v) + form(u, Xv) = 0 for every basis action X, read off the
+    sparse columns of R."""
+    for i, cols in enumerate(R.columns):
+        X = {(w, v): c for v, col in enumerate(cols) for w, c in col}
+        if not preserves_form(X, form):
             raise FormNotInvariantError(i)
 
 
-def contraction_kernel(R: RepresentationData, form: QMatrix, k: int
+def contraction_kernel(R: RepresentationData, form, k: int
                        ) -> RepresentationData:
-    """Primitive part of Lambda^k: kernel of contraction with the form.
+    """Primitive part of Lambda^k: kernel of contraction with the integer
+    form {(i, j): int}.
 
     The contraction sends v_1 ^ ... ^ v_k to
     sum_{a<b} (-1)^{a+b-1} form(v_a, v_b) v_1 ^ ... (drop a, b) ... ^ v_k;
-    its kernel is a submodule because the form is invariant (verified).
-    The kernel basis is computed weight block by weight block, so the result
-    keeps diagonal Cartan actions.
+    its kernel is a submodule because the form is invariant (verified).  The
+    map is written as one `IntRows` per weight class of Lambda^k (a single
+    class when the weights are unknown), its rows keyed by the basis tuple
+    of Lambda^{k-2}, so the result keeps diagonal Cartan actions.  Each
+    kernel comes out in the normal form of `kernel_basis`.
     """
     check_form_invariant(R, form)
     ext = exterior_power(R, k)
     if k < 2:
         return ext
-    small = exterior_power(R, k - 2)
-    basis_k = ext.basis_tags
-    basis_s = {b: i for i, b in enumerate(small.basis_tags)}
-    # matrix of the contraction map
-    C = QMatrix.zero(len(basis_s), len(basis_k))
-    for col, b in enumerate(basis_k):
-        for a in range(k):
-            for c in range(a + 1, k):
-                f = form.data[b[a]][b[c]]
-                if not f:
-                    continue
-                rest = tuple(x for t, x in enumerate(b) if t not in (a, c))
-                sign = (-1) ** (a + c - 1)
-                C.data[basis_s[rest]][col] += f * sign
-    kernel_vectors = _kernel_by_weight(C, ext)
-    return _submodule(ext, kernel_vectors, label=f"L{k}0({R.label})")
-
-
-def _kernel_by_weight(C: QMatrix, ext: RepresentationData):
-    """Kernel basis of C, block-diagonalised by module weights when known."""
-    from .qlinalg import kernel_basis
-
-    if ext.weights is None:
-        return kernel_basis(C)
-    groups = {}
-    for i, w in enumerate(ext.weights):
-        groups.setdefault(w, []).append(i)
+    classes = {}
+    for col in range(ext.dim_V):
+        classes.setdefault(ext.weights and ext.weights[col], []).append(col)
     vectors = []
-    for w in sorted(groups):
-        cols = groups[w]
-        sub = QMatrix(C.rows, len(cols),
-                      [[C.data[r][c] for c in cols] for r in range(C.rows)])
-        for v in kernel_basis(sub):
-            full = [Q0] * C.cols
-            for c, x in zip(cols, v):
-                full[c] = x
+    for w in sorted(classes):
+        cols = classes[w]
+        rows = {}
+        for t, col in enumerate(cols):
+            b = ext.basis_tags[col]
+            for a in range(k):
+                for c in range(a + 1, k):
+                    f = form.get((b[a], b[c]))
+                    if f:
+                        rest = b[:a] + b[a + 1:c] + b[c + 1:]
+                        rows.setdefault(rest, {})[t] = f if (a + c) % 2 else -f
+        for v in kernel_basis(IntRows(len(cols), list(rows.values()))):
+            full = [Q0] * ext.dim_V
+            for col, x in zip(cols, v):
+                full[col] = x
             vectors.append(full)
-    return vectors
+    return _submodule(ext, vectors, label=f"L{k}0({R.label})")
 
 
 def _submodule(R: RepresentationData, vectors, label):
@@ -497,23 +506,12 @@ def adjoint_rep(L: LieAlgebraData) -> RepresentationData:
     return out
 
 
-def symplectic_form(n: int) -> QMatrix:
-    """J = [[0, I], [-I, 0]] on k^n, n even."""
+def symplectic_form(n: int) -> dict:
+    """J = [[0, I], [-I, 0]] on k^n, n even, as {(i, j): +-1}."""
     assert n % 2 == 0
     m0 = n // 2
-    J = QMatrix.zero(n, n)
-    for i in range(m0):
-        J.data[i][m0 + i] = Q1
-        J.data[m0 + i][i] = -Q1
-    return J
-
-
-def orthogonal_form(n: int) -> QMatrix:
-    """Split symmetric form: antidiagonal ones."""
-    B = QMatrix.zero(n, n)
-    for i in range(n):
-        B.data[i][n - 1 - i] = Q1
-    return B
+    return {**{(i, m0 + i): 1 for i in range(m0)},
+            **{(m0 + i, i): -1 for i in range(m0)}}
 
 
 def weight_module(family: str, n: int, label: str, L=None) -> RepresentationData:

@@ -3,7 +3,7 @@
 Builds the structure constants from a representation, computes stabilisers of
 points of V* and of s*, the index by the direct route and by the Rais formula
   ind s = dim V - (dim q - dim q_x) + ind q_x   (x in V* generic),
-and collects codim-2 evidence at supplied divisor points.
+and the split-point stabiliser formula.
 
 Points of duals are always written in the coordinates dual to the chosen
 basis, so a point of V* is just a rational vector of length dim V.
@@ -21,7 +21,6 @@ from .liealg import (
     LieAlgebraData,
     algebra_on_basis,
     derived_dim,
-    fingerprint,
     index as algebra_index,
     killing_matrix,
 )
@@ -298,50 +297,3 @@ def split_stabiliser_dim(S: SemiDirectProduct, gamma, y) -> int:
     B = st.algebra.kirillov_form(gamma_bar)
     dim_stab_bar = st.dim - rank(B)
     return dim_stab_bar + (S.dim_V - st.dim_orbit)
-
-
-@dataclass
-class Codim2Report:
-    """Evidence for the codim-2 property; a report, not a proof."""
-
-    ind_s: int
-    generic_point: list
-    generic_stab_fingerprint_reductive: bool
-    divisor_verdicts: list  # (point, lhs, rhs, holds)
-    partial: bool
-
-    @property
-    def all_hold(self):
-        return all(v[3] for v in self.divisor_verdicts)
-
-
-def codim2_evidence(S: SemiDirectProduct, divisor_points, cfg: SampleConfig
-                    ) -> Codim2Report:
-    """Criterion (ii) at each supplied divisor point y:
-
-        ind g_y + (dim V - dim G.y) = ind s,
-
-    plus a criterion (i) surrogate at a sampled generic x: whether the generic
-    stabiliser is recognisably reductive (Killing form of the derived part
-    nondegenerate and g_x = [g_x, g_x] + centre), which implies the codim-2
-    property for g_x.  Reports evidence only; a single point per divisor never
-    proves the open-subset statement.
-    """
-    ind_s = direct_index(S, cfg)
-    st = generic_stabiliser_in_V(S, cfg)
-    fp = fingerprint(st.algebra, cfg, killing_rank=st.killing_rank)
-    derived = fp.derived_series_dims[1]
-    reductive = fp.killing_rank == derived == fp.dim - fp.center_dim
-    verdicts = []
-    for y in divisor_points:
-        sty = stabiliser_in_V(S, y)
-        ind_gy = algebra_index(sty.algebra, cfg)
-        lhs = int(ind_gy) + (S.dim_V - sty.dim_orbit)
-        verdicts.append((list(y), lhs, int(ind_s), lhs == int(ind_s)))
-    return Codim2Report(
-        ind_s=int(ind_s),
-        generic_point=st.point,
-        generic_stab_fingerprint_reductive=reductive,
-        divisor_verdicts=verdicts,
-        partial=not divisor_points,
-    )

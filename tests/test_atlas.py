@@ -105,6 +105,18 @@ def test_named_fingerprints():
         named_fingerprint("E8", CFG)
 
 
+def test_named_fingerprint_cache_keys_on_the_whole_config():
+    # a one-round index cannot be stabilised; asking again with eight rounds
+    # must not return the cached one-round fingerprint
+    from coadjoint import atlas
+
+    atlas._fp_cache.clear()
+    one = named_fingerprint("so(5)", SampleConfig(2024, 5, 1))
+    eight = named_fingerprint("so(5)", SampleConfig(2024, 5, 8))
+    assert not one.index.stabilised
+    assert eight.index.stabilised
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_sphs_closed_form_is_the_fingerprint_of_the_centraliser(k):
     # the expected value is a formula; the algebra built on the layout of
@@ -179,6 +191,42 @@ def test_cli_failed_check_exits_1_and_bad_input_exits_2(monkeypatch):
     assert main(["construct", "takiff"]) == 2
     assert main(["construct", "contraction", "--pair", "sp-sp",
                  "--params", "2", "1"]) == 2
+
+
+def test_cli_failed_mathematical_check_exits_1(monkeypatch):
+    import coadjoint.atlas as atlas
+    import coadjoint.constructions as constructions
+    from coadjoint.cli import main
+    from coadjoint.liealg import NotClosedError
+    from coadjoint.qlinalg import VerificationError
+    from coadjoint.repn import FormNotInvariantError
+
+    for exc in (NotClosedError, FormNotInvariantError,
+                constructions.RestrictionEscapes):
+        assert issubclass(exc, VerificationError) and issubclass(exc, ValueError)
+    # k outside the range of the layout is a configuration error
+    assert main(["construct", "edelta", "--params", "3", "2", "--k", "8"]) == 2
+
+    def escapes(layout, k):
+        raise constructions.RestrictionEscapes("y1")
+
+    def not_closed(S, cfg):
+        raise NotClosedError(0, 1)
+
+    monkeypatch.setattr(constructions, "e_delta_restricted", escapes)
+    assert main(["construct", "edelta", "--params", "3", "2", "--k", "10"]) == 1
+    monkeypatch.setattr(atlas, "generic_stabiliser_in_V", not_closed)
+    assert main(["verify", "--table", "2", "--row", "2"]) == 1
+
+
+def test_cli_sampling_defaults_are_sample_config(monkeypatch):
+    import coadjoint.cli as cli
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify",
+                        lambda args: seen.append(cli._cfg(args)) or 0)
+    assert cli.main(["verify"]) == 0
+    assert seen == [SampleConfig()]
 
 
 def test_cli_construct_exits_1_when_a_printed_identity_is_false(monkeypatch):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -31,7 +33,7 @@ from coadjoint.invariants import (
 )
 from coadjoint.liealg import classical_algebra, fingerprint, index, subalgebra
 from coadjoint.qlinalg import Q0, Q1, QMatrix, QQ, SampleConfig, sample_vector
-from coadjoint.repn import standard_rep
+from coadjoint.repn import preserves_form, standard_rep
 from coadjoint.semidirect import semidirect
 
 CFG = SampleConfig(seed=21, height=5, rounds=8)
@@ -146,6 +148,12 @@ def test_layout_zero_point_is_constant():
     lay = minimal_nilpotent_centraliser_layout(2)
     assert lay.const == lay.meta["e"]
     assert lay.const
+    # the shared form predicate: the generators lie in sp(Omega), the
+    # identity and a lone diagonal unit do not
+    om = lay.meta["omega"]
+    assert all(preserves_form(c.generator, om) for c in lay.coords)
+    assert not preserves_form({(i, i): 1 for i in range(lay.N)}, om)
+    assert not preserves_form({(0, 0): 1}, om)
 
 
 def test_e_delta_minimal_cases():
@@ -249,7 +257,7 @@ def _sl_route_top(q, m, k):
             vi = d + a * 2 * q + r
             ent[r][2 * q + a] = ent[r][2 * q + a] + MultiPoly.variable(nv, vi)
             for s in range(2 * q):
-                c = J.data[s][r]
+                c = J.get((s, r))
                 if c:
                     ent[2 * q + a][s] = (ent[2 * q + a][s]
                                          + MultiPoly.variable(nv, vi, c))
@@ -263,7 +271,7 @@ def _sl_route_top(q, m, k):
         for r in range(2 * q):
             img = MultiPoly(nv)
             for s in range(2 * q):
-                c = J.data[r][s]
+                c = J.get((r, s))
                 if c:
                     img = img + MultiPoly.variable(nv, d + a * 2 * q + s, c)
             images.append(img)
@@ -549,10 +557,11 @@ def test_stored_matrices_are_their_nonzero_entries():
             stored.append((n, L.metadata["matrices"]))
     for lay in (minimal_nilpotent_centraliser_layout(3),
                 two_block_centraliser_layout(3, 2)):
-        stored.append((lay.N, [lay.const, lay.meta["e"], lay.meta["f"],
-                               lay.meta["omega"]]
+        stored.append((lay.N, [lay.const, lay.meta["e"], lay.meta["f"]]
                        + [c.generator for c in lay.coords]
                        + [c.eval_matrix for c in lay.coords]))
+        # the ambient form is an integer form, like repn.symplectic_form
+        assert all(type(v) is int and v for v in lay.meta["omega"].values())
     for kind, params in (("so-so", (3, 2)), ("sp-sp", (2, 2)),
                          ("sl-sp", (4,)), ("so-gl", (2,))):
         g0 = z2_contraction(ContractionSpec(kind, params))[0].algebra
@@ -583,3 +592,17 @@ def test_item3_lift_n2():
         assert is_invariant(res.S, H)
         assert H.total_degree() == h.total_degree() + 1
     assert item3_evaluation_identity(res, trials=20)
+
+
+def _digest(P):
+    """sha256 of the sorted exact terms, as perfbench's poly_digest."""
+    terms = sorted((list(m), str(c)) for m, c in P.terms.items())
+    return hashlib.sha256(json.dumps(terms).encode()).hexdigest()[:20]
+
+
+def test_item3_lift_n3_is_pinned():
+    # the exact terms of the three lifted invariants of sp6, pinned
+    res = item3_lift(3)
+    assert [_digest(H) for H in res.lifted] == [
+        "02ea48efbecb3a612d35", "06bee5a8ba00d403e349", "4f3faec802cca3fee4ce"]
+    assert item3_evaluation_identity(res)

@@ -94,7 +94,8 @@ def test_sp_standard_self_dual_via_J():
     L = classical_algebra("sp", 6)
     R = standard_rep(L)
     D = dual_rep(R)
-    J = symplectic_form(6)
+    J = QMatrix(6, 6, [[QQ(symplectic_form(6).get((i, j), 0))
+                        for j in range(6)] for i in range(6)])
     assert all((J * R.action[i] - D.action[i] * J).is_zero()
                for i in range(L.dim))
 
@@ -114,7 +115,7 @@ def test_contraction_kernel_dims():
 
 def test_contraction_kernel_rejects_noninvariant_form():
     L4 = classical_algebra("sp", 4)
-    bad = QMatrix.identity(4)
+    bad = {(i, i): 1 for i in range(4)}
     with pytest.raises(FormNotInvariantError) as err:
         contraction_kernel(standard_rep(L4), bad, 2)
     assert isinstance(err.value.witness, int)
@@ -183,7 +184,8 @@ def test_submodule_images_match_dense_matvec():
     L = classical_algebra("sp", 4)
     ext = exterior_power(standard_rep(L), 2)
     J = symplectic_form(4)
-    C = QMatrix(1, ext.dim_V, [[J[a, b] for a, b in ext.basis_tags]])
+    C = QMatrix(1, ext.dim_V,
+                [[QQ(J.get((a, b), 0)) for a, b in ext.basis_tags]])
     vectors = kernel_basis(C)
     sub = _submodule(ext, vectors, "L20")
     assert sub.dim_V == 5

@@ -8,7 +8,6 @@ from coadjoint.liealg import classical_algebra, fingerprint, index
 from coadjoint.qlinalg import Q0, Q1, QQ, SampleConfig, sample_vector
 from coadjoint.repn import adjoint_rep, standard_rep, trivial_rep
 from coadjoint.semidirect import (
-    codim2_evidence,
     direct_index,
     generic_stabiliser_in_V,
     rais_index,
@@ -188,29 +187,3 @@ def test_stabiliser_structure_constants_hold_on_its_basis(family, n, module,
                           st.algebra.bracket_basis(i, j).items()), Q0)
                      for r in range(S.dim_g)]
             assert combo == S.algebra.bracket(u[i], u[j])
-
-
-def test_codim2_partial_evidence():
-    L = classical_algebra("sp", 2)
-    S = semidirect(L, standard_rep(L))
-    rep = codim2_evidence(S, [], CFG)
-    assert rep.partial and rep.divisor_verdicts == []
-
-
-def test_codim2_quadric_point_so5():
-    L = classical_algebra("so", 5)
-    S = semidirect(L, standard_rep(L))
-    # split form: (y, y) = 2(y1 y5 + y2 y4) + y3^2; y = e1 is isotropic
-    rep = codim2_evidence(S, [[1, 0, 0, 0, 0]], CFG)
-    assert not rep.partial
-    assert rep.all_hold
-    assert rep.generic_stab_fingerprint_reductive
-
-
-def test_codim2_takiff_generic_point():
-    from coadjoint.constructions import takiff
-
-    S = takiff(classical_algebra("sl", 2))
-    y = sample_vector(SampleConfig(5, 5, 1), S.dim_V, 0, "tak")
-    rep = codim2_evidence(S, [y], CFG)
-    assert rep.all_hold
