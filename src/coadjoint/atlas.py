@@ -6,9 +6,12 @@ from the others:
 
     dim V // G = dim V - dim g + dim h,      ind s = dim V // G + ind h,
 
-so internal inconsistencies are load-time failures.  verify_row then rebuilds
-everything from scratch: the module dimension, the generic stabiliser and its
-fingerprint, and the index along both the direct and the Rais route.
+so internal inconsistencies are load-time failures.  A stabiliser name is
+spliced from its template by evaluating each {expr} to an integer, so its
+parentheses hold only integers and a sum of names splits on +.  verify_row
+then rebuilds everything from scratch: the module dimension, the generic
+stabiliser and its fingerprint, and the index along both the direct and the
+Rais route.
 """
 
 from __future__ import annotations
@@ -80,17 +83,10 @@ def eval_expr(expr, env):
 
 
 def _splice(template, env):
-    """Replace {expr} parts of a name template by evaluated integers."""
-    out = ""
-    pos = 0
-    while True:
-        j = template.find("{", pos)
-        if j < 0:
-            out += template[pos:]
-            return out
-        k = template.index("}", j)
-        out += template[pos:j] + str(eval_expr(template[j + 1:k], env))
-        pos = k + 1
+    """Replace {expr} parts of a name template by evaluated integers; a stray
+    brace is left in the name, which then names no algebra."""
+    return re.sub(r"\{([^{}]*)\}",
+                  lambda m: str(eval_expr(m.group(1), env)), template)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +107,7 @@ def named_fingerprint(name, cfg: SampleConfig) -> Fingerprint:
     name = name.strip()
     key = (name, cfg)
     if key not in _fp_cache:
-        parts = _split_sum(name)
+        parts = [p.strip() for p in name.split("+") if p.strip()]
         m = re.fullmatch(r"([1-9]\d*)\*(.+)", name)
         if len(parts) > 1:
             fps = [named_fingerprint(p, cfg) for p in parts]
@@ -121,24 +117,6 @@ def named_fingerprint(name, cfg: SampleConfig) -> Fingerprint:
             fps = [_atom_fingerprint(name, cfg)]
         _fp_cache[key] = functools.reduce(fingerprint_sum, fps)
     return _fp_cache[key]
-
-
-def _split_sum(name):
-    parts = []
-    depth = 0
-    cur = ""
-    for ch in name:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "+" and depth == 0:
-            parts.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    parts.append(cur)
-    return [p.strip() for p in parts if p.strip()]
 
 
 def _atom_fingerprint(name, cfg):

@@ -132,6 +132,8 @@ def cmd_construct(args):
             two_block_centraliser_layout,
         )
 
+        if len(args.params) not in (1, 2):
+            raise ValueError("edelta takes --params n or --params m n")
         m, n = args.params if len(args.params) == 2 else (1, args.params[0] - 1)
         lay = two_block_centraliser_layout(m, n)
         res = e_delta_restricted(lay, args.k)
@@ -142,6 +144,8 @@ def cmd_construct(args):
     if args.what == "item3":
         from .constructions import item3_evaluation_identity, item3_lift
 
+        if len(args.params) != 1:
+            raise ValueError("item3 takes --params n")
         res = item3_lift(args.params[0])
         degs = [(h.total_degree(), H.total_degree())
                 for h, H in zip(res.quadratic, res.lifted)]
@@ -157,6 +161,9 @@ def cmd_report(args):
 
     with open(args.file) as fh:
         payload = json.load(fh)
+    if not (isinstance(payload, dict) and "pass" in payload
+            and isinstance(payload.get("rows"), list)):
+        raise ValueError(f"{args.file} holds no verification report")
     if args.format == "json":
         print(json.dumps(payload, indent=1))
     else:

@@ -9,6 +9,11 @@ highest-component generators, Takiff algebras, and the lift of
 quadratic-in-g invariants through the copy of g inside S^2 of the standard
 symplectic module, as the polarisation H = 1/2 sum_a q_a dh/dx_a.
 
+A contraction is read off its involution theta of the ambient algebra in
+one pass: theta^2 = 1 is checked on every basis matrix, so the +1 and -1
+eigenspaces g_0 and g_1 are the images of 1 + theta and 1 - theta, and their
+reduced echelon bases are the embedding of g_0 and the basis of g_1.
+
 Every matrix that spans an algebra or a layout is sparse, {(i, j): nonzero
 Fraction}; the ambient symplectic form of a layout is an integer form, and
 its generators are checked against it with `repn.preserves_form`.  Matrix
@@ -56,6 +61,7 @@ from .qlinalg import (
     inverse,
     kernel_basis,
     sample_vector,
+    solve_right,
 )
 from .repn import (
     RepresentationData,
@@ -298,32 +304,18 @@ def symbolic_pfaffian(entries, nvars):
 # ---------------------------------------------------------------------------
 
 
-def highest_component(P, S: SemiDirectProduct, block):
+def highest_component(P, S: SemiDirectProduct, block: int):
     """(top component, degree) of P in the chosen grading direction.
 
-    P: MultiPoly on S.total; block: a block label or index of S.blocks.  The
-    top component is the multi-homogeneous part of highest degree in the
-    block's variables.
+    P: MultiPoly on S.total; block: an index into S.blocks.  The top
+    component is the multi-homogeneous part of highest degree in the block's
+    variables.
     """
     if P.is_zero():
         raise ValueError("zero polynomial has no highest component")
-    bidx = _block_index(S, block)
-    off, sz = S.blocks[bidx][1], S.blocks[bidx][2]
-    best = -1
-    for m in P.terms:
-        d = sum(m[off:off + sz])
-        if d > best:
-            best = d
+    off, sz = S.blocks[block][1:]
+    best = max(sum(m[off:off + sz]) for m in P.terms)
     return P.coefficient_of_block_degree(off, sz, best), best
-
-
-def _block_index(S, block):
-    if isinstance(block, int):
-        return block
-    for i, (lbl, off, sz) in enumerate(S.blocks):
-        if lbl == block:
-            return i
-    raise KeyError(block)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +339,8 @@ def centraliser_layout(m: int, q: int) -> MatrixRealisation:
     matched on the nose to the target semi-direct product), sp block.
     m = 1 is the minimal nilpotent case of the first figure.
     """
-    assert m >= 1 and q >= 1
+    if m < 1 or q < 1:
+        raise ValueError(f"a centraliser layout needs m, q >= 1, not {m}, {q}")
     N = 2 * m + 2 * q
     Om = _ambient_sp_form(m, q)
     sp_small = classical_algebra("sp", 2 * q)
@@ -362,6 +355,7 @@ def centraliser_layout(m: int, q: int) -> MatrixRealisation:
     if not (preserves_form(e_mat, Om) and preserves_form(f_mat, Om)):
         raise VerificationError("e or f is not in sp(Omega)")
     gens = []
+    vmats = {}  # w_{a,r} at (a, r), for the bracket match
     # C: S^2 k^m at block (group1, group2), grade 2; contains e on the
     # diagonal (one entry when a == b)
     for a in range(m):
@@ -383,8 +377,9 @@ def centraliser_layout(m: int, q: int) -> MatrixRealisation:
             pr = r + q if r < q else r - q
             mat = {(a, 2 * m + pr): Q1 if pr < q else -Q1,
                    (2 * m + r, m + a): -Q1}
-            tgt = target.dim_g + a * 2 * q + r
-            gens.append(("v", f"v{a + 1},{r + 1}", mat, tgt))
+            vmats[a, r] = mat
+            gens.append(("v", f"v{a + 1},{r + 1}", mat,
+                         target.dim_g + a * 2 * q + r))
     # sp block: the classical sp_{2q} basis embedded at group3
     for bi, small in enumerate(sp_small.metadata["matrices"]):
         mat = {(2 * m + i, 2 * m + j): c for (i, j), c in small.items()}
@@ -396,7 +391,6 @@ def centraliser_layout(m: int, q: int) -> MatrixRealisation:
         if _commutator_sparse(e_mat, mat):
             raise VerificationError(f"{label} does not centralise e")
     # bracket match: [sp, v] realises the standard action on each copy
-    vmats = {_v_tag(label): mat for kind, label, mat, tgt in gens if kind == "v"}
     spmats = [mat for kind, label, mat, tgt in gens if kind == "sp"]
     for bi, zemb in enumerate(spmats):
         zmat = sp_small.metadata["matrices"][bi]
@@ -457,11 +451,6 @@ def _trace_duals(gens, partners):
 def _trace_pair(A, B):
     """tr AB of sparse matrices."""
     return sum((a * B[j, i] for (i, j), a in A.items() if (j, i) in B), Q0)
-
-
-def _v_tag(label):
-    a, r = label[1:].split(",")
-    return int(a) - 1, int(r) - 1
 
 
 def minimal_nilpotent_centraliser_layout(n: int) -> MatrixRealisation:
@@ -680,7 +669,8 @@ def takiff(L: LieAlgebraData) -> SemiDirectProduct:
     return semidirect(L, adjoint_rep(L), name=f"takiff({name})")
 
 
-SUPPORTED_PAIRS = ("so-so", "sp-sp", "sl-sp", "so-gl")
+# the supported pair kinds, with the number of parameters of each
+SUPPORTED_PAIRS = {"so-so": 2, "sp-sp": 2, "sl-sp": 1, "so-gl": 1}
 
 
 @dataclass(frozen=True)
@@ -699,19 +689,16 @@ class ContractionSpec:
     def __post_init__(self):
         if self.kind not in SUPPORTED_PAIRS:
             raise ValueError(f"unsupported pair kind {self.kind!r}")
+        if len(self.params) != SUPPORTED_PAIRS[self.kind]:
+            raise ValueError(f"a {self.kind} pair takes "
+                             f"{SUPPORTED_PAIRS[self.kind]} parameter(s), "
+                             f"not {len(self.params)}")
+        if min(self.params) < 1:
+            raise ValueError(f"{self.kind} parameters must be positive")
         if self.kind == "sp-sp" and self.params[1] % 2 != 0:
             raise ValueError("sp-sp contraction requires even m")
-
-
-def _theta_matrix(L: LieAlgebraData, theta_on_matrices):
-    """Matrix of an involution on the algebra, in the chosen basis."""
-    expand = L.metadata["expand"]
-    cols = [expand(theta_on_matrices(mth)) for mth in L.metadata["matrices"]]
-    T = QMatrix.zero(L.dim, L.dim)
-    for j, coeffs in enumerate(cols):
-        for i, c in coeffs.items():
-            T.data[i][j] = c
-    return T
+        if self.kind == "sl-sp" and self.params[0] % 2 != 0:
+            raise ValueError("sl-sp contraction requires an even size")
 
 
 def _conjugation(perm, signs):
@@ -720,15 +707,6 @@ def _conjugation(perm, signs):
     signs[k] signs[l] X_kl."""
     return lambda X: {(perm[k], perm[l]): signs[k] * signs[l] * x
                       for (k, l), x in X.items()}
-
-
-def _eig_split(T: QMatrix):
-    n = T.rows
-    plus = kernel_basis(T - QMatrix.identity(n))
-    minus = kernel_basis(T + QMatrix.identity(n))
-    if len(plus) + len(minus) != n:
-        raise VerificationError("involution failed to split the algebra")
-    return plus, minus
 
 
 def _ambient_invariants(kind, L: LieAlgebraData):
@@ -805,17 +783,25 @@ def z2_contraction(spec: ContractionSpec):
     else:  # pragma: no cover
         raise ValueError(spec.kind)
 
-    plus, minus = _eig_split(_theta_matrix(L, theta))
-    # g0 on the echelonised plus-basis, built from its matrices
-    emb = Basis(plus).rows
+    # emb and g1: the reduced echelon bases of the images of 1 + theta and
+    # 1 - theta, once theta^2 = 1 holds; g0 is built from the matrices of emb
     mats = L.metadata["matrices"]
+    plus, minus = [], []
+    for j, M in enumerate(mats):
+        image = theta(M)
+        if theta(image) != M:
+            raise VerificationError(
+                f"theta is not an involution at {L.basis_labels[j]}")
+        t = L.metadata["expand"](image)
+        plus.append([(i == j) + t.get(i, 0) for i in range(L.dim)])
+        minus.append([(i == j) - t.get(i, 0) for i in range(L.dim)])
+    emb, g1 = Basis(plus).rows, Basis(minus).rows
     g0 = matrix_algebra(N, [_combination(row, mats) for row in emb],
                         [f"y{i + 1}" for i in range(len(emb))],
                         {"name": f"fix({L.metadata['name']})",
                          "embedding": emb})
     # g1 as a g0-module: the adjoint columns of L along the embedding of
-    # g0, restricted to the echelonised minus-basis
-    g1 = Basis(minus).rows
+    # g0, restricted to g1
     d, ad = L.int_ad_table
     columns = []
     for b0 in emb:
@@ -833,14 +819,12 @@ def z2_contraction(spec: ContractionSpec):
     # transport ambient invariants into the contraction coordinates
     images = _old_in_new(QMatrix.from_rows(emb + g1))
     tops = []
-    accepted_tops = []
     accepted_ambient = []
     for k, amb in _ambient_invariants(spec.kind, L):
         P = amb.substitute_linear(images)
-        P_amb = P
         for _ in range(40):
-            top, d = highest_component(P, S, 1)
-            combo = _decompose_in_products(top, accepted_tops, S)
+            top = highest_component(P, S, 1)[0]
+            combo = _decompose_in_products(top, tops, S)
             if combo is None:
                 break
             # subtract the matching product of ambient counterparts
@@ -854,10 +838,12 @@ def z2_contraction(spec: ContractionSpec):
             if P.is_zero():
                 raise VerificationError(
                     f"ambient invariant of degree {k} fully decomposed")
-        top, d = highest_component(P, S, 1)
-        accepted_tops.append(top)
-        accepted_ambient.append(P)
+        else:
+            raise VerificationError(f"the top of the ambient invariant of "
+                                    f"degree {k} still decomposes after 40 "
+                                    f"corrections")
         tops.append(top)
+        accepted_ambient.append(P)
     return S, tops
 
 
@@ -874,7 +860,6 @@ def _decompose_in_products(top, accepted, S):
         return None
     degs = [P.multidegree(S.blocks) for P in accepted]
     prods = []
-    combos = []
 
     def rec(start, remaining, chosen):
         if all(x == 0 for x in remaining):
@@ -903,8 +888,6 @@ def _decompose_in_products(top, accepted, S):
     mat = QMatrix(len(monos), len(polys),
                   [[P.terms.get(mth, Q0) for P in polys] for mth in monos])
     rhs = [top.terms.get(mth, Q0) for mth in monos]
-    from .qlinalg import solve_right
-
     sol = solve_right(mat, rhs)
     if sol is None:
         return None

@@ -15,6 +15,10 @@ grouped by weight, blocks combined only through classes that can sum to
 zero), with raising-operator conditions only; the resulting basis is
 re-verified against every derivation afterwards.
 
+A generator ledger runs one echelon per multidegree, over the products of
+lower invariants and then the invariant basis: the accepted products span
+the decomposable part, and the accepted basis vectors are the new generators.
+
 The polynomial kernels run on Python ints.  The ring operations keep the
 coefficient type of their inputs, so integer polynomials stay integral.
 Derivations read the cached integer table (d, d ad) of the Lie algebra
@@ -557,16 +561,13 @@ class LedgerEntry:
                 f"ledger entry {self.multidegree}: {self.new_generators} new "
                 f"generators, but {self.dim_invariant} invariants and "
                 f"{self.dim_decomposable} decomposable")
-        if self.new_generators < 0:
-            raise VerificationError(
-                f"ledger entry {self.multidegree}: more decomposable "
-                f"products than invariants")
 
 
 @dataclass
 class GeneratorLedger:
     entries: list
-    bases: dict = field(repr=False, default_factory=dict)
+    bases: dict = field(repr=False, default_factory=dict)  # mdeg: invariants
+    new: dict = field(repr=False, default_factory=dict)    # mdeg: generators
 
     def generator_degrees(self):
         out = []
@@ -576,24 +577,11 @@ class GeneratorLedger:
         return sorted(out)
 
     def generators(self):
-        gens = []
-        for e in self.entries:
-            if e.new_generators and not e.skipped:
-                basis = self.bases[e.multidegree]
-                dec = self.bases.get(("dec",) + e.multidegree, [])
-                gens.extend(_complement(basis, dec))
-        return gens
+        return [P for e in self.entries if not e.skipped
+                for P in self.new[e.multidegree]]
 
     def skipped_entries(self):
         return [e for e in self.entries if e.skipped]
-
-
-def _complement(basis, dec):
-    """Basis vectors extending span(dec) to span(basis), chosen greedily."""
-    polys = list(dec) + list(basis)
-    monos = sorted({m for P in polys for m in P.terms}, reverse=True)
-    span = Basis([[P.terms.get(m, Q0) for m in monos] for P in polys])
-    return [polys[t] for t in span.accepted if t >= len(dec)]
 
 
 def _compositions(total, parts):
@@ -608,35 +596,39 @@ def _compositions(total, parts):
 def generator_ledger(S: SemiDirectProduct, cap: int,
                      component_cap=DEFAULT_COMPONENT_CAP) -> GeneratorLedger:
     """Invariant dimensions, decomposable parts, and new-generator counts
-    for every multidegree of total degree <= cap.
+    for every multidegree of total degree <= cap, one echelon per entry.
 
-    Components over the monomial cap are recorded as skipped entries instead
-    of being attempted.
+    A product of invariants outside the invariant space raises
+    VerificationError.  Components over the monomial cap are recorded as
+    skipped entries instead of being attempted.
     """
     nblocks = len(S.blocks)
-    entries = []
-    bases = {}
+    led = GeneratorLedger(entries=[])
     for total in range(1, cap + 1):
         for mdeg in sorted(_compositions(total, nblocks), reverse=True):
             try:
                 basis = invariant_space(S, mdeg, cap=component_cap)
             except ComponentTooLarge:
-                entries.append(LedgerEntry(mdeg, -1, -1, -1, skipped=True))
+                led.entries.append(LedgerEntry(mdeg, -1, -1, -1, skipped=True))
                 continue
-            bases[mdeg] = basis
-            dec = _decomposable_products(S, mdeg, bases)
-            bases[("dec",) + mdeg] = dec
-            dim_dec = _span_dim(dec)
-            entries.append(LedgerEntry(mdeg, len(basis), dim_dec,
-                                       len(basis) - dim_dec))
-    return GeneratorLedger(entries=entries, bases=bases)
+            dec = _decomposable_products(S, mdeg, led.bases)
+            polys = dec + basis
+            monos = sorted({m for P in polys for m in P.terms}, reverse=True)
+            span = Basis([[P.terms.get(m, Q0) for m in monos] for P in polys])
+            if len(span) != len(basis):
+                raise VerificationError(f"ledger entry {mdeg}: a product of "
+                                        f"invariants leaves the invariant space")
+            new = [polys[t] for t in span.accepted if t >= len(dec)]
+            led.bases[mdeg], led.new[mdeg] = basis, new
+            led.entries.append(LedgerEntry(mdeg, len(basis),
+                                           len(basis) - len(new), len(new)))
+    return led
 
 
 def _decomposable_products(S, mdeg, bases):
     """Products of lower-degree invariant bases with multidegrees summing to mdeg."""
     out = []
-    items = [k for k in bases if isinstance(k[0], int) and sum(k) < sum(mdeg)]
-    for d1 in items:
+    for d1 in bases:
         d2 = tuple(a - b for a, b in zip(mdeg, d1))
         if any(x < 0 for x in d2):
             continue
@@ -648,15 +640,6 @@ def _decomposable_products(S, mdeg, bases):
             for Q in bases[d2]:
                 out.append(P * Q)
     return out
-
-
-def _span_dim(polys):
-    polys = [P for P in polys if not P.is_zero()]
-    if not polys:
-        return 0
-    monos = sorted({m for P in polys for m in P.terms}, reverse=True)
-    rows = [[P.terms.get(m, Q0) for m in monos] for P in polys]
-    return rank(QMatrix.from_rows(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -742,7 +742,9 @@ class SampleConfig:
     rounds: int = 8
 
     def __post_init__(self):
-        assert self.height >= 1 and self.rounds >= 1
+        if self.height < 1 or self.rounds < 1:
+            raise ValueError(f"sampling needs height and rounds >= 1, not "
+                             f"height {self.height}, rounds {self.rounds}")
 
 
 def sample_vector(cfg: SampleConfig, dim: int, round_idx: int = 0, tag: str = ""):

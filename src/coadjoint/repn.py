@@ -5,9 +5,10 @@ columns per basis element of the algebra, together with per-summand block
 bookkeeping and (when the Cartan acts diagonally) the list of weights of the
 chosen module basis.  Every constructor writes the columns directly (the
 defining module from the sparse matrices of its algebra); submodules,
-stabilisers and semi-direct products read them.  The dense `action` matrices
-are a view built on request, and `RepresentationData.from_matrices` makes a
-module of arbitrary dense matrices, for checking.  The commutator
+stabilisers, semi-direct products and `check_representation` read them.  The
+dense `action` matrices are a view for the tests, built on request, and
+`RepresentationData.from_matrices` makes a module of arbitrary dense matrices,
+for checking.  The commutator
 compatibility check `check_representation` is the ground truth every
 constructor is tested against.
 
@@ -71,7 +72,8 @@ class RepresentationData:
 
     @property
     def action(self):
-        """The dense action matrices, built from the columns on each access."""
+        """The dense action matrices, built from the columns on each access:
+        a view for the tests, which no program path builds."""
         out = []
         for cols in self.columns:
             m = QMatrix.zero(self.dim_V, self.dim_V)
@@ -107,8 +109,7 @@ def check_representation(R: RepresentationData, max_cost=10 ** 7):
     n = R.dim_V
     if L.dim * n ** 2 > max_cost:
         return False
-    action = R.action
-    entries = [x for m in action for row in m.data for x in row if x]
+    entries = [c for cols in R.columns for col in cols for _, c in col]
     D = math.lcm(1, *(x.denominator for x in entries))
     amax = max((int(abs(x) * D) for x in entries), default=0)
     d, table = L.int_ad_table
@@ -117,8 +118,11 @@ def check_representation(R: RepresentationData, max_cost=10 ** 7):
     bound = max((2 * n * amax * amax * d + (amax + 1) * sum(abs(c) for _, c in b)
                  for _, _, b in pairs), default=0)
     dtype = np.int64 if bound < 2 ** 62 else object
-    M = [np.array([[int(x * D) for x in row] for row in m.data], dtype=dtype)
-         for m in action]
+    M = [np.zeros((n, n), dtype=dtype) for _ in R.columns]
+    for m, cols in zip(M, R.columns):
+        for v, col in enumerate(cols):
+            for w, c in col:
+                m[w, v] = int(c * D)
     for i, j, b in pairs:
         expect = np.zeros((n, n), dtype=dtype)
         for k, c in b:
@@ -557,7 +561,9 @@ def build_module(family: str, n: int, summands, L=None) -> RepresentationData:
     labels = []
     cache = {}
     for label, mult in summands:
-        assert mult >= 1
+        if mult < 1:
+            raise ValueError(f"summand {label} has multiplicity {mult}; "
+                             f"it must be at least 1")
         if label not in cache:
             cache[label] = weight_module(family, n, label, L=L)
         for c in range(mult):

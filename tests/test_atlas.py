@@ -12,7 +12,7 @@ from coadjoint.atlas import (
     run_suite,
     verify_row,
 )
-from coadjoint.liealg import classical_algebra, fingerprint
+from coadjoint.liealg import classical_algebra, fingerprint, fingerprint_sum
 from coadjoint.qlinalg import SampleConfig
 
 CFG = SampleConfig(seed=17, height=5, rounds=8)
@@ -79,25 +79,32 @@ size = 5
 module = phi1
 dim_v = 5
 dim_v_mod_g = 3
-stab = so(4)
+stab = {stab}
 ind = 3
 fa = +
 """
-    with tempfile.NamedTemporaryFile("w", suffix=".tbl", delete=False) as fh:
-        fh.write(record)
-        path = fh.name
-    try:
-        with pytest.raises(AtlasError) as err:
-            load_atlas(path, CFG)
-        assert "dim V" in str(err.value)
-    finally:
-        os.unlink(path)
+    # a stray brace in the stabiliser template names no algebra
+    for stab, message in (("so(4)", "dim V"), ("so({size-1)", "so({size-1)"),
+                          ("so({size-1}", "so(4")):
+        with tempfile.NamedTemporaryFile("w", suffix=".tbl",
+                                         delete=False) as fh:
+            fh.write(record.replace("{stab}", stab))
+            path = fh.name
+        try:
+            with pytest.raises(AtlasError) as err:
+                load_atlas(path, CFG)
+            assert message in str(err.value)
+        finally:
+            os.unlink(path)
 
 
 def test_named_fingerprints():
     assert named_fingerprint("G2", CFG).dim == 14
     assert named_fingerprint("G2+G2", CFG).dim == 28
     assert named_fingerprint("3*sl(2)", CFG).dim == 9
+    sl2 = named_fingerprint("sl(2)", CFG)
+    assert (named_fingerprint("sl(2)+sl(2)+sl(2)", CFG)
+            == fingerprint_sum(fingerprint_sum(sl2, sl2), sl2))
     assert named_fingerprint("ab(4)", CFG).index == 4
     fp = named_fingerprint("sphs(1)", CFG)
     assert fp.dim == 6 and fp.index == 2 and fp.center_dim == 1
@@ -248,6 +255,38 @@ def test_cli_construct_exits_1_when_a_printed_identity_is_false(monkeypatch):
     monkeypatch.setattr(constructions, "item3_evaluation_identity",
                         lambda res, trials: True)
     assert main(["construct", "item3", "--params", "2"]) == 0
+
+
+def test_cli_malformed_input_exits_2_with_a_message(tmp_path):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    (tmp_path / "dict.json").write_text("{}")
+    (tmp_path / "list.json").write_text("[]")
+    commands = [
+        ["verify", "--table", "2", "--row", "2", "--height", "0"],
+        ["index", "--family", "sp", "--size", "4", "--module", "0*phi1"],
+        ["construct", "edelta", "--params", "0"],
+        ["construct", "edelta", "--params"],
+        ["construct", "edelta", "--params", "3", "2", "1"],
+        ["construct", "item3", "--params"],
+        ["construct", "contraction", "--pair", "so-so", "--params", "3"],
+        ["report", str(tmp_path / "dict.json")],
+        ["report", str(tmp_path / "list.json")],
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    # the checks must not rest on assert statements, which -O strips
+    for flags in ([], ["-O"]):
+        for cmd in commands:
+            done = subprocess.run(
+                [sys.executable, *flags, "-m", "coadjoint.cli", *cmd],
+                env=env, capture_output=True, text=True, timeout=120)
+            what = (flags, cmd, done.stderr)
+            assert done.returncode == 2, what
+            assert done.stderr.startswith("error: "), what
+            assert done.stderr[len("error: "):].strip(), what
 
 
 def test_cli_module_spec_uses_the_table_grammar():

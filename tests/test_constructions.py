@@ -32,7 +32,8 @@ from coadjoint.invariants import (
     is_invariant,
 )
 from coadjoint.liealg import classical_algebra, fingerprint, index, subalgebra
-from coadjoint.qlinalg import Q0, Q1, QMatrix, QQ, SampleConfig, sample_vector
+from coadjoint.qlinalg import (Q0, Q1, QMatrix, QQ, SampleConfig,
+                               VerificationError, sample_vector)
 from coadjoint.repn import preserves_form, standard_rep
 from coadjoint.semidirect import semidirect
 
@@ -208,6 +209,9 @@ def test_e_delta_range_validation():
         e_delta_restricted(two_block_centraliser_layout(2, 2), 8)  # even m
     with pytest.raises(ValueError):
         e_delta_restricted(minimal_nilpotent_centraliser_layout(2), 6)
+    for m, q in ((0, 2), (1, 0), (2, -1)):
+        with pytest.raises(ValueError, match="m, q >= 1"):
+            two_block_centraliser_layout(m, q)
 
 
 def _proportional(P, Q):
@@ -579,6 +583,34 @@ def test_contraction_rejects_unknown_pair():
         ContractionSpec("sp-so", (4, 2))
     with pytest.raises(ValueError):
         ContractionSpec("sp-sp", (4, 3))   # odd m
+    with pytest.raises(ValueError, match="even size"):
+        ContractionSpec("sl-sp", (3,))
+    with pytest.raises(ValueError, match="positive"):
+        ContractionSpec("so-so", (3, -1))
+    for kind, params in (("so-so", (3,)), ("sp-sp", ()), ("sl-sp", (4, 2)),
+                         ("so-gl", (2, 2))):
+        with pytest.raises(ValueError, match="parameter"):
+            ContractionSpec(kind, params)
+
+
+def test_contraction_refuses_a_map_that_is_not_an_involution(monkeypatch):
+    import coadjoint.constructions as constructions
+
+    # theta(X) = 2X keeps the algebra but squares to 4
+    monkeypatch.setattr(constructions, "_conjugation", lambda perm, signs: (
+        lambda X: {pos: 2 * x for pos, x in X.items()}))
+    with pytest.raises(VerificationError, match="not an involution"):
+        z2_contraction(ContractionSpec("so-gl", (2,)))
+
+
+def test_contraction_corrections_are_bounded(monkeypatch):
+    import coadjoint.constructions as constructions
+
+    # an empty decomposition corrects nothing, so the loop would never end
+    monkeypatch.setattr(constructions, "_decompose_in_products",
+                        lambda top, accepted, S: [])
+    with pytest.raises(VerificationError, match="40 corrections"):
+        z2_contraction(ContractionSpec("so-gl", (2,)))
 
 
 # -- the S^2 lift --------------------------------------------------------------

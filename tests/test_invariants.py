@@ -1,5 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
+from coadjoint.constructions import ContractionSpec, z2_contraction
 from coadjoint.invariants import (
     ComponentTooLarge,
     MultiPoly,
@@ -11,7 +15,7 @@ from coadjoint.invariants import (
     lie_derivative,
 )
 from coadjoint.liealg import classical_algebra
-from coadjoint.qlinalg import QQ, SampleConfig
+from coadjoint.qlinalg import QQ, SampleConfig, VerificationError
 from coadjoint.repn import adjoint_rep, standard_rep, trivial_rep
 from coadjoint.semidirect import semidirect
 
@@ -25,6 +29,11 @@ def S_sp2k2():
 
 def S_sp4k4():
     L = classical_algebra("sp", 4)
+    return semidirect(L, standard_rep(L))
+
+
+def _standard(family, n):
+    L = classical_algebra(family, n)
     return semidirect(L, standard_rep(L))
 
 
@@ -151,6 +160,37 @@ def test_ledger_counts_basis_independent():
     assert led1.generator_degrees() == led2.generator_degrees()
     assert [e.dim_invariant for e in led1.entries] == \
         [e.dim_invariant for e in led2.entries]
+
+
+def _digest(P):
+    """sha256 of the sorted exact terms, as perfbench's poly_digest."""
+    terms = sorted((list(m), str(c)) for m, c in P.terms.items())
+    return hashlib.sha256(json.dumps(terms).encode()).hexdigest()[:20]
+
+
+@pytest.mark.parametrize("build,cap,digests", [
+    (lambda: _standard("so", 5), 4,
+     ["6d797eded76ae1b5ba6e", "97a5ef9cd471bdc0c971", "1e9ec2d4fd8dec58044d"]),
+    (S_sp4k4, 5, ["49abc14d15ebe8e100c0", "2aa0acdc9a1be66fb095"]),
+    (lambda: z2_contraction(ContractionSpec("sl-sp", (4,)))[0], 3,
+     ["6ee60d75712047fe694b", "09020cb0ac5d5f2f42b4"]),
+], ids=["so5|x k5", "sp4|x k4", "sl-sp(4)"])
+def test_ledger_generators_are_pinned(build, cap, digests):
+    # the exact generators: the basis vectors each entry accepts after its
+    # decomposable products, in entry order
+    led = generator_ledger(build(), cap)
+    assert [_digest(P) for P in led.generators()] == digests
+
+
+def test_ledger_refuses_a_product_outside_the_invariants(monkeypatch):
+    import coadjoint.invariants as invariants
+
+    S = S_sp2k2()
+    # a coordinate is no invariant, so it lies outside every invariant space
+    monkeypatch.setattr(invariants, "_decomposable_products",
+                        lambda S, mdeg, bases: [MultiPoly.variable(S.dim, 0)])
+    with pytest.raises(VerificationError, match="leaves the invariant space"):
+        generator_ledger(S, 2)
 
 
 def test_jacobian_examples():

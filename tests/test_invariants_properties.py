@@ -250,8 +250,7 @@ def _invariants_of(name):
     L = classical_algebra(family, n)
     S = semidirect(L, standard_rep(L))
     led = generator_ledger(S, 4)
-    return S, [P for k, basis in led.bases.items() if k[0] != "dec"
-               for P in basis]
+    return S, [P for basis in led.bases.values() for P in basis]
 
 
 @SETTINGS
