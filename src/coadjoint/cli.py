@@ -150,7 +150,7 @@ def cmd_construct(args):
         degs = [(h.total_degree(), H.total_degree())
                 for h, H in zip(res.quadratic, res.lifted)]
         print(f"{res.S}: lifted degrees (h -> H): {degs}")
-        ok = item3_evaluation_identity(res, trials=20)
+        ok = item3_evaluation_identity(res, trials=20, seed=cfg.seed)
         print(f"evaluation identity at 20 points: {ok}")
         return 0 if ok else 1
     return 2

@@ -22,16 +22,23 @@ layout the coordinates are read in the dual basis of the drawn basis of the
 centraliser, and the scalar t scaling the constant f-block tracks the
 f-degree, so the coefficient of t^d is the highest f-component when d is
 the top power.
+
+One expansion of det(lambda I + X), truncated at lambda-degree N - k, carries
+Delta_k' for every k' >= k: the ambient invariants of a contraction take all
+their degrees from one expansion, and a layout keeps its expansion for every
+Delta_k it serves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .invariants import (
     MultiPoly,
     _bounded,
+    _int_terms,
+    _int_value,
     _killed,
     _mul_into,
     _nonzero,
@@ -172,6 +179,8 @@ class MatrixRealisation:
     coords: list
     target: SemiDirectProduct
     meta: dict
+    # the memo of `symbolic_minor_sum` for the matrix of `e_delta_restricted`
+    minor_sums: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_coords(self):
@@ -194,8 +203,7 @@ def symbolic_matrix_det(entries, nvars, bounds=()):
     result is the full determinant with the terms that break a bound left
     out.
     """
-    D, ints = _integral_entries(entries)
-    return _over(nvars, _det_int(ints, nvars, bounds), D ** len(entries))
+    return symbolic_minor_sum(entries, nvars, len(entries), bounds)
 
 
 def _integral_entries(entries):
@@ -216,9 +224,9 @@ def _packed_entries(entries, nvars):
 
 
 def _det_int(entries, nvars, bounds):
-    """Terms of the determinant of a matrix of term dicts, by column-subset
-    expansion: each state maps the set of columns used by the rows so far
-    to the signed sum of their products, on packed keys."""
+    """(w, terms of the determinant of a matrix of term dicts on packed keys
+    of width w), by column-subset expansion: each state maps the set of
+    columns used by the rows so far to the signed sum of their products."""
     N = len(entries)
     w, entries = _packed_entries(entries, nvars)
     states = {(): _pack({(0,) * nvars: 1}, nvars, w)}
@@ -238,24 +246,41 @@ def _det_int(entries, nvars, bounds):
             if terms:
                 states[key] = terms
         if not states:
-            return {}
-    return _unpack(states.get(tuple(range(N)), {}), nvars, w)
+            return w, {}
+    return w, states.get(tuple(range(N)), {})
 
 
-def symbolic_minor_sum(entries, nvars, k, bounds=()):
+def symbolic_minor_sum(entries, nvars, k, bounds=(), memo=None):
     """E_k of a symbolic matrix: det(lambda I + X) via one extra variable.
 
-    Runs on ints: det(lambda I + D X) carries E_k(D X) = D^k E_k(X) at
-    lambda^(N-k), D the lcm of the entry denominators.  bounds are degree
-    bounds (variables, cap) on the original variables, as in
-    `symbolic_matrix_det`; the expansion adds ([lambda], N - k) to them,
-    since a partial product with a higher power of lambda cannot reach E_k.
+    Runs on ints: det(lambda I + D X) carries E_k'(D X) = D^k' E_k'(X) at
+    lambda^(N-k') for every k', D the lcm of the entry denominators.  One
+    expansion, truncated at lambda-degree N - k (a partial product with a
+    higher power of lambda reaches no E_k' with k' >= k), gives every E_k'
+    with k' >= k; k = N takes the determinant without lambda.  bounds are
+    degree bounds (variables, cap) on the original variables, as in
+    `symbolic_matrix_det`.
+
+    memo: a dict that the caller keeps for this one matrix and these bounds.
+    An expansion stores every E_k' it carries there, so a later call for
+    any of them reads it instead of expanding again, and a call for a
+    smaller k expands afresh.  The order of the calls changes no result.
     """
+    memo = {} if memo is None else memo
+    if k not in memo:
+        memo.update(_minor_sums_int(entries, nvars, k, bounds))
+    D, w, terms = memo[k]
+    return _over(nvars, _unpack(terms, nvars, w), D ** k)
+
+
+def _minor_sums_int(entries, nvars, k, bounds):
+    """{k': (D, w, the terms of E_k'(D X) on packed keys of width w)} for
+    k <= k' <= N, from one expansion of det(lambda I + D X): lambda is the
+    last variable, so the top digit of a packed key is its power N - k'."""
     N = len(entries)
-    if k == N:
-        return symbolic_matrix_det(entries, nvars, bounds)
     D, ints = _integral_entries(entries)
-    lam = nvars  # extra variable index
+    if k == N:
+        return {N: (D, *_det_int(ints, nvars, bounds))}
     unit = (0,) * nvars + (1,)
     ext = []
     for i in range(N):
@@ -266,10 +291,13 @@ def symbolic_minor_sum(entries, nvars, k, bounds=()):
                 p[unit] = 1
             row.append(p)
         ext.append(row)
-
-    det = _det_int(ext, nvars + 1, [*bounds, ([lam], N - k)])
-    return _over(nvars, {m[:lam]: c for m, c in det.items() if m[lam] == N - k},
-                 D ** k)
+    w, det = _det_int(ext, nvars + 1, [*bounds, ([nvars], N - k)])
+    shift = 8 * w * nvars
+    low = (1 << shift) - 1
+    out = {kk: (D, w, {}) for kk in range(k, N + 1)}
+    for m, c in det.items():
+        out[N - (m >> shift)][2][m & low] = c
+    return out
 
 
 def symbolic_pfaffian(entries, nvars):
@@ -513,6 +541,12 @@ def e_delta_restricted(layout: MatrixRealisation, k: int) -> EDeltaResult:
     the t-linear coefficient splits as e * Delta'_{2i} + H_i and both parts
     are returned.  m >= 3 odd: k = 3m + 2i - 1 with 1 <= i <= q - (m-1)/2;
     only H~_i exists.  The result is re-verified as an invariant of the target.
+
+    The symbolic matrix is expanded once for every k it serves: the layout
+    keeps the expansion (`MatrixRealisation.minor_sums`), which carries
+    Delta_k' for every k' >= k, and a later call for such a k' reads it.
+    Every call still checks the f-degree, the escapes and the invariance of
+    its own H, and the order of the calls changes no result.
     """
     m, q = layout.meta["m"], layout.meta["q"]
     N = layout.N
@@ -547,7 +581,7 @@ def e_delta_restricted(layout: MatrixRealisation, k: int) -> EDeltaResult:
 
     # the t-degree is at most m, and the centre degree at most 1 for m = 1
     bounds = [([tvar], m)] + ([(cvars, 1)] if cvars else [])
-    poly = symbolic_minor_sum(entries, nv, k, bounds)
+    poly = symbolic_minor_sum(entries, nv, k, bounds, memo=layout.minor_sums)
     # top f-degree = degree in t; the lemmas give exactly m for even k >= 2m
     fdeg = 0
     for mono in poly.terms:
@@ -570,23 +604,28 @@ def e_delta_restricted(layout: MatrixRealisation, k: int) -> EDeltaResult:
             dp_terms[mono] = c
         else:
             raise RestrictionEscapes("C block")
-    # map layout variables onto target variables
+    # map layout variables onto target variables by one packed shift per
+    # coordinate: 0 drops the centre variable on the hyperplane, None marks a
+    # coordinate with no target; E_k has degree k, so width _width(k) fits
+    w = _width(k)
+    shifts = []
+    for ci in keep:
+        coord = layout.coords[ci]
+        shifts.append(0 if coord.kind == "C" else
+                      None if coord.target is None else
+                      1 << 8 * w * coord.target)
+
     def remap(terms):
         out = {}
         for mono, c in terms.items():
-            exp = [0] * target.dim
-            for vi, e in enumerate(mono[:-1]):
-                if not e:
-                    continue
-                ci = keep[vi]
-                coord = layout.coords[ci]
-                if coord.target is None:
-                    if coord.kind == "C":
-                        continue  # centre variable, dropped on the hyperplane
-                    raise RestrictionEscapes(coord.label)
-                exp[coord.target] += e
-            out[tuple(exp)] = out.get(tuple(exp), Q0) + c
-        return MultiPoly(target.dim, {mm: c for mm, c in out.items() if c != 0})
+            key = 0
+            for vi, (e, shift) in enumerate(zip(mono, shifts)):
+                if e:
+                    if shift is None:
+                        raise RestrictionEscapes(layout.coords[keep[vi]].label)
+                    key += e * shift
+            out[key] = out[key] + c if key in out else c
+        return MultiPoly(target.dim, _unpack(_nonzero(out), target.dim, w))
 
     H = remap(h_terms)
     if m == 1 and dp_terms:
@@ -709,32 +748,43 @@ def _conjugation(perm, signs):
                       for (k, l), x in X.items()}
 
 
-def _ambient_invariants(kind, L: LieAlgebraData):
-    """Basic symmetric invariants of the ambient simple algebra, as MultiPolys
-    in the ambient basis variables.
-
-    A functional with coordinates x_i (dual basis) is represented through the
-    trace form by the matrix sum x_i D_i with {D_i} the trace-dual basis;
-    evaluating conjugation-invariant matrix functions there gives honest
-    coadjoint invariants in the x variables.
-    """
+def _ambient_matrix(L: LieAlgebraData):
+    """The symbolic matrix sum x_i D_i of a matrix algebra L, {D_i} the
+    trace-dual basis of its basis matrices, as MultiPolys in the x."""
     n = L.metadata["matrix_size"]
-    fam = L.metadata["family"]
     mats = L.metadata["matrices"]
     nv = L.dim
     entries = [[MultiPoly(nv) for _ in range(n)] for _ in range(n)]
     for bi, mth in enumerate(_trace_duals(mats, mats)):
         for (i, j), c in mth.items():
             entries[i][j] = entries[i][j] + MultiPoly.variable(nv, bi, c)
+    return entries
+
+
+def _ambient_invariants(L: LieAlgebraData):
+    """Basic symmetric invariants of the ambient simple algebra, as MultiPolys
+    in the ambient basis variables.
+
+    A functional with coordinates x_i (dual basis) is represented through the
+    trace form by the matrix sum x_i D_i with {D_i} the trace-dual basis;
+    evaluating conjugation-invariant matrix functions there gives honest
+    coadjoint invariants in the x variables.  The E_k all come from one
+    expansion, at the smallest k.
+    """
+    n = L.metadata["matrix_size"]
+    fam = L.metadata["family"]
+    entries = _ambient_matrix(L)
     # the even-degree E_k of so_n stop below n; for even n the Pfaffian
     # replaces E_n
     degrees = {"sl": range(2, n + 1), "sp": range(2, n + 1, 2),
                "so": range(2, n, 2)}[fam]
-    out = [(k, symbolic_minor_sum(entries, nv, k)) for k in degrees]
+    memo = {}
+    out = [(k, symbolic_minor_sum(entries, L.dim, k, memo=memo))
+           for k in degrees]
     if fam == "so" and n % 2 == 0:
         # X B with B the antidiagonal form: (X B)_ij = X_i,n-1-j
         out.append((n // 2, symbolic_pfaffian([row[::-1] for row in entries],
-                                              nv)))
+                                              L.dim)))
     return out
 
 
@@ -820,7 +870,7 @@ def z2_contraction(spec: ContractionSpec):
     images = _old_in_new(QMatrix.from_rows(emb + g1))
     tops = []
     accepted_ambient = []
-    for k, amb in _ambient_invariants(spec.kind, L):
+    for k, amb in _ambient_invariants(L):
         P = amb.substitute_linear(images)
         for _ in range(40):
             top = highest_component(P, S, 1)[0]
@@ -987,34 +1037,47 @@ def item3_evaluation_identity(res: Item3Result, trials=20, seed=77):
     """Check H_i(A + xi + v) = h_i(A, B(xi), v) at random split points.
 
     The right side polarises the quadratic g-part of h_i: monomial x_a x_b
-    evaluates to (A_a B_b + A_b B_a)/2.
+    evaluates to (A_a B_b + A_b B_a)/2.  Runs on ints: H_i, h_i and the
+    quadrics (over one common denominator Dq) are cleared once, before the
+    trials, and the sampled points are integers.  The integer sides
+    DH H_i(pt) and 2 Dh Dq h_i(A, B(xi), v) are compared after
+    cross-multiplying by each other's denominator.
     """
     S, S2 = res.S, res.S2
     N = S.blocks[1][2]
+    gd = S2.dim_g
+    Dq = math.lcm(1, *(c.denominator for qp in res.B_quadrics
+                       for c in qp.terms.values()))
+    quadrics = [_int_terms(qp.terms, Dq)[1] for qp in res.B_quadrics]
+    pairs = []
+    for H, h in zip(res.lifted, res.quadratic):
+        DH, H_terms = _int_terms(H.terms)
+        Dh, h_terms = _int_terms(h.terms)
+        # each term of h as (c, its g-part, its v-part on the indices of v)
+        split = [(c, [(i, e) for i, e in supp if i < gd],
+                  [(i - gd, e) for i, e in supp if i >= gd])
+                 for c, supp in h_terms]
+        pairs.append((DH, H_terms, 2 * Dh * Dq, split))
     for t in range(trials):
         cfg = SampleConfig(seed + t, 7, 1)
-        A = sample_vector(cfg, S.dim_g, 0, "A")
-        xi = sample_vector(cfg, N, 0, "xi")
-        v = sample_vector(cfg, S2.dim_V, 0, "v")
-        point = list(A) + list(xi) + list(v)
-        # B(xi) coordinates via the quadrics
-        Bco = [qp.evaluate(xi) for qp in res.B_quadrics]
-        for H, h in zip(res.lifted, res.quadratic):
-            lhs = H.evaluate(point)
-            rhs = Q0
-            for mono, c in h.terms.items():
-                gpart = [(i, e) for i, e in enumerate(mono[:S2.dim_g]) if e]
-                val = c
-                for j, e in enumerate(mono[S2.dim_g:]):
-                    if e:
-                        val = val * v[j] ** e
+        # sample_vector draws integers
+        A, xi, v = ([int(x) for x in sample_vector(cfg, dim, 0, tag)]
+                    for dim, tag in ((S.dim_g, "A"), (N, "xi"),
+                                     (S2.dim_V, "v")))
+        # Dq B(xi) via the quadrics
+        B = [_int_value(qp, xi) for qp in quadrics]
+        for DH, H_terms, scale, split in pairs:
+            rhs = 0   # scale h(A, B(xi), v)
+            for c, gpart, vpart in split:
+                for j, e in vpart:
+                    c *= v[j] ** e
                 if len(gpart) == 1:
                     a = gpart[0][0]
-                    val = val * A[a] * Bco[a]
+                    c *= 2 * A[a] * B[a]
                 else:
                     (a, _), (b, _) = gpart
-                    val = val * (A[a] * Bco[b] + A[b] * Bco[a]) / QQ(2)
-                rhs += val
-            if lhs != rhs:
+                    c *= A[a] * B[b] + A[b] * B[a]
+                rhs += c
+            if _int_value(H_terms, A + xi + v) * scale != rhs * DH:
                 return False
     return True

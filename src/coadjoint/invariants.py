@@ -26,7 +26,10 @@ Derivations read the cached integer table (d, d ad) of the Lie algebra
 derivation is applied in integers, and d D (x_i . P) = 0 exactly when
 x_i . P = 0.  `substitute_linear` and the symbolic minors of `constructions`
 clear their denominators the same way and divide once at the end, so every
-polynomial they return has `Fraction` coefficients.
+polynomial they return has `Fraction` coefficients.  Evaluations do too: one
+helper clears a polynomial once into (D, [(int coefficient, support)])
+(`_int_terms`), and `MultiPoly.evaluate`, the Jacobian rows of
+`jacobian_independent` and the item-3 identity of `constructions` run on it.
 
 A MultiPoly keys its terms by exponent tuples.  Inside the kernels (products,
 powers, linear substitution, derivations and the symbolic minors) a monomial
@@ -56,7 +59,6 @@ from .qlinalg import (
     QQ,
     Basis,
     IntRows,
-    QMatrix,
     SampleConfig,
     VerificationError,
     as_q,
@@ -168,19 +170,15 @@ class MultiPoly:
         return {d: MultiPoly(self.nvars, t) for d, t in out.items()}
 
     def evaluate(self, point):
+        """P(point), exact and on ints: P is cleared to D P and the point to
+        X / d once, a term of total degree |m| is weighted by d^(M - |m|) as
+        in `substitute_linear`, M = deg P, and the sum is divided by D d^M
+        once."""
         assert len(point) == self.nvars
-        point = [as_q(x) for x in point]
-        total = Q0
-        for m, c in self.terms.items():
-            v = c
-            for x, e in zip(point, m):
-                if e:
-                    if x == 0:
-                        v = Q0
-                        break
-                    v = v * x ** e
-            total += v
-        return total
+        D, terms = _int_terms(self.terms)
+        d, X = _cleared_point(point)
+        M = self.total_degree()
+        return QQ(_int_value(terms, X, d, M), D * d ** M)
 
     def partial(self, i):
         out = {}
@@ -336,6 +334,53 @@ def _cleared(terms):
 def _scaled(terms, D):
     """The terms times D, as ints; D must be a common denominator."""
     return {m: c.numerator * (D // c.denominator) for m, c in terms.items()}
+
+
+def _int_terms(terms, D=None):
+    """(D, [(D c, support)]) of a term dict, the support of a monomial being
+    its (variable, exponent) pairs with a nonzero exponent: the coefficients
+    cleared once, so that evaluations run on ints.  D defaults to the lcm of
+    the coefficient denominators; a given D must be a common denominator."""
+    if D is None:
+        D = math.lcm(1, *(c.denominator for c in terms.values()))
+    return D, [(c, tuple((i, e) for i, e in enumerate(m) if e))
+               for m, c in _scaled(terms, D).items()]
+
+
+def _cleared_point(point):
+    """(d, the point times d as ints), d the lcm of the denominators."""
+    point = [as_q(x) for x in point]
+    d = math.lcm(1, *(x.denominator for x in point))
+    return d, [x.numerator * (d // x.denominator) for x in point]
+
+
+def _int_value(terms, X, d=1, M=0):
+    """sum c X^m d^(M - |m|) over the terms (c, support) of `_int_terms`:
+    d^M D P(X / d) for P of total degree at most M."""
+    total = 0
+    for c, supp in terms:
+        for i, e in supp:
+            c *= X[i] ** e
+        if d != 1:
+            c *= d ** (M - sum(e for _, e in supp))
+        total += c
+    return total
+
+
+def _int_gradient(terms, X, d=1, M=0):
+    """{i: nonzero int}: d^(M - 1) D dP/dx_i (X / d) for P of total degree
+    at most M given by its terms from `_int_terms`, in one pass over them:
+    the derivative of c x^m in x_i is c e_i x^(m - e_i), of degree |m| - 1,
+    so each term is weighted by d^(M - |m|)."""
+    row = {}
+    for c, supp in terms:
+        if d != 1:
+            c *= d ** (M - sum(e for _, e in supp))
+        powers = [X[i] ** e for i, e in supp]
+        for t, (i, e) in enumerate(supp):
+            row[i] = row.get(i, 0) + c * e * X[i] ** (e - 1) * math.prod(
+                powers[:t] + powers[t + 1:])
+    return _nonzero(row)
 
 
 def _over(nvars, terms, q):
@@ -602,6 +647,9 @@ def generator_ledger(S: SemiDirectProduct, cap: int,
     VerificationError.  Components over the monomial cap are recorded as
     skipped entries instead of being attempted.
     """
+    if cap < 1:
+        raise ValueError(f"a generator ledger needs a degree cap >= 1, "
+                         f"not {cap}")
     nblocks = len(S.blocks)
     led = GeneratorLedger(entries=[])
     for total in range(1, cap + 1):
@@ -652,13 +700,19 @@ def jacobian_independent(polys, S: SemiDirectProduct,
     """True iff the differentials at some sampled point have full rank.
 
     Full rank at any single point is sufficient for algebraic independence.
+    Each polynomial P is cleared to D_P P once; at each point the row of P
+    is D_P grad P(pt), up to a positive power of the point's denominator, as
+    `IntRows` written in one pass over P's terms.  Scaling a row keeps the
+    rank.
     """
     if not polys:
         return True
     n = S.dim
+    cleared = [(_int_terms(P.terms)[1], P.total_degree()) for P in polys]
     for pt in sample_rounds(cfg, n, "jacobian"):
-        rows = [[P.partial(i).evaluate(pt) for i in range(n)] for P in polys]
-        if rank(QMatrix.from_rows(rows)) == len(polys):
+        d, X = _cleared_point(pt)
+        rows = [_int_gradient(terms, X, d, M) for terms, M in cleared]
+        if rank(IntRows(n, rows)) == len(polys):
             return True
     return False
 

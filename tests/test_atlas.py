@@ -250,11 +250,27 @@ def test_cli_construct_exits_1_when_a_printed_identity_is_false(monkeypatch):
     monkeypatch.setattr(constructions, "item3_lift", lambda n: SimpleNamespace(
         S="S", quadratic=[], lifted=[]))
     monkeypatch.setattr(constructions, "item3_evaluation_identity",
-                        lambda res, trials: False)
+                        lambda res, trials, seed: False)
     assert main(["construct", "item3", "--params", "2"]) == 1
     monkeypatch.setattr(constructions, "item3_evaluation_identity",
-                        lambda res, trials: True)
+                        lambda res, trials, seed: True)
     assert main(["construct", "item3", "--params", "2"]) == 0
+
+
+def test_cli_construct_item3_checks_the_identity_at_its_seed(monkeypatch):
+    import coadjoint.constructions as constructions
+    from coadjoint.cli import main
+
+    seen = []
+    identity = constructions.item3_evaluation_identity
+    monkeypatch.setattr(
+        constructions, "item3_evaluation_identity",
+        lambda res, trials, seed: seen.append(seed) or identity(res, trials,
+                                                               seed))
+    for seed in (5, 11):
+        assert main(["construct", "item3", "--params", "2",
+                     "--seed", str(seed)]) == 0
+    assert seen == [5, 11]
 
 
 def test_cli_malformed_input_exits_2_with_a_message(tmp_path):
@@ -272,6 +288,10 @@ def test_cli_malformed_input_exits_2_with_a_message(tmp_path):
         ["construct", "edelta", "--params", "3", "2", "1"],
         ["construct", "item3", "--params"],
         ["construct", "contraction", "--pair", "so-so", "--params", "3"],
+        ["invariants", "--family", "sp", "--size", "2", "--module", "phi1",
+         "--cap", "0"],
+        ["invariants", "--family", "sp", "--size", "2", "--module", "phi1",
+         "--cap", "-1"],
         ["report", str(tmp_path / "dict.json")],
         ["report", str(tmp_path / "list.json")],
     ]

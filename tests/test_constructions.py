@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -10,6 +11,8 @@ from coadjoint.constructions import (
     ContractionSpec,
     EDeltaResult,
     RestrictionEscapes,
+    _ambient_invariants,
+    _ambient_matrix,
     centraliser_dim,
     delta_k_matrix,
     e_delta_restricted,
@@ -199,6 +202,32 @@ def test_e_delta_two_block():
     assert is_invariant(lay.target, res.H)
     md = res.H.multidegree(lay.target.blocks)
     assert md == (1, 2, 2, 2)
+
+
+@pytest.mark.parametrize("n, ks", [(2, (4,)), (3, (4, 6)), (4, (4, 6, 8))])
+def test_e_delta_results_do_not_depend_on_the_order_of_the_ks(n, ks,
+                                                             monkeypatch):
+    """A layout keeps one expansion for every k it serves: ascending calls
+    expand once, and the results equal those of descending calls and of one
+    call per fresh layout."""
+    import coadjoint.constructions as constructions
+
+    expansions = []
+    expand = constructions._minor_sums_int
+    monkeypatch.setattr(constructions, "_minor_sums_int",
+                        lambda *a: expansions.append(a[2]) or expand(*a))
+
+    def parts(results):
+        return [(r.k, _digest(r.H), r.delta_prime) for r in results]
+
+    lay = minimal_nilpotent_centraliser_layout(n)
+    ascending = parts([e_delta_restricted(lay, k) for k in ks])
+    assert expansions == [ks[0]]
+    lay = minimal_nilpotent_centraliser_layout(n)
+    descending = parts([e_delta_restricted(lay, k) for k in reversed(ks)])
+    fresh = parts([e_delta_restricted(minimal_nilpotent_centraliser_layout(n),
+                                      k) for k in ks])
+    assert ascending == descending[::-1] == fresh
 
 
 def test_e_delta_range_validation():
@@ -529,6 +558,27 @@ def test_contraction_g0_is_the_fixed_subalgebra(kind, params, family, size):
     assert g0.int_ad_table == subalgebra(L, emb).int_ad_table
 
 
+@pytest.mark.parametrize("family, size", [("so", 4), ("sp", 6), ("sl", 4),
+                                          ("so", 4), ("so", 7)],
+                         ids=["so-so(3,1)", "sp-sp(4,2)", "sl-sp(4)",
+                              "so-gl(2)", "so-so(5,2)"])
+def test_ambient_invariants_are_the_minor_sums_of_one_expansion(family, size):
+    # the ambient algebras of the five benchmark contractions; each E_k from
+    # the shared expansion equals a fresh expansion for that k alone, and
+    # for so of even size the Pfaffian still comes last
+    L = classical_algebra(family, size)
+    out = _ambient_invariants(L)
+    entries = _ambient_matrix(L)
+    pf = family == "so" and size % 2 == 0
+    sums = out[:-1] if pf else out
+    assert sums == [(k, symbolic_minor_sum(entries, L.dim, k))
+                    for k, _ in sums]
+    assert [k for k, _ in out] == {
+        "so": list(range(2, size, 2)) + ([size // 2] if pf else []),
+        "sp": list(range(2, size + 1, 2)),
+        "sl": list(range(2, size + 1))}[family]
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_sp_heis_algebra_is_the_centraliser_in_sp(k):
     from coadjoint.atlas import sp_heis_algebra
@@ -630,6 +680,17 @@ def _digest(P):
     """sha256 of the sorted exact terms, as perfbench's poly_digest."""
     terms = sorted((list(m), str(c)) for m, c in P.terms.items())
     return hashlib.sha256(json.dumps(terms).encode()).hexdigest()[:20]
+
+
+def test_item3_identity_refuses_a_perturbed_or_swapped_lift():
+    res = item3_lift(2)
+    H = res.lifted[0]
+    mono, c = next(iter(H.terms.items()))
+    bumped = MultiPoly(H.nvars, {**H.terms, mono: c + QQ(1, 3)})
+    assert not item3_evaluation_identity(
+        dataclasses.replace(res, lifted=[bumped, *res.lifted[1:]]))
+    assert not item3_evaluation_identity(
+        dataclasses.replace(res, lifted=res.lifted[::-1]))
 
 
 def test_item3_lift_n3_is_pinned():

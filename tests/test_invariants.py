@@ -109,6 +109,12 @@ def test_ledger_sp2k2():
     assert led.generator_degrees() == [3]
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_ledger_refuses_a_cap_below_one(cap):
+    with pytest.raises(ValueError, match="cap >= 1"):
+        generator_ledger(S_sp2k2(), cap)
+
+
 def test_ledger_takiff_sl2():
     led = generator_ledger(S_takiff_sl2(), 3)
     assert led.generator_degrees() == [2, 2]

@@ -1,10 +1,11 @@
 """Property tests of the integer polynomial kernels.
 
-The symbolic minors, `substitute_linear` and the derivations clear their
-denominators once, run on ints and divide once at the end.  Each test here
-compares one of them with a plain rational computation on inputs with mixed
-denominators, so a wrong power of the common denominator, a dropped degree
-weight or an integer table without its scale shows up as a wrong value.  The
+The symbolic minors, `substitute_linear`, the evaluations, the Jacobian rows
+and the derivations clear their denominators once, run on ints and divide
+once at the end.  Each test here compares one of them with a plain rational
+computation on inputs with mixed denominators, so a wrong power of the
+common denominator, a dropped degree weight or an integer table without its
+scale shows up as a wrong value.  The
 zero-weight monomial generator is compared with enumerate-and-filter.
 
 The kernels key monomials by packed ints (exponents as fixed-width digits),
@@ -33,7 +34,10 @@ from coadjoint.constructions import (
 )
 from coadjoint.invariants import (
     MultiPoly,
+    _cleared_point,
     _compositions,
+    _int_gradient,
+    _int_terms,
     _killed,
     _pack,
     _unpack,
@@ -143,6 +147,77 @@ def test_substitute_linear_commutes_with_evaluation(seed, nvars, tgt, degree):
     for _ in range(3):
         pt = _point(rng, tgt)
         assert out.evaluate(pt) == P.evaluate([Q.evaluate(pt) for Q in images])
+
+
+def _rational_value(P, pt):
+    """P(pt) term by term in Fractions: the reference for the evaluations
+    on ints."""
+    total = Fraction(0)
+    for m, c in P.terms.items():
+        v = Fraction(c)
+        for x, e in zip(pt, m):
+            v *= Fraction(x) ** e
+        total += v
+    return total
+
+
+def _int_or_rational_point(rng, nvars, integral):
+    return ([rng.randint(-5, 5) for _ in range(nvars)] if integral
+            else _point(rng, nvars))
+
+
+@SETTINGS
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(0, 4),
+       st.booleans())
+def test_evaluate_matches_a_rational_evaluation(seed, nvars, degree, integral):
+    """MultiPoly.evaluate clears P and the point once; a dropped degree
+    weight or a wrong power of d shows on a non-homogeneous P at a point
+    with mixed denominators.  Integer coefficients take the same path."""
+    rng = random.Random(seed)
+    P = _random_poly(rng, nvars, degree, terms=6)
+    P_int = MultiPoly(nvars, {m: c.numerator for m, c in P.terms.items()})
+    for _ in range(3):
+        pt = _int_or_rational_point(rng, nvars, integral)
+        assert P.evaluate(pt) == _rational_value(P, pt)
+        assert P_int.evaluate(pt) == _rational_value(P_int, pt)
+
+
+@SETTINGS
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(0, 4),
+       st.booleans())
+def test_integer_jacobian_rows_match_the_rational_rows(seed, nvars, degree,
+                                                       integral):
+    """The row of `jacobian_independent`, one pass over P's cleared terms, is
+    D d^(M - 1) times the gradient from `partial` and `evaluate`."""
+    rng = random.Random(seed)
+    P = _random_poly(rng, nvars, degree, terms=6)
+    D, terms = _int_terms(P.terms)
+    M = P.total_degree()
+    for _ in range(3):
+        pt = _int_or_rational_point(rng, nvars, integral)
+        d, X = _cleared_point(pt)
+        row = _int_gradient(terms, X, d, M)
+        assert 0 not in row.values()
+        scale = D * d ** max(M - 1, 0)
+        assert [Fraction(row.get(i, 0), scale) for i in range(nvars)] == [
+            P.partial(i).evaluate(pt) for i in range(nvars)]
+
+
+@SETTINGS
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 3))
+def test_one_expansion_serves_every_minor_sum_in_any_order(seed, n, nvars):
+    """Calls that share a memo, in a random order and under degree bounds,
+    give the same E_k as a fresh expansion per k."""
+    rng = random.Random(seed)
+    entries = [[_random_poly(rng, nvars, 2, terms=3) for _ in range(n)]
+               for _ in range(n)]
+    bounds = [(rng.sample(range(nvars), rng.randint(1, nvars)),
+               rng.randint(0, 3))] if rng.random() < 0.5 else []
+    fresh = [symbolic_minor_sum(entries, nvars, k, bounds)
+             for k in range(n + 1)]
+    memo = {}
+    for k in rng.sample(range(n + 1), n + 1):
+        assert symbolic_minor_sum(entries, nvars, k, bounds, memo) == fresh[k]
 
 
 def _filtered(P, bounds):
