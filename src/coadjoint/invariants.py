@@ -471,9 +471,7 @@ def monomials_of_block_degrees(S: SemiDirectProduct, mdeg, weights=None):
     of a monomial's weight: additive, and 0 for a monomial only at weight 0.
     """
     assert len(mdeg) == len(S.blocks)
-    weights = weights or [()] * S.dim
-    B = sum(mdeg) * max((abs(x) for w in weights for x in w), default=0) + 1
-    packed = [sum(x * B ** t for t, x in enumerate(w)) for w in weights]
+    packed = _packed_weights(weights or [()] * S.dim, mdeg)
     classes = []    # per block: its variables, and its monomials by weight
     for (_, off, sz), d in zip(S.blocks, mdeg):
         by_weight = {}
@@ -499,15 +497,38 @@ def monomials_of_block_degrees(S: SemiDirectProduct, mdeg, weights=None):
     return out
 
 
+def _packed_weights(weights, mdeg):
+    """Each variable's weight packed as sum_t w_t B^t, B above any coordinate
+    of the weight of a monomial of multidegree mdeg."""
+    B = sum(mdeg) * max((abs(x) for w in weights for x in w), default=0) + 1
+    return [sum(x * B ** t for t, x in enumerate(w)) for w in weights]
+
+
+def _weighted_size(S: SemiDirectProduct, mdeg, weights):
+    """The number of monomials of weight zero with the given per-block
+    degrees, counted by weight class without listing them: block by block,
+    one variable at a time, the last block's classes matched to the rest."""
+    packed = _packed_weights(weights, mdeg)
+    blocks = [(off, sz, d) for (_, off, sz), d in zip(S.blocks, mdeg)]
+
+    def times_block(counts, off, sz, d):
+        counts = [counts] + [{} for _ in range(d)]   # by degree, then weight
+        for x in packed[off:off + sz]:
+            for e in range(1, d + 1):
+                for w, n in counts[e - 1].items():
+                    counts[e][w + x] = counts[e].get(w + x, 0) + n
+        return counts[d]
+
+    total = {0: 1}
+    for block in blocks[:-1]:
+        total = times_block(total, *block)
+    last = times_block({0: 1}, *blocks[-1])
+    return sum(n * total.get(-w, 0) for w, n in last.items())
+
+
 def component_size(S: SemiDirectProduct, mdeg):
-    n = 1
-    for (label, off, sz), d in zip(S.blocks, mdeg):
-        if sz == 0:
-            if d > 0:
-                return 0
-            continue
-        n *= math.comb(sz + d - 1, d)
-    return n
+    """The number of monomials with the given per-block degrees."""
+    return _weighted_size(S, mdeg, [()] * S.dim)
 
 
 DEFAULT_COMPONENT_CAP = 5 * 10 ** 6
@@ -543,12 +564,16 @@ def invariant_space(S: SemiDirectProduct, mdeg, cap=DEFAULT_COMPONENT_CAP):
     """Basis of s-invariants of the given multidegree, reduced echelon form.
 
     mdeg is one degree per block of the splitting (g first, then each
-    V-summand).  Raises ComponentTooLarge when the monomial count exceeds cap.
-    """
+    V-summand).  Raises ComponentTooLarge when more than cap monomials are
+    solved over (on the zero-weight path, those of weight zero)."""
     count = component_size(S, mdeg)
+    weights, derivs = _weight_data(S)
+    if count > cap and weights is not None:
+        count = _weighted_size(S, mdeg, weights)
     if count > cap:
         raise ComponentTooLarge(count, cap)
-    weights, derivs = _weight_data(S)
+    if not count:
+        return []
     monos = monomials_of_block_degrees(S, mdeg, weights)
     basis = _killed_by(S, derivs, monos) if monos else []
     for P in basis:

@@ -7,23 +7,24 @@ run on one sparse integer form, rows of {column: int}: `IntRows` is taken as
 it is, and a `QMatrix` row is scaled by the lcm of its denominators (all-zero
 rows dropped), which changes neither rank nor right kernel.  The path is
 chosen from the input: rows of at most `_SPARSE_ROW_WEIGHT` nonzeros on
-average (the invariant-space systems) are eliminated sparsely mod p, shortest
-row first, once there are more than `_BAREISS_CUTOFF` rows or columns; denser
-ones by numpy mod p once there are more of both; the rest, and what the
-modular paths cannot settle, exactly over Z (primitive-row elimination for
-ranks, `Basis` for kernels).  A modular result is certified from both
-sides: the rank mod p bounds the rank over Q from below, so full column rank
-proves the kernel zero; otherwise kernel vectors are lifted p-adically from
-the pivot rows (rounds that double the digits, at most the Hadamard count)
-and each v is checked as A (D v) = 0 over Z on every row, D the lcm of its
-denominators: the rank from above.
+average are eliminated sparsely mod p, shortest row first, once there are
+more than `_BAREISS_CUTOFF` rows or columns; denser ones by numpy mod p once
+there are more of both; the rest, and what the modular paths cannot settle,
+exactly over Z by `Basis`, the one exact elimination.  A modular result is
+certified from both sides: the rank mod p bounds the rank over Q from below,
+so full column rank proves the kernel zero; otherwise kernel vectors are
+lifted p-adically from the pivot rows (rounds that double the digits, at
+most the Hadamard count) and each v is checked as A (D v) = 0 over Z on
+every row, D the lcm of its denominators: the rank from above.
 
-`Basis` is the one echelon-and-coordinates routine: it echelonises a list of
-vectors once (reduced row echelon form over Q), and then writes other vectors
-in terms of the inputs.  Its coordinates run on integers: the rows and the
-change of basis are stored over one common denominator each, and a vector's
-denominators are cleared once.  Subalgebras, submodules, invariant spaces,
-changes of basis, `inverse` and `solve_right` all go through it.
+`Basis` is the one echelon-and-coordinates routine: one forward elimination
+on primitive integer rows settles the rank, the pivots and the greedy choice
+of inputs; the reduced row echelon form over Q is back-substituted when
+read, and other vectors are written in terms of the inputs, on integers too:
+the rows and the change of basis are stored over one common denominator
+each, and a vector's denominators are cleared once.  Exact ranks and
+kernels, subalgebras, submodules, invariant spaces, changes of basis,
+`inverse` and `solve_right` all go through it.
 
 `ModMatrix` is a matrix over F_p, ranked by `_mod_echelon`: sampled generic
 ranks are taken mod p at points from `sample_mod_p`.
@@ -204,18 +205,21 @@ class ModMatrix:
         self.rows, self.cols = a.shape
 
 
-def _int_row(row):
-    """The nonzero entries of a rational row times the lcm of their
-    denominators, as {column: int}; the shared Q0 is skipped by identity."""
-    nz = {c: x for c, x in enumerate(row) if x is not Q0 and x}
-    l = math.lcm(*(x.denominator for x in nz.values()))
-    return {c: x.numerator * (l // x.denominator) for c, x in nz.items()}
+def _int_vector(vec):
+    """A rational or integer vector times the lcm of its denominators, as a
+    new list of ints (the shared Q0 is skipped by identity)."""
+    if set(map(type, vec)) <= {int}:
+        return list(vec)
+    l = math.lcm(*(x.denominator for x in vec if x is not Q0))
+    return [x.numerator * (l // x.denominator) if x is not Q0 else 0
+            for x in vec]
 
 
 def _int_rows(m):
     """The nonzero rows of a QMatrix or IntRows m, as {column: int} dicts;
     scaling a row preserves rank and right kernel."""
-    rows = m.data if isinstance(m, IntRows) else map(_int_row, m.data)
+    rows = m.data if isinstance(m, IntRows) else (
+        {c: x for c, x in enumerate(_int_vector(r)) if x} for r in m.data)
     return [row for row in rows if row]
 
 
@@ -224,48 +228,6 @@ def _dense(row, nc):
     for c, x in row.items():
         out[c] = x
     return out
-
-
-def _echelon_int(a):
-    """Primitive-row elimination on integer rows, in place.
-
-    Returns (rank, pivot_cols).  The pivot is an entry of least absolute
-    value in its column.  A row with an entry f in the pivot column becomes
-    (piv/g) row - (f/g) pivot_row, g = gcd(piv, f), divided by its content;
-    rows with a zero there are left alone.  Each row then divides the row
-    Bareiss elimination would hold, so its entries stay bounded by the
-    minors of the input, and no fractions ever appear.
-    """
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    piv_r = 0
-    pivots = []
-    for pc in range(nc):
-        best = -1
-        for r in range(piv_r, nr):
-            v = a[r][pc]
-            if v and (best < 0 or abs(v) < abs(a[best][pc])):
-                best = r
-        if best < 0:
-            continue
-        a[best], a[piv_r] = a[piv_r], a[best]
-        piv = a[piv_r][pc]
-        # rows below the pivot row are zero before pc, and so will be at pc
-        zeros = [0] * (pc + 1)
-        pr = a[piv_r][pc + 1:]
-        for r in range(piv_r + 1, nr):
-            row = a[r]
-            f = row[pc]
-            if f:
-                g = math.gcd(piv, f)
-                s, t = piv // g, f // g
-                a[r] = zeros + _primitive(
-                    [s * x - t * y for x, y in zip(row[pc + 1:], pr)])
-        pivots.append(pc)
-        piv_r += 1
-        if piv_r == nr:
-            break
-    return piv_r, pivots
 
 
 def _mod_echelon(a, p):
@@ -492,9 +454,10 @@ def _inverse_mod(A, p):
 
 _BAREISS_CUTOFF = 70
 
-# Rows with at most this many nonzeros on average are eliminated sparsely:
-# the invariant-space systems have under 3, the Kirillov forms and large
-# dense kernels at least 7.
+# Rows with at most this many nonzeros on average are eliminated sparsely.
+# Measured: the benchmark's sparse-path systems have 1.0 to 2.8, the one
+# dense-path system of a `tables` pass (92 x 91) 21.2, and so7 on spin8 at
+# multidegree (6, 4) 4.18, above this threshold (ROADMAP item 2).
 _SPARSE_ROW_WEIGHT = 4
 
 
@@ -505,7 +468,7 @@ def rank(m) -> int:
     a = _int_rows(m)
     kernel = _certified_kernel(a, m.cols) if a else None
     if kernel is None:
-        return _echelon_int([_dense(row, m.cols) for row in a])[0]
+        return len(Basis([_dense(row, m.cols) for row in a]))
     return m.cols - len(kernel)
 
 
@@ -577,12 +540,10 @@ def kernel_basis(m):
 
 def _kernel_exact_small(a, nc):
     """Kernel of the sparse integer rows a in the normal form, read off the
-    `Basis` of their echelon rows taken bottom first (back substitution)."""
-    a = [_dense(row, nc) for row in a]
-    r = _echelon_int(a)[0]
-    red = Basis(a[:r][::-1])
+    reduced rows of their `Basis`."""
+    red = Basis([_dense(row, nc) for row in a])
     basis = []
-    for j in red.complement() if r else range(nc):
+    for j in red.complement() if a else range(nc):
         v = [Q0] * nc
         v[j] = Q1
         for p, row in zip(red.pivots, red.rows):
@@ -620,55 +581,55 @@ def inverse(m: QMatrix) -> QMatrix:
 
 
 class Basis:
-    """Reduced row echelon basis of the span of some vectors, with coordinates.
+    """Echelon basis of the span of some vectors, with coordinates.
 
-    rows and pivots are sorted by pivot column; accepted lists, in input
-    order, the indices of the vectors that extended the span (the greedy
-    choice).  coords(v) writes v in terms of the input vectors, which must be
+    Construction is one forward elimination in input order: each vector,
+    cleared of denominators, is reduced at the pivots kept so far, in the
+    order they were kept, divided by its content after each step, and kept
+    when anything is left, its first nonzero column its pivot.  That gives
+    accepted (the indices of the vectors that extended the span, in input
+    order: the greedy choice), len, pivots (sorted), complement() and
+    echelon, the kept primitive integer rows sorted by pivot.  rows, the
+    reduced row echelon form over Q, is back-substituted once, when first
+    read.  coords(v) writes v in terms of the input vectors, which must be
     independent; the change of basis it needs is computed on its first call.
+
+    The integers stay bounded by the minors of the input (Bareiss 1968): a
+    row reduced at the first j kept pivots is the one direction in the span
+    of their vectors and its own that vanishes there, so its primitive form
+    divides a Cramer vector of (j+1)-minors; a reduced row, one of k-minors.
     """
 
     def __init__(self, vectors):
         self.vectors = vectors
         self.ncols = len(vectors[0]) if vectors else 0
         self.accepted = []
-        # integer rows, each the primitive multiple of a reduced row: zero
-        # at the pivots of the others
-        red, piv = [], []
+        kept = []   # (pivot, primitive integer row), in the order kept
         for t, vec in enumerate(vectors):
-            row = _dense(_int_row(vec), self.ncols)
-            hits = [(p, rr) for p, rr in zip(piv, red) if row[p]]
-            if hits:
-                # the rows are zero at each other's pivots, so every
-                # multiple is read off the row as it came in
-                l = math.lcm(*(rr[p] for p, rr in hits))
-                new = [l * a for a in row]
-                for p, rr in hits:
-                    f = l * row[p] // rr[p]
-                    new = [a - f * b if b else a for a, b in zip(new, rr)]
-                row = new
+            row = _reduced(_int_vector(vec), kept)
             nz = next((c for c, a in enumerate(row) if a), None)
             if nz is None:
                 continue
-            row = _primitive(row)
-            # back-reduce earlier rows
-            pv = row[nz]
-            for i, rr in enumerate(red):
-                f = rr[nz]
-                if f:
-                    g = math.gcd(pv, f)
-                    s, u = pv // g, f // g
-                    red[i] = _primitive([s * a - u * b for a, b in zip(rr, row)])
-            piv.append(nz)
-            red.append(row)
+            kept.append((nz, _primitive(row)))
             self.accepted.append(t)
-        order = sorted(range(len(piv)), key=piv.__getitem__)
-        self.rows = [[QQ(a, red[t][piv[t]]) if a else Q0 for a in red[t]]
-                     for t in order]
-        self.pivots = [piv[t] for t in order]
+            if len(kept) == self.ncols:
+                break
+        kept.sort(key=operator.itemgetter(0))
+        self.pivots = [p for p, _ in kept]
+        self.echelon = [row for _, row in kept]
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.pivots)
+
+    @functools.cached_property
+    def rows(self):
+        """The reduced row echelon form over Q, sorted by pivot: each
+        echelon row, from the last up, reduced at the later pivots."""
+        red = []
+        for p, row in reversed(list(zip(self.pivots, self.echelon))):
+            red.append((p, _reduced(row, red)))
+        return [[QQ(a, rr[p]) if a else Q0 for a in rr]
+                for p, rr in reversed(red)]
 
     def complement(self):
         """The coordinates that are not pivots, in increasing order."""
@@ -719,6 +680,19 @@ class Basis:
             return None
         q = D * F
         return [QQ(x, q) if x else Q0 for x in out]
+
+
+def _reduced(row, kept):
+    """The integer row reduced at the pivot p of each (p, rr) in kept (rr
+    zero at the pivots before it) in turn, made primitive after each step."""
+    for p, rr in kept:
+        f = row[p]
+        if f:
+            g = math.gcd(rr[p], f)
+            s, u = rr[p] // g, f // g
+            row = _primitive([s * a - u * b if b else s * a
+                              for a, b in zip(row, rr)])
+    return row
 
 
 def _common_denominator(rows):

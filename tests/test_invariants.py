@@ -96,12 +96,33 @@ def test_ledger_records_skipped_components():
     from coadjoint.invariants import generator_ledger
 
     S = S_sp4k4()
-    led = generator_ledger(S, 3, component_cap=150)
+    # the cap counts zero-weight monomials: 16 at (3, 0), 12 at (1, 2)
+    led = generator_ledger(S, 3, component_cap=15)
     skipped = led.skipped_entries()
     assert skipped and all(e.skipped for e in skipped)
     assert (3, 0) in {e.multidegree for e in skipped}
     # components under the cap still contribute: the degree-3 generator
     assert 3 in led.generator_degrees()
+
+
+def test_component_cap_counts_the_zero_weight_monomials():
+    """so5 on spin(5) takes the zero-weight path: a component over the cap
+    is refused only when its zero-weight monomials are, and one without any
+    is computed (empty), not skipped."""
+    from coadjoint.repn import spin_rep
+
+    L = classical_algebra("so", 5)
+    S = semidirect(L, spin_rep(5, L=L))
+    led = generator_ledger(S, 4, component_cap=20)
+    assert {e.multidegree for e in led.skipped_entries()} == {(2, 2), (4, 0)}
+    computed = {e.multidegree: e.dim_invariant for e in led.entries
+                if not e.skipped}
+    for mdeg in ((1, 1), (2, 1), (3, 1), (1, 3), (0, 4)):
+        assert computed[mdeg] == 0
+    assert led.generator_degrees() == [3]
+    with pytest.raises(ComponentTooLarge) as err:
+        invariant_space(S, (2, 2), cap=20)
+    assert err.value.count == 42
 
 
 def test_ledger_sp2k2():

@@ -24,7 +24,6 @@ from coadjoint.qlinalg import (
     QMatrix,
     _certified_kernel,
     _dixon_solve,
-    _echelon_int,
     _int_rows,
     _kernel_exact_small,
     _rational_reconstruct,
@@ -235,6 +234,52 @@ def test_integer_echelon_is_the_reduced_echelon_form(shape):
     assert (span.rows, span.pivots, span.accepted) == _rref_reference(vecs)
 
 
+@SMALL
+@given(_shapes(1, 12), st.integers(1, 10 ** 6))
+def test_basis_matches_gauss_jordan_within_the_hadamard_bound(shape, height):
+    seed, rows, cols, rnk, rational = shape
+    m = _matrix(seed, rows, cols, min(rnk, rows, cols), rational)
+    rng = random.Random(seed)
+    # large entries, integer and rational rows mixed, dependent rows included
+    vecs = [[x * height for x in row] if t % 3 else
+            [Fraction(x * rng.randint(-9, 9), rng.randint(1, 9)) for x in row]
+            for t, row in enumerate(m.data)]
+    vecs = [[int(x) if x.denominator == 1 and t % 2 else x for x in row]
+            for t, row in enumerate(vecs)]
+    ref_rows, ref_pivots, ref_accepted = _rref_reference(vecs)
+    ref_complement = [c for c in range(cols) if c not in ref_pivots]
+    span = Basis(vecs)
+
+    def forward():
+        return len(span), span.accepted, span.pivots, span.complement()
+
+    expected = (len(ref_rows), ref_accepted, ref_pivots, ref_complement)
+    assert forward() == expected
+    assert span.rows == ref_rows
+    assert forward() == expected
+    # every stored integer row is bounded by the minors of the cleared input
+    bound = 1
+    for row in vecs:
+        d = math.lcm(*(x.denominator for x in row))
+        bound *= max(1, sum(int(x * d) ** 2 for x in row))
+    assert all(x * x <= bound for row in span.echelon for x in row)
+    # coords: unique on independent inputs, refused on dependent ones
+    c = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in ref_accepted]
+    sub = [vecs[t] for t in ref_accepted]
+    v = [sum((a * x[j] for a, x in zip(c, sub)), Fraction(0))
+         for j in range(cols)]
+    assert Basis(sub).coords(v) == c
+    if ref_complement:
+        off = list(v)
+        off[ref_complement[0]] += 1
+        assert Basis(sub).coords(off) is None
+    if len(ref_accepted) < rows:
+        with pytest.raises(ValueError):
+            span.coords(v)
+    else:
+        assert span.coords(v) == c
+
+
 def _reconstructions(m):
     """Every (a, b) with |a|, b <= sqrt(m/2), gcd(a, b) = gcd(b, m) = 1, by
     residue a/b mod m."""
@@ -343,7 +388,7 @@ def test_kernel_at_the_int64_guard(side):
     assert (_certified_kernel(_int_rows(m), n) is None) == (side > 0)
     small = _kernel_exact_small(_int_rows(m), n)
     assert kernel_basis(m) == small
-    assert rank(m) == _echelon_int([r[:] for r in rows])[0] == n - len(small)
+    assert rank(m) == len(Basis(rows)) == n - len(small)
 
 
 @pytest.mark.parametrize("side", [-1, 1])
