@@ -55,7 +55,7 @@ _BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
 
 def eval_expr(expr, env):
     """Tiny integer expression evaluator: + - * // % ( ) binom(a,b), names;
-    anything else is an AtlasError."""
+    anything else, and a division by zero, is an AtlasError."""
     try:
         tree = ast.parse(expr.strip(), mode="eval").body
     except SyntaxError:
@@ -79,7 +79,10 @@ def eval_expr(expr, env):
             return math.comb(*map(value, node.args))
         raise AtlasError(f"bad expression {expr!r}")
 
-    return value(tree)
+    try:
+        return value(tree)
+    except ZeroDivisionError:
+        raise AtlasError(f"division by zero in {expr!r}") from None
 
 
 def _splice(template, env):

@@ -9,11 +9,12 @@ basis derivations
 
 computed one multidegree block at a time, as the kernel of one sparse
 integer row per (derivation, image monomial), read off the integer table
-below.  For a reductive g-block with recorded weights the kernel is taken
-inside the zero-weight monomials, generated directly (each block's monomials
-grouped by weight, blocks combined only through classes that can sum to
-zero), with raising-operator conditions only; the resulting basis is
-re-verified against every derivation afterwards.
+below.  For a reductive g-block whose Cartan acts diagonally on s, with the
+weights read off the integer table of s (`SemiDirectProduct.v_weights`), the
+kernel is taken inside the zero-weight monomials, generated directly (each
+block's monomials grouped by weight, blocks combined only through classes
+that can sum to zero), with raising-operator conditions only; the resulting
+basis is re-verified against every derivation afterwards.
 
 A generator ledger runs one echelon per multidegree, over the products of
 lower invariants and then the invariant basis: the accepted products span
@@ -537,7 +538,10 @@ DEFAULT_COMPONENT_CAP = 5 * 10 ** 6
 def _weight_data(S: SemiDirectProduct):
     """(integer weights per variable or None, the derivations to impose).
 
-    For a reductive g-block acting completely reducibly, zero weight and
+    The weights are those of `S.v_weights()`, the diagonal of the Cartan
+    action read off the integer table of s, scaled to integers; None when
+    some Cartan element does not act diagonally.  For a reductive g-block
+    acting completely reducibly, zero weight and
     being killed by the positive root vectors (g-basis elements whose first
     nonzero weight coordinate is positive) characterise g-invariance; the
     V-derivations are imposed as well.  Otherwise every derivation is.

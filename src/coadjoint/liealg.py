@@ -68,8 +68,8 @@ class LieAlgebraData:
     to d [x_i, x_j] as {k: int or rational}, cleared and reduced to lowest
     terms once.  Nothing writes the table afterwards; read it, never write
     it.  metadata carries optional construction hints (matrix realisation,
-    Cartan indices, ad-weights) used by downstream fast paths; none of it is
-    required for correctness.
+    Cartan indices) used by downstream fast paths; none of it is required
+    for correctness.
     """
 
     def __init__(self, dim, basis_labels=None, brackets=None, metadata=None,
@@ -358,7 +358,9 @@ def sp_algebra(n):
             labels.append(f"S{i + 1}{j + 1}")
     md = {"name": f"sp{n}", "family": "sp", "size": n, "cartan": cartan}
     alg = matrix_algebra(n, mats, labels, md)
-    assert alg.dim == m0 * (2 * m0 + 1)
+    if alg.dim != m0 * (2 * m0 + 1):
+        raise VerificationError(f"sp{n} has dimension {alg.dim}, "
+                                f"not {m0 * (2 * m0 + 1)}")
     return alg
 
 
@@ -445,7 +447,9 @@ def index(L: LieAlgebraData, cfg: SampleConfig = SampleConfig()) -> IndexResult:
 def b_of(L: LieAlgebraData, cfg: SampleConfig = SampleConfig()):
     """b(q) = (ind q + dim q)/2, exact integer."""
     ind = index(L, cfg)
-    assert (int(ind) + L.dim) % 2 == 0
+    if (int(ind) + L.dim) % 2:
+        raise VerificationError(f"ind q = {int(ind)} and dim q = {L.dim} "
+                                f"differ in parity")
     return IndexResult((int(ind) + L.dim) // 2, **vars(ind))
 
 
@@ -461,8 +465,11 @@ class Fingerprint:
 
     def __post_init__(self):
         ds = self.derived_series_dims
-        assert all(ds[i] >= ds[i + 1] for i in range(len(ds) - 1))
-        assert (self.index - self.dim) % 2 == 0
+        if any(ds[i] < ds[i + 1] for i in range(len(ds) - 1)):
+            raise VerificationError(f"derived series {list(ds)} increases")
+        if (self.index - self.dim) % 2:
+            raise VerificationError(f"ind = {self.index} and dim = {self.dim} "
+                                    f"differ in parity")
 
     def __str__(self):
         return (f"(dim={self.dim}, ind={self.index}, "
@@ -616,6 +623,5 @@ def algebra_on_basis(L: LieAlgebraData, basis, units=None) -> LieAlgebraData:
                 raise NotClosedError(i, j)
             brackets[(i, j)] = coeffs
     return LieAlgebraData(k, [f"y{i + 1}" for i in range(k)], brackets,
-                          {"name": "subalgebra", "parent": L,
-                           "embedding": basis},
+                          {"name": "subalgebra", "embedding": basis},
                           d=L.int_ad_table[0] * E * E)

@@ -31,8 +31,7 @@ ranks are taken mod p at points from `sample_mod_p`.
 
 Also hosts the deterministic integer-point sampler used to realise "generic"
 points, with `sample_rounds`, the one height-doubling schedule of every
-generic-point search, and exact univariate interpolation
-(`interpolate_coeffs`).
+generic-point search.
 """
 
 from __future__ import annotations
@@ -743,34 +742,3 @@ def sample_mod_p(cfg: SampleConfig, dim: int, tag: str):
         p = _PRIMES[rnd % len(_PRIMES)]
         rng = random.Random(f"{cfg.seed}|{p}|{dim}|{rnd}|{tag}")
         yield p, [rng.randrange(p) for _ in range(dim)]
-
-
-def _poly_mul_linear(poly, c):
-    """poly(t) * (t - c), coefficient lists."""
-    out = [Q0] * (len(poly) + 1)
-    for i, a in enumerate(poly):
-        out[i + 1] += a
-        out[i] -= c * a
-    return out
-
-
-def interpolate_coeffs(values):
-    """Exact interpolation through (i+1, values[i]); returns coefficient list."""
-    n = len(values)
-    nodes = [QQ(i + 1) for i in range(n)]
-    coef = [as_q(v) for v in values]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (nodes[i] - nodes[i - j])
-    poly = [Q0]
-    basis = [Q1]
-    for k in range(n):
-        while len(poly) < len(basis):
-            poly.append(Q0)
-        for i, c in enumerate(basis):
-            poly[i] += coef[k] * c
-        if k < n - 1:
-            basis = _poly_mul_linear(basis, nodes[k])
-    while len(poly) < n:
-        poly.append(Q0)
-    return poly

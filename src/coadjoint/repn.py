@@ -2,15 +2,16 @@
 
 A module is stored as the sparse columns of its action matrices, one list of
 columns per basis element of the algebra, together with per-summand block
-bookkeeping and (when the Cartan acts diagonally) the list of weights of the
-chosen module basis.  Every constructor writes the columns directly (the
-defining module from the sparse matrices of its algebra); submodules,
-stabilisers, semi-direct products and `check_representation` read them.  The
-dense `action` matrices are a view for the tests, built on request, and
+bookkeeping.  No weights are stored: where the Cartan acts diagonally they are
+the diagonal of its action, read off by `SemiDirectProduct.v_weights` (and
+here by `_diag_weights`, for the weight classes of `contraction_kernel`).
+Every constructor writes the columns directly (the defining module from the
+sparse matrices of its algebra); submodules, stabilisers, semi-direct
+products and `check_representation` read them.  The dense `action` matrices
+are a view for the tests, built on request, and
 `RepresentationData.from_matrices` makes a module of arbitrary dense matrices,
-for checking.  The commutator
-compatibility check `check_representation` is the ground truth every
-constructor is tested against.
+for checking.  The commutator compatibility check `check_representation` is
+the ground truth every constructor is tested against.
 
 A bilinear form is sparse with integer entries, {(i, j): int}, and
 `preserves_form` is the one test of X^T F + F X = 0.  The primitive parts of
@@ -42,7 +43,7 @@ class RepresentationData:
     """
 
     def __init__(self, algebra: LieAlgebraData, columns, dim_V, label="",
-                 blocks=None, weights=None):
+                 blocks=None):
         if len(columns) != algebra.dim or any(len(c) != dim_V for c in columns):
             raise ValueError(f"a module of {algebra!r} needs {algebra.dim} "
                              f"lists of {dim_V} columns")
@@ -51,7 +52,6 @@ class RepresentationData:
         self.dim_V = dim_V
         self.label = label
         self.blocks = blocks or [(label or "V", 0, dim_V)]
-        self.weights = weights
 
     @classmethod
     def from_matrices(cls, algebra: LieAlgebraData, mats, label):
@@ -136,15 +136,15 @@ def check_representation(R: RepresentationData, max_cost=10 ** 7):
 def _diag_weights(R: RepresentationData):
     """Weights of the module basis under the algebra's Cartan indices.
 
-    Requires every Cartan action matrix to be diagonal (true for all the
-    constructors in this module); returns a tuple per basis vector.
+    A tuple per basis vector, the diagonal of the Cartan action; None when
+    the algebra records no Cartan or some Cartan action is not diagonal.
     """
     cartan = R.algebra.metadata.get("cartan")
     if cartan is None:
         return None
     cols = [R.columns[ci] for ci in cartan]
     if any(w != v for c in cols for v, col in enumerate(c) for w, _ in col):
-        return None  # not diagonal, no weight bookkeeping
+        return None
     return [tuple(c[v][0][1] if c[v] else Q0 for c in cols)
             for v in range(R.dim_V)]
 
@@ -160,17 +160,14 @@ def standard_rep(L: LieAlgebraData) -> RepresentationData:
     if mats is None:
         raise ValueError("standard_rep requires a matrix-constructed algebra")
     n = L.metadata["matrix_size"]
-    R = RepresentationData(
+    return RepresentationData(
         L, [[_column({w: c for (w, u), c in m.items() if u == v})
              for v in range(n)] for m in mats], n, label="phi1")
-    R.weights = _diag_weights(R)
-    return R
 
 
 def trivial_rep(L: LieAlgebraData, d=1) -> RepresentationData:
     return RepresentationData(
-        L, [[[] for _ in range(d)] for _ in range(L.dim)], d, label="trivial",
-        weights=[tuple(Q0 for _ in L.metadata.get("cartan", []))] * d)
+        L, [[[] for _ in range(d)] for _ in range(L.dim)], d, label="trivial")
 
 
 def dual_rep(R: RepresentationData) -> RepresentationData:
@@ -183,10 +180,7 @@ def dual_rep(R: RepresentationData) -> RepresentationData:
             for w, c in col:
                 dual[w].append((v, -c))
         columns.append(dual)
-    out = RepresentationData(R.algebra, columns, R.dim_V, f"({R.label})*")
-    if R.weights is not None:
-        out.weights = [tuple(-w for w in ws) for ws in R.weights]
-    return out
+    return RepresentationData(R.algebra, columns, R.dim_V, f"({R.label})*")
 
 
 def direct_sum_rep(*reps, labels=None) -> RepresentationData:
@@ -198,18 +192,15 @@ def direct_sum_rep(*reps, labels=None) -> RepresentationData:
                for i in range(alg.dim)]
     blocks = [(labels[idx] if labels else f"{r.label}#{idx}", off, r.dim_V)
               for idx, (r, off) in enumerate(zip(reps, offsets))]
-    weights = None
-    if all(r.weights is not None for r in reps):
-        weights = [w for r in reps for w in r.weights]
     return RepresentationData(alg, columns, sum(r.dim_V for r in reps),
                               label="+".join(r.label for r in reps),
-                              blocks=blocks, weights=weights)
+                              blocks=blocks)
 
 
-def _power(R: RepresentationData, k, basis, label, derive):
-    """The module on `basis` (k-tuples of basis indices of R) in which x_i
+def _power(R: RepresentationData, basis, label, derive):
+    """The module on `basis` (tuples of basis indices of R) in which x_i
     sends basis vector b to the sum of c * nb over (nb, c) in
-    derive(b, R.columns[i]); weights add up along each tuple."""
+    derive(b, R.columns[i])."""
     idx = {b: t for t, b in enumerate(basis)}
     action = []
     for columns in R.columns:
@@ -220,12 +211,7 @@ def _power(R: RepresentationData, k, basis, label, derive):
                 acc[idx[nb]] = acc.get(idx[nb], Q0) + c
             cols.append(_column(acc))
         action.append(cols)
-    weights = None
-    if R.weights is not None:
-        weights = [tuple(sum(ws) for ws in zip(*(R.weights[i] for i in b)))
-                   if k else tuple(Q0 for _ in R.weights[0]) for b in basis]
-    out = RepresentationData(R.algebra, action, len(basis), label=label,
-                             weights=weights)
+    out = RepresentationData(R.algebra, action, len(basis), label=label)
     out.basis_tags = basis
     return out
 
@@ -245,7 +231,7 @@ def exterior_power(R: RepresentationData, k: int) -> RepresentationData:
                     t = bisect.bisect(rest, w)
                     yield rest[:t] + (w,) + rest[t:], -c if (t - pos) % 2 else c
 
-    return _power(R, k, list(itertools.combinations(range(R.dim_V), k)),
+    return _power(R, list(itertools.combinations(range(R.dim_V), k)),
                   f"L{k}({R.label})", derive)
 
 
@@ -259,7 +245,7 @@ def symmetric_power(R: RepresentationData, k: int) -> RepresentationData:
                 for w, c in columns[v]:
                     yield tuple(sorted(rest + (w,))), c * b.count(v)
 
-    return _power(R, k, list(itertools.combinations_with_replacement(
+    return _power(R, list(itertools.combinations_with_replacement(
         range(R.dim_V), k)), f"S{k}({R.label})", derive)
 
 
@@ -302,18 +288,20 @@ def contraction_kernel(R: RepresentationData, form, k: int
     The contraction sends v_1 ^ ... ^ v_k to
     sum_{a<b} (-1)^{a+b-1} form(v_a, v_b) v_1 ^ ... (drop a, b) ... ^ v_k;
     its kernel is a submodule because the form is invariant (verified).  The
-    map is written as one `IntRows` per weight class of Lambda^k (a single
-    class when the weights are unknown), its rows keyed by the basis tuple
-    of Lambda^{k-2}, so the result keeps diagonal Cartan actions.  Each
+    map is written as one `IntRows` per weight class of Lambda^k, read off
+    its diagonal Cartan action by `_diag_weights` (a single class when that
+    is not diagonal), its rows keyed by the basis tuple of Lambda^{k-2}, so
+    the result keeps diagonal Cartan actions.  Each
     kernel comes out in the normal form of `kernel_basis`.
     """
     check_form_invariant(R, form)
     ext = exterior_power(R, k)
     if k < 2:
         return ext
+    weights = _diag_weights(ext)
     classes = {}
     for col in range(ext.dim_V):
-        classes.setdefault(ext.weights and ext.weights[col], []).append(col)
+        classes.setdefault(weights and weights[col], []).append(col)
     vectors = []
     for w in sorted(classes):
         cols = classes[w]
@@ -336,7 +324,8 @@ def contraction_kernel(R: RepresentationData, form, k: int
 
 def _submodule(R: RepresentationData, vectors, label):
     """Restrict the action to the span of `vectors`; raises VerificationError
-    if the span is not invariant.  Images are sums of sparse columns."""
+    if the span is not invariant.  Images are sums of sparse columns.  The
+    vectors need not be weight vectors."""
     span = Basis(vectors)
     supports = [[(u, a) for u, a in enumerate(v) if a] for v in vectors]
     action = []
@@ -352,15 +341,7 @@ def _submodule(R: RepresentationData, vectors, label):
                 raise VerificationError("span is not invariant under the action")
             cols.append([(i, c) for i, c in enumerate(sol) if c])
         action.append(cols)
-    weights = None
-    if R.weights is not None:
-        weights = [R.weights[support[0][0]] for support in supports]
-        if any(R.weights[u] != w0 for support, w0 in zip(supports, weights)
-               for u, _ in support):
-            raise VerificationError("a submodule basis vector is not a weight "
-                                    "vector")
-    return RepresentationData(R.algebra, action, len(vectors), label=label,
-                              weights=weights)
+    return RepresentationData(R.algebra, action, len(vectors), label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -410,27 +391,6 @@ def _clifford_generators(n):
     return gammas, basis
 
 
-def _gamma_commutator(gi, gj, N):
-    """[gamma_i, gamma_j] as a sparse {(row, col): coeff} dict."""
-    out = {}
-    for col in range(N):
-        hit = gj.get(col)
-        if hit is not None:
-            mid, c1 = hit
-            hit2 = gi.get(mid)
-            if hit2 is not None:
-                row, c2 = hit2
-                out[(row, col)] = out.get((row, col), Q0) + c1 * c2
-        hit = gi.get(col)
-        if hit is not None:
-            mid, c1 = hit
-            hit2 = gj.get(mid)
-            if hit2 is not None:
-                row, c2 = hit2
-                out[(row, col)] = out.get((row, col), Q0) - c1 * c2
-    return {p: v for p, v in out.items() if v != 0}
-
-
 def spin_rep(n: int, half: str | None = None, L=None) -> RepresentationData:
     """Spin (n odd) or half-spin (n even) representation of so_n.
 
@@ -452,25 +412,29 @@ def spin_rep(n: int, half: str | None = None, L=None) -> RepresentationData:
     mats = L.metadata["matrices"]
     n_sq = L.metadata["matrix_size"]
     action = []
-    quarter = QQ(1, 4)
     for bm in mats:
-        # bm = E_ij - E_{bar j, bar i} = R_{e_i, e_bar(j)}, and
+        # bm = E_pq - E_{bar q, bar p} = R_{e_p, e_bar(q)}, and
         # sigma(R_{v,w}) = 1/4 [gamma(v), gamma(w)]; walk each antisymmetric
-        # entry pair once
+        # entry pair once.  By the Clifford relation [gamma_p, gamma_r] =
+        # 2 gamma_p gamma_r - 2 B(e_p, e_r), and B(e_p, e_bar(q)) = 1 exactly
+        # when q = p
         acc = [{} for _ in range(N)]
         seenpairs = set()
         for (p, q), c in bm.items():
             if (n_sq - 1 - q, n_sq - 1 - p) in seenpairs:
                 continue
             seenpairs.add((p, q))
-            comm = _gamma_commutator(gammas[p], gammas[n_sq - 1 - q], N)
-            f = c * quarter
-            for (r, col), v in comm.items():
-                acc[col][r] = acc[col].get(r, Q0) + f * v
+            gp, f = gammas[p], c / 2
+            for col, (mid, c1) in gammas[n_sq - 1 - q].items():
+                if mid in gp:
+                    row, c2 = gp[mid]
+                    acc[col][row] = acc[col].get(row, Q0) + f * c1 * c2
+            if p == q:
+                for col in range(N):
+                    acc[col][col] = acc[col].get(col, Q0) - f
         action.append([_column(c) for c in acc])
     if n % 2 == 1:
-        return RepresentationData(L, action, N, label=f"spin({n})",
-                                  weights=_spin_weights(L, basis))
+        return RepresentationData(L, action, N, label=f"spin({n})")
     # even: project onto the chosen parity
     want = 0 if half == "even" else 1
     keep = [i for i, s in enumerate(basis) if len(s) % 2 == want]
@@ -484,16 +448,7 @@ def spin_rep(n: int, half: str | None = None, L=None) -> RepresentationData:
             sub.append([(pos[w], x) for w, x in cols[c]])
         sub_action.append(sub)
     return RepresentationData(L, sub_action, len(keep),
-                              label=f"spin({n},{half})",
-                              weights=_spin_weights(L, [basis[i] for i in keep]))
-
-
-def _spin_weights(L, basis):
-    # sigma(F_ii) = 1/4 [gamma_i, gamma_bar(i)] has eigenvalue +1/2 on Fock
-    # states occupied at i and -1/2 otherwise
-    m = len(L.metadata["cartan"])
-    return [tuple(QQ(1, 2) if i in s else QQ(-1, 2) for i in range(m))
-            for s in basis]
+                              label=f"spin({n},{half})")
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +457,10 @@ def _spin_weights(L, basis):
 
 
 def adjoint_rep(L: LieAlgebraData) -> RepresentationData:
-    out = RepresentationData(
+    return RepresentationData(
         L, [[_column(L.bracket_basis(i, j)) for j in range(L.dim)]
             for i in range(L.dim)],
         L.dim, label="adjoint")
-    out.weights = _diag_weights(out)
-    return out
 
 
 def symplectic_form(n: int) -> dict:

@@ -26,6 +26,7 @@ from .liealg import (
 )
 from .qlinalg import (
     Q0,
+    QQ,
     IntRows,
     ModMatrix,
     SampleConfig,
@@ -74,7 +75,7 @@ class SemiDirectProduct:
         gname = algebra.metadata.get("name", "q")
         self.total = LieAlgebraData(
             dim, labels, brackets,
-            {"name": name or f"{gname}|x {rep.label}", "semidirect": self}, d=D)
+            {"name": name or f"{gname}|x {rep.label}"}, d=D)
         # grading blocks: the q block, then one block per V summand
         self.blocks = [("g", 0, self.dim_g)] + [
             (lbl, self.dim_g + off, sz) for (lbl, off, sz) in rep.blocks
@@ -90,21 +91,19 @@ class SemiDirectProduct:
         return [as_q(c) for c in gamma] + [as_q(c) for c in y]
 
     def v_weights(self):
-        """Weights of (adjoint q-basis, module V-basis) when diagonal; else None."""
+        """The weights of the basis of s, q-block then V, read off the integer
+        table of s: table[c][j] = {j: d w_c(x_j)} for each Cartan index c of
+        q.  None when q records no Cartan or some Cartan element does not act
+        diagonally."""
         cartan = self.algebra.metadata.get("cartan")
-        if cartan is None or self.rep.weights is None:
+        if cartan is None:
             return None
-        ad_w = []
-        for j in range(self.dim_g):
-            w = []
-            for ci in cartan:
-                b = self.algebra.bracket_basis(ci, j)
-                diag = b.get(j, Q0)
-                if any(k != j for k in b):
-                    return None
-                w.append(diag)
-            ad_w.append(tuple(w))
-        return ad_w + list(self.rep.weights)
+        d, table = self.total.int_ad_table
+        rows = [table[c] for c in cartan]
+        if any(k != j for row in rows for j, vec in row.items() for k in vec):
+            return None
+        return [tuple(QQ(row[j][j], d) if j in row else Q0 for row in rows)
+                for j in range(self.dim)]
 
     def __repr__(self):
         return f"<semidirect {self.total.metadata['name']}, dim {self.dim}>"

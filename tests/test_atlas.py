@@ -6,6 +6,7 @@ import pytest
 
 from coadjoint.atlas import (
     AtlasError,
+    eval_expr,
     load_atlas,
     named_fingerprint,
     row_expectations,
@@ -180,6 +181,16 @@ def test_cli_exit_codes():
     assert main(["index", "--family", "sp", "--size", "4"]) == 0
     assert main(["index", "--family", "sp", "--size", "4",
                  "--module", "phi1"]) == 0
+
+
+@pytest.mark.parametrize("expr", ["1//0", "1%0"])
+def test_cli_division_by_zero_in_an_expression_exits_2(expr):
+    from coadjoint.cli import main
+
+    with pytest.raises(AtlasError, match="division by zero"):
+        eval_expr(expr, {})
+    assert main(["index", "--family", "so", "--size", "3",
+                 "--module", f"({expr})*phi1"]) == 2
 
 
 def test_cli_failed_check_exits_1_and_bad_input_exits_2(monkeypatch):

@@ -6,7 +6,6 @@ from coadjoint.qlinalg import (
     QQ,
     QMatrix,
     SampleConfig,
-    interpolate_coeffs,
     kernel_basis,
     rank,
     sample_vector,
@@ -112,52 +111,3 @@ def test_sample_height_bound():
     cfg = SampleConfig(seed=3, height=2, rounds=1)
     v = sample_vector(cfg, 50, 0)
     assert all(-2 <= x <= 2 for x in v)
-
-
-def _values(f, n):
-    """f at the interpolation nodes t = 1 .. n."""
-    return [f(QQ(t)) for t in range(1, n + 1)]
-
-
-def test_interpolation_simple():
-    coeffs = interpolate_coeffs(_values(lambda t: 3 * t * t + t, 4))
-    assert coeffs == [QQ(0), QQ(1), QQ(3), QQ(0)]
-
-
-def test_interpolation_constant():
-    coeffs = interpolate_coeffs(_values(lambda t: QQ(5), 5))
-    assert coeffs[0] == 5 and all(c == 0 for c in coeffs[1:])
-
-
-def test_interpolation_vs_symbolic_expansion():
-    # 50 random low-degree polynomials: interpolation reproduces coefficients
-    rng = random.Random(11)
-    for _ in range(50):
-        deg = rng.randint(0, 6)
-        cs = [QQ(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(deg + 1)]
-
-        def poly(t):
-            acc = QQ(0)
-            for c in reversed(cs):
-                acc = acc * t + c
-            return acc
-
-        got = interpolate_coeffs(_values(poly, deg + 2))
-        assert got[: deg + 1] == cs
-        assert all(c == 0 for c in got[deg + 1:])
-
-
-def test_interpolation_determinant_oracle():
-    # Delta_2 on sl2 along f + t z: oracle is the symbolic 2x2 determinant
-    rng = random.Random(5)
-    for _ in range(10):
-        a, b, c = (QQ(rng.randint(-5, 5)) for _ in range(3))
-        # z = [[a, b], [c, -a]], f = [[0,0],[1,0]]
-        # det(f + t z) = -t^2 a^2 - t b (1 + t c) hand-expanded:
-        # [[ta, tb], [1 + tc, -ta]] -> -t^2 a^2 - tb(1 + tc)
-        def ev(t):
-            m = QMatrix.from_rows([[t * a, t * b], [1 + t * c, -t * a]])
-            return m.data[0][0] * m.data[1][1] - m.data[0][1] * m.data[1][0]
-
-        got = interpolate_coeffs(_values(ev, 3))
-        assert got == [QQ(0), -b, -(a * a + b * c)]

@@ -196,6 +196,21 @@ def test_submodule_images_match_dense_matvec():
             assert combo == m.matvec(v)
 
 
+def test_submodule_on_a_basis_that_is_not_a_weight_basis():
+    # so3's standard module on e1 + e2, e2, e3: the Cartan acts on it, but
+    # not diagonally, so the product has no weights and the ledger takes the
+    # direct path, with the same generator degrees as on e1, e2, e3
+    from coadjoint.invariants import generator_ledger
+    from coadjoint.semidirect import semidirect
+
+    L = classical_algebra("so", 3)
+    sub = _submodule(standard_rep(L), [[1, 1, 0], [0, 1, 0], [0, 0, 1]], "k3'")
+    assert check_representation(sub)
+    S = semidirect(L, sub)
+    assert S.v_weights() is None
+    assert generator_ledger(S, 3).generator_degrees() == [2, 2]
+
+
 def test_representation_check_beyond_int64():
     # entries of 2^40 put the commutators past int64: the exact check must
     # still accept commuting matrices and reject non-commuting ones
@@ -306,6 +321,32 @@ except VerificationError:
     pass
 else:
     sys.exit(11)
+from coadjoint import liealg
+for args in ((3, 2, (3, 3), 0, 0), (3, 1, (1, 3), 0, 0)):
+    try:
+        liealg.Fingerprint(*args)    # odd ind - dim; a growing derived series
+    except VerificationError:
+        pass
+    else:
+        sys.exit(12)
+index = liealg.index
+liealg.index = lambda L, cfg: liealg.IndexResult(L.dim + 1)
+try:
+    liealg.b_of(classical_algebra("sl", 2))
+except VerificationError:
+    pass
+else:
+    sys.exit(13)
+liealg.index = index
+matrix_algebra = liealg.matrix_algebra
+liealg.matrix_algebra = lambda n, mats, labels, md: LieAlgebraData(1)
+try:
+    liealg.sp_algebra(4)
+except VerificationError:
+    pass
+else:
+    sys.exit(14)
+liealg.matrix_algebra = matrix_algebra
 """
 
 

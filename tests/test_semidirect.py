@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as hst
 
 from coadjoint.liealg import classical_algebra, fingerprint, index
 from coadjoint.qlinalg import Q0, Q1, QQ, SampleConfig, sample_vector
-from coadjoint.repn import adjoint_rep, standard_rep, trivial_rep
+from coadjoint.repn import adjoint_rep, spin_rep, standard_rep, trivial_rep
 from coadjoint.semidirect import (
     direct_index,
     generic_stabiliser_in_V,
@@ -187,3 +188,33 @@ def test_stabiliser_structure_constants_hold_on_its_basis(family, n, module,
                           st.algebra.bracket_basis(i, j).items()), Q0)
                      for r in range(S.dim_g)]
             assert combo == S.algebra.bracket(u[i], u[j])
+
+
+def _roots(L):
+    """The weight of each basis matrix X of L under the Cartan matrices H:
+    [H, X] = (H_ii - H_jj) X, read at any entry (i, j) of X."""
+    mats = L.metadata["matrices"]
+    hs = [mats[c] for c in L.metadata["cartan"]]
+    out = []
+    for m in mats:
+        i, j = next(iter(m))
+        out.append(tuple(h.get((i, i), Q0) - h.get((j, j), Q0) for h in hs))
+    return out
+
+
+@pytest.mark.parametrize("family,n", [("so", 5), ("sp", 4), ("sl", 3),
+                                      ("so", 7)])
+def test_weights_of_the_g_block_are_the_roots(family, n):
+    L = classical_algebra(family, n)
+    assert semidirect(L, standard_rep(L)).v_weights()[:L.dim] == _roots(L)
+
+
+def test_weights_of_the_standard_and_spin_modules():
+    L = classical_algebra("so", 5)
+    w = semidirect(L, standard_rep(L)).v_weights()
+    assert w[L.dim:] == [(1, 0), (0, 1), (0, 0), (0, -1), (-1, 0)]
+    L = classical_algebra("so", 7)
+    w = semidirect(L, spin_rep(7, L=L)).v_weights()
+    half = QQ(1, 2)
+    assert sorted(w[L.dim:]) == sorted(
+        itertools.product((-half, half), repeat=3))
