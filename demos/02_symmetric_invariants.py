@@ -2,8 +2,10 @@
 
 The generator ledger scans every multidegree up to a cap, records the
 invariant dimension, the span of products of lower invariants, and the
-new-generator count; the freeness checklist then runs the sum-of-degrees
-criterion: count = ind s and sum of degrees = b(s) = (dim s + ind s)/2.
+new-generator count (a component in the g-variables alone is proved zero
+when V is faithful, not solved); the freeness checklist then runs the
+sum-of-degrees criterion: count = ind s and sum of degrees = b(s) =
+(dim s + ind s)/2.
 """
 
 from coadjoint import (
@@ -26,6 +28,9 @@ def show(S, cap):
         if e.dim_invariant:
             print(f"  multidegree {e.multidegree}: dim {e.dim_invariant}, "
                   f"decomposable {e.dim_decomposable}, new {e.new_generators}")
+    for proof, mdegs in led.proofs().items():
+        print(f"  multidegrees {', '.join(map(str, mdegs))}: zero, "
+              f"proved ({proof})")
     gens = led.generators()
     print(f"  generator degrees: {led.generator_degrees()}")
     v = freeness_checklist(S, gens, cfg)

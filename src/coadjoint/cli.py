@@ -95,6 +95,8 @@ def cmd_invariants(args):
         elif e.dim_invariant:
             print(f"  {e.multidegree}: invariants {e.dim_invariant}, "
                   f"decomposable {e.dim_decomposable}, new {e.new_generators}")
+    for proof, mdegs in led.proofs().items():
+        print(f"  {', '.join(map(str, mdegs))}: zero, proved ({proof})")
     degs = led.generator_degrees()
     print(f"generator degrees up to the cap: {degs}")
     v = freeness_checklist(S, led.generators(), _cfg(args))

@@ -10,7 +10,7 @@ basis derivations
 computed one multidegree block at a time, as the kernel of one sparse
 integer row per (derivation, image monomial), read off the integer table
 below.  For a reductive g-block whose Cartan acts diagonally on s, with the
-weights read off the integer table of s (`SemiDirectProduct.v_weights`), the
+weights read off the integer table of s (`SemiDirectProduct.weight_data`), the
 kernel is taken inside the zero-weight monomials, generated directly (each
 block's monomials grouped by weight, blocks combined only through classes
 that can sum to zero), with raising-operator conditions only; the resulting
@@ -19,6 +19,8 @@ basis is re-verified against every derivation afterwards.
 A generator ledger runs one echelon per multidegree, over the products of
 lower invariants and then the invariant basis: the accepted products span
 the decomposable part, and the accepted basis vectors are the new generators.
+A component in the g-variables alone is not solved when V is faithful: it is
+recorded as proved zero (`SemiDirectProduct.faithful` holds the proof).
 
 The polynomial kernels run on Python ints.  The ring operations keep the
 coefficient type of their inputs, so integer polynomials stay integral.
@@ -535,35 +537,6 @@ def component_size(S: SemiDirectProduct, mdeg):
 DEFAULT_COMPONENT_CAP = 5 * 10 ** 6
 
 
-def _weight_data(S: SemiDirectProduct):
-    """(integer weights per variable or None, the derivations to impose).
-
-    The weights are those of `S.v_weights()`, the diagonal of the Cartan
-    action read off the integer table of s, scaled to integers; None when
-    some Cartan element does not act diagonally.  For a reductive g-block
-    acting completely reducibly, zero weight and
-    being killed by the positive root vectors (g-basis elements whose first
-    nonzero weight coordinate is positive) characterise g-invariance; the
-    V-derivations are imposed as well.  Otherwise every derivation is.
-    """
-    w = S.v_weights()
-    direct = None, range(S.dim)
-    if w is None:
-        return direct
-    cartan = set(S.algebra.metadata.get("cartan", []))
-    positive = []
-    for i in range(S.dim_g):
-        nz = next((x for x in w[i] if x != 0), None)
-        if nz is None:
-            if i not in cartan:
-                return direct  # zero-weight non-Cartan element: no fast path
-        elif nz > 0:
-            positive.append(i)
-    d = math.lcm(1, *(x.denominator for wi in w for x in wi))
-    return ([tuple(int(x * d) for x in wi) for wi in w],
-            positive + list(range(S.dim_g, S.dim)))
-
-
 def invariant_space(S: SemiDirectProduct, mdeg, cap=DEFAULT_COMPONENT_CAP):
     """Basis of s-invariants of the given multidegree, reduced echelon form.
 
@@ -571,7 +544,7 @@ def invariant_space(S: SemiDirectProduct, mdeg, cap=DEFAULT_COMPONENT_CAP):
     V-summand).  Raises ComponentTooLarge when more than cap monomials are
     solved over (on the zero-weight path, those of weight zero)."""
     count = component_size(S, mdeg)
-    weights, derivs = _weight_data(S)
+    weights, derivs = S.weight_data
     if count > cap and weights is not None:
         count = _weighted_size(S, mdeg, weights)
     if count > cap:
@@ -619,13 +592,20 @@ def _killed_by(S, derivs, monos):
 # ---------------------------------------------------------------------------
 
 
+FAITHFUL_PROOF = "V faithful: no g-only invariant"
+
+
 @dataclass
 class LedgerEntry:
+    """One multidegree of a ledger: solved, skipped over the component
+    cap, or decided by the proof that `proof` names."""
+
     multidegree: tuple
     dim_invariant: int
     dim_decomposable: int
     new_generators: int
     skipped: bool = False
+    proof: str | None = None
 
     def __post_init__(self):
         if self.skipped:
@@ -657,6 +637,14 @@ class GeneratorLedger:
     def skipped_entries(self):
         return [e for e in self.entries if e.skipped]
 
+    def proofs(self):
+        """{proof: the multidegrees it decided}, in ledger order."""
+        out = {}
+        for e in self.entries:
+            if e.proof:
+                out.setdefault(e.proof, []).append(e.multidegree)
+        return out
+
 
 def _compositions(total, parts):
     if parts == 1:
@@ -673,8 +661,10 @@ def generator_ledger(S: SemiDirectProduct, cap: int,
     for every multidegree of total degree <= cap, one echelon per entry.
 
     A product of invariants outside the invariant space raises
-    VerificationError.  Components over the monomial cap are recorded as
-    skipped entries instead of being attempted.
+    VerificationError.  When V is faithful, a component in the g-variables
+    alone is recorded as proved zero (`FAITHFUL_PROOF`), whatever its size;
+    other components over the monomial cap are recorded as skipped entries
+    instead of being attempted.
     """
     if cap < 1:
         raise ValueError(f"a generator ledger needs a degree cap >= 1, "
@@ -683,6 +673,11 @@ def generator_ledger(S: SemiDirectProduct, cap: int,
     led = GeneratorLedger(entries=[])
     for total in range(1, cap + 1):
         for mdeg in sorted(_compositions(total, nblocks), reverse=True):
+            if not any(mdeg[1:]) and S.faithful:
+                led.bases[mdeg], led.new[mdeg] = [], []
+                led.entries.append(LedgerEntry(mdeg, 0, 0, 0,
+                                               proof=FAITHFUL_PROOF))
+                continue
             try:
                 basis = invariant_space(S, mdeg, cap=component_cap)
             except ComponentTooLarge:

@@ -185,7 +185,8 @@ def dual_rep(R: RepresentationData) -> RepresentationData:
 
 def direct_sum_rep(*reps, labels=None) -> RepresentationData:
     alg = reps[0].algebra
-    assert all(r.algebra is alg for r in reps)
+    if any(r.algebra is not alg for r in reps):
+        raise ValueError("a direct sum needs modules of one algebra")
     offsets = list(itertools.accumulate((r.dim_V for r in reps[:-1]), initial=0))
     columns = [[[(off + w, c) for w, c in col]
                 for r, off in zip(reps, offsets) for col in r.columns[i]]
@@ -405,8 +406,8 @@ def spin_rep(n: int, half: str | None = None, L=None) -> RepresentationData:
         raise ValueError("even n requires half='even' or half='odd'")
     if L is None:
         L = classical_algebra("so", n)
-    else:
-        assert L.metadata.get("family") == "so" and L.metadata.get("size") == n
+    elif L.metadata.get("family") != "so" or L.metadata.get("size") != n:
+        raise ValueError(f"spin_rep({n}) needs L = so_{n}")
     gammas, basis = _clifford_generators(n)
     N = len(basis)
     mats = L.metadata["matrices"]
@@ -465,7 +466,8 @@ def adjoint_rep(L: LieAlgebraData) -> RepresentationData:
 
 def symplectic_form(n: int) -> dict:
     """J = [[0, I], [-I, 0]] on k^n, n even, as {(i, j): +-1}."""
-    assert n % 2 == 0
+    if n % 2:
+        raise ValueError(f"a symplectic form needs an even size, not {n}")
     m0 = n // 2
     return {**{(i, m0 + i): 1 for i in range(m0)},
             **{(m0 + i, i): -1 for i in range(m0)}}

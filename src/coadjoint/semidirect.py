@@ -11,6 +11,7 @@ basis, so a point of V* is just a rational vector of length dim V.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,7 +51,9 @@ class SemiDirectProduct:
 
     def __init__(self, algebra: LieAlgebraData, rep: RepresentationData,
                  name=None):
-        assert rep.algebra is algebra
+        if rep.algebra is not algebra:
+            raise ValueError(f"the module {rep.label} is not one of the "
+                             f"algebra {algebra.metadata.get('name', 'q')}")
         self.algebra = algebra
         self.rep = rep
         self.dim_g = algebra.dim
@@ -104,6 +107,54 @@ class SemiDirectProduct:
             return None
         return [tuple(QQ(row[j][j], d) if j in row else Q0 for row in rows)
                 for j in range(self.dim)]
+
+    @functools.cached_property
+    def weight_data(self):
+        """(integer weights per variable or None, the derivations to impose),
+        computed once per product.
+
+        The weights are those of `v_weights()`, scaled to integers; None when
+        some Cartan element does not act diagonally.  For a reductive q-block
+        acting completely reducibly, zero weight and being killed by the
+        positive root vectors (q-basis elements whose first nonzero weight
+        coordinate is positive) characterise q-invariance; the V-derivations
+        are imposed as well.  Otherwise every derivation is.
+        """
+        w = self.v_weights()
+        direct = None, range(self.dim)
+        if w is None:
+            return direct
+        cartan = set(self.algebra.metadata.get("cartan", []))
+        positive = []
+        for i in range(self.dim_g):
+            nz = next((x for x in w[i] if x != 0), None)
+            if nz is None:
+                if i not in cartan:
+                    # a zero-weight non-Cartan element: no fast path
+                    return direct
+            elif nz > 0:
+                positive.append(i)
+        d = math.lcm(1, *(x.denominator for wi in w for x in wi))
+        return ([tuple(int(x * d) for x in wi) for wi in w],
+                positive + list(range(self.dim_g, self.dim)))
+
+    @functools.cached_property
+    def faithful(self):
+        """Whether rho: q -> gl(V) is injective, computed once per product:
+        one exact rank of the dim q x (dim V)^2 integer rows read off the
+        integer table of s, row i being d rho(x_i) flattened.
+
+        When it holds, no s-invariant of degree a >= 1 lies in S^a(q).  For F
+        in S^a(q) and v in V, v . F = -sum_i dF/dx_i rho(x_i) v, so if every
+        v kills F then rho(dF_xi) = 0 at every xi in q*; rho faithful forces
+        dF = 0, so F is constant.  No weight, reductivity or Cartan
+        hypothesis is used.
+        """
+        g, n = self.dim_g, self.dim_V
+        table = self.total.int_ad_table[1]
+        rows = [{(v - g) * n + w - g: c for v, vec in table[i].items()
+                 if v >= g for w, c in vec.items()} for i in range(g)]
+        return rank(IntRows(n * n, rows)) == g
 
     def __repr__(self):
         return f"<semidirect {self.total.metadata['name']}, dim {self.dim}>"

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from coadjoint.constructions import ContractionSpec, z2_contraction
+from coadjoint.constructions import ContractionSpec, takiff, z2_contraction
 from coadjoint.invariants import (
+    FAITHFUL_PROOF,
     ComponentTooLarge,
     MultiPoly,
     freeness_checklist,
@@ -96,33 +97,93 @@ def test_ledger_records_skipped_components():
     from coadjoint.invariants import generator_ledger
 
     S = S_sp4k4()
-    # the cap counts zero-weight monomials: 16 at (3, 0), 12 at (1, 2)
-    led = generator_ledger(S, 3, component_cap=15)
+    # the cap counts zero-weight monomials: 12 at (1, 2), 16 at (3, 0); the
+    # g-only (3, 0) is proved zero (V faithful) before the cap is read
+    led = generator_ledger(S, 3, component_cap=11)
     skipped = led.skipped_entries()
-    assert skipped and all(e.skipped for e in skipped)
-    assert (3, 0) in {e.multidegree for e in skipped}
-    # components under the cap still contribute: the degree-3 generator
-    assert 3 in led.generator_degrees()
+    assert all(e.skipped for e in skipped)
+    assert {e.multidegree for e in skipped} == {(1, 2)}
+    assert led.proofs() == {FAITHFUL_PROOF: [(1, 0), (2, 0), (3, 0)]}
+    # the degree-3 generator lives at (1, 2): found once the cap admits it
+    assert led.generator_degrees() == []
+    assert generator_ledger(S, 3, component_cap=12).generator_degrees() == [3]
 
 
 def test_component_cap_counts_the_zero_weight_monomials():
     """so5 on spin(5) takes the zero-weight path: a component over the cap
     is refused only when its zero-weight monomials are, and one without any
-    is computed (empty), not skipped."""
+    is computed (empty), not skipped.  The g-only (4, 0) is over the cap but
+    proved zero, not skipped."""
     from coadjoint.repn import spin_rep
 
     L = classical_algebra("so", 5)
     S = semidirect(L, spin_rep(5, L=L))
     led = generator_ledger(S, 4, component_cap=20)
-    assert {e.multidegree for e in led.skipped_entries()} == {(2, 2), (4, 0)}
+    assert {e.multidegree for e in led.skipped_entries()} == {(2, 2)}
+    assert (4, 0) in led.proofs()[FAITHFUL_PROOF]
     computed = {e.multidegree: e.dim_invariant for e in led.entries
                 if not e.skipped}
-    for mdeg in ((1, 1), (2, 1), (3, 1), (1, 3), (0, 4)):
+    for mdeg in ((1, 1), (2, 1), (3, 1), (1, 3), (0, 4), (4, 0)):
         assert computed[mdeg] == 0
     assert led.generator_degrees() == [3]
     with pytest.raises(ComponentTooLarge) as err:
         invariant_space(S, (2, 2), cap=20)
     assert err.value.count == 42
+    with pytest.raises(ComponentTooLarge):
+        invariant_space(S, (4, 0), cap=20)
+
+
+def _contraction(kind, params):
+    return z2_contraction(ContractionSpec(kind, params))[0]
+
+
+# (constructor, degree cap): reductive products on the zero-weight path,
+# and takiff and two Z2-contractions on the direct path
+FAITHFUL_PRODUCTS = {
+    "sp2|x k2": (S_sp2k2, 4),
+    "so3|x k3": (lambda: _standard("so", 3), 3),
+    "sl2|x ad": (S_takiff_sl2, 3),
+    "sp4|x k4": (S_sp4k4, 5),
+    "takiff(sl2)": (lambda: takiff(classical_algebra("sl", 2)), 3),
+    "so-so(3,1)": (lambda: _contraction("so-so", (3, 1)), 4),
+    "sl-sp(4)": (lambda: _contraction("sl-sp", (4,)), 3),
+}
+
+
+@pytest.mark.parametrize("name", FAITHFUL_PRODUCTS)
+def test_faithful_proof_equals_the_solver(name):
+    """On a faithful module the solver finds no g-only invariant, and the
+    ledger records each such entry as proved, not solved."""
+    build, cap = FAITHFUL_PRODUCTS[name]
+    S = build()
+    assert S.faithful
+    zeros = (0,) * (len(S.blocks) - 1)
+    led = generator_ledger(S, cap)
+    entries = {e.multidegree: e for e in led.entries}
+    for a in range(1, cap + 1):
+        mdeg = (a,) + zeros
+        assert invariant_space(S, mdeg) == []
+        e = entries[mdeg]
+        assert (e.dim_invariant, e.dim_decomposable, e.new_generators,
+                e.skipped, e.proof) == (0, 0, 0, False, FAITHFUL_PROOF)
+    assert led.proofs() == {FAITHFUL_PROOF: [(a,) + zeros
+                                             for a in range(1, cap + 1)]}
+
+
+def test_unfaithful_modules_are_solved():
+    """sl2 in gl2 acts trivially on the module of so-gl(2), and a trivial
+    module is not faithful: their g-only components are solved, and so-gl(2)
+    has invariants at (2, 0) and (4, 0)."""
+    L = classical_algebra("sl", 2)
+    assert not semidirect(L, trivial_rep(L)).faithful
+    S = _contraction("so-gl", (2,))
+    assert not S.faithful
+    led = generator_ledger(S, 4)
+    assert led.proofs() == {}
+    entries = {e.multidegree: e for e in led.entries}
+    for mdeg in ((2, 0), (4, 0)):
+        assert entries[mdeg].dim_invariant == 1
+        assert entries[mdeg].proof is None
 
 
 def test_ledger_sp2k2():
@@ -247,3 +308,20 @@ def test_freeness_count_matches_index_consistency():
     S = S_sp2k2()
     v = freeness_checklist(S, generator_ledger(S, 4).generators(), CFG)
     assert v.count == v.index_s
+
+
+def test_cli_names_the_proved_entries(capsys):
+    from coadjoint.cli import main
+
+    assert main(["invariants", "--family", "sp", "--size", "2",
+                 "--module", "phi1", "--cap", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert ("  (1, 0), (2, 0), (3, 0), (4, 0): zero, proved "
+            f"({FAITHFUL_PROOF})") in lines
+    assert "  (1, 2): invariants 1, decomposable 0, new 1" in lines
+    # a trivial module is not faithful: its Casimir at (2, 0) is solved
+    assert main(["invariants", "--family", "sl", "--size", "2",
+                 "--module", "trivial", "--cap", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "proved" not in out
+    assert "  (2, 0): invariants 1, decomposable 0, new 1" in out.splitlines()

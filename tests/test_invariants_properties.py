@@ -41,7 +41,6 @@ from coadjoint.invariants import (
     _killed,
     _pack,
     _unpack,
-    _weight_data,
     _width,
     component_size,
     generator_ledger,
@@ -480,7 +479,7 @@ def _zero_weight_by_filter(S, mdeg, weights):
 def test_zero_weight_monomials_match_the_filter(family, n, module, cap):
     L = classical_algebra(family, n)
     S = semidirect(L, build_module(family, n, module, L=L))
-    weights, _ = _weight_data(S)
+    weights, _ = S.weight_data
     for total in range(1, cap + 1):
         for mdeg in _compositions(total, len(S.blocks)):
             got = monomials_of_block_degrees(S, mdeg, weights)

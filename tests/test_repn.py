@@ -347,6 +347,20 @@ except VerificationError:
 else:
     sys.exit(14)
 liealg.matrix_algebra = matrix_algebra
+from coadjoint.repn import direct_sum_rep, spin_rep, symplectic_form
+sl2 = classical_algebra("sl", 2)
+for code, build in (
+        (15, lambda: semidirect(classical_algebra("sl", 3),
+                                standard_rep(sl2))),
+        (16, lambda: direct_sum_rep(standard_rep(sl2), standard_rep(sp4))),
+        (17, lambda: spin_rep(5, L=sp4)),
+        (18, lambda: symplectic_form(3))):
+    try:
+        build()
+    except ValueError:
+        pass
+    else:
+        sys.exit(code)
 """
 
 
