@@ -845,13 +845,13 @@ def z2_contraction(spec: ContractionSpec):
         t = L.metadata["expand"](image)
         plus.append([(i == j) + t.get(i, 0) for i in range(L.dim)])
         minus.append([(i == j) - t.get(i, 0) for i in range(L.dim)])
-    emb, g1 = Basis(plus).rows, Basis(minus).rows
+    emb, g1 = Basis(plus).rows, Basis(minus)
     g0 = matrix_algebra(N, [_combination(row, mats) for row in emb],
                         [f"y{i + 1}" for i in range(len(emb))],
                         {"name": f"fix({L.metadata['name']})",
                          "embedding": emb})
     # g1 as a g0-module: the adjoint columns of L along the embedding of
-    # g0, restricted to g1
+    # g0, restricted to g1 and read at its pivots
     d, ad = L.int_ad_table
     columns = []
     for b0 in emb:
@@ -863,11 +863,11 @@ def z2_contraction(spec: ContractionSpec):
                         cols[v][w] = cols[v].get(w, 0) + a * c
         columns.append([_column({w: x / d for w, x in c.items()})
                         for c in cols])
-    rep = _submodule(RepresentationData(g0, columns, L.dim, label="ad"), g1,
-                     "g1")
+    rep = _submodule(RepresentationData(g0, columns, L.dim, label="ad"),
+                     g1.rows, "g1", g1.pivots)
     S = semidirect(g0, rep, name=f"contraction({L.metadata['name']})")
     # transport ambient invariants into the contraction coordinates
-    images = _old_in_new(QMatrix.from_rows(emb + g1))
+    images = _old_in_new(QMatrix.from_rows(emb + g1.rows))
     tops = []
     accepted_ambient = []
     for k, amb in _ambient_invariants(L):

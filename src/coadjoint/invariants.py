@@ -133,7 +133,8 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        assert k >= 0
+        if k < 0:
+            raise ValueError(f"a polynomial has no power {k} < 0")
         if k == 0:
             return MultiPoly.constant(self.nvars, 1)
         n = self.nvars
@@ -177,7 +178,8 @@ class MultiPoly:
         X / d once, a term of total degree |m| is weighted by d^(M - |m|) as
         in `substitute_linear`, M = deg P, and the sum is divided by D d^M
         once."""
-        assert len(point) == self.nvars
+        if len(point) != self.nvars:
+            raise ValueError(f"{len(point)} coordinates for {self.nvars} variables")
         D, terms = _int_terms(self.terms)
         d, X = _cleared_point(point)
         M = self.total_degree()
@@ -543,16 +545,14 @@ def invariant_space(S: SemiDirectProduct, mdeg, cap=DEFAULT_COMPONENT_CAP):
     mdeg is one degree per block of the splitting (g first, then each
     V-summand).  Raises ComponentTooLarge when more than cap monomials are
     solved over (on the zero-weight path, those of weight zero)."""
-    count = component_size(S, mdeg)
     weights, derivs = S.weight_data
-    if count > cap and weights is not None:
-        count = _weighted_size(S, mdeg, weights)
+    count = (component_size(S, mdeg) if weights is None
+             else _weighted_size(S, mdeg, weights))
     if count > cap:
         raise ComponentTooLarge(count, cap)
     if not count:
         return []
-    monos = monomials_of_block_degrees(S, mdeg, weights)
-    basis = _killed_by(S, derivs, monos) if monos else []
+    basis = _killed_by(S, derivs, monomials_of_block_degrees(S, mdeg, weights))
     for P in basis:
         if not _killed(S.total, P, range(S.dim)):
             raise VerificationError(
@@ -564,7 +564,10 @@ def _killed_by(S, derivs, monos):
     """Reduced echelon basis, in the order of `monos`, of the polynomials in
     span(monos) killed by every derivation in derivs: the kernel of one
     sparse integer row per (derivation, image monomial) pair that occurs,
-    read off the integer table d ad (every row times d, the same kernel)."""
+    read off the integer table d ad (every row times d, the same kernel).
+    The columns run over `monos` in reverse, so each vector of kernel_basis's
+    normal form, 1 at its free column, 0 at the others and otherwise on later
+    monomials, is a row of that (unique) reduced echelon form."""
     table = S.total.int_ad_table[1]
     w = _width(max(map(sum, monos)))
     # each monomial's column rides above its exponent digits, which no
@@ -572,8 +575,9 @@ def _killed_by(S, derivs, monos):
     # images of different monomials apart
     high = 8 * w * S.dim
     low = (1 << high) - 1
+    rev = monos[::-1]
     terms = [(m + (col << high), supp) for col, (m, supp) in
-             enumerate(_supported(dict.fromkeys(monos, 1), S.dim, w))]
+             enumerate(_supported(dict.fromkeys(rev, 1), S.dim, w))]
     rows = []
     for i in derivs:
         image = {}
@@ -582,9 +586,9 @@ def _killed_by(S, derivs, monos):
             if c:
                 image.setdefault(m2 & low, {})[m2 >> high] = c
         rows.extend(image.values())
-    ker = kernel_basis(IntRows(len(monos), rows))
-    return [MultiPoly(S.dim, {m: c for c, m in zip(v, monos) if c != 0})
-            for v in Basis(ker).rows]
+    ker = kernel_basis(IntRows(len(rev), rows))
+    return [MultiPoly(S.dim, {m: c for c, m in zip(v, rev) if c != 0})
+            for v in reversed(ker)]
 
 
 # ---------------------------------------------------------------------------

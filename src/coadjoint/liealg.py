@@ -17,9 +17,9 @@ Each algebra stores its structure constants once, as `int_ad_table` =
 least common denominator, written by the constructor and never changed.
 Every builder writes integers (commutators of cleared matrices, cleared
 module columns, brackets of cleared basis vectors), and every reader sums in
-integers: brackets of vectors and Kirillov forms divide by d at the end,
-while the Killing form, the derived and centre ranks (on `IntRows`),
-subalgebras and the derivations of `invariants` stay integral.
+integers: brackets of vectors divide by d at the end, while the Kirillov
+and Killing forms, the derived and centre ranks (on `IntRows`), subalgebras
+and the derivations of `invariants` stay integral.
 
 The index is computed per its definition, ind q = dim q - max rank B_gamma,
 with the ranks sampled over F_p; the result records the ranks, the primes,
@@ -40,8 +40,8 @@ from .qlinalg import (
     Basis,
     IntRows,
     ModMatrix,
-    QMatrix,
     SampleConfig,
+    UnitBasis,
     VerificationError,
     _common_denominator,
     _dense,
@@ -76,7 +76,8 @@ class LieAlgebraData:
                  d=1):
         self.dim = dim
         self.basis_labels = basis_labels or [f"x{i}" for i in range(dim)]
-        assert len(self.basis_labels) == dim
+        if len(self.basis_labels) != dim:
+            raise ValueError(f"{len(self.basis_labels)} labels for dim {dim}")
         self.metadata = metadata or {}
         items = (brackets or {}).items()
         e = math.lcm(1, *(c.denominator for _, vec in items
@@ -129,33 +130,29 @@ class LieAlgebraData:
         return res
 
     def kirillov_form(self, gamma, p=None):
-        """The antisymmetric matrix B_gamma(x_i, x_j) = gamma([x_i, x_j]).
+        """The antisymmetric matrix B_gamma(x_i, x_j) = gamma([x_i, x_j]),
+        summed in integers from int_ad_table.
 
-        Summed in integers as q B_gamma, from int_ad_table and gamma cleared
-        of its denominators, then divided by q.  Given a prime p and gamma in
-        F_p^n: the ModMatrix of (d/c) B_gamma mod p, c the content of the
-        table, so that brackets all divisible by p do not vanish mod p.
+        Over Q: the IntRows of q B_gamma, q = d D, with gamma cleared of its
+        denominators to D gamma.  Given a prime p and gamma in F_p^n: the
+        ModMatrix of (d/c) B_gamma mod p, c the content of the table, so
+        that brackets all divisible by p do not vanish mod p.
         """
-        n = self.dim
-        d, _ = self.int_ad_table
-        pairs = self.int_brackets()
-        if p is not None:
-            c = math.gcd(*(x for *_, vec in pairs for x in vec.values()))
-            a = [[0] * n for _ in range(n)]
-            for i, j, vec in pairs:
-                s = sum(x * gamma[k] for k, x in vec.items()) // c % p
-                a[i][j], a[j][i] = s, -s % p
-            return ModMatrix(np.array(a, np.int64), p)
-        D, (g,) = _common_denominator([[(k, x) for k, x in enumerate(gamma)
-                                        if x]])
-        g = dict(g)
-        data = [[Q0] * n for _ in range(n)]
+        n, pairs = self.dim, self.int_brackets()
+        if p is None:
+            _, (g,) = _common_denominator([[(k, x) for k, x in enumerate(gamma)
+                                            if x]])
+            g, c = _dense(dict(g), n), 1
+        else:
+            g, c = gamma, math.gcd(*(x for *_, vec in pairs
+                                     for x in vec.values()))
+        a = [[0] * n for _ in range(n)]
         for i, j, vec in pairs:
-            s = sum(c * g[k] for k, c in vec.items() if k in g)
-            if s:
-                data[i][j] = QQ(s, d * D)
-                data[j][i] = -data[i][j]
-        return QMatrix(n, n, data)
+            s = sum(x * g[k] for k, x in vec.items()) // c
+            a[i][j], a[j][i] = (s, -s) if p is None else (s % p, -s % p)
+        if p is None:
+            return IntRows(n, [{j: x for j, x in enumerate(r) if x} for r in a])
+        return ModMatrix(np.array(a, np.int64).reshape(n, n), p)
 
     def check_jacobi(self, max_dim=200):
         """Exhaustive Jacobi check on the integer table (d^2 times each
@@ -584,16 +581,21 @@ def algebra_on_basis(L: LieAlgebraData, basis, units=None) -> LieAlgebraData:
     denominators).  ad(U_i) is built once, as sparse columns
     {t: d [U_i, x_t]}, and w = d [U_i, U_j] = d E^2 [u_i, u_j] is read off
     it along supp U_j; the table is built with d E^2 from the coordinates of
-    w.  units, when given, are columns c_m with basis[l][c_m] = [l == m] (the
-    pivots of an echelon basis, the free columns of a kernel basis in the
-    normal form of kernel_basis): the coordinates of w are then its entries
-    at them, checked exactly as E w = sum_m w[c_m] U_m.  Otherwise they are
-    Basis.coords, None outside the span.
+    w: read at units, when given, the unit columns of the basis
+    (`UnitBasis`), and checked exactly; otherwise Basis.coords.
     """
     k = len(basis)
-    span = Basis(basis) if units is None else None
-    E, rows = _common_denominator([[(t, a) for t, a in enumerate(u) if a]
-                                   for u in basis])
+    if units is None:
+        span = Basis(basis)
+        E, rows = _common_denominator([[(t, a) for t, a in enumerate(u) if a]
+                                       for u in basis])
+
+        def coords(w):
+            c = span.coords(_dense(w, L.dim))
+            return None if c is None else dict(enumerate(c))
+    else:
+        span = UnitBasis(basis, units)
+        E, rows, coords = span.E, span.rows, span.coords
     table = L.int_ad_table[1]
     brackets = {}
     for i, ui in enumerate(rows):
@@ -608,18 +610,8 @@ def algebra_on_basis(L: LieAlgebraData, basis, units=None) -> LieAlgebraData:
             for t, b in rows[j]:
                 for r, c in ad_u.get(t, {}).items():
                     w[r] = w.get(r, 0) + b * c
-            if units is None:
-                coeffs = span.coords(_dense(w, L.dim))
-                closed = coeffs is not None
-                coeffs = dict(enumerate(coeffs or ()))
-            else:
-                coeffs = {m: w[c] for m, c in enumerate(units) if w.get(c)}
-                residual = {r: E * c for r, c in w.items()}
-                for m, c in coeffs.items():
-                    for t, a in rows[m]:
-                        residual[t] = residual.get(t, 0) - c * a
-                closed = not any(residual.values())
-            if not closed:
+            coeffs = coords(w)
+            if coeffs is None:
                 raise NotClosedError(i, j)
             brackets[(i, j)] = coeffs
     return LieAlgebraData(k, [f"y{i + 1}" for i in range(k)], brackets,

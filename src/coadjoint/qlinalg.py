@@ -23,8 +23,9 @@ of inputs; the reduced row echelon form over Q is back-substituted when
 read, and other vectors are written in terms of the inputs, on integers too:
 the rows and the change of basis are stored over one common denominator
 each, and a vector's denominators are cleared once.  Exact ranks and
-kernels, subalgebras, submodules, invariant spaces, changes of basis,
-`inverse` and `solve_right` all go through it.
+kernels, subalgebras, invariant spaces, changes of basis, `inverse` and
+`solve_right` all go through it; a basis that is already reduced is read at
+its unit columns instead (`UnitBasis`: stabilisers, submodules).
 
 `ModMatrix` is a matrix over F_p, ranked by `_mod_echelon`: sampled generic
 ranks are taken mod p at points from `sample_mod_p`.
@@ -570,7 +571,8 @@ def solve_right(m: QMatrix, b):
 
 def inverse(m: QMatrix) -> QMatrix:
     """Exact inverse of a square matrix: the reduced echelon form of [M | I]."""
-    assert m.rows == m.cols
+    if m.rows != m.cols:
+        raise ValueError(f"a {m.rows} x {m.cols} matrix has no inverse")
     n = m.rows
     aug = Basis([row + [Q1 if i == j else Q0 for j in range(n)]
                  for i, row in enumerate(m.data)])
@@ -679,6 +681,35 @@ class Basis:
             return None
         q = D * F
         return [QQ(x, q) if x else Q0 for x in out]
+
+
+class UnitBasis:
+    """Vectors u_l with unit columns c_m, u_l[c_m] = [l == m]: the pivots of
+    a reduced echelon basis, or the free columns of kernel_basis's normal
+    form.  A vector w of their span is sum_m w[c_m] u_m, so its coordinates
+    are read at the units, with no elimination.  rows are the vectors times
+    E, the lcm of their denominators, as sparse integer (column, value)
+    lists.  Raises ValueError unless each vector is 1 at its own unit and 0
+    at the others'."""
+
+    def __init__(self, vectors, units):
+        self.at = {c: m for m, c in enumerate(units)}
+        self.E, self.rows = _common_denominator(
+            [[(t, a) for t, a in enumerate(u) if a] for u in vectors])
+        if not len(self.at) == len(units) == len(self.rows) or any(
+                {t: a for t, a in row if t in self.at} != {c: self.E}
+                for c, row in zip(units, self.rows)):
+            raise ValueError("a vector is not 1 at its unit, 0 at the others")
+
+    def coords(self, w):
+        """{m: w[c_m]} for a {column: int} vector w of the span, None outside
+        it: checked exactly as E w = sum_m w[c_m] U_m, U = E u."""
+        coeffs = {self.at[c]: x for c, x in w.items() if x and c in self.at}
+        residual = {r: self.E * c for r, c in w.items()}
+        for m, c in coeffs.items():
+            for t, a in self.rows[m]:
+                residual[t] = residual.get(t, 0) - c * a
+        return None if any(residual.values()) else coeffs
 
 
 def _reduced(row, kept):

@@ -3,8 +3,7 @@
 A module is stored as the sparse columns of its action matrices, one list of
 columns per basis element of the algebra, together with per-summand block
 bookkeeping.  No weights are stored: where the Cartan acts diagonally they are
-the diagonal of its action, read off by `SemiDirectProduct.v_weights` (and
-here by `_diag_weights`, for the weight classes of `contraction_kernel`).
+the diagonal of its action, read off by `SemiDirectProduct.v_weights`.
 Every constructor writes the columns directly (the defining module from the
 sparse matrices of its algebra); submodules, stabilisers, semi-direct
 products and `check_representation` read them.  The dense `action` matrices
@@ -15,8 +14,10 @@ the ground truth every constructor is tested against.
 
 A bilinear form is sparse with integer entries, {(i, j): int}, and
 `preserves_form` is the one test of X^T F + F X = 0.  The primitive parts of
-exterior powers are kernels of contraction with such a form, built per
-weight class of Lambda^k as `IntRows`.
+exterior powers are kernels of contraction with such a form, one `IntRows`
+system over all of Lambda^k.  A submodule basis, like a stabiliser's, is 1
+at its own unit column and 0 at the others' (`UnitBasis`): each image is
+summed in integers and its coordinates are read at those columns.
 
 The spin representations use the fermionic Fock model: so_n in the split form
 acts through the Clifford algebra on the exterior algebra of a maximal
@@ -30,7 +31,7 @@ import itertools
 import math
 
 from .liealg import LieAlgebraData, classical_algebra
-from .qlinalg import (Basis, IntRows, QMatrix, Q0, QQ, VerificationError,
+from .qlinalg import (IntRows, QMatrix, Q0, QQ, UnitBasis, VerificationError,
                       kernel_basis)
 
 
@@ -131,22 +132,6 @@ def check_representation(R: RepresentationData, max_cost=10 ** 7):
             raise VerificationError(
                 f"representation property fails at pair ({i},{j})")
     return True
-
-
-def _diag_weights(R: RepresentationData):
-    """Weights of the module basis under the algebra's Cartan indices.
-
-    A tuple per basis vector, the diagonal of the Cartan action; None when
-    the algebra records no Cartan or some Cartan action is not diagonal.
-    """
-    cartan = R.algebra.metadata.get("cartan")
-    if cartan is None:
-        return None
-    cols = [R.columns[ci] for ci in cartan]
-    if any(w != v for c in cols for v, col in enumerate(c) for w, _ in col):
-        return None
-    return [tuple(c[v][0][1] if c[v] else Q0 for c in cols)
-            for v in range(R.dim_V)]
 
 
 # ---------------------------------------------------------------------------
@@ -289,58 +274,53 @@ def contraction_kernel(R: RepresentationData, form, k: int
     The contraction sends v_1 ^ ... ^ v_k to
     sum_{a<b} (-1)^{a+b-1} form(v_a, v_b) v_1 ^ ... (drop a, b) ... ^ v_k;
     its kernel is a submodule because the form is invariant (verified).  The
-    map is written as one `IntRows` per weight class of Lambda^k, read off
-    its diagonal Cartan action by `_diag_weights` (a single class when that
-    is not diagonal), its rows keyed by the basis tuple of Lambda^{k-2}, so
-    the result keeps diagonal Cartan actions.  Each
-    kernel comes out in the normal form of `kernel_basis`.
+    map is one `IntRows` over Lambda^k, its rows keyed by the basis tuple of
+    Lambda^{k-2}; its kernel, in the normal form of `kernel_basis`, is read
+    at its free columns.  The map commutes with a diagonal Cartan, so the
+    system splits over the weight classes, disjoint column sets, and by
+    uniqueness the normal form is the union of theirs: a weight basis.
     """
     check_form_invariant(R, form)
     ext = exterior_power(R, k)
     if k < 2:
         return ext
-    weights = _diag_weights(ext)
-    classes = {}
-    for col in range(ext.dim_V):
-        classes.setdefault(weights and weights[col], []).append(col)
-    vectors = []
-    for w in sorted(classes):
-        cols = classes[w]
-        rows = {}
-        for t, col in enumerate(cols):
-            b = ext.basis_tags[col]
-            for a in range(k):
-                for c in range(a + 1, k):
-                    f = form.get((b[a], b[c]))
-                    if f:
-                        rest = b[:a] + b[a + 1:c] + b[c + 1:]
-                        rows.setdefault(rest, {})[t] = f if (a + c) % 2 else -f
-        for v in kernel_basis(IntRows(len(cols), list(rows.values()))):
-            full = [Q0] * ext.dim_V
-            for col, x in zip(cols, v):
-                full[col] = x
-            vectors.append(full)
-    return _submodule(ext, vectors, label=f"L{k}0({R.label})")
+    rows = {}
+    for col, b in enumerate(ext.basis_tags):
+        for a in range(k):
+            for c in range(a + 1, k):
+                f = form.get((b[a], b[c]))
+                if f:
+                    rest = b[:a] + b[a + 1:c] + b[c + 1:]
+                    rows.setdefault(rest, {})[col] = f if (a + c) % 2 else -f
+    ker = kernel_basis(IntRows(ext.dim_V, list(rows.values())))
+    return _submodule(ext, ker, f"L{k}0({R.label})",
+                      [max(t for t, a in enumerate(v) if a) for v in ker])
 
 
-def _submodule(R: RepresentationData, vectors, label):
-    """Restrict the action to the span of `vectors`; raises VerificationError
-    if the span is not invariant.  Images are sums of sparse columns.  The
-    vectors need not be weight vectors."""
-    span = Basis(vectors)
-    supports = [[(u, a) for u, a in enumerate(v) if a] for v in vectors]
+def _submodule(R: RepresentationData, vectors, label, units):
+    """Restrict the action to the span of `vectors`, a `UnitBasis` on units
+    (not necessarily of weight vectors).  Each image D rho(x_i) (E v) is
+    summed in integers, D clearing the module, and read at the units;
+    raises VerificationError if the span is not invariant."""
+    span = UnitBasis(vectors, units)
+    D = math.lcm(1, *(c.denominator for cols in R.columns for col in cols
+                      for _, c in col))
+    q = D * span.E
+    support = {u for U in span.rows for u, _ in U}
     action = []
     for columns in R.columns:
+        cleared = {u: [(r, c.numerator * (D // c.denominator))
+                       for r, c in columns[u]] for u in support}
         cols = []
-        for support in supports:
-            image = [Q0] * R.dim_V
-            for u, a in support:
-                for w, c in columns[u]:
-                    image[w] += a * c
-            sol = span.coords(image)
-            if sol is None:
+        for U in span.rows:
+            w = {}
+            for u, a in U:
+                for r, c in cleared[u]:
+                    w[r] = w.get(r, 0) + a * c
+            coeffs = span.coords(w)
+            if coeffs is None:
                 raise VerificationError("span is not invariant under the action")
-            cols.append([(i, c) for i, c in enumerate(sol) if c])
+            cols.append([(m, QQ(x, q)) for m, x in sorted(coeffs.items())])
         action.append(cols)
     return RepresentationData(R.algebra, action, len(vectors), label=label)
 
@@ -436,20 +416,11 @@ def spin_rep(n: int, half: str | None = None, L=None) -> RepresentationData:
         action.append([_column(c) for c in acc])
     if n % 2 == 1:
         return RepresentationData(L, action, N, label=f"spin({n})")
-    # even: project onto the chosen parity
-    want = 0 if half == "even" else 1
-    keep = [i for i, s in enumerate(basis) if len(s) % 2 == want]
-    pos = {old: new for new, old in enumerate(keep)}
-    sub_action = []
-    for cols in action:
-        sub = []
-        for c in keep:
-            if any(w not in pos for w, _ in cols[c]):
-                raise VerificationError("chirality block is not invariant")
-            sub.append([(pos[w], x) for w, x in cols[c]])
-        sub_action.append(sub)
-    return RepresentationData(L, sub_action, len(keep),
-                              label=f"spin({n},{half})")
+    # even: restrict to the Fock degrees of the chosen parity
+    keep = [i for i, s in enumerate(basis) if len(s) % 2 == (half == "odd")]
+    return _submodule(RepresentationData(L, action, N),
+                      [[int(i == c) for i in range(N)] for c in keep],
+                      f"spin({n},{half})", keep)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +453,8 @@ def weight_module(family: str, n: int, label: str, L=None) -> RepresentationData
     L = L or classical_algebra(family, n)
     if label == "trivial":
         return trivial_rep(L)
-    assert label.startswith("phi")
+    if not label.startswith("phi"):
+        raise ValueError(f"unknown weight label {label!r}")
     k = int(label[3:])
     if k == 1:
         # phi1 is always the defining module in the tables, also for the tiny

@@ -88,11 +88,6 @@ class SemiDirectProduct:
     def dim(self):
         return self.total.dim
 
-    def split_point(self, gamma, y):
-        """Assemble a point of s* from a q*-part and a V*-part."""
-        assert len(gamma) == self.dim_g and len(y) == self.dim_V
-        return [as_q(c) for c in gamma] + [as_q(c) for c in y]
-
     def v_weights(self):
         """The weights of the basis of s, q-block then V, read off the integer
         table of s: table[c][j] = {j: d w_c(x_j)} for each Cartan index c of

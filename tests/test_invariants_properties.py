@@ -16,6 +16,7 @@ where a carry would merge two monomials.
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -39,6 +40,7 @@ from coadjoint.invariants import (
     _int_gradient,
     _int_terms,
     _killed,
+    _killed_by,
     _pack,
     _unpack,
     _width,
@@ -46,6 +48,7 @@ from coadjoint.invariants import (
     generator_ledger,
     invariant_space,
     is_invariant,
+    lie_derivative,
     lie_derivative_in,
     monomials_of_block_degrees,
 )
@@ -55,7 +58,7 @@ from coadjoint.liealg import (
     classical_algebra,
     heisenberg_algebra,
 )
-from coadjoint.qlinalg import QQ, QMatrix, VerificationError
+from coadjoint.qlinalg import QQ, Basis, QMatrix, VerificationError, kernel_basis
 from coadjoint.repn import build_module, standard_rep, trivial_rep
 from coadjoint.semidirect import semidirect
 
@@ -419,12 +422,13 @@ def test_integer_table_matches_the_rational_table(seed):
         assert got == _reference_derivative(rational, i, P)
         assert _all_fractions(got)
     gamma = _point(rng, L.dim)
-    B = L.kirillov_form(gamma)
+    B = L.kirillov_form(gamma)    # q B_gamma, q = d D, D gamma integral
+    q = d * math.lcm(*(x.denominator for x in gamma))
     for i in range(L.dim):
         for j in range(L.dim):
             want = sum((c * gamma[k] for k, c in
                         rational.get((i, j), {}).items()), Fraction(0))
-            assert B.data[i][j] == want
+            assert B.data[i].get(j, 0) == q * want
 
 
 @SETTINGS
@@ -508,3 +512,41 @@ def test_zero_weight_monomials_for_any_integer_weights(seed, sizes, rank_,
     mdeg = tuple(rng.randint(0, 4) if sz else 0 for sz in sizes)
     assert monomials_of_block_degrees(S, mdeg, weights) == \
         _zero_weight_by_filter(S, mdeg, weights)
+
+
+@functools.lru_cache(maxsize=None)
+def _killed_product(name):
+    if name == "so-gl(2)":
+        return z2_contraction(ContractionSpec("so-gl", (2,)))[0]
+    family, n, module = name
+    L = classical_algebra(family, n)
+    return semidirect(L, build_module(family, n, module, L=L))
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32), total=st.integers(1, 3),
+       name=st.sampled_from([("sp", 2, (("phi1", 2),)),
+                             ("so", 3, (("phi1", 1),)),
+                             ("sp", 4, (("phi1", 1),)), "so-gl(2)"]))
+def test_killed_by_is_the_reduced_echelon_basis(seed, total, name):
+    """_killed_by reads the kernel of one system in its normal form; it must
+    be Basis(kernel).rows in the order of the monomials it was given, for
+    any order, subset of monomials and set of derivations."""
+    rng = random.Random(seed)
+    S = _killed_product(name)
+    mdeg = rng.choice(list(_compositions(total, len(S.blocks))))
+    monos = monomials_of_block_degrees(S, mdeg)
+    monos = rng.sample(monos, rng.randint(1, len(monos)))
+    derivs = sorted(rng.sample(range(S.dim), rng.randint(1, S.dim)))
+    rows = {}
+    for col, m in enumerate(monos):
+        for i in derivs:
+            image = lie_derivative(S, i, MultiPoly(S.dim, {m: 1}))
+            for m2, c in image.terms.items():
+                rows.setdefault((i, m2), [0] * len(monos))[col] = c
+    kernel = (kernel_basis(QMatrix.from_rows(list(rows.values()))) if rows
+              else [[int(t == j) for t in range(len(monos))]
+                    for j in range(len(monos))])
+    want = Basis(kernel).rows if kernel else []
+    got = _killed_by(S, derivs, monos)
+    assert [[P.terms.get(m, 0) for m in monos] for P in got] == want

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from coadjoint.liealg import classical_algebra, fingerprint
-from coadjoint.qlinalg import QMatrix, QQ, SampleConfig, kernel_basis
+from coadjoint.qlinalg import QMatrix, QQ, SampleConfig, inverse, kernel_basis
 from coadjoint.repn import (
     FormNotInvariantError,
+    RepresentationData,
     adjoint_rep,
     build_module,
     check_representation,
@@ -187,7 +189,8 @@ def test_submodule_images_match_dense_matvec():
     C = QMatrix(1, ext.dim_V,
                 [[QQ(J.get((a, b), 0)) for a, b in ext.basis_tags]])
     vectors = kernel_basis(C)
-    sub = _submodule(ext, vectors, "L20")
+    units = [max(t for t, a in enumerate(v) if a) for v in vectors]
+    sub = _submodule(ext, vectors, "L20", units)
     assert sub.dim_V == 5
     for m, ms in zip(ext.action, sub.action):
         for c, v in enumerate(vectors):
@@ -204,11 +207,42 @@ def test_submodule_on_a_basis_that_is_not_a_weight_basis():
     from coadjoint.semidirect import semidirect
 
     L = classical_algebra("so", 3)
-    sub = _submodule(standard_rep(L), [[1, 1, 0], [0, 1, 0], [0, 0, 1]], "k3'")
+    P = QMatrix.from_rows([[1, 0, 0], [1, 1, 0], [0, 0, 1]])
+    sub = RepresentationData.from_matrices(
+        L, [inverse(P) * m * P for m in standard_rep(L).action], "k3'")
     assert check_representation(sub)
     S = semidirect(L, sub)
     assert S.v_weights() is None
     assert generator_ledger(S, 3).generator_degrees() == [2, 2]
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("k", [2, 3])
+def test_contraction_kernel_is_a_weight_basis(n, k):
+    # one kernel over all of Lambda^k, in its normal form, still splits
+    # over the weight classes: the Cartan acts diagonally on it
+    from coadjoint.semidirect import semidirect
+
+    L = classical_algebra("sp", n)
+    R = contraction_kernel(standard_rep(L), symplectic_form(n), k)
+    assert R.dim_V == math.comb(n, k) - math.comb(n, k - 2)
+    assert check_representation(R)
+    assert semidirect(L, R).v_weights() is not None
+
+
+def test_submodule_refuses_a_basis_without_unit_columns():
+    from coadjoint.qlinalg import VerificationError
+
+    R = standard_rep(classical_algebra("sl", 3))
+    for vectors, units in (([[1, 1, 0], [0, 1, 0]], [0, 1]),   # 1 at the other unit
+                           ([[2, 0, 0]], [0]),                  # 2 at its unit
+                           ([[1, 0, 0], [0, 1, 0]], [0])):      # one unit short
+        with pytest.raises(ValueError):
+            _submodule(R, vectors, "no units", units)
+    with pytest.raises(VerificationError):
+        _submodule(R, [[1, 0, 0]], "not invariant", [0])
+    sub = _submodule(R, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "k3", [0, 1, 2])
+    assert [m.data for m in sub.action] == [m.data for m in R.action]
 
 
 def test_representation_check_beyond_int64():
@@ -259,7 +293,7 @@ except AssertionError:
     sys.exit(3)  # not running under -O
 R = standard_rep(classical_algebra("sl", 3))
 try:
-    _submodule(R, [[1, 0, 0]], "not invariant")
+    _submodule(R, [[1, 0, 0]], "not invariant", [0])
 except VerificationError:
     pass
 else:
@@ -347,14 +381,22 @@ except VerificationError:
 else:
     sys.exit(14)
 liealg.matrix_algebra = matrix_algebra
-from coadjoint.repn import direct_sum_rep, spin_rep, symplectic_form
+from coadjoint.qlinalg import inverse
+from coadjoint.repn import (direct_sum_rep, spin_rep, symplectic_form,
+                            weight_module)
 sl2 = classical_algebra("sl", 2)
 for code, build in (
         (15, lambda: semidirect(classical_algebra("sl", 3),
                                 standard_rep(sl2))),
         (16, lambda: direct_sum_rep(standard_rep(sl2), standard_rep(sp4))),
         (17, lambda: spin_rep(5, L=sp4)),
-        (18, lambda: symplectic_form(3))):
+        (18, lambda: symplectic_form(3)),
+        (19, lambda: MultiPoly.variable(2, 0) ** -1),
+        (20, lambda: weight_module("sp", 4, "psi2")),
+        (21, lambda: inverse(QMatrix.zero(2, 3))),
+        (22, lambda: LieAlgebraData(3, ["a", "b"])),
+        (23, lambda: MultiPoly.variable(2, 0).evaluate([3])),
+        (24, lambda: _submodule(R, [[2, 0, 0]], "not a unit", [0]))):
     try:
         build()
     except ValueError:
