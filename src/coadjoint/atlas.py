@@ -438,7 +438,7 @@ def verify_row(row: TableRowSpec, env, cfg: SampleConfig, max_dim=400,
                   st.dim if st.stabilised else "unstable", t0,
                   _sampled(stabiliser=st))
     t0 = time.perf_counter()
-    stab_fp = fingerprint(st.algebra, cfg, killing_rank=st.killing_rank)
+    stab_fp = fingerprint(st.algebra, cfg)
     report.record("stabiliser fingerprint", str(exp["stab_fp"]),
                   str(stab_fp) if st.stabilised else "unstable", t0,
                   _sampled(stabiliser=st, stabiliser_index=stab_fp.index))

@@ -95,7 +95,8 @@ def principal_minor_sums(M: QMatrix):
     det(lambda I - M) = sum lambda^{N-k} (-1)^k E_k.
     """
     n = M.rows
-    assert n == M.cols
+    if n != M.cols:
+        raise ValueError(f"a {n} x {M.cols} matrix has no principal minors")
     coeffs = [Q1]  # char poly coefficients a_0 = 1, a_k
     Mk = QMatrix.identity(n)
     for k in range(1, n + 1):
@@ -192,20 +193,6 @@ class MatrixRealisation:
 # ---------------------------------------------------------------------------
 
 
-def symbolic_matrix_det(entries, nvars, bounds=()):
-    """Determinant of a matrix of MultiPolys by column-subset expansion.
-
-    Runs on ints: det(D X) / D^N, D the lcm of the entry denominators.
-    bounds: degree bounds (variables, cap), each keeping only the terms of
-    degree at most cap in those variables.  Entries have no negative
-    exponents, so a partial product over the rows so far that breaks a bound
-    cannot contribute, and the bounds are applied after every row: the
-    result is the full determinant with the terms that break a bound left
-    out.
-    """
-    return symbolic_minor_sum(entries, nvars, len(entries), bounds)
-
-
 def _integral_entries(entries):
     """(D, the term dicts of D entries[i][j] as ints), D the lcm of every
     coefficient denominator."""
@@ -257,9 +244,14 @@ def symbolic_minor_sum(entries, nvars, k, bounds=(), memo=None):
     lambda^(N-k') for every k', D the lcm of the entry denominators.  One
     expansion, truncated at lambda-degree N - k (a partial product with a
     higher power of lambda reaches no E_k' with k' >= k), gives every E_k'
-    with k' >= k; k = N takes the determinant without lambda.  bounds are
-    degree bounds (variables, cap) on the original variables, as in
-    `symbolic_matrix_det`.
+    with k' >= k; k = N takes the determinant without lambda.
+
+    bounds: degree bounds (variables, cap) on the original variables, each
+    keeping only the terms of degree at most cap in those variables.
+    Entries have no negative exponents, so a partial product over the rows
+    so far that breaks a bound cannot contribute, and the bounds are applied
+    after every row: the result is E_k with the terms that break a bound
+    left out.
 
     memo: a dict that the caller keeps for this one matrix and these bounds.
     An expansion stores every E_k' it carries there, so a later call for
@@ -306,7 +298,8 @@ def symbolic_pfaffian(entries, nvars):
     Runs on ints: Pf(D X) / D^(n/2), D the lcm of the entry denominators.
     """
     n = len(entries)
-    assert n % 2 == 0
+    if n % 2:
+        raise ValueError(f"a {n} x {n} matrix has no Pfaffian")
     D, ints = _integral_entries(entries)
     w, ints = _packed_entries(ints, nvars)
     memo = {(): _pack({(0,) * nvars: 1}, nvars, w)}

@@ -165,14 +165,6 @@ class MultiPoly:
                 return None
         return seen
 
-    def components(self, blocks):
-        """Split into multi-homogeneous components {multidegree: poly}."""
-        out = {}
-        for m, c in self.terms.items():
-            d = tuple(sum(m[off:off + sz]) for (_, off, sz) in blocks)
-            out.setdefault(d, {})[m] = c
-        return {d: MultiPoly(self.nvars, t) for d, t in out.items()}
-
     def evaluate(self, point):
         """P(point), exact and on ints: P is cleared to D P and the point to
         X / d once, a term of total degree |m| is weighted by d^(M - |m|) as
@@ -204,7 +196,8 @@ class MultiPoly:
         and powers run on packed keys of width M times the largest image
         degree.
         """
-        assert len(images) == self.nvars
+        if len(images) != self.nvars:
+            raise ValueError(f"{len(images)} images of {self.nvars} vars")
         tgt = images[0].nvars if images else 0
         D = math.lcm(1, *(c.denominator for P in images
                           for c in P.terms.values()))
@@ -475,7 +468,9 @@ def monomials_of_block_degrees(S: SemiDirectProduct, mdeg, weights=None):
     zero sum.  A weight is packed as sum_t w_t B^t, B above any coordinate
     of a monomial's weight: additive, and 0 for a monomial only at weight 0.
     """
-    assert len(mdeg) == len(S.blocks)
+    if len(mdeg) != len(S.blocks):
+        raise ValueError(f"multidegree {tuple(mdeg)} for {len(S.blocks)} "
+                         f"blocks")
     packed = _packed_weights(weights or [()] * S.dim, mdeg)
     classes = []    # per block: its variables, and its monomials by weight
     for (_, off, sz), d in zip(S.blocks, mdeg):

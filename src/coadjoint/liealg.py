@@ -28,6 +28,7 @@ whether the maximal rank was seen twice (`stabilised`) and a miss bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,9 +68,10 @@ class LieAlgebraData:
     constructor is the one builder: `brackets` maps each pair (i, j), i < j,
     to d [x_i, x_j] as {k: int or rational}, cleared and reduced to lowest
     terms once.  Nothing writes the table afterwards; read it, never write
-    it.  metadata carries optional construction hints (matrix realisation,
-    Cartan indices) used by downstream fast paths; none of it is required
-    for correctness.
+    it.  What the table determines (its list of brackets, its content, the
+    Killing rank) is computed once, when first read.  metadata carries
+    optional construction hints (matrix realisation, Cartan indices) used by
+    downstream fast paths; none of it is required for correctness.
     """
 
     def __init__(self, dim, basis_labels=None, brackets=None, metadata=None,
@@ -96,9 +98,24 @@ class LieAlgebraData:
 
     def int_brackets(self):
         """(i, j, d [x_i, x_j] as {k: int}) over the pairs i < j with a
-        nonzero bracket."""
+        nonzero bracket: one shared list, never written."""
+        return self._brackets
+
+    @functools.cached_property
+    def _brackets(self):
         return [(i, j, vec) for i, row in enumerate(self.int_ad_table[1])
                 for j, vec in row.items() if i < j]
+
+    @functools.cached_property
+    def _content(self):
+        """The gcd of every structure constant in the table."""
+        return math.gcd(*(x for *_, vec in self._brackets
+                          for x in vec.values()))
+
+    @functools.cached_property
+    def killing_rank(self):
+        """The rank of the Killing form."""
+        return rank(killing_matrix(self))
 
     def bracket_basis(self, i, j):
         """[x_i, x_j] as {k: rational}."""
@@ -144,8 +161,7 @@ class LieAlgebraData:
                                             if x]])
             g, c = _dense(dict(g), n), 1
         else:
-            g, c = gamma, math.gcd(*(x for *_, vec in pairs
-                                     for x in vec.values()))
+            g, c = gamma, self._content
         a = [[0] * n for _ in range(n)]
         for i, j, vec in pairs:
             s = sum(x * g[k] for k, x in vec.items()) // c
@@ -526,17 +542,15 @@ def center_dim(L: LieAlgebraData) -> int:
     return L.dim - rank(IntRows(len(pos), rows))
 
 
-def fingerprint(L: LieAlgebraData, cfg: SampleConfig = SampleConfig(),
-                killing_rank=None) -> Fingerprint:
-    """The fingerprint of L; killing_rank, when the caller has it already
-    (the genericity key of a stabiliser), is not computed again."""
+def fingerprint(L: LieAlgebraData, cfg: SampleConfig = SampleConfig()
+                ) -> Fingerprint:
+    """The fingerprint of L."""
     ind = index(L, cfg)
     return Fingerprint(
         dim=L.dim,
         index=ind,    # an IndexResult: how the index was sampled
         derived_series_dims=derived_series_dims(L),
-        killing_rank=(rank(killing_matrix(L)) if killing_rank is None
-                      else killing_rank),
+        killing_rank=L.killing_rank,
         center_dim=center_dim(L),
     )
 

@@ -10,22 +10,26 @@ chosen from the input: rows of at most `_SPARSE_ROW_WEIGHT` nonzeros on
 average are eliminated sparsely mod p, shortest row first, once there are
 more than `_BAREISS_CUTOFF` rows or columns; denser ones by numpy mod p once
 there are more of both; the rest, and what the modular paths cannot settle,
-exactly over Z by `Basis`, the one exact elimination.  A modular result is
-certified from both sides: the rank mod p bounds the rank over Q from below,
-so full column rank proves the kernel zero; otherwise kernel vectors are
-lifted p-adically from the pivot rows (rounds that double the digits, at
-most the Hadamard count) and each v is checked as A (D v) = 0 over Z on
-every row, D the lcm of its denominators: the rank from above.
+exactly over Z by `Basis`, the one exact elimination.  Both modular
+eliminations return (pivot_cols, pivot_rows, solve), solve inverting the
+pivot block mod p.  A modular result is certified from both sides: the rank
+mod p bounds the rank over Q from below, so full column rank proves the
+kernel zero; otherwise kernel vectors are lifted p-adically from the sparse
+pivot rows with that solve (rounds that double the digits, at most the
+Hadamard count) and each integer vector D v is checked as A (D v) = 0 over Z
+on every row, D the lcm of the denominators of v: the rank from above.
 
 `Basis` is the one echelon-and-coordinates routine: one forward elimination
 on primitive integer rows settles the rank, the pivots and the greedy choice
 of inputs; the reduced row echelon form over Q is back-substituted when
 read, and other vectors are written in terms of the inputs, on integers too:
-the rows and the change of basis are stored over one common denominator
-each, and a vector's denominators are cleared once.  Exact ranks and
-kernels, subalgebras, invariant spaces, changes of basis, `inverse` and
-`solve_right` all go through it; a basis that is already reduced is read at
-its unit columns instead (`UnitBasis`: stabilisers, submodules).
+a vector's denominators are cleared once, it is read at the pivots of the
+reduced rows, and the change of basis, stored over one common denominator,
+takes it to the inputs.  Exact ranks and kernels, subalgebras, invariant
+spaces, changes of basis, `inverse` and `solve_right` all go through it.
+`UnitBasis` is the one coordinates reader: a basis that is 1 at its own unit
+column and 0 at the others' (reduced rows at their pivots, stabilisers,
+submodules) is read at its unit columns, with no elimination.
 
 `ModMatrix` is a matrix over F_p, ranked by `_mod_echelon`: sampled generic
 ranks are taken mod p at points from `sample_mod_p`.
@@ -82,7 +86,8 @@ class QMatrix:
         if data is None:
             self.data = [[Q0] * cols for _ in range(rows)]
         else:
-            assert len(data) == rows and all(len(r) == cols for r in data)
+            if len(data) != rows or any(len(r) != cols for r in data):
+                raise ValueError(f"data is not {rows} x {cols}")
             self.data = data
 
     @staticmethod
@@ -119,7 +124,9 @@ class QMatrix:
         """The product, walking only the nonzero entries of both factors."""
         if not isinstance(other, QMatrix):
             return NotImplemented
-        assert self.cols == other.rows
+        if self.cols != other.rows:
+            raise ValueError(f"cannot multiply {self.rows} x {self.cols} by "
+                             f"{other.rows} x {other.cols}")
         right = [[(j, b) for j, b in enumerate(row) if b]
                  for row in other.data]
         out = []
@@ -136,21 +143,18 @@ class QMatrix:
             out.append(prod)
         return QMatrix(self.rows, other.cols, out)
 
+    def _entrywise(self, other, op):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"shapes {self.rows} x {self.cols} and "
+                             f"{other.rows} x {other.cols} differ")
+        return QMatrix(self.rows, self.cols, [list(map(op, r, s)) for r, s
+                                              in zip(self.data, other.data)])
+
     def __add__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return QMatrix(
-            self.rows,
-            self.cols,
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)],
-        )
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other):
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return QMatrix(
-            self.rows,
-            self.cols,
-            [[a - b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)],
-        )
+        return self._entrywise(other, operator.sub)
 
     def scale(self, c):
         c = as_q(c)
@@ -160,7 +164,8 @@ class QMatrix:
         return QMatrix(self.cols, self.rows, [list(r) for r in zip(*self.data)])
 
     def matvec(self, v):
-        assert len(v) == self.cols
+        if len(v) != self.cols:
+            raise ValueError(f"{len(v)} entries for {self.cols} columns")
         return [sum((a * b for a, b in zip(row, v)), Q0) for row in self.data]
 
     def entries(self):
@@ -264,6 +269,19 @@ def _mod_echelon(a, p):
     return pivots, perm[:piv_r], np.mod(a, p)
 
 
+def _dense_echelon(an, p):
+    """(pivot_cols, pivot_rows, solve) of the int64 numpy matrix an mod p,
+    by `_mod_echelon`.  Its pivot block S = an[pivot_rows, pivot_cols] is
+    nonsingular mod p, so the reduced form of [S | I] is [I | S^-1], and
+    solve(R) is S^-1 R mod p."""
+    pivots, rows, _ = _mod_echelon(an, p)
+    k = len(pivots)
+    aug = np.concatenate([an[np.ix_(rows, pivots)],
+                          np.eye(k, dtype=np.int64)], axis=1)
+    inv = _mod_echelon(aug, p)[2][:, k:]
+    return pivots, rows, lambda R: inv @ np.mod(R, p) % p
+
+
 def _sparse_echelon(a, nc, p):
     """(pivot_cols, pivot_rows, solve) of the sparse integer rows a mod p.
 
@@ -344,42 +362,34 @@ def _rational_reconstruct(u, m):
 _FIRST_DIGITS = 8
 
 
-def _dixon_solve(A_int, rhs_cols, p, solve=None):
+def _dixon_solve(A_rows, rhs_cols, p, solve):
     """Candidate solutions of A x = b for the columns b of rhs_cols, by p-adic
     lifting (Dixon 1982).
 
-    A_int: square integer matrix invertible mod p, an int64 numpy array or
-    sparse rows {column: int} with solve(R) = A^-1 R mod p.  The digits are
-    lifted in rounds that double their number, up to the count the Hadamard
-    bound on det(A) calls for.  After each round every entry is rationally
-    reconstructed; when all succeed the round yields one (D, w) per column,
-    the solution being w / D with w integral.  The caller checks each
-    candidate exactly and stops at the first that holds, so small solutions
-    stop early, while a wrong early candidate only lifts further.  Yields
-    nothing when the entries are too large for word-size residues or A is
-    singular mod p.
+    A_rows: the rows {column: int} of a square integer matrix A invertible
+    mod p, with solve(R) = A^-1 R mod p (the third item of `_sparse_echelon`
+    and `_dense_echelon`).  The digits are lifted in rounds that double their
+    number, up to the count the Hadamard bound on det(A) calls for.  After
+    each round every entry is rationally reconstructed; when all succeed the
+    round yields one (D, w) per column, the solution being w / D with w
+    integral.  The caller checks each candidate exactly and stops at the
+    first that holds, so small solutions stop early, while a wrong early
+    candidate only lifts further.  Yields nothing when the entries are too
+    large for word-size residues.
     """
-    rows = A_int.tolist() if solve is None else [list(r.values()) for r in A_int]
+    rows = [list(r.values()) for r in A_rows]
     n = len(rows)
     amax = max((abs(x) for row in rows for x in row), default=0)
     if amax == 0 or n * amax * p >= 2 ** 62:
         return
-    if solve is None:
-        Ainv = _inverse_mod(A_int, p)
-        if Ainv is None:
-            return
-        mul = A_int.__matmul__
+    ri, ci, vals = np.array([(i, c, x) for i, row in enumerate(A_rows)
+                             for c, x in row.items()], dtype=np.int64).T
+    # the rows are in order, and none is empty as A is invertible mod p
+    starts = np.flatnonzero(np.diff(ri, prepend=-1))
 
-        def solve(R):
-            return np.mod(Ainv @ np.mod(R, p), p)
-    else:
-        ri, ci, vals = np.array([(i, c, x) for i, row in enumerate(A_int)
-                                 for c, x in row.items()], dtype=np.int64).T
+    def mul(X):
+        return np.add.reduceat(vals[:, None] * X[ci], starts)
 
-        def mul(X):
-            out = np.zeros(X.shape, dtype=np.int64)
-            np.add.at(out, ri, vals[:, None] * X[ci])
-            return out
     # denominators divide det(A); Hadamard bound gives the digit count
     log_det = sum(math.log(max(1, sum(x * x for x in row))) for row in rows) / 2
     rhs_max = max(1, int(np.abs(rhs_cols).max()) if rhs_cols.size else 1)
@@ -443,15 +453,6 @@ def _reconstruct_columns(columns, mod):
     return out
 
 
-def _inverse_mod(A, p):
-    n = A.shape[0]
-    aug = np.concatenate([np.mod(A, p), np.eye(n, dtype=np.int64)], axis=1)
-    pivots, _, red = _mod_echelon(aug, p)
-    if pivots != list(range(n)):
-        return None
-    return red[:, n:]
-
-
 _BAREISS_CUTOFF = 70
 
 # Rows with at most this many nonzeros on average are eliminated sparsely.
@@ -474,8 +475,10 @@ def rank(m) -> int:
 
 def _certified_kernel(a, nc):
     """Right-kernel basis of the nonzero sparse integer rows a by the modular
-    path, each vector verified over Z, or None when exact elimination must
-    decide (small systems, entries too large, or every prime failed)."""
+    path, integer vectors each verified over Z, or None when exact
+    elimination must decide (small systems, entries too large, or every
+    prime failed).  Either elimination's pivot rows go to `_dixon_solve`
+    sparse, with its solve."""
     sparse = sum(map(len, a)) <= _SPARSE_ROW_WEIGHT * len(a)
     if (max if sparse else min)(len(a), nc) <= _BAREISS_CUTOFF:
         return None
@@ -484,18 +487,15 @@ def _certified_kernel(a, nc):
         return None
     an = None if sparse else np.array([_dense(r, nc) for r in a], np.int64)
     for p in _PRIMES:
-        if sparse:
-            pivots, rows, solve = _sparse_echelon(a, nc, p)
-        else:
-            (pivots, rows, _), solve = _mod_echelon(an, p), None
+        pivots, rows, solve = (_sparse_echelon(a, nc, p) if sparse
+                               else _dense_echelon(an, p))
         if len(pivots) == nc:
             return []   # rank_p = nc <= rank_Q
         if not pivots:
             continue    # every entry divisible by p
         at = {c: t for t, c in enumerate(pivots)}
         free = [c for c in range(nc) if c not in at]
-        sub = ([{at[c]: x for c, x in a[i].items() if c in at} for i in rows]
-               if sparse else an[np.ix_(rows, pivots)])
+        sub = [{at[c]: x for c, x in a[i].items() if c in at} for i in rows]
         rhs = np.array([[-a[i].get(c, 0) for c in free] for i in rows],
                        dtype=np.int64)
         for candidate in _dixon_solve(sub, rhs, p, solve):
@@ -506,9 +506,9 @@ def _certified_kernel(a, nc):
 
 
 def _verified_kernel(a, nc, pivots, free, candidate):
-    """The kernel vectors v_j = e_j + w/D at the pivots, one per free column
-    j and candidate (D, w), or None unless a (D v_j) = 0 holds over Z on
-    every row."""
+    """The integer kernel vectors D v_j, v_j = e_j + w/D at the pivots, one
+    per free column j and candidate (D, w), or None unless a (D v_j) = 0
+    holds over Z on every row."""
     basis = []
     for j, (d, w) in zip(free, candidate):
         x = [0] * nc
@@ -518,7 +518,7 @@ def _verified_kernel(a, nc, pivots, free, candidate):
         for row in a:
             if sum(map(operator.mul, row.values(), map(x.__getitem__, row))):
                 return None
-        basis.append([QQ(y, d) if y else Q0 for y in x])
+        basis.append(x)
     return basis
 
 
@@ -593,7 +593,8 @@ class Basis:
     echelon, the kept primitive integer rows sorted by pivot.  rows, the
     reduced row echelon form over Q, is back-substituted once, when first
     read.  coords(v) writes v in terms of the input vectors, which must be
-    independent; the change of basis it needs is computed on its first call.
+    independent: it reads v off the rows with `UnitBasis` and changes basis
+    to the inputs; both are set up on its first call.
 
     The integers stay bounded by the minors of the input (Bareiss 1968): a
     row reduced at the first j kept pivots is the one direction in the span
@@ -639,46 +640,38 @@ class Basis:
 
     @functools.cached_property
     def _to_inputs(self):
-        """(pivot set, E, the nonzero non-pivot entries of each row times E,
-        F, the nonzero entries of each row of the change of basis T from the
-        inputs to the rows times F), all integral."""
+        """(the rows as a UnitBasis on the pivots, F, the nonzero entries of
+        each row of the change of basis T from the inputs to the rows times
+        F, integral)."""
         if len(self.accepted) < len(self.vectors):
             raise ValueError("coordinates need independent vectors")
-        pivots = set(self.pivots)
-        sparse = [[(c, a) for c, a in enumerate(row) if a and c not in pivots]
-                  for row in self.rows]
         # row i = sum_j T[i][j] vectors[j]; read at the pivots, T A_P = I
         k = len(self.vectors)
         T = inverse(QMatrix(k, k, [[v[p] for p in self.pivots]
                                    for v in self.vectors]))
-        T = [[(j, t) for j, t in enumerate(row) if t] for row in T.data]
-        E, sparse = _common_denominator(sparse)
-        F, T = _common_denominator(T)
-        return pivots, E, sparse, F, T
+        F, T = _common_denominator([[(j, t) for j, t in enumerate(row) if t]
+                                    for row in T.data])
+        return UnitBasis(self.rows, self.pivots), F, T
 
     def coords(self, v):
         """c with v = sum c_j vectors[j], or None when v is outside the span.
 
-        v's denominators are cleared once, to D; the residual
-        E D (v - sum_p v_p rows[p]) off the pivots is checked in integers, and
-        D F c = sum_p (D v_p) (F T[p]) is summed in integers too.  Raises
+        v's denominators are cleared once, to D; D v is read at the pivots
+        by `UnitBasis.coords`, which checks it lies in the span, and
+        D F c = sum_p (D v_p) (F T[p]) is summed in integers.  Raises
         ValueError when the input vectors are dependent.
         """
-        pivots, E, sparse, F, T = self._to_inputs
+        span, F, T = self._to_inputs
         nz = [(c, x) for c, x in enumerate(v) if x]
         D = math.lcm(1, *(x.denominator for _, x in nz))
-        w = {c: x.numerator * (D // x.denominator) for c, x in nz}
-        residual = {c: E * x for c, x in w.items() if c not in pivots}
-        out = [0] * len(T)
-        for p, entries, t_row in zip(self.pivots, sparse, T):
-            f = w.get(p)
-            if f:
-                for c, a in entries:
-                    residual[c] = residual.get(c, 0) - f * a
-                for j, t in t_row:
-                    out[j] += f * t
-        if any(residual.values()):
+        at = span.coords({c: x.numerator * (D // x.denominator)
+                          for c, x in nz})
+        if at is None:
             return None
+        out = [0] * len(T)
+        for m, f in at.items():
+            for j, t in T[m]:
+                out[j] += f * t
         q = D * F
         return [QQ(x, q) if x else Q0 for x in out]
 
@@ -753,7 +746,8 @@ class SampleConfig:
 
 def sample_vector(cfg: SampleConfig, dim: int, round_idx: int = 0, tag: str = ""):
     """Integer vector in [-height, height]^dim, deterministic in all arguments."""
-    assert dim >= 0
+    if dim < 0:
+        raise ValueError(f"dimension {dim} < 0")
     rng = random.Random(f"{cfg.seed}|{cfg.height}|{dim}|{round_idx}|{tag}")
     return [QQ(rng.randint(-cfg.height, cfg.height)) for _ in range(dim)]
 

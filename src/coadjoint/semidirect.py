@@ -23,7 +23,6 @@ from .liealg import (
     algebra_on_basis,
     derived_dim,
     index as algebra_index,
-    killing_matrix,
 )
 from .qlinalg import (
     Q0,
@@ -181,12 +180,6 @@ class StabiliserResult:
     def dim(self):
         return self.algebra.dim
 
-    @property
-    def killing_rank(self):
-        """The rank of the Killing form of q_x, read off key; None if no key
-        was computed."""
-        return None if self.key is None else -self.key[2]
-
 
 def stabiliser_in_V(S: SemiDirectProduct, x) -> StabiliserResult:
     """q_x = { xi in q : xi . x = 0 } for x in V*, with its structure constants
@@ -229,7 +222,7 @@ def _genericity_key(st: StabiliserResult):
     Both ranks are of IntRows read off the integer table of q_x.
     """
     h = st.algebra
-    return (h.dim, -derived_dim(h), -rank(killing_matrix(h)))
+    return (h.dim, -derived_dim(h), -h.killing_rank)
 
 
 def _genericity_target(S: SemiDirectProduct, cfg: SampleConfig):

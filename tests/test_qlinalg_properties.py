@@ -402,8 +402,11 @@ def test_dixon_solve_at_its_int64_guard(side):
         A[i][i] = 10          # diagonally dominant, so invertible mod p
     A[0][1] = guard if side < 0 else guard + 1
     b = [[rng.randint(-3, 3)] for _ in range(n)]
-    candidates = list(_dixon_solve(np.array(A, dtype=np.int64),
-                                   np.array(b, dtype=np.int64), p))
+    pivots, rows, solve = qlinalg._dense_echelon(np.array(A, np.int64), p)
+    assert pivots == list(range(n))
+    A_rows = [{c: x for c, x in enumerate(A[i]) if x} for i in rows]
+    candidates = list(_dixon_solve(A_rows, np.array([b[i] for i in rows],
+                                                    dtype=np.int64), p, solve))
     if side > 0:
         assert candidates == []
         return
@@ -537,24 +540,22 @@ def test_normal_form_when_the_modular_pivots_differ(sparse):
        k=st.integers(0, 4), weight=st.sampled_from([1, 2, 4]))
 def test_pivot_rows_are_nonsingular_mod_p(seed, nc, k, weight):
     """Both modular eliminations return input rows that are nonsingular mod p
-    on the pivot columns; the sparse one also solves with them."""
+    on the pivot columns, and a solve that inverts that block."""
     p = _PRIMES[0]
     rows = [r for r in _tall_system(seed, nc, min(k, nc - 1), weight, 0) if r]
     if not rows:
         return
     an = np.array([qlinalg._dense(r, nc) for r in rows])
-    dense_pivots, dense_rows, _ = qlinalg._mod_echelon(an, p)
-    pivots, chosen, solve = qlinalg._sparse_echelon(rows, nc, p)
-    assert len(pivots) == len(dense_pivots) == len(chosen) == len(dense_rows)
-    for piv, rr in [(pivots, chosen), (dense_pivots, dense_rows)]:
-        assert len(set(rr)) == len(rr)
-        sub = an[np.ix_(rr, piv)]
-        assert qlinalg._inverse_mod(sub, p) is not None
+    sparse = qlinalg._sparse_echelon(rows, nc, p)
+    dense = qlinalg._dense_echelon(an, p)
+    assert len(sparse[0]) == len(dense[0])
     rng = random.Random(seed)
-    R = np.array([[rng.randrange(p) for _ in range(2)] for _ in pivots],
-                 dtype=np.int64).reshape(len(pivots), 2)
-    sub = an[np.ix_(chosen, pivots)]
-    assert not np.mod(sub @ solve(R) - R, p).any()
+    R = np.array([[rng.randrange(p) for _ in range(2)] for _ in sparse[0]],
+                 dtype=np.int64).reshape(len(sparse[0]), 2)
+    for piv, rr, solve in (sparse, dense):
+        assert len(piv) == len(rr) == len(set(rr))
+        sub = an[np.ix_(rr, piv)]
+        assert not np.mod(sub @ solve(R) - R, p).any()
 
 
 @pytest.mark.parametrize("sparse", [True, False])

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -384,7 +385,12 @@ liealg.matrix_algebra = matrix_algebra
 from coadjoint.qlinalg import inverse
 from coadjoint.repn import (direct_sum_rep, spin_rep, symplectic_form,
                             weight_module)
+from coadjoint.constructions import principal_minor_sums, symbolic_pfaffian
+from coadjoint.invariants import monomials_of_block_degrees
+from coadjoint.qlinalg import SampleConfig, sample_vector
 sl2 = classical_algebra("sl", 2)
+sp2 = classical_algebra("sp", 2)
+sp2_k2 = semidirect(sp2, standard_rep(sp2))
 for code, build in (
         (15, lambda: semidirect(classical_algebra("sl", 3),
                                 standard_rep(sl2))),
@@ -396,7 +402,19 @@ for code, build in (
         (21, lambda: inverse(QMatrix.zero(2, 3))),
         (22, lambda: LieAlgebraData(3, ["a", "b"])),
         (23, lambda: MultiPoly.variable(2, 0).evaluate([3])),
-        (24, lambda: _submodule(R, [[2, 0, 0]], "not a unit", [0]))):
+        (24, lambda: _submodule(R, [[2, 0, 0]], "not a unit", [0])),
+        (25, lambda: monomials_of_block_degrees(sp2_k2, (2,))),
+        (26, lambda: MultiPoly.variable(2, 0).substitute_linear(
+            [MultiPoly.variable(1, 0)])),
+        (27, lambda: symbolic_pfaffian([[MultiPoly.constant(1, 1)] * 3] * 3,
+                                       1)),
+        (28, lambda: sample_vector(SampleConfig(), -1)),
+        (29, lambda: principal_minor_sums(QMatrix.zero(2, 3))),
+        (30, lambda: QMatrix(2, 2, [[1, 0]])),
+        (31, lambda: QMatrix.zero(2, 3) * QMatrix.zero(2, 3)),
+        (32, lambda: QMatrix.zero(2, 2) + QMatrix.zero(2, 3)),
+        (33, lambda: QMatrix.zero(2, 2) - QMatrix.zero(3, 2)),
+        (34, lambda: QMatrix.zero(2, 2).matvec([1]))):
     try:
         build()
     except ValueError:
@@ -412,3 +430,12 @@ def test_checks_survive_python_O():
     done = subprocess.run([sys.executable, "-O", "-c", _CHECKS_UNDER_O],
                           env=env, timeout=120)
     assert done.returncode == 0
+
+
+def test_no_bare_assert_in_src():
+    """Every check of the program raises, so none is stripped by -O."""
+    src = Path(__file__).resolve().parents[1] / "src" / "coadjoint"
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
