@@ -258,11 +258,17 @@ def symbolic_minor_sum(entries, nvars, k, bounds=(), memo=None):
     any of them reads it instead of expanding again, and a call for a
     smaller k expands afresh.  The order of the calls changes no result.
     """
+    D, w, terms = _minor_sum_int(entries, nvars, k, bounds, memo)
+    return _over(nvars, _unpack(terms, nvars, w), D ** k)
+
+
+def _minor_sum_int(entries, nvars, k, bounds, memo):
+    """(D, w, the nonzero terms of E_k(D X) on packed keys of width w), as
+    `symbolic_minor_sum` reads them from memo or expands them into it."""
     memo = {} if memo is None else memo
     if k not in memo:
         memo.update(_minor_sums_int(entries, nvars, k, bounds))
-    D, w, terms = memo[k]
-    return _over(nvars, _unpack(terms, nvars, w), D ** k)
+    return memo[k]
 
 
 def _minor_sums_int(entries, nvars, k, bounds):
@@ -574,23 +580,28 @@ def e_delta_restricted(layout: MatrixRealisation, k: int) -> EDeltaResult:
 
     # the t-degree is at most m, and the centre degree at most 1 for m = 1
     bounds = [([tvar], m)] + ([(cvars, 1)] if cvars else [])
-    poly = symbolic_minor_sum(entries, nv, k, bounds, memo=layout.minor_sums)
+    D, wk, terms = _minor_sum_int(entries, nv, k, bounds, layout.minor_sums)
+    # the expansion is selected on its packed keys, read digit by digit, and
+    # only the terms kept are unpacked
+    mask = (1 << 8 * wk) - 1
+
+    def digit(mono, v):
+        return (mono >> 8 * wk * v) & mask
+
     # top f-degree = degree in t; the lemmas give exactly m for even k >= 2m
-    fdeg = 0
-    for mono in poly.terms:
-        fdeg = max(fdeg, mono[tvar])
+    fdeg = max((digit(mono, tvar) for mono in terms), default=0)
     if fdeg != m:
         raise VerificationError(
             f"f-degree of Delta_{k} on the layout is {fdeg}, not {m}")
-    top = MultiPoly(nv, {mono: c for mono, c in poly.terms.items()
-                         if mono[tvar] == m})
     # split off the centre coefficient (m = 1) and check escapes
     target = layout.target
     delta_prime = None
     h_terms = {}
     dp_terms = {}
-    for mono, c in top.terms.items():
-        cdeg = sum(mono[cv] for cv in cvars)
+    for mono, c in terms.items():
+        if digit(mono, tvar) != m:
+            continue
+        cdeg = sum(digit(mono, cv) for cv in cvars)
         if cdeg == 0:
             h_terms[mono] = c
         elif cdeg == 1 and m == 1:
@@ -610,15 +621,15 @@ def e_delta_restricted(layout: MatrixRealisation, k: int) -> EDeltaResult:
 
     def remap(terms):
         out = {}
-        for mono, c in terms.items():
+        for mono, c in _unpack(terms, nv, wk).items():
             key = 0
             for vi, (e, shift) in enumerate(zip(mono, shifts)):
                 if e:
                     if shift is None:
                         raise RestrictionEscapes(layout.coords[keep[vi]].label)
                     key += e * shift
-            out[key] = out[key] + c if key in out else c
-        return MultiPoly(target.dim, _unpack(_nonzero(out), target.dim, w))
+            out[key] = out.get(key, 0) + c
+        return _over(target.dim, _unpack(out, target.dim, w), D ** k)
 
     H = remap(h_terms)
     if m == 1 and dp_terms:

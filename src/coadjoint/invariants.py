@@ -27,9 +27,12 @@ coefficient type of their inputs, so integer polynomials stay integral.
 Derivations read the cached integer table (d, d ad) of the Lie algebra
 (`LieAlgebraData.int_ad_table`): a polynomial is cleared to D P once, every
 derivation is applied in integers, and d D (x_i . P) = 0 exactly when
-x_i . P = 0.  `substitute_linear` and the symbolic minors of `constructions`
-clear their denominators the same way and divide once at the end, so every
-polynomial they return has `Fraction` coefficients.  Evaluations do too: one
+x_i . P = 0.  Its terms are indexed once by the variables that divide them
+(`_supported`), so a derivation visits only the terms it changes: those
+divisible by a variable that its row moves.  `substitute_linear` and the
+symbolic minors of `constructions` clear their denominators the same way and
+divide once at the end, so every polynomial they return has `Fraction`
+coefficients.  Evaluations do too: one
 helper clears a polynomial once into (D, [(int coefficient, support)])
 (`_int_terms`), and `MultiPoly.evaluate`, the Jacobian rows of
 `jacobian_independent` and the item-3 identity of `constructions` run on it.
@@ -400,18 +403,33 @@ def lie_derivative_in(L: LieAlgebraData, xi_index: int, P: MultiPoly
                       ) -> MultiPoly:
     """Derivation of P, a polynomial in the coordinates of L, by the basis
     element x_{xi_index} of L: d D (x_i . P) in integers, divided once."""
+    _check_ring(L, P)
     d, table = L.int_ad_table
     D, ints = _cleared(P.terms)
     n, w = P.nvars, _width(P.total_degree())
-    out = _derive(_shifts(table[xi_index], w, range(n)), _supported(ints, n, w))
+    index = _supported(ints, _pack(ints, n, w), n)
+    out = _derive(_shifts(table[xi_index], w, index), index)
     return _over(n, _unpack(out, n, w), d * D)
 
 
-def _supported(terms, nvars, w):
-    """[(packed key, [(j, c e_j) for each variable j in the support])] of a
-    term dict with exponent-tuple keys: the input form of `_derive`."""
-    return [(k, [(j, c * e) for j, e in enumerate(m) if e])
-            for k, (m, c) in zip(_pack(terms, nvars, w), terms.items())]
+def _check_ring(L, P):
+    """Raise ValueError unless P is a polynomial on the dual of L."""
+    if P.nvars != L.dim:
+        raise ValueError(f"a polynomial in {P.nvars} variables on a Lie "
+                         f"algebra of dimension {L.dim}")
+
+
+def _supported(terms, keys, nvars):
+    """{j: [(key, c e_j)]} over the terms c x^e of a dict with exponent-tuple
+    keys in nvars variables, for each variable j: the terms that x_j divides,
+    each under its packed key from keys (in the order of terms).  The input
+    form of `_derive`, built in one pass."""
+    rows = [[] for _ in range(nvars)]
+    for key, (m, c) in zip(keys, terms.items()):
+        for j, e in enumerate(m):
+            if e:
+                rows[j].append((key, c * e))
+    return {j: row for j, row in enumerate(rows) if row}
 
 
 def _shifts(row, w, used):
@@ -423,30 +441,35 @@ def _shifts(row, w, used):
             for j, vec in row.items() if j in used}
 
 
-def _derive(shifts, terms):
+def _derive(shifts, index):
     """A derivation in the form of `_shifts` applied to terms in the form of
-    `_supported`: each term walks its support, not the row.  Sums that
-    cancel stay in the result as zeros."""
+    `_supported`: x_j -> sum_k coeff x_k moves only the terms that x_j
+    divides, so each variable j the derivation moves walks its own terms and
+    no other, and every step is an update of the result.  Sums that cancel
+    stay in the result as zeros."""
     out = {}
     get = out.get
-    for m, supp in terms:
-        for j, base in supp:
-            row = shifts.get(j)
-            if row:
-                for delta, coef in row:
-                    m2 = m + delta
-                    out[m2] = get(m2, 0) + base * coef
+    for j, row in shifts.items():
+        terms = index.get(j, ())
+        for delta, coef in row:
+            for m, base in terms:
+                m2 = m + delta
+                out[m2] = get(m2, 0) + base * coef
     return out
 
 
 def _killed(L: LieAlgebraData, P: MultiPoly, derivs) -> bool:
     """Whether x_i kills P for every i in derivs, checked on D P with the
-    integer table d ad of L: each check runs on ints and is exact."""
+    integer table d ad of L: each check runs on ints and is exact.  P's
+    terms are indexed by variable once (`_supported`), and each derivation
+    walks only the variables of P that it moves; one that moves none costs
+    nothing.  Raises ValueError unless P is a polynomial on L."""
+    _check_ring(L, P)
     table = L.int_ad_table[1]
     n, w = P.nvars, _width(P.total_degree())
-    terms = _supported(_cleared(P.terms)[1], n, w)
-    used = {j for _, supp in terms for j, _ in supp}
-    return not any(any(_derive(_shifts(table[i], w, used), terms).values())
+    ints = _cleared(P.terms)[1]
+    index = _supported(ints, _pack(ints, n, w), n)
+    return not any(any(_derive(_shifts(table[i], w, index), index).values())
                    for i in derivs)
 
 
@@ -562,7 +585,9 @@ def _killed_by(S, derivs, monos):
     read off the integer table d ad (every row times d, the same kernel).
     The columns run over `monos` in reverse, so each vector of kernel_basis's
     normal form, 1 at its free column, 0 at the others and otherwise on later
-    monomials, is a row of that (unique) reduced echelon form."""
+    monomials, is a row of that (unique) reduced echelon form.  The monomials
+    are indexed by variable once (`_supported`), each key tagged with its
+    column, and every derivation walks only the variables it moves."""
     table = S.total.int_ad_table[1]
     w = _width(max(map(sum, monos)))
     # each monomial's column rides above its exponent digits, which no
@@ -570,14 +595,13 @@ def _killed_by(S, derivs, monos):
     # images of different monomials apart
     high = 8 * w * S.dim
     low = (1 << high) - 1
-    rev = monos[::-1]
-    terms = [(m + (col << high), supp) for col, (m, supp) in
-             enumerate(_supported(dict.fromkeys(rev, 1), S.dim, w))]
+    rev = dict.fromkeys(monos[::-1], 1)
+    index = _supported(rev, (m + (col << high) for col, m in
+                             enumerate(_pack(rev, S.dim, w).keys())), S.dim)
     rows = []
     for i in derivs:
         image = {}
-        for m2, c in _derive(_shifts(table[i], w, range(S.dim)),
-                             terms).items():
+        for m2, c in _derive(_shifts(table[i], w, index), index).items():
             if c:
                 image.setdefault(m2 & low, {})[m2 >> high] = c
         rows.extend(image.values())

@@ -68,6 +68,20 @@ def test_product_rule():
         assert (lhs - rhs).is_zero()
 
 
+@pytest.mark.parametrize("nvars", [7, 3])
+def test_a_polynomial_on_another_ring_is_refused(nvars):
+    """A polynomial in more or fewer variables than dim s is not a function
+    on s*: the invariance check and the derivation refuse it, naming both
+    counts, instead of deriving whichever variables happen to line up."""
+    S = S_sp2k2()
+    assert S.dim == 5
+    P = MultiPoly.variable(nvars, nvars - 2)
+    with pytest.raises(ValueError, match=f"{nvars} variables.* 5"):
+        is_invariant(S, P)
+    with pytest.raises(ValueError, match=f"{nvars} variables.* 5"):
+        lie_derivative(S, 0, P)
+
+
 def test_invariant_space_sp2k2():
     S = S_sp2k2()
     assert len(invariant_space(S, (1, 2))) == 1

@@ -431,6 +431,35 @@ def test_integer_table_matches_the_rational_table(seed):
 
 
 @SETTINGS
+@given(st.integers(0, 10 ** 6), st.integers(0, 3), st.integers(2, 4))
+def test_lie_derivative_matches_the_reference_on_random_polynomials(
+        seed, central, degree):
+    """The rescaled sl2 beside `central` central variables, which no row
+    moves and whose derivations move nothing, so that some derivations touch
+    none of P's variables; P has exponents up to `degree`, and may lie in
+    the central variables alone."""
+    rng = random.Random(seed)
+    _, sl2 = _rescaled_sl2(rng)
+    n = 3 + central
+    L = LieAlgebraData(n, brackets={ij: vec for ij, vec in sl2.items()
+                                    if ij[0] < ij[1]})
+    rational = {(i, j): {k: QQ(c, L.int_ad_table[0]) for k, c in vec.items()}
+                for i, row in enumerate(L.int_ad_table[1])
+                for j, vec in row.items()}
+    assert rational == sl2
+    variables = rng.sample(range(n), rng.randint(1, n))
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        mono = [0] * n
+        for v in variables:
+            mono[v] = rng.randint(0, degree)
+        terms[tuple(mono)] = _q(rng) or QQ(1, 3)
+    P = MultiPoly(n, terms)
+    for i in range(n):
+        assert lie_derivative_in(L, i, P) == _reference_derivative(sl2, i, P)
+
+
+@SETTINGS
 @given(st.integers(0, 10 ** 6))
 def test_is_invariant_on_fractional_constants(seed):
     rng = random.Random(seed)

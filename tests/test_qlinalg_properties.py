@@ -127,6 +127,47 @@ def test_basis_rank_and_coordinates(shape):
 
 
 @SMALL
+@given(seed=st.integers(0, 2 ** 32), rows=st.integers(1, 9),
+       cols=st.integers(1, 12), deficient=st.booleans(), sparse=st.booleans(),
+       divisible=st.booleans(), drop=st.booleans())
+def test_rank_of_integers_above_64_bits(seed, rows, cols, deficient, sparse,
+                                        divisible, drop):
+    """The rank of integer rows with entries above 2^64, full-rank or
+    deficient, dense or sparse, is the exact one: also when every entry is
+    divisible by the first prime, or when one row is another plus p e_c, so
+    that the rank mod p falls short of the rank over Q."""
+    rng = random.Random(seed)
+    p = _PRIMES[0]
+
+    def entry():
+        return rng.choice((-1, 1)) * rng.randint(1, 2 ** 70)
+
+    data = []
+    for _ in range(rows):
+        support = (rng.sample(range(cols), min(cols, rng.randint(1, 2)))
+                   if sparse else range(cols))
+        data.append({c: entry() for c in support})
+    if deficient:   # the sum of two rows, or a multiple of one
+        a, b = rng.choice(data), rng.choice(data)
+        data.append({c: a.get(c, 0) + b.get(c, 0) for c in {*a, *b}})
+    if drop:
+        c = rng.randrange(cols)
+        row = dict(rng.choice(data))
+        row[c] = row.get(c, 0) + p
+        data.append(row)
+    if divisible:
+        data = [{c: p * x for c, x in row.items()} for row in data]
+    data = [{c: x for c, x in row.items() if x} for row in data]
+    dense = [qlinalg._dense(row, cols) for row in data]
+    want = len(Basis(dense))
+    assert rank(qlinalg.IntRows(cols, data)) == want
+    assert rank(QMatrix(len(dense), cols, dense)) == want
+    if divisible:
+        assert qlinalg._rank_mod_p(_int_rows(QMatrix(len(dense), cols, dense)),
+                                   cols, p) == 0
+
+
+@SMALL
 @given(_shapes(1, 10))
 def test_inverse_on_invertible_and_singular(shape):
     seed, n, _, rnk, rational = shape
