@@ -1,7 +1,9 @@
 """Machine-readable verification tables and the row verifier.
 
-The tables ship as a human-editable record file (one record per row, see
-data/tables.tbl for the schema).  Loading re-derives two columns of every row
+The tables ship as a human-editable record file, data/tables.tbl, read by
+configparser: a [table/label] header per row, one `key = value` line per
+field and # comments.  A repeated record, field or binding is refused, and
+so is a value spanning lines.  Loading re-derives two columns of every row
 from the others:
 
     dim V // G = dim V - dim g + dim h,      ind s = dim V // G + ind h,
@@ -20,6 +22,7 @@ import ast
 import functools
 import math
 import operator
+import pathlib
 import re
 import time
 from dataclasses import dataclass, field
@@ -76,7 +79,10 @@ def eval_expr(expr, env):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "binom" and len(node.args) == 2
                 and not node.keywords):
-            return math.comb(*map(value, node.args))
+            args = [value(a) for a in node.args]
+            if min(args) < 0:
+                raise AtlasError(f"negative argument of binom in {expr!r}")
+            return math.comb(*args)
         raise AtlasError(f"bad expression {expr!r}")
 
     try:
@@ -191,7 +197,6 @@ class TableRowSpec:
     stab_template: str
     ind_expr: str
     fa: str
-    line: int = 0
 
     def instances(self):
         return self.params
@@ -267,101 +272,76 @@ def _parse_module(text, where):
     return out
 
 
-def _parse_params(text, line):
+def _parse_params(text, where):
+    """[{name: int}] of the ';'-separated instances of a params field."""
     out = []
-    for inst in text.split(";"):
-        inst = inst.strip()
-        if not inst:
-            continue
+    for inst in [i.strip() for i in text.split(";") if i.strip()]:
         env = {}
         for binding in inst.split(","):
-            k, _, v = binding.partition("=")
-            k, v = k.strip(), v.strip()
-            if not k.isidentifier() or not re.fullmatch(r"-?\d+", v):
-                raise AtlasError(f"line {line}: bad binding {binding!r}")
+            k, _, v = map(str.strip, binding.partition("="))
+            if (not k.isidentifier() or not re.fullmatch(r"-?\d+", v)
+                    or k in env):
+                raise AtlasError(f"{where}: bad binding {binding!r} in "
+                                 f"{inst!r}")
             env[k] = int(v)
         out.append(env)
     return out
 
 
-def default_atlas_path():
-    return resources.files("coadjoint") / "data" / "tables.tbl"
+_FIELDS = "family size module dim_v dim_v_mod_g stab ind fa".split()
 
 
 def load_atlas(path=None, cfg: SampleConfig = SampleConfig()):
-    """Parse the table file and run the load-time arithmetic checks."""
-    if path is None:
-        text = default_atlas_path().read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+    """Parse the table file and run the load-time arithmetic checks on every
+    instance of every row."""
+    import configparser
+
+    # no header names the section "": [DEFAULT] is refused, not inherited
+    parser = configparser.ConfigParser(
+        delimiters=("=",), comment_prefixes=("#",),
+        inline_comment_prefixes=("#",), interpolation=None, strict=True,
+        default_section="")
+    parser.optionxform = str
+    parser.SECTCRE = re.compile(r"\[(?P<header>[^]]+)\]$")  # nothing after ]
+    text = (resources.files("coadjoint") / "data" / "tables.tbl"
+            if path is None else pathlib.Path(path)).read_text()
+    try:
+        parser.read_string(text)
+    except configparser.Error as e:
+        line = e.lineno if hasattr(e, "lineno") else e.errors[0][0]
+        raise AtlasError(f"line {line}: {type(e).__name__}") from None
     rows = []
-    current = None
-    fields = {}
-    header_line = 0
-
-    def finish():
-        if current is None:
-            return
-        table, label = current
-        required = ["family", "module", "dim_v", "dim_v_mod_g", "stab", "ind",
-                    "fa", "size"]
-        for f in required:
-            if f not in fields:
-                raise AtlasError(
-                    f"line {header_line}: row {table}/{label} missing {f!r}")
-        rows.append(TableRowSpec(
-            table=table,
-            label=label,
-            family=fields["family"][0],
-            size_expr=fields["size"][0],
-            module=_parse_module(fields["module"][0],
-                                 f"line {fields['module'][1]}"),
-            params=_parse_params(*fields["params"]) if "params" in fields
-            else [{}],
-            dim_v_expr=fields["dim_v"][0],
-            dim_v_mod_g_expr=fields["dim_v_mod_g"][0],
-            stab_template=fields["stab"][0],
-            ind_expr=fields["ind"][0],
-            fa=fields["fa"][0],
-            line=header_line,
-        ))
-
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        m = re.fullmatch(r"\[(\d+)/([^\]]+)\]", line.strip())
-        if m:
-            finish()
-            current = (int(m.group(1)), m.group(2))
-            fields = {}
-            header_line = ln
-            continue
-        if current is None:
-            raise AtlasError(f"line {ln}: field outside a record")
-        k, eq, v = line.partition("=")
-        if not eq:
-            raise AtlasError(f"line {ln}: expected key = value")
-        fields[k.strip()] = (v.strip(), ln)
-    finish()
-
-    # load-time consistency of the two derivable columns, every instance
-    for row in rows:
+    for name in parser.sections():
+        m = re.fullmatch(r"(\d+)/(.+)", name)
+        if not m:
+            raise AtlasError(f"[{name}] is not a [table/label] header")
+        fields, where = parser[name], f"row {name}"
+        missing = [f for f in _FIELDS if f not in fields]
+        if missing:
+            raise AtlasError(f"{where} missing {', '.join(missing)}")
+        spanning = [f for f, v in fields.items() if "\n" in v]
+        if spanning:
+            raise AtlasError(f"{where}: {', '.join(spanning)} spans lines")
+        row = TableRowSpec(
+            table=int(m.group(1)), label=m.group(2), family=fields["family"],
+            size_expr=fields["size"],
+            module=_parse_module(fields["module"], where),
+            params=(_parse_params(fields["params"], where)
+                    if "params" in fields else [{}]),
+            dim_v_expr=fields["dim_v"], dim_v_mod_g_expr=fields["dim_v_mod_g"],
+            stab_template=fields["stab"], ind_expr=fields["ind"],
+            fa=fields["fa"])
         for env in row.instances():
             exp = row_expectations(row, env, cfg)
-            g_dim = _family_dim(row.family, exp["size"])
-            lhs = exp["dim_v"] - g_dim + exp["stab_fp"].dim
-            if lhs != exp["dim_v_mod_g"]:
-                raise AtlasError(
-                    f"line {row.line}: row {row.table}/{row.label} {env}: "
-                    f"dim V//G = {exp['dim_v_mod_g']} but dim V - dim g + "
-                    f"dim h = {lhs}")
-            if exp["dim_v_mod_g"] + exp["stab_fp"].index != exp["ind"]:
-                raise AtlasError(
-                    f"line {row.line}: row {row.table}/{row.label} {env}: "
-                    f"ind = {exp['ind']} but dim V//G + ind h = "
-                    f"{exp['dim_v_mod_g'] + exp['stab_fp'].index}")
+            fp, quot = exp["stab_fp"], exp["dim_v_mod_g"]
+            lhs = exp["dim_v"] - _family_dim(row.family, exp["size"]) + fp.dim
+            if lhs != quot:
+                raise AtlasError(f"{where} {env}: dim V//G = {quot} but "
+                                 f"dim V - dim g + dim h = {lhs}")
+            if quot + fp.index != exp["ind"]:
+                raise AtlasError(f"{where} {env}: ind = {exp['ind']} but "
+                                 f"dim V//G + ind h = {quot + fp.index}")
+        rows.append(row)
     return rows
 
 

@@ -752,43 +752,39 @@ def _conjugation(perm, signs):
                       for (k, l), x in X.items()}
 
 
-def _ambient_matrix(L: LieAlgebraData):
-    """The symbolic matrix sum x_i D_i of a matrix algebra L, {D_i} the
-    trace-dual basis of its basis matrices, as MultiPolys in the x."""
-    n = L.metadata["matrix_size"]
-    mats = L.metadata["matrices"]
-    nv = L.dim
+def _ambient_matrix(n, mats):
+    """The symbolic n x n matrix sum y_a D_a, {D_a} the trace-dual basis of
+    the basis matrices mats, as MultiPolys in the y."""
+    nv = len(mats)
     entries = [[MultiPoly(nv) for _ in range(n)] for _ in range(n)]
-    for bi, mth in enumerate(_trace_duals(mats, mats)):
-        for (i, j), c in mth.items():
-            entries[i][j] = entries[i][j] + MultiPoly.variable(nv, bi, c)
+    for a, dual in enumerate(_trace_duals(mats, mats)):
+        for (i, j), c in dual.items():
+            entries[i][j] = entries[i][j] + MultiPoly.variable(nv, a, c)
     return entries
 
 
-def _ambient_invariants(L: LieAlgebraData):
-    """Basic symmetric invariants of the ambient simple algebra, as MultiPolys
-    in the ambient basis variables.
+def _ambient_invariants(fam, n, mats):
+    """Basic symmetric invariants of the simple algebra of n x n matrices of
+    family fam, as MultiPolys in the coordinates of its basis mats.
 
-    A functional with coordinates x_i (dual basis) is represented through the
-    trace form by the matrix sum x_i D_i with {D_i} the trace-dual basis;
-    evaluating conjugation-invariant matrix functions there gives honest
-    coadjoint invariants in the x variables.  The E_k all come from one
-    expansion, at the smallest k.
+    A functional with coordinates y_a = <X, mats[a]> is represented through
+    the trace form by the matrix X = sum y_a D_a with {D_a} the trace-dual
+    basis, whatever the basis; evaluating conjugation-invariant matrix
+    functions there gives honest coadjoint invariants in the y variables.
+    The E_k all come from one expansion, at the smallest k.
     """
-    n = L.metadata["matrix_size"]
-    fam = L.metadata["family"]
-    entries = _ambient_matrix(L)
+    entries = _ambient_matrix(n, mats)
     # the even-degree E_k of so_n stop below n; for even n the Pfaffian
     # replaces E_n
     degrees = {"sl": range(2, n + 1), "sp": range(2, n + 1, 2),
                "so": range(2, n, 2)}[fam]
     memo = {}
-    out = [(k, symbolic_minor_sum(entries, L.dim, k, memo=memo))
+    out = [(k, symbolic_minor_sum(entries, len(mats), k, memo=memo))
            for k in degrees]
     if fam == "so" and n % 2 == 0:
         # X B with B the antidiagonal form: (X B)_ij = X_i,n-1-j
         out.append((n // 2, symbolic_pfaffian([row[::-1] for row in entries],
-                                              L.dim)))
+                                              len(mats))))
     return out
 
 
@@ -850,7 +846,9 @@ def z2_contraction(spec: ContractionSpec):
         plus.append([(i == j) + t.get(i, 0) for i in range(L.dim)])
         minus.append([(i == j) - t.get(i, 0) for i in range(L.dim)])
     emb, g1 = Basis(plus).rows, Basis(minus)
-    g0 = matrix_algebra(N, [_combination(row, mats) for row in emb],
+    # the matrices of the contraction's basis: g0's, then g1's
+    s_mats = [_combination(row, mats) for row in emb + g1.rows]
+    g0 = matrix_algebra(N, s_mats[:len(emb)],
                         [f"y{i + 1}" for i in range(len(emb))],
                         {"name": f"fix({L.metadata['name']})",
                          "embedding": emb})
@@ -870,12 +868,10 @@ def z2_contraction(spec: ContractionSpec):
     rep = _submodule(RepresentationData(g0, columns, L.dim, label="ad"),
                      g1.rows, "g1", g1.pivots)
     S = semidirect(g0, rep, name=f"contraction({L.metadata['name']})")
-    # transport ambient invariants into the contraction coordinates
-    images = _old_in_new(QMatrix.from_rows(emb + g1.rows))
+    # the ambient invariants, expanded in the contraction coordinates
     tops = []
     accepted_ambient = []
-    for k, amb in _ambient_invariants(L):
-        P = amb.substitute_linear(images)
+    for k, P in _ambient_invariants(L.metadata["family"], N, s_mats):
         for _ in range(40):
             top = highest_component(P, S, 1)[0]
             combo = _decompose_in_products(top, tops, S)

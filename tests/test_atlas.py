@@ -99,6 +99,92 @@ fa = +
             os.unlink(path)
 
 
+_RECORD = """[1/dup]
+family = so
+size = n
+module = phi1
+params = n=5
+dim_v = n
+dim_v_mod_g = 1
+stab = so({n-1})
+ind = 1 + (n-1)//2
+fa = +
+"""
+
+
+def _load_text(tmp_path, text):
+    path = tmp_path / "t.tbl"
+    path.write_text(text)
+    return load_atlas(str(path), CFG)
+
+
+def test_a_well_formed_record_loads(tmp_path):
+    (row,) = _load_text(tmp_path, _RECORD)
+    assert (row.table, row.label, row.fa, row.params) == (1, "dup", "+",
+                                                          [{"n": 5}])
+
+
+@pytest.mark.parametrize("text, message", [
+    (_RECORD + "fa = -\n", "line 11: DuplicateOptionError"),
+    (_RECORD + "\n" + _RECORD.replace("fa = +", "fa = -"),
+     "line 12: DuplicateSectionError"),
+    (_RECORD.replace("n=5", "n=3,n=4; n=5"), "'n=3,n=4'"),
+], ids=["field", "record", "binding"])
+def test_a_repeated_field_record_or_binding_is_refused(tmp_path, text,
+                                                       message):
+    with pytest.raises(AtlasError, match=message):
+        _load_text(tmp_path, text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[DEFAULT]\nfa = +\n" + _RECORD, r"\[DEFAULT\]"),
+    ("[oops]\n" + _RECORD.split("\n", 1)[1], r"\[oops\]"),
+    ("fa = +\n" + _RECORD, "line 1"),
+    (_RECORD.replace("[1/dup]", "[1/dup] x"), "line 1"),
+    (_RECORD.replace("fa = +", "fa = +\n  -"), "fa spans lines"),
+    (_RECORD.replace("fa = +\n", ""), "missing fa"),
+], ids=["DEFAULT", "not-table-label", "field-before-header",
+        "text-after-header", "continuation", "missing-field"])
+def test_a_malformed_record_is_refused(tmp_path, text, message):
+    with pytest.raises(AtlasError, match=message):
+        _load_text(tmp_path, text)
+
+
+def test_a_repeated_field_is_refused_under_python_O(tmp_path):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    path = tmp_path / "t.tbl"
+    path.write_text(_RECORD + "fa = -\n")
+    script = f"""
+import sys
+from coadjoint.atlas import AtlasError, load_atlas
+try:
+    assert False
+except AssertionError:
+    sys.exit(3)  # not running under -O
+try:
+    load_atlas({str(path)!r})
+except AtlasError:
+    sys.exit(0)
+sys.exit(4)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          timeout=120)
+    assert done.returncode == 0
+
+
+def test_binom_of_a_negative_number_is_an_atlas_error():
+    assert eval_expr("binom(4,2)", {}) == 6
+    for expr in ("binom(-1,2)", "binom(3,n)"):
+        with pytest.raises(AtlasError, match=r"binom\(") as err:
+            eval_expr(expr, {"n": -1})
+        assert expr in str(err.value)
+
+
 def test_named_fingerprints():
     assert named_fingerprint("G2", CFG).dim == 14
     assert named_fingerprint("G2+G2", CFG).dim == 28
@@ -441,6 +527,23 @@ def test_cli_invariants_and_report(tmp_path):
                  "--out", str(out)]) == 0
     assert main(["report", str(out)]) == 0
     assert main(["report", str(out), "--format", "json"]) == 0
+
+
+@pytest.mark.parametrize("module, cap", [("2*phi1", 8), ("phi1", 3)])
+def test_cli_invariants_exits_0_when_freeness_is_only_unchecked(module, cap,
+                                                                 capsys):
+    # sp4 |x 2 phi1 has degrees 2, 6 with b(s) = 10 > 8, and sp4 |x phi1 to
+    # degree 3 has one generator for ind s = 2: the paper marks both free,
+    # and the capped ledger leaves their count or degree sum unchecked
+    from coadjoint.cli import main
+
+    assert main(["invariants", "--family", "sp", "--size", "4",
+                 "--module", module, "--cap", str(cap)]) == 0
+    out = capsys.readouterr().out
+    assert "invariance: ok" in out and "unchecked" in out
+    assert "FAIL" not in out
+    if module == "2*phi1":
+        assert "generator degrees up to the cap: [2, 6]" in out
 
 
 def test_cli_report_prints_what_verify_printed(tmp_path, capsys):

@@ -567,8 +567,8 @@ def test_ambient_invariants_are_the_minor_sums_of_one_expansion(family, size):
     # the shared expansion equals a fresh expansion for that k alone, and
     # for so of even size the Pfaffian still comes last
     L = classical_algebra(family, size)
-    out = _ambient_invariants(L)
-    entries = _ambient_matrix(L)
+    out = _ambient_invariants(family, size, L.metadata["matrices"])
+    entries = _ambient_matrix(size, L.metadata["matrices"])
     pf = family == "so" and size % 2 == 0
     sums = out[:-1] if pf else out
     assert sums == [(k, symbolic_minor_sum(entries, L.dim, k))
