@@ -3,9 +3,10 @@
 The generator ledger scans every multidegree up to a cap, records the
 invariant dimension, the span of products of lower invariants, and the
 new-generator count (a component in the g-variables alone is proved zero
-when V is faithful, not solved); the freeness checklist then runs the
-sum-of-degrees criterion: count = ind s and sum of degrees = b(s) =
-(dim s + ind s)/2.
+when V is faithful, and one that the V-derivations' condition rows peel to
+nothing is proved zero too, neither solved); the freeness checklist then
+runs the sum-of-degrees criterion: count = ind s and sum of degrees =
+b(s) = (dim s + ind s)/2, unchecked within the cap when it does not hold.
 """
 
 from coadjoint import (
@@ -34,7 +35,7 @@ def show(S, cap):
     gens = led.generators()
     print(f"  generator degrees: {led.generator_degrees()}")
     v = freeness_checklist(S, gens, cfg)
-    print("  " + v.summary().replace("\n", "\n  "))
+    print("  " + v.summary(cap).replace("\n", "\n  "))
     print()
 
 

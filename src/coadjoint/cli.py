@@ -100,7 +100,7 @@ def cmd_invariants(args):
     degs = led.generator_degrees()
     print(f"generator degrees up to the cap: {degs}")
     v = freeness_checklist(S, led.generators(), _cfg(args))
-    print(v.summary())
+    print(v.summary(args.cap))
     return 0 if v.all_invariant else 1
 
 

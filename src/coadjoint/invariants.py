@@ -20,7 +20,11 @@ A generator ledger runs one echelon per multidegree, over the products of
 lower invariants and then the invariant basis: the accepted products span
 the decomposable part, and the accepted basis vectors are the new generators.
 A component in the g-variables alone is not solved when V is faithful: it is
-recorded as proved zero (`SemiDirectProduct.faithful` holds the proof).
+recorded as proved zero (`SemiDirectProduct.faithful` holds the proof).  The
+condition rows are peeled before any elimination (`qlinalg.peel`): a row with
+one live monomial forces its coefficient to 0.  A component that the rows of
+the V-derivations peel to nothing is recorded as proved zero as well, and
+otherwise only the rows left on the live monomials are eliminated.
 
 The polynomial kernels run on Python ints.  The ring operations keep the
 coefficient type of their inputs, so integer polynomials stay integral.
@@ -69,6 +73,7 @@ from .qlinalg import (
     VerificationError,
     as_q,
     kernel_basis,
+    peel,
     rank,
     sample_rounds,
 )
@@ -422,8 +427,9 @@ def _check_ring(L, P):
 def _supported(terms, keys, nvars):
     """{j: [(key, c e_j)]} over the terms c x^e of a dict with exponent-tuple
     keys in nvars variables, for each variable j: the terms that x_j divides,
-    each under its packed key from keys (in the order of terms).  The input
-    form of `_derive`, built in one pass."""
+    each under its key from keys (in the order of terms): a packed key, the
+    input form of `_derive`, or a (packed key, column) pair, that of
+    `_image_rows`.  Built in one pass."""
     rows = [[] for _ in range(nvars)]
     for key, (m, c) in zip(keys, terms.items()):
         for j, e in enumerate(m):
@@ -456,6 +462,26 @@ def _derive(shifts, index):
                 m2 = m + delta
                 out[m2] = get(m2, 0) + base * coef
     return out
+
+
+def _image_rows(shifts, index):
+    """A derivation in the form of `_shifts` applied to each monomial of an
+    index in the form of `_supported` keyed by (packed key, column): the
+    rows {column: nonzero coefficient} of its images, one per image
+    monomial, each written as it is met; sums that cancel are dropped, and a
+    row may be left empty."""
+    rows = {}
+    get = rows.get
+    for j, row in shifts.items():
+        terms = index.get(j, ())
+        for delta, coef in row:
+            for (m, col), base in terms:
+                image = get(m + delta)
+                if image is None:
+                    rows[m + delta] = {col: base * coef}
+                else:
+                    image[col] = image.get(col, 0) + base * coef
+    return [r if all(r.values()) else _nonzero(r) for r in rows.values()]
 
 
 def _killed(L: LieAlgebraData, P: MultiPoly, derivs) -> bool:
@@ -562,7 +588,9 @@ def invariant_space(S: SemiDirectProduct, mdeg, cap=DEFAULT_COMPONENT_CAP):
 
     mdeg is one degree per block of the splitting (g first, then each
     V-summand).  Raises ComponentTooLarge when more than cap monomials are
-    solved over (on the zero-weight path, those of weight zero)."""
+    solved over (on the zero-weight path, those of weight zero); the cap is
+    read before any row is built.  A component that the V-derivations' rows
+    peel to nothing comes back as `ProvedZero(PEEL_PROOF)` (`_killed_by`)."""
     weights, derivs = S.weight_data
     count = (component_size(S, mdeg) if weights is None
              else _weighted_size(S, mdeg, weights))
@@ -586,27 +614,47 @@ def _killed_by(S, derivs, monos):
     The columns run over `monos` in reverse, so each vector of kernel_basis's
     normal form, 1 at its free column, 0 at the others and otherwise on later
     monomials, is a row of that (unique) reduced echelon form.  The monomials
-    are indexed by variable once (`_supported`), each key tagged with its
-    column, and every derivation walks only the variables it moves."""
+    are indexed by variable once (`_supported`), each under its packed key
+    and its column, and every derivation walks only the variables it moves,
+    writing each image straight into its row (`_image_rows`).
+
+    The rows are built and peeled in two stages (`peel`): a row whose only
+    live column is x_m forces the coefficient of x_m to 0.  First the
+    V-derivations' rows: when they peel every column, the component is zero
+    and `ProvedZero(PEEL_PROOF)` says so, with no kernel run.  Otherwise the
+    dead monomials leave the index, the other derivations' rows are built on
+    the live monomials only (their entries at dead columns would multiply a
+    zero), and all rows are peeled again.  Only the core, the rows left on
+    the live columns, goes to `kernel_basis`.  The peeled rows form a
+    nonsingular triangular block on the dead columns and are zero on the
+    live ones, so the kernel is the core's with 0 at every dead monomial;
+    no free column of the reduced echelon form is dead, so the core's normal
+    form, embedded, is the whole system's, and the basis is the same."""
     table = S.total.int_ad_table[1]
     w = _width(max(map(sum, monos)))
-    # each monomial's column rides above its exponent digits, which no
-    # derivation step carries into, so one pass per derivation keeps the
-    # images of different monomials apart
-    high = 8 * w * S.dim
-    low = (1 << high) - 1
-    rev = dict.fromkeys(monos[::-1], 1)
-    index = _supported(rev, (m + (col << high) for col, m in
-                             enumerate(_pack(rev, S.dim, w).keys())), S.dim)
-    rows = []
-    for i in derivs:
-        image = {}
-        for m2, c in _derive(_shifts(table[i], w, index), index).items():
-            if c:
-                image.setdefault(m2 & low, {})[m2 >> high] = c
-        rows.extend(image.values())
-    ker = kernel_basis(IntRows(len(rev), rows))
-    return [MultiPoly(S.dim, {m: c for c, m in zip(v, rev) if c != 0})
+    terms = dict.fromkeys(monos[::-1], 1)
+    rev = list(terms)
+    index = _supported(terms, ((key, col) for col, key in
+                               enumerate(_pack(terms, S.dim, w))), S.dim)
+
+    def rows_of(stage, index):
+        return itertools.chain.from_iterable(
+            _image_rows(_shifts(table[i], w, index), index) for i in stage)
+
+    live, core = peel(rows_of([i for i in derivs if i >= S.dim_g], index),
+                      len(rev))
+    if not live:
+        return ProvedZero(PEEL_PROOF)
+    if len(live) < len(rev):
+        at = dict(zip(live, range(len(live))))
+        index = {j: kept for j, kept in (
+            (j, [((key, at[col]), e) for (key, col), e in pairs if col in at])
+            for j, pairs in index.items()) if kept}
+        rev = [rev[c] for c in live]
+    more, core = peel(itertools.chain(core.data, rows_of(
+        [i for i in derivs if i < S.dim_g], index)), len(rev))
+    ker = kernel_basis(core)
+    return [MultiPoly(S.dim, {rev[c]: x for c, x in zip(more, v) if x != 0})
             for v in reversed(ker)]
 
 
@@ -616,6 +664,16 @@ def _killed_by(S, derivs, monos):
 
 
 FAITHFUL_PROOF = "V faithful: no g-only invariant"
+PEEL_PROOF = "peeled: the V-derivations force every coefficient to 0"
+
+
+class ProvedZero(list):
+    """An empty invariant basis that a proof decided, with no kernel run;
+    `proof` names it."""
+
+    def __init__(self, proof):
+        super().__init__()
+        self.proof = proof
 
 
 @dataclass
@@ -687,7 +745,8 @@ def generator_ledger(S: SemiDirectProduct, cap: int,
     VerificationError.  When V is faithful, a component in the g-variables
     alone is recorded as proved zero (`FAITHFUL_PROOF`), whatever its size;
     other components over the monomial cap are recorded as skipped entries
-    instead of being attempted.
+    instead of being attempted.  A component that the V-derivations peel to
+    nothing is recorded as proved zero too (`PEEL_PROOF`).
     """
     if cap < 1:
         raise ValueError(f"a generator ledger needs a degree cap >= 1, "
@@ -706,6 +765,7 @@ def generator_ledger(S: SemiDirectProduct, cap: int,
             except ComponentTooLarge:
                 led.entries.append(LedgerEntry(mdeg, -1, -1, -1, skipped=True))
                 continue
+            proof = basis.proof if isinstance(basis, ProvedZero) else None
             dec = _decomposable_products(S, mdeg, led.bases)
             polys = dec + basis
             monos = sorted({m for P in polys for m in P.terms}, reverse=True)
@@ -716,7 +776,8 @@ def generator_ledger(S: SemiDirectProduct, cap: int,
             new = [polys[t] for t in span.accepted if t >= len(dec)]
             led.bases[mdeg], led.new[mdeg] = basis, new
             led.entries.append(LedgerEntry(mdeg, len(basis),
-                                           len(basis) - len(new), len(new)))
+                                           len(basis) - len(new), len(new),
+                                           proof=proof))
     return led
 
 
@@ -783,19 +844,21 @@ class FreenessVerdict:
         return (self.all_invariant and self.independent
                 and self.count_matches_index and self.degree_sum_matches_b)
 
-    def summary(self):
+    def summary(self, cap):
         """Only invariance can fail: a sampled Jacobian of full rank proves
         independence but a lower one does not refute it, and a count or a
-        degree sum off the criterion leaves freeness undecided."""
+        degree sum off the criterion, over a ledger to degree cap, leaves
+        freeness undecided within that cap."""
+        unchecked = f"unchecked within cap {cap}"
         lines = [
             f"invariance: {'ok' if self.all_invariant else 'FAIL'}",
             "independence: "
             f"{'ok' if self.independent else 'not established'}",
             f"count = {self.count}, ind s = {self.index_s}: "
-            f"{'ok' if self.count_matches_index else 'unchecked'}",
+            f"{'ok' if self.count_matches_index else unchecked}",
             f"sum deg = {'+'.join(map(str, self.degrees))} = {self.degree_sum}, "
             f"b(s) = {self.b_s}: "
-            f"{'ok' if self.degree_sum_matches_b else 'unchecked'}",
+            f"{'ok' if self.degree_sum_matches_b else unchecked}",
         ]
         return "\n".join(lines)
 

@@ -32,7 +32,9 @@ takes it to the inputs.  Exact ranks and kernels, subalgebras, invariant
 spaces, changes of basis, `inverse` and `solve_right` all go through it.
 `UnitBasis` is the one coordinates reader: a basis that is 1 at its own unit
 column and 0 at the others' (reduced rows at their pivots, stabilisers,
-submodules) is read at its unit columns, with no elimination.
+submodules) is read at its unit columns, with no elimination.  `peel` runs
+before an elimination where most columns are forced to zero: a row with one
+live column kills it, and only the core of rows on the live columns is left.
 
 `ModMatrix` is a matrix over F_p, ranked by `_mod_echelon`: sampled generic
 ranks are taken mod p at points from `sample_mod_p`.
@@ -566,6 +568,67 @@ def kernel_basis(m):
     if kernel is None:
         return _kernel_exact_small(a, m.cols)
     return [v[::-1] for v in reversed(Basis([v[::-1] for v in kernel]).rows)]
+
+
+def peel(a, cols):
+    """(live, core) of the sparse integer rows a, each {column: nonzero int},
+    in cols columns: the first, exact stage of structured Gaussian
+    elimination (LaMacchia and Odlyzko, CRYPTO '90).  a may be any iterable,
+    read once: a row that kills a column as it is read is not kept, and
+    neither is an empty one.
+
+    A row whose only live column is j forces x_j = 0 in every kernel vector,
+    so j dies; repeat until no row has exactly one live column.  live lists
+    the columns left, increasing; core is the rows restricted to them, as
+    `IntRows` on len(live) columns renumbered in that order, rows with no
+    live column dropped.  With the dead columns taken in the order they
+    died, the rows that killed them are a nonsingular triangular block on
+    those columns and zero on the live ones.  So rank a = #dead + rank core,
+    and the kernel of a is the kernel of core with 0 at every dead column.
+    No dead column is free in a's reduced echelon form (every kernel vector
+    is 0 there), so `kernel_basis` of a is that of core, embedded with 0 at
+    the dead columns: the same normal form, entry for entry."""
+    dead = bytearray(cols)
+    # one pass in row order kills what it meets on the way and keeps only
+    # the other rows: on the systems of the invariant spaces that is most of
+    # what dies, and a small share of the rows
+    rest = []
+    for row in a:
+        live = [c for c in row if not dead[c]]
+        if len(live) == 1:
+            dead[live[0]] = 1
+        elif live:
+            rest.append(row)
+    if not any(dead):
+        # nothing died, so every row kept still has two live columns or more
+        return list(range(cols)), IntRows(cols, rest)
+    # the rows it leaves are peeled to the end, each column killed once,
+    # through the rows that hold each live column and their live counts
+    holders = {}
+    count = []
+    for r, row in enumerate(rest):
+        live = [c for c in row if not dead[c]]
+        for c in live:
+            holders.setdefault(c, []).append(r)
+        count.append(len(live))
+    stack = [r for r, n in enumerate(count) if n == 1]
+    while stack:
+        r = stack.pop()
+        if count[r] != 1:
+            continue    # its last live column died meanwhile
+        j = next(c for c in rest[r] if not dead[c])
+        dead[j] = 1
+        for r2 in holders[j]:
+            count[r2] -= 1
+            if count[r2] == 1:
+                stack.append(r2)
+    live = [c for c in range(cols) if not dead[c]]
+    at = [0] * cols
+    for t, c in enumerate(live):
+        at[c] = t
+    core = [{at[c]: x for c, x in row.items() if not dead[c]}
+            for row, n in zip(rest, count) if n]
+    return live, IntRows(len(live), core)
 
 
 def _kernel_exact_small(a, nc):

@@ -6,6 +6,7 @@ import pytest
 from coadjoint.constructions import ContractionSpec, takiff, z2_contraction
 from coadjoint.invariants import (
     FAITHFUL_PROOF,
+    PEEL_PROOF,
     ComponentTooLarge,
     MultiPoly,
     freeness_checklist,
@@ -14,9 +15,10 @@ from coadjoint.invariants import (
     is_invariant,
     jacobian_independent,
     lie_derivative,
+    monomials_of_block_degrees,
 )
 from coadjoint.liealg import classical_algebra
-from coadjoint.qlinalg import QQ, SampleConfig, VerificationError
+from coadjoint.qlinalg import QQ, SampleConfig, VerificationError, _kernel_exact_small
 from coadjoint.repn import adjoint_rep, standard_rep, trivial_rep
 from coadjoint.semidirect import semidirect
 
@@ -117,7 +119,7 @@ def test_ledger_records_skipped_components():
     skipped = led.skipped_entries()
     assert all(e.skipped for e in skipped)
     assert {e.multidegree for e in skipped} == {(1, 2)}
-    assert led.proofs() == {FAITHFUL_PROOF: [(1, 0), (2, 0), (3, 0)]}
+    assert led.proofs()[FAITHFUL_PROOF] == [(1, 0), (2, 0), (3, 0)]
     # the degree-3 generator lives at (1, 2): found once the cap admits it
     assert led.generator_degrees() == []
     assert generator_ledger(S, 3, component_cap=12).generator_degrees() == [3]
@@ -180,8 +182,8 @@ def test_faithful_proof_equals_the_solver(name):
         e = entries[mdeg]
         assert (e.dim_invariant, e.dim_decomposable, e.new_generators,
                 e.skipped, e.proof) == (0, 0, 0, False, FAITHFUL_PROOF)
-    assert led.proofs() == {FAITHFUL_PROOF: [(a,) + zeros
-                                             for a in range(1, cap + 1)]}
+    assert led.proofs()[FAITHFUL_PROOF] == [(a,) + zeros
+                                            for a in range(1, cap + 1)]
 
 
 def test_unfaithful_modules_are_solved():
@@ -193,11 +195,59 @@ def test_unfaithful_modules_are_solved():
     S = _contraction("so-gl", (2,))
     assert not S.faithful
     led = generator_ledger(S, 4)
-    assert led.proofs() == {}
+    assert FAITHFUL_PROOF not in led.proofs()
     entries = {e.multidegree: e for e in led.entries}
     for mdeg in ((2, 0), (4, 0)):
         assert entries[mdeg].dim_invariant == 1
         assert entries[mdeg].proof is None
+
+
+def _unpeeled_kernel(S, mdeg):
+    """The kernel of every condition row of the component, with no peeling:
+    one row per (derivation, image monomial), built from `lie_derivative`
+    of each monomial, solved by exact elimination."""
+    weights, derivs = S.weight_data
+    monos = monomials_of_block_degrees(S, mdeg, weights)
+    rows = {}
+    for col, m in enumerate(monos):
+        for i in derivs:
+            for m2, c in lie_derivative(S, i, MultiPoly(S.dim, {m: QQ(1)})
+                                        ).terms.items():
+                rows.setdefault((i, m2), {})[col] = c
+    return _kernel_exact_small(list(rows.values()), len(monos))
+
+
+PEEL_PRODUCTS = {
+    "sp4|x k4": (S_sp4k4, 5),
+    "so5|x k5": (lambda: _standard("so", 5), 4),
+    "so-so(3,1)": (lambda: _contraction("so-so", (3, 1)), 4),
+}
+
+
+@pytest.mark.parametrize("name", PEEL_PRODUCTS)
+def test_peel_proof_equals_the_solver(name):
+    """Every component that the V-derivations peel to nothing is zero for
+    the unpeeled solver too, a component with an invariant is never marked
+    proved, and every solved component has the unpeeled solver's dimension.
+    so5 |x k5 peels (3, 1) and so-so(3,1) peels (2, 1) and (3, 1); sp4 |x k4
+    has no such component."""
+    build, cap = PEEL_PRODUCTS[name]
+    S = build()
+    led = generator_ledger(S, cap)
+    peeled = led.proofs().get(PEEL_PROOF, [])
+    assert bool(peeled) == (name != "sp4|x k4")
+    for e in led.entries:
+        if e.proof == PEEL_PROOF:
+            assert (e.dim_invariant, e.dim_decomposable, e.new_generators,
+                    e.skipped) == (0, 0, 0, False)
+            assert _unpeeled_kernel(S, e.multidegree) == []
+            assert invariant_space(S, e.multidegree) == []
+        if e.dim_invariant > 0:
+            assert e.proof is None
+        if e.proof is None and not e.skipped:
+            assert len(_unpeeled_kernel(S, e.multidegree)) == e.dim_invariant
+    assert peeled == [e.multidegree for e in led.entries
+                      if e.proof == PEEL_PROOF]
 
 
 def test_ledger_sp2k2():
@@ -339,3 +389,19 @@ def test_cli_names_the_proved_entries(capsys):
     out = capsys.readouterr().out
     assert "proved" not in out
     assert "  (2, 0): invariants 1, decomposable 0, new 1" in out.splitlines()
+
+
+def test_cli_names_the_cap_and_the_peeled_entries(capsys):
+    """so5 |x k5's (3, 1), peeled to nothing by the V-derivations, prints
+    like the faithful proof's entries; sp4 |x k4 to degree 3 finds one
+    generator for ind s = 2, a count unchecked within that cap."""
+    from coadjoint.cli import main
+
+    assert main(["invariants", "--family", "so", "--size", "5",
+                 "--module", "phi1", "--cap", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"  (3, 1): zero, proved ({PEEL_PROOF})" in lines
+    assert main(["invariants", "--family", "sp", "--size", "4",
+                 "--module", "phi1", "--cap", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "count = 1, ind s = 2: unchecked within cap 3" in lines

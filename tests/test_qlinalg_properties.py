@@ -5,7 +5,8 @@ their kernels are nontrivial.  Entries are integers, or rationals with
 denominators in {1, 2, 4} (the denominators of the spin modules).  The
 integer coordinates of `Basis`, rational reconstruction, the int64 guards of
 the modular path and its exact verification have their own tests below, and
-so do tall sparse integer systems on both sides of the sparsity selection.
+so do tall sparse integer systems on both sides of the sparsity selection,
+and the peeling of singleton rows on systems with planted singleton chains.
 """
 
 import math
@@ -31,6 +32,7 @@ from coadjoint.qlinalg import (
     SampleConfig,
     inverse,
     kernel_basis,
+    peel,
     rank,
     sample_rounds,
     sample_vector,
@@ -649,3 +651,75 @@ def test_a_corrupted_sparse_lift_never_reaches_the_kernel(monkeypatch,
     assert kernel_basis(m) == expected
     assert rank(m) == nc - len(expected)
     assert seen
+
+
+def _peelable_system(seed, nc, chain, leftover, rnk):
+    """Integer rows in nc columns, shuffled: a planted chain of `chain`
+    columns, each killed by a row that is nonzero on it and otherwise only
+    on the columns killed before it, then `leftover` dense rows of rank at
+    most rnk on the other columns, each also holding a few entries on the
+    chain's columns.  Returns (rows, the chain's columns)."""
+    rng = random.Random(seed)
+    order = rng.sample(range(nc), nc)
+    dead, rest = order[:chain], order[chain:]
+    rows = []
+    for t, c in enumerate(dead):
+        row = {c: rng.choice((-3, -2, -1, 1, 2, 3))}
+        for e in rng.sample(dead[:t], min(t, rng.randrange(3))):
+            row[e] = rng.randint(-4, 4) or 1
+        rows.append(row)
+    factors = [{c: rng.randint(-2, 2) for c in rest} for _ in range(rnk)]
+    for _ in range(leftover):
+        acc = {}
+        for f in factors:
+            a = rng.randint(-2, 2)
+            for c, x in f.items():
+                acc[c] = acc.get(c, 0) + a * x
+        for e in rng.sample(dead, min(len(dead), rng.randrange(3))):
+            acc[e] = acc.get(e, 0) + rng.randint(-3, 3)
+        rows.append({c: x for c, x in acc.items() if x})
+    rng.shuffle(rows)
+    return [r for r in rows if r], dead
+
+
+@pytest.mark.parametrize("size", [(2, 14), (_BAREISS_CUTOFF + 1,
+                                            _BAREISS_CUTOFF + 12)])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), data=st.data())
+def test_peeled_core_has_the_kernel_and_rank_of_the_system(size, seed, data):
+    """The core's kernel, with 0 at the dead columns, is kernel_basis of the
+    whole system in values and entry types, rank is #dead + rank(core), the
+    planted chain is dead, and no core row is left with one live column.
+    The rows are handed over as an iterator, read once.  The larger systems
+    take the modular path whole, while their cores may not."""
+    nc = data.draw(st.integers(*size))
+    chain = data.draw(st.integers(0, nc))
+    leftover = data.draw(st.integers(0, nc))
+    rnk = data.draw(st.integers(0, nc - chain))
+    rows, planted = _peelable_system(seed, nc, chain, leftover, rnk)
+    live, core = peel(iter(rows), nc)
+    assert live == sorted(live) and not set(planted) & set(live)
+    assert core.cols == len(live)
+    assert all(len(r) >= 2 and all(x for x in r.values()) for r in core.data)
+    embedded = []
+    for v in kernel_basis(core):
+        x = [Fraction(0)] * nc
+        for c, a in zip(live, v):
+            x[c] = a
+        embedded.append(x)
+    whole = kernel_basis(qlinalg.IntRows(nc, rows))
+    assert embedded == whole
+    assert [list(map(type, v)) for v in embedded] == [
+        list(map(type, v)) for v in whole]
+    assert rank(qlinalg.IntRows(nc, rows)) == nc - len(live) + rank(core)
+
+
+def test_peel_follows_a_chain_to_the_end():
+    """x_0 = 0 from the singleton row, then x_1 from the row on (0, 1), and
+    so on: every column dies, and nothing is left for elimination; a row on
+    two columns that no singleton reaches keeps both."""
+    rows = [{t - 1: 5, t: -2} for t in range(1, 6)] + [{0: 3}]
+    live, core = peel(rows, 6)
+    assert live == [] and core.cols == 0 and core.data == []
+    live, core = peel([{0: 1, 1: 1}, {2: 7}], 3)
+    assert live == [0, 1] and core.data == [{0: 1, 1: 1}]
