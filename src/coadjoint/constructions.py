@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from .invariants import (
     MultiPoly,
     _bounded,
+    _degrees,
     _int_terms,
     _int_value,
     _killed,
@@ -45,6 +46,7 @@ from .invariants import (
     _over,
     _pack,
     _scaled,
+    _unit,
     _unpack,
     _width,
     is_invariant,
@@ -290,11 +292,9 @@ def _minor_sums_int(entries, nvars, k, bounds):
             row.append(p)
         ext.append(row)
     w, det = _det_int(ext, nvars + 1, [*bounds, ([nvars], N - k)])
-    shift = 8 * w * nvars
-    low = (1 << shift) - 1
     out = {kk: (D, w, {}) for kk in range(k, N + 1)}
-    for m, c in det.items():
-        out[N - (m >> shift)][2][m & low] = c
+    for (m, c), e in zip(det.items(), _degrees(det, [nvars], w)):
+        out[N - e][2][m - e * _unit(nvars, w)] = c
     return out
 
 
@@ -582,14 +582,10 @@ def e_delta_restricted(layout: MatrixRealisation, k: int) -> EDeltaResult:
     bounds = [([tvar], m)] + ([(cvars, 1)] if cvars else [])
     D, wk, terms = _minor_sum_int(entries, nv, k, bounds, layout.minor_sums)
     # the expansion is selected on its packed keys, read digit by digit, and
-    # only the terms kept are unpacked
-    mask = (1 << 8 * wk) - 1
-
-    def digit(mono, v):
-        return (mono >> 8 * wk * v) & mask
-
-    # top f-degree = degree in t; the lemmas give exactly m for even k >= 2m
-    fdeg = max((digit(mono, tvar) for mono in terms), default=0)
+    # only the terms kept are unpacked; the top f-degree is the degree in t,
+    # and the lemmas give exactly m for even k >= 2m
+    tdeg = _degrees(terms, [tvar], wk)
+    fdeg = max(tdeg, default=0)
     if fdeg != m:
         raise VerificationError(
             f"f-degree of Delta_{k} on the layout is {fdeg}, not {m}")
@@ -598,10 +594,10 @@ def e_delta_restricted(layout: MatrixRealisation, k: int) -> EDeltaResult:
     delta_prime = None
     h_terms = {}
     dp_terms = {}
-    for mono, c in terms.items():
-        if digit(mono, tvar) != m:
+    for (mono, c), t, cdeg in zip(terms.items(), tdeg,
+                                  _degrees(terms, cvars, wk)):
+        if t != m:
             continue
-        cdeg = sum(digit(mono, cv) for cv in cvars)
         if cdeg == 0:
             h_terms[mono] = c
         elif cdeg == 1 and m == 1:
@@ -612,12 +608,9 @@ def e_delta_restricted(layout: MatrixRealisation, k: int) -> EDeltaResult:
     # coordinate: 0 drops the centre variable on the hyperplane, None marks a
     # coordinate with no target; E_k has degree k, so width _width(k) fits
     w = _width(k)
-    shifts = []
-    for ci in keep:
-        coord = layout.coords[ci]
-        shifts.append(0 if coord.kind == "C" else
-                      None if coord.target is None else
-                      1 << 8 * w * coord.target)
+    shifts = [0 if coord.kind == "C" else
+              None if coord.target is None else _unit(coord.target, w)
+              for coord in (layout.coords[ci] for ci in keep)]
 
     def remap(terms):
         out = {}

@@ -283,20 +283,28 @@ def _unpack(terms, nvars, w):
     return {unpack(m.to_bytes(size, "little")): c for m, c in terms.items()}
 
 
+def _unit(v, w):
+    """The packed key of width w of the monomial x_v: 256^(w v)."""
+    return 1 << 8 * w * v
+
+
+def _degrees(keys, variables, w):
+    """The degree in variables of each packed key of width w, in order."""
+    mask = (1 << 8 * w) - 1
+    shifts = [8 * w * v for v in variables]
+    if len(shifts) == 1:
+        s, = shifts
+        return [(m >> s) & mask for m in keys]
+    return [sum((m >> s) & mask for s in shifts) for m in keys]
+
+
 def _bounded(terms, bounds, w):
     """The nonzero packed terms whose degree in the variables of each
-    (variables, cap) of bounds is at most cap, read digit by digit."""
-    mask = (1 << 8 * w) - 1
-    out = _nonzero(terms)
-    for variables, cap in bounds:
-        shifts = [8 * w * v for v in variables]
-        if len(shifts) == 1:
-            s = shifts[0]
-            out = {m: c for m, c in out.items() if (m >> s) & mask <= cap}
-        else:
-            out = {m: c for m, c in out.items()
-                   if sum((m >> s) & mask for s in shifts) <= cap}
-    return out
+    (variables, cap) of bounds is at most cap, kept in one pass."""
+    within = [[d <= cap for d in _degrees(terms, variables, w)]
+              for variables, cap in bounds]
+    return dict(itertools.compress(terms.items(),
+                                   map(all, zip(terms.values(), *within))))
 
 
 def _mul_into(acc, p, q, sign=1):
@@ -431,10 +439,10 @@ def _supported(terms, keys, nvars):
     input form of `_derive`, or a (packed key, column) pair, that of
     `_image_rows`.  Built in one pass."""
     rows = [[] for _ in range(nvars)]
+    variables = range(nvars)
     for key, (m, c) in zip(keys, terms.items()):
-        for j, e in enumerate(m):
-            if e:
-                rows[j].append((key, c * e))
+        for j in itertools.compress(variables, m):
+            rows[j].append((key, c * m[j]))
     return {j: row for j, row in enumerate(rows) if row}
 
 
@@ -442,8 +450,7 @@ def _shifts(row, w, used):
     """The derivation sending x_j to row[j] = {k: coeff}, for the j in used,
     as {j: [(256^(w k) - 256^(w j), coeff)]}: adding a shift to the packed
     key of width w of a monomial divisible by x_j trades one x_j for x_k."""
-    b = 8 * w
-    return {j: [((1 << b * k) - (1 << b * j), c) for k, c in vec.items()]
+    return {j: [(_unit(k, w) - _unit(j, w), c) for k, c in vec.items()]
             for j, vec in row.items() if j in used}
 
 
@@ -618,43 +625,45 @@ def _killed_by(S, derivs, monos):
     and its column, and every derivation walks only the variables it moves,
     writing each image straight into its row (`_image_rows`).
 
-    The rows are built and peeled in two stages (`peel`): a row whose only
-    live column is x_m forces the coefficient of x_m to 0.  First the
-    V-derivations' rows: when they peel every column, the component is zero
-    and `ProvedZero(PEEL_PROOF)` says so, with no kernel run.  Otherwise the
-    dead monomials leave the index, the other derivations' rows are built on
-    the live monomials only (their entries at dead columns would multiply a
-    zero), and all rows are peeled again.  Only the core, the rows left on
-    the live columns, goes to `kernel_basis`.  The peeled rows form a
-    nonsingular triangular block on the dead columns and are zero on the
-    live ones, so the kernel is the core's with 0 at every dead monomial;
-    no free column of the reduced echelon form is dead, so the core's normal
-    form, embedded, is the whole system's, and the basis is the same."""
+    The rows are built and peeled in two stages on one dead-column mask
+    (`peel`): a row whose only live column is x_m forces the coefficient of
+    x_m to 0.  First the V-derivations' rows: when they peel every column,
+    the component is zero and `ProvedZero(PEEL_PROOF)` says so, with no
+    kernel run.  Otherwise the other derivations' rows are built on the live
+    monomials only and peeled with the first stage's survivors; then the
+    live columns are renumbered once, each survivor popped as it is copied
+    into the core for `kernel_basis`.  The peeled rows form a nonsingular
+    triangular block on the dead columns and are zero on the live ones, so
+    the kernel is the core's with 0 at every dead monomial; no free column
+    of the reduced echelon form is dead, so the core's normal form,
+    embedded, is the whole system's."""
     table = S.total.int_ad_table[1]
     w = _width(max(map(sum, monos)))
     terms = dict.fromkeys(monos[::-1], 1)
     rev = list(terms)
     index = _supported(terms, ((key, col) for col, key in
                                enumerate(_pack(terms, S.dim, w))), S.dim)
+    dead = bytearray(len(rev))
 
     def rows_of(stage, index):
         return itertools.chain.from_iterable(
             _image_rows(_shifts(table[i], w, index), index) for i in stage)
 
-    live, core = peel(rows_of([i for i in derivs if i >= S.dim_g], index),
-                      len(rev))
-    if not live:
+    rows = peel(rows_of([i for i in derivs if i >= S.dim_g], index), dead)
+    if all(dead):
         return ProvedZero(PEEL_PROOF)
-    if len(live) < len(rev):
-        at = dict(zip(live, range(len(live))))
-        index = {j: kept for j, kept in (
-            (j, [((key, at[col]), e) for (key, col), e in pairs if col in at])
-            for j, pairs in index.items()) if kept}
-        rev = [rev[c] for c in live]
-    more, core = peel(itertools.chain(core.data, rows_of(
-        [i for i in derivs if i < S.dim_g], index)), len(rev))
-    ker = kernel_basis(core)
-    return [MultiPoly(S.dim, {rev[c]: x for c, x in zip(more, v) if x != 0})
+    if any(dead):
+        index = {j: [p for p in pairs if not dead[p[0][1]]]
+                 for j, pairs in index.items()}
+    rows = peel(itertools.chain(rows, rows_of(
+        [i for i in derivs if i < S.dim_g], index)), dead)
+    live = [c for c in range(len(rev)) if not dead[c]]
+    at = dict(zip(live, range(len(live))))
+    rows.reverse()
+    core = [{at[c]: x for c, x in rows.pop().items()}
+            for _ in range(len(rows))]
+    ker = kernel_basis(IntRows(len(live), core))
+    return [MultiPoly(S.dim, {rev[c]: x for c, x in zip(live, v) if x != 0})
             for v in reversed(ker)]
 
 

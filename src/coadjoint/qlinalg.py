@@ -34,7 +34,8 @@ spaces, changes of basis, `inverse` and `solve_right` all go through it.
 column and 0 at the others' (reduced rows at their pivots, stabilisers,
 submodules) is read at its unit columns, with no elimination.  `peel` runs
 before an elimination where most columns are forced to zero: a row with one
-live column kills it, and only the core of rows on the live columns is left.
+live column kills it, in a dead-column mask that the caller keeps across
+peels, and the caller renumbers the live columns once.
 
 `ModMatrix` is a matrix over F_p, ranked by `_mod_echelon`: sampled generic
 ranks are taken mod p at points from `sample_mod_p`.
@@ -570,65 +571,61 @@ def kernel_basis(m):
     return [v[::-1] for v in reversed(Basis([v[::-1] for v in kernel]).rows)]
 
 
-def peel(a, cols):
-    """(live, core) of the sparse integer rows a, each {column: nonzero int},
-    in cols columns: the first, exact stage of structured Gaussian
-    elimination (LaMacchia and Odlyzko, CRYPTO '90).  a may be any iterable,
-    read once: a row that kills a column as it is read is not kept, and
-    neither is an empty one.
-
-    A row whose only live column is j forces x_j = 0 in every kernel vector,
-    so j dies; repeat until no row has exactly one live column.  live lists
-    the columns left, increasing; core is the rows restricted to them, as
-    `IntRows` on len(live) columns renumbered in that order, rows with no
-    live column dropped.  With the dead columns taken in the order they
-    died, the rows that killed them are a nonsingular triangular block on
-    those columns and zero on the live ones.  So rank a = #dead + rank core,
-    and the kernel of a is the kernel of core with 0 at every dead column.
-    No dead column is free in a's reduced echelon form (every kernel vector
-    is 0 there), so `kernel_basis` of a is that of core, embedded with 0 at
-    the dead columns: the same normal form, entry for entry."""
-    dead = bytearray(cols)
+def peel(a, dead):
+    """The rows of a that peeling leaves: the first, exact stage of
+    structured Gaussian elimination (LaMacchia and Odlyzko, CRYPTO '90).  a
+    is any iterable of rows {column: nonzero int}, read once; dead is the
+    caller's mask, a bytearray with one byte per column.  A row whose only
+    live column is j forces x_j = 0 in every kernel vector, so j dies and is
+    marked in dead, until no row has exactly one live column.  The rows left
+    with a live column come back in the order read, the same dicts with
+    their dead entries deleted (a row dropped may be changed too), in the
+    caller's numbering, so a later peel takes them on the same mask.  Taken
+    in the order they died, the dead columns carry the rows that killed
+    them (over every peel on the mask) as a nonsingular triangular block
+    that is zero on the live columns.  So rank = #dead + the rank of the
+    rows left, and the kernel is theirs on the live columns with 0 at the
+    dead ones; no dead column is free in the reduced echelon form, so
+    `kernel_basis` of the rows left, renumbered onto the live columns and
+    embedded with 0 at the dead ones, is that of all the rows, entry for
+    entry."""
     # one pass in row order kills what it meets on the way and keeps only
     # the other rows: on the systems of the invariant spaces that is most of
     # what dies, and a small share of the rows
-    rest = []
+    rest, killed = [], False
     for row in a:
         live = [c for c in row if not dead[c]]
         if len(live) == 1:
             dead[live[0]] = 1
+            killed = True
         elif live:
+            if len(live) < len(row):
+                for c in [c for c in row if dead[c]]:
+                    del row[c]
             rest.append(row)
-    if not any(dead):
+    if not killed:
         # nothing died, so every row kept still has two live columns or more
-        return list(range(cols)), IntRows(cols, rest)
-    # the rows it leaves are peeled to the end, each column killed once,
-    # through the rows that hold each live column and their live counts
+        return rest
+    # the rows it leaves are peeled to the end, each column killed once and
+    # deleted from the rows that hold it, so a row's length is its live count
     holders = {}
-    count = []
     for r, row in enumerate(rest):
-        live = [c for c in row if not dead[c]]
-        for c in live:
+        for c in [c for c in row if dead[c]]:
+            del row[c]
+        for c in row:
             holders.setdefault(c, []).append(r)
-        count.append(len(live))
-    stack = [r for r, n in enumerate(count) if n == 1]
+    stack = [r for r, row in enumerate(rest) if len(row) == 1]
     while stack:
-        r = stack.pop()
-        if count[r] != 1:
+        row = rest[stack.pop()]
+        if len(row) != 1:
             continue    # its last live column died meanwhile
-        j = next(c for c in rest[r] if not dead[c])
+        j, = row
         dead[j] = 1
-        for r2 in holders[j]:
-            count[r2] -= 1
-            if count[r2] == 1:
-                stack.append(r2)
-    live = [c for c in range(cols) if not dead[c]]
-    at = [0] * cols
-    for t, c in enumerate(live):
-        at[c] = t
-    core = [{at[c]: x for c, x in row.items() if not dead[c]}
-            for row, n in zip(rest, count) if n]
-    return live, IntRows(len(live), core)
+        for r in holders[j]:
+            del rest[r][j]
+            if len(rest[r]) == 1:
+                stack.append(r)
+    return [row for row in rest if row]
 
 
 def _kernel_exact_small(a, nc):

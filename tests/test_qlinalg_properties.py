@@ -9,6 +9,7 @@ so do tall sparse integer systems on both sides of the sparsity selection,
 and the peeling of singleton rows on systems with planted singleton chains.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -682,6 +683,26 @@ def _peelable_system(seed, nc, chain, leftover, rnk):
     return [r for r in rows if r], dead
 
 
+def _renumbered(kept, dead):
+    """(live, core): the columns that dead leaves alive, increasing, and the
+    rows that peel kept renumbered onto them, as IntRows."""
+    live = [c for c in range(len(dead)) if not dead[c]]
+    at = {c: t for t, c in enumerate(live)}
+    return live, qlinalg.IntRows(
+        len(live), [{at[c]: x for c, x in r.items()} for r in kept])
+
+
+def _embedded_kernel(live, core, nc):
+    """kernel_basis of core, with 0 at the columns outside live."""
+    embedded = []
+    for v in kernel_basis(core):
+        x = [Fraction(0)] * nc
+        for c, a in zip(live, v):
+            x[c] = a
+        embedded.append(x)
+    return embedded
+
+
 @pytest.mark.parametrize("size", [(2, 14), (_BAREISS_CUTOFF + 1,
                                             _BAREISS_CUTOFF + 12)])
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -689,24 +710,23 @@ def _peelable_system(seed, nc, chain, leftover, rnk):
 def test_peeled_core_has_the_kernel_and_rank_of_the_system(size, seed, data):
     """The core's kernel, with 0 at the dead columns, is kernel_basis of the
     whole system in values and entry types, rank is #dead + rank(core), the
-    planted chain is dead, and no core row is left with one live column.
-    The rows are handed over as an iterator, read once.  The larger systems
+    planted chain is dead, and no core row is left with one live column or
+    a dead entry.  The rows are handed over as an iterator of copies, read
+    once, since peel deletes dead entries in place.  The larger systems
     take the modular path whole, while their cores may not."""
     nc = data.draw(st.integers(*size))
     chain = data.draw(st.integers(0, nc))
     leftover = data.draw(st.integers(0, nc))
     rnk = data.draw(st.integers(0, nc - chain))
     rows, planted = _peelable_system(seed, nc, chain, leftover, rnk)
-    live, core = peel(iter(rows), nc)
+    dead = bytearray(nc)
+    kept = peel((dict(r) for r in rows), dead)
+    assert all(len(r) >= 2 and all(x for x in r.values())
+               and not any(dead[c] for c in r) for r in kept)
+    live, core = _renumbered(kept, dead)
     assert live == sorted(live) and not set(planted) & set(live)
     assert core.cols == len(live)
-    assert all(len(r) >= 2 and all(x for x in r.values()) for r in core.data)
-    embedded = []
-    for v in kernel_basis(core):
-        x = [Fraction(0)] * nc
-        for c, a in zip(live, v):
-            x[c] = a
-        embedded.append(x)
+    embedded = _embedded_kernel(live, core, nc)
     whole = kernel_basis(qlinalg.IntRows(nc, rows))
     assert embedded == whole
     assert [list(map(type, v)) for v in embedded] == [
@@ -714,12 +734,48 @@ def test_peeled_core_has_the_kernel_and_rank_of_the_system(size, seed, data):
     assert rank(qlinalg.IntRows(nc, rows)) == nc - len(live) + rank(core)
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), data=st.data())
+def test_peeling_in_two_batches_on_one_mask_is_one_peel(seed, data):
+    """Rows peeled in two batches on one mask, the first batch's survivors
+    chained into the second, leave the same dead columns and the same
+    embedded kernel as one peel of all the rows, and every row returned is
+    one of the caller's own dicts."""
+    nc = data.draw(st.integers(2, 14))
+    chain = data.draw(st.integers(0, nc))
+    rows, _ = _peelable_system(seed, nc, chain, data.draw(st.integers(0, nc)),
+                               data.draw(st.integers(0, nc - chain)))
+    cut = data.draw(st.integers(0, len(rows)))
+    once = bytearray(nc)
+    whole = peel([dict(r) for r in rows], once)
+    twice = bytearray(nc)
+    first = [dict(r) for r in rows[:cut]]
+    second = [dict(r) for r in rows[cut:]]
+    kept = peel(iter(first), twice)
+    assert all(any(r is f for f in first) for r in kept)
+    kept = peel(itertools.chain(kept, second), twice)
+    assert all(any(r is f for f in first + second) for r in kept)
+    assert twice == once
+    assert (_embedded_kernel(*_renumbered(kept, twice), nc)
+            == _embedded_kernel(*_renumbered(whole, once), nc)
+            == kernel_basis(qlinalg.IntRows(nc, rows)))
+
+
 def test_peel_follows_a_chain_to_the_end():
     """x_0 = 0 from the singleton row, then x_1 from the row on (0, 1), and
     so on: every column dies, and nothing is left for elimination; a row on
-    two columns that no singleton reaches keeps both."""
+    two columns that no singleton reaches keeps both, and comes back as the
+    caller's own dict.  On a mask that an earlier peel filled, a row loses
+    its dead entries even when nothing more dies."""
     rows = [{t - 1: 5, t: -2} for t in range(1, 6)] + [{0: 3}]
-    live, core = peel(rows, 6)
+    dead = bytearray(6)
+    kept = peel(rows, dead)
+    live, core = _renumbered(kept, dead)
     assert live == [] and core.cols == 0 and core.data == []
-    live, core = peel([{0: 1, 1: 1}, {2: 7}], 3)
-    assert live == [0, 1] and core.data == [{0: 1, 1: 1}]
+    pair = {0: 1, 1: 1}
+    dead = bytearray(3)
+    kept = peel([pair, {2: 7}], dead)
+    live, core = _renumbered(kept, dead)
+    assert live == [0, 1] and core.data == [{0: 1, 1: 1}] and kept[0] is pair
+    row = {0: 4, 1: 1, 2: -1}
+    assert peel([row], dead) == [{0: 4, 1: 1}] and list(dead) == [0, 0, 1]
