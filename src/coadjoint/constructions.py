@@ -66,6 +66,7 @@ from .qlinalg import (
     QMatrix,
     SampleConfig,
     VerificationError,
+    _common_denominator,
     as_q,
     inverse,
     kernel_basis,
@@ -846,19 +847,21 @@ def z2_contraction(spec: ContractionSpec):
                         {"name": f"fix({L.metadata['name']})",
                          "embedding": emb})
     # g1 as a g0-module: the adjoint columns of L along the embedding of
-    # g0, restricted to g1 and read at its pivots
+    # g0, its rows cleared once by E, so over d E; restricted to g1 and read
+    # at its pivots
     d, ad = L.int_ad_table
+    E, emb_int = _common_denominator(
+        [[(i, a) for i, a in enumerate(b0) if a] for b0 in emb])
     columns = []
-    for b0 in emb:
+    for b0 in emb_int:
         cols = [{} for _ in range(L.dim)]
-        for i, a in enumerate(b0):
-            if a:
-                for v, vec in ad[i].items():
-                    for w, c in vec.items():
-                        cols[v][w] = cols[v].get(w, 0) + a * c
-        columns.append([_column({w: x / d for w, x in c.items()})
-                        for c in cols])
-    rep = _submodule(RepresentationData(g0, columns, L.dim, label="ad"),
+        for i, a in b0:
+            for v, vec in ad[i].items():
+                for w, c in vec.items():
+                    cols[v][w] = cols[v].get(w, 0) + a * c
+        columns.append([_column(c) for c in cols])
+    rep = _submodule(RepresentationData(g0, columns, L.dim, label="ad",
+                                        d=d * E),
                      g1.rows, "g1", g1.pivots)
     S = semidirect(g0, rep, name=f"contraction({L.metadata['name']})")
     # the ambient invariants, expanded in the contraction coordinates
@@ -975,37 +978,20 @@ def item3_lift(n: int) -> Item3Result:
                    name=f"sp{2 * n}|x(k{2 * n}+L20)")
     # B(xi) for xi in V1* written in dual coordinates: the self-duality of the
     # standard module twists xi through J, giving the equivariant quadric map
-    # B(xi) = 2 J xi xi^T (a matrix in sp(J)); expand in the g0 basis
-    J = symplectic_form(2 * n)
+    # B(xi) = 2 J xi xi^T (a matrix in sp(J)).  The lift pairs it with the g
+    # variables through the trace form, g ~ g*: the quadric of basis matrix
+    # X_b is q_b(xi) = tr(X_b B(xi)) = 2 xi^T X_b J xi, one term per entry
+    # of X_b (J has one entry per row)
     N = 2 * n
-    expand = g0.metadata["expand"]
+    J = {j: (k, c) for (j, k), c in symplectic_form(N).items()}
     xs = [MultiPoly.variable(N, t) for t in range(N)]
-    q_polys = [MultiPoly(N) for _ in range(g0.dim)]  # polynomials in xi coords
-    for r in range(N):
-        for s in range(r, N):
-            # coefficient matrix of xi_r xi_s in 2 J xi xi^T, as a sparse dict
-            M = {}
-            for (irow, col), c in J.items():
-                if col == r:
-                    M[irow, s] = M.get((irow, s), 0) + 2 * c
-                if col == s and r != s:
-                    M[irow, r] = M.get((irow, r), 0) + 2 * c
-            for b, c in expand(M).items():
-                if c != 0:
-                    q_polys[b] = q_polys[b] + xs[r] * xs[s] * c
-    # lower the free index through the trace form on g0: the coordinates of
-    # B(xi) transform contragradiently to the g variables, and the invariant
-    # contraction in the lift pairs them through g ~ g* (trace form)
-    gm = g0.metadata["matrices"]
-    q_low = []
-    for b in range(g0.dim):
-        acc = MultiPoly(N)
-        for c in range(g0.dim):
-            w = _trace_pair(gm[b], gm[c])
-            if w != 0:
-                acc = acc + q_polys[c] * w
-        q_low.append(acc)
-    q_polys = q_low
+    q_polys = []
+    for X in g0.metadata["matrices"]:
+        q = MultiPoly(N)
+        for (i, j), x in X.items():
+            k, c = J[j]
+            q = q + xs[i] * xs[k] * (2 * c * x)
+        q_polys.append(q)
     # into the variables of S: the quadrics on the V1 block, h with its g
     # variables kept and its module variables on the V2 block
     var = [MultiPoly.variable(S.dim, t) for t in range(S.dim)]

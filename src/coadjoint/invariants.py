@@ -599,8 +599,7 @@ def invariant_space(S: SemiDirectProduct, mdeg, cap=DEFAULT_COMPONENT_CAP):
     read before any row is built.  A component that the V-derivations' rows
     peel to nothing comes back as `ProvedZero(PEEL_PROOF)` (`_killed_by`)."""
     weights, derivs = S.weight_data
-    count = (component_size(S, mdeg) if weights is None
-             else _weighted_size(S, mdeg, weights))
+    count = _weighted_size(S, mdeg, weights or [()] * S.dim)
     if count > cap:
         raise ComponentTooLarge(count, cap)
     if not count:

@@ -19,8 +19,8 @@ pivot rows with that solve (rounds that double the digits, at most the
 Hadamard count) and each integer vector D v is checked as A (D v) = 0 over Z
 on every row, D the lcm of the denominators of v: the rank from above.  A
 rank that this path leaves to `Basis` is first taken mod the first prime by
-the same choice of elimination, entries reduced in Python: the rank mod p
-bounds it from below, so min(rows, cols) there is the answer.
+`_sparse_echelon`, whatever the density, its entries reduced in Python: the
+rank mod p bounds it from below, so min(rows, cols) there is the answer.
 
 `Basis` is the one echelon-and-coordinates routine: one forward elimination
 on primitive integer rows settles the rank, the pivots and the greedy choice
@@ -472,10 +472,11 @@ def rank(m) -> int:
     """Exact rank over Q of a QMatrix or IntRows; over F_p of a ModMatrix.
 
     What the modular kernel path does not settle is first eliminated once
-    mod p = _PRIMES[0], and a full rank there is the answer: an r x r minor
-    of A that is nonzero mod p is a nonzero integer, so rank_Q A >= rank_p A,
-    and rank_Q A <= min(rows, cols) always.  Any smaller rank mod p may be a
-    drop at p, and is decided exactly by `Basis`."""
+    mod p = _PRIMES[0] by `_sparse_echelon`, and a full rank there is the
+    answer: an r x r minor of A that is nonzero mod p is a nonzero integer,
+    so rank_Q A >= rank_p A, and rank_Q A <= min(rows, cols) always.  Any
+    smaller rank mod p may be a drop at p, and is decided exactly by
+    `Basis`."""
     if isinstance(m, ModMatrix):
         return len(_mod_echelon(m.a, m.p)[0])
     a = _int_rows(m)
@@ -484,22 +485,10 @@ def rank(m) -> int:
     kernel = _certified_kernel(a, m.cols)
     if kernel is not None:
         return m.cols - len(kernel)
-    r = _rank_mod_p(a, m.cols, _PRIMES[0])
+    r = len(_sparse_echelon(a, m.cols, _PRIMES[0])[0])
     if r == min(len(a), m.cols):
         return r
     return len(Basis([_dense(row, m.cols) for row in a]))
-
-
-def _rank_mod_p(a, nc, p):
-    """The rank mod p of the nonzero sparse integer rows a, by the
-    elimination `_certified_kernel` would choose: sparse rows by
-    `_sparse_echelon`, denser ones reduced mod p in Python, then densely by
-    `_mod_echelon`."""
-    if _is_sparse(a):
-        return len(_sparse_echelon(a, nc, p)[0])
-    return len(_mod_echelon(np.array(
-        [_dense({c: x % p for c, x in row.items()}, nc) for row in a],
-        np.int64), p)[0])
 
 
 def _is_sparse(a):

@@ -1,16 +1,19 @@
 """Construction of the g-modules appearing in the verification tables.
 
-A module is stored as the sparse columns of its action matrices, one list of
-columns per basis element of the algebra, together with per-summand block
-bookkeeping.  No weights are stored: where the Cartan acts diagonally they are
-the diagonal of its action, read off by `SemiDirectProduct.v_weights`.
-Every constructor writes the columns directly (the defining module from the
-sparse matrices of its algebra); submodules, stabilisers, semi-direct
-products and `check_representation` read them.  The dense `action` matrices
-are a view for the tests, built on request, and
-`RepresentationData.from_matrices` makes a module of arbitrary dense matrices,
-for checking.  The commutator compatibility check `check_representation` is
-the ground truth every constructor is tested against.
+A module is stored in integers, like the table of `LieAlgebraData`: the
+sparse int columns of d times its action matrices, one list of columns per
+basis element of the algebra and one d, together with per-summand block
+bookkeeping.  No weights are stored: where the Cartan acts diagonally they
+are the diagonal of its action, read off by `SemiDirectProduct.v_weights`.
+Every constructor writes the int columns once, with its own d: the defining
+module and `from_matrices` clear their rational matrices once, powers and
+duals keep the d of their module, direct sums rescale to the lcm of theirs.
+Submodules, stabilisers, semi-direct products and `check_representation`
+read the ints as they are.  The dense `action` matrices are the rational
+view for the tests, built on request, and `RepresentationData.from_matrices`
+makes a module of arbitrary dense matrices, for checking.  The commutator
+compatibility check `check_representation` is the ground truth every
+constructor is tested against.
 
 A bilinear form is sparse with integer entries, {(i, j): int}, and
 `preserves_form` is the one test of X^T F + F X = 0.  The primitive parts of
@@ -21,7 +24,8 @@ summed in integers and its coordinates are read at those columns.
 
 The spin representations use the fermionic Fock model: so_n in the split form
 acts through the Clifford algebra on the exterior algebra of a maximal
-isotropic subspace, which keeps all matrix entries in 1/2 Z.
+isotropic subspace, which keeps all matrix entries in 1/2 Z: int columns
+over d = 2.
 """
 
 from __future__ import annotations
@@ -31,20 +35,23 @@ import itertools
 import math
 
 from .liealg import LieAlgebraData, classical_algebra
-from .qlinalg import (IntRows, QMatrix, Q0, QQ, UnitBasis, VerificationError,
-                      kernel_basis)
+from .qlinalg import (IntRows, QMatrix, QQ, UnitBasis, VerificationError,
+                      _common_denominator, kernel_basis)
 
 
 class RepresentationData:
-    """A module V of a Lie algebra g, as the sparse columns of its action.
+    """A module V of a Lie algebra g, as the sparse int columns of its action.
 
     columns[i][v] = [(w, c), ...] lists the nonzero entries of column v of
-    the matrix of x_i on V, in increasing w.  Never modified after
-    construction.  blocks lists (label, offset, size) covering [0, dim_V).
+    d times the matrix of x_i on V, as ints in increasing w: the same form
+    as `LieAlgebraData.int_ad_table`, d a common denominator of the action
+    (not necessarily the least).  Each constructor writes the columns once;
+    they are never modified after construction.  blocks lists
+    (label, offset, size) covering [0, dim_V).
     """
 
     def __init__(self, algebra: LieAlgebraData, columns, dim_V, label="",
-                 blocks=None):
+                 blocks=None, d=1):
         if len(columns) != algebra.dim or any(len(c) != dim_V for c in columns):
             raise ValueError(f"a module of {algebra!r} needs {algebra.dim} "
                              f"lists of {dim_V} columns")
@@ -53,6 +60,7 @@ class RepresentationData:
         self.dim_V = dim_V
         self.label = label
         self.blocks = blocks or [(label or "V", 0, dim_V)]
+        self.d = d
 
     @classmethod
     def from_matrices(cls, algebra: LieAlgebraData, mats, label):
@@ -61,26 +69,20 @@ class RepresentationData:
         n = mats[0].rows if mats else 0
         if any(m.rows != n or m.cols != n for m in mats):
             raise ValueError(f"action matrices must all be {n} x {n}")
-        columns = []
-        for m in mats:
-            cols = [[] for _ in range(n)]
-            for w, row in enumerate(m.data):
-                for v, c in enumerate(row):
-                    if c:
-                        cols[v].append((w, c))
-            columns.append(cols)
-        return cls(algebra, columns, n, label=label)
+        return _cleared(algebra, [[[(w, row[v]) for w, row in enumerate(m.data)
+                                    if row[v]] for v in range(n)]
+                                  for m in mats], n, label)
 
     @property
     def action(self):
-        """The dense action matrices, built from the columns on each access:
-        a view for the tests, which no program path builds."""
+        """The dense rational action matrices, built from the columns on
+        each access: a view for the tests, which no program path builds."""
         out = []
         for cols in self.columns:
             m = QMatrix.zero(self.dim_V, self.dim_V)
             for v, col in enumerate(cols):
                 for w, c in col:
-                    m.data[w][v] = c
+                    m.data[w][v] = QQ(c, self.d)
             out.append(m)
         return out
 
@@ -93,16 +95,25 @@ def _column(acc):
     return [(w, acc[w]) for w in sorted(acc) if acc[w]]
 
 
+def _cleared(algebra, columns, dim_V, label):
+    """The module of the rational columns [(w, c)], cleared once by the lcm
+    of their denominators."""
+    d, flat = _common_denominator([col for cols in columns for col in cols])
+    return RepresentationData(algebra, [flat[i:i + dim_V] for i in
+                                        range(0, len(flat), dim_V)],
+                              dim_V, label, d=d)
+
+
 def check_representation(R: RepresentationData, max_cost=10 ** 7):
     """Exhaustive commutator compatibility, cost-capped.
 
     [rho(x_i), rho(x_j)] must equal rho([x_i, x_j]) = sum_k c_k rho(x_k) for
-    all basis pairs.  With M_i = D rho(x_i) integral (D the lcm of every
-    denominator of the module) and d c_k read off the integer table of the
-    algebra, that is d [M_i, M_j] = sum_k (d c_k D) M_k, checked exactly on integer
-    matrices: int64 when a bound on every entry fits, Python integers
-    otherwise.  Returns True when the check ran, False when
-    dim g * (dim V)^2 > max_cost skipped it.
+    all basis pairs.  With M_i = D rho(x_i) the int columns of the module
+    (D = R.d) and d c_k read off the integer table of the algebra, that is
+    d [M_i, M_j] = sum_k (d c_k D) M_k, checked exactly on integer matrices:
+    int64 when a bound on every entry fits, Python integers otherwise.
+    Returns True when the check ran, False when dim g * (dim V)^2 > max_cost
+    skipped it.
     """
     import numpy as np
 
@@ -110,11 +121,10 @@ def check_representation(R: RepresentationData, max_cost=10 ** 7):
     n = R.dim_V
     if L.dim * n ** 2 > max_cost:
         return False
-    entries = [c for cols in R.columns for col in cols for _, c in col]
-    D = math.lcm(1, *(x.denominator for x in entries))
-    amax = max((int(abs(x) * D) for x in entries), default=0)
+    amax = max((abs(c) for cols in R.columns for col in cols for _, c in col),
+               default=0)
     d, table = L.int_ad_table
-    pairs = [(i, j, [(k, c * D) for k, c in table[i].get(j, {}).items()])
+    pairs = [(i, j, [(k, c * R.d) for k, c in table[i].get(j, {}).items()])
              for i in range(L.dim) for j in range(i + 1, L.dim)]
     bound = max((2 * n * amax * amax * d + (amax + 1) * sum(abs(c) for _, c in b)
                  for _, _, b in pairs), default=0)
@@ -123,7 +133,7 @@ def check_representation(R: RepresentationData, max_cost=10 ** 7):
     for m, cols in zip(M, R.columns):
         for v, col in enumerate(cols):
             for w, c in col:
-                m[w, v] = int(c * D)
+                m[w, v] = c
     for i, j, b in pairs:
         expect = np.zeros((n, n), dtype=dtype)
         for k, c in b:
@@ -145,14 +155,14 @@ def standard_rep(L: LieAlgebraData) -> RepresentationData:
     if mats is None:
         raise ValueError("standard_rep requires a matrix-constructed algebra")
     n = L.metadata["matrix_size"]
-    return RepresentationData(
-        L, [[_column({w: c for (w, u), c in m.items() if u == v})
-             for v in range(n)] for m in mats], n, label="phi1")
+    return _cleared(L, [[_column({w: c for (w, u), c in m.items() if u == v})
+                         for v in range(n)] for m in mats], n, "phi1")
 
 
-def trivial_rep(L: LieAlgebraData, d=1) -> RepresentationData:
+def trivial_rep(L: LieAlgebraData, dim=1) -> RepresentationData:
     return RepresentationData(
-        L, [[[] for _ in range(d)] for _ in range(L.dim)], d, label="trivial")
+        L, [[[] for _ in range(dim)] for _ in range(L.dim)], dim,
+        label="trivial")
 
 
 def dual_rep(R: RepresentationData) -> RepresentationData:
@@ -165,28 +175,31 @@ def dual_rep(R: RepresentationData) -> RepresentationData:
             for w, c in col:
                 dual[w].append((v, -c))
         columns.append(dual)
-    return RepresentationData(R.algebra, columns, R.dim_V, f"({R.label})*")
+    return RepresentationData(R.algebra, columns, R.dim_V, f"({R.label})*",
+                              d=R.d)
 
 
 def direct_sum_rep(*reps, labels=None) -> RepresentationData:
+    """The direct sum, its columns rescaled to the lcm of the summands' d."""
     alg = reps[0].algebra
     if any(r.algebra is not alg for r in reps):
         raise ValueError("a direct sum needs modules of one algebra")
     offsets = list(itertools.accumulate((r.dim_V for r in reps[:-1]), initial=0))
-    columns = [[[(off + w, c) for w, c in col]
+    d = math.lcm(*(r.d for r in reps))
+    columns = [[[(off + w, c * (d // r.d)) for w, c in col]
                 for r, off in zip(reps, offsets) for col in r.columns[i]]
                for i in range(alg.dim)]
     blocks = [(labels[idx] if labels else f"{r.label}#{idx}", off, r.dim_V)
               for idx, (r, off) in enumerate(zip(reps, offsets))]
     return RepresentationData(alg, columns, sum(r.dim_V for r in reps),
                               label="+".join(r.label for r in reps),
-                              blocks=blocks)
+                              blocks=blocks, d=d)
 
 
 def _power(R: RepresentationData, basis, label, derive):
     """The module on `basis` (tuples of basis indices of R) in which x_i
     sends basis vector b to the sum of c * nb over (nb, c) in
-    derive(b, R.columns[i])."""
+    derive(b, R.columns[i]), over the d of R."""
     idx = {b: t for t, b in enumerate(basis)}
     action = []
     for columns in R.columns:
@@ -194,10 +207,11 @@ def _power(R: RepresentationData, basis, label, derive):
         for b in basis:
             acc = {}
             for nb, c in derive(b, columns):
-                acc[idx[nb]] = acc.get(idx[nb], Q0) + c
+                acc[idx[nb]] = acc.get(idx[nb], 0) + c
             cols.append(_column(acc))
         action.append(cols)
-    out = RepresentationData(R.algebra, action, len(basis), label=label)
+    out = RepresentationData(R.algebra, action, len(basis), label=label,
+                             d=R.d)
     out.basis_tags = basis
     return out
 
@@ -299,30 +313,26 @@ def contraction_kernel(R: RepresentationData, form, k: int
 
 def _submodule(R: RepresentationData, vectors, label, units):
     """Restrict the action to the span of `vectors`, a `UnitBasis` on units
-    (not necessarily of weight vectors).  Each image D rho(x_i) (E v) is
-    summed in integers, D clearing the module, and read at the units;
-    raises VerificationError if the span is not invariant."""
+    (not necessarily of weight vectors).  Each image R.d rho(x_i) (E v) is
+    summed in integers from the columns of R and read at the units: the
+    submodule's columns over R.d E.  Raises VerificationError if the span
+    is not invariant."""
     span = UnitBasis(vectors, units)
-    D = math.lcm(1, *(c.denominator for cols in R.columns for col in cols
-                      for _, c in col))
-    q = D * span.E
-    support = {u for U in span.rows for u, _ in U}
     action = []
     for columns in R.columns:
-        cleared = {u: [(r, c.numerator * (D // c.denominator))
-                       for r, c in columns[u]] for u in support}
         cols = []
         for U in span.rows:
             w = {}
             for u, a in U:
-                for r, c in cleared[u]:
+                for r, c in columns[u]:
                     w[r] = w.get(r, 0) + a * c
             coeffs = span.coords(w)
             if coeffs is None:
                 raise VerificationError("span is not invariant under the action")
-            cols.append([(m, QQ(x, q)) for m, x in sorted(coeffs.items())])
+            cols.append(sorted(coeffs.items()))
         action.append(cols)
-    return RepresentationData(R.algebra, action, len(vectors), label=label)
+    return RepresentationData(R.algebra, action, len(vectors), label=label,
+                              d=R.d * span.E)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +346,7 @@ def _clifford_generators(n):
     U = span(e_1 .. e_m) is maximal isotropic, the pairing is with
     e_bar(i) = e_{n+1-i}; convention gamma(v) gamma(w) + gamma(w) gamma(v)
     = 2 B(v, w).  Odd n has a middle vector acting as the parity involution.
-    Each gamma is stored sparsely as {col: (row, coeff)} (at most one entry
+    Each gamma is stored sparsely as {col: (row, int)} (at most one entry
     per column), so products compose in O(dim).
     """
     m = n // 2
@@ -350,7 +360,7 @@ def _clifford_generators(n):
                 continue
             new = tuple(sorted(s + (i,)))
             sign = (-1) ** sum(1 for x in s if x < i)
-            g[col] = (idx[new], QQ(sign))
+            g[col] = (idx[new], sign)
         return g
 
     def annihilation(i):
@@ -360,7 +370,7 @@ def _clifford_generators(n):
                 continue
             new = tuple(x for x in s if x != i)
             sign = (-1) ** sum(1 for x in s if x < i)
-            g[col] = (idx[new], QQ(2 * sign))
+            g[col] = (idx[new], 2 * sign)
         return g
 
     gammas = [None] * n
@@ -368,7 +378,7 @@ def _clifford_generators(n):
         gammas[i] = creation(i)
         gammas[n - 1 - i] = annihilation(i)
     if n % 2 == 1:
-        gammas[m] = {col: (col, QQ((-1) ** len(s))) for s, col in idx.items()}
+        gammas[m] = {col: (col, (-1) ** len(s)) for s, col in idx.items()}
     return gammas, basis
 
 
@@ -398,27 +408,28 @@ def spin_rep(n: int, half: str | None = None, L=None) -> RepresentationData:
         # sigma(R_{v,w}) = 1/4 [gamma(v), gamma(w)]; walk each antisymmetric
         # entry pair once.  By the Clifford relation [gamma_p, gamma_r] =
         # 2 gamma_p gamma_r - 2 B(e_p, e_r), and B(e_p, e_bar(q)) = 1 exactly
-        # when q = p
+        # when q = p.  The entries of bm are +-1, so 2 sigma(bm) is written
+        # in ints: d = 2
         acc = [{} for _ in range(N)]
         seenpairs = set()
-        for (p, q), c in bm.items():
+        for (p, q), x in bm.items():
             if (n_sq - 1 - q, n_sq - 1 - p) in seenpairs:
                 continue
             seenpairs.add((p, q))
-            gp, f = gammas[p], c / 2
+            gp, c = gammas[p], int(x)
             for col, (mid, c1) in gammas[n_sq - 1 - q].items():
                 if mid in gp:
                     row, c2 = gp[mid]
-                    acc[col][row] = acc[col].get(row, Q0) + f * c1 * c2
+                    acc[col][row] = acc[col].get(row, 0) + c * c1 * c2
             if p == q:
                 for col in range(N):
-                    acc[col][col] = acc[col].get(col, Q0) - f
+                    acc[col][col] = acc[col].get(col, 0) - c
         action.append([_column(c) for c in acc])
     if n % 2 == 1:
-        return RepresentationData(L, action, N, label=f"spin({n})")
+        return RepresentationData(L, action, N, label=f"spin({n})", d=2)
     # even: restrict to the Fock degrees of the chosen parity
     keep = [i for i, s in enumerate(basis) if len(s) % 2 == (half == "odd")]
-    return _submodule(RepresentationData(L, action, N),
+    return _submodule(RepresentationData(L, action, N, d=2),
                       [[int(i == c) for i in range(N)] for c in keep],
                       f"spin({n},{half})", keep)
 
@@ -429,10 +440,12 @@ def spin_rep(n: int, half: str | None = None, L=None) -> RepresentationData:
 
 
 def adjoint_rep(L: LieAlgebraData) -> RepresentationData:
+    """The adjoint module, its columns d [x_i, x_j] read straight off the
+    integer table of L."""
+    d, table = L.int_ad_table
     return RepresentationData(
-        L, [[_column(L.bracket_basis(i, j)) for j in range(L.dim)]
-            for i in range(L.dim)],
-        L.dim, label="adjoint")
+        L, [[sorted(row.get(j, {}).items()) for j in range(L.dim)]
+            for row in table], L.dim, label="adjoint", d=d)
 
 
 def symplectic_form(n: int) -> dict:

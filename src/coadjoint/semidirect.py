@@ -61,19 +61,17 @@ class SemiDirectProduct:
         labels = list(algebra.basis_labels) + [
             f"v{i + 1}" for i in range(self.dim_V)
         ]
-        # one integer table: the algebra's and the module columns, both
-        # scaled to the lcm of their denominators
+        # one integer table: the algebra's and the module's int columns,
+        # both scaled to the lcm of their d
         d, _ = algebra.int_ad_table
-        D = math.lcm(d, *(c.denominator for columns in rep.columns
-                          for col in columns for _, c in col))
+        D = math.lcm(d, rep.d)
         brackets = {(i, j): {k: c * (D // d) for k, c in vec.items()}
                     for i, j, vec in algebra.int_brackets()}
-        g = self.dim_g
+        g, s = self.dim_g, D // rep.d
         for i, columns in enumerate(rep.columns):
             for v, col in enumerate(columns):
                 if col:
-                    brackets[(i, g + v)] = {g + w: c.numerator * (D // c.denominator)
-                                            for w, c in col}
+                    brackets[(i, g + v)] = {g + w: c * s for w, c in col}
         gname = algebra.metadata.get("name", "q")
         self.total = LieAlgebraData(
             dim, labels, brackets,

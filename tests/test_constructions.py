@@ -13,6 +13,7 @@ from coadjoint.constructions import (
     RestrictionEscapes,
     _ambient_invariants,
     _ambient_matrix,
+    _trace_pair,
     centraliser_dim,
     delta_k_matrix,
     e_delta_restricted,
@@ -37,7 +38,7 @@ from coadjoint.invariants import (
 from coadjoint.liealg import classical_algebra, fingerprint, index, subalgebra
 from coadjoint.qlinalg import (Q0, Q1, QMatrix, QQ, SampleConfig,
                                VerificationError, sample_vector)
-from coadjoint.repn import preserves_form, standard_rep
+from coadjoint.repn import preserves_form, standard_rep, symplectic_form
 from coadjoint.semidirect import semidirect
 
 CFG = SampleConfig(seed=21, height=5, rounds=8)
@@ -691,6 +692,42 @@ def test_item3_identity_refuses_a_perturbed_or_swapped_lift():
         dataclasses.replace(res, lifted=[bumped, *res.lifted[1:]]))
     assert not item3_evaluation_identity(
         dataclasses.replace(res, lifted=res.lifted[::-1]))
+
+
+def _quadrics_by_expansion(res, n):
+    """The quadrics of item3_lift by expansion and lowering: each coefficient
+    matrix of xi_r xi_s in 2 J xi xi^T written in the g0 basis, then the
+    coordinates paired with the basis through the trace form."""
+    g0 = res.S2.algebra
+    N = 2 * n
+    J = symplectic_form(N)
+    expand = g0.metadata["expand"]
+    xs = [MultiPoly.variable(N, t) for t in range(N)]
+    upper = [MultiPoly(N) for _ in range(g0.dim)]
+    for r in range(N):
+        for s in range(r, N):
+            M = {}
+            for (irow, col), c in J.items():
+                if col == r:
+                    M[irow, s] = M.get((irow, s), 0) + 2 * c
+                if col == s and r != s:
+                    M[irow, r] = M.get((irow, r), 0) + 2 * c
+            for b, c in expand(M).items():
+                if c != 0:
+                    upper[b] = upper[b] + xs[r] * xs[s] * c
+    gm = g0.metadata["matrices"]
+    return [sum((upper[c] * _trace_pair(gm[b], gm[c]) for c in range(g0.dim)),
+                MultiPoly(N)) for b in range(g0.dim)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_item3_quadrics_are_the_trace_pairing_of_the_expansion(n):
+    # q_b(xi) = tr(X_b B(xi)): the same polynomials as expanding B(xi) in
+    # the g0 basis and lowering through the trace form
+    res = item3_lift(n)
+    ref = _quadrics_by_expansion(res, n)
+    assert [q.terms for q in res.B_quadrics] == [q.terms for q in ref]
+    assert all(q.terms for q in ref)
 
 
 def test_item3_lift_n3_is_pinned():

@@ -424,7 +424,8 @@ def _reference_semidirect_table(S):
     for i, columns in enumerate(S.rep.columns):
         for v, col in enumerate(columns):
             if col:
-                ref[(i, g + v)] = {g + w: Fraction(c) for w, c in col}
+                ref[(i, g + v)] = {g + w: Fraction(c, S.rep.d)
+                                   for w, c in col}
     return ref
 
 
@@ -507,7 +508,7 @@ def test_semidirect_integer_table_is_the_reference():
     S = semidirect(L, adjoint_rep(L))
     ref = {(i, j): L.bracket_basis(i, j) for i in range(3)
            for j in range(i + 1, 3)}
-    ref.update({(i, 3 + v): {3 + w: Fraction(c) for w, c in col}
+    ref.update({(i, 3 + v): {3 + w: Fraction(c, S.rep.d) for w, c in col}
                 for i, columns in enumerate(S.rep.columns)
                 for v, col in enumerate(columns) if col})
     assert S.total.int_ad_table[0] > 1

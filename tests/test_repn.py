@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import os
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from coadjoint.liealg import classical_algebra, fingerprint
-from coadjoint.qlinalg import QMatrix, QQ, SampleConfig, inverse, kernel_basis
+from coadjoint.qlinalg import (Basis, QMatrix, QQ, SampleConfig, inverse,
+                               kernel_basis)
 from coadjoint.repn import (
     FormNotInvariantError,
     RepresentationData,
@@ -16,6 +18,7 @@ from coadjoint.repn import (
     build_module,
     check_representation,
     contraction_kernel,
+    direct_sum_rep,
     dual_rep,
     exterior_power,
     spin_rep,
@@ -279,6 +282,264 @@ def test_sp8_phi3_module():
     R = weight_module("sp", 8, "phi3")
     assert R.dim_V == 48
     check_representation(R)
+
+
+# -- every builder writes int columns over its d ------------------------------
+#
+# `action` is the rational view of the columns; each is compared with a
+# reference built densely in Fractions by another route.
+
+
+def _dense(mats, n):
+    """Sparse {(i, j): Fraction} matrices as n x n QMatrix."""
+    return [QMatrix(n, n, [[QQ(m.get((i, j), 0)) for j in range(n)]
+                           for i in range(n)]) for m in mats]
+
+
+def _restricted(M, keep):
+    return QMatrix(len(keep), len(keep), [[M[r, c] for c in keep] for r in keep])
+
+
+def _block_diagonal(*blocks):
+    n = sum(b.rows for b in blocks)
+    out = QMatrix.zero(n, n)
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b.data):
+            out.data[off + i][off:off + b.cols] = row
+        off += b.rows
+    return out
+
+
+def _matrix_in(span, images):
+    """The square matrix whose columns are the Basis.coords of the images."""
+    cols = [span.coords(w) for w in images]
+    return QMatrix(len(cols), len(cols), [[col[r] for col in cols]
+                                          for r in range(len(cols))])
+
+
+def _in_basis(mats, X):
+    """The matrix of Y -> [X, Y] on the span of mats."""
+    flat = [[x for row in m.data for x in row] for m in mats]
+    return _matrix_in(Basis(flat), [[x for row in (X * Y - Y * X).data
+                                     for x in row] for Y in mats])
+
+
+def _spin_reference(n, parity=None):
+    """so_n on the Fock space Lambda(k^m), m = n // 2, subsets ordered by
+    size then lexicographically: gamma_i the wedge with e_i and gamma_{n-1-i}
+    twice the contraction with it (i < m), the parity at the middle index of
+    odd n; sigma(X) = 1/4 sum_ij X_ij gamma_i gamma_{n-1-j} made trace-free,
+    restricted to the Fock degrees of the given parity."""
+    L = classical_algebra("so", n)
+    m = n // 2
+    basis = [s for r in range(m + 1) for s in itertools.combinations(range(m), r)]
+    at = {s: t for t, s in enumerate(basis)}
+    N = len(basis)
+    gammas = [QMatrix.zero(N, N) for _ in range(n)]
+    for s in basis:
+        for i in range(m):
+            sign = (-1) ** sum(x < i for x in s)
+            if i in s:
+                gammas[n - 1 - i][at[tuple(x for x in s if x != i)], at[s]] = \
+                    QQ(2 * sign)
+            else:
+                gammas[i][at[tuple(sorted(s + (i,)))], at[s]] = QQ(sign)
+        if n % 2:
+            gammas[m][at[s], at[s]] = QQ((-1) ** len(s))
+    keep = [t for t, s in enumerate(basis)
+            if parity is None or len(s) % 2 == parity]
+    ref = []
+    for X in L.metadata["matrices"]:
+        sigma = QMatrix.zero(N, N)
+        for (i, j), x in X.items():
+            sigma = sigma + (gammas[i] * gammas[n - 1 - j]).scale(x / 4)
+        trace = sum(sigma[t, t] for t in range(N)) / N
+        ref.append(_restricted(sigma - QMatrix.identity(N).scale(trace), keep))
+    return L, ref
+
+
+def _det(rows):
+    """The Leibniz expansion, for small minors, over its nonzero terms."""
+    k = len(rows)
+    total = QQ(0)
+    for p in itertools.permutations(range(k)):
+        entries = [rows[a][p[a]] for a in range(k)]
+        if all(entries):
+            total += (-1) ** sum(p[a] > p[b] for a, b in
+                                 itertools.combinations(range(k), 2)) \
+                * math.prod(entries)
+    return total
+
+
+def _exterior_reference(X, k):
+    """Lambda^k of X on the sorted k-subsets: the entry at (c, b) is the
+    derivative at t = 0 of the minor det((1 + tX)[c, b]), a sum over the
+    columns of the minor (zero unless b and c share k - 1 indices)."""
+    basis = list(itertools.combinations(range(X.rows), k))
+    return QMatrix(len(basis), len(basis), [
+        [sum((_det([[X[i, j] if t == pos else QQ(i == j)
+                     for t, j in enumerate(b)] for i in c])
+              for pos in range(k)), QQ(0))
+         if len(set(b) - set(c)) < 2 else QQ(0) for b in basis]
+        for c in basis])
+
+
+def _symmetric_reference(X, k):
+    """S^k of X on the sorted monomials: every slot of b, equal ones too,
+    sent through X in turn."""
+    basis = list(itertools.combinations_with_replacement(range(X.rows), k))
+    at = {b: t for t, b in enumerate(basis)}
+    M = QMatrix.zero(len(basis), len(basis))
+    for s, b in enumerate(basis):
+        for pos in range(k):
+            for w in range(X.rows):
+                t = at[tuple(sorted(b[:pos] + (w,) + b[pos + 1:]))]
+                M[t, s] += X[w, b[pos]]
+    return M
+
+
+def _spin7():
+    L, ref = _spin_reference(7)
+    return spin_rep(7, L=L), ref
+
+
+def _spin8_odd():
+    L, ref = _spin_reference(8, parity=1)
+    return spin_rep(8, "odd", L=L), ref
+
+
+def _exterior_sl4():
+    L = classical_algebra("sl", 4)
+    return (exterior_power(standard_rep(L), 2),
+            [_exterior_reference(X, 2) for X in _dense(L.metadata["matrices"], 4)])
+
+
+def _symmetric_so3():
+    L = classical_algebra("so", 3)
+    return (symmetric_power(standard_rep(L), 3),
+            [_symmetric_reference(X, 3) for X in _dense(L.metadata["matrices"], 3)])
+
+
+def _contraction_kernel_sp6():
+    # the kernel of the contraction Lambda^3 -> Lambda^1, written densely
+    n, k = 6, 3
+    L = classical_algebra("sp", n)
+    J = symplectic_form(n)
+    basis = list(itertools.combinations(range(n), k))
+    C = QMatrix.zero(n, len(basis))
+    for s, b in enumerate(basis):
+        for a, c in itertools.combinations(range(k), 2):
+            (rest,) = set(b) - {b[a], b[c]}
+            C[rest, s] += (-1) ** (a + c - 1) * J.get((b[a], b[c]), 0)
+    K = kernel_basis(C)
+    span = Basis(K)
+    ref = [_matrix_in(span, [A.matvec(v) for v in K])
+           for A in (_exterior_reference(X, k)
+                     for X in _dense(L.metadata["matrices"], n))]
+    return contraction_kernel(standard_rep(L), J, k), ref
+
+
+def _rescaled_sl2():
+    # sl2 on the basis x_i / s_i: fractional structure constants, here
+    # written by commutators of the rescaled matrices
+    from coadjoint.liealg import algebra_on_basis
+
+    scales = [2, 3, 5]
+    sl2 = classical_algebra("sl", 2)
+    L = algebra_on_basis(sl2, [[QQ(1, s) if t == r else 0 for t in range(3)]
+                               for r, s in enumerate(scales)])
+    mats = [X.scale(QQ(1, s))
+            for X, s in zip(_dense(sl2.metadata["matrices"], 2), scales)]
+    return L, mats
+
+
+def _adjoint_rescaled():
+    L, mats = _rescaled_sl2()
+    R = adjoint_rep(L)
+    assert R.d > 1
+    return R, [_in_basis(mats, X) for X in mats]
+
+
+def _dual_spin7():
+    R, ref = _spin7()
+    return dual_rep(R), [X.transpose().scale(-1) for X in ref]
+
+
+def _conjugated(L, scale):
+    """The defining module of L conjugated by diag(scale, 1, ..., 1)."""
+    n = L.metadata["matrix_size"]
+    P = QMatrix.identity(n)
+    P[0, 0] = QQ(scale)
+    return [inverse(P) * X * P for X in _dense(L.metadata["matrices"], n)]
+
+
+def _from_thirds():
+    L = classical_algebra("sl", 2)
+    mats = _conjugated(L, 3)
+    assert any(x.denominator == 3 for X in mats for row in X.data for x in row)
+    return RepresentationData.from_matrices(L, mats, "k2'"), mats
+
+
+def _sum_of_three_d():
+    # d = 1, 2 and 3 in one sum
+    L, spin = _spin_reference(7)
+    thirds = _conjugated(L, 3)
+    R = direct_sum_rep(standard_rep(L), spin_rep(7, L=L),
+                       RepresentationData.from_matrices(L, thirds, "k7'"))
+    assert R.d == 6
+    return R, [_block_diagonal(X, Y, Z) for X, Y, Z in
+               zip(_dense(L.metadata["matrices"], 7), spin, thirds)]
+
+
+def _contraction_g1():
+    # g1 is the trace-orthogonal complement of g0 in sl4, in its reduced
+    # echelon basis in the coordinates of sl4, g0 acting by commutators
+    from coadjoint.constructions import ContractionSpec, z2_contraction
+
+    S, _ = z2_contraction(ContractionSpec("sl-sp", (4,)))
+    sl4 = _dense(classical_algebra("sl", 4).metadata["matrices"], 4)
+    g0 = _dense(S.algebra.metadata["matrices"], 4)
+
+    def trace(M):
+        return sum(M[t, t] for t in range(M.rows))
+
+    C = QMatrix(len(g0), len(sl4), [[trace(X * Y) for Y in sl4] for X in g0])
+    g1 = [sum((Y.scale(a) for a, Y in zip(row, sl4)), QMatrix.zero(4, 4))
+          for row in Basis(kernel_basis(C)).rows]
+    return S.rep, [_in_basis(g1, X) for X in g0]
+
+
+def _submodule_halves():
+    # the graph of v -> v/2 in k^2 + k^2, a copy of k^2 with E = 2
+    L = classical_algebra("sl", 2)
+    R = standard_rep(L)
+    sub = _submodule(direct_sum_rep(R, R),
+                     [[1, 0, QQ(1, 2), 0], [0, 1, 0, QQ(1, 2)]], "k2", [0, 1])
+    assert sub.d == 2
+    return sub, _dense(L.metadata["matrices"], 2)
+
+
+_BUILDERS = {"spin_rep(7)": _spin7, "spin_rep(8, odd)": _spin8_odd,
+             "exterior_power": _exterior_sl4,
+             "symmetric_power": _symmetric_so3,
+             "contraction_kernel sp6": _contraction_kernel_sp6,
+             "adjoint_rep rescaled sl2": _adjoint_rescaled,
+             "dual_rep": _dual_spin7, "from_matrices": _from_thirds,
+             "direct_sum_rep": _sum_of_three_d,
+             "_submodule": _submodule_halves, "contraction g1": _contraction_g1}
+
+
+@pytest.mark.parametrize("name", list(_BUILDERS))
+def test_builders_write_int_columns_viewed_as_the_reference(name):
+    R, ref = _BUILDERS[name]()
+    assert type(R.d) is int and R.d >= 1
+    for cols in R.columns:
+        for col in cols:
+            assert all(type(c) is int and c for _, c in col)
+            assert [w for w, _ in col] == sorted({w for w, _ in col})
+    assert [X.data for X in R.action] == [X.data for X in ref]
+    assert check_representation(R)
 
 
 _CHECKS_UNDER_O = """
