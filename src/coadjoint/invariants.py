@@ -9,12 +9,13 @@ basis derivations
 
 computed one multidegree block at a time, as the kernel of one sparse
 integer row per (derivation, image monomial), read off the integer table
-below.  For a reductive g-block whose Cartan acts diagonally on s, with the
-weights read off the integer table of s (`SemiDirectProduct.weight_data`), the
-kernel is taken inside the zero-weight monomials, generated directly (each
-block's monomials grouped by weight, blocks combined only through classes
-that can sum to zero), with raising-operator conditions only; the resulting
-basis is re-verified against every derivation afterwards.
+below.  For a reductive g-block whose Cartan acts diagonally on s, with
+integer weights read off the diagonal of the integer table of s
+(`SemiDirectProduct.weight_data`), the kernel is taken inside the
+zero-weight monomials, generated directly (each block's monomials grouped by
+weight, blocks combined only through classes that can sum to zero), with
+raising-operator conditions only; the resulting basis is re-verified
+against every derivation afterwards.
 
 A generator ledger runs one echelon per multidegree, over the products of
 lower invariants and then the invariant basis: the accepted products span
@@ -421,7 +422,7 @@ def lie_derivative_in(L: LieAlgebraData, xi_index: int, P: MultiPoly
     D, ints = _cleared(P.terms)
     n, w = P.nvars, _width(P.total_degree())
     index = _supported(ints, _pack(ints, n, w), n)
-    out = _derive(_shifts(table[xi_index], w, index), index)
+    out = _derive(_shifts(table[xi_index], _units(n, w), index), index)
     return _over(n, _unpack(out, n, w), d * D)
 
 
@@ -446,11 +447,17 @@ def _supported(terms, keys, nvars):
     return {j: row for j, row in enumerate(rows) if row}
 
 
-def _shifts(row, w, used):
+def _units(nvars, w):
+    """The packed keys of width w of the variables x_0, ..., x_{nvars-1}."""
+    return [_unit(v, w) for v in range(nvars)]
+
+
+def _shifts(row, units, used):
     """The derivation sending x_j to row[j] = {k: coeff}, for the j in used,
-    as {j: [(256^(w k) - 256^(w j), coeff)]}: adding a shift to the packed
-    key of width w of a monomial divisible by x_j trades one x_j for x_k."""
-    return {j: [(_unit(k, w) - _unit(j, w), c) for k, c in vec.items()]
+    as {j: [(units[k] - units[j], coeff)]}, units the packed keys of the
+    variables (`_units`): adding a shift to the packed key of a monomial
+    divisible by x_j trades one x_j for x_k."""
+    return {j: [(units[k] - units[j], c) for k, c in vec.items()]
             for j, vec in row.items() if j in used}
 
 
@@ -502,8 +509,9 @@ def _killed(L: LieAlgebraData, P: MultiPoly, derivs) -> bool:
     n, w = P.nvars, _width(P.total_degree())
     ints = _cleared(P.terms)[1]
     index = _supported(ints, _pack(ints, n, w), n)
-    return not any(any(_derive(_shifts(table[i], w, index), index).values())
-                   for i in derivs)
+    units = _units(n, w)
+    images = (_derive(_shifts(table[i], units, index), index) for i in derivs)
+    return not any(any(image.values()) for image in images)
 
 
 def is_invariant(S: SemiDirectProduct, P: MultiPoly) -> bool:
@@ -643,10 +651,11 @@ def _killed_by(S, derivs, monos):
     index = _supported(terms, ((key, col) for col, key in
                                enumerate(_pack(terms, S.dim, w))), S.dim)
     dead = bytearray(len(rev))
+    units = _units(S.dim, w)
 
     def rows_of(stage, index):
         return itertools.chain.from_iterable(
-            _image_rows(_shifts(table[i], w, index), index) for i in stage)
+            _image_rows(_shifts(table[i], units, index), index) for i in stage)
 
     rows = peel(rows_of([i for i in derivs if i >= S.dim_g], index), dead)
     if all(dead):

@@ -69,7 +69,8 @@ class LieAlgebraData:
     to d [x_i, x_j] as {k: int or rational}, cleared and reduced to lowest
     terms once.  Nothing writes the table afterwards; read it, never write
     it.  What the table determines (its list of brackets, its content, the
-    Killing rank) is computed once, when first read.  metadata carries
+    arrays that assemble the Kirillov form mod p, dim [L, L] and the Killing
+    rank) is computed once, when first read.  metadata carries
     optional construction hints (matrix realisation, Cartan indices) used by
     downstream fast paths; none of it is required for correctness.
     """
@@ -113,9 +114,28 @@ class LieAlgebraData:
                           for x in vec.values()))
 
     @functools.cached_property
+    def _bracket_arrays(self):
+        """(positions i n + j, indices k, constants x / c) over the brackets
+        d [x_i, x_j] = sum x x_k, i < j, c the content: an int64 array of
+        constants when every |x / c| < 2^47, so that a product with a
+        residue below 2^16 fits in int64, and a list of ints otherwise."""
+        n, c, brackets = self.dim, self._content, self._brackets
+        pos = [i * n + j for i, j, vec in brackets for _ in vec]
+        k = [k for *_, vec in brackets for k in vec]
+        x = [x // c for *_, vec in brackets for x in vec.values()]
+        if max(map(abs, x), default=0) < 2 ** 47:
+            x = np.array(x, np.int64)
+        return np.array(pos, np.int64), np.array(k, np.int64), x
+
+    @functools.cached_property
     def killing_rank(self):
         """The rank of the Killing form."""
         return rank(killing_matrix(self))
+
+    @functools.cached_property
+    def derived_dim(self):
+        """dim [L, L]: the rank of the rows of the integer table."""
+        return rank(IntRows(self.dim, [vec for *_, vec in self._brackets]))
 
     def bracket_basis(self, i, j):
         """[x_i, x_j] as {k: rational}."""
@@ -153,22 +173,29 @@ class LieAlgebraData:
         Over Q: the IntRows of q B_gamma, q = d D, with gamma cleared of its
         denominators to D gamma.  Given a prime p and gamma in F_p^n: the
         ModMatrix of (d/c) B_gamma mod p, c the content of the table, so
-        that brackets all divisible by p do not vanish mod p.
+        that brackets all divisible by p do not vanish mod p; its upper
+        triangle is one scatter-add of (x/c) gamma_k mod p over
+        `_bracket_arrays`, and the form is that minus its transpose.
         """
-        n, pairs = self.dim, self.int_brackets()
-        if p is None:
-            _, (g,) = _common_denominator([[(k, x) for k, x in enumerate(gamma)
-                                            if x]])
-            g, c = _dense(dict(g), n), 1
-        else:
-            g, c = gamma, self._content
+        n = self.dim
+        if p is not None:
+            pos, k, x = self._bracket_arrays
+            if not isinstance(x, np.ndarray):
+                x = np.array([c % p for c in x], np.int64)
+            b = np.zeros(n * n, np.int64)
+            np.add.at(b, pos, x * (np.array(gamma, np.int64) % p)[k] % p)
+            b = b.reshape(n, n)
+            b -= b.T    # in place: numpy copies an overlapping operand first
+            b %= p
+            return ModMatrix(b, p)
+        _, (g,) = _common_denominator([[(k, x) for k, x in enumerate(gamma)
+                                        if x]])
+        g = _dense(dict(g), n)
         a = [[0] * n for _ in range(n)]
-        for i, j, vec in pairs:
-            s = sum(x * g[k] for k, x in vec.items()) // c
-            a[i][j], a[j][i] = (s, -s) if p is None else (s % p, -s % p)
-        if p is None:
-            return IntRows(n, [{j: x for j, x in enumerate(r) if x} for r in a])
-        return ModMatrix(np.array(a, np.int64).reshape(n, n), p)
+        for i, j, vec in self.int_brackets():
+            s = sum(x * g[k] for k, x in vec.items())
+            a[i][j], a[j][i] = s, -s
+        return IntRows(n, [{j: x for j, x in enumerate(r) if x} for r in a])
 
     def check_jacobi(self, max_dim=200):
         """Exhaustive Jacobi check on the integer table (d^2 times each
@@ -509,14 +536,9 @@ def killing_matrix(L: LieAlgebraData) -> IntRows:
     return IntRows(n, [{j: x for j, x in enumerate(row) if x} for row in acc])
 
 
-def derived_dim(L: LieAlgebraData) -> int:
-    """dim [L, L]: the rank of the rows of the integer table."""
-    return rank(IntRows(L.dim, [vec for *_, vec in L.int_brackets()]))
-
-
 def derived_series_dims(L: LieAlgebraData):
     """Dims of L, [L, L], [[L,L],[L,L]], ... until stable or zero."""
-    dims = [L.dim, derived_dim(L)]
+    dims = [L.dim, L.derived_dim]
     if 0 < dims[1] < L.dim:
         basis = Basis([_dense(vec, L.dim) for *_, vec in L.int_brackets()])
     while 0 < dims[-1] < dims[-2]:

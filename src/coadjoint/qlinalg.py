@@ -37,8 +37,10 @@ before an elimination where most columns are forced to zero: a row with one
 live column kills it, in a dead-column mask that the caller keeps across
 peels, and the caller renumbers the live columns once.
 
-`ModMatrix` is a matrix over F_p, ranked by `_mod_echelon`: sampled generic
-ranks are taken mod p at points from `sample_mod_p`.
+`ModMatrix` is a matrix over F_p: sampled generic ranks are taken mod p at
+points from `sample_mod_p`.  An alternating one (a Kirillov form) is ranked
+by `_alternating_rank`, two pivots a step on a shrinking block; any other by
+`_mod_echelon`.
 
 Also hosts the deterministic integer-point sampler used to realise "generic"
 points, with `sample_rounds`, the one height-doubling schedule of every
@@ -275,6 +277,34 @@ def _mod_echelon(a, p):
     return pivots, perm[:piv_r], np.mod(a, p)
 
 
+def _alternating_rank(a, p):
+    """The rank mod p of a square int64 numpy matrix that is alternating mod
+    p (zero diagonal, a + a^T = 0), by skew-symmetric 2 x 2 pivoting (Bunch,
+    Math. Comp. 38 (1982)).  While a leading block of size m remains: if its
+    last row is zero, so is its last column, and both are dropped; otherwise
+    the last nonzero entry a[m-1, j] is swapped to c = a[m-1, m-2], and the
+    block's first m-2 rows and columns become the Schur complement of that
+    invertible 2 x 2 pivot, A11 + (u v^T - v u^T) / c, u and v its pivot
+    columns: alternating again, with rank 2 less.  Entries are reduced only
+    where they are read: each step adds less than p^2 to an entry."""
+    a = np.mod(a, p)
+    m, r = len(a), 0
+    while m > 1:
+        nz = np.flatnonzero(a[m - 1, :m - 1] % p)
+        if nz.size == 0:
+            m -= 1
+            continue
+        j, k = int(nz[-1]), m - 2
+        if j != k:
+            a[[j, k], :m] = a[[k, j], :m]
+            a[:m, [j, k]] = a[:m, [k, j]]
+        u = a[:k, k] % p * pow(int(a[m - 1, k] % p), -1, p) % p
+        t = np.outer(u, a[:k, m - 1] % p)
+        a[:k, :k] += t - t.T
+        m, r = k, r + 2
+    return r
+
+
 def _dense_echelon(an, p):
     """(pivot_cols, pivot_rows, solve) of the int64 numpy matrix an mod p,
     by `_mod_echelon`.  Its pivot block S = an[pivot_rows, pivot_cols] is
@@ -476,9 +506,17 @@ def rank(m) -> int:
     answer: an r x r minor of A that is nonzero mod p is a nonzero integer,
     so rank_Q A >= rank_p A, and rank_Q A <= min(rows, cols) always.  Any
     smaller rank mod p may be a drop at p, and is decided exactly by
-    `Basis`."""
+    `Basis`.
+
+    A ModMatrix is ranked by `_alternating_rank` when it is square and
+    alternating mod p (the sampled Kirillov forms), by `_mod_echelon`
+    otherwise."""
     if isinstance(m, ModMatrix):
-        return len(_mod_echelon(m.a, m.p)[0])
+        a = np.mod(m.a, m.p)
+        if (m.rows == m.cols and not a.diagonal().any()
+                and not ((a + a.T) % m.p).any()):
+            return _alternating_rank(a, m.p)
+        return len(_mod_echelon(a, m.p)[0])
     a = _int_rows(m)
     if not a:
         return 0

@@ -4,7 +4,8 @@ A module is stored in integers, like the table of `LieAlgebraData`: the
 sparse int columns of d times its action matrices, one list of columns per
 basis element of the algebra and one d, together with per-summand block
 bookkeeping.  No weights are stored: where the Cartan acts diagonally they
-are the diagonal of its action, read off by `SemiDirectProduct.v_weights`.
+are the integer diagonal of its action, read off the table of the product by
+`SemiDirectProduct.weight_data`.
 Every constructor writes the int columns once, with its own d: the defining
 module and `from_matrices` clear their rational matrices once, powers and
 duals keep the d of their module, direct sums rescale to the lcm of theirs.

@@ -21,12 +21,10 @@ from .liealg import (
     IndexResult,
     LieAlgebraData,
     algebra_on_basis,
-    derived_dim,
     index as algebra_index,
 )
 from .qlinalg import (
     Q0,
-    QQ,
     IntRows,
     ModMatrix,
     SampleConfig,
@@ -85,38 +83,33 @@ class SemiDirectProduct:
     def dim(self):
         return self.total.dim
 
-    def v_weights(self):
-        """The weights of the basis of s, q-block then V, read off the integer
-        table of s: table[c][j] = {j: d w_c(x_j)} for each Cartan index c of
-        q.  None when q records no Cartan or some Cartan element does not act
-        diagonally."""
-        cartan = self.algebra.metadata.get("cartan")
-        if cartan is None:
-            return None
-        d, table = self.total.int_ad_table
-        rows = [table[c] for c in cartan]
-        if any(k != j for row in rows for j, vec in row.items() for k in vec):
-            return None
-        return [tuple(QQ(row[j][j], d) if j in row else Q0 for row in rows)
-                for j in range(self.dim)]
-
     @functools.cached_property
     def weight_data(self):
         """(integer weights per variable or None, the derivations to impose),
         computed once per product.
 
-        The weights are those of `v_weights()`, scaled to integers; None when
-        some Cartan element does not act diagonally.  For a reductive q-block
-        acting completely reducibly, zero weight and being killed by the
-        positive root vectors (q-basis elements whose first nonzero weight
-        coordinate is positive) characterise q-invariance; the V-derivations
-        are imposed as well.  Otherwise every derivation is.
+        The weights of the basis of s, q-block then V, are read off the
+        integer table of s: table[c][j] = {j: d w_c(x_j)} for each Cartan
+        index c of q, that diagonal divided by its gcd with d.  They are
+        None when q records no Cartan or some Cartan element does not act
+        diagonally.  For a reductive q-block acting completely reducibly,
+        zero weight and being killed by the positive root vectors (q-basis
+        elements whose first nonzero weight coordinate is positive)
+        characterise q-invariance; the V-derivations are imposed as well.
+        Otherwise every derivation is.
         """
-        w = self.v_weights()
         direct = None, range(self.dim)
-        if w is None:
+        cartan = self.algebra.metadata.get("cartan")
+        if cartan is None:
             return direct
-        cartan = set(self.algebra.metadata.get("cartan", []))
+        d, table = self.total.int_ad_table
+        rows = [table[c] for c in cartan]
+        if any(k != j for row in rows for j, vec in row.items() for k in vec):
+            return direct
+        w = [tuple(row[j][j] if j in row else 0 for row in rows)
+             for j in range(self.dim)]
+        g = math.gcd(d, *(x for wi in w for x in wi))
+        w = [tuple(x // g for x in wi) for wi in w]
         positive = []
         for i in range(self.dim_g):
             nz = next((x for x in w[i] if x != 0), None)
@@ -126,9 +119,7 @@ class SemiDirectProduct:
                     return direct
             elif nz > 0:
                 positive.append(i)
-        d = math.lcm(1, *(x.denominator for wi in w for x in wi))
-        return ([tuple(int(x * d) for x in wi) for wi in w],
-                positive + list(range(self.dim_g, self.dim)))
+        return w, positive + list(range(self.dim_g, self.dim))
 
     @functools.cached_property
     def faithful(self):
@@ -220,7 +211,7 @@ def _genericity_key(st: StabiliserResult):
     Both ranks are of IntRows read off the integer table of q_x.
     """
     h = st.algebra
-    return (h.dim, -derived_dim(h), -h.killing_rank)
+    return (h.dim, -h.derived_dim, -h.killing_rank)
 
 
 def _genericity_target(S: SemiDirectProduct, cfg: SampleConfig):

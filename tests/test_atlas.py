@@ -493,6 +493,47 @@ def test_sampled_checks_state_how_they_were_sampled():
     assert "sampled" not in render_report({"rows": [row], "pass": rep.passed})
 
 
+# The sampled records of `verify_row` at seed 2024, pinned: (table, row,
+# instance) -> the stabiliser's (primes, target, miss bound), the index of
+# q_x and the direct index as (primes, ranks per round, miss bound).  A rank
+# kernel or a form assembly that changed any sample would change them.
+PINNED_HOW = {
+    (1, "9b", (("m", 2),)): (
+        ([46337, 46327], [6, -6, -6], 3.85763110046212e-06),
+        ([46337, 46327], [4, 4], 1.6770283735857545e-08),
+        ([46337, 46327], [174, 174], 1.560055644528148e-05)),
+    (1, "4", (("m", 1),)): (
+        ([46337, 46327], [15, -15, -15], 1.4091696750269185e-06),
+        ([46337, 46327], [12, 12], 1.0481427334910963e-07),
+        ([46337, 46327], [92, 92], 4.473939027754885e-06)),
+    (2, "1o", (("n", 4), ("m", 7))): (
+        ([46337, 46327], [1, 0, 0], 6.037302144908715e-07),
+        ([46337, 46327], [0, 0], 4.658412148849317e-10),
+        ([46337, 46327], [70, 70], 3.942880042786062e-06)),
+}
+
+
+@pytest.mark.parametrize("table, label, env", list(PINNED_HOW))
+def test_sampled_records_at_seed_2024_are_pinned(table, label, env):
+    cfg = SampleConfig(seed=2024, height=5, rounds=8)
+    stab, sub, direct = PINNED_HOW[table, label, env]
+    report = verify_row(_row(load_atlas(cfg=cfg), table, label), dict(env),
+                        cfg)
+    hows = {c["check"]: c["how"] for c in report.as_dict()["checks"]}
+    stab = dict(zip(("primes", "target", "miss_bound"), stab))
+    sub, direct = (dict(zip(("primes", "ranks", "miss_bound"), r))
+                   for r in (sub, direct))
+    assert hows["generic stabiliser dim"] == {
+        "how": "sampled", "stabiliser": stab,
+        "miss_bound": stab["miss_bound"]}
+    assert hows["stabiliser fingerprint"] == hows["index (Rais)"] == {
+        "how": "sampled", "stabiliser": stab, "stabiliser_index": sub,
+        "miss_bound": stab["miss_bound"] + sub["miss_bound"]}
+    assert hows["index (direct)"] == {"how": "sampled", "index": direct,
+                                      "miss_bound": direct["miss_bound"]}
+    assert report.passed
+
+
 def test_unstable_generic_stabiliser_is_recorded_as_unstable(monkeypatch):
     import coadjoint.atlas as atlas
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +30,7 @@ from coadjoint.qlinalg import (
     SampleConfig,
     VerificationError,
     rank,
+    sample_mod_p,
     sample_rounds,
 )
 from coadjoint.repn import standard_rep
@@ -161,6 +163,64 @@ def test_index_mod_p_is_the_rational_rule_on_stabilisers_of_products():
         for alg in (S.total, generic_stabiliser_in_V(S, CFG).algebra):
             assert int(index(alg, CFG)) == _index_at_rational_samples(alg,
                                                                       CFG)
+
+
+def _kirillov_mod_p_by_pairs(L, gamma, p):
+    """The former assembly, kept as the reference: (d/c) B_gamma mod p,
+    summed pair by pair over the integer table in Python, c its content."""
+    n, pairs = L.dim, L.int_brackets()
+    c = math.gcd(*(x for *_, vec in pairs for x in vec.values()))
+    a = [[0] * n for _ in range(n)]
+    for i, j, vec in pairs:
+        s = sum(x * gamma[k] for k, x in vec.items()) // c
+        a[i][j], a[j][i] = s % p, -s % p
+    return np.array(a, np.int64).reshape(n, n)
+
+
+def _stabiliser_of_9b_m2():
+    """q_x of table 1 row 9b at m = 2, whose table has constants, divided by
+    their content, of up to 187 bits."""
+    from coadjoint.atlas import load_atlas, row_expectations
+    from coadjoint.repn import build_module
+    from coadjoint.semidirect import generic_stabiliser_in_V
+
+    cfg = SampleConfig()
+    row = next(r for r in load_atlas(cfg=cfg)
+               if (r.table, r.label) == (1, "9b"))
+    exp = row_expectations(row, {"m": 2}, cfg)
+    L = classical_algebra(row.family, exp["size"])
+    R = build_module(row.family, exp["size"],
+                     [(lbl, m) for m, lbl in exp["module"] if m > 0], L=L)
+    return generic_stabiliser_in_V(semidirect(L, R), cfg).algebra
+
+
+def _so5_on_k5():
+    L = classical_algebra("so", 5)
+    return semidirect(L, standard_rep(L)).total
+
+
+KIRILLOV_CASES = {
+    "so5": lambda: classical_algebra("so", 5),
+    "sp4": lambda: classical_algebra("sp", 4),
+    "so5|x k5": _so5_on_k5,
+    "q_x of 1/9b m=2": _stabiliser_of_9b_m2,
+}
+
+
+@pytest.mark.parametrize("name", KIRILLOV_CASES)
+def test_kirillov_form_mod_p_is_the_pairwise_sum(name):
+    """The scatter-add assembly of B_gamma mod p equals the pair-by-pair sum,
+    with the constants in int64 below 2^47 and reduced mod p above (only
+    the stabiliser's table has constants that large)."""
+    L, huge = KIRILLOV_CASES[name](), name.startswith("q_x")
+    pairs = L.int_brackets()
+    c = math.gcd(*(x for *_, vec in pairs for x in vec.values()))
+    assert (max(abs(x) // c for *_, vec in pairs for x in vec.values())
+            >= 2 ** 47) == huge
+    for p, gamma in sample_mod_p(CFG, L.dim, "kirillov"):
+        m = L.kirillov_form(gamma, p)
+        assert m.p == p and m.a.dtype == np.int64
+        assert (m.a == _kirillov_mod_p_by_pairs(L, gamma, p)).all()
 
 
 def test_index_divides_the_content_of_the_structure_table():

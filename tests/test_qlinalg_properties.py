@@ -13,6 +13,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -779,3 +780,67 @@ def test_peel_follows_a_chain_to_the_end():
     assert live == [0, 1] and core.data == [{0: 1, 1: 1}] and kept[0] is pair
     row = {0: 4, 1: 1, 2: -1}
     assert peel([row], dead) == [{0: 4, 1: 1}] and list(dead) == [0, 0, 1]
+
+
+# --- ranks mod p of alternating matrices (sampled Kirillov forms) ----------
+
+def _alternating(seed, n, half, p, height):
+    """An n x n matrix alternating mod p of rank exactly 2 half: X J X^T,
+    J the standard symplectic 2 half x 2 half form and X = [I; R] with its
+    rows permuted, of full column rank, plus p times a matrix with entries
+    up to height in absolute value, so that the input is not reduced."""
+    rng = np.random.default_rng(seed)
+    k = 2 * half
+    X = np.concatenate([np.eye(k, dtype=np.int64),
+                        rng.integers(0, p, (n - k, k))])[rng.permutation(n)]
+    J = np.zeros((k, k), np.int64)
+    J[:half, half:], J[half:, :half] = np.eye(half), -np.eye(half)
+    a = (X @ J % p) @ X.T % p
+    return a + p * rng.integers(-(height // p), height // p + 1, (n, n))
+
+
+ALTERNATING_SIZES = [0, 1, 2, 5, 8, _BAREISS_CUTOFF - 1, _BAREISS_CUTOFF,
+                     _BAREISS_CUTOFF + 1, _BAREISS_CUTOFF + 16]
+
+
+@pytest.mark.parametrize("n", ALTERNATING_SIZES)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), data=st.data())
+def test_alternating_rank_is_the_planted_rank_and_the_echelon_rank(n, seed,
+                                                                   data):
+    """On an alternating matrix of planted rank 2h (h = 0 makes every entry
+    0 mod p), with input entries up to 2^40 in absolute value, the rank
+    mod p is 2h by the alternating kernel, by `rank` and by `_mod_echelon`;
+    p = 2 is included, where alternating is symmetric with zero
+    diagonal."""
+    p = data.draw(st.sampled_from([2, 3, 7, _PRIMES[0], _PRIMES[-1]]))
+    half = data.draw(st.integers(0, n // 2))
+    height = data.draw(st.sampled_from([0, 2 ** 20, 2 ** 40]))
+    a = _alternating(seed, n, half, p, height)
+    assert np.abs(a).max(initial=0) <= height + p
+    assert not ((a + a.T) % p).any() and not (a.diagonal() % p).any()
+    before = a.copy()
+    assert qlinalg._alternating_rank(a, p) == 2 * half
+    assert rank(qlinalg.ModMatrix(a, p)) == 2 * half
+    assert len(qlinalg._mod_echelon(a, p)[0]) == 2 * half
+    assert (a == before).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, _BAREISS_CUTOFF + 1])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), data=st.data())
+def test_a_matrix_mod_p_that_is_not_alternating_is_ranked_by_echelon(n, seed,
+                                                                     data):
+    """One entry off an alternating matrix (on the diagonal, or off it
+    without its mirror), and an alternating matrix less a column, are
+    ranked by `_mod_echelon` and never reach the alternating kernel."""
+    p = data.draw(st.sampled_from([2, 3, _PRIMES[0]]))
+    a = _alternating(seed, n, data.draw(st.integers(0, n // 2)), p, 2 ** 40)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    off = a.copy()
+    off[i, j] += 1
+    with mock.patch.object(qlinalg, "_alternating_rank",
+                           side_effect=AssertionError("not alternating")):
+        for b in (off, a[:, 1:]):
+            assert rank(qlinalg.ModMatrix(b, p)) == len(
+                qlinalg._mod_echelon(b, p)[0])

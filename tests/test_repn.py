@@ -216,7 +216,7 @@ def test_submodule_on_a_basis_that_is_not_a_weight_basis():
         L, [inverse(P) * m * P for m in standard_rep(L).action], "k3'")
     assert check_representation(sub)
     S = semidirect(L, sub)
-    assert S.v_weights() is None
+    assert S.weight_data[0] is None
     assert generator_ledger(S, 3).generator_degrees() == [2, 2]
 
 
@@ -231,7 +231,7 @@ def test_contraction_kernel_is_a_weight_basis(n, k):
     R = contraction_kernel(standard_rep(L), symplectic_form(n), k)
     assert R.dim_V == math.comb(n, k) - math.comb(n, k - 2)
     assert check_representation(R)
-    assert semidirect(L, R).v_weights() is not None
+    assert semidirect(L, R).weight_data[0] is not None
 
 
 def test_submodule_refuses_a_basis_without_unit_columns():

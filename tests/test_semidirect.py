@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -206,15 +207,80 @@ def _roots(L):
                                       ("so", 7)])
 def test_weights_of_the_g_block_are_the_roots(family, n):
     L = classical_algebra(family, n)
-    assert semidirect(L, standard_rep(L)).v_weights()[:L.dim] == _roots(L)
+    assert semidirect(L, standard_rep(L)).weight_data[0][:L.dim] == _roots(L)
 
 
 def test_weights_of_the_standard_and_spin_modules():
     L = classical_algebra("so", 5)
-    w = semidirect(L, standard_rep(L)).v_weights()
+    w = semidirect(L, standard_rep(L)).weight_data[0]
     assert w[L.dim:] == [(1, 0), (0, 1), (0, 0), (0, -1), (-1, 0)]
     L = classical_algebra("so", 7)
-    w = semidirect(L, spin_rep(7, L=L)).v_weights()
-    half = QQ(1, 2)
-    assert sorted(w[L.dim:]) == sorted(
-        itertools.product((-half, half), repeat=3))
+    w = semidirect(L, spin_rep(7, L=L)).weight_data[0]
+    # the spin weights (+-1/2, +-1/2, +-1/2), scaled to integers with the
+    # roots, which become (+-2, ...)
+    assert sorted(w[L.dim:]) == sorted(itertools.product((-1, 1), repeat=3))
+    assert w[:L.dim] == [tuple(2 * x for x in r) for r in _roots(L)]
+
+
+def _weights_by_fractions(S):
+    """The former route, kept as the reference: the diagonal of each Cartan
+    element as Fraction weights QQ(row[j][j], d), cleared again by the lcm
+    of their denominators; None when the Cartan does not act diagonally."""
+    cartan = S.algebra.metadata.get("cartan")
+    if cartan is None:
+        return None
+    d, table = S.total.int_ad_table
+    rows = [table[c] for c in cartan]
+    if any(k != j for row in rows for j, vec in row.items() for k in vec):
+        return None
+    w = [tuple(QQ(row[j][j], d) if j in row else Q0 for row in rows)
+         for j in range(S.dim)]
+    lcm = math.lcm(1, *(x.denominator for wi in w for x in wi))
+    return [tuple(int(x * lcm) for x in wi) for wi in w]
+
+
+def _table_products():
+    from coadjoint.atlas import load_atlas, row_expectations
+    from coadjoint.repn import build_module
+
+    cfg = SampleConfig()
+    for row in load_atlas(cfg=cfg):
+        for env in row.instances():
+            exp = row_expectations(row, env, cfg)
+            L = classical_algebra(row.family, exp["size"])
+            yield semidirect(L, build_module(
+                row.family, exp["size"],
+                [(lbl, m) for m, lbl in exp["module"] if m > 0], L=L))
+
+
+def _ledger_products():
+    from coadjoint.constructions import ContractionSpec, takiff, z2_contraction
+
+    for family, n, module in [("sp", 2, standard_rep), ("sl", 2, adjoint_rep),
+                              ("so", 3, standard_rep), ("sp", 4, standard_rep),
+                              ("so", 5, standard_rep), ("sl", 3, adjoint_rep)]:
+        L = classical_algebra(family, n)
+        yield semidirect(L, module(L))
+    yield takiff(classical_algebra("sl", 3))
+    for kind, params in [("so-so", (3, 1)), ("so-gl", (2,)), ("sl-sp", (4,))]:
+        yield z2_contraction(ContractionSpec(kind, params))[0]
+
+
+def test_integer_weights_are_the_cleared_fraction_weights():
+    """On every table instance and the ten ledger products, the weights read
+    off the integer diagonal are the former cleared Fraction weights; where
+    there are none, the Cartan does not act diagonally or some non-Cartan
+    element of q has weight zero."""
+    products = list(_table_products())
+    assert len(products) == 77
+    products += list(_ledger_products())
+    for S in products:
+        w, _ = S.weight_data
+        ref = _weights_by_fractions(S)
+        if w is None:
+            cartan = S.algebra.metadata.get("cartan") or []
+            assert ref is None or any(not any(ref[i]) for i in range(S.dim_g)
+                                      if i not in cartan), S
+        else:
+            assert w == ref, S
+    assert sum(S.weight_data[0] is not None for S in products) == 84
