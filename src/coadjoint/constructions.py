@@ -70,6 +70,7 @@ from .qlinalg import (
     as_q,
     inverse,
     kernel_basis,
+    rank,
     sample_vector,
     solve_right,
 )
@@ -509,8 +510,8 @@ def centraliser_dim(layout: MatrixRealisation) -> int:
     comms = [_commutator_sparse(layout.meta["e"],
                                 {divmod(t, N): x for t, x in enumerate(v) if x})
              for v in sp_basis]
-    return len(kernel_basis(QMatrix.from_rows(
-        [[c.get(divmod(t, N), Q0) for c in comms] for t in range(N * N)])))
+    return len(comms) - rank(QMatrix.from_rows(
+        [[c.get(divmod(t, N), Q0) for c in comms] for t in range(N * N)]))
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,8 @@ class MultiPoly:
 
     @staticmethod
     def variable(nvars, i, c=1):
+        if not 0 <= i < nvars:
+            raise ValueError(f"no variable {i} among {nvars}")
         mono = tuple(1 if j == i else 0 for j in range(nvars))
         return MultiPoly(nvars, {mono: as_q(c)})
 
@@ -112,6 +114,7 @@ class MultiPoly:
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(self.nvars, other)
+        _same_ring(self, other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             s = out.get(m, 0) + c
@@ -134,6 +137,7 @@ class MultiPoly:
             if c == 0:
                 return MultiPoly(self.nvars)
             return MultiPoly(self.nvars, {m: v * c for m, v in self.terms.items()})
+        _same_ring(self, other)
         n = self.nvars
         w = _width(self.total_degree() + other.total_degree())
         return MultiPoly(n, _unpack(_product(_pack(self.terms, n, w),
@@ -208,6 +212,8 @@ class MultiPoly:
         if len(images) != self.nvars:
             raise ValueError(f"{len(images)} images of {self.nvars} vars")
         tgt = images[0].nvars if images else 0
+        for P in images:
+            _same_ring(images[0], P)
         D = math.lcm(1, *(c.denominator for P in images
                           for c in P.terms.values()))
         M = self.total_degree()
@@ -424,6 +430,12 @@ def lie_derivative_in(L: LieAlgebraData, xi_index: int, P: MultiPoly
     index = _supported(ints, _pack(ints, n, w), n)
     out = _derive(_shifts(table[xi_index], _units(n, w), index), index)
     return _over(n, _unpack(out, n, w), d * D)
+
+
+def _same_ring(P, Q):
+    """Raise ValueError unless the polynomials P and Q have one ring."""
+    if P.nvars != Q.nvars:
+        raise ValueError(f"polynomials in {P.nvars} and {Q.nvars} variables")
 
 
 def _check_ring(L, P):

@@ -5,22 +5,18 @@ dense lists of rows; products walk only the nonzero entries, and `entries()`
 is the one conversion to a sparse {(i, j): value} dict.  Ranks and kernels
 run on one sparse integer form, rows of {column: int}: `IntRows` is taken as
 it is, and a `QMatrix` row is scaled by the lcm of its denominators (all-zero
-rows dropped), which changes neither rank nor right kernel.  The path is
-chosen from the input: rows of at most `_SPARSE_ROW_WEIGHT` nonzeros on
-average are eliminated sparsely mod p, shortest row first, once there are
-more than `_BAREISS_CUTOFF` rows or columns; denser ones by numpy mod p once
-there are more of both; the rest, and what the modular paths cannot settle,
-exactly over Z by `Basis`, the one exact elimination.  Both modular
-eliminations return (pivot_cols, pivot_rows, solve), solve inverting the
-pivot block mod p.  A modular result is certified from both sides: the rank
-mod p bounds the rank over Q from below, so full column rank proves the
-kernel zero; otherwise kernel vectors are lifted p-adically from the sparse
-pivot rows with that solve (rounds that double the digits, at most the
-Hadamard count) and each integer vector D v is checked as A (D v) = 0 over Z
-on every row, D the lcm of the denominators of v: the rank from above.  A
-rank that this path leaves to `Basis` is first taken mod the first prime by
-`_sparse_echelon`, whatever the density, its entries reduced in Python: the
-rank mod p bounds it from below, so min(rows, cols) there is the answer.
+rows dropped), which changes neither rank nor right kernel.  `rank` is one
+elimination mod the first prime by `_sparse_echelon`: the rank mod p bounds
+the rank over Q from below, so min(rows, cols) there is the answer, and any
+smaller count is decided by `Basis`.  `kernel_basis` chooses its path from
+the input: rows of at most `_SPARSE_ROW_WEIGHT` nonzeros on average are
+eliminated sparsely mod p, shortest row first, once there are more than
+`_BAREISS_CUTOFF` rows or columns; denser ones by numpy mod p once there are
+more of both; the rest, and what the modular paths cannot settle, exactly
+by `Basis`.  A modular kernel is certified from both sides
+(`_certified_kernel`): full column rank mod p proves it zero; otherwise its
+vectors are lifted p-adically from the pivot rows and each is checked over
+Z on every row.  `solve_right` is one `Basis` of [M | b].
 
 `Basis` is the one echelon-and-coordinates routine: one forward elimination
 on primitive integer rows settles the rank, the pivots and the greedy choice
@@ -493,20 +489,19 @@ _BAREISS_CUTOFF = 70
 
 # Rows with at most this many nonzeros on average are eliminated sparsely.
 # Measured: the benchmark's sparse-path systems have 1.0 to 2.8, the one
-# dense-path system of a `tables` pass (92 x 91) 21.2, and so7 on spin8 at
-# multidegree (6, 4) 4.18, above this threshold (ROADMAP item 2).
+# dense-path system of a `tables` pass (92 x 91) 21.2, and the peeled core
+# of so7 on spin8 at multidegree (6, 4) (4677902 rows, 339063 columns) 3.7.
 _SPARSE_ROW_WEIGHT = 4
 
 
 def rank(m) -> int:
     """Exact rank over Q of a QMatrix or IntRows; over F_p of a ModMatrix.
 
-    What the modular kernel path does not settle is first eliminated once
-    mod p = _PRIMES[0] by `_sparse_echelon`, and a full rank there is the
-    answer: an r x r minor of A that is nonzero mod p is a nonzero integer,
-    so rank_Q A >= rank_p A, and rank_Q A <= min(rows, cols) always.  Any
-    smaller rank mod p may be a drop at p, and is decided exactly by
-    `Basis`.
+    The nonzero integer rows are eliminated once mod p = _PRIMES[0] by
+    `_sparse_echelon`, and a full rank there is the answer: an r x r minor
+    of A that is nonzero mod p is a nonzero integer, so rank_Q A >= rank_p A,
+    and rank_Q A <= min(rows, cols) always.  Any smaller rank mod p may be a
+    drop at p, and is decided exactly by `Basis`; no kernel is computed.
 
     A ModMatrix is ranked by `_alternating_rank` when it is square and
     alternating mod p (the sampled Kirillov forms), by `_mod_echelon`
@@ -520,26 +515,19 @@ def rank(m) -> int:
     a = _int_rows(m)
     if not a:
         return 0
-    kernel = _certified_kernel(a, m.cols)
-    if kernel is not None:
-        return m.cols - len(kernel)
     r = len(_sparse_echelon(a, m.cols, _PRIMES[0])[0])
     if r == min(len(a), m.cols):
         return r
     return len(Basis([_dense(row, m.cols) for row in a]))
 
 
-def _is_sparse(a):
-    return sum(map(len, a)) <= _SPARSE_ROW_WEIGHT * len(a)
-
-
 def _certified_kernel(a, nc):
     """Right-kernel basis of the nonzero sparse integer rows a by the modular
-    path, integer vectors each verified over Z, or None when exact
-    elimination must decide (small systems, entries too large, or every
-    prime failed).  Either elimination's pivot rows go to `_dixon_solve`
+    path of `kernel_basis`, integer vectors each verified over Z, or None
+    when exact elimination must decide (small systems, entries too large, or
+    every prime failed).  Either elimination's pivot rows go to `_dixon_solve`
     sparse, with its solve."""
-    sparse = _is_sparse(a)
+    sparse = sum(map(len, a)) <= _SPARSE_ROW_WEIGHT * len(a)
     if (max if sparse else min)(len(a), nc) <= _BAREISS_CUTOFF:
         return None
     amax = max(abs(x) for row in a for x in row.values())
@@ -670,19 +658,17 @@ def _kernel_exact_small(a, nc):
 
 
 def solve_right(m: QMatrix, b):
-    """One exact solution x of M x = b, or None if inconsistent.
-
-    x is supported on the greedily chosen independent columns of M (each
-    column kept when it is independent of the columns before it).
-    """
-    cols = [list(c) for c in zip(*m.data)]
-    accepted = Basis(cols).accepted
-    coords = Basis([cols[j] for j in accepted]).coords([as_q(x) for x in b])
-    if coords is None:
+    """One exact solution x of M x = b, or None if inconsistent, read off one
+    `Basis` of the rows of [M | b]: b is outside the span iff its column is a
+    pivot; otherwise x[p_i] is the last entry of reduced row i, the one
+    solution supported on the pivots p_i, which are the greedily chosen
+    independent columns of M (each kept when independent of those before)."""
+    red = Basis([row + [as_q(y)] for row, y in zip(m.data, b, strict=True)])
+    if m.cols in red.pivots:
         return None
     x = [Q0] * m.cols
-    for j, c in zip(accepted, coords):
-        x[j] = c
+    for p, row in zip(red.pivots, red.rows):
+        x[p] = row[m.cols]
     return x
 
 

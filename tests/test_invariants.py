@@ -84,6 +84,27 @@ def test_a_polynomial_on_another_ring_is_refused(nvars):
         lie_derivative(S, 0, P)
 
 
+def _x(nvars, i=0):
+    return MultiPoly.variable(nvars, i)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: _x(3) + _x(5), "3 and 5 variables"),
+    (lambda: _x(5) - _x(3), "5 and 3 variables"),
+    (lambda: _x(3) * _x(5), "3 and 5 variables"),
+    (lambda: _x(5) * _x(3, 2), "5 and 3 variables"),
+    (lambda: _x(2).substitute_linear([_x(3), _x(4, 1)]), "3 and 4 variables"),
+    (lambda: MultiPoly.variable(3, 3), "variable 3 among 3"),
+    (lambda: MultiPoly.variable(3, -1), "variable -1 among 3"),
+], ids=["add", "sub", "mul", "mul-fewer", "substitute", "index", "negative"])
+def test_a_polynomial_in_another_number_of_variables_is_refused(build, match):
+    """Sums, products and substitutions on two rings, and a variable outside
+    the ring, raise ValueError naming both counts or the index, instead of
+    mixing exponent tuples of two lengths or failing a packing check."""
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_invariant_space_sp2k2():
     S = S_sp2k2()
     assert len(invariant_space(S, (1, 2))) == 1

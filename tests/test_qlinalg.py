@@ -79,6 +79,9 @@ def test_solve_right():
     x = solve_right(m, [5, 6])
     assert m.matvec(x) == [QQ(5), QQ(6)]
     assert solve_right(QMatrix.from_rows([[1, 1], [1, 1]]), [0, 1]) is None
+    for b in ([5], [5, 6, 7]):   # one entry per row, or no answer
+        with pytest.raises(ValueError):
+            solve_right(m, b)
 
 
 def test_solve_right_uses_the_greedy_independent_columns():

@@ -7,6 +7,9 @@ integer coordinates of `Basis`, rational reconstruction, the int64 guards of
 the modular path and its exact verification have their own tests below, and
 so do tall sparse integer systems on both sides of the sparsity selection,
 and the peeling of singleton rows on systems with planted singleton chains.
+`rank` is checked to compute no kernel, and `solve_right` against the
+three-elimination route on the greedy independent columns, kept here as a
+reference.
 """
 
 import itertools
@@ -169,6 +172,86 @@ def test_rank_of_integers_above_64_bits(seed, rows, cols, deficient, sparse,
     if divisible:
         assert len(qlinalg._sparse_echelon(
             _int_rows(QMatrix(len(dense), cols, dense)), cols, p)[0]) == 0
+
+
+def test_rank_computes_no_kernel(monkeypatch):
+    """Wide systems, sparse and dense, full row rank and deficient, are
+    ranked without the p-adic kernel route, and so is the faithfulness of
+    so14 on phi7 + 2 phi1 (a 91 x 8464 system of full row rank)."""
+    from coadjoint.liealg import classical_algebra
+    from coadjoint.repn import build_module
+    from coadjoint.semidirect import semidirect
+
+    def refuse(*args):
+        raise AssertionError("rank computed a kernel")
+
+    monkeypatch.setattr(qlinalg, "_dixon_solve", refuse)
+    monkeypatch.setattr(qlinalg, "_certified_kernel", refuse)
+    rng = random.Random(30)
+    sparse = [{i: 1, rng.randrange(20, 300): rng.randint(-3, 3) or 1}
+              for i in range(20)]
+    dense = [{c: rng.randint(-5, 5) or 1 for c in range(200)}
+             for _ in range(30)]
+    deficient = dense + [{c: 2 * x for c, x in dense[0].items()}]
+    for rows, nc, want in [(sparse, 300, 20), (dense, 200, 30),
+                           (deficient, 200, 30)]:
+        assert nc > _BAREISS_CUTOFF
+        assert len(Basis([qlinalg._dense(r, nc) for r in rows])) == want
+        assert rank(qlinalg.IntRows(nc, rows)) == want
+        assert rank(QMatrix(len(rows), nc, [
+            [Fraction(r.get(c, 0)) for c in range(nc)] for r in rows])) == want
+    L = classical_algebra("so", 14)
+    S = semidirect(L, build_module("so", 14, [("phi7", 1), ("phi1", 2)], L=L))
+    assert S.faithful
+
+
+def _solve_by_columns(m, b):
+    """solve_right as it read before one elimination of [M | b]: a `Basis`
+    of the columns for the greedy independent ones, a second of those
+    columns, and its coordinates of b."""
+    cols = [list(c) for c in zip(*m.data)]
+    accepted = Basis(cols).accepted
+    coords = Basis([cols[j] for j in accepted]).coords(
+        [Fraction(x) for x in b])
+    if coords is None:
+        return None
+    x = [Fraction(0)] * m.cols
+    for j, c in zip(accepted, coords):
+        x[j] = c
+    return x
+
+
+@SMALL
+@given(seed=st.integers(0, 2 ** 32), rows=st.integers(0, 10),
+       cols=st.integers(1, 10), rnk=st.integers(0, 10),
+       rational=st.booleans(),
+       kind=st.sampled_from(["consistent", "any", "inconsistent"]))
+def test_solve_right_matches_the_column_reference(seed, rows, cols, rnk,
+                                                  rational, kind):
+    """Consistent systems b = M x0, arbitrary right-hand sides (mostly
+    inconsistent when M is rank-deficient), systems made inconsistent by a
+    zero row with b = 1 there, and the 0-row case: the solution is the
+    reference's, entry for entry, and solves M x = b."""
+    m = _matrix(seed, rows, cols, min(rnk, rows, cols), rational)
+    rng = random.Random(seed)
+    if kind == "consistent":
+        x0 = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+              for _ in range(cols)]
+        b = m.matvec(x0)
+    else:
+        b = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(rows)]
+    if kind == "inconsistent":
+        t = rng.randrange(rows + 1)
+        m = _with_zero_rows(m, [t])
+        b.insert(t, Fraction(1))
+    x = solve_right(m, b)
+    assert x == _solve_by_columns(m, b)
+    if kind == "consistent" or m.rows == 0:
+        assert x is not None
+    if kind == "inconsistent":
+        assert x is None
+    if x is not None:
+        assert m.matvec(x) == b
 
 
 @SMALL
