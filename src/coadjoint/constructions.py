@@ -53,7 +53,7 @@ from .invariants import (
 )
 from .liealg import (
     LieAlgebraData,
-    _commutator_sparse,
+    _commutators,
     algebra_on_basis,
     classical_algebra,
     matrix_algebra,
@@ -417,7 +417,7 @@ def centraliser_layout(m: int, q: int) -> MatrixRealisation:
     for kind, label, mat, tgt in gens:
         if not preserves_form(mat, Om):
             raise VerificationError(f"{label} is not in sp(Omega)")
-        if _commutator_sparse(e_mat, mat):
+        if _commutators([e_mat, mat]):
             raise VerificationError(f"{label} does not centralise e")
     # bracket match: [sp, v] realises the standard action on each copy
     spmats = [mat for kind, label, mat, tgt in gens if kind == "sp"]
@@ -426,7 +426,7 @@ def centraliser_layout(m: int, q: int) -> MatrixRealisation:
         for a in range(m):
             copy = [vmats[(a, s)] for s in range(2 * q)]
             for r in range(2 * q):
-                comm = _commutator_sparse(zemb, copy[r])
+                comm = _commutators([zemb, copy[r]]).get((0, 1), {})
                 expect = _combination([zmat.get((s, r), 0)
                                        for s in range(2 * q)], copy)
                 if comm != expect:
@@ -449,7 +449,7 @@ def centraliser_layout(m: int, q: int) -> MatrixRealisation:
     zs = [g[2] for g in gens]
     ms = [mirror(z) for z in zs]
     for x in ms:
-        if not preserves_form(x, Om) or _commutator_sparse(f_mat, x):
+        if not preserves_form(x, Om) or _commutators([f_mat, x]):
             raise VerificationError("a mirrored generator leaves sp(Omega)_f")
     duals = _trace_duals(zs, ms)
     coords = [LayoutCoord(kind, label, zmat, dual, tgt)
@@ -507,9 +507,9 @@ def centraliser_dim(layout: MatrixRealisation) -> int:
             rows[k * N + t][l * N + t] += o
     sp_basis = kernel_basis(QMatrix.from_rows(rows))
     # ad(e) on that basis: kernel dimension
-    comms = [_commutator_sparse(layout.meta["e"],
-                                {divmod(t, N): x for t, x in enumerate(v) if x})
-             for v in sp_basis]
+    e = layout.meta["e"]
+    comms = [_commutators([e, {divmod(t, N): x for t, x in enumerate(v) if x}])
+             .get((0, 1), {}) for v in sp_basis]
     return len(comms) - rank(QMatrix.from_rows(
         [[c.get(divmod(t, N), Q0) for c in comms] for t in range(N * N)]))
 

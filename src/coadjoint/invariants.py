@@ -155,7 +155,8 @@ class MultiPoly:
         return MultiPoly(n, _unpack(_power(_pack(self.terms, n, w), k), n, w))
 
     def __eq__(self, other):
-        return isinstance(other, MultiPoly) and self.terms == other.terms
+        return (isinstance(other, MultiPoly) and self.nvars == other.nvars
+                and self.terms == other.terms)
 
     def is_zero(self):
         return not self.terms
@@ -191,6 +192,8 @@ class MultiPoly:
         return QQ(_int_value(terms, X, d, M), D * d ** M)
 
     def partial(self, i):
+        if not 0 <= i < self.nvars:
+            raise ValueError(f"no variable {i} among {self.nvars}")
         out = {}
         for m, c in self.terms.items():
             e = m[i]

@@ -66,13 +66,15 @@ class LieAlgebraData:
     every ordered pair with a nonzero bracket (table[j][i] is its negative),
     d the least common denominator of the structure constants.  The
     constructor is the one builder: `brackets` maps each pair (i, j), i < j,
-    to d [x_i, x_j] as {k: int or rational}, cleared and reduced to lowest
-    terms once.  Nothing writes the table afterwards; read it, never write
-    it.  What the table determines (its list of brackets, its content, the
-    arrays that assemble the Kirillov form mod p, dim [L, L] and the Killing
-    rank) is computed once, when first read.  metadata carries
-    optional construction hints (matrix realisation, Cartan indices) used by
-    downstream fast paths; none of it is required for correctness.
+    to d [x_i, x_j] as {k: int or rational}.  Integer input is stored as
+    given, in copies without its zeros; any other is cleared of its
+    denominators; a common factor above 1 is divided out.  Nothing writes
+    the table afterwards; read it, never write it.  What the table
+    determines (its list of brackets, its content, the arrays that assemble
+    the Kirillov form mod p, dim [L, L] and the Killing rank) is computed
+    once, when first read.  metadata carries optional construction hints
+    (matrix realisation, Cartan indices) used by downstream fast paths;
+    none of it is required for correctness.
     """
 
     def __init__(self, dim, basis_labels=None, brackets=None, metadata=None,
@@ -83,17 +85,22 @@ class LieAlgebraData:
             raise ValueError(f"{len(self.basis_labels)} labels for dim {dim}")
         self.metadata = metadata or {}
         items = (brackets or {}).items()
-        e = math.lcm(1, *(c.denominator for _, vec in items
-                          for c in vec.values()))
-        items = [(ij, {k: c.numerator * (e // c.denominator)
-                       for k, c in vec.items() if c}) for ij, vec in items]
+        if all(type(c) is int for _, vec in items for c in vec.values()):
+            e, items = 1, [(ij, {k: c for k, c in vec.items() if c})
+                           for ij, vec in items]
+        else:
+            e = math.lcm(1, *(c.denominator for _, vec in items
+                              for c in vec.values()))
+            items = [(ij, {k: c.numerator * (e // c.denominator)
+                           for k, c in vec.items() if c}) for ij, vec in items]
         g = math.gcd(d * e, *(c for _, vec in items for c in vec.values()))
         table = [{} for _ in range(dim)]
         for (i, j), vec in items:
             if not 0 <= i < j < dim:
                 raise ValueError(f"bracket pair ({i}, {j}) is not i < j < {dim}")
             if vec:
-                table[i][j] = {k: c // g for k, c in vec.items()}
+                table[i][j] = vec if g == 1 else {k: c // g
+                                                  for k, c in vec.items()}
                 table[j][i] = {k: -c for k, c in table[i][j].items()}
         self.int_ad_table = (d * e // g, table)
 
@@ -235,37 +242,40 @@ def matrix_algebra(n, mats, labels, metadata):
     The matrices are sparse, {(i, j): nonzero Fraction}.  The only builder
     of an algebra from matrices: metadata gains "matrices", "matrix_size"
     and "expand" (make_expander on mats).  The commutators are taken in
-    integers, of the matrices times D, the lcm of their denominators, and
-    the expander writes each D^2 [A, B] in the basis: the table is built
-    with d = D^2.  Raises VerificationError when a commutator leaves the
-    span.
+    integers, of the matrices times D, the lcm of their denominators, by
+    one join (`_commutators`), and the expander writes each D^2 [A, B] in
+    the basis, in (a, b) order: the table is built with d = D^2.  Raises
+    VerificationError when a commutator leaves the span.
     """
     expand = make_expander(mats)
     metadata = dict(metadata, matrices=mats, expand=expand, matrix_size=n)
     D = math.lcm(1, *(v.denominator for m in mats for v in m.values()))
     cleared = [{pos: v.numerator * (D // v.denominator) for pos, v in m.items()}
                for m in mats]
-    brackets = {}
-    for a, ma in enumerate(cleared):
-        for b in range(a + 1, len(mats)):
-            comm = _commutator_sparse(ma, cleared[b])
-            if comm:
-                brackets[(a, b)] = expand(comm)
+    brackets = {ab: expand(comm) for ab, comm in _commutators(cleared).items()}
     return LieAlgebraData(len(mats), labels, brackets, metadata, d=D * D)
 
 
-def _commutator_sparse(a, b):
-    """[A, B] for sparse {(i,j): v} matrices."""
-    out = {}
-    for (i, k), va in a.items():
-        for (k2, j), vb in b.items():
-            if k == k2:
-                out[(i, j)] = out.get((i, j), 0) + va * vb
-    for (i, k), vb in b.items():
-        for (k2, j), va in a.items():
-            if k == k2:
-                out[(i, j)] = out.get((i, j), 0) - vb * va
-    return {p: v for p, v in out.items() if v != 0}
+def _commutators(mats):
+    """{(a, b): [A_a, A_b]}, in (a, b) order, over the pairs a < b with a
+    nonzero commutator of sparse {(i, j): v} matrices, by one join: the
+    entries are indexed by row once, and each nonzero product A_a[i, k]
+    A_b[k, j] is formed once, added to [A_a, A_b] when a < b and subtracted
+    from [A_b, A_a] when a > b; pairs that never meet are never visited."""
+    by_row = {}
+    for b, m in enumerate(mats):
+        for (k, j), v in m.items():
+            by_row.setdefault(k, []).append((b, j, v))
+    comms = {}
+    for a, m in enumerate(mats):
+        for (i, k), va in m.items():
+            for b, j, vb in by_row.get(k, ()):
+                if b != a:
+                    x = va * vb
+                    acc = comms.setdefault((a, b) if a < b else (b, a), {})
+                    acc[i, j] = acc.get((i, j), 0) + (x if a < b else -x)
+    return {ab: comm for ab in sorted(comms)
+            if (comm := {pos: v for pos, v in comms[ab].items() if v})}
 
 
 def _quotient(a, b):

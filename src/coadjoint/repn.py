@@ -387,7 +387,11 @@ def spin_rep(n: int, half: str | None = None, L=None) -> RepresentationData:
     """Spin (n odd) or half-spin (n even) representation of so_n.
 
     half: 'even' or 'odd' selects the chirality for even n (the parity of the
-    Fock degree); must be None for odd n.
+    Fock degree); must be None for odd n.  A half is built alone, on the
+    Fock columns of its parity in order: so_n acts by 1/4 [gamma(v),
+    gamma(w)], and each Clifford generator moves the Fock degree by one
+    (Chevalley, The algebraic theory of spinors, 1954), so the half is a
+    submodule; an image outside it raises VerificationError.
     """
     if n < 3:
         raise ValueError("spin_rep requires n >= 3")
@@ -400,39 +404,37 @@ def spin_rep(n: int, half: str | None = None, L=None) -> RepresentationData:
     elif L.metadata.get("family") != "so" or L.metadata.get("size") != n:
         raise ValueError(f"spin_rep({n}) needs L = so_{n}")
     gammas, basis = _clifford_generators(n)
-    N = len(basis)
-    mats = L.metadata["matrices"]
-    n_sq = L.metadata["matrix_size"]
+    keep = [col for col, s in enumerate(basis)
+            if half is None or len(s) % 2 == (half == "odd")]
+    at = {col: t for t, col in enumerate(keep)}
     action = []
-    for bm in mats:
+    for bm in L.metadata["matrices"]:
         # bm = E_pq - E_{bar q, bar p} = R_{e_p, e_bar(q)}, and
         # sigma(R_{v,w}) = 1/4 [gamma(v), gamma(w)]; walk each antisymmetric
         # entry pair once.  By the Clifford relation [gamma_p, gamma_r] =
         # 2 gamma_p gamma_r - 2 B(e_p, e_r), and B(e_p, e_bar(q)) = 1 exactly
         # when q = p.  The entries of bm are +-1, so 2 sigma(bm) is written
         # in ints: d = 2
-        acc = [{} for _ in range(N)]
+        acc = [{} for _ in at]
         seenpairs = set()
         for (p, q), x in bm.items():
-            if (n_sq - 1 - q, n_sq - 1 - p) in seenpairs:
+            if (n - 1 - q, n - 1 - p) in seenpairs:
                 continue
             seenpairs.add((p, q))
             gp, c = gammas[p], int(x)
-            for col, (mid, c1) in gammas[n_sq - 1 - q].items():
-                if mid in gp:
+            for col, (mid, c1) in gammas[n - 1 - q].items():
+                if col in at and mid in gp:
                     row, c2 = gp[mid]
-                    acc[col][row] = acc[col].get(row, 0) + c * c1 * c2
+                    if row not in at:
+                        raise VerificationError(f"column {row} leaves the half")
+                    a = acc[at[col]]
+                    a[at[row]] = a.get(at[row], 0) + c * c1 * c2
             if p == q:
-                for col in range(N):
-                    acc[col][col] = acc[col].get(col, 0) - c
-        action.append([_column(c) for c in acc])
-    if n % 2 == 1:
-        return RepresentationData(L, action, N, label=f"spin({n})", d=2)
-    # even: restrict to the Fock degrees of the chosen parity
-    keep = [i for i, s in enumerate(basis) if len(s) % 2 == (half == "odd")]
-    return _submodule(RepresentationData(L, action, N, d=2),
-                      [[int(i == c) for i in range(N)] for c in keep],
-                      f"spin({n},{half})", keep)
+                for t, a in enumerate(acc):
+                    a[t] = a.get(t, 0) - c
+        action.append([_column(a) for a in acc])
+    label = f"spin({n})" if half is None else f"spin({n},{half})"
+    return RepresentationData(L, action, len(at), label=label, d=2)
 
 
 # ---------------------------------------------------------------------------

@@ -96,13 +96,25 @@ def _x(nvars, i=0):
     (lambda: _x(2).substitute_linear([_x(3), _x(4, 1)]), "3 and 4 variables"),
     (lambda: MultiPoly.variable(3, 3), "variable 3 among 3"),
     (lambda: MultiPoly.variable(3, -1), "variable -1 among 3"),
-], ids=["add", "sub", "mul", "mul-fewer", "substitute", "index", "negative"])
+    (lambda: _x(3, 2).partial(3), "variable 3 among 3"),
+    (lambda: _x(3, 2).partial(-1), "variable -1 among 3"),
+], ids=["add", "sub", "mul", "mul-fewer", "substitute", "index", "negative",
+        "partial-index", "partial-negative"])
 def test_a_polynomial_in_another_number_of_variables_is_refused(build, match):
     """Sums, products and substitutions on two rings, and a variable outside
-    the ring, raise ValueError naming both counts or the index, instead of
-    mixing exponent tuples of two lengths or failing a packing check."""
+    the ring (made or differentiated), raise ValueError naming both counts
+    or the index, instead of mixing exponent tuples of two lengths, reading
+    a negative index from the end or failing a packing check."""
     with pytest.raises(ValueError, match=match):
         build()
+
+
+def test_polynomials_of_two_rings_are_unequal():
+    # the zero polynomials too, though their term dicts are both empty
+    assert MultiPoly(3) != MultiPoly(5)
+    assert MultiPoly(3) == MultiPoly(3)
+    assert _x(3, 0) != _x(5, 0) and _x(3, 0) == _x(3, 0)
+    assert _x(3, 2).partial(2) == MultiPoly.constant(3, 1)
 
 
 def test_invariant_space_sp2k2():

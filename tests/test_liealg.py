@@ -607,3 +607,132 @@ def test_subalgebra_integer_table_is_the_reference(name, seed, size):
                 break
     sub = algebra_on_basis(L, basis)
     _assert_integer_table(sub, _reference_subalgebra_table(ref, L.dim, basis))
+
+
+# ---------------------------------------------------------------------------
+# the commutator join and the integer builder against their former routes
+# ---------------------------------------------------------------------------
+
+
+def _commutator_pairwise(a, b):
+    """[A, B] for sparse {(i, j): v} matrices, every entry of A against
+    every entry of B: the former route of matrix_algebra."""
+    out = {}
+    for (i, k), va in a.items():
+        for (k2, j), vb in b.items():
+            if k == k2:
+                out[(i, j)] = out.get((i, j), 0) + va * vb
+    for (i, k), vb in b.items():
+        for (k2, j), va in a.items():
+            if k == k2:
+                out[(i, j)] = out.get((i, j), 0) - vb * va
+    return {p: v for p, v in out.items() if v != 0}
+
+
+def _pairwise_matrix_algebra(L):
+    """The table of the matrix-built L rebuilt as matrix_algebra did before
+    the join: every pair a < b of cleared matrices commuted by
+    _commutator_pairwise and written in the basis by L's expander."""
+    mats, expand = L.metadata["matrices"], L.metadata["expand"]
+    D = math.lcm(1, *(v.denominator for m in mats for v in m.values()))
+    cleared = [{pos: v.numerator * (D // v.denominator)
+                for pos, v in m.items()} for m in mats]
+    brackets = {}
+    for a, ma in enumerate(cleared):
+        for b in range(a + 1, len(mats)):
+            comm = _commutator_pairwise(ma, cleared[b])
+            if comm:
+                brackets[(a, b)] = expand(comm)
+    return LieAlgebraData(len(mats), brackets=brackets, d=D * D).int_ad_table
+
+
+def _layout_algebras():
+    from coadjoint.constructions import (minimal_nilpotent_centraliser_layout,
+                                         two_block_centraliser_layout)
+
+    lays = [minimal_nilpotent_centraliser_layout(n) for n in (2, 3, 4)]
+    lays += [two_block_centraliser_layout(m, n) for m, n in ((1, 1), (2, 1),
+                                                             (3, 2))]
+    return [matrix_algebra(lay.N, [c.generator for c in lay.coords],
+                           [c.label for c in lay.coords], {}) for lay in lays]
+
+
+def _contraction_g0s():
+    from coadjoint.constructions import ContractionSpec, z2_contraction
+
+    specs = (("so-so", (3, 1)), ("sp-sp", (4, 2)), ("sl-sp", (4,)),
+             ("so-gl", (2,)), ("so-so", (5, 2)))
+    return [z2_contraction(ContractionSpec(kind, params))[0].algebra
+            for kind, params in specs]
+
+
+@pytest.mark.parametrize("source", ["classical", "layouts", "contractions"])
+def test_matrix_algebra_join_is_the_pairwise_table(source):
+    # the join may order the keys inside a bracket differently; the dicts
+    # compare by content
+    if source == "classical":
+        algebras = [classical_algebra(family, n)
+                    for family, sizes in (("gl", range(1, 9)),
+                                          ("sl", range(2, 9)),
+                                          ("so", range(2, 9)),
+                                          ("sp", (2, 4, 6, 8)))
+                    for n in sizes]
+    else:
+        algebras = (_layout_algebras() if source == "layouts"
+                    else _contraction_g0s())
+    for L in algebras:
+        assert L.int_ad_table == _pairwise_matrix_algebra(L), L
+
+
+def test_matrix_algebra_join_keeps_signs_and_skips_commuting_pairs():
+    # [E12, E21] = E11 - E22, [E21, E12] its negative; E11 and E22 commute
+    mats = [{(0, 1): Fraction(1)}, {(1, 0): Fraction(1)},
+            {(0, 0): Fraction(1)}, {(1, 1): Fraction(1)}]
+    gl2 = matrix_algebra(2, mats, ["e", "f", "a", "b"], {})
+    assert gl2.int_ad_table == _pairwise_matrix_algebra(gl2)
+    table = gl2.int_ad_table[1]
+    assert table[0][1] == {2: 1, 3: -1} and table[1][0] == {2: -1, 3: 1}
+    assert 3 not in table[2] and 2 not in table[3]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32), d=st.sampled_from([1, 2, 6]))
+def test_builder_stores_integer_input_as_its_fraction_twin(seed, d):
+    # int input is stored as given, and input with a Fraction (denominator
+    # 1 here) is cleared: the same table either way
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    brackets = {(i, j): {k: rng.choice((0, 0, 2, -4, 6)) for k in range(n)
+                         if rng.random() < 0.6}
+                for i in range(n) for j in range(i + 1, n)
+                if rng.random() < 0.7}
+    ints = LieAlgebraData(n, brackets=brackets, d=d)
+    assert LieAlgebraData(n, brackets={ij: {k: 2 * c for k, c in vec.items()}
+                                       for ij, vec in brackets.items()},
+                          d=2 * d).int_ad_table == ints.int_ad_table
+    for twin in ({ij: {k: Fraction(c) for k, c in vec.items()}
+                  for ij, vec in brackets.items()},
+                 {ij: {k: Fraction(c) if k == min(vec) else c
+                       for k, c in vec.items()}
+                  for ij, vec in brackets.items()}):
+        assert LieAlgebraData(n, brackets=twin, d=d).int_ad_table == \
+            ints.int_ad_table
+    table = ints.int_ad_table[1]
+    assert all(type(c) is int and c for row in table for vec in row.values()
+               for c in vec.values())
+
+
+def test_builder_divides_out_a_common_factor_and_copies_its_input():
+    brackets = {(0, 1): {2: 6, 0: 0}, (0, 2): {1: -4}, (1, 2): {0: 0}}
+    L = LieAlgebraData(3, brackets=brackets, d=6)
+    assert L.int_ad_table == (3, [{1: {2: 3}, 2: {1: -2}}, {0: {2: -3}},
+                                  {0: {1: 2}}])
+    # no common factor: stored as given, in the table's own dicts
+    brackets = {(0, 1): {2: 6}, (0, 2): {1: -4}}
+    L = LieAlgebraData(3, brackets=brackets)
+    assert L.int_ad_table == (1, [{1: {2: 6}, 2: {1: -4}}, {0: {2: -6}},
+                                  {0: {1: 4}}])
+    brackets[(0, 1)][2] = 99
+    brackets[(0, 2)][0] = 1
+    assert L.int_ad_table == (1, [{1: {2: 6}, 2: {1: -4}}, {0: {2: -6}},
+                                  {0: {1: 4}}])

@@ -27,6 +27,8 @@ from coadjoint.repn import (
     symplectic_form,
     trivial_rep,
     weight_module,
+    _clifford_generators,
+    _column,
     _submodule,
 )
 
@@ -143,6 +145,64 @@ def test_spin_chirality_errors():
         spin_rep(7, "even")
     with pytest.raises(ValueError):
         spin_rep(8)
+
+
+def _fock_half_by_submodule(n, half):
+    """The half-spin module of so_n as it was built before a half was built
+    alone: the action on all 2^(n/2) Fock columns, then `_submodule` on the
+    unit vectors of the chosen parity."""
+    L = classical_algebra("so", n)
+    gammas, basis = _clifford_generators(n)
+    N = len(basis)
+    action = []
+    for bm in L.metadata["matrices"]:
+        acc = [{} for _ in range(N)]
+        seen = set()
+        for (p, q), x in bm.items():
+            if (n - 1 - q, n - 1 - p) in seen:
+                continue
+            seen.add((p, q))
+            gp, c = gammas[p], int(x)
+            for col, (mid, c1) in gammas[n - 1 - q].items():
+                if mid in gp:
+                    row, c2 = gp[mid]
+                    acc[col][row] = acc[col].get(row, 0) + c * c1 * c2
+            if p == q:
+                for col in range(N):
+                    acc[col][col] = acc[col].get(col, 0) - c
+        action.append([_column(a) for a in acc])
+    keep = [i for i, s in enumerate(basis) if len(s) % 2 == (half == "odd")]
+    return L, _submodule(RepresentationData(L, action, N, d=2),
+                         [[int(i == c) for i in range(N)] for c in keep],
+                         f"spin({n},{half})", keep)
+
+
+@pytest.mark.parametrize("half", ["even", "odd"])
+@pytest.mark.parametrize("n", range(4, 15, 2))
+def test_half_spin_built_alone_is_the_submodule_of_the_fock_module(n, half):
+    L, ref = _fock_half_by_submodule(n, half)
+    R = spin_rep(n, half, L=L)
+    assert (R.d, R.dim_V, R.label, R.blocks, R.columns) == \
+        (ref.d, ref.dim_V, ref.label, ref.blocks, ref.columns)
+    assert check_representation(R)
+
+
+def test_half_spin_refuses_an_image_outside_its_half(monkeypatch):
+    # a gamma that keeps the Fock degree sends a half into the other one
+    from coadjoint import repn
+    from coadjoint.qlinalg import VerificationError
+
+    clifford = repn._clifford_generators
+
+    def leaky(n):
+        gammas, basis = clifford(n)
+        gammas[0] = {col: (col, 1) for col in range(len(basis))}
+        return gammas, basis
+
+    monkeypatch.setattr(repn, "_clifford_generators", leaky)
+    for half in ("even", "odd"):
+        with pytest.raises(VerificationError, match="leaves the half"):
+            spin_rep(8, half)
 
 
 def test_spin7_invariant_bilinear_form():
