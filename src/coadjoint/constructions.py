@@ -26,11 +26,14 @@ the top power.
 One expansion of det(lambda I + X), truncated at lambda-degree N - k, carries
 Delta_k' for every k' >= k: the ambient invariants of a contraction take all
 their degrees from one expansion, and a layout keeps its expansion for every
-Delta_k it serves.
+Delta_k it serves.  A layout expands only toward the top f-degree m: a
+partial product whose t-degree cannot reach m over the rows still to come is
+dropped, as one above a cap is.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -184,7 +187,8 @@ class MatrixRealisation:
     coords: list
     target: SemiDirectProduct
     meta: dict
-    # the memo of `symbolic_minor_sum` for the matrix of `e_delta_restricted`
+    # the expansion of `e_delta_restricted`'s matrix: {k': the t^m part of
+    # E_k'} for every k' >= the least k expanded so far, m = meta["m"]
     minor_sums: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -214,12 +218,30 @@ def _packed_entries(entries, nvars):
     return w, [[_pack(a, nvars, w) for a in row] for row in entries]
 
 
-def _det_int(entries, nvars, bounds):
+def _det_int(entries, nvars, bounds, floors=()):
     """(w, terms of the determinant of a matrix of term dicts on packed keys
     of width w), by column-subset expansion: each state maps the set of
-    columns used by the rows so far to the signed sum of their products."""
+    columns used by the rows so far to the signed sum of their products.
+
+    bounds: (variables, cap) pairs; after every row, a term of degree above
+    cap in those variables is dropped, as no later row lowers it.
+
+    floors: (variables, least) pairs; the result keeps only the terms of
+    degree at least `least` in those variables.  Each row contributes one
+    entry to a product, so rows i+1 .. N-1 add at most the sum of their
+    largest entry degrees, and after row i a term that falls short of least
+    by more than that is dropped: no completion of it reaches the floor.
+    With no floors, every term within the caps is expanded.
+    """
     N = len(entries)
     w, entries = _packed_entries(entries, nvars)
+    # per floor and row i, the degree a term needs after row i
+    needs = []
+    for variables, least in floors:
+        most = [max((d for a in row for d in _degrees(a, variables, w)),
+                    default=0) for row in entries]
+        needs.append((variables, [least - sum(most[i + 1:])
+                                  for i in range(N)]))
     states = {(): _pack({(0,) * nvars: 1}, nvars, w)}
     for i in range(N):
         row = [(j, a) for j, a in enumerate(entries[i]) if a]
@@ -231,9 +253,14 @@ def _det_int(entries, nvars, bounds):
                 sign = -1 if sum(1 for c in cols if c > j) % 2 else 1
                 key = tuple(sorted(cols + (j,)))
                 _mul_into(new.setdefault(key, {}), val, a, sign)
+        floor = [(variables, need[i]) for variables, need in needs
+                 if need[i] > 0]
         states = {}
         for key, acc in new.items():
             terms = _bounded(acc, bounds, w)
+            for variables, least in floor:
+                terms = dict(itertools.compress(terms.items(), (
+                    d >= least for d in _degrees(terms, variables, w))))
             if terms:
                 states[key] = terms
         if not states:
@@ -266,23 +293,27 @@ def symbolic_minor_sum(entries, nvars, k, bounds=(), memo=None):
     return _over(nvars, _unpack(terms, nvars, w), D ** k)
 
 
-def _minor_sum_int(entries, nvars, k, bounds, memo):
+def _minor_sum_int(entries, nvars, k, bounds, memo, floors=()):
     """(D, w, the nonzero terms of E_k(D X) on packed keys of width w), as
-    `symbolic_minor_sum` reads them from memo or expands them into it."""
+    `symbolic_minor_sum` reads them from memo or expands them into it; the
+    floors, as in `_det_int`, must be the same for every call on memo."""
     memo = {} if memo is None else memo
     if k not in memo:
-        memo.update(_minor_sums_int(entries, nvars, k, bounds))
+        memo.update(_minor_sums_int(entries, nvars, k, bounds, floors))
     return memo[k]
 
 
-def _minor_sums_int(entries, nvars, k, bounds):
+def _minor_sums_int(entries, nvars, k, bounds, floors=()):
     """{k': (D, w, the terms of E_k'(D X) on packed keys of width w)} for
     k <= k' <= N, from one expansion of det(lambda I + D X): lambda is the
-    last variable, so the top digit of a packed key is its power N - k'."""
+    last variable, so the top digit of a packed key is its power N - k'.
+    The bounds and floors are on the original variables, as in `_det_int`:
+    each E_k' keeps only its terms within the caps and at or above the
+    floors."""
     N = len(entries)
     D, ints = _integral_entries(entries)
     if k == N:
-        return {N: (D, *_det_int(ints, nvars, bounds))}
+        return {N: (D, *_det_int(ints, nvars, bounds, floors))}
     unit = (0,) * nvars + (1,)
     ext = []
     for i in range(N):
@@ -293,7 +324,7 @@ def _minor_sums_int(entries, nvars, k, bounds):
                 p[unit] = 1
             row.append(p)
         ext.append(row)
-    w, det = _det_int(ext, nvars + 1, [*bounds, ([nvars], N - k)])
+    w, det = _det_int(ext, nvars + 1, [*bounds, ([nvars], N - k)], floors)
     out = {kk: (D, w, {}) for kk in range(k, N + 1)}
     for (m, c), e in zip(det.items(), _degrees(det, [nvars], w)):
         out[N - e][2][m - e * _unit(nvars, w)] = c
@@ -543,11 +574,13 @@ def e_delta_restricted(layout: MatrixRealisation, k: int) -> EDeltaResult:
     are returned.  m >= 3 odd: k = 3m + 2i - 1 with 1 <= i <= q - (m-1)/2;
     only H~_i exists.  The result is re-verified as an invariant of the target.
 
-    The symbolic matrix is expanded once for every k it serves: the layout
-    keeps the expansion (`MatrixRealisation.minor_sums`), which carries
-    Delta_k' for every k' >= k, and a later call for such a k' reads it.
-    Every call still checks the f-degree, the escapes and the invariance of
-    its own H, and the order of the calls changes no result.
+    The symbolic matrix is expanded once for every k it serves, and only
+    toward t^m: a partial product whose t-degree cannot reach m over the
+    rows still to come is dropped, as is one above a cap.  The layout keeps
+    the expansion (`MatrixRealisation.minor_sums`), the t^m part of Delta_k'
+    for every k' >= k, and a later call for such a k' reads it.  Every call
+    still checks the f-degree, the escapes and the invariance of its own H,
+    and the order of the calls changes no result.
     """
     m, q = layout.meta["m"], layout.meta["q"]
     N = layout.N
@@ -580,26 +613,26 @@ def e_delta_restricted(layout: MatrixRealisation, k: int) -> EDeltaResult:
 
     cvars = [vi for vi, ci in enumerate(keep) if layout.coords[ci].kind == "C"]
 
-    # the t-degree is at most m, and the centre degree at most 1 for m = 1
+    # the t-degree is at most m, and the centre degree at most 1 for m = 1;
+    # only the terms of t-degree m are expanded
     bounds = [([tvar], m)] + ([(cvars, 1)] if cvars else [])
-    D, wk, terms = _minor_sum_int(entries, nv, k, bounds, layout.minor_sums)
+    D, wk, terms = _minor_sum_int(entries, nv, k, bounds, layout.minor_sums,
+                                  [([tvar], m)])
     # the expansion is selected on its packed keys, read digit by digit, and
     # only the terms kept are unpacked; the top f-degree is the degree in t,
     # and the lemmas give exactly m for even k >= 2m
-    tdeg = _degrees(terms, [tvar], wk)
-    fdeg = max(tdeg, default=0)
-    if fdeg != m:
+    if not terms:
         raise VerificationError(
-            f"f-degree of Delta_{k} on the layout is {fdeg}, not {m}")
+            f"no term of Delta_{k} on the layout reaches f-degree {m}")
+    if any(t != m for t in _degrees(terms, [tvar], wk)):
+        raise VerificationError(
+            f"a term of Delta_{k} on the layout has f-degree other than {m}")
     # split off the centre coefficient (m = 1) and check escapes
     target = layout.target
     delta_prime = None
     h_terms = {}
     dp_terms = {}
-    for (mono, c), t, cdeg in zip(terms.items(), tdeg,
-                                  _degrees(terms, cvars, wk)):
-        if t != m:
-            continue
+    for (mono, c), cdeg in zip(terms.items(), _degrees(terms, cvars, wk)):
         if cdeg == 0:
             h_terms[mono] = c
         elif cdeg == 1 and m == 1:
@@ -636,7 +669,7 @@ def e_delta_restricted(layout: MatrixRealisation, k: int) -> EDeltaResult:
     if not is_invariant(target, H):
         raise VerificationError(
             f"extracted H for Delta_{k} is not an invariant of the target")
-    return EDeltaResult(layout=layout, k=k, H=H, f_degree=fdeg,
+    return EDeltaResult(layout=layout, k=k, H=H, f_degree=m,
                         delta_prime=delta_prime)
 
 

@@ -279,10 +279,15 @@ def _commutators(mats):
 
 
 def _quotient(a, b):
-    """a / b exactly; an int when a and b are ints and b divides a."""
+    """a / b exactly; an int when it is integral."""
     if type(a) is int and type(b) is int and a % b == 0:
         return a // b
-    return QQ(a) / b
+    return _integral(QQ(a) / b)
+
+
+def _integral(x):
+    """The rational x, as an int when its denominator is 1."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def make_expander(mats):
@@ -294,7 +299,8 @@ def make_expander(mats):
     bases); whatever remains is solved on the positions with several owners,
     in the matrices that own no position alone.  Raises VerificationError
     outside the span.  Integral entries are kept as ints, so an integer
-    target over a basis of integer matrices is peeled in integers.
+    target over a basis of integer matrices is peeled in integers, and every
+    integral coefficient is returned as an int.
     """
     dim = len(mats)
     owners = {}
@@ -334,7 +340,7 @@ def make_expander(mats):
             for b_local, c in enumerate(sol):
                 if c != 0:
                     b = multi_idx[b_local]
-                    coeffs[b] = coeffs.get(b, 0) + c
+                    coeffs[b] = coeffs.get(b, 0) + _integral(c)
         return coeffs
 
     return expand

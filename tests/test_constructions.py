@@ -31,6 +31,7 @@ from coadjoint.constructions import (
 )
 from coadjoint.invariants import (
     MultiPoly,
+    _degrees,
     generator_ledger,
     invariant_space,
     is_invariant,
@@ -229,6 +230,57 @@ def test_e_delta_results_do_not_depend_on_the_order_of_the_ks(n, ks,
     fresh = parts([e_delta_restricted(minimal_nilpotent_centraliser_layout(n),
                                       k) for k in ks])
     assert ascending == descending[::-1] == fresh
+
+
+def _floorless(expand):
+    """`_minor_sums_int` as it ran before floors: every term within the caps
+    is expanded, and the terms below a floor are dropped only at the end."""
+    def run(entries, nvars, k, bounds, floors=()):
+        return {kk: (D, w, {mono: c for mono, c in terms.items() if all(
+            _degrees([mono], variables, w)[0] >= least
+            for variables, least in floors)})
+            for kk, (D, w, terms) in expand(entries, nvars, k, bounds).items()}
+    return run
+
+
+def _e_delta_parts(res):
+    return res.k, res.H, res.f_degree, res.delta_prime
+
+
+@pytest.mark.parametrize("layout, args, k", [
+    *((minimal_nilpotent_centraliser_layout, (n,), k)
+      for n in (2, 3, 4) for k in range(4, 2 * n + 1, 2)),
+    (two_block_centraliser_layout, (3, 2), 10)])
+def test_e_delta_floor_gives_the_floorless_results(layout, args, k,
+                                                   monkeypatch):
+    """Expanding only toward t^m gives the H, f-degree and Delta' of the
+    full expansion filtered at the end."""
+    import coadjoint.constructions as constructions
+
+    floored = _e_delta_parts(e_delta_restricted(layout(*args), k))
+    monkeypatch.setattr(constructions, "_minor_sums_int",
+                        _floorless(constructions._minor_sums_int))
+    assert floored == _e_delta_parts(e_delta_restricted(layout(*args), k))
+
+
+def test_e_delta_two_block_3_3_is_pinned():
+    # the exact terms of H~_1 for sp6 |x 3 k^6, pinned
+    res = e_delta_restricted(two_block_centraliser_layout(3, 3), 10)
+    assert (res.f_degree, len(res.H.terms), _digest(res.H)) == (
+        3, 2502, "8cbbfce73fa05206bcc9")
+
+
+@pytest.mark.parametrize("layout, args, k", [
+    (minimal_nilpotent_centraliser_layout, (2,), 4),
+    (two_block_centraliser_layout, (3, 2), 10)])
+def test_e_delta_refuses_a_layout_without_its_f_degree(layout, args, k):
+    """With the constant f-block cleared, t never occurs, so no term of
+    Delta_k reaches f-degree m and the verdict is a VerificationError."""
+    lay = layout(*args)
+    lay.const = {}
+    with pytest.raises(VerificationError, match="f-degree") as err:
+        e_delta_restricted(lay, k)
+    assert f"Delta_{k} " in str(err.value)
 
 
 def test_e_delta_range_validation():

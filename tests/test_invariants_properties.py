@@ -9,9 +9,9 @@ scale shows up as a wrong value.  The
 zero-weight monomial generator is compared with enumerate-and-filter.
 
 The kernels key monomials by packed ints (exponents as fixed-width digits),
-so the packed products, powers, degree bounds and derivations are compared
-with tuple-keyed references kept here, including at the width boundary
-where a carry would merge two monomials.
+so the packed products, powers, degree bounds, degree floors and
+derivations are compared with tuple-keyed references kept here, including
+at the width boundary where a carry would merge two monomials.
 """
 
 import functools
@@ -26,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from coadjoint.constructions import (
     ContractionSpec,
+    _minor_sums_int,
     pfaffian,
     principal_minor_sums,
     symbolic_minor_sum,
@@ -40,6 +41,7 @@ from coadjoint.invariants import (
     _int_terms,
     _killed,
     _killed_by,
+    _over,
     _pack,
     _unpack,
     _width,
@@ -243,6 +245,42 @@ def test_degree_bounds_only_drop_terms(seed, n, nvars):
     for k in range(n + 1):
         assert symbolic_minor_sum(entries, nvars, k, bounds) == _filtered(
             symbolic_minor_sum(entries, nvars, k), bounds)
+
+
+def _minor_sums(entries, nvars, k, bounds, floors=()):
+    """{k': E_k'} for k' >= k from one expansion, as MultiPolys."""
+    return {kk: _over(nvars, _unpack(terms, nvars, w), D ** kk)
+            for kk, (D, w, terms) in _minor_sums_int(
+                entries, nvars, k, bounds, floors).items()}
+
+
+def _at_or_above(P, floors):
+    return MultiPoly(P.nvars, {m: c for m, c in P.terms.items() if all(
+        sum(m[v] for v in variables) >= least for variables, least in floors)})
+
+
+@SETTINGS
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 3))
+def test_degree_floors_only_drop_terms(seed, n, nvars):
+    """A floored expansion is the capped one with the terms below a floor
+    dropped afterwards.  Entries have degree up to 2 and constant terms, so
+    a partial product can fall short of a floor that a later row lifts it
+    to; a floor is on one variable or on several, with or without a cap,
+    and a floor above the degree of every product leaves nothing."""
+    rng = random.Random(seed)
+    entries = [[_random_poly(rng, nvars, 2, terms=3) for _ in range(n)]
+               for _ in range(n)]
+    bounds = [(rng.sample(range(nvars), rng.randint(1, nvars)),
+               rng.randint(0, 3))] if rng.random() < 0.5 else []
+    floors = [(rng.sample(range(nvars), rng.randint(1, nvars)),
+               rng.randint(1, 2 * n)) for _ in range(rng.randint(1, 2))]
+    for k in range(n + 1):
+        capped = _minor_sums(entries, nvars, k, bounds)
+        assert _minor_sums(entries, nvars, k, bounds, floors) == {
+            kk: _at_or_above(P, floors) for kk, P in capped.items()}
+        unreached = [(range(nvars), 2 * n + 1)]
+        assert all(P.is_zero() for P in _minor_sums(
+            entries, nvars, k, bounds, unreached).values())
 
 
 @SETTINGS

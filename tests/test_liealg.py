@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from coadjoint.liealg import (
     LieAlgebraData,
     NotClosedError,
+    _commutators,
     abelian_algebra,
     algebra_on_basis,
     b_of,
@@ -436,6 +437,29 @@ def test_expander_on_any_independent_family(seed, n, density):
             with pytest.raises(VerificationError):
                 expand({divmod(t, n): Fraction(1)})
             break
+
+
+@pytest.mark.parametrize("family, sizes", [
+    ("gl", range(2, 5)), ("sl", range(2, 7)), ("so", range(3, 9)),
+    ("sp", (2, 4, 6))])
+def test_classical_brackets_expand_to_ints(family, sizes):
+    """Each cleared commutator of a classical basis is written in the basis
+    with int coefficients only, and the table built from them equals the one
+    that clearing Fractions gives."""
+    for n in sizes:
+        L = classical_algebra(family, n)
+        mats = L.metadata["matrices"]
+        D = math.lcm(1, *(v.denominator for m in mats for v in m.values()))
+        cleared = [{pos: v.numerator * (D // v.denominator)
+                    for pos, v in m.items()} for m in mats]
+        brackets = {ab: L.metadata["expand"](comm)
+                    for ab, comm in _commutators(cleared).items()}
+        assert all(type(c) is int for vec in brackets.values()
+                   for c in vec.values())
+        as_fractions = {ab: {k: Fraction(c) for k, c in vec.items()}
+                        for ab, vec in brackets.items()}
+        assert LieAlgebraData(L.dim, L.basis_labels, as_fractions,
+                              d=D * D).int_ad_table == L.int_ad_table
 
 
 def test_matrix_algebra_rejects_matrices_not_closed_under_commutator():
