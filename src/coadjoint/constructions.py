@@ -23,12 +23,12 @@ centraliser, and the scalar t scaling the constant f-block tracks the
 f-degree, so the coefficient of t^d is the highest f-component when d is
 the top power.
 
-One expansion of det(lambda I + X), truncated at lambda-degree N - k, carries
-Delta_k' for every k' >= k: the ambient invariants of a contraction take all
-their degrees from one expansion, and a layout keeps its expansion for every
-Delta_k it serves.  A layout expands only toward the top f-degree m: a
-partial product whose t-degree cannot reach m over the rows still to come is
-dropped, as one above a cap is.
+One expansion of det(lambda I + X) serves a requested set of degrees and
+keeps only the lambda-powers N - max to N - min of the set: the ambient
+invariants of a contraction make one request, and a layout's first call for
+k stores Delta_k' for every k' >= k, the only Delta_k cache.  A layout
+expands only toward the top f-degree m: a partial product whose t-degree
+cannot reach m over the rows still to come is dropped, as one above a cap is.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ def delta_k_matrix(M: QMatrix, k: int):
     det(lambda I - M) = lambda^N - c_1 lambda^{N-1} + c_2 lambda^{N-2} - ...,
     Delta_k(M) = c_k.
     """
-    if k > M.rows:
-        raise ValueError("k exceeds the matrix size")
+    if not 0 <= k <= M.rows:
+        raise ValueError(f"k = {k} is outside 0..{M.rows}")
     return principal_minor_sums(M)[k]
 
 
@@ -268,14 +268,12 @@ def _det_int(entries, nvars, bounds, floors=()):
     return w, states.get(tuple(range(N)), {})
 
 
-def symbolic_minor_sum(entries, nvars, k, bounds=(), memo=None):
+def symbolic_minor_sum(entries, nvars, k, bounds=()):
     """E_k of a symbolic matrix: det(lambda I + X) via one extra variable.
 
-    Runs on ints: det(lambda I + D X) carries E_k'(D X) = D^k' E_k'(X) at
-    lambda^(N-k') for every k', D the lcm of the entry denominators.  One
-    expansion, truncated at lambda-degree N - k (a partial product with a
-    higher power of lambda reaches no E_k' with k' >= k), gives every E_k'
-    with k' >= k; k = N takes the determinant without lambda.
+    Runs on ints: det(lambda I + D X) carries E_k(D X) = D^k E_k(X) at
+    lambda^(N-k), D the lcm of the entry denominators; k = N takes the
+    determinant without lambda.
 
     bounds: degree bounds (variables, cap) on the original variables, each
     keeping only the terms of degree at most cap in those variables.
@@ -283,36 +281,28 @@ def symbolic_minor_sum(entries, nvars, k, bounds=(), memo=None):
     so far that breaks a bound cannot contribute, and the bounds are applied
     after every row: the result is E_k with the terms that break a bound
     left out.
-
-    memo: a dict that the caller keeps for this one matrix and these bounds.
-    An expansion stores every E_k' it carries there, so a later call for
-    any of them reads it instead of expanding again, and a call for a
-    smaller k expands afresh.  The order of the calls changes no result.
     """
-    D, w, terms = _minor_sum_int(entries, nvars, k, bounds, memo)
+    D, w, terms = _minor_sums_int(entries, nvars, [k], bounds)[k]
     return _over(nvars, _unpack(terms, nvars, w), D ** k)
 
 
-def _minor_sum_int(entries, nvars, k, bounds, memo, floors=()):
-    """(D, w, the nonzero terms of E_k(D X) on packed keys of width w), as
-    `symbolic_minor_sum` reads them from memo or expands them into it; the
-    floors, as in `_det_int`, must be the same for every call on memo."""
-    memo = {} if memo is None else memo
-    if k not in memo:
-        memo.update(_minor_sums_int(entries, nvars, k, bounds, floors))
-    return memo[k]
-
-
-def _minor_sums_int(entries, nvars, k, bounds, floors=()):
-    """{k': (D, w, the terms of E_k'(D X) on packed keys of width w)} for
-    k <= k' <= N, from one expansion of det(lambda I + D X): lambda is the
-    last variable, so the top digit of a packed key is its power N - k'.
-    The bounds and floors are on the original variables, as in `_det_int`:
-    each E_k' keeps only its terms within the caps and at or above the
-    floors."""
-    N = len(entries)
+def _minor_sums_int(entries, nvars, ks, bounds, floors=()):
+    """{k: (D, w, the terms of E_k(D X) on packed keys of width w)} for each
+    k of ks, from one expansion of det(lambda I + D X) that keeps only the
+    lambda-powers N - max(ks) to N - min(ks): lambda is the last variable,
+    so the top digit of a packed key is its power N - k.  ks = [N] takes the
+    determinant without lambda.  The bounds and floors are on the original
+    variables, as in `_det_int`: each E_k keeps only its terms within the
+    caps and at or above the floors."""
+    N = _square_size(entries, "principal minors")
+    bad = [k for k in ks if not 0 <= k <= N]
+    if bad:
+        raise ValueError(f"k = {bad[0]} is outside 0..{N}")
+    if not ks:
+        return {}
     D, ints = _integral_entries(entries)
-    if k == N:
+    lo, hi = min(ks), max(ks)
+    if lo == N:
         return {N: (D, *_det_int(ints, nvars, bounds, floors))}
     unit = (0,) * nvars + (1,)
     ext = []
@@ -324,11 +314,24 @@ def _minor_sums_int(entries, nvars, k, bounds, floors=()):
                 p[unit] = 1
             row.append(p)
         ext.append(row)
-    w, det = _det_int(ext, nvars + 1, [*bounds, ([nvars], N - k)], floors)
-    out = {kk: (D, w, {}) for kk in range(k, N + 1)}
+    w, det = _det_int(ext, nvars + 1, [*bounds, ([nvars], N - lo)],
+                      [*floors, ([nvars], N - hi)])
+    out = {k: (D, w, {}) for k in ks}
     for (m, c), e in zip(det.items(), _degrees(det, [nvars], w)):
-        out[N - e][2][m - e * _unit(nvars, w)] = c
+        if N - e in out:
+            out[N - e][2][m - e * _unit(nvars, w)] = c
     return out
+
+
+def _square_size(entries, what):
+    """N for an N x N matrix given by its rows; any other shape raises a
+    ValueError that names it."""
+    N = len(entries)
+    cols = {len(row) for row in entries}
+    if cols - {N}:
+        raise ValueError(f"a {N} x {'/'.join(map(str, sorted(cols)))} "
+                         f"matrix has no {what}")
+    return N
 
 
 def symbolic_pfaffian(entries, nvars):
@@ -336,9 +339,13 @@ def symbolic_pfaffian(entries, nvars):
 
     Runs on ints: Pf(D X) / D^(n/2), D the lcm of the entry denominators.
     """
-    n = len(entries)
+    n = _square_size(entries, "Pfaffian")
     if n % 2:
         raise ValueError(f"a {n} x {n} matrix has no Pfaffian")
+    # X + X^T = 0, which also clears the diagonal
+    if not all((entries[i][j] + entries[j][i]).is_zero()
+               for i in range(n) for j in range(i, n)):
+        raise ValueError("matrix is not antisymmetric")
     D, ints = _integral_entries(entries)
     w, ints = _packed_entries(ints, nvars)
     memo = {(): _pack({(0,) * nvars: 1}, nvars, w)}
@@ -574,11 +581,11 @@ def e_delta_restricted(layout: MatrixRealisation, k: int) -> EDeltaResult:
     are returned.  m >= 3 odd: k = 3m + 2i - 1 with 1 <= i <= q - (m-1)/2;
     only H~_i exists.  The result is re-verified as an invariant of the target.
 
-    The symbolic matrix is expanded once for every k it serves, and only
-    toward t^m: a partial product whose t-degree cannot reach m over the
-    rows still to come is dropped, as is one above a cap.  The layout keeps
-    the expansion (`MatrixRealisation.minor_sums`), the t^m part of Delta_k'
-    for every k' >= k, and a later call for such a k' reads it.  Every call
+    The layout stores the t^m part of Delta_k (`MatrixRealisation
+    .minor_sums`).  On a miss, the symbolic matrix is built and expanded
+    once for every k' >= k, and only toward t^m: a partial product whose
+    t-degree cannot reach m over the rows still to come is dropped, as is
+    one above a cap; a later call for such a k' reads the store.  Every call
     still checks the f-degree, the escapes and the invariance of its own H,
     and the order of the calls changes no result.
     """
@@ -597,27 +604,20 @@ def e_delta_restricted(layout: MatrixRealisation, k: int) -> EDeltaResult:
             raise ValueError(f"k = {k} out of range for m = {m}, n = {q}")
     # symbolic variables: layout coords + t (last); C coords are kept for
     # m = 1 (they carry the centre e) and zeroed upfront otherwise
-    keep = []
-    for ci, c in enumerate(layout.coords):
-        if c.kind == "C" and m > 1:
-            continue
-        keep.append(ci)
+    keep = [ci for ci, c in enumerate(layout.coords)
+            if c.kind != "C" or m == 1]
     nv = len(keep) + 1
     tvar = len(keep)
-    entries = [[MultiPoly(nv) for _ in range(N)] for _ in range(N)]
-    for (r, s), c in layout.const.items():
-        entries[r][s] = entries[r][s] + MultiPoly.variable(nv, tvar, c)
-    for vi, ci in enumerate(keep):
-        for (r, s), c in layout.coords[ci].eval_matrix.items():
-            entries[r][s] = entries[r][s] + MultiPoly.variable(nv, vi, c)
-
     cvars = [vi for vi, ci in enumerate(keep) if layout.coords[ci].kind == "C"]
-
-    # the t-degree is at most m, and the centre degree at most 1 for m = 1;
-    # only the terms of t-degree m are expanded
-    bounds = [([tvar], m)] + ([(cvars, 1)] if cvars else [])
-    D, wk, terms = _minor_sum_int(entries, nv, k, bounds, layout.minor_sums,
-                                  [([tvar], m)])
+    if k not in layout.minor_sums:
+        entries = _symbolic_matrix(
+            N, [layout.coords[ci].eval_matrix for ci in keep] + [layout.const])
+        # the t-degree is at most m, and the centre degree at most 1 for
+        # m = 1; only the terms of t-degree m are expanded
+        bounds = [([tvar], m)] + ([(cvars, 1)] if cvars else [])
+        layout.minor_sums.update(_minor_sums_int(
+            entries, nv, range(k, N + 1), bounds, [([tvar], m)]))
+    D, wk, terms = layout.minor_sums[k]
     # the expansion is selected on its packed keys, read digit by digit, and
     # only the terms kept are unpacked; the top f-degree is the degree in t,
     # and the lemmas give exactly m for even k >= 2m
@@ -780,15 +780,21 @@ def _conjugation(perm, signs):
                       for (k, l), x in X.items()}
 
 
+def _symbolic_matrix(n, mats):
+    """The symbolic n x n matrix sum_a y_a mats[a] of sparse matrices, as
+    MultiPolys in the y."""
+    nv = len(mats)
+    entries = [[MultiPoly(nv) for _ in range(n)] for _ in range(n)]
+    for a, mat in enumerate(mats):
+        for (i, j), c in mat.items():
+            entries[i][j] = entries[i][j] + MultiPoly.variable(nv, a, c)
+    return entries
+
+
 def _ambient_matrix(n, mats):
     """The symbolic n x n matrix sum y_a D_a, {D_a} the trace-dual basis of
     the basis matrices mats, as MultiPolys in the y."""
-    nv = len(mats)
-    entries = [[MultiPoly(nv) for _ in range(n)] for _ in range(n)]
-    for a, dual in enumerate(_trace_duals(mats, mats)):
-        for (i, j), c in dual.items():
-            entries[i][j] = entries[i][j] + MultiPoly.variable(nv, a, c)
-    return entries
+    return _symbolic_matrix(n, _trace_duals(mats, mats))
 
 
 def _ambient_invariants(fam, n, mats):
@@ -799,16 +805,16 @@ def _ambient_invariants(fam, n, mats):
     the trace form by the matrix X = sum y_a D_a with {D_a} the trace-dual
     basis, whatever the basis; evaluating conjugation-invariant matrix
     functions there gives honest coadjoint invariants in the y variables.
-    The E_k all come from one expansion, at the smallest k.
+    The E_k all come from one expansion.
     """
     entries = _ambient_matrix(n, mats)
     # the even-degree E_k of so_n stop below n; for even n the Pfaffian
     # replaces E_n
     degrees = {"sl": range(2, n + 1), "sp": range(2, n + 1, 2),
                "so": range(2, n, 2)}[fam]
-    memo = {}
-    out = [(k, symbolic_minor_sum(entries, len(mats), k, memo=memo))
-           for k in degrees]
+    nv = len(mats)
+    out = [(k, _over(nv, _unpack(terms, nv, w), D ** k)) for k, (D, w, terms)
+           in _minor_sums_int(entries, nv, degrees, ()).items()]
     if fam == "so" and n % 2 == 0:
         # X B with B the antidiagonal form: (X B)_ij = X_i,n-1-j
         out.append((n // 2, symbolic_pfaffian([row[::-1] for row in entries],

@@ -25,6 +25,7 @@ from coadjoint.constructions import (
     principal_minor_sums,
     restrict_psi,
     symbolic_minor_sum,
+    symbolic_pfaffian,
     takiff,
     two_block_centraliser_layout,
     z2_contraction,
@@ -103,6 +104,14 @@ def test_pfaffian_rejects_bad_input():
         pfaffian(QMatrix.identity(3))
     with pytest.raises(ValueError):
         pfaffian(QMatrix.identity(2))
+
+
+def test_symbolic_minor_sum_and_pfaffian_name_a_non_square_shape():
+    x = MultiPoly.variable(1, 0)
+    with pytest.raises(ValueError, match="a 1 x 2 matrix has no Pfaffian"):
+        symbolic_pfaffian([[x, x]], 1)
+    with pytest.raises(ValueError, match="a 1 x 2 matrix has no principal"):
+        symbolic_minor_sum([[x, x]], 1, 1)
 
 
 def test_pf_squared_is_det_100_random():
@@ -217,14 +226,14 @@ def test_e_delta_results_do_not_depend_on_the_order_of_the_ks(n, ks,
     expansions = []
     expand = constructions._minor_sums_int
     monkeypatch.setattr(constructions, "_minor_sums_int",
-                        lambda *a: expansions.append(a[2]) or expand(*a))
+                        lambda *a: expansions.append(list(a[2])) or expand(*a))
 
     def parts(results):
         return [(r.k, _digest(r.H), r.delta_prime) for r in results]
 
     lay = minimal_nilpotent_centraliser_layout(n)
     ascending = parts([e_delta_restricted(lay, k) for k in ks])
-    assert expansions == [ks[0]]
+    assert expansions == [list(range(ks[0], 2 * n + 1))]
     lay = minimal_nilpotent_centraliser_layout(n)
     descending = parts([e_delta_restricted(lay, k) for k in reversed(ks)])
     fresh = parts([e_delta_restricted(minimal_nilpotent_centraliser_layout(n),
@@ -235,11 +244,12 @@ def test_e_delta_results_do_not_depend_on_the_order_of_the_ks(n, ks,
 def _floorless(expand):
     """`_minor_sums_int` as it ran before floors: every term within the caps
     is expanded, and the terms below a floor are dropped only at the end."""
-    def run(entries, nvars, k, bounds, floors=()):
+    def run(entries, nvars, ks, bounds, floors=()):
         return {kk: (D, w, {mono: c for mono, c in terms.items() if all(
             _degrees([mono], variables, w)[0] >= least
             for variables, least in floors)})
-            for kk, (D, w, terms) in expand(entries, nvars, k, bounds).items()}
+            for kk, (D, w, terms)
+            in expand(entries, nvars, ks, bounds).items()}
     return run
 
 
@@ -630,6 +640,14 @@ def test_ambient_invariants_are_the_minor_sums_of_one_expansion(family, size):
         "so": list(range(2, size, 2)) + ([size // 2] if pf else []),
         "sp": list(range(2, size + 1, 2)),
         "sl": list(range(2, size + 1))}[family]
+
+
+def test_ambient_invariants_of_so2_are_its_pfaffian_alone():
+    # so_2 has no even E_k below its size: the request for minor sums is
+    # empty, and the Pfaffian is the one invariant
+    L = classical_algebra("so", 2)
+    out = _ambient_invariants("so", 2, L.metadata["matrices"])
+    assert [k for k, _ in out] == [1]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -110,9 +110,7 @@ def _all_fractions(P):
 def test_symbolic_minor_sums_commute_with_evaluation(seed, n, nvars):
     rng = random.Random(seed)
     entries = [[_linear_form(rng, nvars) for _ in range(n)] for _ in range(n)]
-    memo = {}    # every E_k from the one expansion of det(lambda I + X)
-    syms = [symbolic_minor_sum(entries, nvars, k, memo=memo)
-            for k in range(n + 1)]
+    syms = [symbolic_minor_sum(entries, nvars, k) for k in range(n + 1)]
     det = symbolic_minor_sum(entries, nvars, n)    # without lambda
     assert det == syms[n]
     assert all(map(_all_fractions, syms + [det]))
@@ -211,18 +209,26 @@ def test_integer_jacobian_rows_match_the_rational_rows(seed, nvars, degree,
 @SETTINGS
 @given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 3))
 def test_one_expansion_serves_every_minor_sum_in_any_order(seed, n, nvars):
-    """Calls that share a memo, in a random order and under degree bounds,
-    give the same E_k as a fresh expansion per k."""
+    """A request for any set of degrees, under degree bounds and floors,
+    gives each E_k of a fresh request for that k alone."""
     rng = random.Random(seed)
     entries = [[_random_poly(rng, nvars, 2, terms=3) for _ in range(n)]
                for _ in range(n)]
     bounds = [(rng.sample(range(nvars), rng.randint(1, nvars)),
                rng.randint(0, 3))] if rng.random() < 0.5 else []
-    fresh = [symbolic_minor_sum(entries, nvars, k, bounds)
-             for k in range(n + 1)]
-    memo = {}
-    for k in rng.sample(range(n + 1), n + 1):
-        assert symbolic_minor_sum(entries, nvars, k, bounds, memo) == fresh[k]
+    floors = [(rng.sample(range(nvars), rng.randint(1, nvars)),
+               rng.randint(1, n))] if rng.random() < 0.5 else []
+    ks = rng.sample(range(n + 1), rng.randint(1, n + 1))
+    assert _minor_sums(entries, nvars, ks, bounds, floors) == {
+        k: _minor_sums(entries, nvars, [k], bounds, floors)[k] for k in ks}
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_a_request_for_one_degree_returns_only_that_degree(k):
+    rng = random.Random(k)
+    entries = [[_random_poly(rng, 2, 2, terms=3) for _ in range(4)]
+               for _ in range(4)]
+    assert list(_minor_sums_int(entries, 2, [k], ())) == [k]
 
 
 def _filtered(P, bounds):
@@ -247,11 +253,11 @@ def test_degree_bounds_only_drop_terms(seed, n, nvars):
             symbolic_minor_sum(entries, nvars, k), bounds)
 
 
-def _minor_sums(entries, nvars, k, bounds, floors=()):
-    """{k': E_k'} for k' >= k from one expansion, as MultiPolys."""
-    return {kk: _over(nvars, _unpack(terms, nvars, w), D ** kk)
-            for kk, (D, w, terms) in _minor_sums_int(
-                entries, nvars, k, bounds, floors).items()}
+def _minor_sums(entries, nvars, ks, bounds, floors=()):
+    """{k: E_k} for k in ks from one expansion, as MultiPolys."""
+    return {k: _over(nvars, _unpack(terms, nvars, w), D ** k)
+            for k, (D, w, terms) in _minor_sums_int(
+                entries, nvars, ks, bounds, floors).items()}
 
 
 def _at_or_above(P, floors):
@@ -275,12 +281,13 @@ def test_degree_floors_only_drop_terms(seed, n, nvars):
     floors = [(rng.sample(range(nvars), rng.randint(1, nvars)),
                rng.randint(1, 2 * n)) for _ in range(rng.randint(1, 2))]
     for k in range(n + 1):
-        capped = _minor_sums(entries, nvars, k, bounds)
-        assert _minor_sums(entries, nvars, k, bounds, floors) == {
+        ks = range(k, n + 1)
+        capped = _minor_sums(entries, nvars, ks, bounds)
+        assert _minor_sums(entries, nvars, ks, bounds, floors) == {
             kk: _at_or_above(P, floors) for kk, P in capped.items()}
         unreached = [(range(nvars), 2 * n + 1)]
         assert all(P.is_zero() for P in _minor_sums(
-            entries, nvars, k, bounds, unreached).values())
+            entries, nvars, ks, bounds, unreached).values())
 
 
 @SETTINGS

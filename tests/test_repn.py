@@ -706,12 +706,14 @@ liealg.matrix_algebra = matrix_algebra
 from coadjoint.qlinalg import inverse
 from coadjoint.repn import (direct_sum_rep, spin_rep, symplectic_form,
                             weight_module)
-from coadjoint.constructions import principal_minor_sums, symbolic_pfaffian
+from coadjoint.constructions import (delta_k_matrix, principal_minor_sums,
+                                     symbolic_minor_sum, symbolic_pfaffian)
 from coadjoint.invariants import monomials_of_block_degrees
 from coadjoint.qlinalg import SampleConfig, sample_vector
 sl2 = classical_algebra("sl", 2)
 sp2 = classical_algebra("sp", 2)
 sp2_k2 = semidirect(sp2, standard_rep(sp2))
+x, o = MultiPoly.variable(1, 0), MultiPoly(1)
 for code, build in (
         (15, lambda: semidirect(classical_algebra("sl", 3),
                                 standard_rep(sl2))),
@@ -735,7 +737,16 @@ for code, build in (
         (31, lambda: QMatrix.zero(2, 3) * QMatrix.zero(2, 3)),
         (32, lambda: QMatrix.zero(2, 2) + QMatrix.zero(2, 3)),
         (33, lambda: QMatrix.zero(2, 2) - QMatrix.zero(3, 2)),
-        (34, lambda: QMatrix.zero(2, 2).matvec([1]))):
+        (34, lambda: QMatrix.zero(2, 2).matvec([1])),
+        (35, lambda: symbolic_minor_sum([[x, x], [x, x]], 1, 3)),
+        (36, lambda: symbolic_minor_sum([[x, x], [x, x]], 1, -1)),
+        (37, lambda: symbolic_minor_sum([[x, x]], 1, 1)),
+        (38, lambda: delta_k_matrix(QMatrix.identity(2), -1)),
+        (39, lambda: delta_k_matrix(QMatrix.identity(2), 3)),
+        (40, lambda: delta_k_matrix(QMatrix.zero(2, 3), 1)),
+        (41, lambda: symbolic_pfaffian([[o, x], [x, o]], 1)),
+        (42, lambda: symbolic_pfaffian([[x, x], [-x, o]], 1)),
+        (43, lambda: symbolic_pfaffian([[x, x]], 1))):
     try:
         build()
     except ValueError:
