@@ -437,12 +437,16 @@ def verify_row(row: TableRowSpec, env, cfg: SampleConfig, max_dim=400,
 
 def _sampled(**results):
     """The `how` of a check resting on sampled results, by name: the primes,
-    miss bound, and ranks per round (IndexResult) or genericity target
-    (StabiliserResult) of each, and their summed miss bound."""
+    miss bound, and ranks per round (IndexResult) or genericity target and
+    candidate (StabiliserResult: the one accepted, "sparse", a round or
+    None, and how many were tried) of each, and their summed miss bound."""
     how = {"how": "sampled"}
     for name, r in results.items():
         how[name] = {"primes": list(r.primes), "miss_bound": r.miss_bound,
-                     **({"target": list(r.target)} if hasattr(r, "target")
+                     **({"target": list(r.target),
+                         "candidate": {"accepted": r.accepted,
+                                       "tried": r.tried}}
+                        if hasattr(r, "target")
                         else {"ranks": list(r.samples)})}
     how["miss_bound"] = sum(r.miss_bound for r in results.values())
     return how

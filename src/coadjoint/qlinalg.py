@@ -40,7 +40,8 @@ by `_alternating_rank`, two pivots a step on a shrinking block; any other by
 
 Also hosts the deterministic integer-point sampler used to realise "generic"
 points, with `sample_rounds`, the one height-doubling schedule of every
-generic-point search.
+generic-point search; the stabiliser search of `semidirect` tries one point
+more, made from round 0, before its rounds.
 """
 
 from __future__ import annotations
@@ -833,8 +834,10 @@ def _common_denominator(rows):
 class SampleConfig:
     """Deterministic sampling policy for "generic" points.
 
-    height bounds the integer entries of the first rational sample; rounds
-    bounds the number of samples a search draws before giving up.
+    height bounds the integer entries of round 0 of `sample_rounds`, and of
+    the sparse candidate the stabiliser search makes from it; rounds is the
+    number of rounds a search draws before giving up, and the sparse
+    candidate is not one of them.
     """
 
     seed: int = 2024

@@ -5,6 +5,13 @@ points of V* and of s*, the index by the direct route and by the Rais formula
   ind s = dim V - (dim q - dim q_x) + ind q_x   (x in V* generic),
 and the split-point stabiliser formula.
 
+The generic stabiliser q_x (generic_stabiliser_in_V) is certified by a key,
+not by the randomness of x: a target key is sampled mod p, and q_x is
+computed exactly at candidates until one reaches it.  The first candidate is
+sparse, round 0 of `sample_rounds` with a seeded half of its coordinates set
+to 0, so the kernel of M(x) and the structure constants on it carry much
+smaller integers; the rounds follow when it misses.
+
 Points of duals are always written in the coordinates dual to the chosen
 basis, so a point of V* is just a rational vector of length dim V.
 """
@@ -13,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,8 +160,9 @@ def semidirect(L: LieAlgebraData, R: RepresentationData, name=None
 class StabiliserResult:
     """q_x at the point x, exact, with `basis` the kernel vectors its
     structure constants are on; a generic one (generic_stabiliser_in_V)
-    records its exact genericity key, its target, primes and miss bound, and
-    whether x reached the target."""
+    records its exact genericity key, its target, primes and miss bound,
+    whether x reached the target, the candidate that reached it ("sparse",
+    a round, or None) and how many candidates were tried."""
 
     point: list
     algebra: LieAlgebraData
@@ -164,6 +173,8 @@ class StabiliserResult:
     target: tuple = None
     primes: tuple = ()
     miss_bound: float = 0.0
+    accepted: object = None
+    tried: int = 0
 
     @property
     def dim(self):
@@ -218,6 +229,10 @@ def _genericity_target(S: SemiDirectProduct, cfg: SampleConfig):
     """(the least _genericity_key mod p at a uniform x in F_p^{dim V}, over
     two primes p; those primes).
 
+    The target holds for every candidate of generic_stabiliser_in_V, sparse
+    ones included: it is sampled at uniform points of F_p^{dim V}, and no
+    exact key at a rational x is below K either (_genericity_key).
+
     key_p is never below the generic key K over Q: the rank of M(x), rows
     x^T rho(x_i) in integers, mod p is at most its generic rank; where they
     are equal, a minor nonzero at x writes a kernel basis, its brackets and
@@ -260,27 +275,54 @@ def _genericity_target(S: SemiDirectProduct, cfg: SampleConfig):
     return min(keys), tuple(primes)
 
 
+def _sparse_candidate(cfg: SampleConfig, x0):
+    """x0 with a seeded floor(len(x0) / 2) of its coordinates set to 0."""
+    n = len(x0)
+    rng = random.Random(f"{cfg.seed}|{cfg.height}|{n}|sparse|stab")
+    zero = set(rng.sample(range(n), n // 2))
+    return [Q0 if i in zero else c for i, c in enumerate(x0)]
+
+
+def _stab_candidates(cfg: SampleConfig, dim_V):
+    """(label, x) for each point a generic search tries, in order: the sparse
+    candidate from round 0 (skipped when it is round 0's point itself), then
+    round r of `sample_rounds` for r = 0, 1, ..."""
+    rounds = enumerate(sample_rounds(cfg, dim_V, "stab"))
+    _, x0 = next(rounds)
+    sparse = _sparse_candidate(cfg, x0)
+    if sparse != x0:
+        yield "sparse", sparse
+    yield 0, x0
+    yield from rounds
+
+
 def generic_stabiliser_in_V(S: SemiDirectProduct, cfg: SampleConfig
                             ) -> StabiliserResult:
-    """The exact q_x at the first rational x of `sample_rounds` whose exact
-    _genericity_key reaches the target T of _genericity_target.
+    """The exact q_x at the first candidate x of `_stab_candidates` whose
+    exact _genericity_key reaches the target T of _genericity_target.
 
-    T and every exact key are at least the generic key K, so x has key K
-    unless both primes of T missed: its dimension is generic up to
-    miss_bound = prod dim g / p.  If no round reaches T, the most generic
-    sample is returned, not stabilised.
+    The candidates are round 0 of `sample_rounds` with half its coordinates
+    set to 0, then the rounds themselves.  T and the exact key at any
+    rational x, sparse or not, are at least the generic key K, so x has key
+    K unless both primes of T missed: its dimension is generic up to
+    miss_bound = prod dim g / p.  The certificate uses no randomness of x;
+    a sparse x only makes the kernel of M(x) and its denominators smaller,
+    and a special one (the null cone of so7 on spin8, key (14, -14, -8)) misses T
+    and falls back to the rounds.  If no candidate reaches T, the most
+    generic one is returned, not stabilised.
     """
     target, primes = _genericity_target(S, cfg)
     best = None
-    for x in sample_rounds(cfg, S.dim_V, "stab"):
+    for tried, (label, x) in enumerate(_stab_candidates(cfg, S.dim_V), 1):
         st = stabiliser_in_V(S, x)
         st.key = _genericity_key(st)
         if best is None or st.key < best.key:
             best = st
         if st.key <= target:
+            best.accepted = label
             break
     best.stabilised = best.key <= target
-    best.target, best.primes = target, primes
+    best.target, best.primes, best.tried = target, primes, tried
     best.miss_bound = math.prod(S.dim_g / p for p in primes)
     return best
 

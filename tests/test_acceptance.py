@@ -5,7 +5,9 @@ over Q).  Each test prints a single PASS line so the suite reads as a
 checklist under pytest -s / -v.
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +61,19 @@ def test_criterion_1_table_regression():
         for r in failures)
     checked = [r for r in suite.reports if not r.skipped]
     assert len(checked) >= 70
+    # every instance's (check, expected, computed, passed), as `verify
+    # --table all` reports them, equals the record made at seed 2024
+    pinned = json.loads((Path(__file__).parent
+                         / "table_regression_seed2024.json").read_text())
+    assert ((pinned["seed"], pinned["height"], pinned["rounds"])
+            == (CFG.seed, CFG.height, CFG.rounds) and pinned["max_dim"] == 400)
+    got = [{"table": r.table, "row": r.label, "params": r.params,
+            "skipped": r.skipped,
+            "checks": [[c.check, str(c.expected), str(c.computed), c.passed]
+                       for c in r.checks]} for r in suite.reports]
+    assert len(got) == len(pinned["rows"]) == 77
+    for row, ref in zip(got, pinned["rows"]):
+        assert row == ref
     _ok(f"criterion 1: {len(checked)} table instances re-derived exactly")
 
 

@@ -521,6 +521,8 @@ def test_sampled_records_at_seed_2024_are_pinned(table, label, env):
                         cfg)
     hows = {c["check"]: c["how"] for c in report.as_dict()["checks"]}
     stab = dict(zip(("primes", "target", "miss_bound"), stab))
+    # at seed 2024 the sparse candidate reaches the target on all three
+    stab["candidate"] = {"accepted": "sparse", "tried": 1}
     sub, direct = (dict(zip(("primes", "ranks", "miss_bound"), r))
                    for r in (sub, direct))
     assert hows["generic stabiliser dim"] == {

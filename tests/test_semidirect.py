@@ -1,4 +1,5 @@
 import functools
+import importlib
 import itertools
 import math
 import random
@@ -7,9 +8,20 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from coadjoint.liealg import classical_algebra, fingerprint, index
-from coadjoint.qlinalg import Q0, Q1, QQ, SampleConfig, sample_vector
+from coadjoint.qlinalg import (
+    Q0,
+    Q1,
+    QQ,
+    SampleConfig,
+    sample_rounds,
+    sample_vector,
+)
 from coadjoint.repn import adjoint_rep, spin_rep, standard_rep, trivial_rep
 from coadjoint.semidirect import (
+    _genericity_key,
+    _genericity_target,
+    _sparse_candidate,
+    _stab_candidates,
     direct_index,
     generic_stabiliser_in_V,
     rais_index,
@@ -20,6 +32,8 @@ from coadjoint.semidirect import (
 )
 
 CFG = SampleConfig(seed=3, height=5, rounds=8)
+# the package attribute `coadjoint.semidirect` is the function, not the module
+sd = importlib.import_module("coadjoint.semidirect")
 
 
 def S_sp4k4():
@@ -85,7 +99,6 @@ def test_genericity_target_is_never_below_an_exact_key(family, n, module):
     # is never more generic than the exact keys at rational points, and it
     # is reached by one of them
     from coadjoint.repn import build_module
-    from coadjoint.semidirect import _genericity_key, _genericity_target
 
     L = classical_algebra(family, n)
     S = semidirect(L, build_module(family, n, [(module, 1)], L=L))
@@ -99,6 +112,146 @@ def test_genericity_target_is_never_below_an_exact_key(family, n, module):
     st = generic_stabiliser_in_V(S, CFG)
     assert st.stabilised and _genericity_key(st) == st.target
     assert st.miss_bound == pytest.approx(L.dim ** 2 / (46337 * 46327))
+
+
+def _dense_search(S, cfg):
+    """The rounds-only search, kept as the reference: the exact q_x at the
+    first round of `sample_rounds` whose exact key reaches the target, or
+    the most generic round, not stabilised."""
+    target, primes = _genericity_target(S, cfg)
+    best = None
+    for x in sample_rounds(cfg, S.dim_V, "stab"):
+        st = stabiliser_in_V(S, x)
+        st.key = _genericity_key(st)
+        if best is None or st.key < best.key:
+            best = st
+        if st.key <= target:
+            break
+    best.stabilised = best.key <= target
+    best.target, best.primes = target, primes
+    best.miss_bound = math.prod(S.dim_g / p for p in primes)
+    return best
+
+
+@functools.lru_cache(maxsize=None)
+def _small_table_products(max_dim=100):
+    """(name, product) for every table instance with dim s <= max_dim."""
+    from coadjoint.atlas import _family_dim, load_atlas, row_expectations
+    from coadjoint.repn import build_module
+
+    cfg, out = SampleConfig(), []
+    for row in load_atlas(cfg=cfg):
+        for env in row.instances():
+            exp = row_expectations(row, env, cfg)
+            if _family_dim(row.family, exp["size"]) + exp["dim_v"] > max_dim:
+                continue
+            L = classical_algebra(row.family, exp["size"])
+            out.append((f"{row.table}/{row.label} {env}", semidirect(
+                L, build_module(row.family, exp["size"],
+                                [(lbl, m) for m, lbl in exp["module"] if m > 0],
+                                L=L))))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("seed", [41, 58, 99])
+def test_sparse_first_search_equals_the_dense_search(seed):
+    # the sparse candidate changes which point q_x is computed at, never
+    # the certified result: dimension, key, target, miss bound and the
+    # fingerprint of q_x are those of the rounds-only search
+    cfg = SampleConfig(seed, 5, 8)
+    products = _small_table_products()
+    assert len(products) >= 50
+    for name, S in products:
+        st, ref = generic_stabiliser_in_V(S, cfg), _dense_search(S, cfg)
+        assert st.stabilised and ref.stabilised, name
+        assert ((st.dim, st.key, st.target, st.primes, st.miss_bound)
+                == (ref.dim, ref.key, ref.target, ref.primes,
+                    ref.miss_bound)), name
+        assert (str(fingerprint(st.algebra, cfg))
+                == str(fingerprint(ref.algebra, cfg))), name
+        # a rejected sparse candidate leaves the rounds' point itself
+        assert st.accepted == "sparse" or st.point == ref.point, name
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 23])
+@pytest.mark.parametrize("seed", [0, 35, 2024])
+def test_sparse_candidate_keeps_half_of_round_0(n, seed):
+    cfg = SampleConfig(seed, 5, 8)
+    x0 = next(sample_rounds(cfg, n, "stab"))
+    # which coordinates are kept depends on the seed, height and dim V
+    # alone: read it off an all-ones point
+    kept = [bool(c) for c in _sparse_candidate(cfg, [Q1] * n)]
+    assert sum(kept) == (n + 1) // 2
+    sparse = _sparse_candidate(cfg, x0)
+    assert sparse == _sparse_candidate(cfg, list(x0))
+    assert sparse == [c if k else Q0 for c, k in zip(x0, kept)]
+    candidates = list(_stab_candidates(cfg, n))
+    assert candidates[-cfg.rounds:] == list(enumerate(
+        sample_rounds(cfg, n, "stab")))
+    if sparse == x0:
+        assert len(candidates) == cfg.rounds
+    else:
+        assert candidates[0] == ("sparse", sparse)
+        assert len(candidates) == cfg.rounds + 1
+
+
+def test_sparse_candidates_differ_between_seeds():
+    masks = {tuple(bool(c) for c in _sparse_candidate(
+        SampleConfig(seed, 5, 8), [Q1] * 8)) for seed in range(20)}
+    assert len(masks) > 5
+
+
+# seeds at which the sparse candidate of so7 |x spin8 lies on the null cone
+# of the invariant quadric
+NULL_CONE_SEEDS = [1, 15, 26]
+
+
+@pytest.mark.parametrize("seed", NULL_CONE_SEEDS)
+def test_a_sparse_candidate_on_the_null_cone_falls_back(seed, monkeypatch):
+    from coadjoint.atlas import G2_FINGERPRINT
+
+    L = classical_algebra("so", 7)
+    S = semidirect(L, spin_rep(7, L=L))
+    cfg = SampleConfig(seed, 5, 8)
+    x0 = next(sample_rounds(cfg, S.dim_V, "stab"))
+    sparse = _sparse_candidate(cfg, x0)
+    target, _ = _genericity_target(S, cfg)
+    assert target == (14, -14, -14)
+    assert _genericity_key(stabiliser_in_V(S, sparse)) == (14, -14, -8)
+    points = []
+
+    def counted(S, x):
+        points.append(list(x))
+        return stabiliser_in_V(S, x)
+
+    monkeypatch.setattr(sd, "stabiliser_in_V", counted)
+    st = generic_stabiliser_in_V(S, cfg)
+    assert points == [sparse, x0]
+    assert (st.accepted, st.tried, st.point) == (0, 2, x0)
+    ref = _dense_search(S, cfg)
+    assert st.stabilised and (st.key, st.basis) == (ref.key, ref.basis)
+    assert st.algebra.int_ad_table == ref.algebra.int_ad_table
+    assert fingerprint(st.algebra, cfg) == G2_FINGERPRINT
+
+
+@pytest.mark.parametrize("dim_V", [0, 1])
+def test_no_point_is_computed_twice_when_dim_V_is_at_most_1(dim_V,
+                                                           monkeypatch):
+    L = classical_algebra("sp", 4)
+    S = semidirect(L, trivial_rep(L, dim_V))
+    points = []
+
+    def counted(S, x):
+        points.append(list(x))
+        return stabiliser_in_V(S, x)
+
+    monkeypatch.setattr(sd, "stabiliser_in_V", counted)
+    for seed in range(6):
+        cfg = SampleConfig(seed, 5, 8)
+        points.clear()
+        st = generic_stabiliser_in_V(S, cfg)
+        assert points == [next(sample_rounds(cfg, dim_V, "stab"))]
+        assert (st.accepted, st.tried, st.dim) == (0, 1, L.dim)
 
 
 def test_rais_examples():
