@@ -45,7 +45,6 @@ from .invariants import (
     _int_value,
     _killed,
     _mul_into,
-    _nonzero,
     _over,
     _pack,
     _scaled,
@@ -56,6 +55,7 @@ from .invariants import (
 )
 from .liealg import (
     LieAlgebraData,
+    _ad_columns,
     _commutators,
     algebra_on_basis,
     classical_algebra,
@@ -66,10 +66,12 @@ from .qlinalg import (
     Q1,
     QQ,
     Basis,
+    IntRows,
     QMatrix,
     SampleConfig,
     VerificationError,
     _common_denominator,
+    _nonzero,
     as_q,
     inverse,
     kernel_basis,
@@ -79,7 +81,6 @@ from .qlinalg import (
 )
 from .repn import (
     RepresentationData,
-    _column,
     _submodule,
     adjoint_rep,
     direct_sum_rep,
@@ -537,19 +538,22 @@ def centraliser_dim(layout: MatrixRealisation) -> int:
     """dim g_e computed independently as the kernel of ad(e) on sp(Omega)."""
     N = layout.N
     # basis of sp(Omega): solve X^T Om + Om X = 0 on the full matrix space,
-    # one row per entry (t, l) of X^T Om and (k, t) of Om X, X_kt at k N + t
-    rows = [[Q0] * (N * N) for _ in range(N * N)]
+    # one integer row per entry (t, l) of X^T Om and (k, t) of Om X, X_kt at
+    # k N + t
+    rows = [{} for _ in range(N * N)]
     for (k, l), o in layout.meta["omega"].items():
         for t in range(N):
-            rows[t * N + l][k * N + t] += o
-            rows[k * N + t][l * N + t] += o
-    sp_basis = kernel_basis(QMatrix.from_rows(rows))
-    # ad(e) on that basis: kernel dimension
+            for row, col in ((t * N + l, k * N + t), (k * N + t, l * N + t)):
+                rows[row][col] = rows[row].get(col, 0) + o
+    sp_basis = kernel_basis(IntRows(N * N, [_nonzero(r) for r in rows]))
+    # ad(e) on that basis: its kernel dimension, by the rank of the images
+    # [e, X], one row each, cleared
     e = layout.meta["e"]
-    comms = [_commutators([e, {divmod(t, N): x for t, x in enumerate(v) if x}])
-             .get((0, 1), {}) for v in sp_basis]
-    return len(comms) - rank(QMatrix.from_rows(
-        [[c.get(divmod(t, N), Q0) for c in comms] for t in range(N * N)]))
+    images = [_commutators([e, {divmod(t, N): x for t, x in enumerate(v)
+                                if x}]).get((0, 1), {}) for v in sp_basis]
+    _, images = _common_denominator([{i * N + j: x for (i, j), x in c.items()}
+                                     for c in images])
+    return len(sp_basis) - rank(IntRows(N * N, images))
 
 
 # ---------------------------------------------------------------------------
@@ -889,19 +893,14 @@ def z2_contraction(spec: ContractionSpec):
     # g1 as a g0-module: the adjoint columns of L along the embedding of
     # g0, its rows cleared once by E, so over d E; restricted to g1 and read
     # at its pivots
-    d, ad = L.int_ad_table
     E, emb_int = _common_denominator(
-        [[(i, a) for i, a in enumerate(b0) if a] for b0 in emb])
+        [{i: a for i, a in enumerate(b0) if a} for b0 in emb])
     columns = []
-    for b0 in emb_int:
-        cols = [{} for _ in range(L.dim)]
-        for i, a in b0:
-            for v, vec in ad[i].items():
-                for w, c in vec.items():
-                    cols[v][w] = cols[v].get(w, 0) + a * c
-        columns.append([_column(c) for c in cols])
+    for u in emb_int:
+        ad_u = _ad_columns(L, u)
+        columns.append([_nonzero(ad_u.get(v, {})) for v in range(L.dim)])
     rep = _submodule(RepresentationData(g0, columns, L.dim, label="ad",
-                                        d=d * E),
+                                        d=L.int_ad_table[0] * E),
                      g1.rows, "g1", g1.pivots)
     S = semidirect(g0, rep, name=f"contraction({L.metadata['name']})")
     # the ambient invariants, expanded in the contraction coordinates

@@ -72,6 +72,9 @@ from .qlinalg import (
     IntRows,
     SampleConfig,
     VerificationError,
+    _common_denominator,
+    _int_vector,
+    _nonzero,
     as_q,
     kernel_basis,
     peel,
@@ -187,7 +190,7 @@ class MultiPoly:
         if len(point) != self.nvars:
             raise ValueError(f"{len(point)} coordinates for {self.nvars} variables")
         D, terms = _int_terms(self.terms)
-        d, X = _cleared_point(point)
+        d, X = _int_vector(point)
         M = self.total_degree()
         return QQ(_int_value(terms, X, d, M), D * d ** M)
 
@@ -217,12 +220,11 @@ class MultiPoly:
         tgt = images[0].nvars if images else 0
         for P in images:
             _same_ring(images[0], P)
-        D = math.lcm(1, *(c.denominator for P in images
-                          for c in P.terms.values()))
+        D, imgs = _common_denominator([P.terms for P in images])
         M = self.total_degree()
         w = _width(M * max((P.total_degree() for P in images), default=0))
-        imgs = [_pack(_scaled(P.terms, D), tgt, w) for P in images]
-        Dp, ints = _cleared(self.terms)
+        imgs = [_pack(terms, tgt, w) for terms in imgs]
+        Dp, (ints,) = _common_denominator([self.terms])
         out = {}
         powers = {}
         for m, c in ints.items():
@@ -344,17 +346,6 @@ def _power(p, k):
     return out
 
 
-def _nonzero(terms):
-    return {m: c for m, c in terms.items() if c}
-
-
-def _cleared(terms):
-    """(D, the terms times D as ints), D the lcm of the coefficient
-    denominators."""
-    D = math.lcm(1, *(c.denominator for c in terms.values()))
-    return D, _scaled(terms, D)
-
-
 def _scaled(terms, D):
     """The terms times D, as ints; D must be a common denominator."""
     return {m: c.numerator * (D // c.denominator) for m, c in terms.items()}
@@ -369,13 +360,6 @@ def _int_terms(terms, D=None):
         D = math.lcm(1, *(c.denominator for c in terms.values()))
     return D, [(c, tuple((i, e) for i, e in enumerate(m) if e))
                for m, c in _scaled(terms, D).items()]
-
-
-def _cleared_point(point):
-    """(d, the point times d as ints), d the lcm of the denominators."""
-    point = [as_q(x) for x in point]
-    d = math.lcm(1, *(x.denominator for x in point))
-    return d, [x.numerator * (d // x.denominator) for x in point]
 
 
 def _int_value(terms, X, d=1, M=0):
@@ -428,7 +412,7 @@ def lie_derivative_in(L: LieAlgebraData, xi_index: int, P: MultiPoly
     element x_{xi_index} of L: d D (x_i . P) in integers, divided once."""
     _check_ring(L, P)
     d, table = L.int_ad_table
-    D, ints = _cleared(P.terms)
+    D, (ints,) = _common_denominator([P.terms])
     n, w = P.nvars, _width(P.total_degree())
     index = _supported(ints, _pack(ints, n, w), n)
     out = _derive(_shifts(table[xi_index], _units(n, w), index), index)
@@ -522,7 +506,7 @@ def _killed(L: LieAlgebraData, P: MultiPoly, derivs) -> bool:
     _check_ring(L, P)
     table = L.int_ad_table[1]
     n, w = P.nvars, _width(P.total_degree())
-    ints = _cleared(P.terms)[1]
+    ints, = _common_denominator([P.terms])[1]
     index = _supported(ints, _pack(ints, n, w), n)
     units = _units(n, w)
     images = (_derive(_shifts(table[i], units, index), index) for i in derivs)
@@ -850,7 +834,7 @@ def jacobian_independent(polys, S: SemiDirectProduct,
     n = S.dim
     cleared = [(_int_terms(P.terms)[1], P.total_degree()) for P in polys]
     for pt in sample_rounds(cfg, n, "jacobian"):
-        d, X = _cleared_point(pt)
+        d, X = _int_vector(pt)
         rows = [_int_gradient(terms, X, d, M) for terms, M in cleared]
         if rank(IntRows(n, rows)) == len(polys):
             return True

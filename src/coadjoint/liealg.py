@@ -158,12 +158,12 @@ class LieAlgebraData:
         """
         d, table = self.int_ad_table
         (du, (su,)), (dv, (sv,)) = (
-            _common_denominator([[(i, a) for i, a in enumerate(w) if a]])
+            _common_denominator([{i: a for i, a in enumerate(w) if a}])
             for w in (u, v))
         out = {}
-        for i, a in su:
+        for i, a in su.items():
             row = table[i]
-            for j, b in sv:
+            for j, b in sv.items():
                 for k, c in row.get(j, {}).items():
                     out[k] = out.get(k, 0) + a * b * c
         q = d * du * dv
@@ -195,9 +195,9 @@ class LieAlgebraData:
             b -= b.T    # in place: numpy copies an overlapping operand first
             b %= p
             return ModMatrix(b, p)
-        _, (g,) = _common_denominator([[(k, x) for k, x in enumerate(gamma)
-                                        if x]])
-        g = _dense(dict(g), n)
+        _, (g,) = _common_denominator([{k: x for k, x in enumerate(gamma)
+                                        if x}])
+        g = _dense(g, n)
         a = [[0] * n for _ in range(n)]
         for i, j, vec in self.int_brackets():
             s = sum(x * g[k] for k, x in vec.items())
@@ -249,9 +249,7 @@ def matrix_algebra(n, mats, labels, metadata):
     """
     expand = make_expander(mats)
     metadata = dict(metadata, matrices=mats, expand=expand, matrix_size=n)
-    D = math.lcm(1, *(v.denominator for m in mats for v in m.values()))
-    cleared = [{pos: v.numerator * (D // v.denominator) for pos, v in m.items()}
-               for m in mats]
+    D, cleared = _common_denominator(mats)
     brackets = {ab: expand(comm) for ab, comm in _commutators(cleared).items()}
     return LieAlgebraData(len(mats), labels, brackets, metadata, d=D * D)
 
@@ -543,25 +541,23 @@ def killing_matrix(L: LieAlgebraData) -> IntRows:
     for i, row in enumerate(L.int_ad_table[1]):
         for a, vec in row.items():
             for b, c in vec.items():
-                by_pair.setdefault((a, b), []).append((i, c))
+                by_pair.setdefault((a, b), {})[i] = c
     acc = [[0] * n for _ in range(n)]
     for (a, b), col in by_pair.items():
-        for j, e in by_pair.get((b, a), ()):
-            for i, c in col:
+        for j, e in by_pair.get((b, a), {}).items():
+            for i, c in col.items():
                 acc[i][j] += c * e
     return IntRows(n, [{j: x for j, x in enumerate(row) if x} for row in acc])
 
 
 def derived_series_dims(L: LieAlgebraData):
-    """Dims of L, [L, L], [[L,L],[L,L]], ... until stable or zero."""
+    """Dims of L, [L, L], [[L,L],[L,L]], ... until stable or zero: each
+    further term is the subalgebra spanned by the bracket rows of the one
+    before, and its dimension that term's derived_dim."""
     dims = [L.dim, L.derived_dim]
-    if 0 < dims[1] < L.dim:
-        basis = Basis([_dense(vec, L.dim) for *_, vec in L.int_brackets()])
     while 0 < dims[-1] < dims[-2]:
-        current = basis.rows
-        basis = Basis([v for a, u in enumerate(current) for w in current[a + 1:]
-                       if any(v := L.bracket(u, w))])
-        dims.append(len(basis))
+        L = subalgebra(L, [_dense(vec, L.dim) for *_, vec in L.int_brackets()])
+        dims.append(L.derived_dim)
     return tuple(dims)
 
 
@@ -630,16 +626,16 @@ def algebra_on_basis(L: LieAlgebraData, basis, units=None) -> LieAlgebraData:
     witness pair if a bracket leaves their span.
 
     The vectors are cleared to U = E basis (E the lcm of their
-    denominators).  ad(U_i) is built once, as sparse columns
-    {t: d [U_i, x_t]}, and w = d [U_i, U_j] = d E^2 [u_i, u_j] is read off
-    it along supp U_j; the table is built with d E^2 from the coordinates of
-    w: read at units, when given, the unit columns of the basis
-    (`UnitBasis`), and checked exactly; otherwise Basis.coords.
+    denominators).  ad(U_i) is built once (`_ad_columns`), and
+    w = d [U_i, U_j] = d E^2 [u_i, u_j] is read off it along supp U_j; the
+    table is built with d E^2 from the coordinates of w: read at units, when
+    given, the unit columns of the basis (`UnitBasis`), and checked exactly;
+    otherwise Basis.coords.
     """
     k = len(basis)
     if units is None:
         span = Basis(basis)
-        E, rows = _common_denominator([[(t, a) for t, a in enumerate(u) if a]
+        E, rows = _common_denominator([{t: a for t, a in enumerate(u) if a}
                                        for u in basis])
 
         def coords(w):
@@ -648,18 +644,12 @@ def algebra_on_basis(L: LieAlgebraData, basis, units=None) -> LieAlgebraData:
     else:
         span = UnitBasis(basis, units)
         E, rows, coords = span.E, span.rows, span.coords
-    table = L.int_ad_table[1]
     brackets = {}
     for i, ui in enumerate(rows):
-        ad_u = {}
-        for s, a in ui:
-            for t, vec in table[s].items():
-                col = ad_u.setdefault(t, {})
-                for r, c in vec.items():
-                    col[r] = col.get(r, 0) + a * c
+        ad_u = _ad_columns(L, ui)
         for j in range(i + 1, k):
             w = {}
-            for t, b in rows[j]:
+            for t, b in rows[j].items():
                 for r, c in ad_u.get(t, {}).items():
                     w[r] = w.get(r, 0) + b * c
             coeffs = coords(w)
@@ -669,3 +659,18 @@ def algebra_on_basis(L: LieAlgebraData, basis, units=None) -> LieAlgebraData:
     return LieAlgebraData(k, [f"y{i + 1}" for i in range(k)], brackets,
                           {"name": "subalgebra", "embedding": basis},
                           d=L.int_ad_table[0] * E * E)
+
+
+def _ad_columns(L: LieAlgebraData, u):
+    """The columns {t: d [u, x_t]} of d ad(u), summed in integers from
+    int_ad_table for an integer vector u = {s: int}, as {t: {r: int}}: only
+    the columns of some x_t with [x_s, x_t] != 0, s in supp u, and sums that
+    cancel stay as zeros."""
+    table = L.int_ad_table[1]
+    cols = {}
+    for s, a in u.items():
+        for t, vec in table[s].items():
+            col = cols.setdefault(t, {})
+            for r, c in vec.items():
+                col[r] = col.get(r, 0) + a * c
+    return cols

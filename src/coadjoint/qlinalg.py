@@ -2,21 +2,23 @@
 
 Scalars are exact rationals, `fractions.Fraction` (`QQ`).  Matrices are
 dense lists of rows; products walk only the nonzero entries, and `entries()`
-is the one conversion to a sparse {(i, j): value} dict.  Ranks and kernels
-run on one sparse integer form, rows of {column: int}: `IntRows` is taken as
-it is, and a `QMatrix` row is scaled by the lcm of its denominators (all-zero
-rows dropped), which changes neither rank nor right kernel.  `rank` is one
-elimination mod the first prime by `_sparse_echelon`: the rank mod p bounds
-the rank over Q from below, so min(rows, cols) there is the answer, and any
-smaller count is decided by `Basis`.  `kernel_basis` chooses its path from
-the input: rows of at most `_SPARSE_ROW_WEIGHT` nonzeros on average are
-eliminated sparsely mod p, shortest row first, once there are more than
-`_BAREISS_CUTOFF` rows or columns; denser ones by numpy mod p once there are
-more of both; the rest, and what the modular paths cannot settle, exactly
-by `Basis`.  A modular kernel is certified from both sides
-(`_certified_kernel`): full column rank mod p proves it zero; otherwise its
-vectors are lifted p-adically from the pivot rows and each is checked over
-Z on every row.  `solve_right` is one `Basis` of [M | b].
+is the one conversion to a sparse {(i, j): value} dict.  A sparse integer
+vector has one form here and throughout the package, an {index: int} dict;
+`_common_denominator` clears a list of {index: rational} dicts to that form
+by one lcm.  Ranks and kernels run on rows of {column: int}: `IntRows` is
+taken as it is, and a `QMatrix` row is scaled by the lcm of its denominators
+(all-zero rows dropped), which changes neither rank nor right kernel.
+`rank` is one elimination mod the first prime by `_sparse_echelon`: the
+rank mod p bounds the rank over Q from below, so min(rows, cols) there is
+the answer, and any smaller count is decided by `Basis`.  `kernel_basis`
+chooses its path from the input: rows of at most `_SPARSE_ROW_WEIGHT`
+nonzeros on average are eliminated sparsely mod p, shortest row first, once
+there are more than `_BAREISS_CUTOFF` rows or columns; denser ones by numpy
+mod p once there are more of both; the rest, and what the modular paths
+cannot settle, exactly by `Basis`.  A modular kernel is certified from both
+sides (`_certified_kernel`): full column rank mod p proves it zero;
+otherwise its vectors are lifted p-adically from the pivot rows and each is
+checked over Z on every row.  `solve_right` is one `Basis` of [M | b].
 
 `Basis` is the one echelon-and-coordinates routine: one forward elimination
 on primitive integer rows settles the rank, the pivots and the greedy choice
@@ -132,14 +134,13 @@ class QMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows} x {self.cols} by "
                              f"{other.rows} x {other.cols}")
-        right = [[(j, b) for j, b in enumerate(row) if b]
-                 for row in other.data]
+        right = [{j: b for j, b in enumerate(row) if b} for row in other.data]
         out = []
         for row in self.data:
             acc = {}
             for k, a in enumerate(row):
                 if a:
-                    for j, b in right[k]:
+                    for j, b in right[k].items():
                         acc[j] = acc.get(j, Q0) + a * b
             prod = [Q0] * other.cols
             for j, c in acc.items():
@@ -215,21 +216,26 @@ class ModMatrix:
         self.rows, self.cols = a.shape
 
 
+def _nonzero(terms):
+    """The entries of a sparse {index: value} dict that are not zero."""
+    return {m: c for m, c in terms.items() if c}
+
+
 def _int_vector(vec):
-    """A rational or integer vector times the lcm of its denominators, as a
-    new list of ints (the shared Q0 is skipped by identity)."""
+    """(D, the rational or integer vector times D as a new list of ints), D
+    the lcm of its denominators (the shared Q0 is skipped by identity)."""
     if set(map(type, vec)) <= {int}:
-        return list(vec)
-    l = math.lcm(*(x.denominator for x in vec if x is not Q0))
-    return [x.numerator * (l // x.denominator) if x is not Q0 else 0
-            for x in vec]
+        return 1, list(vec)
+    D = math.lcm(1, *(x.denominator for x in vec if x is not Q0))
+    return D, [x.numerator * (D // x.denominator) if x is not Q0 else 0
+               for x in vec]
 
 
 def _int_rows(m):
     """The nonzero rows of a QMatrix or IntRows m, as {column: int} dicts;
     scaling a row preserves rank and right kernel."""
     rows = m.data if isinstance(m, IntRows) else (
-        {c: x for c, x in enumerate(_int_vector(r)) if x} for r in m.data)
+        {c: x for c, x in enumerate(_int_vector(r)[1]) if x} for r in m.data)
     return [row for row in rows if row]
 
 
@@ -360,7 +366,7 @@ def _sparse_echelon(a, nc, p):
             upper.append({c2: x * inv % p for c2, x in r.items()})
             if len(cols) == nc:
                 break
-    upper = [[(where[c], x) for c, x in u.items() if c in where] for u in upper]
+    upper = [{where[c]: x for c, x in u.items() if c in where} for u in upper]
 
     def solve(R):
         out = []
@@ -368,7 +374,7 @@ def _sparse_echelon(a, nc, p):
             for t, (inv, ops) in enumerate(lower):
                 y[t] = (y[t] - sum(f * y[k] for k, f in ops)) * inv % p
             for t in range(len(y) - 1, -1, -1):
-                y[t] = (y[t] - sum(x * y[k] for k, x in upper[t])) % p
+                y[t] = (y[t] - sum(x * y[k] for k, x in upper[t].items())) % p
             out.append(y)
         return np.array(out, dtype=np.int64).T
 
@@ -490,8 +496,10 @@ _BAREISS_CUTOFF = 70
 
 # Rows with at most this many nonzeros on average are eliminated sparsely.
 # Measured: the benchmark's sparse-path systems have 1.0 to 2.8, the one
-# dense-path system of a `tables` pass (92 x 91) 21.2, and the peeled core
-# of so7 on spin8 at multidegree (6, 4) (4677902 rows, 339063 columns) 3.7.
+# dense-path system of a `tables` pass (the 92 x 91 stabiliser system of
+# 1/9b m=2) 10.7 at seed 2024 and 10.2 to 10.8 at seeds 7, 3, 20, 26 and 35,
+# and the peeled core of so7 on spin8 at multidegree (6, 4) (4677902 rows,
+# 339063 columns) 3.7.
 _SPARSE_ROW_WEIGHT = 4
 
 
@@ -712,7 +720,7 @@ class Basis:
         self.accepted = []
         kept = []   # (pivot, primitive integer row), in the order kept
         for t, vec in enumerate(vectors):
-            row = _reduced(_int_vector(vec), kept)
+            row = _reduced(_int_vector(vec)[1], kept)
             nz = next((c for c, a in enumerate(row) if a), None)
             if nz is None:
                 continue
@@ -753,7 +761,7 @@ class Basis:
         k = len(self.vectors)
         T = inverse(QMatrix(k, k, [[v[p] for p in self.pivots]
                                    for v in self.vectors]))
-        F, T = _common_denominator([[(j, t) for j, t in enumerate(row) if t]
+        F, T = _common_denominator([{j: t for j, t in enumerate(row) if t}
                                     for row in T.data])
         return UnitBasis(self.rows, self.pivots), F, T
 
@@ -766,15 +774,13 @@ class Basis:
         ValueError when the input vectors are dependent.
         """
         span, F, T = self._to_inputs
-        nz = [(c, x) for c, x in enumerate(v) if x]
-        D = math.lcm(1, *(x.denominator for _, x in nz))
-        at = span.coords({c: x.numerator * (D // x.denominator)
-                          for c, x in nz})
+        D, (w,) = _common_denominator([{c: x for c, x in enumerate(v) if x}])
+        at = span.coords(w)
         if at is None:
             return None
         out = [0] * len(T)
         for m, f in at.items():
-            for j, t in T[m]:
+            for j, t in T[m].items():
                 out[j] += f * t
         q = D * F
         return [QQ(x, q) if x else Q0 for x in out]
@@ -785,16 +791,16 @@ class UnitBasis:
     a reduced echelon basis, or the free columns of kernel_basis's normal
     form.  A vector w of their span is sum_m w[c_m] u_m, so its coordinates
     are read at the units, with no elimination.  rows are the vectors times
-    E, the lcm of their denominators, as sparse integer (column, value)
-    lists.  Raises ValueError unless each vector is 1 at its own unit and 0
-    at the others'."""
+    E, the lcm of their denominators, as sparse {column: int} dicts.  Raises
+    ValueError unless each vector is 1 at its own unit and 0 at the
+    others'."""
 
     def __init__(self, vectors, units):
         self.at = {c: m for m, c in enumerate(units)}
         self.E, self.rows = _common_denominator(
-            [[(t, a) for t, a in enumerate(u) if a] for u in vectors])
+            [{t: a for t, a in enumerate(u) if a} for u in vectors])
         if not len(self.at) == len(units) == len(self.rows) or any(
-                {t: a for t, a in row if t in self.at} != {c: self.E}
+                {t: a for t, a in row.items() if t in self.at} != {c: self.E}
                 for c, row in zip(units, self.rows)):
             raise ValueError("a vector is not 1 at its unit, 0 at the others")
 
@@ -804,7 +810,7 @@ class UnitBasis:
         coeffs = {self.at[c]: x for c, x in w.items() if x and c in self.at}
         residual = {r: self.E * c for r, c in w.items()}
         for m, c in coeffs.items():
-            for t, a in self.rows[m]:
+            for t, a in self.rows[m].items():
                 residual[t] = residual.get(t, 0) - c * a
         return None if any(residual.values()) else coeffs
 
@@ -823,10 +829,10 @@ def _reduced(row, kept):
 
 
 def _common_denominator(rows):
-    """(E, rows with every value times E), E the lcm of the denominators of
-    the values in rows of (index, rational) pairs."""
-    E = math.lcm(1, *(a.denominator for row in rows for _, a in row))
-    return E, [[(c, a.numerator * (E // a.denominator)) for c, a in row]
+    """(E, the rows with every value times E, as ints), E the lcm of the
+    denominators of the values in rows, {index: rational or int} dicts."""
+    E = math.lcm(1, *(a.denominator for row in rows for a in row.values()))
+    return E, [{c: a.numerator * (E // a.denominator) for c, a in row.items()}
                for row in rows]
 
 

@@ -1,8 +1,9 @@
 """Construction of the g-modules appearing in the verification tables.
 
-A module is stored in integers, like the table of `LieAlgebraData`: the
-sparse int columns of d times its action matrices, one list of columns per
-basis element of the algebra and one d, together with per-summand block
+A module is stored in integers, like the table of `LieAlgebraData` and in
+its one sparse form: the columns of d times its action matrices as
+{row: int} dicts of their nonzero entries, one list of columns per basis
+element of the algebra and one d, together with per-summand block
 bookkeeping.  No weights are stored: where the Cartan acts diagonally they
 are the integer diagonal of its action, read off the table of the product by
 `SemiDirectProduct.weight_data`.
@@ -37,16 +38,16 @@ import math
 
 from .liealg import LieAlgebraData, classical_algebra
 from .qlinalg import (IntRows, QMatrix, QQ, UnitBasis, VerificationError,
-                      _common_denominator, kernel_basis)
+                      _common_denominator, _nonzero, kernel_basis)
 
 
 class RepresentationData:
     """A module V of a Lie algebra g, as the sparse int columns of its action.
 
-    columns[i][v] = [(w, c), ...] lists the nonzero entries of column v of
-    d times the matrix of x_i on V, as ints in increasing w: the same form
-    as `LieAlgebraData.int_ad_table`, d a common denominator of the action
-    (not necessarily the least).  Each constructor writes the columns once;
+    columns[i][v] = {w: c} holds the nonzero entries of column v of d times
+    the matrix of x_i on V, as ints: the same form as the rows of
+    `LieAlgebraData.int_ad_table`, d a common denominator of the action (not
+    necessarily the least).  Each constructor writes the columns once;
     they are never modified after construction.  blocks lists
     (label, offset, size) covering [0, dim_V).
     """
@@ -70,8 +71,8 @@ class RepresentationData:
         n = mats[0].rows if mats else 0
         if any(m.rows != n or m.cols != n for m in mats):
             raise ValueError(f"action matrices must all be {n} x {n}")
-        return _cleared(algebra, [[[(w, row[v]) for w, row in enumerate(m.data)
-                                    if row[v]] for v in range(n)]
+        return _cleared(algebra, [[{w: row[v] for w, row in enumerate(m.data)
+                                    if row[v]} for v in range(n)]
                                   for m in mats], n, label)
 
     @property
@@ -82,7 +83,7 @@ class RepresentationData:
         for cols in self.columns:
             m = QMatrix.zero(self.dim_V, self.dim_V)
             for v, col in enumerate(cols):
-                for w, c in col:
+                for w, c in col.items():
                     m.data[w][v] = QQ(c, self.d)
             out.append(m)
         return out
@@ -91,14 +92,9 @@ class RepresentationData:
         return f"<module {self.label!r} of {self.algebra!r}, dim {self.dim_V}>"
 
 
-def _column(acc):
-    """A column accumulated as {row: coeff}, as sorted nonzero (row, coeff)."""
-    return [(w, acc[w]) for w in sorted(acc) if acc[w]]
-
-
 def _cleared(algebra, columns, dim_V, label):
-    """The module of the rational columns [(w, c)], cleared once by the lcm
-    of their denominators."""
+    """The module of the rational columns {w: c}, cleared once by the lcm of
+    their denominators."""
     d, flat = _common_denominator([col for cols in columns for col in cols])
     return RepresentationData(algebra, [flat[i:i + dim_V] for i in
                                         range(0, len(flat), dim_V)],
@@ -122,22 +118,23 @@ def check_representation(R: RepresentationData, max_cost=10 ** 7):
     n = R.dim_V
     if L.dim * n ** 2 > max_cost:
         return False
-    amax = max((abs(c) for cols in R.columns for col in cols for _, c in col),
-               default=0)
+    amax = max((abs(c) for cols in R.columns for col in cols
+                for c in col.values()), default=0)
     d, table = L.int_ad_table
-    pairs = [(i, j, [(k, c * R.d) for k, c in table[i].get(j, {}).items()])
+    pairs = [(i, j, {k: c * R.d for k, c in table[i].get(j, {}).items()})
              for i in range(L.dim) for j in range(i + 1, L.dim)]
-    bound = max((2 * n * amax * amax * d + (amax + 1) * sum(abs(c) for _, c in b)
+    bound = max((2 * n * amax * amax * d
+                 + (amax + 1) * sum(map(abs, b.values()))
                  for _, _, b in pairs), default=0)
     dtype = np.int64 if bound < 2 ** 62 else object
     M = [np.zeros((n, n), dtype=dtype) for _ in R.columns]
     for m, cols in zip(M, R.columns):
         for v, col in enumerate(cols):
-            for w, c in col:
+            for w, c in col.items():
                 m[w, v] = c
     for i, j, b in pairs:
         expect = np.zeros((n, n), dtype=dtype)
-        for k, c in b:
+        for k, c in b.items():
             expect = expect + M[k] * c
         if not np.array_equal((M[i] @ M[j] - M[j] @ M[i]) * d, expect):
             raise VerificationError(
@@ -156,13 +153,13 @@ def standard_rep(L: LieAlgebraData) -> RepresentationData:
     if mats is None:
         raise ValueError("standard_rep requires a matrix-constructed algebra")
     n = L.metadata["matrix_size"]
-    return _cleared(L, [[_column({w: c for (w, u), c in m.items() if u == v})
+    return _cleared(L, [[{w: c for (w, u), c in m.items() if u == v}
                          for v in range(n)] for m in mats], n, "phi1")
 
 
 def trivial_rep(L: LieAlgebraData, dim=1) -> RepresentationData:
     return RepresentationData(
-        L, [[[] for _ in range(dim)] for _ in range(L.dim)], dim,
+        L, [[{} for _ in range(dim)] for _ in range(L.dim)], dim,
         label="trivial")
 
 
@@ -171,10 +168,10 @@ def dual_rep(R: RepresentationData) -> RepresentationData:
     by column from the columns of R."""
     columns = []
     for cols in R.columns:
-        dual = [[] for _ in range(R.dim_V)]
+        dual = [{} for _ in range(R.dim_V)]
         for v, col in enumerate(cols):
-            for w, c in col:
-                dual[w].append((v, -c))
+            for w, c in col.items():
+                dual[w][v] = -c
         columns.append(dual)
     return RepresentationData(R.algebra, columns, R.dim_V, f"({R.label})*",
                               d=R.d)
@@ -187,7 +184,7 @@ def direct_sum_rep(*reps, labels=None) -> RepresentationData:
         raise ValueError("a direct sum needs modules of one algebra")
     offsets = list(itertools.accumulate((r.dim_V for r in reps[:-1]), initial=0))
     d = math.lcm(*(r.d for r in reps))
-    columns = [[[(off + w, c * (d // r.d)) for w, c in col]
+    columns = [[{off + w: c * (d // r.d) for w, c in col.items()}
                 for r, off in zip(reps, offsets) for col in r.columns[i]]
                for i in range(alg.dim)]
     blocks = [(labels[idx] if labels else f"{r.label}#{idx}", off, r.dim_V)
@@ -209,7 +206,7 @@ def _power(R: RepresentationData, basis, label, derive):
             acc = {}
             for nb, c in derive(b, columns):
                 acc[idx[nb]] = acc.get(idx[nb], 0) + c
-            cols.append(_column(acc))
+            cols.append(_nonzero(acc))
         action.append(cols)
     out = RepresentationData(R.algebra, action, len(basis), label=label,
                              d=R.d)
@@ -227,7 +224,7 @@ def exterior_power(R: RepresentationData, k: int) -> RepresentationData:
         # past |t - pos| other factors
         for pos, v in enumerate(b):
             rest = b[:pos] + b[pos + 1:]
-            for w, c in columns[v]:
+            for w, c in columns[v].items():
                 if w not in rest:
                     t = bisect.bisect(rest, w)
                     yield rest[:t] + (w,) + rest[t:], -c if (t - pos) % 2 else c
@@ -243,7 +240,7 @@ def symmetric_power(R: RepresentationData, k: int) -> RepresentationData:
         for pos, v in enumerate(b):
             if pos == 0 or v != b[pos - 1]:
                 rest = b[:pos] + b[pos + 1:]
-                for w, c in columns[v]:
+                for w, c in columns[v].items():
                     yield tuple(sorted(rest + (w,))), c * b.count(v)
 
     return _power(R, list(itertools.combinations_with_replacement(
@@ -261,13 +258,13 @@ def preserves_form(X, form) -> bool:
     X lies in the Lie algebra of the form."""
     rows, cols = {}, {}
     for (i, j), f in form.items():
-        rows.setdefault(i, []).append((j, f))
-        cols.setdefault(j, []).append((i, f))
+        rows.setdefault(i, {})[j] = f
+        cols.setdefault(j, {})[i] = f
     acc = {}
     for (k, l), x in X.items():
-        for j, f in rows.get(k, ()):
+        for j, f in rows.get(k, {}).items():
             acc[l, j] = acc.get((l, j), 0) + x * f
-        for i, f in cols.get(k, ()):
+        for i, f in cols.get(k, {}).items():
             acc[i, l] = acc.get((i, l), 0) + f * x
     return not any(acc.values())
 
@@ -276,7 +273,7 @@ def check_form_invariant(R: RepresentationData, form):
     """form(Xu, v) + form(u, Xv) = 0 for every basis action X, read off the
     sparse columns of R."""
     for i, cols in enumerate(R.columns):
-        X = {(w, v): c for v, col in enumerate(cols) for w, c in col}
+        X = {(w, v): c for v, col in enumerate(cols) for w, c in col.items()}
         if not preserves_form(X, form):
             raise FormNotInvariantError(i)
 
@@ -324,13 +321,13 @@ def _submodule(R: RepresentationData, vectors, label, units):
         cols = []
         for U in span.rows:
             w = {}
-            for u, a in U:
-                for r, c in columns[u]:
+            for u, a in U.items():
+                for r, c in columns[u].items():
                     w[r] = w.get(r, 0) + a * c
             coeffs = span.coords(w)
             if coeffs is None:
                 raise VerificationError("span is not invariant under the action")
-            cols.append(sorted(coeffs.items()))
+            cols.append(coeffs)
         action.append(cols)
     return RepresentationData(R.algebra, action, len(vectors), label=label,
                               d=R.d * span.E)
@@ -432,7 +429,7 @@ def spin_rep(n: int, half: str | None = None, L=None) -> RepresentationData:
             if p == q:
                 for t, a in enumerate(acc):
                     a[t] = a.get(t, 0) - c
-        action.append([_column(a) for a in acc])
+        action.append([_nonzero(a) for a in acc])
     label = f"spin({n})" if half is None else f"spin({n},{half})"
     return RepresentationData(L, action, len(at), label=label, d=2)
 
@@ -447,8 +444,8 @@ def adjoint_rep(L: LieAlgebraData) -> RepresentationData:
     integer table of L."""
     d, table = L.int_ad_table
     return RepresentationData(
-        L, [[sorted(row.get(j, {}).items()) for j in range(L.dim)]
-            for row in table], L.dim, label="adjoint", d=d)
+        L, [[row.get(j, {}) for j in range(L.dim)] for row in table], L.dim,
+        label="adjoint", d=d)
 
 
 def symplectic_form(n: int) -> dict:

@@ -77,7 +77,8 @@ class SemiDirectProduct:
         for i, columns in enumerate(rep.columns):
             for v, col in enumerate(columns):
                 if col:
-                    brackets[(i, g + v)] = {g + w: c * s for w, c in col}
+                    brackets[(i, g + v)] = {g + w: c * s
+                                            for w, c in col.items()}
         gname = algebra.metadata.get("name", "q")
         self.total = LieAlgebraData(
             dim, labels, brackets,
@@ -191,8 +192,7 @@ def stabiliser_in_V(S: SemiDirectProduct, x) -> StabiliserResult:
     table of s, where the module columns are cleared once.
     """
     x = [as_q(c) for c in x]
-    _, (xs,) = _common_denominator([[(w, c) for w, c in enumerate(x) if c]])
-    xs = dict(xs)
+    _, (xs,) = _common_denominator([{w: c for w, c in enumerate(x) if c}])
     g, table = S.dim_g, S.total.int_ad_table[1]
     # condition sum_i xi_i (rho_i^T x)_v = 0, one row per v
     rows = [{i: s for i in range(g)

@@ -35,7 +35,6 @@ from coadjoint.constructions import (
 )
 from coadjoint.invariants import (
     MultiPoly,
-    _cleared_point,
     _compositions,
     _int_gradient,
     _int_terms,
@@ -59,7 +58,8 @@ from coadjoint.liealg import (
     classical_algebra,
     heisenberg_algebra,
 )
-from coadjoint.qlinalg import QQ, Basis, QMatrix, VerificationError, kernel_basis
+from coadjoint.qlinalg import (QQ, Basis, QMatrix, VerificationError,
+                               _int_vector, kernel_basis)
 from coadjoint.repn import build_module, standard_rep, trivial_rep
 from coadjoint.semidirect import semidirect
 
@@ -198,7 +198,7 @@ def test_integer_jacobian_rows_match_the_rational_rows(seed, nvars, degree,
     M = P.total_degree()
     for _ in range(3):
         pt = _int_or_rational_point(rng, nvars, integral)
-        d, X = _cleared_point(pt)
+        d, X = _int_vector(pt)
         row = _int_gradient(terms, X, d, M)
         assert 0 not in row.values()
         scale = D * d ** max(M - 1, 0)

@@ -29,6 +29,7 @@ from coadjoint.qlinalg import (
     Basis,
     QMatrix,
     _certified_kernel,
+    _common_denominator,
     _dixon_solve,
     _int_rows,
     _kernel_exact_small,
@@ -329,6 +330,25 @@ def test_integer_coords_with_mixed_denominators(seed, k, extra):
     off = list(v)
     off[j] += Fraction(1, rng.randint(1, 12))
     assert span.coords(off) is None
+
+
+@SMALL
+@given(st.lists(st.dictionaries(
+    st.one_of(st.integers(0, 40), st.tuples(st.integers(0, 5),
+                                            st.integers(0, 5))),
+    st.one_of(st.integers(-10 ** 20, 10 ** 20),
+              st.fractions(max_denominator=60)), max_size=6), max_size=5))
+def test_common_denominator_clears_sparse_rows(rows):
+    """E is the lcm of every denominator, each row comes back as its own
+    keys, in order, with E times its values as ints, and empty rows stay."""
+    E, out = _common_denominator(rows)
+    assert E == math.lcm(1, *(Fraction(a).denominator
+                              for row in rows for a in row.values()))
+    assert len(out) == len(rows)
+    for row, cleared in zip(rows, out):
+        assert list(cleared) == list(row)
+        assert all(type(x) is int and x == E * a
+                   for x, a in zip(cleared.values(), row.values()))
 
 
 def _rref_reference(vectors):

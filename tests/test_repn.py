@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from coadjoint.liealg import classical_algebra, fingerprint
-from coadjoint.qlinalg import (Basis, QMatrix, QQ, SampleConfig, inverse,
-                               kernel_basis)
+from coadjoint.qlinalg import (Basis, QMatrix, QQ, SampleConfig, _nonzero,
+                               inverse, kernel_basis)
 from coadjoint.repn import (
     FormNotInvariantError,
     RepresentationData,
@@ -28,7 +28,6 @@ from coadjoint.repn import (
     trivial_rep,
     weight_module,
     _clifford_generators,
-    _column,
     _submodule,
 )
 
@@ -170,7 +169,7 @@ def _fock_half_by_submodule(n, half):
             if p == q:
                 for col in range(N):
                     acc[col][col] = acc[col].get(col, 0) - c
-        action.append([_column(a) for a in acc])
+        action.append([_nonzero(a) for a in acc])
     keep = [i for i, s in enumerate(basis) if len(s) % 2 == (half == "odd")]
     return L, _submodule(RepresentationData(L, action, N, d=2),
                          [[int(i == c) for i in range(N)] for c in keep],
@@ -592,14 +591,28 @@ _BUILDERS = {"spin_rep(7)": _spin7, "spin_rep(8, odd)": _spin8_odd,
 
 @pytest.mark.parametrize("name", list(_BUILDERS))
 def test_builders_write_int_columns_viewed_as_the_reference(name):
+    """Every builder writes {row: nonzero int} dict columns, which the
+    semi-direct product copies into the module block of its table: there
+    d_s [x_i, v] = (d_s / R.d) R.d rho(x_i) v, d_s the d of the product."""
+    from coadjoint.semidirect import semidirect
+
     R, ref = _BUILDERS[name]()
     assert type(R.d) is int and R.d >= 1
     for cols in R.columns:
         for col in cols:
-            assert all(type(c) is int and c for _, c in col)
-            assert [w for w, _ in col] == sorted({w for w, _ in col})
+            assert type(col) is dict
+            assert all(type(w) is int and 0 <= w < R.dim_V
+                       and type(c) is int and c for w, c in col.items())
     assert [X.data for X in R.action] == [X.data for X in ref]
     assert check_representation(R)
+    S = semidirect(R.algebra, R)
+    D, table = S.total.int_ad_table
+    g = S.dim_g
+    for i, cols in enumerate(R.columns):
+        for v, col in enumerate(cols):
+            block = table[i].get(g + v, {})
+            assert {w - g: QQ(c) for w, c in block.items()} == {
+                w: QQ(c * D, R.d) for w, c in col.items()}
 
 
 _CHECKS_UNDER_O = """
