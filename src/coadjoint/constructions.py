@@ -34,7 +34,6 @@ cannot reach m over the rows still to come is dropped, as one above a cap is.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from .invariants import (
@@ -47,7 +46,6 @@ from .invariants import (
     _mul_into,
     _over,
     _pack,
-    _scaled,
     _unit,
     _unpack,
     _width,
@@ -205,9 +203,9 @@ class MatrixRealisation:
 def _integral_entries(entries):
     """(D, the term dicts of D entries[i][j] as ints), D the lcm of every
     coefficient denominator."""
-    D = math.lcm(1, *(c.denominator for row in entries for P in row
-                      for c in P.terms.values()))
-    return D, [[_scaled(P.terms, D) for P in row] for row in entries]
+    D, ints = _common_denominator([P.terms for row in entries for P in row])
+    ints = iter(ints)
+    return D, [[next(ints) for _ in row] for row in entries]
 
 
 def _packed_entries(entries, nvars):
@@ -269,22 +267,24 @@ def _det_int(entries, nvars, bounds, floors=()):
     return w, states.get(tuple(range(N)), {})
 
 
-def symbolic_minor_sum(entries, nvars, k, bounds=()):
-    """E_k of a symbolic matrix: det(lambda I + X) via one extra variable.
+def symbolic_minor_sum(entries, nvars, ks, bounds=()):
+    """{k: E_k} of a symbolic matrix for each k of ks (0 <= k <= N, or
+    ValueError), from the one expansion of `_minor_sums_int`.
 
     Runs on ints: det(lambda I + D X) carries E_k(D X) = D^k E_k(X) at
-    lambda^(N-k), D the lcm of the entry denominators; k = N takes the
+    lambda^(N-k), D the lcm of the entry denominators; ks = {N} takes the
     determinant without lambda.
 
     bounds: degree bounds (variables, cap) on the original variables, each
     keeping only the terms of degree at most cap in those variables.
     Entries have no negative exponents, so a partial product over the rows
     so far that breaks a bound cannot contribute, and the bounds are applied
-    after every row: the result is E_k with the terms that break a bound
+    after every row: each E_k comes with the terms that break a bound
     left out.
     """
-    D, w, terms = _minor_sums_int(entries, nvars, [k], bounds)[k]
-    return _over(nvars, _unpack(terms, nvars, w), D ** k)
+    return {k: _over(nvars, _unpack(terms, nvars, w), D ** k)
+            for k, (D, w, terms)
+            in _minor_sums_int(entries, nvars, ks, bounds).items()}
 
 
 def _minor_sums_int(entries, nvars, ks, bounds, floors=()):
@@ -816,9 +816,7 @@ def _ambient_invariants(fam, n, mats):
     # replaces E_n
     degrees = {"sl": range(2, n + 1), "sp": range(2, n + 1, 2),
                "so": range(2, n, 2)}[fam]
-    nv = len(mats)
-    out = [(k, _over(nv, _unpack(terms, nv, w), D ** k)) for k, (D, w, terms)
-           in _minor_sums_int(entries, nv, degrees, ()).items()]
+    out = list(symbolic_minor_sum(entries, len(mats), degrees).items())
     if fam == "so" and n % 2 == 0:
         # X B with B the antidiagonal form: (X B)_ij = X_i,n-1-j
         out.append((n // 2, symbolic_pfaffian([row[::-1] for row in entries],
@@ -1064,9 +1062,8 @@ def item3_evaluation_identity(res: Item3Result, trials=20, seed=77):
     S, S2 = res.S, res.S2
     N = S.blocks[1][2]
     gd = S2.dim_g
-    Dq = math.lcm(1, *(c.denominator for qp in res.B_quadrics
-                       for c in qp.terms.values()))
-    quadrics = [_int_terms(qp.terms, Dq)[1] for qp in res.B_quadrics]
+    Dq, quadrics = _common_denominator([qp.terms for qp in res.B_quadrics])
+    quadrics = [_int_terms(q)[1] for q in quadrics]
     pairs = []
     for H, h in zip(res.lifted, res.quadratic):
         DH, H_terms = _int_terms(H.terms)

@@ -346,20 +346,14 @@ def _power(p, k):
     return out
 
 
-def _scaled(terms, D):
-    """The terms times D, as ints; D must be a common denominator."""
-    return {m: c.numerator * (D // c.denominator) for m, c in terms.items()}
-
-
-def _int_terms(terms, D=None):
+def _int_terms(terms):
     """(D, [(D c, support)]) of a term dict, the support of a monomial being
     its (variable, exponent) pairs with a nonzero exponent: the coefficients
-    cleared once, so that evaluations run on ints.  D defaults to the lcm of
-    the coefficient denominators; a given D must be a common denominator."""
-    if D is None:
-        D = math.lcm(1, *(c.denominator for c in terms.values()))
+    cleared once by `_common_denominator`, D the lcm of their denominators,
+    so that evaluations run on ints."""
+    D, (ints,) = _common_denominator([terms])
     return D, [(c, tuple((i, e) for i, e in enumerate(m) if e))
-               for m, c in _scaled(terms, D).items()]
+               for m, c in ints.items()]
 
 
 def _int_value(terms, X, d=1, M=0):

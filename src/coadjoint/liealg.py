@@ -46,6 +46,7 @@ from .qlinalg import (
     VerificationError,
     _common_denominator,
     _dense,
+    _nonzero,
     rank,
     sample_mod_p,
 )
@@ -89,10 +90,8 @@ class LieAlgebraData:
             e, items = 1, [(ij, {k: c for k, c in vec.items() if c})
                            for ij, vec in items]
         else:
-            e = math.lcm(1, *(c.denominator for _, vec in items
-                              for c in vec.values()))
-            items = [(ij, {k: c.numerator * (e // c.denominator)
-                           for k, c in vec.items() if c}) for ij, vec in items]
+            e, vecs = _common_denominator([vec for _, vec in items])
+            items = [(ij, _nonzero(vec)) for (ij, _), vec in zip(items, vecs)]
         g = math.gcd(d * e, *(c for _, vec in items for c in vec.values()))
         table = [{} for _ in range(dim)]
         for (i, j), vec in items:
@@ -182,9 +181,13 @@ class LieAlgebraData:
         ModMatrix of (d/c) B_gamma mod p, c the content of the table, so
         that brackets all divisible by p do not vanish mod p; its upper
         triangle is one scatter-add of (x/c) gamma_k mod p over
-        `_bracket_arrays`, and the form is that minus its transpose.
+        `_bracket_arrays`, and the form is that minus its transpose.  A
+        gamma of any length other than dim L raises ValueError.
         """
         n = self.dim
+        if len(gamma) != n:
+            raise ValueError(f"{len(gamma)} coordinates for an algebra of "
+                             f"dim {n}")
         if p is not None:
             pos, k, x = self._bracket_arrays
             if not isinstance(x, np.ndarray):
@@ -302,8 +305,7 @@ def make_expander(mats):
     """
     dim = len(mats)
     owners = {}
-    sparse = [{pos: v.numerator if v.denominator == 1 else v
-               for pos, v in m.items()} for m in mats]
+    sparse = [{pos: _integral(v) for pos, v in m.items()} for m in mats]
     for b, entries in enumerate(sparse):
         for pos in entries:
             owners.setdefault(pos, []).append(b)

@@ -4,10 +4,11 @@ Scalars are exact rationals, `fractions.Fraction` (`QQ`).  Matrices are
 dense lists of rows; products walk only the nonzero entries, and `entries()`
 is the one conversion to a sparse {(i, j): value} dict.  A sparse integer
 vector has one form here and throughout the package, an {index: int} dict;
-`_common_denominator` clears a list of {index: rational} dicts to that form
-by one lcm.  Ranks and kernels run on rows of {column: int}: `IntRows` is
-taken as it is, and a `QMatrix` row is scaled by the lcm of its denominators
-(all-zero rows dropped), which changes neither rank nor right kernel.
+`_common_denominator`, the one place that takes an lcm of denominators,
+clears a list of {index: rational} dicts to that form.  Ranks and kernels
+run on rows of {column: int}: `IntRows` is taken as it is, and a `QMatrix`
+row is scaled by the lcm of its denominators (all-zero rows dropped), which
+changes neither rank nor right kernel.
 `rank` is one elimination mod the first prime by `_sparse_echelon`: the
 rank mod p bounds the rank over Q from below, so min(rows, cols) there is
 the answer, and any smaller count is decided by `Basis`.  `kernel_basis`
@@ -223,12 +224,12 @@ def _nonzero(terms):
 
 def _int_vector(vec):
     """(D, the rational or integer vector times D as a new list of ints), D
-    the lcm of its denominators (the shared Q0 is skipped by identity)."""
+    the lcm of its denominators: an all-int vector is copied as it is, any
+    other goes through `_common_denominator`."""
     if set(map(type, vec)) <= {int}:
         return 1, list(vec)
-    D = math.lcm(1, *(x.denominator for x in vec if x is not Q0))
-    return D, [x.numerator * (D // x.denominator) if x is not Q0 else 0
-               for x in vec]
+    D, (row,) = _common_denominator([{c: x for c, x in enumerate(vec) if x}])
+    return D, _dense(row, len(vec))
 
 
 def _int_rows(m):

@@ -189,8 +189,12 @@ def stabiliser_in_V(S: SemiDirectProduct, x) -> StabiliserResult:
     The coadjoint action on V* is the negative transpose of the module action,
     so q_x is the kernel of the rows x^T rho(x_i).  They are written as
     IntRows: x cleared of its denominators, and rho(x_i) read off the integer
-    table of s, where the module columns are cleared once.
+    table of s, where the module columns are cleared once.  An x of any
+    length other than dim V raises ValueError.
     """
+    if len(x) != S.dim_V:
+        raise ValueError(f"{len(x)} coordinates for a point of V* of "
+                         f"dim {S.dim_V}")
     x = [as_q(c) for c in x]
     _, (xs,) = _common_denominator([{w: c for w, c in enumerate(x) if c}])
     g, table = S.dim_g, S.total.int_ad_table[1]
@@ -240,7 +244,9 @@ def _genericity_target(S: SemiDirectProduct, cfg: SampleConfig):
     again at most generic.  key_p = K unless a minor of degree <= dim g
     vanishes at x: probability <= dim g / p.  The kernel basis u is in the
     normal form of `_mod_echelon`, so coordinates in q_x are the entries at
-    the free columns; [u_a, u_b] is summed entry by entry of int_ad_table.
+    the free columns; [u_a, u_b] is summed over `_bracket_arrays`, so the
+    brackets are 1/c and the Killing form 1/c^2 times those of the table (c
+    its content), which changes no rank mod p unless p divides c.
     """
     n, dim_V = S.dim_g, S.dim_V
     # the module columns, cleared in the integer table of s
@@ -249,11 +255,12 @@ def _genericity_target(S: SemiDirectProduct, cfg: SampleConfig):
                             for t, col in row.items() if t >= n
                             for u, c in col.items()],
                            np.int64).reshape(-1, 3).T
-    s, t, r, val = np.array([(s, t, r, x) for s, t, vec in S.algebra.int_brackets()
-                             for r, x in vec.items()],
-                            np.int64).reshape(-1, 4).T
+    pos, r, consts = S.algebra._bracket_arrays
+    s, t = np.divmod(pos, n)
     keys, primes = [], []
     for _, (p, x) in zip(range(2), sample_mod_p(cfg, dim_V, "stab")):
+        val = consts if isinstance(consts, np.ndarray) else np.array(
+            [c % p for c in consts], np.int64)
         M = np.zeros(n * dim_V, np.int64)    # M[v, i] at i * dim V + v
         np.add.at(M, at, coef * np.array(x, np.int64)[w])
         pivots, _, red = _mod_echelon((M % p).reshape(n, dim_V).T, p)
@@ -360,7 +367,12 @@ def stabiliser_full(S: SemiDirectProduct, xi) -> StabiliserResult:
 
 
 def split_stabiliser_dim(S: SemiDirectProduct, gamma, y) -> int:
-    """dim(g_y)_{gamma restricted} + (dim V - dim G.y), the split formula."""
+    """dim(g_y)_{gamma restricted} + (dim V - dim G.y), the split formula,
+    for gamma in g* and y in V*; a gamma of any length other than dim g
+    raises ValueError, as stabiliser_in_V does for y."""
+    if len(gamma) != S.dim_g:
+        raise ValueError(f"{len(gamma)} coordinates for a point of g* of "
+                         f"dim {S.dim_g}")
     st = stabiliser_in_V(S, y)
     gamma_bar = [sum((g * b for g, b in zip(gamma, vec)), Q0) for vec in st.basis]
     B = st.algebra.kirillov_form(gamma_bar)

@@ -126,6 +126,13 @@ def test_criterion_3_generator_ledgers():
     cases.append((semidirect(L, adjoint_rep(L)), 3, [2, 2]))
     L = classical_algebra("so", 3)
     cases.append((semidirect(L, standard_rep(L)), 3, [2, 2]))
+    # two rows of the paper: table 2 row 2 (n=2) and table 1 row 1 (n=5, m=2)
+    L = classical_algebra("sp", 4)
+    cases.append((semidirect(L, build_module("sp", 4, [("phi2", 1)], L=L)),
+                  6, [2, 3, 4]))
+    L = classical_algebra("so", 5)
+    cases.append((semidirect(L, build_module("so", 5, [("phi1", 2)], L=L)),
+                  6, [2, 2, 2, 6]))
     for S, cap, want in cases:
         led = generator_ledger(S, cap)
         assert led.generator_degrees() == want, (S, led.generator_degrees())
@@ -133,8 +140,8 @@ def test_criterion_3_generator_ledgers():
         v = freeness_checklist(S, gens, CFG)
         assert v.passes
         assert v.count == v.index_s and v.degree_sum == v.b_s
-    _ok("criterion 3: ledgers {3}, {3,5}, {2,2}, {2,2} with count = ind, "
-        "sum deg = b")
+    _ok("criterion 3: ledgers {3}, {3,5}, {2,2}, {2,2}, {2,3,4}, {2,2,2,6} "
+        "with count = ind, sum deg = b")
 
 
 def test_criterion_4_matryoshka_identity():

@@ -111,7 +111,17 @@ def test_symbolic_minor_sum_and_pfaffian_name_a_non_square_shape():
     with pytest.raises(ValueError, match="a 1 x 2 matrix has no Pfaffian"):
         symbolic_pfaffian([[x, x]], 1)
     with pytest.raises(ValueError, match="a 1 x 2 matrix has no principal"):
-        symbolic_minor_sum([[x, x]], 1, 1)
+        symbolic_minor_sum([[x, x]], 1, {1})
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("at", range(3))
+def test_symbolic_minor_sum_refuses_one_bad_degree_anywhere(bad, at):
+    x = MultiPoly.variable(1, 0)
+    ks = [0, 1, 2]
+    ks.insert(at, bad)
+    with pytest.raises(ValueError, match=f"k = {bad} is outside 0..2"):
+        symbolic_minor_sum([[x, x], [x, x]], 1, ks)
 
 
 def test_pf_squared_is_det_100_random():
@@ -141,9 +151,10 @@ def test_symbolic_minor_sum_matches_numeric():
     pt = [QQ(rng.randint(-3, 3)) for _ in range(nv)]
     M = QMatrix(n, n, [[entries[i][j].evaluate(pt) for j in range(n)]
                        for i in range(n)])
+    syms = symbolic_minor_sum(entries, nv, {2, 3, 4})
+    assert sorted(syms) == [2, 3, 4]
     for k in (2, 3, 4):
-        sym = symbolic_minor_sum(entries, nv, k)
-        assert sym.evaluate(pt) == brute_minor_sum(M, k)
+        assert syms[k].evaluate(pt) == brute_minor_sum(M, k)
 
 
 # -- layouts ----------------------------------------------------------------
@@ -357,7 +368,7 @@ def _sl_route_top(q, m, k):
                 if c:
                     ent[2 * q + a][s] = (ent[2 * q + a][s]
                                          + MultiPoly.variable(nv, vi, c))
-    P = symbolic_minor_sum(ent, nv, k)
+    P = symbolic_minor_sum(ent, nv, {k})[k]
     best = max(sum(mono[d:]) for mono in P.terms)
     top = MultiPoly(nv, {mono: c for mono, c in P.terms.items()
                          if sum(mono[d:]) == best})
@@ -634,7 +645,7 @@ def test_ambient_invariants_are_the_minor_sums_of_one_expansion(family, size):
     entries = _ambient_matrix(size, L.metadata["matrices"])
     pf = family == "so" and size % 2 == 0
     sums = out[:-1] if pf else out
-    assert sums == [(k, symbolic_minor_sum(entries, L.dim, k))
+    assert sums == [(k, symbolic_minor_sum(entries, L.dim, {k})[k])
                     for k, _ in sums]
     assert [k for k, _ in out] == {
         "so": list(range(2, size, 2)) + ([size // 2] if pf else []),

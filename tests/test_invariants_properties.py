@@ -110,8 +110,8 @@ def _all_fractions(P):
 def test_symbolic_minor_sums_commute_with_evaluation(seed, n, nvars):
     rng = random.Random(seed)
     entries = [[_linear_form(rng, nvars) for _ in range(n)] for _ in range(n)]
-    syms = [symbolic_minor_sum(entries, nvars, k) for k in range(n + 1)]
-    det = symbolic_minor_sum(entries, nvars, n)    # without lambda
+    syms = list(symbolic_minor_sum(entries, nvars, range(n + 1)).values())
+    det = symbolic_minor_sum(entries, nvars, {n})[n]    # without lambda
     assert det == syms[n]
     assert all(map(_all_fractions, syms + [det]))
     for _ in range(3):
@@ -223,6 +223,23 @@ def test_one_expansion_serves_every_minor_sum_in_any_order(seed, n, nvars):
         k: _minor_sums(entries, nvars, [k], bounds, floors)[k] for k in ks}
 
 
+@SETTINGS
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 3))
+def test_symbolic_minor_sum_of_a_set_is_each_degree_alone(seed, n, nvars):
+    """The public request: each E_k of a set of degrees, under degree
+    bounds or none, is the E_k of a request for [k] alone."""
+    rng = random.Random(seed)
+    entries = [[_random_poly(rng, nvars, 2, terms=3) for _ in range(n)]
+               for _ in range(n)]
+    bounds = [(rng.sample(range(nvars), rng.randint(1, nvars)),
+               rng.randint(0, 3))] if rng.random() < 0.5 else []
+    ks = set(rng.sample(range(n + 1), rng.randint(1, n + 1)))
+    sums = symbolic_minor_sum(entries, nvars, ks, bounds)
+    assert set(sums) == ks
+    for k in ks:
+        assert sums[k] == symbolic_minor_sum(entries, nvars, [k], bounds)[k]
+
+
 @pytest.mark.parametrize("k", range(5))
 def test_a_request_for_one_degree_returns_only_that_degree(k):
     rng = random.Random(k)
@@ -249,8 +266,8 @@ def test_degree_bounds_only_drop_terms(seed, n, nvars):
     bounds = [(rng.sample(range(nvars), rng.randint(1, nvars)),
                rng.randint(0, 3)) for _ in range(rng.randint(1, 2))]
     for k in range(n + 1):
-        assert symbolic_minor_sum(entries, nvars, k, bounds) == _filtered(
-            symbolic_minor_sum(entries, nvars, k), bounds)
+        assert symbolic_minor_sum(entries, nvars, {k}, bounds)[k] == _filtered(
+            symbolic_minor_sum(entries, nvars, {k})[k], bounds)
 
 
 def _minor_sums(entries, nvars, ks, bounds, floors=()):

@@ -224,6 +224,13 @@ def test_kirillov_form_mod_p_is_the_pairwise_sum(name):
         assert (m.a == _kirillov_mod_p_by_pairs(L, gamma, p)).all()
 
 
+@pytest.mark.parametrize("p", [None, _PRIMES[0]])
+def test_kirillov_form_refuses_a_gamma_of_the_wrong_length(p):
+    with pytest.raises(ValueError,
+                       match="4 coordinates for an algebra of dim 3"):
+        classical_algebra("sl", 2).kirillov_form([1, 0, 0, 7], p)
+
+
 def test_index_divides_the_content_of_the_structure_table():
     # every bracket a multiple of both first primes: without dividing the
     # content out, B_gamma would vanish mod p at both and the index read 5

@@ -751,9 +751,9 @@ for code, build in (
         (32, lambda: QMatrix.zero(2, 2) + QMatrix.zero(2, 3)),
         (33, lambda: QMatrix.zero(2, 2) - QMatrix.zero(3, 2)),
         (34, lambda: QMatrix.zero(2, 2).matvec([1])),
-        (35, lambda: symbolic_minor_sum([[x, x], [x, x]], 1, 3)),
-        (36, lambda: symbolic_minor_sum([[x, x], [x, x]], 1, -1)),
-        (37, lambda: symbolic_minor_sum([[x, x]], 1, 1)),
+        (35, lambda: symbolic_minor_sum([[x, x], [x, x]], 1, {3})),
+        (36, lambda: symbolic_minor_sum([[x, x], [x, x]], 1, {-1})),
+        (37, lambda: symbolic_minor_sum([[x, x]], 1, {1})),
         (38, lambda: delta_k_matrix(QMatrix.identity(2), -1)),
         (39, lambda: delta_k_matrix(QMatrix.identity(2), 3)),
         (40, lambda: delta_k_matrix(QMatrix.zero(2, 3), 1)),

@@ -4,10 +4,12 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from coadjoint.liealg import classical_algebra, fingerprint, index
+from coadjoint.liealg import (LieAlgebraData, classical_algebra, fingerprint,
+                              index)
 from coadjoint.qlinalg import (
     Q0,
     Q1,
@@ -112,6 +114,33 @@ def test_genericity_target_is_never_below_an_exact_key(family, n, module):
     st = generic_stabiliser_in_V(S, CFG)
     assert st.stabilised and _genericity_key(st) == st.target
     assert st.miss_bound == pytest.approx(L.dim ** 2 / (46337 * 46327))
+
+
+def test_genericity_target_reduces_constants_beyond_int64():
+    # sl2 on the basis (h, N e, f): [N e, f] = N h with N = 3^41 > 2^63 and
+    # content 1, so the bracket arrays are a list, reduced mod p; on a
+    # trivial V, q_x is all of sl2
+    N = 3 ** 41
+    L = LieAlgebraData(3, brackets={(0, 1): {1: 2}, (0, 2): {2: -2},
+                                    (1, 2): {0: N}})
+    assert not isinstance(L._bracket_arrays[2], np.ndarray)
+    sl2 = classical_algebra("sl", 2)
+    for g in (L, sl2):
+        target, _ = _genericity_target(semidirect(g, trivial_rep(g)), CFG)
+        assert target == (3, -3, -3)
+
+
+@pytest.mark.parametrize("x", [[1], [1, 0, 0, 0, 5, 6]])
+def test_stabiliser_in_V_refuses_a_point_of_the_wrong_length(x):
+    want = f"{len(x)} coordinates for a point of V\\* of dim 4"
+    with pytest.raises(ValueError, match=want):
+        stabiliser_in_V(S_sp4k4(), x)
+
+
+def test_split_stabiliser_dim_refuses_a_gamma_of_the_wrong_length():
+    with pytest.raises(ValueError,
+                       match="1 coordinates for a point of g\\* of dim 10"):
+        split_stabiliser_dim(S_sp4k4(), [1], [1, 0, 0, 0])
 
 
 def _dense_search(S, cfg):
